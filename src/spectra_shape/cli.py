@@ -4,6 +4,10 @@ Subcommands: eig (spectrum only), dshape (derivative routes), verify
 (FD plus route-equivalence suite), study (refinement), abstract
 (synthetic pencil demos). Exit codes: 0 success, 2 config error,
 3 numerical failure, 4 invariant violation.
+
+Importing this module loads neither numpy nor scipy: ``main`` sets the BLAS
+thread variables first and imports the engine after, because OpenBLAS reads
+them when it loads.
 """
 
 import argparse
@@ -11,9 +15,6 @@ import json
 import os
 import sys
 
-import scipy.linalg as sla
-
-from . import harness
 from .errors import (
     ConfigError,
     ContourError,
@@ -25,7 +26,6 @@ from .errors import (
     NearSingularError,
     PencilError,
 )
-from .spectral import solve_pencil
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -37,9 +37,18 @@ _NUMERICAL_ERRORS = (
     ContourError,
     DegenerateProblemError,
     InadmissibleParameterError,
-    sla.LinAlgError,
 )
-_CONFIG_ERRORS = (ConfigError, MeshFormatError, InvalidGeometryError, KeyError)
+_CONFIG_ERRORS = (ConfigError, MeshFormatError, InvalidGeometryError)
+
+
+def solve_pencil(*args, **kwargs):
+    """``spectral.solve_pencil``, imported on first use (see the module doc).
+
+    A module-level name, so that ``bench/tracing.py`` can wrap it.
+    """
+    from .spectral import solve_pencil as solve
+
+    return solve(*args, **kwargs)
 
 
 def _emit(payload: dict, out_path):
@@ -52,9 +61,11 @@ def _emit(payload: dict, out_path):
 
 
 def _cmd_eig(cfg, out):
+    from . import harness
+
     pencil = harness.assemble_at(cfg, cfg.chi_bar)
-    dec = solve_pencil(pencil, cfg.kernel_tol)
     lo, hi = cfg.index_range
+    dec = solve_pencil(pencil, cfg.kernel_tol, count=hi, cluster_tol=cfg.cluster_tol)
     hi = min(hi, len(dec.eigenvalues))
     _emit(
         {
@@ -67,11 +78,15 @@ def _cmd_eig(cfg, out):
 
 
 def _cmd_dshape(cfg, out):
+    from . import harness
+
     report = harness.run(cfg)
     _emit(report.to_dict(), out or cfg.output)
 
 
 def _cmd_verify(cfg, out):
+    from . import harness
+
     report = harness.run(cfg)
     table = harness.fd_check(cfg, cfg.fd_steps)
     worst_route = 0.0
@@ -90,11 +105,15 @@ def _cmd_verify(cfg, out):
 
 
 def _cmd_study(cfg, out):
+    from . import harness
+
     rows = harness.refinement_study(cfg)
     _emit({"levels": rows}, out)
 
 
 def _cmd_abstract(cfg, out):
+    from . import harness
+
     demos = {}
     for spec in ({"kind": "crossing"}, {"kind": "diagonal"},
                  {"kind": "degenerate", "seed": cfg.abstract.get("seed", 0)}):
@@ -142,6 +161,10 @@ def main(argv=None) -> int:
     if args.threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
+    from numpy.linalg import LinAlgError
+
+    from . import harness
+
     try:
         cfg = harness.load_config(args.config)
         if args.seed is not None:
@@ -150,7 +173,7 @@ def main(argv=None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
+    except _NUMERICAL_ERRORS + (LinAlgError,) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ContractViolationError as exc:

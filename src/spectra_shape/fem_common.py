@@ -1,7 +1,7 @@
 """Shared finite element plumbing: element geometry, pencils, scatter."""
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -9,36 +9,41 @@ import scipy.sparse as sp
 from .geometry import Mesh, QuadratureRule, tet_quadrature
 from .transforms import AffineFamily, ConstantMatrixCoefficient, ConstantScalarCoefficient
 
+Matrix = Union[np.ndarray, sp.csr_array]
+
 
 @dataclass
 class Pencil:
     """Hermitian stiffness/mass pair over the free degrees of freedom.
 
+    FEM pencils hold CSR matrices; the synthetic pencils hold dense arrays.
     ``free_entities`` maps matrix index -> mesh entity id (vertex index for
     Lagrange dofs, edge index for edge dofs).
     """
 
-    K: np.ndarray
-    M: np.ndarray
+    K: Matrix
+    M: Matrix
     free_entities: np.ndarray
     problem_tag: str
     mesh: Optional[Mesh] = None
     quad_order: int = 2
+    # columns spanning the known part of ker K (Maxwell discrete gradients)
+    kernel_basis: Optional[sp.csr_array] = None
 
     @property
     def size(self) -> int:
         return self.K.shape[0]
 
     def lambda_scale(self) -> float:
-        return float(np.trace(self.K) / np.trace(self.M))
+        return float(self.K.diagonal().sum() / self.M.diagonal().sum())
 
 
 @dataclass
 class PencilDerivative:
     """Directional derivatives of the pencil matrices at a fixed parameter."""
 
-    dK: np.ndarray
-    dM: np.ndarray
+    dK: Matrix
+    dM: Matrix
     problem_tag: str
 
 
@@ -67,8 +72,8 @@ def physical_quad_points(mesh: Mesh, rule: QuadratureRule):
     return pts, w
 
 
-def scatter_symmetric(local: np.ndarray, gdofs: np.ndarray, ndof: int) -> np.ndarray:
-    """Accumulate per-element blocks into a dense symmetric global matrix.
+def scatter_symmetric(local: np.ndarray, gdofs: np.ndarray, ndof: int) -> sp.csr_array:
+    """Accumulate per-element blocks into a sparse symmetric global matrix.
 
     local: (nt, k, k); gdofs: (nt, k) with -1 marking constrained entries.
     """
@@ -77,10 +82,8 @@ def scatter_symmetric(local: np.ndarray, gdofs: np.ndarray, ndof: int) -> np.nda
     cols = np.tile(gdofs, (1, k)).ravel()
     data = local.reshape(nt, k * k).ravel()
     keep = (rows >= 0) & (cols >= 0)
-    A = sp.coo_matrix(
-        (data[keep], (rows[keep], cols[keep])), shape=(ndof, ndof)
-    ).toarray()
-    return 0.5 * (A + A.T)
+    A = sp.csr_array((data[keep], (rows[keep], cols[keep])), shape=(ndof, ndof))
+    return sp.csr_array(0.5 * (A + A.T))
 
 
 def default_quad_order(family, *coefficients) -> int:
@@ -91,10 +94,3 @@ def default_quad_order(family, *coefficients) -> int:
         if not isinstance(c, (ConstantMatrixCoefficient, ConstantScalarCoefficient)):
             return 4
     return 2
-
-
-def export_coordinate_format(A: np.ndarray, path: str):
-    """Write a matrix as `i j value` lines (debugging aid)."""
-    with open(path, "w") as f:
-        for i, j in zip(*np.nonzero(A)):
-            f.write(f"{i} {j} {A[i, j]!r}\n")

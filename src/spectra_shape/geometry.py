@@ -248,6 +248,15 @@ class Mesh:
             )
 
 
+def box_mesh_size(n: int) -> Tuple[int, int]:
+    """(vertices, edges) of ``build_box_mesh(dims, n)``, without building it.
+
+    Edges: the 3n(n+1)^2 grid edges, the 3n^2(n+1) face diagonals and the
+    n^3 cube diagonals of the Kuhn subdivision.
+    """
+    return (n + 1) ** 3, 3 * n * (n + 1) ** 2 + 3 * n**2 * (n + 1) + n**3
+
+
 def build_box_mesh(
     dims: Tuple[float, float, float],
     n: int,

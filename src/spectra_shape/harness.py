@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 from . import hadamard, helmholtz, maxwell, transforms
 from .errors import ConfigError, ContractViolationError
 from .fem_common import Pencil, PencilDerivative
-from .geometry import build_box_mesh, load_mesh
+from .geometry import box_mesh_size, build_box_mesh, load_mesh
 from .perturbation import elementary_symmetric, rellich_matrix
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
@@ -118,9 +118,14 @@ class RunConfig:
         if "abstract" in raw:
             cfg.abstract = dict(raw["abstract"])
         cfg.output = raw.get("output")
+        if cfg.mesh.get("type") == "file" and "path" not in cfg.mesh:
+            raise ConfigError("a file mesh needs a 'path'")
         # validate component specs eagerly so errors surface as ConfigError
         if cfg.problem != "abstract-pencil":
-            _components(cfg)
+            try:
+                _components(cfg)
+            except KeyError as exc:
+                raise ConfigError(f"family or coefficient spec lacks key {exc}")
         return cfg
 
 
@@ -264,11 +269,16 @@ def tracked_fd_slopes(cfg: RunConfig, pencil0: Pencil, cluster: EigenCluster,
     Branches at +step and -step are paired by eigenvector overlap in the
     M(chi_bar) inner product (solved as an assignment problem); if the
     pairing is ambiguous the sorted-eigenvalue fallback is used. Returns
-    (slopes ascending, tracking tag).
+    (slopes ascending, tracking tag, decomposition at +step, at -step); the
+    decompositions hold the lowest complete clusters covering the cluster.
     """
-    dec_p = solve_pencil(assemble_at(cfg, cfg.chi_bar + step, mesh=mesh), cfg.kernel_tol)
-    dec_m = solve_pencil(assemble_at(cfg, cfg.chi_bar - step, mesh=mesh), cfg.kernel_tol)
     idx = cluster.indices
+
+    def solve_at(chi):
+        return solve_pencil(assemble_at(cfg, chi, mesh=mesh), cfg.kernel_tol,
+                            count=idx[-1] + 1, cluster_tol=cfg.cluster_tol)
+
+    dec_p, dec_m = solve_at(cfg.chi_bar + step), solve_at(cfg.chi_bar - step)
     if idx[-1] >= len(dec_p.eigenvalues) or idx[-1] >= len(dec_m.eigenvalues):
         raise ContractViolationError(
             "cluster membership changed between chi_bar-step and chi_bar+step"
@@ -284,7 +294,7 @@ def tracked_fd_slopes(cfg: RunConfig, pencil0: Pencil, cluster: EigenCluster,
     else:
         slopes = cfg.direction * (np.sort(lp) - np.sort(lm)) / (2.0 * step)
         tag = "sort"
-    return np.sort(slopes), tag
+    return np.sort(slopes), tag, dec_p, dec_m
 
 
 def cluster_fd_step(cluster: EigenCluster, base_step: float) -> float:
@@ -345,10 +355,10 @@ def run(cfg: RunConfig) -> DerivativeReport:
     mesh = None if cfg.problem == "abstract-pencil" else _build_mesh(cfg)
     pencil = assemble_at(cfg, cfg.chi_bar, mesh=mesh)
     deriv = derivative_at(cfg, mesh=mesh)
-    dec = solve_pencil(pencil, cfg.kernel_tol)
+    lo, hi = cfg.index_range
+    dec = solve_pencil(pencil, cfg.kernel_tol, count=hi, cluster_tol=cfg.cluster_tol)
     clusters = cluster_spectrum(dec, cfg.cluster_tol)
 
-    lo, hi = cfg.index_range
     if hi > len(dec.eigenvalues):
         raise ConfigError(
             f"index_range {cfg.index_range} exceeds the {len(dec.eigenvalues)} "
@@ -413,7 +423,7 @@ def run(cfg: RunConfig) -> DerivativeReport:
                 )
 
         step = cluster_fd_step(cl, cfg.fd_step)
-        fd_slopes, tag = tracked_fd_slopes(cfg, pencil, cl, step, mesh=mesh)
+        fd_slopes, tag, _, _ = tracked_fd_slopes(cfg, pencil, cl, step, mesh=mesh)
         rec["slopes_fd"] = fd_slopes.tolist()
         rec["fd_step"] = step
         rec["fd_tracking"] = tag
@@ -454,7 +464,7 @@ def fd_check(cfg: RunConfig, steps) -> List[dict]:
         raise ConfigError("fd_check needs at least two steps")
     mesh = None if cfg.problem == "abstract-pencil" else _build_mesh(cfg)
     pencil = assemble_at(cfg, cfg.chi_bar, mesh=mesh)
-    dec = solve_pencil(pencil, cfg.kernel_tol)
+    dec = solve_pencil(pencil, cfg.kernel_tol, count=1, cluster_tol=cfg.cluster_tol)
     cl = cluster_spectrum(dec, cfg.cluster_tol)[0]
     m = cl.multiplicity
 
@@ -462,15 +472,13 @@ def fd_check(cfg: RunConfig, steps) -> List[dict]:
     for step in steps:
         row = {"step": step}
         try:
-            slopes, tag = tracked_fd_slopes(cfg, pencil, cl, step, mesh=mesh)
+            slopes, tag, dec_p, dec_m = tracked_fd_slopes(cfg, pencil, cl, step, mesh=mesh)
             row["slopes"] = slopes.tolist()
             row["tracking"] = tag
         except ContractViolationError as exc:
             row["tracking"] = f"failed: {exc}"
             rows.append(row)
             continue
-        dec_p = solve_pencil(assemble_at(cfg, cfg.chi_bar + step, mesh=mesh), cfg.kernel_tol)
-        dec_m = solve_pencil(assemble_at(cfg, cfg.chi_bar - step, mesh=mesh), cfg.kernel_tol)
         lam_p = np.sort(dec_p.eigenvalues[cl.indices])
         lam_m = np.sort(dec_m.eigenvalues[cl.indices])
         row["sym_slopes"] = [
@@ -514,16 +522,18 @@ def refinement_study(cfg: RunConfig) -> List[dict]:
     rows = []
     prev_gap = None
     for n in cfg.refinement:
+        if cfg.mesh.get("type", "box") == "box":
+            vertices, edges = box_mesh_size(n)
+            est_dofs = edges if cfg.problem == "maxwell" else vertices
+            if est_dofs > MAX_STUDY_DOFS:
+                raise ConfigError(
+                    f"refinement level n={n} has ~{est_dofs} dofs "
+                    f"(> {MAX_STUDY_DOFS}); refusing the study"
+                )
         mesh = _build_mesh(cfg, n_override=n)
-        est_dofs = mesh.num_edges() if cfg.problem == "maxwell" else mesh.num_vertices()
-        if est_dofs > MAX_STUDY_DOFS:
-            raise ConfigError(
-                f"refinement level n={n} has ~{est_dofs} dofs "
-                f"(> {MAX_STUDY_DOFS}); refusing the study"
-            )
         pencil = assemble_at(cfg, cfg.chi_bar, mesh=mesh)
         deriv = derivative_at(cfg, mesh=mesh)
-        dec = solve_pencil(pencil, cfg.kernel_tol)
+        dec = solve_pencil(pencil, cfg.kernel_tol, count=1, cluster_tol=cfg.cluster_tol)
         cl = cluster_spectrum(dec, cfg.cluster_tol)[0]
         R = rellich_matrix(deriv, cl).matrix
         if cfg.problem == "maxwell":

@@ -7,6 +7,7 @@ boundary part carry the n x E = 0 constraint and are eliminated.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import transforms
 from .errors import DegenerateProblemError
@@ -97,7 +98,8 @@ def assemble_maxwell(mesh, family, chi, eps, mu_inv, quad_order=None) -> Pencil:
         lambda X: transforms.transformed_epsilon(family, chi, eps, X),
         quad_order,
     )
-    return Pencil(K, M, free, "maxwell", mesh=mesh, quad_order=quad_order)
+    return Pencil(K, M, free, "maxwell", mesh=mesh, quad_order=quad_order,
+                  kernel_basis=gradient_kernel_basis(mesh))
 
 
 def assemble_maxwell_derivative(
@@ -119,7 +121,7 @@ def assemble_maxwell_derivative(
     return PencilDerivative(dK, dM, "maxwell")
 
 
-def gradient_kernel_basis(mesh: Mesh) -> np.ndarray:
+def gradient_kernel_basis(mesh: Mesh) -> sp.csr_array:
     """Discrete gradients of free hat functions in edge-circulation dofs.
 
     Column v has entry +1 on free edges ending at vertex v and -1 on free
@@ -127,13 +129,13 @@ def gradient_kernel_basis(mesh: Mesh) -> np.ndarray:
     the edge interpolant of grad(hat_v) and lies in the kernel of the
     curl-curl stiffness exactly.
     """
-    free_edges, edge_dof = free_edge_dofs(mesh)
+    free_edges, _ = free_edge_dofs(mesh)
     free_verts, vert_dof = free_vertex_dofs(mesh)
-    G = np.zeros((len(free_edges), len(free_verts)))
-    for row, e in enumerate(free_edges):
-        a, b = mesh.edges[e]
-        if vert_dof[a] >= 0:
-            G[row, vert_dof[a]] -= 1.0
-        if vert_dof[b] >= 0:
-            G[row, vert_dof[b]] += 1.0
-    return G
+    cols = vert_dof[mesh.edges[free_edges]].ravel()     # (start, end) per edge
+    rows = np.repeat(np.arange(len(free_edges)), 2)
+    vals = np.tile([-1.0, 1.0], len(free_edges))
+    keep = cols >= 0
+    return sp.csr_array(
+        (vals[keep], (rows[keep], cols[keep])),
+        shape=(len(free_edges), len(free_verts)),
+    )

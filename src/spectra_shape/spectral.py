@@ -1,17 +1,35 @@
-"""Dense generalized Hermitian eigensolver with kernel deflation, resolvent,
-contour-quadrature spectral projectors, subspace gaps and clustering."""
+"""Generalized Hermitian eigensolver with kernel deflation, resolvent,
+contour-quadrature spectral projectors, subspace gaps and clustering.
+
+``solve_pencil`` has two paths. Without a ``count`` it runs a full dense
+``eigh``: the reference oracle. With a ``count`` a sparse pencil is solved
+for its lowest complete clusters only, by shift-invert Lanczos (ARPACK via
+``eigsh``) with the known kernel projected out; the kernel dimension is
+measured by a Sylvester inertia count.
+"""
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import ContourError, ContractViolationError, NearSingularError, PencilError
 from .fem_common import Pencil
 
 DEFAULT_KERNEL_TOL = 1e-8
 DEFAULT_CLUSTER_TOL = 1e-6
+# shift-invert shift, as a fraction of -lambda_scale: below the whole
+# spectrum, and far enough from 0 that the kernel components the
+# projection removes stay of the size of the wanted ones
+SHIFT_FRACTION = 1e-3
+# eigenpairs requested beyond the count on the first Lanczos attempt
+EXTRA_PAIRS = 4
+# relative accuracy of the Ritz values; the Rayleigh-Ritz step on the
+# returned block gives eigenvalues to round-off from vectors this accurate
+LANCZOS_TOL = 1e-12
 
 
 @dataclass
@@ -42,49 +60,173 @@ class EigenCluster:
         return len(self.indices)
 
 
-def _check_mass(M: np.ndarray):
+def _dense(A) -> np.ndarray:
+    return A.toarray() if sp.issparse(A) else np.asarray(A)
+
+
+def _dense_pencil(pencil: Pencil):
+    """Dense (K, M), with M checked positive-definite."""
+    M = _dense(pencil.M)
     try:
         sla.cholesky(M, lower=True)
     except sla.LinAlgError:
         raise PencilError("mass matrix is not positive-definite")
+    return _dense(pencil.K), M
 
 
-def solve_pencil(pencil: Pencil, kernel_tol: float = DEFAULT_KERNEL_TOL) -> EigenDecomposition:
-    """Full dense solve of K v = lambda M v with near-zero-mode deflation.
+def _cluster_starts(vals: np.ndarray, cluster_tol: float) -> np.ndarray:
+    """Indices i >= 1 where vals[i] starts a new cluster: relative gap > tol."""
+    gaps = np.diff(vals) > cluster_tol * np.maximum(np.abs(vals[:-1]), 1e-300)
+    return np.nonzero(gaps)[0] + 1
 
-    Eigenvalues below kernel_tol * trace(K)/trace(M) are reported as kernel
-    and removed from the indexed spectrum.
+
+def _complete_end(vals: np.ndarray, count: int, cluster_tol: float) -> Optional[int]:
+    """Smallest end >= count with a cluster gap before vals[end], if any."""
+    starts = _cluster_starts(vals, cluster_tol)
+    starts = starts[starts >= count]
+    return int(starts[0]) if len(starts) else None
+
+
+def _solve_dense(pencil: Pencil, kernel_tol: float) -> EigenDecomposition:
+    vals, vecs = sla.eigh(*_dense_pencil(pencil))
+    keep = vals >= kernel_tol * pencil.lambda_scale()
+    return EigenDecomposition(vals[keep], vecs[:, keep], int(np.sum(~keep)))
+
+
+def _ldl(A):
+    """SuperLU factorisation with diagonal pivots in a symmetric ordering.
+
+    For symmetric A this is P A P^T = L U with U = D L^T, so the signs of
+    diag(U) give the inertia of A (Sylvester).
     """
-    _check_mass(pencil.M)
-    vals, vecs = sla.eigh(pencil.K, pencil.M)
+    try:
+        lu = spla.splu(
+            sp.csc_matrix(A),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            relax=1,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise PencilError(f"symmetric factorisation failed: {exc}")
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise PencilError("symmetric factorisation left the diagonal")
+    return lu
+
+
+def _count_below(K, M, shift: float) -> int:
+    """Number of eigenvalues of the pencil below shift: negative pivots of K - shift M."""
+    return int(np.sum(_ldl(K - shift * M).U.diagonal() < 0))
+
+
+def _kernel_projector(G, M):
+    """M-orthogonal projector off range(G), x -> x - G (G^T M G)^-1 G^T M x,
+    and the dimension of range(G)."""
+    if G is None:
+        return (lambda x: x), 0
+    if not np.any(G @ np.ones(G.shape[1])):
+        # every vertex is free (no tangential boundary): the constant
+        # potential spans ker G, so drop one anchor column
+        G = G[:, 1:]
+    MG = M @ G
+    A = _ldl(G.T @ MG)
+    GtM = sp.csr_array(MG.T)
+    return (lambda x: x - G @ A.solve(GtM @ x)), G.shape[1]
+
+
+def _solve_sparse(pencil: Pencil, kernel_tol: float, count: int, cluster_tol: float):
+    """Lowest complete clusters covering `count` eigenvalues, or None when
+    ARPACK would need as many pairs as the pencil has."""
+    K, M = pencil.K, pencil.M
+    n = K.shape[0]
+    if np.any(_ldl(M).U.diagonal() <= 0):
+        raise PencilError("mass matrix is not positive-definite")
     cut = kernel_tol * pencil.lambda_scale()
-    keep = vals >= cut
-    return EigenDecomposition(
-        eigenvalues=vals[keep],
-        eigenvectors=vecs[:, keep],
-        kernel_dim=int(np.sum(~keep)),
-    )
+    kernel_dim = _count_below(K, M, cut)
+    project, rank = _kernel_projector(pencil.kernel_basis, M)
+    sigma = -SHIFT_FRACTION * pencil.lambda_scale()
+    solve = _ldl(K - sigma * M).solve
+    opinv = spla.LinearOperator((n, n), matvec=lambda x: project(solve(x)), dtype=float)
+    # fixed start vector: repeated runs give identical reports
+    v0 = np.random.default_rng(0).standard_normal(n)
+    # near-zero modes the projection leaves in (e.g. Helmholtz constants)
+    k = count + max(kernel_dim - rank, 0) + EXTRA_PAIRS
+    while k < n:
+        try:
+            vals, vecs = spla.eigsh(
+                K, k, M, sigma=sigma, which="LM", v0=v0, OPinv=opinv, tol=LANCZOS_TOL
+            )
+        except spla.ArpackNoConvergence:
+            k *= 2
+            continue
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        keep = vals >= cut
+        vals, vecs = vals[keep], vecs[:, keep]
+        end = _complete_end(vals, count, cluster_tol)
+        # a Lanczos run can miss a copy of a multiple eigenvalue; the
+        # inertia inside the gap counts every eigenvalue below it
+        if end is not None and _count_below(
+            K, M, 0.5 * (vals[end - 1] + vals[end])
+        ) == kernel_dim + end:
+            return _rayleigh_ritz(K, M, vecs[:, :end], kernel_dim)
+        k *= 2
+    return None
 
 
-def _cached_eigenvalues(pencil: Pencil) -> np.ndarray:
-    vals = getattr(pencil, "_eigvals_cache", None)
-    if vals is None:
-        _check_mass(pencil.M)
-        vals = sla.eigh(pencil.K, pencil.M, eigvals_only=True)
-        pencil._eigvals_cache = vals
-    return vals
+def _rayleigh_ritz(K, M, V, kernel_dim) -> EigenDecomposition:
+    """Eigenpairs of the pencil compressed to span(V), M-orthonormal."""
+    Kr, Mr = V.T @ (K @ V), V.T @ (M @ V)
+    vals, Q = sla.eigh(0.5 * (Kr + Kr.T), 0.5 * (Mr + Mr.T))
+    return EigenDecomposition(vals, V @ Q, kernel_dim)
+
+
+def solve_pencil(
+    pencil: Pencil,
+    kernel_tol: float = DEFAULT_KERNEL_TOL,
+    count: Optional[int] = None,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+) -> EigenDecomposition:
+    """Solve K v = lambda M v with near-zero-mode deflation.
+
+    Eigenvalues below cut = kernel_tol * trace(K)/trace(M) are reported as
+    kernel and removed from the indexed spectrum.
+
+    count=None: full dense solve, every eigenpair (the reference oracle).
+    count=c: only the lowest complete clusters (relative gap > cluster_tol
+    after the last one) that cover the first c eigenvalues; all of them if
+    there are no more than c. A sparse pencil is solved by shift-invert
+    Lanczos below the spectrum with range(pencil.kernel_basis) projected
+    out; kernel_dim is the inertia of K - cut M, and the inertia inside the
+    closing gap must equal kernel_dim plus the pairs returned. Dense
+    pencils, and sparse ones too small for ARPACK, go through the dense
+    path and are truncated the same way.
+    """
+    if count is None:
+        return _solve_dense(pencil, kernel_tol)
+    if count < 1:
+        raise ContractViolationError(f"count must be >= 1, got {count}")
+    if sp.issparse(pencil.K):
+        dec = _solve_sparse(pencil, kernel_tol, count, cluster_tol)
+        if dec is not None:
+            return dec
+    dec = _solve_dense(pencil, kernel_tol)
+    end = _complete_end(dec.eigenvalues, count, cluster_tol)
+    if end is None:
+        return dec
+    return EigenDecomposition(dec.eigenvalues[:end], dec.eigenvectors[:, :end], dec.kernel_dim)
 
 
 def resolvent_apply(pencil: Pencil, zeta: complex, b: np.ndarray) -> np.ndarray:
     """x = (K - zeta M)^-1 M b; b may be a vector or a block of columns."""
-    vals = _cached_eigenvalues(pencil)
+    K, M = _dense_pencil(pencil)
+    vals = sla.eigh(K, M, eigvals_only=True)
     scale = abs(pencil.lambda_scale())
     if np.min(np.abs(vals - zeta)) <= 1e-12 * scale:
         raise NearSingularError(
             f"shift {zeta} within 1e-12*lambda_scale of the spectrum"
         )
-    A = pencil.K - zeta * pencil.M
-    return sla.solve(A, pencil.M @ b)
+    return sla.solve(K - zeta * M, M @ b)
 
 
 def riesz_projector(
@@ -96,7 +238,8 @@ def riesz_projector(
     resolvent is analytic along the contour. The result is the M-orthogonal
     projector onto the enclosed invariant subspace.
     """
-    vals = _cached_eigenvalues(pencil)
+    K, M = _dense_pencil(pencil)
+    vals = sla.eigh(K, M, eigvals_only=True)
     if np.min(np.abs(np.abs(vals - center) - radius)) <= 1e-8 * radius:
         raise ContourError("an eigenvalue lies on (or too close to) the contour")
     n = pencil.size
@@ -104,8 +247,8 @@ def riesz_projector(
     theta = 2.0 * np.pi * np.arange(nquad) / nquad
     for t in theta:
         zeta = center + radius * np.exp(1j * t)
-        A = pencil.K.astype(complex) - zeta * pencil.M
-        P += np.exp(1j * t) * sla.solve(A, pencil.M.astype(complex))
+        A = K.astype(complex) - zeta * M
+        P += np.exp(1j * t) * sla.solve(A, M.astype(complex))
     P *= -radius / nquad
     return P.real
 
@@ -136,21 +279,18 @@ def cluster_spectrum(
 ) -> List[EigenCluster]:
     """Maximal groups of consecutive eigenvalues with relative gap <= tol."""
     vals = decomposition.eigenvalues
+    if len(vals) == 0:
+        return []
+    bounds = [0, *_cluster_starts(vals, cluster_tol), len(vals)]
     clusters = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or (
-            vals[i] - vals[i - 1] > cluster_tol * max(abs(vals[i - 1]), 1e-300)
-        ):
-            idx = np.arange(start, i)
-            block = decomposition.eigenvectors[:, idx]
-            clusters.append(
-                EigenCluster(
-                    indices=idx,
-                    lambda_bar=float(vals[idx].mean()),
-                    vectors=block,
-                    width=float(vals[idx].max() - vals[idx].min()),
-                )
+    for start, stop in zip(bounds, bounds[1:]):
+        idx = np.arange(start, stop)
+        clusters.append(
+            EigenCluster(
+                indices=idx,
+                lambda_bar=float(vals[idx].mean()),
+                vectors=decomposition.eigenvectors[:, idx],
+                width=float(vals[idx].max() - vals[idx].min()),
             )
-            start = i
+        )
     return clusters

@@ -8,6 +8,7 @@ import pytest
 from spectra_shape.errors import InvalidGeometryError, MeshFormatError
 from spectra_shape.geometry import (
     Mesh,
+    box_mesh_size,
     build_box_mesh,
     load_mesh,
     save_mesh,
@@ -70,6 +71,11 @@ class TestBoxMesh:
             assert mesh.num_vertices() == (n + 1) ** 3
             assert mesh.num_tets() == 6 * n**3
             assert len(mesh.bfacet_vertices) == 12 * n**2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_closed_form_size(self, n):
+        mesh = build_box_mesh((1, 2, 0.5), n, "N")
+        assert box_mesh_size(n) == (mesh.num_vertices(), mesh.num_edges())
 
     def test_volumes_sum_to_box(self):
         mesh = build_box_mesh((2.0, 1.0, 0.5), 3, "T")

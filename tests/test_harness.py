@@ -1,6 +1,9 @@
 """Driver configs, reports, FD tables, refinement studies, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -49,6 +52,14 @@ class TestRunConfig:
             harness.RunConfig.from_dict(
                 dict(HELM_SCALING, coefficients={"nu": {"kind": "mystery"}})
             )
+
+    def test_missing_spec_key_rejected_at_parse(self):
+        with pytest.raises(ConfigError):
+            harness.RunConfig.from_dict(dict(HELM_SCALING, family={"kind": "bump"}))
+
+    def test_file_mesh_without_path_rejected(self):
+        with pytest.raises(ConfigError):
+            harness.RunConfig.from_dict(dict(HELM_SCALING, mesh={"type": "file"}))
 
 
 class TestRun:
@@ -117,6 +128,20 @@ class TestFdCheck:
             assert row["step"] > 0
             assert len(row["sym_slopes"]) == 1
 
+    def test_each_shifted_pencil_is_solved_once(self, monkeypatch):
+        solves = []
+        solve = harness.solve_pencil
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_pencil", counting)
+        rows = harness.fd_check(config(), (1e-3, 5e-4, 2.5e-4))
+        assert all("sym_slopes" in r for r in rows)
+        # one solve at chi_bar, then one per chi_bar +- step
+        assert len(solves) == 1 + 2 * 3
+
     def test_too_few_steps_rejected(self):
         with pytest.raises(ConfigError):
             harness.fd_check(config(), (1e-3,))
@@ -176,6 +201,30 @@ class TestCli:
             cli.main(["eig", "--config", str(tmp_path / "nope.json")])
             == cli.EXIT_CONFIG
         )
+
+    def test_missing_family_key_exit_code(self, tmp_path):
+        raw = dict(HELM_SCALING, family={"kind": "bump"})
+        path = self.write_config(tmp_path, raw)
+        assert cli.main(["dshape", "--config", path]) == cli.EXIT_CONFIG
+
+    def test_internal_key_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(cfg):
+            return {}["missing"]
+
+        monkeypatch.setattr(harness, "run", broken)
+        path = self.write_config(tmp_path, HELM_SCALING)
+        with pytest.raises(KeyError):
+            cli.main(["dshape", "--config", path])
+
+    def test_import_loads_no_numerics(self):
+        """--threads must be set before numpy loads OpenBLAS, so importing
+        the CLI module may not load numpy or scipy."""
+        code = ("import sys, spectra_shape.cli; "
+                "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.strip() == "[]"
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # chi_bar = -1 collapses the scaling map: det J <= 0

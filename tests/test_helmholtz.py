@@ -36,8 +36,8 @@ class TestExactAffineIdentities:
         fam = tf.scaling_family()
         p = hh.assemble_helmholtz(cube_n3, fam, 0.0, eye_eps, unit_nu)
         d = hh.assemble_helmholtz_derivative(cube_n3, fam, 0.0, 1.0, eye_eps, unit_nu)
-        np.testing.assert_allclose(d.dK, p.K, atol=1e-12 * np.abs(p.K).max())
-        np.testing.assert_allclose(d.dM, 3 * p.M, atol=1e-12 * np.abs(p.M).max())
+        np.testing.assert_allclose(d.dK.toarray(), p.K.toarray(), atol=1e-12 * np.abs(p.K).max())
+        np.testing.assert_allclose(d.dM.toarray(), 3 * p.M.toarray(), atol=1e-12 * np.abs(p.M).max())
 
     def test_scaling_eigenvalue_law(self, cube_n3, eye_eps, unit_nu):
         fam = tf.scaling_family()
@@ -54,8 +54,8 @@ class TestExactAffineIdentities:
         fam = tf.translation_family((0.4, 0.1, -0.3))
         p0 = hh.assemble_helmholtz(cube_n3, fam, 0.0, eye_eps, unit_nu)
         p1 = hh.assemble_helmholtz(cube_n3, fam, 0.3, eye_eps, unit_nu)
-        np.testing.assert_allclose(p1.K, p0.K, atol=1e-12)
-        np.testing.assert_allclose(p1.M, p0.M, atol=1e-12)
+        np.testing.assert_allclose(p1.K.toarray(), p0.K.toarray(), atol=1e-12)
+        np.testing.assert_allclose(p1.M.toarray(), p0.M.toarray(), atol=1e-12)
 
 
 class TestMatrixDerivativesVsFD:
@@ -68,8 +68,8 @@ class TestMatrixDerivativesVsFD:
         pp = hh.assemble_helmholtz(cube_n2, family, h, eye_eps, unit_nu)
         pm = hh.assemble_helmholtz(cube_n2, family, -h, eye_eps, unit_nu)
         d = hh.assemble_helmholtz_derivative(cube_n2, family, 0.0, 1.0, eye_eps, unit_nu)
-        np.testing.assert_allclose(d.dK, (pp.K - pm.K) / (2 * h), atol=1e-8)
-        np.testing.assert_allclose(d.dM, (pp.M - pm.M) / (2 * h), atol=1e-8)
+        np.testing.assert_allclose(d.dK.toarray(), (pp.K - pm.K).toarray() / (2 * h), atol=1e-8)
+        np.testing.assert_allclose(d.dM.toarray(), (pp.M - pm.M).toarray() / (2 * h), atol=1e-8)
 
 
 class TestSpectrum:
@@ -81,7 +81,8 @@ class TestSpectrum:
 
     def test_matrices_spd(self, cube_n3, eye_eps, unit_nu):
         p = hh.assemble_helmholtz(cube_n3, tf.AffineFamily(), 0.0, eye_eps, unit_nu)
-        np.testing.assert_allclose(p.K, p.K.T, atol=1e-14)
-        np.testing.assert_allclose(p.M, p.M.T, atol=1e-14)
-        assert np.all(np.linalg.eigvalsh(p.M) > 0)
-        assert np.all(np.linalg.eigvalsh(p.K) > 0)
+        K, M = p.K.toarray(), p.M.toarray()
+        np.testing.assert_allclose(K, K.T, atol=1e-14)
+        np.testing.assert_allclose(M, M.T, atol=1e-14)
+        assert np.all(np.linalg.eigvalsh(M) > 0)
+        assert np.all(np.linalg.eigvalsh(K) > 0)
