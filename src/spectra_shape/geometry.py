@@ -170,18 +170,22 @@ class Mesh:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def facet_geometry(self, facet_index: int) -> Tuple[np.ndarray, float]:
-        """Unit outward normal and area of a boundary facet."""
-        if facet_index < 0 or facet_index >= len(self.bfacet_vertices):
-            raise InvalidGeometryError(f"no boundary facet {facet_index}")
-        tri = self.vertices[self.bfacet_vertices[facet_index]]
-        cr = np.cross(tri[1] - tri[0], tri[2] - tri[0])
-        area = 0.5 * np.linalg.norm(cr)
-        n = cr / np.linalg.norm(cr)
-        tet = self.vertices[self.tets[self.bfacet_tets[facet_index]]]
-        if np.dot(n, tri.mean(axis=0) - tet.mean(axis=0)) < 0:
-            n = -n
-        return n, area
+    def facet_geometry(self, facets) -> Tuple[np.ndarray, np.ndarray]:
+        """Unit outward normals and areas of boundary facets.
+
+        ``facets`` is one facet index or an array of them; the results have
+        its shape (plus a trailing axis of 3 for the normals).
+        """
+        facets = np.asarray(facets)
+        if np.any((facets < 0) | (facets >= len(self.bfacet_vertices))):
+            raise InvalidGeometryError(f"no boundary facet {facets}")
+        tri = self.vertices[self.bfacet_vertices[facets]]     # (..., 3, 3)
+        cr = np.cross(tri[..., 1, :] - tri[..., 0, :], tri[..., 2, :] - tri[..., 0, :])
+        norm = np.linalg.norm(cr, axis=-1)
+        n = cr / norm[..., None]
+        tet = self.vertices[self.tets[self.bfacet_tets[facets]]]
+        inward = np.einsum("...k,...k->...", n, tri.mean(axis=-2) - tet.mean(axis=-2)) < 0
+        return np.where(inward[..., None], -n, n), 0.5 * norm
 
     def boundary_vertex_set(self, tag: str) -> np.ndarray:
         """Sorted vertex indices lying on the closure of the facets with `tag`."""

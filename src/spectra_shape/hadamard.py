@@ -2,20 +2,26 @@
 
 All integrals over the deformed domain are computed by change of variables
 back to the reference quadrature points: fields are pushed forward with the
-scalar/covariant/contravariant transforms, the volume measure with det(J),
-and boundary normals with the cofactor (Nanson) rule. This keeps the volume
-route bit-consistent with the pencil-derivative route.
+space's transform (scalar or covariant Piola), the volume measure with
+det(J), and boundary normals with the cofactor (Nanson) rule. This keeps
+the volume route bit-consistent with the pencil-derivative route. Each form
+is written once over a finite-element space; the per-problem functions
+order the coefficients as (stiffness, mass) for it.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import transforms
-from .geometry import Mesh, TET_EDGE_PAIRS, tet_quadrature, triangle_quadrature
-from .fem_common import default_quad_order, physical_quad_points, tet_p1_data
-from .helmholtz import free_vertex_dofs
-from .maxwell import edge_basis_curls, edge_basis_values, free_edge_dofs
+from .fem_common import (
+    Space,
+    barycentric_gradients,
+    default_quad_order,
+    free_dofs,
+    physical_quad_points,
+)
+from .geometry import tet_quadrature, triangle_quadrature
+from .helmholtz import P1
+from .maxwell import NEDELEC
 from .spectral import EigenCluster
 
 
@@ -23,130 +29,94 @@ def _sym(A):
     return 0.5 * (A + A.T)
 
 
-@dataclass
-class PhysicalEigenfield:
-    """Discrete eigenfield block pushed forward to the deformed domain.
+def _jacobian_data(family, chi_bar, X, shape):
+    """J, det J, J^-1 at reference points X, with leading axes `shape`."""
+    J, det, Jinv = transforms.jacobian_data(family, chi_bar, X)
+    return J.reshape(shape + (3, 3)), det.reshape(shape), Jinv.reshape(shape + (3, 3))
 
-    For Helmholtz, ``values`` are u = f o Phi^-1 and ``derivatives`` are
-    grad u = (J^-T grad f) o Phi^-1. For Maxwell, ``values`` are
-    E = (J^-T F) o Phi^-1 and ``derivatives`` are
-    rot E = (det J)^-1 (J rot F) o Phi^-1. Everything is sampled at the
-    reference quadrature points, shape (nt, nq, m[, 3]).
+
+def _eigenfield(space: Space, mesh, vectors, bary, J, det, Jinv, tets=slice(None)):
+    """Push an eigenvector block forward to (values, derivatives) samples.
+
+    ``bary`` (n|1, nq, 4) are barycentric points of ``tets``; the results
+    have shapes (n, nq, m, c) and (n, nq, m, 3) on the deformed domain.
     """
-
-    problem_tag: str
-    values: np.ndarray
-    derivatives: np.ndarray
-
-
-def _full_coefficients(block: np.ndarray, free: np.ndarray, n_entities: int):
-    full = np.zeros((n_entities, block.shape[1]))
-    full[free] = block
-    return full
-
-
-def _maxwell_fields_on_tets(mesh, cluster, bary, J, det, Jinv):
-    """Push forward a Maxwell eigenvector block to (E, rot E) samples."""
-    free, _ = free_edge_dofs(mesh)
-    coefs = _full_coefficients(cluster.vectors, free, mesh.num_edges())
-    _, grads = tet_p1_data(mesh)
-    vals = edge_basis_values(mesh, grads, bary)          # (nt, nq, 6, 3)
-    curls = edge_basis_curls(mesh, grads)                # (nt, 6, 3)
-    ct = coefs[mesh.tet_edges]                           # (nt, 6, m)
-    F = np.einsum("nqea,nem->nqma", vals, ct)
-    rotF = np.einsum("nea,nem->nma", curls, ct)
-    E = np.einsum("nqba,nqmb->nqma", Jinv, F)            # J^-T F
-    rotE = np.einsum("nqab,nmb->nqma", J, rotF) / det[:, :, None, None]
-    return PhysicalEigenfield("maxwell", E, rotE)
+    free, _ = free_dofs(space, mesh)
+    entities, count = space.entities(mesh)
+    coefs = np.zeros((count, vectors.shape[1]))
+    coefs[free] = vectors
+    ct = coefs[entities[tets]]                           # (n, k, m)
+    grads = barycentric_gradients(mesh)
+    F = np.einsum("nqka,nkm->nqma", space.values(mesh, grads, bary, tets), ct)
+    D = np.einsum("nka,nkm->nma", space.derivatives(mesh, grads, tets), ct)
+    return space.push_values(J, det, Jinv, F), space.push_derivatives(J, det, Jinv, D)
 
 
-def _helmholtz_fields_on_tets(mesh, cluster, bary, Jinv):
-    """Push forward a Helmholtz eigenvector block to (u, grad u) samples."""
-    free, _ = free_vertex_dofs(mesh)
-    coefs = _full_coefficients(cluster.vectors, free, mesh.num_vertices())
-    _, grads = tet_p1_data(mesh)
-    ct = coefs[mesh.tets]                                # (nt, 4, m)
-    u = np.einsum("qi,nim->nqm", bary, ct)
-    gradf = np.einsum("nia,nim->nma", grads, ct)
-    gradu = np.einsum("nqba,nmb->nqma", Jinv, gradf)     # J^-T grad f
-    return PhysicalEigenfield("helmholtz", u, gradu)
+def _weighted_gram(w, B, F):
+    """sum over samples of w * B(F_h, F_l), for a matrix or scalar B."""
+    c = F.shape[-1]
+    B = B.reshape(w.shape + (c, c))
+    return np.einsum("nq,nqab,nqha,nqlb->hl", w, B, F, F, optimize=True)
 
 
-def _volume_transform_data(mesh, family, chi_bar, direction, rule):
+def volume_matrix(
+    space: Space, mesh, family, chi_bar, direction, stiff, mass,
+    cluster: EigenCluster, quad_order=None,
+) -> np.ndarray:
+    """Volume-integral branch-derivative matrix of a cluster of `space`."""
+    if quad_order is None:
+        quad_order = default_quad_order(family, stiff, mass)
+    rule = tet_quadrature(quad_order)
     pts, w = physical_quad_points(mesh, rule)
-    nt, nq, _ = pts.shape
-    flat = pts.reshape(nt * nq, 3)
-    J = family.jacobian(chi_bar, flat)
-    det = np.linalg.det(J)
-    Jinv = np.linalg.inv(J)
+    flat = pts.reshape(-1, 3)
+    J, det, Jinv = _jacobian_data(family, chi_bar, flat, w.shape)
     Y = family.map(chi_bar, flat)
     psi, jpsi, div_psi = transforms.psi_on_physical(family, chi_bar, direction, flat)
-    shape = (nt, nq)
-    return (
-        pts,
-        w,
-        J.reshape(shape + (3, 3)),
-        det.reshape(shape),
-        Jinv.reshape(shape + (3, 3)),
-        Y,
-        psi.reshape(shape + (3,)),
-        jpsi.reshape(shape + (3, 3)),
-        div_psi.reshape(shape),
+    B_stiff, B_mass = (
+        transforms.coefficient_kind(name).bracket(c, Y, psi, jpsi, div_psi)
+        for name, c in zip(space.coefficients, (stiff, mass))
     )
-
-
-def _mu_bracket(mu_inv, Y, psi, jpsi, div_psi):
-    """d_Psi mu^-1 - mu^-1 div(Psi) + 2 sym(mu^-1 J_Psi) at physical points."""
-    mt = mu_inv.value(Y)
-    d = np.einsum("nijk,nk->nij", mu_inv.gradient(Y), psi)
-    prod = mt @ jpsi
-    return d - div_psi[:, None, None] * mt + (prod + np.swapaxes(prod, 1, 2))
-
-
-def _eps_bracket(eps, Y, psi, jpsi, div_psi):
-    """d_Psi eps + div(Psi) eps - 2 sym(J_Psi eps) at physical points."""
-    et = eps.value(Y)
-    d = np.einsum("nijk,nk->nij", eps.gradient(Y), psi)
-    prod = jpsi @ et
-    return d + div_psi[:, None, None] * et - (prod + np.swapaxes(prod, 1, 2))
-
-
-def _nu_bracket(nu, Y, psi, div_psi):
-    return np.einsum("nk,nk->n", nu.gradient(Y), psi) + div_psi * nu.value(Y)
-
-
-def maxwell_volume_matrix(
-    mesh, family, chi_bar, direction, eps, mu_inv, cluster: EigenCluster,
-    quad_order=None,
-) -> np.ndarray:
-    """Volume-integral branch-derivative matrix for a Maxwell cluster."""
-    if quad_order is None:
-        quad_order = default_quad_order(family, eps, mu_inv)
-    rule = tet_quadrature(quad_order)
-    pts, w, J, det, Jinv, Y, psi, jpsi, div_psi = _volume_transform_data(
-        mesh, family, chi_bar, direction, rule
-    )
-    nt, nq = w.shape
-    fields = _maxwell_fields_on_tets(mesh, cluster, rule.points, J, det, Jinv)
-    flatn = nt * nq
-    Bmu = _mu_bracket(
-        mu_inv, Y, psi.reshape(flatn, 3), jpsi.reshape(flatn, 3, 3),
-        div_psi.reshape(flatn),
-    ).reshape(nt, nq, 3, 3)
-    Beps = _eps_bracket(
-        eps, Y, psi.reshape(flatn, 3), jpsi.reshape(flatn, 3, 3),
-        div_psi.reshape(flatn),
-    ).reshape(nt, nq, 3, 3)
+    F, D = _eigenfield(space, mesh, cluster.vectors, rule.points[None], J, det, Jinv)
     wdet = w * det
-    A = np.einsum(
-        "nq,nqab,nqha,nqlb->hl", wdet, Bmu, fields.derivatives, fields.derivatives,
-        optimize=True,
-    )
-    B = np.einsum(
-        "nq,nqab,nqha,nqlb->hl", wdet, Beps, fields.values, fields.values,
-        optimize=True,
-    )
-    return _sym(A - cluster.lambda_bar * B)
+    return _sym(_weighted_gram(wdet, B_stiff, D)
+                - cluster.lambda_bar * _weighted_gram(wdet, B_mass, F))
+
+
+def surface_matrix(
+    space: Space, mesh, family, chi_bar, direction, stiff, mass,
+    cluster: EigenCluster, quad_order=None,
+) -> np.ndarray:
+    """Surface-integral (Hirakawa) branch-derivative matrix of a cluster.
+
+    One pass over all boundary facets. Traces take the owning tet's value,
+    the only consistent trace for lowest-order elements; accuracy is first
+    order in h. The natural part enters with the full integrand and a
+    positive sign, the tangential part with a negative sign; there the P1
+    field is exactly zero, so only the gradient term survives.
+    """
+    if quad_order is None:
+        quad_order = default_quad_order(family, stiff, mass)
+    rule = triangle_quadrature(quad_order)
+    tets = mesh.bfacet_tets
+    # exact barycentric coordinates of the facet quadrature points in the
+    # owning tet: a one-hot map from facet vertices to local tet vertices
+    onehot = mesh.bfacet_vertices[:, :, None] == mesh.tets[tets][:, None, :]
+    bary = np.einsum("qi,fij->fqj", rule.points, onehot.astype(float))
+    pts = np.einsum("qi,fik->fqk", rule.points, mesh.vertices[mesh.bfacet_vertices])
+    n_ref, area = mesh.facet_geometry(np.arange(len(tets)))
+    flat = pts.reshape(-1, 3)
+    shape = (len(tets), len(rule.weights))
+    J, det, Jinv = _jacobian_data(family, chi_bar, flat, shape)
+    # Nanson: n dsigma_Phi = det(J) J^-T n_ref dsigma_ref
+    nanson = det[:, :, None] * np.einsum("fqba,fb->fqa", Jinv, n_ref)
+    psi, _, _ = transforms.psi_on_physical(family, chi_bar, direction, flat)
+    sign = np.where(np.asarray(mesh.bfacet_tags) == "N", 1.0, -1.0)
+    weight = (sign[:, None] * 2.0 * area[:, None] * rule.weights
+              * np.einsum("fqa,fqa->fq", psi.reshape(shape + (3,)), nanson))
+    Y = family.map(chi_bar, flat)
+    F, D = _eigenfield(space, mesh, cluster.vectors, bary, J, det, Jinv, tets)
+    return _sym(_weighted_gram(weight, stiff.value(Y), D)
+                - cluster.lambda_bar * _weighted_gram(weight, mass.value(Y), F))
 
 
 def helmholtz_volume_matrix(
@@ -154,152 +124,32 @@ def helmholtz_volume_matrix(
     quad_order=None,
 ) -> np.ndarray:
     """Volume-integral branch-derivative matrix for a Helmholtz cluster."""
-    if quad_order is None:
-        quad_order = default_quad_order(family, eps, nu)
-    rule = tet_quadrature(quad_order)
-    pts, w, J, det, Jinv, Y, psi, jpsi, div_psi = _volume_transform_data(
-        mesh, family, chi_bar, direction, rule
-    )
-    nt, nq = w.shape
-    fields = _helmholtz_fields_on_tets(mesh, cluster, rule.points, Jinv)
-    flatn = nt * nq
-    Beps = _eps_bracket(
-        eps, Y, psi.reshape(flatn, 3), jpsi.reshape(flatn, 3, 3),
-        div_psi.reshape(flatn),
-    ).reshape(nt, nq, 3, 3)
-    Bnu = _nu_bracket(
-        nu, Y, psi.reshape(flatn, 3), div_psi.reshape(flatn)
-    ).reshape(nt, nq)
-    wdet = w * det
-    A = np.einsum(
-        "nq,nqab,nqha,nqlb->hl", wdet, Beps, fields.derivatives, fields.derivatives,
-        optimize=True,
-    )
-    B = np.einsum(
-        "nq,nq,nqh,nql->hl", wdet, Bnu, fields.values, fields.values, optimize=True
-    )
-    return _sym(A - cluster.lambda_bar * B)
+    return volume_matrix(P1, mesh, family, chi_bar, direction, eps, nu, cluster,
+                         quad_order)
 
 
-def _facet_quad_setup(mesh: Mesh, family, chi_bar, direction, order: int):
-    """Per boundary facet: reference quad points, owning tet, Nanson weights.
-
-    Returns a list of per-facet dicts with the quantities needed by both
-    surface matrices.
-    """
-    rule = triangle_quadrature(order)
-    out = []
-    for fi in range(len(mesh.bfacet_vertices)):
-        tri = mesh.vertices[mesh.bfacet_vertices[fi]]
-        n_ref, area = mesh.facet_geometry(fi)
-        pts = rule.points @ tri                          # (nq, 3)
-        w = 2.0 * area * rule.weights                    # (nq,)
-        J = family.jacobian(chi_bar, pts)
-        det = np.linalg.det(J)
-        Jinv = np.linalg.inv(J)
-        # Nanson: n dsigma_Phi = det(J) J^-T n_ref dsigma_ref
-        nans = det[:, None] * np.einsum("qba,b->qa", Jinv, n_ref)
-        psi, _, _ = transforms.psi_on_physical(family, chi_bar, direction, pts)
-        out.append(
-            dict(
-                facet=fi,
-                tag=mesh.bfacet_tags[fi],
-                tet=int(mesh.bfacet_tets[fi]),
-                points=pts,
-                Y=family.map(chi_bar, pts),
-                weights=w,
-                J=J,
-                det=det,
-                Jinv=Jinv,
-                psi_dot_n=np.einsum("qa,qa->q", psi, nans),
-            )
-        )
-    return out
-
-
-def _tet_barycentric(mesh: Mesh, tet: int, pts: np.ndarray) -> np.ndarray:
-    v = mesh.vertices[mesh.tets[tet]]
-    A = np.concatenate([np.ones((4, 1)), v], axis=1)
-    C = np.linalg.inv(A)                                # lambda_i = C[0,i]+C[1:,i].x
-    return C[0][None, :] + pts @ C[1:, :]
-
-
-def maxwell_surface_matrix(
+def maxwell_volume_matrix(
     mesh, family, chi_bar, direction, eps, mu_inv, cluster: EigenCluster,
     quad_order=None,
 ) -> np.ndarray:
-    """Surface-integral (Hirakawa) branch-derivative matrix for Maxwell.
-
-    Boundary traces take the owning tet's value, the only consistent trace
-    for lowest-order elements; accuracy is first order in h.
-    """
-    if quad_order is None:
-        quad_order = default_quad_order(family, eps, mu_inv)
-    free, _ = free_edge_dofs(mesh)
-    coefs = _full_coefficients(cluster.vectors, free, mesh.num_edges())
-    _, grads = tet_p1_data(mesh)
-    curls_all = edge_basis_curls(mesh, grads)
-    m = cluster.multiplicity
-    out = np.zeros((m, m))
-    for f in _facet_quad_setup(mesh, family, chi_bar, direction, quad_order):
-        t = f["tet"]
-        bary = _tet_barycentric(mesh, t, f["points"])    # (nq, 4)
-        ct = coefs[mesh.tet_edges[t]]                    # (6, m)
-        nq = len(bary)
-        v = np.empty((nq, 6, 3))
-        for e, (a, b) in enumerate(TET_EDGE_PAIRS):
-            v[:, e, :] = (
-                bary[:, a, None] * grads[t, b][None, :]
-                - bary[:, b, None] * grads[t, a][None, :]
-            )
-        v *= mesh.tet_edge_signs[t][None, :, None]
-        F = np.einsum("qea,em->qma", v, ct)
-        rotF = curls_all[t].T @ ct                       # (3, m)
-        E = np.einsum("qba,qmb->qma", f["Jinv"], F)
-        rotE = np.einsum("qab,mb->qma", f["J"], rotF.T) / f["det"][:, None, None]
-        mt = mu_inv.value(f["Y"])
-        et = eps.value(f["Y"])
-        integ = np.einsum(
-            "qab,qha,qlb->qhl", mt, rotE, rotE
-        ) - cluster.lambda_bar * np.einsum("qab,qha,qlb->qhl", et, E, E)
-        sign = 1.0 if f["tag"] == "N" else -1.0
-        out += sign * np.einsum("q,q,qhl->hl", f["weights"], f["psi_dot_n"], integ)
-    return _sym(out)
+    """Volume-integral branch-derivative matrix for a Maxwell cluster."""
+    return volume_matrix(NEDELEC, mesh, family, chi_bar, direction, mu_inv, eps,
+                         cluster, quad_order)
 
 
 def helmholtz_surface_matrix(
     mesh, family, chi_bar, direction, eps, nu, cluster: EigenCluster,
     quad_order=None,
 ) -> np.ndarray:
-    """Surface-integral branch-derivative matrix for Helmholtz.
+    """Surface-integral branch-derivative matrix for a Helmholtz cluster."""
+    return surface_matrix(P1, mesh, family, chi_bar, direction, eps, nu, cluster,
+                          quad_order)
 
-    On the tangential (Dirichlet) part only the gradient term survives,
-    with a negative sign; on the natural part the full integrand appears.
-    """
-    if quad_order is None:
-        quad_order = default_quad_order(family, eps, nu)
-    free, _ = free_vertex_dofs(mesh)
-    coefs = _full_coefficients(cluster.vectors, free, mesh.num_vertices())
-    _, grads = tet_p1_data(mesh)
-    m = cluster.multiplicity
-    out = np.zeros((m, m))
-    for f in _facet_quad_setup(mesh, family, chi_bar, direction, quad_order):
-        t = f["tet"]
-        bary = _tet_barycentric(mesh, t, f["points"])
-        ct = coefs[mesh.tets[t]]                         # (4, m)
-        u = bary @ ct                                    # (nq, m)
-        gradf = grads[t].T @ ct                          # (3, m)
-        gradu = np.einsum("qba,mb->qma", f["Jinv"], gradf.T)
-        et = eps.value(f["Y"])
-        grad_term = np.einsum("qab,qha,qlb->qhl", et, gradu, gradu)
-        if f["tag"] == "N":
-            nv = nu.value(f["Y"])
-            integ = grad_term - cluster.lambda_bar * np.einsum(
-                "q,qh,ql->qhl", nv, u, u
-            )
-            sign = 1.0
-        else:
-            integ = grad_term
-            sign = -1.0
-        out += sign * np.einsum("q,q,qhl->hl", f["weights"], f["psi_dot_n"], integ)
-    return _sym(out)
+
+def maxwell_surface_matrix(
+    mesh, family, chi_bar, direction, eps, mu_inv, cluster: EigenCluster,
+    quad_order=None,
+) -> np.ndarray:
+    """Surface-integral branch-derivative matrix for a Maxwell cluster."""
+    return surface_matrix(NEDELEC, mesh, family, chi_bar, direction, mu_inv, eps,
+                          cluster, quad_order)

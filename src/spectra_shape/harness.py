@@ -199,7 +199,7 @@ def derivative_at(cfg: RunConfig, n_override=None, mesh=None) -> PencilDerivativ
     """Pencil derivative of the configured problem at chi_bar."""
     if cfg.problem == "abstract-pencil":
         d = abstract_derivative(cfg.abstract, cfg.chi_bar)
-        return PencilDerivative(cfg.direction * d.dK, cfg.direction * d.dM, d.problem_tag)
+        return PencilDerivative(cfg.direction * d.dK, cfg.direction * d.dM)
     if mesh is None:
         mesh = _build_mesh(cfg, n_override)
     fam, eps, second = _components(cfg)
@@ -250,12 +250,12 @@ def _abstract_matrices(spec: dict, chi: float):
 
 def abstract_pencil(spec: dict, chi: float) -> Pencil:
     K, M, _, _ = _abstract_matrices(spec, chi)
-    return Pencil(K, M, np.arange(len(K)), "abstract", mesh=None, quad_order=0)
+    return Pencil(K, M, mesh=None, quad_order=0)
 
 
 def abstract_derivative(spec: dict, chi_bar: float) -> PencilDerivative:
     _, _, dK, dM = _abstract_matrices(spec, chi_bar)
-    return PencilDerivative(dK, dM, "abstract")
+    return PencilDerivative(dK, dM)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +313,22 @@ def _matrix_entry(A: np.ndarray):
     if np.max(np.abs(A - A.T)) > 1e-10 * max(1.0, np.max(np.abs(A))):
         raise ContractViolationError("report matrix is not Hermitian to 1e-10")
     return A.tolist()
+
+
+def _relative_gap(A: np.ndarray, B: np.ndarray) -> float:
+    """max |A - B| relative to max |B|."""
+    return float(np.max(np.abs(A - B)) / max(np.max(np.abs(B)), 1e-300))
+
+
+def _hadamard_matrices(cfg: RunConfig, mesh, cluster: EigenCluster, surface: bool):
+    """Volume matrix of a FEM cluster, and its surface matrix if `surface`."""
+    fam, eps, second = _components(cfg)
+    volume_form, surface_form = {
+        "helmholtz": (hadamard.helmholtz_volume_matrix, hadamard.helmholtz_surface_matrix),
+        "maxwell": (hadamard.maxwell_volume_matrix, hadamard.maxwell_surface_matrix),
+    }[cfg.problem]
+    args = (mesh, fam, cfg.chi_bar, cfg.direction, eps, second, cluster)
+    return volume_form(*args), (surface_form(*args) if surface else None)
 
 
 def _sym_derivatives(lambda_bar: float, m: int, trace: float):
@@ -392,35 +408,17 @@ def run(cfg: RunConfig) -> DerivativeReport:
             raise ContractViolationError("eigenpair residual exceeds 1e-8 scale")
 
         if cfg.problem != "abstract-pencil":
-            fam, eps, second = _components(cfg)
-            if cfg.problem == "maxwell":
-                V = hadamard.maxwell_volume_matrix(
-                    mesh, fam, cfg.chi_bar, cfg.direction, eps, second, cl
-                )
-                S = hadamard.maxwell_surface_matrix(
-                    mesh, fam, cfg.chi_bar, cfg.direction, eps, second, cl
-                )
-            else:
-                V = hadamard.helmholtz_volume_matrix(
-                    mesh, fam, cfg.chi_bar, cfg.direction, eps, second, cl
-                )
-                S = hadamard.helmholtz_surface_matrix(
-                    mesh, fam, cfg.chi_bar, cfg.direction, eps, second, cl
-                )
+            V, S = _hadamard_matrices(cfg, mesh, cl, cfg.surface_form_trusted)
             rec["volume_matrix"] = _matrix_entry(V)
             rec["slopes_volume"] = np.sort(sla.eigvalsh(V)).tolist()
             rec["sym_derivatives_volume"] = _sym_derivatives(
                 cl.lambda_bar, cl.multiplicity, float(np.trace(V))
             )
-            rec["route_discrepancy"] = float(
-                np.max(np.abs(V - R)) / max(np.max(np.abs(R)), 1e-300)
-            )
-            if cfg.surface_form_trusted:
+            rec["route_discrepancy"] = _relative_gap(V, R)
+            if S is not None:
                 rec["surface_matrix"] = _matrix_entry(S)
                 rec["slopes_surface"] = np.sort(sla.eigvalsh(S)).tolist()
-                rec["surface_volume_gap"] = float(
-                    np.max(np.abs(S - V)) / max(np.max(np.abs(V)), 1e-300)
-                )
+                rec["surface_volume_gap"] = _relative_gap(S, V)
 
         step = cluster_fd_step(cl, cfg.fd_step)
         fd_slopes, tag, _, _ = tracked_fd_slopes(cfg, pencil, cl, step, mesh=mesh)
@@ -518,7 +516,6 @@ def refinement_study(cfg: RunConfig) -> List[dict]:
         raise ConfigError("refinement studies need a FEM problem")
     if not cfg.refinement:
         raise ConfigError("refinement list is empty")
-    fam, eps, second = _components(cfg)
     rows = []
     prev_gap = None
     for n in cfg.refinement:
@@ -536,29 +533,14 @@ def refinement_study(cfg: RunConfig) -> List[dict]:
         dec = solve_pencil(pencil, cfg.kernel_tol, count=1, cluster_tol=cfg.cluster_tol)
         cl = cluster_spectrum(dec, cfg.cluster_tol)[0]
         R = rellich_matrix(deriv, cl).matrix
-        if cfg.problem == "maxwell":
-            V = hadamard.maxwell_volume_matrix(
-                mesh, fam, cfg.chi_bar, cfg.direction, eps, second, cl
-            )
-            S = hadamard.maxwell_surface_matrix(
-                mesh, fam, cfg.chi_bar, cfg.direction, eps, second, cl
-            )
-        else:
-            V = hadamard.helmholtz_volume_matrix(
-                mesh, fam, cfg.chi_bar, cfg.direction, eps, second, cl
-            )
-            S = hadamard.helmholtz_surface_matrix(
-                mesh, fam, cfg.chi_bar, cfg.direction, eps, second, cl
-            )
-        gap = float(np.max(np.abs(S - V)) / max(np.max(np.abs(V)), 1e-300))
+        V, S = _hadamard_matrices(cfg, mesh, cl, surface=True)
+        gap = _relative_gap(S, V)
         rows.append({
             "n": n,
             "dofs": pencil.size,
             "eigenvalues": dec.eigenvalues[: cl.indices[-1] + 1].tolist(),
             "lambda_bar": cl.lambda_bar,
-            "route_discrepancy": float(
-                np.max(np.abs(V - R)) / max(np.max(np.abs(R)), 1e-300)
-            ),
+            "route_discrepancy": _relative_gap(V, R),
             "surface_volume_gap": gap,
             "gap_decreased": bool(prev_gap is None or gap < prev_gap),
         })

@@ -8,82 +8,40 @@ pulled-back coefficients, never through the mesh geometry. Dirichlet dofs
 
 import numpy as np
 
-from . import transforms
-from .errors import DegenerateProblemError
 from .fem_common import (
     Pencil,
     PencilDerivative,
-    default_quad_order,
-    physical_quad_points,
-    scatter_symmetric,
-    tet_p1_data,
+    Space,
+    assemble_derivative,
+    assemble_pencil,
+    free_dofs,
 )
-from .geometry import Mesh, tet_quadrature
+from .geometry import Mesh
+
+# P1 on vertices: u = f o Phi^-1 and grad u = (J^-T grad f) o Phi^-1
+P1 = Space(
+    coefficients=("epsilon", "nu"),
+    entities=lambda mesh: (mesh.tets, mesh.num_vertices()),
+    constrained=lambda mesh: mesh.boundary_vertex_set("T"),
+    values=lambda mesh, grads, bary, tets: bary[..., None],
+    derivatives=lambda mesh, grads, tets: grads[tets],
+    push_values=lambda J, det, Jinv, F: F,
+    push_derivatives=lambda J, det, Jinv, D: np.einsum("nqba,nmb->nqma", Jinv, D),
+)
 
 
 def free_vertex_dofs(mesh: Mesh):
     """Free vertices (not on closure of Gamma_t) and the vertex -> dof map."""
-    constrained = mesh.boundary_vertex_set("T")
-    mask = np.ones(mesh.num_vertices(), dtype=bool)
-    mask[constrained] = False
-    free = np.nonzero(mask)[0]
-    dof_of = -np.ones(mesh.num_vertices(), dtype=int)
-    dof_of[free] = np.arange(len(free))
-    return free, dof_of
-
-
-def _assemble(mesh, eps_at, nu_at, quad_order):
-    """Assemble stiffness/mass from coefficient evaluators over quad points."""
-    rule = tet_quadrature(quad_order)
-    vols, grads = tet_p1_data(mesh)
-    pts, w = physical_quad_points(mesh, rule)
-    nt, nq, _ = pts.shape
-    flat = pts.reshape(nt * nq, 3)
-    eps = eps_at(flat).reshape(nt, nq, 3, 3)
-    nu = nu_at(flat).reshape(nt, nq)
-
-    k_loc = np.einsum("nq,nqab,nia,njb->nij", w, eps, grads, grads, optimize=True)
-    bary = rule.points                                   # (nq, 4)
-    m_loc = np.einsum("nq,nq,qi,qj->nij", w, nu, bary, bary, optimize=True)
-
-    free, dof_of = free_vertex_dofs(mesh)
-    if len(free) == 0:
-        raise DegenerateProblemError(
-            "all vertices constrained by the Dirichlet boundary; no free dofs"
-        )
-    gdofs = dof_of[mesh.tets]
-    K = scatter_symmetric(k_loc, gdofs, len(free))
-    M = scatter_symmetric(m_loc, gdofs, len(free))
-    return K, M, free
+    return free_dofs(P1, mesh)
 
 
 def assemble_helmholtz(mesh, family, chi, eps, nu, quad_order=None) -> Pencil:
     """Helmholtz pencil (K, M) at transformation parameter chi."""
-    if quad_order is None:
-        quad_order = default_quad_order(family, eps, nu)
-    K, M, free = _assemble(
-        mesh,
-        lambda X: transforms.transformed_epsilon(family, chi, eps, X),
-        lambda X: transforms.transformed_nu(family, chi, nu, X),
-        quad_order,
-    )
-    return Pencil(K, M, free, "helmholtz", mesh=mesh, quad_order=quad_order)
+    return assemble_pencil(P1, mesh, family, chi, eps, nu, quad_order)
 
 
 def assemble_helmholtz_derivative(
     mesh, family, chi_bar, direction, eps, nu, quad_order=None
 ) -> PencilDerivative:
     """Directional derivative (dK, dM) of the Helmholtz pencil at chi_bar."""
-    if quad_order is None:
-        quad_order = default_quad_order(family, eps, nu)
-    dK, dM, _ = _assemble(
-        mesh,
-        lambda X: transforms.directional_coefficient_epsilon(
-            family, chi_bar, direction, eps, X
-        ),
-        lambda X: transforms.directional_coefficient_nu(
-            family, chi_bar, direction, nu, X
-        ),
-        quad_order,
-    )
-    return PencilDerivative(dK, dM, "helmholtz")
+    return assemble_derivative(P1, mesh, family, chi_bar, direction, eps, nu, quad_order)

@@ -9,116 +9,75 @@ boundary part carry the n x E = 0 constraint and are eliminated.
 import numpy as np
 import scipy.sparse as sp
 
-from . import transforms
-from .errors import DegenerateProblemError
 from .fem_common import (
     Pencil,
     PencilDerivative,
-    default_quad_order,
-    physical_quad_points,
-    scatter_symmetric,
-    tet_p1_data,
+    Space,
+    assemble_derivative,
+    assemble_pencil,
+    free_dofs,
 )
-from .geometry import Mesh, TET_EDGE_PAIRS, tet_quadrature
+from .geometry import Mesh, TET_EDGE_PAIRS
 from .helmholtz import free_vertex_dofs
+
+_EDGE_A, _EDGE_B = np.array(TET_EDGE_PAIRS).T
+
+
+def _edge_values(mesh: Mesh, grads, bary, tets) -> np.ndarray:
+    """Signed edge basis values at barycentric points: (n, nq, 6, 3).
+
+    w_(a,b)(x) = lambda_a grad(lambda_b) - lambda_b grad(lambda_a).
+    """
+    g = grads[tets]
+    vals = (bary[:, :, _EDGE_A, None] * g[:, None, _EDGE_B, :]
+            - bary[:, :, _EDGE_B, None] * g[:, None, _EDGE_A, :])
+    return vals * mesh.tet_edge_signs[tets][:, None, :, None]
+
+
+def _edge_curls(mesh: Mesh, grads, tets) -> np.ndarray:
+    """Constant curls of the signed edge basis functions: (n, 6, 3).
+
+    curl w_(a,b) = 2 grad(lambda_a) x grad(lambda_b), oriented globally.
+    """
+    g = grads[tets]
+    curls = 2.0 * np.cross(g[:, _EDGE_A, :], g[:, _EDGE_B, :])
+    return curls * mesh.tet_edge_signs[tets][:, :, None]
+
+
+# Nedelec-1 on edges, covariant Piola map:
+# E = (J^-T F) o Phi^-1 and rot E = (det J)^-1 (J rot F) o Phi^-1
+NEDELEC = Space(
+    coefficients=("mu_inv", "epsilon"),
+    entities=lambda mesh: (mesh.tet_edges, mesh.num_edges()),
+    constrained=lambda mesh: mesh.boundary_edge_set("T"),
+    values=_edge_values,
+    derivatives=_edge_curls,
+    push_values=lambda J, det, Jinv, F: np.einsum("nqba,nqmb->nqma", Jinv, F),
+    push_derivatives=lambda J, det, Jinv, D: (
+        np.einsum("nqab,nmb->nqma", J, D) / det[:, :, None, None]
+    ),
+)
 
 
 def free_edge_dofs(mesh: Mesh):
     """Free edges (not contained in a Gamma_t facet) and the edge -> dof map."""
-    constrained = mesh.boundary_edge_set("T")
-    mask = np.ones(mesh.num_edges(), dtype=bool)
-    mask[constrained] = False
-    free = np.nonzero(mask)[0]
-    dof_of = -np.ones(mesh.num_edges(), dtype=int)
-    dof_of[free] = np.arange(len(free))
-    return free, dof_of
-
-
-def edge_basis_curls(mesh: Mesh, grads: np.ndarray) -> np.ndarray:
-    """Constant curls of the six signed edge basis functions per tet.
-
-    curl w_(a,b) = 2 grad(lambda_a) x grad(lambda_b), oriented globally.
-    """
-    nt = mesh.num_tets()
-    curls = np.empty((nt, 6, 3))
-    for e, (a, b) in enumerate(TET_EDGE_PAIRS):
-        curls[:, e, :] = 2.0 * np.cross(grads[:, a, :], grads[:, b, :])
-    return curls * mesh.tet_edge_signs[:, :, None]
-
-
-def edge_basis_values(mesh: Mesh, grads: np.ndarray, bary: np.ndarray) -> np.ndarray:
-    """Signed edge basis values at barycentric quad points: (nt, nq, 6, 3).
-
-    w_(a,b)(x) = lambda_a grad(lambda_b) - lambda_b grad(lambda_a).
-    """
-    nt = mesh.num_tets()
-    nq = len(bary)
-    vals = np.empty((nt, nq, 6, 3))
-    for e, (a, b) in enumerate(TET_EDGE_PAIRS):
-        vals[:, :, e, :] = (
-            bary[None, :, a, None] * grads[:, None, b, :]
-            - bary[None, :, b, None] * grads[:, None, a, :]
-        )
-    return vals * mesh.tet_edge_signs[:, None, :, None]
-
-
-def _assemble(mesh, muinv_at, eps_at, quad_order):
-    rule = tet_quadrature(quad_order)
-    vols, grads = tet_p1_data(mesh)
-    pts, w = physical_quad_points(mesh, rule)
-    nt, nq, _ = pts.shape
-    flat = pts.reshape(nt * nq, 3)
-    muinv = muinv_at(flat).reshape(nt, nq, 3, 3)
-    eps = eps_at(flat).reshape(nt, nq, 3, 3)
-
-    curls = edge_basis_curls(mesh, grads)                # (nt, 6, 3)
-    vals = edge_basis_values(mesh, grads, rule.points)   # (nt, nq, 6, 3)
-
-    k_loc = np.einsum("nq,nqab,nea,nfb->nef", w, muinv, curls, curls, optimize=True)
-    m_loc = np.einsum("nq,nqab,nqea,nqfb->nef", w, eps, vals, vals, optimize=True)
-
-    free, dof_of = free_edge_dofs(mesh)
-    if len(free) == 0:
-        raise DegenerateProblemError(
-            "all edges constrained by the tangential boundary; no free dofs"
-        )
-    gdofs = dof_of[mesh.tet_edges]
-    K = scatter_symmetric(k_loc, gdofs, len(free))
-    M = scatter_symmetric(m_loc, gdofs, len(free))
-    return K, M, free
+    return free_dofs(NEDELEC, mesh)
 
 
 def assemble_maxwell(mesh, family, chi, eps, mu_inv, quad_order=None) -> Pencil:
     """Maxwell pencil (K, M) at transformation parameter chi."""
-    if quad_order is None:
-        quad_order = default_quad_order(family, eps, mu_inv)
-    K, M, free = _assemble(
-        mesh,
-        lambda X: transforms.transformed_mu_inv(family, chi, mu_inv, X),
-        lambda X: transforms.transformed_epsilon(family, chi, eps, X),
-        quad_order,
-    )
-    return Pencil(K, M, free, "maxwell", mesh=mesh, quad_order=quad_order,
-                  kernel_basis=gradient_kernel_basis(mesh))
+    pencil = assemble_pencil(NEDELEC, mesh, family, chi, mu_inv, eps, quad_order)
+    pencil.kernel_basis = gradient_kernel_basis(mesh)
+    return pencil
 
 
 def assemble_maxwell_derivative(
     mesh, family, chi_bar, direction, eps, mu_inv, quad_order=None
 ) -> PencilDerivative:
     """Directional derivative (dK, dM) of the Maxwell pencil at chi_bar."""
-    if quad_order is None:
-        quad_order = default_quad_order(family, eps, mu_inv)
-    dK, dM, _ = _assemble(
-        mesh,
-        lambda X: transforms.directional_coefficient_mu_inv(
-            family, chi_bar, direction, mu_inv, X
-        ),
-        lambda X: transforms.directional_coefficient_epsilon(
-            family, chi_bar, direction, eps, X
-        ),
-        quad_order,
+    return assemble_derivative(
+        NEDELEC, mesh, family, chi_bar, direction, mu_inv, eps, quad_order
     )
-    return PencilDerivative(dK, dM, "maxwell")
 
 
 def gradient_kernel_basis(mesh: Mesh) -> sp.csr_array:

@@ -7,7 +7,7 @@ points of shape (N, 3) and are pure functions of immutable data.
 """
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -236,7 +236,7 @@ def unit_scalar_coefficient() -> ConstantScalarCoefficient:
 # pulled-back coefficients and their parameter derivatives
 # ---------------------------------------------------------------------------
 
-def _jacobian_data(family, chi, X):
+def jacobian_data(family, chi, X):
     J = family.jacobian(chi, X)
     det = np.linalg.det(J)
     if np.any(det <= 0):
@@ -249,7 +249,7 @@ def _jacobian_data(family, chi, X):
 def transformed_epsilon(family, chi, eps, X):
     """eps_Phi = det(J) J^-1 eps(Phi(x)) J^-T, symmetric positive-definite."""
     X, single = _as_points(X)
-    J, det, Jinv = _jacobian_data(family, chi, X)
+    J, det, Jinv = jacobian_data(family, chi, X)
     et = eps.value(family.map(chi, X))
     out = det[:, None, None] * (Jinv @ et @ np.swapaxes(Jinv, 1, 2))
     out = _sym(out)
@@ -259,7 +259,7 @@ def transformed_epsilon(family, chi, eps, X):
 def transformed_mu_inv(family, chi, mu_inv, X):
     """mu_Phi^-1 = det(J)^-1 J^T mu^-1(Phi(x)) J."""
     X, single = _as_points(X)
-    J, det, Jinv = _jacobian_data(family, chi, X)
+    J, det, Jinv = jacobian_data(family, chi, X)
     mt = mu_inv.value(family.map(chi, X))
     out = (np.swapaxes(J, 1, 2) @ mt @ J) / det[:, None, None]
     out = _sym(out)
@@ -269,19 +269,38 @@ def transformed_mu_inv(family, chi, mu_inv, X):
 def transformed_nu(family, chi, nu, X):
     """nu_Phi = det(J) * nu(Phi(x)) > 0."""
     X, single = _as_points(X)
-    _, det, _ = _jacobian_data(family, chi, X)
+    _, det, _ = jacobian_data(family, chi, X)
     out = det * nu.value(family.map(chi, X))
     return out[0] if single else out
 
 
 def _perturbation_data(family, chi_bar, direction, X):
     """Velocity field and its physical-side Jacobian at reference points."""
-    J, det, Jinv = _jacobian_data(family, chi_bar, X)
+    J, det, Jinv = jacobian_data(family, chi_bar, X)
     psi_t = direction * family.velocity(chi_bar, X)
     jpsi_t = direction * family.velocity_jacobian(chi_bar, X)
     jpsi = jpsi_t @ Jinv                       # J_Psi at y = Phi(x)
     div_psi = np.trace(jpsi, axis1=1, axis2=2)
     return J, det, Jinv, psi_t, jpsi, div_psi
+
+
+def epsilon_bracket(eps, Y, psi, jpsi, div_psi):
+    """d_Psi eps + div(Psi) eps - 2 sym(J_Psi eps) at physical points Y."""
+    et = eps.value(Y)
+    d_eps = np.einsum("nijk,nk->nij", eps.gradient(Y), psi)
+    return d_eps + div_psi[:, None, None] * et - 2.0 * _sym(jpsi @ et)
+
+
+def mu_inv_bracket(mu_inv, Y, psi, jpsi, div_psi):
+    """d_Psi mu^-1 - div(Psi) mu^-1 + 2 sym(mu^-1 J_Psi) at physical points Y."""
+    mt = mu_inv.value(Y)
+    d_mt = np.einsum("nijk,nk->nij", mu_inv.gradient(Y), psi)
+    return d_mt - div_psi[:, None, None] * mt + 2.0 * _sym(mt @ jpsi)
+
+
+def nu_bracket(nu, Y, psi, jpsi, div_psi):
+    """d_Psi nu + div(Psi) nu at physical points Y."""
+    return np.einsum("nk,nk->n", nu.gradient(Y), psi) + div_psi * nu.value(Y)
 
 
 def directional_coefficient_epsilon(family, chi_bar, direction, eps, X):
@@ -290,10 +309,7 @@ def directional_coefficient_epsilon(family, chi_bar, direction, eps, X):
     J, det, Jinv, psi_t, jpsi, div_psi = _perturbation_data(
         family, chi_bar, direction, X
     )
-    Y = family.map(chi_bar, X)
-    et = eps.value(Y)
-    det_eps = np.einsum("nijk,nk->nij", eps.gradient(Y), psi_t)
-    bracket = det_eps + div_psi[:, None, None] * et - 2.0 * _sym(jpsi @ et)
+    bracket = epsilon_bracket(eps, family.map(chi_bar, X), psi_t, jpsi, div_psi)
     out = det[:, None, None] * (Jinv @ bracket @ np.swapaxes(Jinv, 1, 2))
     out = _sym(out)
     return out[0] if single else out
@@ -305,10 +321,7 @@ def directional_coefficient_mu_inv(family, chi_bar, direction, mu_inv, X):
     J, det, Jinv, psi_t, jpsi, div_psi = _perturbation_data(
         family, chi_bar, direction, X
     )
-    Y = family.map(chi_bar, X)
-    mt = mu_inv.value(Y)
-    dmt = np.einsum("nijk,nk->nij", mu_inv.gradient(Y), psi_t)
-    bracket = dmt - div_psi[:, None, None] * mt + 2.0 * _sym(mt @ jpsi)
+    bracket = mu_inv_bracket(mu_inv, family.map(chi_bar, X), psi_t, jpsi, div_psi)
     out = (np.swapaxes(J, 1, 2) @ bracket @ J) / det[:, None, None]
     out = _sym(out)
     return out[0] if single else out
@@ -317,11 +330,35 @@ def directional_coefficient_mu_inv(family, chi_bar, direction, mu_inv, X):
 def directional_coefficient_nu(family, chi_bar, direction, nu, X):
     """Directional parameter derivative of the pulled-back scalar weight."""
     X, single = _as_points(X)
-    _, det, _, psi_t, _, div_psi = _perturbation_data(family, chi_bar, direction, X)
-    Y = family.map(chi_bar, X)
-    dnt = np.einsum("nk,nk->n", nu.gradient(Y), psi_t)
-    out = det * (dnt + div_psi * nu.value(Y))
+    _, det, _, psi_t, jpsi, div_psi = _perturbation_data(family, chi_bar, direction, X)
+    out = det * nu_bracket(nu, family.map(chi_bar, X), psi_t, jpsi, div_psi)
     return out[0] if single else out
+
+
+class CoefficientKind(NamedTuple):
+    """The maps of one coefficient kind: pull-back, its directional
+    parameter derivative, and the bracket of the volume Hadamard form."""
+
+    pull_back: Callable
+    derivative: Callable
+    bracket: Callable
+
+
+def coefficient_kind(name: str) -> CoefficientKind:
+    """Maps of the coefficient kind 'epsilon', 'mu_inv' or 'nu'.
+
+    The table is built per call, so the module attributes in effect at call
+    time are the ones returned, also when they were replaced after import.
+    """
+    return {
+        "epsilon": CoefficientKind(
+            transformed_epsilon, directional_coefficient_epsilon, epsilon_bracket
+        ),
+        "mu_inv": CoefficientKind(
+            transformed_mu_inv, directional_coefficient_mu_inv, mu_inv_bracket
+        ),
+        "nu": CoefficientKind(transformed_nu, directional_coefficient_nu, nu_bracket),
+    }[name]
 
 
 def psi_on_physical(family, chi_bar, direction, X):

@@ -124,6 +124,24 @@ class TestSurfaceForm:
                 assert gap < prev
             prev = gap
 
+    @pytest.mark.parametrize("family", [tf.scaling_family(), tf.stretch_family(0)],
+                             ids=["scaling", "stretch-x"])
+    def test_surface_approaches_volume_maxwell_mixed(self, family):
+        # the N facets of a mixed partition enter with the full integrand
+        part = {"x0": "T", "x1": "N", "y0": "T", "y1": "T", "z0": "N", "z1": "T"}
+        prev = None
+        for n in (2, 3, 4):
+            mesh = build_box_mesh((1, 1, 1), n, part)
+            p = mx.assemble_maxwell(mesh, family, 0.0, EYE, EYE)
+            cl = cluster_spectrum(solve_pencil(p, count=1))[0]
+            assert cl.multiplicity == 1
+            V = hd.maxwell_volume_matrix(mesh, family, 0.0, 1.0, EYE, EYE, cl)
+            S = hd.maxwell_surface_matrix(mesh, family, 0.0, 1.0, EYE, EYE, cl)
+            gap = np.abs(S - V).max() / np.abs(V).max()
+            if prev is not None:
+                assert gap < prev
+            prev = gap
+
     def test_mixed_partition_sign_convention(self):
         """With the lowest cluster of an all-N Helmholtz cube absent, use a
         mixed box: the surface matrix changes when Gamma_t and Gamma_n are

@@ -95,6 +95,15 @@ class TestRun:
         with pytest.raises(ConfigError):
             harness.run(config(index_range=[1, 10_000]))
 
+    def test_untrusted_surface_form_is_not_computed(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("surface matrix computed for an untrusted form")
+
+        monkeypatch.setattr(harness.hadamard, "helmholtz_surface_matrix", refuse)
+        rec = harness.run(config(surface_form_trusted=False)).clusters[0]
+        assert "volume_matrix" in rec
+        assert "surface_matrix" not in rec and "surface_volume_gap" not in rec
+
     def test_report_schema_fields(self):
         report = harness.run(config())
         doc = report.to_dict()

@@ -116,14 +116,14 @@ class TestReconstruct:
 class TestRellichMatrix:
     def test_crossing_pencil_slopes(self):
         dK = np.array([[0.0, 1.0], [1.0, 0.0]])
-        deriv = PencilDerivative(dK, np.zeros((2, 2)), "abstract")
+        deriv = PencilDerivative(dK, np.zeros((2, 2)))
         cluster = make_cluster(1.0, np.eye(2))
         R = rellich_matrix(deriv, cluster)
         np.testing.assert_allclose(R.matrix, dK)
         np.testing.assert_allclose(R.slopes(), [-1.0, 1.0], atol=1e-15)
 
     def test_zero_derivative_gives_zero(self):
-        deriv = PencilDerivative(np.zeros((3, 3)), np.zeros((3, 3)), "abstract")
+        deriv = PencilDerivative(np.zeros((3, 3)), np.zeros((3, 3)))
         R = rellich_matrix(deriv, make_cluster(2.0, np.eye(3)))
         np.testing.assert_allclose(R.slopes(), 0.0, atol=1e-16)
 
@@ -133,7 +133,7 @@ class TestRellichMatrix:
         dK = 0.5 * (dK + dK.T)
         dM = rng.standard_normal((n, n))
         dM = 0.5 * (dM + dM.T)
-        deriv = PencilDerivative(dK, dM, "abstract")
+        deriv = PencilDerivative(dK, dM)
         U = sla.qr(rng.standard_normal((n, m)), mode="economic")[0]
         Q = sla.qr(rng.standard_normal((m, m)))[0]
         s1 = rellich_matrix(deriv, make_cluster(1.3, U)).slopes()
@@ -157,18 +157,18 @@ class TestRellichMatrix:
             np.testing.assert_allclose(slopes / scale, fd / scale, atol=1e-3)
 
     def test_dimension_mismatch(self):
-        deriv = PencilDerivative(np.zeros((4, 4)), np.zeros((4, 4)), "abstract")
+        deriv = PencilDerivative(np.zeros((4, 4)), np.zeros((4, 4)))
         with pytest.raises(ContractViolationError):
             rellich_matrix(deriv, make_cluster(1.0, np.eye(3)))
 
 
 class TestHellmannFeynman:
     def test_simple_slope(self):
-        deriv = PencilDerivative(np.diag([1.0, 0.0]), np.zeros((2, 2)), "abstract")
+        deriv = PencilDerivative(np.diag([1.0, 0.0]), np.zeros((2, 2)))
         assert hellmann_feynman(deriv, 1.0, np.array([1.0, 0.0])) == pytest.approx(1.0)
 
     def test_multiple_eigenvalue_rejected(self):
-        deriv = PencilDerivative(np.zeros((2, 2)), np.zeros((2, 2)), "abstract")
+        deriv = PencilDerivative(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(MultiplicityError):
             hellmann_feynman(deriv, 1.0, np.array([1.0, 0.0]), simple=False)
 
@@ -176,7 +176,7 @@ class TestHellmannFeynman:
 class TestTraceFormula:
     def test_crossing_family_orders(self):
         dK = np.array([[0.0, 1.0], [1.0, 0.0]])
-        deriv = PencilDerivative(dK, np.zeros((2, 2)), "abstract")
+        deriv = PencilDerivative(dK, np.zeros((2, 2)))
         cluster = make_cluster(1.0, np.eye(2))
         # slopes +-1: s=1 gives the sum 0; s=2 gives lam * C(1,1) * trace = 0,
         # matching d/dchi[(1+chi)(1-chi)] = 0 at chi=0
@@ -187,7 +187,7 @@ class TestTraceFormula:
         n, m = 7, 3
         dK = rng.standard_normal((n, n))
         dK = 0.5 * (dK + dK.T)
-        deriv = PencilDerivative(dK, np.zeros((n, n)), "abstract")
+        deriv = PencilDerivative(dK, np.zeros((n, n)))
         U = sla.qr(rng.standard_normal((n, m)), mode="economic")[0]
         cluster = make_cluster(2.0, U)
         R = rellich_matrix(deriv, cluster)

@@ -94,7 +94,7 @@ def test_split_triple_is_returned_whole():
 def diagonal_pencil_with_triple():
     d = np.concatenate([[1.0], [2.0, 2.0, 2.0], np.linspace(3.0, 9.0, 40)])
     n = len(d)
-    return Pencil(sp.csr_array(sp.diags(d)), sp.csr_array(sp.eye(n)), np.arange(n), "abstract")
+    return Pencil(sp.csr_array(sp.diags(d)), sp.csr_array(sp.eye(n)))
 
 
 def test_exact_triple_is_returned_whole():
@@ -147,8 +147,7 @@ def test_count_beyond_spectrum_returns_everything():
 def test_indefinite_sparse_mass_rejected():
     n = 30
     M = sp.diags(np.r_[np.ones(n - 1), -1.0])
-    p = Pencil(sp.csr_array(sp.diags(np.arange(1.0, n + 1))), sp.csr_array(M),
-               np.arange(n), "abstract")
+    p = Pencil(sp.csr_array(sp.diags(np.arange(1.0, n + 1))), sp.csr_array(M))
     with pytest.raises(PencilError):
         solve_pencil(p, count=1)
 

@@ -24,7 +24,7 @@ def make_pencil(K, M=None):
     K = np.asarray(K, dtype=float)
     if M is None:
         M = np.eye(len(K))
-    return Pencil(K, np.asarray(M, dtype=float), np.arange(len(K)), "abstract")
+    return Pencil(K, np.asarray(M, dtype=float))
 
 
 def random_spd_pencil(rng, n=12):
