@@ -187,69 +187,87 @@ class Mesh:
         inward = np.einsum("...k,...k->...", n, tri.mean(axis=-2) - tet.mean(axis=-2)) < 0
         return np.where(inward[..., None], -n, n), 0.5 * norm
 
+    def _tagged_facets(self, tag: str) -> np.ndarray:
+        return self.bfacet_vertices[np.asarray(self.bfacet_tags, dtype=str) == tag]
+
     def boundary_vertex_set(self, tag: str) -> np.ndarray:
         """Sorted vertex indices lying on the closure of the facets with `tag`."""
-        sel = [i for i, t in enumerate(self.bfacet_tags) if t == tag]
-        if not sel:
-            return np.array([], dtype=int)
-        return np.unique(self.bfacet_vertices[sel])
+        return np.unique(self._tagged_facets(tag))
 
     def boundary_edge_set(self, tag: str) -> np.ndarray:
         """Sorted global edge indices contained in a facet with `tag`."""
-        sel = [i for i, t in enumerate(self.bfacet_tags) if t == tag]
-        if not sel:
-            return np.array([], dtype=int)
-        tris = self.bfacet_vertices[sel]
-        keys = set()
-        for tri in tris:
-            for a, b in ((0, 1), (0, 2), (1, 2)):
-                keys.add((min(tri[a], tri[b]), max(tri[a], tri[b])))
-        edge_lookup = {tuple(e): i for i, e in enumerate(self.edges)}
-        return np.array(sorted(edge_lookup[k] for k in keys), dtype=int)
+        pairs = self._tagged_facets(tag)[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2)
+        return np.unique(_row_index(self.edges, pairs))
 
     # -- validation ----------------------------------------------------------
 
     def validate(self):
         vols = self.tet_volumes()
-        bad = np.nonzero(vols <= 0)[0]
-        if len(bad):
-            raise InvalidGeometryError(
-                f"tet {bad[0]} has non-positive signed volume {vols[bad[0]]:g}"
-            )
-        # facet incidence counts
-        counts: Dict[Tuple[int, int, int], int] = {}
-        owner: Dict[Tuple[int, int, int], int] = {}
-        for it, tet in enumerate(self.tets):
-            for tri in TET_FACE_TRIPLES:
-                key = tuple(sorted(tet[list(tri)]))
-                counts[key] = counts.get(key, 0) + 1
-                owner[key] = it
-        boundary = {k for k, c in counts.items() if c == 1}
-        if any(c > 2 for c in counts.values()):
-            raise InvalidGeometryError("facet shared by more than two tets")
-        tagged = set()
-        for i, tri in enumerate(self.bfacet_vertices):
-            key = tuple(sorted(tri))
-            if key not in boundary:
-                raise InvalidGeometryError(
-                    f"tagged facet {i} {key} is not a boundary facet"
-                )
-            if self.bfacet_tags[i] not in ("T", "N"):
-                raise InvalidGeometryError(
-                    f"facet {i} has unknown tag {self.bfacet_tags[i]!r}"
-                )
-            if counts.get(key, 0) != 1 or owner[key] != self.bfacet_tets[i]:
-                raise InvalidGeometryError(
-                    f"facet {i} does not belong to tet {self.bfacet_tets[i]}"
-                )
-            if key in tagged:
-                raise InvalidGeometryError(f"facet {key} tagged twice")
-            tagged.add(key)
-        missing = boundary - tagged
-        if missing:
-            raise InvalidGeometryError(
-                f"untagged boundary facet {sorted(missing)[0]}"
-            )
+        _raise_first(vols <= 0,
+                     lambda i: f"tet {i} has non-positive signed volume {vols[i]:g}")
+        facets, counts, owners = facet_incidence(self.tets)
+        _raise_first(counts > 2, lambda i: (
+            f"facet {_triple(facets[i])} shared by more than two tets"))
+        tris = self.bfacet_vertices
+        at = _row_index(facets, tris)
+        # a facet absent from the tets reads count 0 and owner -1
+        _raise_first(np.append(counts, 0)[at] != 1, lambda i: (
+            f"tagged facet {i} {_triple(tris[i])} is not a boundary facet"))
+        _raise_first(~np.isin(np.asarray(self.bfacet_tags, dtype=str), ("T", "N")),
+                     lambda i: f"facet {i} has unknown tag {self.bfacet_tags[i]!r}")
+        _raise_first(np.append(owners, -1)[at] != self.bfacet_tets, lambda i: (
+            f"facet {i} does not belong to tet {self.bfacet_tets[i]}"))
+        repeated = np.ones(len(at), dtype=bool)
+        repeated[np.unique(at, return_index=True)[1]] = False
+        _raise_first(repeated, lambda i: f"facet {_triple(facets[at[i]])} tagged twice")
+        untagged = counts == 1
+        untagged[at] = False
+        _raise_first(untagged, lambda i: f"untagged boundary facet {_triple(facets[i])}")
+
+
+def _raise_first(bad: np.ndarray, message):
+    """Raise InvalidGeometryError(message(i)) for the first true entry i of `bad`."""
+    hits = np.flatnonzero(bad)
+    if len(hits):
+        raise InvalidGeometryError(message(hits[0]))
+
+
+def _triple(tri) -> str:
+    return str(tuple(np.asarray(tri).tolist()))
+
+
+def facet_incidence(tets: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct facets of `tets` with their incidence.
+
+    Returns the facets as sorted vertex triples in lexicographic order, the
+    number of tets sharing each, and the tet owning each (the first of the
+    two, for an interior facet).
+    """
+    faces = np.sort(tets[:, TET_FACE_TRIPLES], axis=2).reshape(-1, 3)
+    facets, first, counts = np.unique(
+        faces, axis=0, return_index=True, return_counts=True
+    )
+    return facets, counts, first // len(TET_FACE_TRIPLES)
+
+
+def _lex(rows: np.ndarray) -> np.ndarray:
+    """Integer rows as one record each, which compare lexicographically."""
+    rows = np.ascontiguousarray(rows, dtype=int)
+    return rows.view([(f"c{k}", int) for k in range(rows.shape[1])]).reshape(-1)
+
+
+def _row_index(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index in `table` of each row of `rows`, read as a vertex set; -1 where
+    it is absent.
+
+    `table` holds sorted rows in lexicographic order, as the facets of
+    `facet_incidence` and `Mesh.edges` do.
+    """
+    keys, entries = _lex(table), _lex(np.sort(rows, axis=1))
+    at = np.searchsorted(keys, entries)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == entries[found]
+    return np.where(found, at, -1)
 
 
 def box_mesh_size(n: int) -> Tuple[int, int]:
@@ -291,61 +309,31 @@ def build_box_mesh(
         axis=1,
     )
 
-    def vid(i, j, k):
-        return (i * m + j) * m + k
+    # Kuhn path of each permutation from the cell's low corner; an odd
+    # permutation gives a negatively oriented path, fixed by swapping its
+    # last two vertices (the box scaling keeps the sign)
+    steps = np.cumsum(np.eye(3, dtype=int)[list(_KUHN_PERMS)], axis=1)
+    paths = np.concatenate([np.zeros((len(_KUHN_PERMS), 1, 3), dtype=int), steps], axis=1)
+    odd = np.linalg.det(steps) < 0
+    paths[odd] = paths[odd][:, [0, 1, 3, 2]]
+    cells = np.stack([ii, jj, kk], axis=-1)[:n, :n, :n].reshape(-1, 1, 1, 3)
+    tets = ((cells + paths) @ np.array([m * m, m, 1])).reshape(-1, 4)
 
-    tets = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                base = np.array([i, j, k])
-                for perm in _KUHN_PERMS:
-                    path = [base.copy()]
-                    p = base.copy()
-                    for ax in perm:
-                        p = p.copy()
-                        p[ax] += 1
-                        path.append(p)
-                    idx = [vid(*q) for q in path]
-                    verts = np.array([vertices[t] for t in idx])
-                    if np.linalg.det(verts[1:] - verts[0]) < 0:
-                        idx[2], idx[3] = idx[3], idx[2]
-                    tets.append(idx)
-    tets = np.array(tets, dtype=int)
+    # boundary facets: those of one tet, tagged by the box face they lie on;
+    # on two faces at once (degenerate dims only), the later axis and the
+    # low face win
+    facets, counts, owners = facet_incidence(tets)
+    bf_verts, bf_tets = facets[counts == 1], owners[counts == 1]
+    pts = vertices[bf_verts]
+    face = np.full(len(bf_verts), -1)
+    for ax in range(3):
+        face[np.all(np.abs(pts[:, :, ax] - dims[ax]) < 1e-14, axis=1)] = 2 * ax + 1
+        face[np.all(np.abs(pts[:, :, ax]) < 1e-14, axis=1)] = 2 * ax
+    _raise_first(face < 0, lambda i: (
+        f"boundary facet {_triple(bf_verts[i])} not on a box face"))
+    bf_tags = np.array([partition[f] for f in BOX_FACES])[face].tolist()
 
-    # boundary facets: those appearing once, tagged by the box face they lie on
-    counts: Dict[Tuple[int, int, int], Tuple[int, Tuple[int, ...]]] = {}
-    seen: Dict[Tuple[int, int, int], int] = {}
-    for it, tet in enumerate(tets):
-        for tri in TET_FACE_TRIPLES:
-            key = tuple(sorted(tet[list(tri)]))
-            seen[key] = seen.get(key, 0) + 1
-            counts[key] = (it, key)
-    bf_verts = []
-    bf_tags = []
-    bf_tets = []
-    for key, cnt in seen.items():
-        if cnt != 1:
-            continue
-        it, tri = counts[key]
-        pts = vertices[list(tri)]
-        face = None
-        for ax, name0, name1 in ((0, "x0", "x1"), (1, "y0", "y1"), (2, "z0", "z1")):
-            if np.all(np.abs(pts[:, ax]) < 1e-14):
-                face = name0
-            elif np.all(np.abs(pts[:, ax] - dims[ax]) < 1e-14):
-                face = name1
-        if face is None:
-            raise InvalidGeometryError(f"boundary facet {tri} not on a box face")
-        bf_verts.append(tri)
-        bf_tags.append(partition[face])
-        bf_tets.append(it)
-    order = np.lexsort(np.array(bf_verts).T[::-1])
-    bf_verts = [bf_verts[i] for i in order]
-    bf_tags = [bf_tags[i] for i in order]
-    bf_tets = [bf_tets[i] for i in order]
-
-    return Mesh(vertices, tets, np.array(bf_verts), bf_tags, np.array(bf_tets))
+    return Mesh(vertices, tets, bf_verts, bf_tags, bf_tets)
 
 
 def save_mesh(mesh: Mesh, path: str):
@@ -356,11 +344,11 @@ def save_mesh(mesh: Mesh, path: str):
         for v in mesh.vertices:
             f.write(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
         f.write(f"tets {mesh.num_tets()}\n")
-        for t in mesh.tets:
-            f.write(f"{t[0]} {t[1]} {t[2]} {t[3]}\n")
+        np.savetxt(f, mesh.tets, fmt="%d")
         f.write(f"bfacets {len(mesh.bfacet_vertices)}\n")
-        for tri, tag in zip(mesh.bfacet_vertices, mesh.bfacet_tags):
-            f.write(f"{tri[0]} {tri[1]} {tri[2]} {tag}\n")
+        rows = np.column_stack([mesh.bfacet_vertices.astype(str),
+                                np.asarray(mesh.bfacet_tags, dtype=str)])
+        np.savetxt(f, rows, fmt="%s")
 
 
 def load_mesh(path: str) -> Mesh:
@@ -384,17 +372,17 @@ def load_mesh(path: str) -> Mesh:
 
     lineno, header = take()
     if header != "tetmesh v1":
-        raise MeshFormatError(f"{path}:{lineno}: expected 'tetmesh v1' header")
+        raise MeshFormatError(f"{path}: line {lineno}: expected 'tetmesh v1' header")
 
     def section(name):
         lineno, line = take()
         parts = line.split()
         if len(parts) != 2 or parts[0] != name:
-            raise MeshFormatError(f"{path}:{lineno}: expected '{name} <count>'")
+            raise MeshFormatError(f"{path}: line {lineno}: expected '{name} <count>'")
         try:
             return int(parts[1])
         except ValueError:
-            raise MeshFormatError(f"{path}:{lineno}: bad count {parts[1]!r}")
+            raise MeshFormatError(f"{path}: line {lineno}: bad count {parts[1]!r}")
 
     nv = section("vertices")
     vertices = np.empty((nv, 3))
@@ -402,11 +390,11 @@ def load_mesh(path: str) -> Mesh:
         lineno, line = take()
         parts = line.split()
         if len(parts) != 3:
-            raise MeshFormatError(f"{path}:{lineno}: expected 3 coordinates")
+            raise MeshFormatError(f"{path}: line {lineno}: expected 3 coordinates")
         try:
             vertices[i] = [float(p) for p in parts]
         except ValueError:
-            raise MeshFormatError(f"{path}:{lineno}: bad coordinate")
+            raise MeshFormatError(f"{path}: line {lineno}: bad coordinate")
 
     nt = section("tets")
     tets = np.empty((nt, 4), dtype=int)
@@ -414,11 +402,11 @@ def load_mesh(path: str) -> Mesh:
         lineno, line = take()
         parts = line.split()
         if len(parts) != 4:
-            raise MeshFormatError(f"{path}:{lineno}: expected 4 vertex indices")
+            raise MeshFormatError(f"{path}: line {lineno}: expected 4 vertex indices")
         try:
             tets[i] = [int(p) for p in parts]
         except ValueError:
-            raise MeshFormatError(f"{path}:{lineno}: bad index")
+            raise MeshFormatError(f"{path}: line {lineno}: bad index")
 
     nb = section("bfacets")
     bf_verts = np.empty((nb, 3), dtype=int)
@@ -428,28 +416,17 @@ def load_mesh(path: str) -> Mesh:
         parts = line.split()
         if len(parts) != 4:
             raise MeshFormatError(
-                f"{path}:{lineno}: expected 3 indices and a tag letter"
+                f"{path}: line {lineno}: expected 3 indices and a tag letter"
             )
         try:
             bf_verts[i] = [int(p) for p in parts[:3]]
         except ValueError:
-            raise MeshFormatError(f"{path}:{lineno}: bad index")
+            raise MeshFormatError(f"{path}: line {lineno}: bad index")
         bf_tags.append(parts[3])
 
-    # recover owning tets
-    owner = {}
-    for it, tet in enumerate(tets):
-        for tri in TET_FACE_TRIPLES:
-            key = tuple(sorted(tet[list(tri)]))
-            owner.setdefault(key, []).append(it)
-    bf_tets = np.empty(nb, dtype=int)
-    for i in range(nb):
-        key = tuple(sorted(bf_verts[i]))
-        owners = owner.get(key, [])
-        if len(owners) != 1:
-            raise InvalidGeometryError(
-                f"facet {key} owned by {len(owners)} tets, expected 1"
-            )
-        bf_tets[i] = owners[0]
-
-    return Mesh(vertices, tets, bf_verts, bf_tags, bf_tets)
+    facets, counts, owners = facet_incidence(tets)
+    at = _row_index(facets, bf_verts)
+    count = np.append(counts, 0)[at]
+    _raise_first(count != 1, lambda i: (
+        f"facet {_triple(bf_verts[i])} owned by {count[i]} tets, expected 1"))
+    return Mesh(vertices, tets, bf_verts, bf_tags, owners[at])

@@ -236,13 +236,20 @@ def unit_scalar_coefficient() -> ConstantScalarCoefficient:
 # pulled-back coefficients and their parameter derivatives
 # ---------------------------------------------------------------------------
 
-def jacobian_data(family, chi, X):
+def jacobian_det(family, chi, X):
+    """J_Phi and det J_Phi at X; the parameter is inadmissible where det <= 0."""
     J = family.jacobian(chi, X)
     det = np.linalg.det(J)
     if np.any(det <= 0):
         raise InadmissibleParameterError(
             f"det J_Phi <= 0 at parameter {chi} (min {det.min():g})"
         )
+    return J, det
+
+
+def jacobian_data(family, chi, X):
+    """J_Phi, det J_Phi and J_Phi^-1 at X."""
+    J, det = jacobian_det(family, chi, X)
     return J, det, np.linalg.inv(J)
 
 
@@ -259,7 +266,7 @@ def transformed_epsilon(family, chi, eps, X):
 def transformed_mu_inv(family, chi, mu_inv, X):
     """mu_Phi^-1 = det(J)^-1 J^T mu^-1(Phi(x)) J."""
     X, single = _as_points(X)
-    J, det, Jinv = jacobian_data(family, chi, X)
+    J, det = jacobian_det(family, chi, X)
     mt = mu_inv.value(family.map(chi, X))
     out = (np.swapaxes(J, 1, 2) @ mt @ J) / det[:, None, None]
     out = _sym(out)
@@ -269,7 +276,7 @@ def transformed_mu_inv(family, chi, mu_inv, X):
 def transformed_nu(family, chi, nu, X):
     """nu_Phi = det(J) * nu(Phi(x)) > 0."""
     X, single = _as_points(X)
-    _, det, _ = jacobian_data(family, chi, X)
+    _, det = jacobian_det(family, chi, X)
     out = det * nu.value(family.map(chi, X))
     return out[0] if single else out
 

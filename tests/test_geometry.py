@@ -1,10 +1,15 @@
-"""Quadrature exactness, box mesh construction, and mesh file round-trips."""
+"""Quadrature exactness, box mesh construction, validation, and mesh file
+round-trips."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spectra_shape import cli
 from spectra_shape.errors import InvalidGeometryError, MeshFormatError
 from spectra_shape.geometry import (
     Mesh,
@@ -15,6 +20,72 @@ from spectra_shape.geometry import (
     tet_quadrature,
     triangle_quadrature,
 )
+
+MIXED = {"x0": "T", "x1": "N", "y0": "N", "y1": "T", "z0": "T", "z1": "N"}
+
+MESH_ARRAYS = ("vertices", "tets", "bfacet_vertices", "bfacet_tags", "bfacet_tets",
+               "edges", "tet_edges", "tet_edge_signs")
+
+
+def reference_box_mesh(dims, n, partition):
+    """Kuhn box mesh built by walking every cell and every tet face in Python.
+
+    The loop form the vectorised ``build_box_mesh`` must reproduce exactly.
+    """
+    dims = tuple(float(d) for d in dims)
+    if isinstance(partition, str):
+        partition = {f: partition for f in ("x0", "x1", "y0", "y1", "z0", "z1")}
+    m = n + 1
+    ii, jj, kk = np.meshgrid(np.arange(m), np.arange(m), np.arange(m), indexing="ij")
+    vertices = np.stack(
+        [ii.ravel() * dims[0] / n, jj.ravel() * dims[1] / n, kk.ravel() * dims[2] / n],
+        axis=1,
+    )
+    tets = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+                    p = [i, j, k]
+                    path = [list(p)]
+                    for ax in perm:
+                        p[ax] += 1
+                        path.append(list(p))
+                    idx = [(a * m + b) * m + c for a, b, c in path]
+                    verts = vertices[idx]
+                    if np.linalg.det(verts[1:] - verts[0]) < 0:
+                        idx[2], idx[3] = idx[3], idx[2]
+                    tets.append(idx)
+    seen, owner = {}, {}
+    for it, tet in enumerate(tets):
+        for tri in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)):
+            key = tuple(sorted(tet[t] for t in tri))
+            seen[key] = seen.get(key, 0) + 1
+            owner[key] = it
+    bf_verts, bf_tags, bf_tets = [], [], []
+    for key in sorted(k for k, c in seen.items() if c == 1):
+        pts = vertices[list(key)]
+        face = None
+        for ax, name0, name1 in ((0, "x0", "x1"), (1, "y0", "y1"), (2, "z0", "z1")):
+            if np.all(np.abs(pts[:, ax]) < 1e-14):
+                face = name0
+            elif np.all(np.abs(pts[:, ax] - dims[ax]) < 1e-14):
+                face = name1
+        bf_verts.append(key)
+        bf_tags.append(partition[face])
+        bf_tets.append(owner[key])
+    return Mesh(vertices, np.array(tets), np.array(bf_verts), bf_tags, np.array(bf_tets))
+
+
+def reference_boundary_edges(mesh, tag):
+    """Sorted indices of the edges of the facets tagged `tag`, by a dict walk."""
+    lookup = {tuple(e): i for i, e in enumerate(mesh.edges.tolist())}
+    keys = set()
+    for tri, t in zip(mesh.bfacet_vertices.tolist(), mesh.bfacet_tags):
+        if t == tag:
+            for a, b in ((0, 1), (0, 2), (1, 2)):
+                keys.add((min(tri[a], tri[b]), max(tri[a], tri[b])))
+    return sorted(lookup[k] for k in keys)
 
 
 def tet_monomial_integral(a, b, c):
@@ -105,6 +176,24 @@ class TestBoxMesh:
         assert len(edges) > 0
         assert edges.max() < cube_n2.num_edges()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dims,partition", [
+        ((1, 1, 1), "T"), ((1, 1, 1), "N"), ((2.0, 0.7, 1.3), "T"),
+        ((1, 1, 1), MIXED), ((0.5, 3.0, 1.1), MIXED),
+    ])
+    def test_matches_loop_reference(self, n, dims, partition):
+        mesh = build_box_mesh(dims, n, partition)
+        ref = reference_box_mesh(dims, n, partition)
+        for name in MESH_ARRAYS:
+            got, want = getattr(mesh, name), getattr(ref, name)
+            assert np.array_equal(np.asarray(got), np.asarray(want)), name
+            assert np.asarray(got).dtype == np.asarray(want).dtype, name
+        for tag in ("T", "N"):
+            assert mesh.boundary_edge_set(tag).tolist() == reference_boundary_edges(ref, tag)
+            assert mesh.boundary_vertex_set(tag).tolist() == sorted(
+                {v for tri, t in zip(ref.bfacet_vertices.tolist(), ref.bfacet_tags)
+                 if t == tag for v in tri})
+
     def test_interface_vertices_go_to_dirichlet_side(self):
         # vertices on the closure of the T part are constrained even where
         # the N face meets them
@@ -116,7 +205,80 @@ class TestBoxMesh:
         assert corner in tverts
 
 
+def mesh_parts(mesh):
+    """The constructor arguments of `mesh`, as fresh mutable copies."""
+    return dict(
+        vertices=mesh.vertices.copy(),
+        tets=mesh.tets.copy(),
+        bfacet_vertices=mesh.bfacet_vertices.copy(),
+        bfacet_tags=list(mesh.bfacet_tags),
+        bfacet_tets=mesh.bfacet_tets.copy(),
+    )
+
+
+def interior_facet(mesh):
+    """A facet of tet 0 that no boundary facet covers, as a sorted triple."""
+    boundary = {tuple(sorted(tri)) for tri in mesh.bfacet_vertices.tolist()}
+    for tri in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)):
+        key = tuple(sorted(mesh.tets[0, list(tri)].tolist()))
+        if key not in boundary:
+            return key
+    raise AssertionError("tet 0 has no interior facet")
+
+
 class TestMeshValidation:
+    def test_dropped_facet_is_untagged(self, cube_n2):
+        parts = mesh_parts(cube_n2)
+        dropped = tuple(parts["bfacet_vertices"][0].tolist())
+        parts["bfacet_vertices"] = parts["bfacet_vertices"][1:]
+        parts["bfacet_tags"] = parts["bfacet_tags"][1:]
+        parts["bfacet_tets"] = parts["bfacet_tets"][1:]
+        with pytest.raises(InvalidGeometryError, match="untagged boundary facet") as err:
+            Mesh(**parts)
+        assert str(err.value) == f"untagged boundary facet {dropped}"
+
+    def test_unknown_tag(self, cube_n2):
+        parts = mesh_parts(cube_n2)
+        parts["bfacet_tags"][3] = "X"
+        with pytest.raises(InvalidGeometryError) as err:
+            Mesh(**parts)
+        assert str(err.value) == "facet 3 has unknown tag 'X'"
+
+    def test_wrong_owner(self, cube_n2):
+        parts = mesh_parts(cube_n2)
+        wrong = (parts["bfacet_tets"][2] + 1) % len(parts["tets"])
+        parts["bfacet_tets"][2] = wrong
+        with pytest.raises(InvalidGeometryError) as err:
+            Mesh(**parts)
+        assert str(err.value) == f"facet 2 does not belong to tet {wrong}"
+
+    def test_facet_tagged_twice(self, cube_n2):
+        parts = mesh_parts(cube_n2)
+        twice = tuple(parts["bfacet_vertices"][5].tolist())
+        parts["bfacet_vertices"] = np.vstack([parts["bfacet_vertices"], [twice]])
+        parts["bfacet_tags"].append("N")
+        parts["bfacet_tets"] = np.append(parts["bfacet_tets"], parts["bfacet_tets"][5])
+        with pytest.raises(InvalidGeometryError) as err:
+            Mesh(**parts)
+        assert str(err.value) == f"facet {twice} tagged twice"
+
+    def test_interior_facet_tagged(self, cube_n2):
+        parts = mesh_parts(cube_n2)
+        inner = interior_facet(cube_n2)
+        parts["bfacet_vertices"][4] = inner
+        with pytest.raises(InvalidGeometryError) as err:
+            Mesh(**parts)
+        assert str(err.value) == f"tagged facet 4 {inner} is not a boundary facet"
+
+    def test_facet_shared_by_three_tets(self):
+        # tets 0 and 2 both sit above facet (0, 1, 2), tet 1 below it
+        verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0],
+                          [0, 0, -1.0], [0.2, 0.2, 1.0]])
+        tets = np.array([[0, 1, 2, 3], [0, 2, 1, 4], [0, 1, 2, 5]])
+        with pytest.raises(InvalidGeometryError) as err:
+            Mesh(verts, tets, np.empty((0, 3), dtype=int), [], np.empty(0, dtype=int))
+        assert str(err.value) == "facet (0, 1, 2) shared by more than two tets"
+
     def test_negative_volume_rejected(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]])
         tets = np.array([[0, 2, 1, 3]])  # inverted orientation
@@ -140,12 +302,68 @@ class TestMeshIO:
         np.testing.assert_array_equal(back.bfacet_vertices, cube_n2.bfacet_vertices)
         assert list(back.bfacet_tags) == list(cube_n2.bfacet_tags)
 
-    def test_bad_header_reports_line(self, tmp_path):
-        path = tmp_path / "bad.tetmesh"
-        path.write_text("not a mesh\n")
+    def test_bad_header_reports_line(self, tmp_path, monkeypatch):
+        # a relative path, so that the word "line" can only come from the message
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.tetmesh").write_text("not a mesh\n")
         with pytest.raises(MeshFormatError) as err:
+            load_mesh("bad.tetmesh")
+        assert str(err.value).startswith("bad.tetmesh: line 1: ")
+
+    def test_interior_facet_in_file(self, tmp_path, cube_n2, capsys):
+        path = tmp_path / "inner.tetmesh"
+        save_mesh(cube_n2, str(path))
+        inner = interior_facet(cube_n2)
+        lines = path.read_text().splitlines()
+        first = lines.index(f"bfacets {len(cube_n2.bfacet_vertices)}") + 1
+        lines[first] = "{} {} {} T".format(*inner)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidGeometryError) as err:
             load_mesh(str(path))
-        assert "line" in str(err.value)
+        assert str(err.value) == f"facet {inner} owned by 2 tets, expected 1"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "problem": "helmholtz",
+            "mesh": {"type": "file", "path": str(path)},
+            "family": {"kind": "scaling"},
+        }))
+        assert cli.main(["eig", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert "owned by 2 tets, expected 1" in capsys.readouterr().err
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        partition=st.sampled_from(["T", "N", "mixed"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_relabelled_round_trip(self, tmp_path_factory, n, partition, seed):
+        """Relabel vertices, shuffle tets, facets and each facet's vertex order,
+        then save and load: the owners follow the tets and validation passes."""
+        mesh = build_box_mesh((1.0, 0.8, 1.3), n, MIXED if partition == "mixed" else partition)
+        rng = np.random.default_rng(seed)
+        relabel = rng.permutation(mesh.num_vertices())
+        tet_order = rng.permutation(mesh.num_tets())
+        facet_order = rng.permutation(len(mesh.bfacet_vertices))
+        new_tet = np.argsort(tet_order)
+        vertices = np.empty_like(mesh.vertices)
+        vertices[relabel] = mesh.vertices
+        tris = relabel[mesh.bfacet_vertices[facet_order]]
+        tris = np.take_along_axis(tris, np.argsort(rng.random(tris.shape), axis=1), axis=1)
+        shuffled = Mesh(
+            vertices,
+            relabel[mesh.tets[tet_order]],
+            tris,
+            [mesh.bfacet_tags[i] for i in facet_order],
+            new_tet[mesh.bfacet_tets[facet_order]],
+        )
+        path = tmp_path_factory.mktemp("shuffled") / "mesh.tetmesh"
+        save_mesh(shuffled, str(path))
+        back = load_mesh(str(path))
+        np.testing.assert_array_equal(back.bfacet_tets, new_tet[mesh.bfacet_tets[facet_order]])
+        np.testing.assert_array_equal(back.tets, shuffled.tets)
+        np.testing.assert_array_equal(back.bfacet_vertices, tris)
+        assert back.bfacet_tags == shuffled.bfacet_tags
+        back.validate()
 
     def test_truncated_file_raises(self, tmp_path, cube_n2):
         path = tmp_path / "trunc.tetmesh"
