@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from . import transforms
 from .errors import DegenerateProblemError
-from .geometry import Mesh, QuadratureRule, tet_quadrature
+from .geometry import Mesh, tet_quadrature
 from .transforms import AffineFamily, ConstantMatrixCoefficient, ConstantScalarCoefficient
 
 Matrix = Union[np.ndarray, sp.csr_array]
@@ -82,26 +82,6 @@ def free_dofs(space: Space, mesh: Mesh):
     return free, dof_of
 
 
-def barycentric_gradients(mesh: Mesh) -> np.ndarray:
-    """Constant barycentric gradients per tet: (nt, 4, 3), [t, i] = grad lambda_i."""
-    v = mesh.vertices[mesh.tets]                      # (nt, 4, 3)
-    A = np.concatenate([np.ones((len(v), 4, 1)), v], axis=2)  # rows [1, x]
-    C = np.linalg.inv(A)                              # lambda_i = C[0,i] + C[1:,i].x
-    return np.swapaxes(C[:, 1:, :], 1, 2)
-
-
-def physical_quad_points(mesh: Mesh, rule: QuadratureRule):
-    """Quadrature points and weights on every tet.
-
-    Returns (points (nt, nq, 3), weights (nt, nq)); weights integrate over
-    the tet (reference weights rescaled by 6*vol).
-    """
-    v = mesh.vertices[mesh.tets]
-    pts = np.einsum("qa,nak->nqk", rule.points, v)
-    w = 6.0 * mesh.tet_volumes()[:, None] * rule.weights[None, :]
-    return pts, w
-
-
 def scatter_symmetric(local: np.ndarray, gdofs: np.ndarray, ndof: int) -> sp.csr_array:
     """Accumulate per-element blocks into a sparse symmetric global matrix.
 
@@ -126,16 +106,14 @@ def default_quad_order(family, *coefficients) -> int:
     return 2
 
 
-def _assemble(space: Space, mesh: Mesh, coefs, quad_order: int, evaluate):
-    """Stiffness/mass over the free dofs; ``evaluate(kind, coefficient, X)``
-    gives the (stiffness, mass) coefficients ``coefs`` at points X."""
+def _assemble(space: Space, mesh: Mesh, quad_order: int, coefficients):
+    """Stiffness/mass over the free dofs; ``coefficients(X)`` gives the
+    (stiffness, mass) coefficient values at the points X (N, 3)."""
     rule = tet_quadrature(quad_order)
-    grads = barycentric_gradients(mesh)
-    pts, w = physical_quad_points(mesh, rule)
+    grads = mesh.barycentric_gradients
+    pts, w = mesh.quadrature_points(quad_order)
     nt, nq, _ = pts.shape
-    flat = pts.reshape(nt * nq, 3)
-    stiff, mass = (evaluate(transforms.coefficient_kind(name), c, flat)
-                   for name, c in zip(space.coefficients, coefs))
+    stiff, mass = coefficients(pts.reshape(nt * nq, 3))
     ders = space.derivatives(mesh, grads, slice(None))             # (nt, k, 3)
     vals = space.values(mesh, grads, rule.points[None], slice(None))  # (.., nq, k, c)
     c = vals.shape[-1]
@@ -158,8 +136,13 @@ def assemble_pencil(space: Space, mesh, family, chi, stiff, mass, quad_order=Non
     """Pencil (K, M) of `space` at transformation parameter chi."""
     if quad_order is None:
         quad_order = default_quad_order(family, stiff, mass)
-    K, M = _assemble(space, mesh, (stiff, mass), quad_order,
-                     lambda kind, c, X: kind.pull_back(family, chi, c, X))
+
+    def coefficients(X):
+        geo = transforms.map_points(family, chi, X)
+        return [transforms.coefficient_kind(name).pull_back(c, geo)
+                for name, c in zip(space.coefficients, (stiff, mass))]
+
+    K, M = _assemble(space, mesh, quad_order, coefficients)
     return Pencil(K, M, mesh=mesh, quad_order=quad_order)
 
 
@@ -169,7 +152,11 @@ def assemble_derivative(
     """Directional derivative (dK, dM) of the pencil of `space` at chi_bar."""
     if quad_order is None:
         quad_order = default_quad_order(family, stiff, mass)
-    return PencilDerivative(*_assemble(
-        space, mesh, (stiff, mass), quad_order,
-        lambda kind, c, X: kind.derivative(family, chi_bar, direction, c, X),
-    ))
+
+    def coefficients(X):
+        geo = transforms.map_points(family, chi_bar, X)
+        v = transforms.psi_on_physical(family, chi_bar, direction, geo)
+        return [transforms.coefficient_kind(name).derivative(c, v, geo)
+                for name, c in zip(space.coefficients, (stiff, mass))]
+
+    return PencilDerivative(*_assemble(space, mesh, quad_order, coefficients))

@@ -5,12 +5,14 @@ which is deterministic, conforming, and self-similar under dyadic refinement.
 Arbitrary meshes come in through the ``tetmesh v1`` text format.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import InvalidGeometryError, MeshFormatError
+from .transforms import det_adjugate
 
 BOX_FACES = ("x0", "x1", "y0", "y1", "z0", "z1")
 
@@ -122,7 +124,8 @@ class Mesh:
     ``tets`` are stored with positive signed volume. Each edge is stored
     once, oriented low index -> high index. ``tet_edges``/``tet_edge_signs``
     give, per tet, the global edge index of each local edge and the sign
-    relating the local orientation to the global one.
+    relating the local orientation to the global one. Tet volumes,
+    barycentric gradients and quadrature points are computed once, on first use.
     """
 
     vertices: np.ndarray                 # (nv, 3)
@@ -133,15 +136,18 @@ class Mesh:
     edges: np.ndarray = field(default=None)        # (ne, 2) int, lexicographic
     tet_edges: np.ndarray = field(default=None)    # (nt, 6) int
     tet_edge_signs: np.ndarray = field(default=None)  # (nt, 6) +-1
+    # facet_incidence(tets), when the caller has computed it already
+    incidence: InitVar[Optional[tuple]] = None
+    _quadrature: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, incidence):
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.tets = np.asarray(self.tets, dtype=int)
         self.bfacet_vertices = np.asarray(self.bfacet_vertices, dtype=int)
         self.bfacet_tets = np.asarray(self.bfacet_tets, dtype=int)
         if self.edges is None:
             self._build_edges()
-        self.validate()
+        self.validate(incidence)
 
     def _build_edges(self):
         pairs = self.tets[:, TET_EDGE_PAIRS]             # (nt, 6, 2)
@@ -149,17 +155,38 @@ class Mesh:
         hi = pairs.max(axis=2)
         sign = np.where(pairs[:, :, 0] < pairs[:, :, 1], 1, -1)
         flat = np.stack([lo.ravel(), hi.ravel()], axis=1)
-        edges, inverse = np.unique(flat, axis=0, return_inverse=True)
+        edges, _, inverse, _ = _unique_rows(flat)
         self.edges = edges
         self.tet_edges = inverse.reshape(lo.shape)
         self.tet_edge_signs = sign
 
     # -- geometric quantities ------------------------------------------------
 
-    def tet_volumes(self) -> np.ndarray:
+    @cached_property
+    def _edge_frames(self):
+        """det and adjugate of each tet's edge matrix (rows v_k - v_0)."""
         v = self.vertices[self.tets]
-        d = v[:, 1:] - v[:, :1]
-        return np.linalg.det(d) / 6.0
+        return det_adjugate(v[:, 1:] - v[:, :1])
+
+    def tet_volumes(self) -> np.ndarray:
+        return self._edge_frames[0] / 6.0
+
+    @cached_property
+    def barycentric_gradients(self) -> np.ndarray:
+        """Constant barycentric gradients per tet: (nt, 4, 3), [t, i] = grad lambda_i."""
+        det, adj = self._edge_frames
+        # grad lambda_k is column k of the inverse edge matrix, k = 1, 2, 3
+        g = np.swapaxes(adj, 1, 2) / det[:, None, None]
+        return np.concatenate([-g.sum(axis=1, keepdims=True), g], axis=1)
+
+    def quadrature_points(self, order: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Points (nt, nq, 3) and tet-integrating weights (nt, nq) of tet_quadrature(order)."""
+        if order not in self._quadrature:
+            rule = tet_quadrature(order)
+            pts = np.einsum("qa,nak->nqk", rule.points, self.vertices[self.tets])
+            w = 6.0 * self.tet_volumes()[:, None] * rule.weights[None, :]
+            self._quadrature[order] = pts, w
+        return self._quadrature[order]
 
     def num_vertices(self) -> int:
         return len(self.vertices)
@@ -201,11 +228,11 @@ class Mesh:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self):
+    def validate(self, incidence=None):
         vols = self.tet_volumes()
         _raise_first(vols <= 0,
                      lambda i: f"tet {i} has non-positive signed volume {vols[i]:g}")
-        facets, counts, owners = facet_incidence(self.tets)
+        facets, counts, owners = facet_incidence(self.tets) if incidence is None else incidence
         _raise_first(counts > 2, lambda i: (
             f"facet {_triple(facets[i])} shared by more than two tets"))
         tris = self.bfacet_vertices
@@ -236,6 +263,19 @@ def _triple(tri) -> str:
     return str(tuple(np.asarray(tri).tolist()))
 
 
+def _unique_rows(rows: np.ndarray):
+    """Distinct rows of an integer array in lexicographic order, with the
+    first occurrence, the inverse map and the count of each, as
+    ``np.unique(rows, axis=0, ...)`` returns them."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    start = np.ones(len(rows), dtype=bool)
+    start[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(len(rows), dtype=int)
+    inverse[order] = np.cumsum(start) - 1
+    return ordered[start], order[start], inverse, np.bincount(inverse)
+
+
 def facet_incidence(tets: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct facets of `tets` with their incidence.
 
@@ -244,9 +284,7 @@ def facet_incidence(tets: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     two, for an interior facet).
     """
     faces = np.sort(tets[:, TET_FACE_TRIPLES], axis=2).reshape(-1, 3)
-    facets, first, counts = np.unique(
-        faces, axis=0, return_index=True, return_counts=True
-    )
+    facets, first, _, counts = _unique_rows(faces)
     return facets, counts, first // len(TET_FACE_TRIPLES)
 
 
@@ -314,7 +352,7 @@ def build_box_mesh(
     # last two vertices (the box scaling keeps the sign)
     steps = np.cumsum(np.eye(3, dtype=int)[list(_KUHN_PERMS)], axis=1)
     paths = np.concatenate([np.zeros((len(_KUHN_PERMS), 1, 3), dtype=int), steps], axis=1)
-    odd = np.linalg.det(steps) < 0
+    odd = det_adjugate(steps)[0] < 0
     paths[odd] = paths[odd][:, [0, 1, 3, 2]]
     cells = np.stack([ii, jj, kk], axis=-1)[:n, :n, :n].reshape(-1, 1, 1, 3)
     tets = ((cells + paths) @ np.array([m * m, m, 1])).reshape(-1, 4)
@@ -322,7 +360,7 @@ def build_box_mesh(
     # boundary facets: those of one tet, tagged by the box face they lie on;
     # on two faces at once (degenerate dims only), the later axis and the
     # low face win
-    facets, counts, owners = facet_incidence(tets)
+    incidence = facets, counts, owners = facet_incidence(tets)
     bf_verts, bf_tets = facets[counts == 1], owners[counts == 1]
     pts = vertices[bf_verts]
     face = np.full(len(bf_verts), -1)
@@ -333,7 +371,7 @@ def build_box_mesh(
         f"boundary facet {_triple(bf_verts[i])} not on a box face"))
     bf_tags = np.array([partition[f] for f in BOX_FACES])[face].tolist()
 
-    return Mesh(vertices, tets, bf_verts, bf_tags, bf_tets)
+    return Mesh(vertices, tets, bf_verts, bf_tags, bf_tets, incidence=incidence)
 
 
 def save_mesh(mesh: Mesh, path: str):
@@ -424,9 +462,9 @@ def load_mesh(path: str) -> Mesh:
             raise MeshFormatError(f"{path}: line {lineno}: bad index")
         bf_tags.append(parts[3])
 
-    facets, counts, owners = facet_incidence(tets)
+    incidence = facets, counts, owners = facet_incidence(tets)
     at = _row_index(facets, bf_verts)
     count = np.append(counts, 0)[at]
     _raise_first(count != 1, lambda i: (
         f"facet {_triple(bf_verts[i])} owned by {count[i]} tets, expected 1"))
-    return Mesh(vertices, tets, bf_verts, bf_tags, owners[at])
+    return Mesh(vertices, tets, bf_verts, bf_tags, owners[at], incidence=incidence)

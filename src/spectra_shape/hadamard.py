@@ -6,19 +6,17 @@ space's transform (scalar or covariant Piola), the volume measure with
 det(J), and boundary normals with the cofactor (Nanson) rule. This keeps
 the volume route bit-consistent with the pencil-derivative route. Each form
 is written once over a finite-element space; the per-problem functions
-order the coefficients as (stiffness, mass) for it.
+order the coefficients as (stiffness, mass) for it. Each form takes a
+sequence of clusters and returns one matrix per cluster: everything but the
+eigenfields is evaluated once per call.
 """
+
+from typing import List, Sequence
 
 import numpy as np
 
 from . import transforms
-from .fem_common import (
-    Space,
-    barycentric_gradients,
-    default_quad_order,
-    free_dofs,
-    physical_quad_points,
-)
+from .fem_common import Space, default_quad_order, free_dofs
 from .geometry import tet_quadrature, triangle_quadrature
 from .helmholtz import P1
 from .maxwell import NEDELEC
@@ -29,27 +27,20 @@ def _sym(A):
     return 0.5 * (A + A.T)
 
 
-def _jacobian_data(family, chi_bar, X, shape):
-    """J, det J, J^-1 at reference points X, with leading axes `shape`."""
-    J, det, Jinv = transforms.jacobian_data(family, chi_bar, X)
-    return J.reshape(shape + (3, 3)), det.reshape(shape), Jinv.reshape(shape + (3, 3))
+def _basis(space: Space, mesh, bary, tets=slice(None)):
+    """What `_cluster_matrices` reads of the space on ``tets``: the dof of each
+    local basis function (-1 where constrained), the basis values at the
+    barycentric points ``bary`` (n|1, nq, 4) and the basis derivatives."""
+    grads = mesh.barycentric_gradients
+    dof_of = free_dofs(space, mesh)[1]
+    return (dof_of[space.entities(mesh)[0][tets]],
+            space.values(mesh, grads, bary, tets), space.derivatives(mesh, grads, tets))
 
 
-def _eigenfield(space: Space, mesh, vectors, bary, J, det, Jinv, tets=slice(None)):
-    """Push an eigenvector block forward to (values, derivatives) samples.
-
-    ``bary`` (n|1, nq, 4) are barycentric points of ``tets``; the results
-    have shapes (n, nq, m, c) and (n, nq, m, 3) on the deformed domain.
-    """
-    free, _ = free_dofs(space, mesh)
-    entities, count = space.entities(mesh)
-    coefs = np.zeros((count, vectors.shape[1]))
-    coefs[free] = vectors
-    ct = coefs[entities[tets]]                           # (n, k, m)
-    grads = barycentric_gradients(mesh)
-    F = np.einsum("nqka,nkm->nqma", space.values(mesh, grads, bary, tets), ct)
-    D = np.einsum("nka,nkm->nma", space.derivatives(mesh, grads, tets), ct)
-    return space.push_values(J, det, Jinv, F), space.push_derivatives(J, det, Jinv, D)
+def _frames(geo, shape):
+    """J, det J and J^-1 of the mapped points, with leading axes `shape`."""
+    return (geo.J.reshape(shape + (3, 3)), geo.det.reshape(shape),
+            geo.Jinv.reshape(shape + (3, 3)))
 
 
 def _weighted_gram(w, B, F):
@@ -59,40 +50,57 @@ def _weighted_gram(w, B, F):
     return np.einsum("nq,nqab,nqha,nqlb->hl", w, B, F, F, optimize=True)
 
 
+def _cluster_matrices(space: Space, basis, frames, w, B_stiff, B_mass, clusters):
+    """sym(sum over samples of w (B_stiff(D_h, D_l) - lambda_bar B_mass(F_h, F_l)))
+    per cluster, with F and D the cluster's eigenfield values and derivatives
+    pushed forward to the deformed domain, one cluster at a time."""
+    gdofs, values, derivatives = basis
+    out = []
+    for cl in clusters:
+        # a constrained dof (-1) reads the appended zero row
+        ct = np.vstack([cl.vectors, np.zeros((1, cl.vectors.shape[1]))])[gdofs]
+        F = space.push_values(*frames, np.einsum("nqka,nkm->nqma", values, ct))
+        D = space.push_derivatives(*frames, np.einsum("nka,nkm->nma", derivatives, ct))
+        out.append(_sym(_weighted_gram(w, B_stiff, D)
+                        - cl.lambda_bar * _weighted_gram(w, B_mass, F)))
+    return out
+
+
 def volume_matrix(
     space: Space, mesh, family, chi_bar, direction, stiff, mass,
-    cluster: EigenCluster, quad_order=None,
-) -> np.ndarray:
-    """Volume-integral branch-derivative matrix of a cluster of `space`."""
+    clusters: Sequence[EigenCluster], quad_order=None,
+) -> List[np.ndarray]:
+    """Volume-integral branch-derivative matrix of each cluster of `space`.
+
+    The mapped points, the velocity field and the coefficient brackets are
+    evaluated once for all clusters.
+    """
     if quad_order is None:
         quad_order = default_quad_order(family, stiff, mass)
-    rule = tet_quadrature(quad_order)
-    pts, w = physical_quad_points(mesh, rule)
-    flat = pts.reshape(-1, 3)
-    J, det, Jinv = _jacobian_data(family, chi_bar, flat, w.shape)
-    Y = family.map(chi_bar, flat)
-    psi, jpsi, div_psi = transforms.psi_on_physical(family, chi_bar, direction, flat)
-    B_stiff, B_mass = (
-        transforms.coefficient_kind(name).bracket(c, Y, psi, jpsi, div_psi)
-        for name, c in zip(space.coefficients, (stiff, mass))
-    )
-    F, D = _eigenfield(space, mesh, cluster.vectors, rule.points[None], J, det, Jinv)
-    wdet = w * det
-    return _sym(_weighted_gram(wdet, B_stiff, D)
-                - cluster.lambda_bar * _weighted_gram(wdet, B_mass, F))
+    pts, w = mesh.quadrature_points(quad_order)
+    geo = transforms.map_points(family, chi_bar, pts.reshape(-1, 3))
+    v = transforms.psi_on_physical(family, chi_bar, direction, geo)
+    B_stiff, B_mass = (transforms.coefficient_kind(name).bracket(c, v, geo)
+                       for name, c in zip(space.coefficients, (stiff, mass)))
+    del v  # not needed past the brackets: free it before the eigenfields
+    basis = _basis(space, mesh, tet_quadrature(quad_order).points[None])
+    frames = _frames(geo, w.shape)
+    return _cluster_matrices(space, basis, frames, w * frames[1], B_stiff, B_mass,
+                             clusters)
 
 
 def surface_matrix(
     space: Space, mesh, family, chi_bar, direction, stiff, mass,
-    cluster: EigenCluster, quad_order=None,
-) -> np.ndarray:
-    """Surface-integral (Hirakawa) branch-derivative matrix of a cluster.
+    clusters: Sequence[EigenCluster], quad_order=None,
+) -> List[np.ndarray]:
+    """Surface-integral (Hirakawa) branch-derivative matrix of each cluster.
 
-    One pass over all boundary facets. Traces take the owning tet's value,
-    the only consistent trace for lowest-order elements; accuracy is first
-    order in h. The natural part enters with the full integrand and a
-    positive sign, the tangential part with a negative sign; there the P1
-    field is exactly zero, so only the gradient term survives.
+    One pass over all boundary facets, shared by the clusters. Traces take
+    the owning tet's value, the only consistent trace for lowest-order
+    elements; accuracy is first order in h. The natural part enters with
+    the full integrand and a positive sign, the tangential part with a
+    negative sign; there the P1 field is exactly zero, so only the gradient
+    term survives.
     """
     if quad_order is None:
         quad_order = default_quad_order(family, stiff, mass)
@@ -104,52 +112,50 @@ def surface_matrix(
     bary = np.einsum("qi,fij->fqj", rule.points, onehot.astype(float))
     pts = np.einsum("qi,fik->fqk", rule.points, mesh.vertices[mesh.bfacet_vertices])
     n_ref, area = mesh.facet_geometry(np.arange(len(tets)))
-    flat = pts.reshape(-1, 3)
     shape = (len(tets), len(rule.weights))
-    J, det, Jinv = _jacobian_data(family, chi_bar, flat, shape)
+    geo = transforms.map_points(family, chi_bar, pts.reshape(-1, 3))
+    frames = _frames(geo, shape)
     # Nanson: n dsigma_Phi = det(J) J^-T n_ref dsigma_ref
-    nanson = det[:, :, None] * np.einsum("fqba,fb->fqa", Jinv, n_ref)
-    psi, _, _ = transforms.psi_on_physical(family, chi_bar, direction, flat)
+    nanson = frames[1][:, :, None] * np.einsum("fqba,fb->fqa", frames[2], n_ref)
+    psi = transforms.psi_on_physical(family, chi_bar, direction, geo).psi
     sign = np.where(np.asarray(mesh.bfacet_tags) == "N", 1.0, -1.0)
     weight = (sign[:, None] * 2.0 * area[:, None] * rule.weights
               * np.einsum("fqa,fqa->fq", psi.reshape(shape + (3,)), nanson))
-    Y = family.map(chi_bar, flat)
-    F, D = _eigenfield(space, mesh, cluster.vectors, bary, J, det, Jinv, tets)
-    return _sym(_weighted_gram(weight, stiff.value(Y), D)
-                - cluster.lambda_bar * _weighted_gram(weight, mass.value(Y), F))
+    return _cluster_matrices(space, _basis(space, mesh, bary, tets), frames, weight,
+                             stiff.value(geo.y), mass.value(geo.y), clusters)
 
 
 def helmholtz_volume_matrix(
-    mesh, family, chi_bar, direction, eps, nu, cluster: EigenCluster,
+    mesh, family, chi_bar, direction, eps, nu, clusters: Sequence[EigenCluster],
     quad_order=None,
-) -> np.ndarray:
-    """Volume-integral branch-derivative matrix for a Helmholtz cluster."""
-    return volume_matrix(P1, mesh, family, chi_bar, direction, eps, nu, cluster,
+) -> List[np.ndarray]:
+    """Volume-integral branch-derivative matrices of Helmholtz clusters."""
+    return volume_matrix(P1, mesh, family, chi_bar, direction, eps, nu, clusters,
                          quad_order)
 
 
 def maxwell_volume_matrix(
-    mesh, family, chi_bar, direction, eps, mu_inv, cluster: EigenCluster,
+    mesh, family, chi_bar, direction, eps, mu_inv, clusters: Sequence[EigenCluster],
     quad_order=None,
-) -> np.ndarray:
-    """Volume-integral branch-derivative matrix for a Maxwell cluster."""
+) -> List[np.ndarray]:
+    """Volume-integral branch-derivative matrices of Maxwell clusters."""
     return volume_matrix(NEDELEC, mesh, family, chi_bar, direction, mu_inv, eps,
-                         cluster, quad_order)
+                         clusters, quad_order)
 
 
 def helmholtz_surface_matrix(
-    mesh, family, chi_bar, direction, eps, nu, cluster: EigenCluster,
+    mesh, family, chi_bar, direction, eps, nu, clusters: Sequence[EigenCluster],
     quad_order=None,
-) -> np.ndarray:
-    """Surface-integral branch-derivative matrix for a Helmholtz cluster."""
-    return surface_matrix(P1, mesh, family, chi_bar, direction, eps, nu, cluster,
+) -> List[np.ndarray]:
+    """Surface-integral branch-derivative matrices of Helmholtz clusters."""
+    return surface_matrix(P1, mesh, family, chi_bar, direction, eps, nu, clusters,
                           quad_order)
 
 
 def maxwell_surface_matrix(
-    mesh, family, chi_bar, direction, eps, mu_inv, cluster: EigenCluster,
+    mesh, family, chi_bar, direction, eps, mu_inv, clusters: Sequence[EigenCluster],
     quad_order=None,
-) -> np.ndarray:
-    """Surface-integral branch-derivative matrix for a Maxwell cluster."""
+) -> List[np.ndarray]:
+    """Surface-integral branch-derivative matrices of Maxwell clusters."""
     return surface_matrix(NEDELEC, mesh, family, chi_bar, direction, mu_inv, eps,
-                          cluster, quad_order)
+                          clusters, quad_order)

@@ -320,15 +320,15 @@ def _relative_gap(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.max(np.abs(A - B)) / max(np.max(np.abs(B)), 1e-300))
 
 
-def _hadamard_matrices(cfg: RunConfig, mesh, cluster: EigenCluster, surface: bool):
-    """Volume matrix of a FEM cluster, and its surface matrix if `surface`."""
+def _hadamard_matrices(cfg: RunConfig, mesh, clusters: List[EigenCluster], surface: bool):
+    """Volume matrix and, if `surface`, surface matrix (else None) of each FEM cluster."""
     fam, eps, second = _components(cfg)
     volume_form, surface_form = {
         "helmholtz": (hadamard.helmholtz_volume_matrix, hadamard.helmholtz_surface_matrix),
         "maxwell": (hadamard.maxwell_volume_matrix, hadamard.maxwell_surface_matrix),
     }[cfg.problem]
-    args = (mesh, fam, cfg.chi_bar, cfg.direction, eps, second, cluster)
-    return volume_form(*args), (surface_form(*args) if surface else None)
+    args = (mesh, fam, cfg.chi_bar, cfg.direction, eps, second, clusters)
+    return zip(volume_form(*args), surface_form(*args) if surface else [None] * len(clusters))
 
 
 def _sym_derivatives(lambda_bar: float, m: int, trace: float):
@@ -385,8 +385,10 @@ def run(cfg: RunConfig) -> DerivativeReport:
         if c.indices[-1] + 1 >= lo and c.indices[0] + 1 <= hi
     ]
 
+    forms = ([(None, None)] * len(wanted) if cfg.problem == "abstract-pencil"
+             else _hadamard_matrices(cfg, mesh, wanted, cfg.surface_form_trusted))
     records = []
-    for cl in wanted:
+    for cl, (V, S) in zip(wanted, forms):
         R = rellich_matrix(deriv, cl).matrix
         rec = {
             "indices": [int(i) + 1 for i in cl.indices],
@@ -407,8 +409,7 @@ def run(cfg: RunConfig) -> DerivativeReport:
         if residual > 1e-8 * max(1.0, abs(cl.lambda_bar)):
             raise ContractViolationError("eigenpair residual exceeds 1e-8 scale")
 
-        if cfg.problem != "abstract-pencil":
-            V, S = _hadamard_matrices(cfg, mesh, cl, cfg.surface_form_trusted)
+        if V is not None:
             rec["volume_matrix"] = _matrix_entry(V)
             rec["slopes_volume"] = np.sort(sla.eigvalsh(V)).tolist()
             rec["sym_derivatives_volume"] = _sym_derivatives(
@@ -533,7 +534,7 @@ def refinement_study(cfg: RunConfig) -> List[dict]:
         dec = solve_pencil(pencil, cfg.kernel_tol, count=1, cluster_tol=cfg.cluster_tol)
         cl = cluster_spectrum(dec, cfg.cluster_tol)[0]
         R = rellich_matrix(deriv, cl).matrix
-        V, S = _hadamard_matrices(cfg, mesh, cl, surface=True)
+        ((V, S),) = _hadamard_matrices(cfg, mesh, [cl], surface=True)
         gap = _relative_gap(S, V)
         rows.append({
             "n": n,

@@ -3,11 +3,13 @@
 Everything here is closed form: each transformation family exposes its map,
 Jacobian, parameter velocity and velocity Jacobian; each coefficient field
 exposes its value and spatial gradient. All evaluators are vectorized over
-points of shape (N, 3) and are pure functions of immutable data.
+points of shape (N, 3) and are pure functions of immutable data. The
+pull-backs, their derivatives and the velocity field read the map from a
+`MappedPoints`, evaluated once per parameter and point set.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Tuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -16,13 +18,6 @@ from .errors import ConfigError, InadmissibleParameterError
 
 def _sym(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + np.swapaxes(A, -1, -2))
-
-
-def _as_points(X) -> Tuple[np.ndarray, bool]:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        return X[None, :], True
-    return X, False
 
 
 # ---------------------------------------------------------------------------
@@ -233,113 +228,124 @@ def unit_scalar_coefficient() -> ConstantScalarCoefficient:
 
 
 # ---------------------------------------------------------------------------
-# pulled-back coefficients and their parameter derivatives
+# the map at reference points, pulled-back coefficients and their derivatives
 # ---------------------------------------------------------------------------
 
-def jacobian_det(family, chi, X):
-    """J_Phi and det J_Phi at X; the parameter is inadmissible where det <= 0."""
+def det_adjugate(A):
+    """Closed-form det A and adj A (A adj A = det(A) I) of 3x3 matrices (..., 3, 3)."""
+    a = np.ascontiguousarray(np.moveaxis(A, (-2, -1), (0, 1)))  # entry-major
+    adj = np.empty_like(a)
+    for i in range(3):
+        for j in range(3):
+            # cofactor of entry (j, i), with cyclic indices
+            r, s, c, d = (j + 1) % 3, (j + 2) % 3, (i + 1) % 3, (i + 2) % 3
+            adj[i, j] = a[r, c] * a[s, d] - a[r, d] * a[s, c]
+    det = (a[0] * adj[:, 0]).sum(axis=0)
+    return det, np.ascontiguousarray(np.moveaxis(adj, (0, 1), (-2, -1)))
+
+
+@dataclass(frozen=True)
+class MappedPoints:
+    """Phi_chi at reference points x (N, 3): y = Phi(x), J_Phi, det J_Phi and
+    J_Phi^-1, shared by every consumer. It stands in for x, with its shape."""
+
+    x: np.ndarray
+    y: np.ndarray
+    J: np.ndarray
+    det: np.ndarray
+    Jinv: np.ndarray
+
+    @property
+    def shape(self):
+        return self.x.shape
+
+
+def map_points(family, chi, X) -> MappedPoints:
+    """Phi_chi at reference points X (N, 3); chi is inadmissible where det J_Phi <= 0."""
     J = family.jacobian(chi, X)
-    det = np.linalg.det(J)
+    det, adj = det_adjugate(J)
     if np.any(det <= 0):
         raise InadmissibleParameterError(
             f"det J_Phi <= 0 at parameter {chi} (min {det.min():g})"
         )
-    return J, det
+    return MappedPoints(X, family.map(chi, X), J, det, np.divide(adj, det[:, None, None], adj))
 
 
-def jacobian_data(family, chi, X):
-    """J_Phi, det J_Phi and J_Phi^-1 at X."""
-    J, det = jacobian_det(family, chi, X)
-    return J, det, np.linalg.inv(J)
+class Velocity(NamedTuple):
+    """Perturbation field Psi at y = Phi(x), its Jacobian J_Psi and div Psi."""
+
+    psi: np.ndarray
+    jpsi: np.ndarray
+    div_psi: np.ndarray
 
 
-def transformed_epsilon(family, chi, eps, X):
+def psi_on_physical(family, chi_bar, direction, geo: MappedPoints) -> Velocity:
+    """Perturbation field at the mapped points of `geo`, parameterized by the
+    reference point x; no inverse map is ever computed."""
+    jpsi = direction * family.velocity_jacobian(chi_bar, geo.x) @ geo.Jinv
+    return Velocity(direction * family.velocity(chi_bar, geo.x), jpsi,
+                    np.trace(jpsi, axis1=1, axis2=2))
+
+
+def _contravariant(B, geo):
+    """det(J) J^-1 B J^-T, symmetrized."""
+    return _sym(geo.det[:, None, None]
+                * np.einsum("nab,nbc,ndc->nad", geo.Jinv, B, geo.Jinv, optimize=True))
+
+
+def _covariant(B, geo):
+    """det(J)^-1 J^T B J, symmetrized."""
+    return _sym(np.einsum("nba,nbc,ncd->nad", geo.J, B, geo.J, optimize=True)
+                / geo.det[:, None, None])
+
+
+def transformed_epsilon(eps, geo: MappedPoints):
     """eps_Phi = det(J) J^-1 eps(Phi(x)) J^-T, symmetric positive-definite."""
-    X, single = _as_points(X)
-    J, det, Jinv = jacobian_data(family, chi, X)
-    et = eps.value(family.map(chi, X))
-    out = det[:, None, None] * (Jinv @ et @ np.swapaxes(Jinv, 1, 2))
-    out = _sym(out)
-    return out[0] if single else out
+    return _contravariant(eps.value(geo.y), geo)
 
 
-def transformed_mu_inv(family, chi, mu_inv, X):
+def transformed_mu_inv(mu_inv, geo: MappedPoints):
     """mu_Phi^-1 = det(J)^-1 J^T mu^-1(Phi(x)) J."""
-    X, single = _as_points(X)
-    J, det = jacobian_det(family, chi, X)
-    mt = mu_inv.value(family.map(chi, X))
-    out = (np.swapaxes(J, 1, 2) @ mt @ J) / det[:, None, None]
-    out = _sym(out)
-    return out[0] if single else out
+    return _covariant(mu_inv.value(geo.y), geo)
 
 
-def transformed_nu(family, chi, nu, X):
+def transformed_nu(nu, geo: MappedPoints):
     """nu_Phi = det(J) * nu(Phi(x)) > 0."""
-    X, single = _as_points(X)
-    _, det = jacobian_det(family, chi, X)
-    out = det * nu.value(family.map(chi, X))
-    return out[0] if single else out
+    return geo.det * nu.value(geo.y)
 
 
-def _perturbation_data(family, chi_bar, direction, X):
-    """Velocity field and its physical-side Jacobian at reference points."""
-    J, det, Jinv = jacobian_data(family, chi_bar, X)
-    psi_t = direction * family.velocity(chi_bar, X)
-    jpsi_t = direction * family.velocity_jacobian(chi_bar, X)
-    jpsi = jpsi_t @ Jinv                       # J_Psi at y = Phi(x)
-    div_psi = np.trace(jpsi, axis1=1, axis2=2)
-    return J, det, Jinv, psi_t, jpsi, div_psi
+def epsilon_bracket(eps, v: Velocity, geo: MappedPoints):
+    """d_Psi eps + div(Psi) eps - 2 sym(J_Psi eps) at the mapped points."""
+    et = eps.value(geo.y)
+    d_eps = np.einsum("nijk,nk->nij", eps.gradient(geo.y), v.psi)
+    return d_eps + v.div_psi[:, None, None] * et - 2.0 * _sym(v.jpsi @ et)
 
 
-def epsilon_bracket(eps, Y, psi, jpsi, div_psi):
-    """d_Psi eps + div(Psi) eps - 2 sym(J_Psi eps) at physical points Y."""
-    et = eps.value(Y)
-    d_eps = np.einsum("nijk,nk->nij", eps.gradient(Y), psi)
-    return d_eps + div_psi[:, None, None] * et - 2.0 * _sym(jpsi @ et)
+def mu_inv_bracket(mu_inv, v: Velocity, geo: MappedPoints):
+    """d_Psi mu^-1 - div(Psi) mu^-1 + 2 sym(mu^-1 J_Psi) at the mapped points."""
+    mt = mu_inv.value(geo.y)
+    d_mt = np.einsum("nijk,nk->nij", mu_inv.gradient(geo.y), v.psi)
+    return d_mt - v.div_psi[:, None, None] * mt + 2.0 * _sym(mt @ v.jpsi)
 
 
-def mu_inv_bracket(mu_inv, Y, psi, jpsi, div_psi):
-    """d_Psi mu^-1 - div(Psi) mu^-1 + 2 sym(mu^-1 J_Psi) at physical points Y."""
-    mt = mu_inv.value(Y)
-    d_mt = np.einsum("nijk,nk->nij", mu_inv.gradient(Y), psi)
-    return d_mt - div_psi[:, None, None] * mt + 2.0 * _sym(mt @ jpsi)
+def nu_bracket(nu, v: Velocity, geo: MappedPoints):
+    """d_Psi nu + div(Psi) nu at the mapped points."""
+    return np.einsum("nk,nk->n", nu.gradient(geo.y), v.psi) + v.div_psi * nu.value(geo.y)
 
 
-def nu_bracket(nu, Y, psi, jpsi, div_psi):
-    """d_Psi nu + div(Psi) nu at physical points Y."""
-    return np.einsum("nk,nk->n", nu.gradient(Y), psi) + div_psi * nu.value(Y)
-
-
-def directional_coefficient_epsilon(family, chi_bar, direction, eps, X):
+def directional_coefficient_epsilon(eps, v: Velocity, geo: MappedPoints):
     """Directional parameter derivative of the pulled-back permittivity."""
-    X, single = _as_points(X)
-    J, det, Jinv, psi_t, jpsi, div_psi = _perturbation_data(
-        family, chi_bar, direction, X
-    )
-    bracket = epsilon_bracket(eps, family.map(chi_bar, X), psi_t, jpsi, div_psi)
-    out = det[:, None, None] * (Jinv @ bracket @ np.swapaxes(Jinv, 1, 2))
-    out = _sym(out)
-    return out[0] if single else out
+    return _contravariant(epsilon_bracket(eps, v, geo), geo)
 
 
-def directional_coefficient_mu_inv(family, chi_bar, direction, mu_inv, X):
+def directional_coefficient_mu_inv(mu_inv, v: Velocity, geo: MappedPoints):
     """Directional parameter derivative of the pulled-back inverse permeability."""
-    X, single = _as_points(X)
-    J, det, Jinv, psi_t, jpsi, div_psi = _perturbation_data(
-        family, chi_bar, direction, X
-    )
-    bracket = mu_inv_bracket(mu_inv, family.map(chi_bar, X), psi_t, jpsi, div_psi)
-    out = (np.swapaxes(J, 1, 2) @ bracket @ J) / det[:, None, None]
-    out = _sym(out)
-    return out[0] if single else out
+    return _covariant(mu_inv_bracket(mu_inv, v, geo), geo)
 
 
-def directional_coefficient_nu(family, chi_bar, direction, nu, X):
+def directional_coefficient_nu(nu, v: Velocity, geo: MappedPoints):
     """Directional parameter derivative of the pulled-back scalar weight."""
-    X, single = _as_points(X)
-    _, det, _, psi_t, jpsi, div_psi = _perturbation_data(family, chi_bar, direction, X)
-    out = det * nu_bracket(nu, family.map(chi_bar, X), psi_t, jpsi, div_psi)
-    return out[0] if single else out
+    return geo.det * nu_bracket(nu, v, geo)
 
 
 class CoefficientKind(NamedTuple):
@@ -366,19 +372,6 @@ def coefficient_kind(name: str) -> CoefficientKind:
         ),
         "nu": CoefficientKind(transformed_nu, directional_coefficient_nu, nu_bracket),
     }[name]
-
-
-def psi_on_physical(family, chi_bar, direction, X):
-    """Perturbation field at y = Phi(x): (Psi, J_Psi, div Psi).
-
-    Evaluation is parameterized by the reference point x; no inverse map is
-    ever computed.
-    """
-    X, single = _as_points(X)
-    _, _, _, psi_t, jpsi, div_psi = _perturbation_data(family, chi_bar, direction, X)
-    if single:
-        return psi_t[0], jpsi[0], div_psi[0]
-    return psi_t, jpsi, div_psi
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ def helmholtz_case(n):
     cl = cluster_spectrum(dec, CLUSTER_TOL)[0]
     deriv = hh.assemble_helmholtz_derivative(mesh, fam, 0.0, 1.0, EYE, ONE)
     R = rellich_matrix(deriv, cl).matrix
-    V = hd.helmholtz_volume_matrix(mesh, fam, 0.0, 1.0, EYE, ONE, cl)
-    S = hd.helmholtz_surface_matrix(mesh, fam, 0.0, 1.0, EYE, ONE, cl)
+    V = hd.helmholtz_volume_matrix(mesh, fam, 0.0, 1.0, EYE, ONE, [cl])[0]
+    S = hd.helmholtz_surface_matrix(mesh, fam, 0.0, 1.0, EYE, ONE, [cl])[0]
     return dict(mesh=mesh, fam=fam, pencil=pencil, dec=dec, cl=cl,
                 deriv=deriv, R=R, V=V, S=S)
 
@@ -75,8 +75,8 @@ def maxwell_case(n):
     cl = cluster_spectrum(dec, CLUSTER_TOL)[0]
     deriv = mx.assemble_maxwell_derivative(mesh, fam, 0.0, 1.0, EYE, EYE)
     R = rellich_matrix(deriv, cl).matrix
-    V = hd.maxwell_volume_matrix(mesh, fam, 0.0, 1.0, EYE, EYE, cl)
-    S = hd.maxwell_surface_matrix(mesh, fam, 0.0, 1.0, EYE, EYE, cl)
+    V = hd.maxwell_volume_matrix(mesh, fam, 0.0, 1.0, EYE, EYE, [cl])[0]
+    S = hd.maxwell_surface_matrix(mesh, fam, 0.0, 1.0, EYE, EYE, [cl])[0]
     return dict(mesh=mesh, fam=fam, pencil=pencil, dec=dec, cl=cl,
                 deriv=deriv, R=R, V=V, S=S)
 
@@ -131,12 +131,12 @@ def test_criterion_01_route_equivalence():
             p = hh.assemble_helmholtz(mesh_h, fam, 0.0, eps, second)
             d = hh.assemble_helmholtz_derivative(mesh_h, fam, 0.0, 1.0, eps, second)
             cl = cluster_spectrum(solve_pencil(p), CLUSTER_TOL)[0]
-            V = hd.helmholtz_volume_matrix(mesh_h, fam, 0.0, 1.0, eps, second, cl)
+            V = hd.helmholtz_volume_matrix(mesh_h, fam, 0.0, 1.0, eps, second, [cl])[0]
         else:
             p = mx.assemble_maxwell(mesh_m, fam, 0.0, eps, second)
             d = mx.assemble_maxwell_derivative(mesh_m, fam, 0.0, 1.0, eps, second)
             cl = cluster_spectrum(solve_pencil(p), CLUSTER_TOL)[0]
-            V = hd.maxwell_volume_matrix(mesh_m, fam, 0.0, 1.0, eps, second, cl)
+            V = hd.maxwell_volume_matrix(mesh_m, fam, 0.0, 1.0, eps, second, [cl])[0]
         R = rellich_matrix(d, cl).matrix
         worst = max(worst, np.abs(V - R).max() / np.abs(R).max())
     report(

@@ -1,0 +1,150 @@
+"""The map evaluated once per parameter and point set, and the reference
+data evaluated once per mesh.
+
+The closed-form 3x3 determinant and adjugate are pinned against LAPACK;
+spies count how often the family's Jacobians and the tet edge matrices are
+evaluated by assembly, the Hadamard forms and a full run.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spectra_shape import geometry, harness
+from spectra_shape import hadamard as hd
+from spectra_shape import helmholtz as hh
+from spectra_shape import maxwell as mx
+from spectra_shape import transforms as tf
+from spectra_shape.errors import InadmissibleParameterError
+from spectra_shape.geometry import build_box_mesh
+from spectra_shape.spectral import cluster_spectrum, solve_pencil
+
+EPS = tf.AffineDiagonalCoefficient(np.array([1.0, 1.2, 0.9]), 0.1 * np.eye(3))
+NU = tf.AffineScalarCoefficient(1.1, np.array([0.2, -0.1, 0.15]))
+MIXED = {"x0": "T", "x1": "N", "y0": "N", "y1": "T", "z0": "T", "z1": "N"}
+BUMP = tf.BumpFamily(tf.SinField(axis=0, depends_on=1, amplitude=0.08, frequency=1.0))
+
+
+def _orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, 3, 3)))
+    return q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+
+
+class TestClosedForm:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64),
+           scale=st.floats(1e-3, 1e3))
+    def test_matches_lapack(self, seed, n, scale):
+        """Q1 diag(s) Q2 with singular values in [0.5, 2]: condition <= 4,
+        neither symmetric nor diagonal, either orientation."""
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(0.5, 2.0, size=(n, 3)) * rng.choice((-1.0, 1.0), size=(n, 1))
+        A = scale * (_orthogonal(rng, n) * s[:, None, :]) @ _orthogonal(rng, n)
+        det, adj = tf.det_adjugate(A)
+        ref_det, ref_inv = np.linalg.det(A), np.linalg.inv(A)
+        np.testing.assert_allclose(det, ref_det, rtol=1e-12, atol=0)
+        inv = adj / det[:, None, None]
+        assert np.max(np.abs(inv - ref_inv)) <= 1e-12 * np.max(np.abs(ref_inv))
+
+    def test_adjugate_identity_on_a_stack(self, rng):
+        A = rng.standard_normal((2, 5, 3, 3))
+        det, adj = tf.det_adjugate(A)
+        np.testing.assert_allclose(A @ adj, det[..., None, None] * np.eye(3), atol=1e-13)
+
+    def test_folding_bump_is_inadmissible(self, cube_n3):
+        """J_00 = 1 + chi a pi cos(pi x) < 0 near x = 1 for chi a pi > 1."""
+        fam = tf.BumpFamily(tf.SinField(axis=0, depends_on=0, amplitude=0.5, frequency=1.0))
+        pts, _ = cube_n3.quadrature_points(4)
+        worst = np.linalg.det(fam.jacobian(1.0, pts.reshape(-1, 3))).min()
+        assert worst < 0
+        with pytest.raises(InadmissibleParameterError) as err:
+            hh.assemble_helmholtz(cube_n3, fam, 1.0, EPS, NU)
+        assert str(err.value) == f"det J_Phi <= 0 at parameter 1.0 (min {worst:g})"
+
+
+def _count(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that records each call's first array."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(next(a for a in args if isinstance(a, np.ndarray)).shape)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestTraffic:
+    @pytest.mark.parametrize("assemble, second", [(hh.assemble_helmholtz, NU),
+                                                  (mx.assemble_maxwell, EPS)])
+    def test_assembly_maps_each_point_set_once(self, monkeypatch, cube_n3, assemble, second):
+        calls = _count(monkeypatch, tf.BumpFamily, "jacobian")
+        assemble(cube_n3, BUMP, 0.2, EPS, second)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("derivative, second", [
+        (hh.assemble_helmholtz_derivative, NU), (mx.assemble_maxwell_derivative, EPS)])
+    def test_derivative_maps_each_point_set_once(self, monkeypatch, cube_n3, derivative,
+                                                 second):
+        jac = _count(monkeypatch, tf.BumpFamily, "jacobian")
+        vel = _count(monkeypatch, tf.BumpFamily, "velocity_jacobian")
+        derivative(cube_n3, BUMP, 0.2, 1.0, EPS, second)
+        assert (len(jac), len(vel)) == (1, 1)
+
+    def test_run_evaluates_each_form_once(self, monkeypatch):
+        """Derivative assembly, volume form and surface form: one velocity
+        Jacobian each, however many clusters are wanted."""
+        cfg = harness.RunConfig.from_dict({
+            "problem": "helmholtz",
+            "mesh": {"type": "box", "n": 3, "partition": "T"},
+            "family": {"kind": "bump", "g": {"type": "sin", "axis": 0, "amplitude": 0.08}},
+            "index_range": [1, 4],
+            "cluster_tol": 0.08,
+        })
+        calls = _count(monkeypatch, tf.BumpFamily, "velocity_jacobian")
+        report = harness.run(cfg)
+        assert len(report.clusters) >= 2
+        assert all("surface_matrix" in rec for rec in report.clusters)
+        assert len(calls) == 3
+
+    def test_forms_share_the_map_across_clusters(self, monkeypatch):
+        mesh = build_box_mesh((1, 1, 1), 3, MIXED)
+        dec = solve_pencil(hh.assemble_helmholtz(mesh, BUMP, 0.2, EPS, NU), count=4,
+                           cluster_tol=0.08)
+        clusters = cluster_spectrum(dec, 0.08)
+        assert len(clusters) >= 2
+        jac = _count(monkeypatch, tf.BumpFamily, "jacobian")
+        V = hd.helmholtz_volume_matrix(mesh, BUMP, 0.2, 1.0, EPS, NU, clusters)
+        S = hd.helmholtz_surface_matrix(mesh, BUMP, 0.2, 1.0, EPS, NU, clusters)
+        assert len(jac) == 2
+        for cl, v, s in zip(clusters, V, S):
+            assert v.shape == s.shape == (cl.multiplicity, cl.multiplicity)
+            np.testing.assert_array_equal(
+                v, hd.helmholtz_volume_matrix(mesh, BUMP, 0.2, 1.0, EPS, NU, [cl])[0])
+
+    def test_barycentric_gradients_once_per_mesh(self, monkeypatch):
+        calls = _count(monkeypatch, geometry, "det_adjugate")
+        mesh = build_box_mesh((1, 1, 1), 3, MIXED)
+        for assemble, derivative, volume, surface, second in (
+            (hh.assemble_helmholtz, hh.assemble_helmholtz_derivative,
+             hd.helmholtz_volume_matrix, hd.helmholtz_surface_matrix, NU),
+            (mx.assemble_maxwell, mx.assemble_maxwell_derivative,
+             hd.maxwell_volume_matrix, hd.maxwell_surface_matrix, EPS),
+        ):
+            cl = cluster_spectrum(solve_pencil(assemble(mesh, BUMP, 0.2, EPS, second),
+                                               count=1))[0]
+            derivative(mesh, BUMP, 0.2, 1.0, EPS, second)
+            volume(mesh, BUMP, 0.2, 1.0, EPS, second, [cl])
+            surface(mesh, BUMP, 0.2, 1.0, EPS, second, [cl])
+        assert calls.count((mesh.num_tets(), 3, 3)) == 1
+        assert mesh.barycentric_gradients is mesh.barycentric_gradients
+
+    def test_reference_data_is_per_mesh(self):
+        """Two meshes of the same size keep their own reference data."""
+        a = build_box_mesh((1, 1, 1), 2, "T")
+        b = build_box_mesh((2, 1, 1), 2, "T")
+        np.testing.assert_allclose(b.barycentric_gradients[:, :, 0],
+                                   0.5 * a.barycentric_gradients[:, :, 0])
+        np.testing.assert_allclose(b.quadrature_points(2)[1], 2 * a.quadrature_points(2)[1])

@@ -5,6 +5,11 @@ coefficients. Each case pins lambda_bar and the traces of the Rellich,
 volume and surface matrices; traces do not depend on the eigenvector basis.
 The values were computed before the finite-element space refactor and must
 not move beyond round-off.
+
+At chi_bar = 0 both families are the identity map, so J = I there. The
+cases at chi_bar = 0.2 pin a non-diagonal affine map and a bump whose
+Jacobian varies in space; they were computed before the mapped geometry
+was shared between the coefficients, the velocity field and the forms.
 """
 
 import numpy as np
@@ -27,6 +32,10 @@ MU_INV = tf.ScalarAffineIdentityCoefficient(0.9, np.array([-0.1, 0.2, 0.05]))
 MIXED = {"x0": "T", "x1": "N", "y0": "N", "y1": "T", "z0": "T", "z1": "N"}
 FAMILIES = {
     "scaling": tf.scaling_family(),
+    "affine-A1": tf.AffineFamily(
+        A1=np.array([[0.2, 0.1, 0.0], [0.0, -0.3, 0.05], [0.1, 0.0, 0.4]]),
+        b1=np.array([0.1, 0.0, -0.2]),
+    ),
     "bump-sin": tf.BumpFamily(
         tf.SinField(axis=0, depends_on=1, amplitude=0.08, frequency=1.0)
     ),
@@ -60,6 +69,18 @@ PINNED = {
         16.93292971201544, -0.2308661418885462, -0.2308661418885461, -0.24171566064200292),
 }
 
+# the same numbers at chi_bar = 0.2, mixed partition
+PINNED_OFF_IDENTITY = {
+    ("helmholtz", "mixed", "affine-A1"): (
+        6.763177279114837, -0.48575531960719, -0.48575531960718976, -1.7941094929864398),
+    ("helmholtz", "mixed", "bump-sin"): (
+        6.944084946935287, 0.014525962368094121, 0.014525962368094308, -0.0913200888294945),
+    ("maxwell", "mixed", "affine-A1"): (
+        6.272117890653476, -0.9217952913301122, -0.9217952913301106, -1.059084130872237),
+    ("maxwell", "mixed", "bump-sin"): (
+        6.515785820145555, -0.07833012364519308, -0.0783301236451929, -0.07776877242778035),
+}
+
 ROUTES = {
     "helmholtz": (hh.assemble_helmholtz, hh.assemble_helmholtz_derivative,
                   hd.helmholtz_volume_matrix, hd.helmholtz_surface_matrix, NU),
@@ -74,16 +95,27 @@ def meshes():
             for part in ("T", "mixed", "N")}
 
 
+def _lowest_cluster_numbers(mesh, problem, fam, chi):
+    assemble, derivative, volume, surface, second = ROUTES[problem]
+    cl = cluster_spectrum(solve_pencil(assemble(mesh, fam, chi, EPS, second), count=1))[0]
+    R = rellich_matrix(derivative(mesh, fam, chi, 1.0, EPS, second), cl).matrix
+    V = volume(mesh, fam, chi, 1.0, EPS, second, [cl])[0]
+    S = surface(mesh, fam, chi, 1.0, EPS, second, [cl])[0]
+    return (cl.lambda_bar, np.trace(R), np.trace(V), np.trace(S))
+
+
 @pytest.mark.parametrize("case", sorted(PINNED), ids=lambda c: "-".join(c))
 def test_lowest_cluster_numbers_unchanged(meshes, case):
     problem, part, fname = case
-    assemble, derivative, volume, surface, second = ROUTES[problem]
-    mesh, fam = meshes[part], FAMILIES[fname]
-    cl = cluster_spectrum(solve_pencil(assemble(mesh, fam, 0.0, EPS, second), count=1))[0]
-    R = rellich_matrix(derivative(mesh, fam, 0.0, 1.0, EPS, second), cl).matrix
-    V = volume(mesh, fam, 0.0, 1.0, EPS, second, cl)
-    S = surface(mesh, fam, 0.0, 1.0, EPS, second, cl)
-    got = (cl.lambda_bar, np.trace(R), np.trace(V), np.trace(S))
+    got = _lowest_cluster_numbers(meshes[part], problem, FAMILIES[fname], 0.0)
     lam = PINNED[case][0]
     # the absolute floor only matters for traces that cancel to near zero
     assert got == pytest.approx(PINNED[case], rel=1e-10, abs=1e-12 * lam)
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_OFF_IDENTITY), ids=lambda c: "-".join(c))
+def test_lowest_cluster_numbers_away_from_identity(meshes, case):
+    problem, part, fname = case
+    got = _lowest_cluster_numbers(meshes[part], problem, FAMILIES[fname], 0.2)
+    lam = PINNED_OFF_IDENTITY[case][0]
+    assert got == pytest.approx(PINNED_OFF_IDENTITY[case], rel=1e-10, abs=1e-12 * lam)
