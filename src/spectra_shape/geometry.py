@@ -32,7 +32,8 @@ class QuadratureRule:
     """Quadrature rule on the reference simplex in barycentric coordinates.
 
     ``points`` has shape (nq, d+1) and ``weights`` sums to the reference
-    measure (1/6 for the tetrahedron, 1/2 for the triangle).
+    measure (1/6 for the tetrahedron, 1/2 for the triangle); ``order`` is the
+    total degree the rule integrates exactly.
     """
 
     points: np.ndarray
@@ -40,40 +41,19 @@ class QuadratureRule:
     order: int
 
 
-def _duffy_tet_rule(order: int) -> QuadratureRule:
-    """Tensor Gauss rule on the collapsed cube; exact for total degree `order`.
-
-    Degrees after the Duffy map are order+2 in u, order+1 in v, order in w,
-    so the per-axis Gauss point counts below guarantee exactness with
-    strictly positive weights.
-    """
-    mu = (order + 2) // 2 + 1
-    mv = (order + 1) // 2 + 1
-    mw = order // 2 + 1
-    xu, wu = np.polynomial.legendre.leggauss(mu)
-    xv, wv = np.polynomial.legendre.leggauss(mv)
-    xw, ww = np.polynomial.legendre.leggauss(mw)
-    # shift to [0, 1]
-    xu, wu = (xu + 1) / 2, wu / 2
-    xv, wv = (xv + 1) / 2, wv / 2
-    xw, ww = (xw + 1) / 2, ww / 2
-    pts = []
-    wts = []
-    for u, cu in zip(xu, wu):
-        for v, cv in zip(xv, wv):
-            for w, cw in zip(xw, ww):
-                l1 = u
-                l2 = v * (1 - u)
-                l3 = w * (1 - u) * (1 - v)
-                l0 = 1.0 - l1 - l2 - l3
-                pts.append((l0, l1, l2, l3))
-                wts.append(cu * cv * cw * (1 - u) ** 2 * (1 - v))
-    return QuadratureRule(np.array(pts), np.array(wts), order)
+# Symmetric 14-point rule (Jaśkowiec & Sukumar, IJNME 2020), exact to degree
+# 5, with all points interior and all weights positive: two vertex orbits
+# (a, a, a, 1-3a) and one edge orbit (b, b, 1/2-b, 1/2-b). The constants
+# solve the degree-5 moment equations (see the tests).
+_T14_VERTEX = (0.09273525031089122, 0.3108859192633006)
+_T14_EDGE = 0.04550370412564965
+_T14_WEIGHTS = (0.012248840519393659, 0.018781320953002643, 0.007091003462846911)
 
 
 def tet_quadrature(order: int = 2) -> QuadratureRule:
     """Quadrature on the reference tetrahedron, exact for polynomials of
-    total degree <= order. Weights are positive and sum to 1/6."""
+    total degree <= order: the centroid, the 4-point rule, or the 14-point
+    rule for orders 3 and 4. Weights are positive and sum to 1/6."""
     if order <= 1:
         return QuadratureRule(
             np.array([[0.25, 0.25, 0.25, 0.25]]), np.array([1.0 / 6.0]), 1
@@ -86,7 +66,10 @@ def tet_quadrature(order: int = 2) -> QuadratureRule:
         return QuadratureRule(pts, np.full(4, 1.0 / 24.0), 2)
     if order > 4:
         raise InvalidGeometryError(f"tet quadrature order {order} not supported")
-    return _duffy_tet_rule(order)
+    vertex = [np.full((4, 4), a) + (1.0 - 4.0 * a) * np.eye(4) for a in _T14_VERTEX]
+    edge = np.full((6, 4), 0.5 - _T14_EDGE)
+    edge[np.arange(6)[:, None], TET_EDGE_PAIRS] = _T14_EDGE
+    return QuadratureRule(np.vstack(vertex + [edge]), np.repeat(_T14_WEIGHTS, (4, 4, 6)), 5)
 
 
 def triangle_quadrature(order: int = 2) -> QuadratureRule:

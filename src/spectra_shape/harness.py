@@ -262,39 +262,42 @@ def abstract_derivative(spec: dict, chi_bar: float) -> PencilDerivative:
 # finite differences with branch tracking
 # ---------------------------------------------------------------------------
 
-def tracked_fd_slopes(cfg: RunConfig, pencil0: Pencil, cluster: EigenCluster,
+def tracked_fd_slopes(cfg: RunConfig, pencil0: Pencil, clusters: List[EigenCluster],
                       step: float, mesh=None):
-    """Central-difference branch slopes across chi_bar +- step.
+    """Central-difference branch slopes of each cluster across chi_bar +- step.
 
-    Branches at +step and -step are paired by eigenvector overlap in the
-    M(chi_bar) inner product (solved as an assignment problem); if the
-    pairing is ambiguous the sorted-eigenvalue fallback is used. Returns
-    (slopes ascending, tracking tag, decomposition at +step, at -step); the
-    decompositions hold the lowest complete clusters covering the cluster.
+    The pencils at chi_bar +- step are solved once for all the clusters, up
+    to the highest index among them. Branches at +step and -step are paired
+    by eigenvector overlap in the M(chi_bar) inner product (solved as an
+    assignment problem); if the pairing is ambiguous the sorted-eigenvalue
+    fallback is used. Returns ([(slopes ascending, tracking tag)] per
+    cluster, decomposition at +step, at -step).
     """
-    idx = cluster.indices
+    count = max(cl.indices[-1] for cl in clusters) + 1
 
     def solve_at(chi):
         return solve_pencil(assemble_at(cfg, chi, mesh=mesh), cfg.kernel_tol,
-                            count=idx[-1] + 1, cluster_tol=cfg.cluster_tol)
+                            count=count, cluster_tol=cfg.cluster_tol)
 
     dec_p, dec_m = solve_at(cfg.chi_bar + step), solve_at(cfg.chi_bar - step)
-    if idx[-1] >= len(dec_p.eigenvalues) or idx[-1] >= len(dec_m.eigenvalues):
+    if count > min(len(dec_p.eigenvalues), len(dec_m.eigenvalues)):
         raise ContractViolationError(
             "cluster membership changed between chi_bar-step and chi_bar+step"
         )
-    lp, lm = dec_p.eigenvalues[idx], dec_m.eigenvalues[idx]
-    Vp = dec_p.eigenvectors[:, idx]
-    Vm = dec_m.eigenvectors[:, idx]
-    overlap = np.abs(Vp.T @ pencil0.M @ Vm)
-    rows, cols = linear_sum_assignment(-overlap)
-    if overlap[rows, cols].min() > 0.5:
-        slopes = cfg.direction * (lp[rows] - lm[cols]) / (2.0 * step)
-        tag = "overlap"
-    else:
-        slopes = cfg.direction * (np.sort(lp) - np.sort(lm)) / (2.0 * step)
-        tag = "sort"
-    return np.sort(slopes), tag, dec_p, dec_m
+    fits = []
+    for cl in clusters:
+        idx = cl.indices
+        lp, lm = dec_p.eigenvalues[idx], dec_m.eigenvalues[idx]
+        overlap = np.abs(dec_p.eigenvectors[:, idx].T @ pencil0.M @ dec_m.eigenvectors[:, idx])
+        rows, cols = linear_sum_assignment(-overlap)
+        if overlap[rows, cols].min() > 0.5:
+            slopes = cfg.direction * (lp[rows] - lm[cols]) / (2.0 * step)
+            tag = "overlap"
+        else:
+            slopes = cfg.direction * (np.sort(lp) - np.sort(lm)) / (2.0 * step)
+            tag = "sort"
+        fits.append((np.sort(slopes), tag))
+    return fits, dec_p, dec_m
 
 
 def cluster_fd_step(cluster: EigenCluster, base_step: float) -> float:
@@ -420,13 +423,15 @@ def run(cfg: RunConfig) -> DerivativeReport:
                 rec["surface_matrix"] = _matrix_entry(S)
                 rec["slopes_surface"] = np.sort(sla.eigvalsh(S)).tolist()
                 rec["surface_volume_gap"] = _relative_gap(S, V)
-
-        step = cluster_fd_step(cl, cfg.fd_step)
-        fd_slopes, tag, _, _ = tracked_fd_slopes(cfg, pencil, cl, step, mesh=mesh)
-        rec["slopes_fd"] = fd_slopes.tolist()
-        rec["fd_step"] = step
-        rec["fd_tracking"] = tag
         records.append(rec)
+
+    # clusters that share an FD step share the solves at chi_bar +- step
+    steps = [cluster_fd_step(cl, cfg.fd_step) for cl in wanted]
+    for step in dict.fromkeys(steps):
+        group = [i for i, s in enumerate(steps) if s == step]
+        fits, _, _ = tracked_fd_slopes(cfg, pencil, [wanted[i] for i in group], step, mesh=mesh)
+        for i, (fd_slopes, tag) in zip(group, fits):
+            records[i].update(slopes_fd=fd_slopes.tolist(), fd_step=step, fd_tracking=tag)
 
     env = {
         "problem": cfg.problem,
@@ -471,7 +476,8 @@ def fd_check(cfg: RunConfig, steps) -> List[dict]:
     for step in steps:
         row = {"step": step}
         try:
-            slopes, tag, dec_p, dec_m = tracked_fd_slopes(cfg, pencil, cl, step, mesh=mesh)
+            [(slopes, tag)], dec_p, dec_m = tracked_fd_slopes(cfg, pencil, [cl], step,
+                                                              mesh=mesh)
             row["slopes"] = slopes.tolist()
             row["tracking"] = tag
         except ContractViolationError as exc:

@@ -1,6 +1,7 @@
 """Quadrature exactness, box mesh construction, validation, and mesh file
 round-trips."""
 
+import itertools
 import json
 import math
 
@@ -12,6 +13,10 @@ from hypothesis import strategies as st
 from spectra_shape import cli
 from spectra_shape.errors import InvalidGeometryError, MeshFormatError
 from spectra_shape.geometry import (
+    TET_EDGE_PAIRS,
+    _T14_EDGE,
+    _T14_VERTEX,
+    _T14_WEIGHTS,
     Mesh,
     box_mesh_size,
     build_box_mesh,
@@ -104,11 +109,14 @@ class TestQuadrature:
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_tet_rule_exact_for_monomials(self, order):
         rule = tet_quadrature(order)
+        # orders 3 and 4 share the 14-point rule, exact to degree 5
+        assert rule.order == (5 if order in (3, 4) else order)
         # barycentric points: cartesian coordinates are lambda_1..lambda_3
         xyz = rule.points[:, 1:]
-        for a in range(order + 1):
-            for b in range(order + 1 - a):
-                for c in range(order + 1 - a - b):
+        degree = rule.order
+        for a in range(degree + 1):
+            for b in range(degree + 1 - a):
+                for c in range(degree + 1 - a - b):
                     val = np.sum(
                         rule.weights * xyz[:, 0] ** a * xyz[:, 1] ** b * xyz[:, 2] ** c
                     )
@@ -120,6 +128,57 @@ class TestQuadrature:
         rule = tet_quadrature(order)
         assert np.all(rule.weights > 0)
         assert np.sum(rule.weights) == pytest.approx(1.0 / 6.0, rel=1e-14)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_tet_rule_points_interior(self, order):
+        points = tet_quadrature(order).points
+        assert np.all(points > 0)
+        np.testing.assert_allclose(points.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_tet_rule_invariant_under_vertex_permutations(self, order):
+        rule = tet_quadrature(order)
+
+        def rows(points):
+            table = np.column_stack([points, rule.weights])
+            return table[np.lexsort(table.T[::-1])]
+
+        for perm in itertools.permutations(range(4)):
+            np.testing.assert_allclose(rows(rule.points[:, perm]), rows(rule.points),
+                                       rtol=0, atol=1e-15)
+
+    def test_14_point_constants_solve_the_moment_equations(self):
+        """Newton on the degree-5 moment equations of two vertex orbits and
+        one edge orbit, started from 6-digit values, lands on the literal
+        constants of the rule."""
+
+        def rule(theta):
+            a1, a2, b, w1, w2, w3 = theta
+            vertex = [np.full((4, 4), a) + (1 - 4 * a) * np.eye(4) for a in (a1, a2)]
+            edge = np.full((6, 4), 0.5 - b)
+            edge[np.arange(6)[:, None], TET_EDGE_PAIRS] = b
+            weights = np.concatenate([np.full(4, w1), np.full(4, w2), np.full(6, w3)])
+            return np.vstack(vertex + [edge]), weights
+
+        powers = [(a, b, c) for a in range(6) for b in range(6 - a) for c in range(6 - a - b)]
+        exact = np.array([tet_monomial_integral(*p) for p in powers])
+
+        def residual(theta):
+            points, weights = rule(theta)
+            xyz = points[:, 1:]
+            return np.array([np.sum(weights * xyz[:, 0] ** a * xyz[:, 1] ** b * xyz[:, 2] ** c)
+                             for a, b, c in powers]) - exact
+
+        theta = np.array([0.092735, 0.310886, 0.045504, 0.0122488, 0.0187813, 0.00709100])
+        h = 1e-30
+        for _ in range(8):
+            # complex-step Jacobian: exact to round-off for polynomials
+            jac = np.column_stack([residual(theta + 1j * h * e).imag / h for e in np.eye(6)])
+            theta = theta - np.linalg.lstsq(jac, residual(theta), rcond=None)[0]
+        literal = np.array([*_T14_VERTEX, _T14_EDGE, *_T14_WEIGHTS])
+        np.testing.assert_allclose(theta, literal, rtol=0, atol=1e-14)
+        points, weights = rule(literal)
+        np.testing.assert_array_equal(np.sort(weights), np.sort(tet_quadrature(4).weights))
 
     @pytest.mark.parametrize("order", [1, 2, 4])
     def test_triangle_rule_exact_for_monomials(self, order):

@@ -104,6 +104,24 @@ class TestRun:
         assert "volume_matrix" in rec
         assert "surface_matrix" not in rec and "surface_volume_gap" not in rec
 
+    def test_clusters_sharing_an_fd_step_share_the_solves(self, monkeypatch):
+        chis = []
+        assemble = harness.assemble_at
+
+        def counting(cfg, chi, *args, **kwargs):
+            chis.append(chi)
+            return assemble(cfg, chi, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "assemble_at", counting)
+        box = {"type": "box", "dims": [1, 1.3, 1.7], "n": 3, "partition": "T"}
+        records = harness.run(config(mesh=box, index_range=[1, 2])).clusters
+        assert [r["multiplicity"] for r in records] == [1, 1]
+        assert records[0]["fd_step"] == records[1]["fd_step"]
+        # one assembly at chi_bar, then one at each of chi_bar +- step for both
+        assert len(chis) == 3
+        for rec in records:
+            assert rec["slopes_fd"] == pytest.approx(rec["slopes_rellich"], rel=1e-6)
+
     def test_report_schema_fields(self):
         report = harness.run(config())
         doc = report.to_dict()
