@@ -63,7 +63,7 @@ def _emit(payload: dict, out_path):
 def _cmd_eig(cfg, out):
     from . import harness
 
-    pencil = harness.assemble_at(cfg, cfg.chi_bar)
+    pencil = harness.assemble_at(harness.build_problem(cfg), cfg.chi_bar)
     lo, hi = cfg.index_range
     dec = solve_pencil(pencil, cfg.kernel_tol, count=hi, cluster_tol=cfg.cluster_tol)
     hi = min(hi, len(dec.eigenvalues))
@@ -80,25 +80,26 @@ def _cmd_eig(cfg, out):
 def _cmd_dshape(cfg, out):
     from . import harness
 
-    report = harness.run(cfg)
+    report = harness.run(harness.build_problem(cfg))
     _emit(report.to_dict(), out or cfg.output)
 
 
 def _cmd_verify(cfg, out):
     from . import harness
 
-    report = harness.run(cfg)
-    table = harness.fd_check(cfg, cfg.fd_steps)
-    worst_route = 0.0
-    for rec in report.clusters:
-        worst_route = max(worst_route, rec.get("route_discrepancy", 0.0))
+    problem = harness.build_problem(cfg)
+    report = harness.run(problem)
+    table = harness.fd_check(problem, cfg.fd_steps)
+    # an abstract pencil has no volume form, so no route discrepancy
+    worst_route = max((rec.get("route_discrepancy", 0.0) for rec in report.clusters),
+                      default=0.0)
     payload = {
         "report": report.to_dict(),
         "fd_table": table,
         "worst_route_discrepancy": worst_route,
     }
     _emit(payload, out)
-    if cfg.problem != "abstract-pencil" and worst_route > 1e-10:
+    if worst_route > 1e-10:
         raise ContractViolationError(
             f"route equivalence violated: {worst_route:.3e} > 1e-10"
         )
@@ -107,7 +108,7 @@ def _cmd_verify(cfg, out):
 def _cmd_study(cfg, out):
     from . import harness
 
-    rows = harness.refinement_study(cfg)
+    rows = harness.refinement_study(harness.build_problem(cfg))
     _emit({"levels": rows}, out)
 
 
@@ -119,7 +120,7 @@ def _cmd_abstract(cfg, out):
                  {"kind": "degenerate", "seed": cfg.abstract.get("seed", 0)}):
         demo_cfg = harness.RunConfig(problem="abstract-pencil", abstract=spec)
         demo_cfg.cluster_tol = cfg.cluster_tol
-        report = harness.run(demo_cfg)
+        report = harness.run(harness.build_problem(demo_cfg))
         demos[spec["kind"]] = report.clusters[0]["slopes_rellich"]
     _emit({"branch_slopes": demos}, out)
 

@@ -24,7 +24,6 @@ class Pencil:
 
     K: Matrix
     M: Matrix
-    mesh: Optional[Mesh] = None
     quad_order: int = 2
     # columns spanning the known part of ker K (Maxwell discrete gradients)
     kernel_basis: Optional[sp.csr_array] = None
@@ -132,10 +131,9 @@ def _assemble(space: Space, mesh: Mesh, quad_order: int, coefficients):
             scatter_symmetric(m_loc, gdofs, len(free)))
 
 
-def assemble_pencil(space: Space, mesh, family, chi, stiff, mass, quad_order=None) -> Pencil:
+def assemble_pencil(space: Space, mesh, family, chi, stiff, mass) -> Pencil:
     """Pencil (K, M) of `space` at transformation parameter chi."""
-    if quad_order is None:
-        quad_order = default_quad_order(family, stiff, mass)
+    quad_order = default_quad_order(family, stiff, mass)
 
     def coefficients(X):
         geo = transforms.map_points(family, chi, X)
@@ -143,15 +141,14 @@ def assemble_pencil(space: Space, mesh, family, chi, stiff, mass, quad_order=Non
                 for name, c in zip(space.coefficients, (stiff, mass))]
 
     K, M = _assemble(space, mesh, quad_order, coefficients)
-    return Pencil(K, M, mesh=mesh, quad_order=quad_order)
+    return Pencil(K, M, quad_order=quad_order)
 
 
 def assemble_derivative(
-    space: Space, mesh, family, chi_bar, direction, stiff, mass, quad_order=None
+    space: Space, mesh, family, chi_bar, direction, stiff, mass
 ) -> PencilDerivative:
     """Directional derivative (dK, dM) of the pencil of `space` at chi_bar."""
-    if quad_order is None:
-        quad_order = default_quad_order(family, stiff, mass)
+    quad_order = default_quad_order(family, stiff, mass)
 
     def coefficients(X):
         geo = transforms.map_points(family, chi_bar, X)

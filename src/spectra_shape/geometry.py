@@ -212,6 +212,10 @@ class Mesh:
     # -- validation ----------------------------------------------------------
 
     def validate(self, incidence=None):
+        nv = len(self.vertices)
+        for name, rows in (("tet", self.tets), ("boundary facet", self.bfacet_vertices)):
+            _raise_first(np.any((rows < 0) | (rows >= nv), axis=1), lambda i: (
+                f"{name} {i} has a vertex index outside [0, {nv})"))
         vols = self.tet_volumes()
         _raise_first(vols <= 0,
                      lambda i: f"tet {i} has non-positive signed volume {vols[i]:g}")
@@ -374,8 +378,11 @@ def save_mesh(mesh: Mesh, path: str):
 
 def load_mesh(path: str) -> Mesh:
     """Read a ``tetmesh v1`` file; validation runs on construction."""
-    with open(path) as f:
-        raw = f.readlines()
+    try:
+        with open(path) as f:
+            raw = f.readlines()
+    except OSError as exc:
+        raise MeshFormatError(f"{path}: cannot read mesh: {exc}")
     lines = []
     for lineno, line in enumerate(raw, start=1):
         stripped = line.split("#", 1)[0].strip()

@@ -68,15 +68,14 @@ def _cluster_matrices(space: Space, basis, frames, w, B_stiff, B_mass, clusters)
 
 def volume_matrix(
     space: Space, mesh, family, chi_bar, direction, stiff, mass,
-    clusters: Sequence[EigenCluster], quad_order=None,
+    clusters: Sequence[EigenCluster],
 ) -> List[np.ndarray]:
     """Volume-integral branch-derivative matrix of each cluster of `space`.
 
     The mapped points, the velocity field and the coefficient brackets are
     evaluated once for all clusters.
     """
-    if quad_order is None:
-        quad_order = default_quad_order(family, stiff, mass)
+    quad_order = default_quad_order(family, stiff, mass)
     pts, w = mesh.quadrature_points(quad_order)
     geo = transforms.map_points(family, chi_bar, pts.reshape(-1, 3))
     v = transforms.psi_on_physical(family, chi_bar, direction, geo)
@@ -91,7 +90,7 @@ def volume_matrix(
 
 def surface_matrix(
     space: Space, mesh, family, chi_bar, direction, stiff, mass,
-    clusters: Sequence[EigenCluster], quad_order=None,
+    clusters: Sequence[EigenCluster],
 ) -> List[np.ndarray]:
     """Surface-integral (Hirakawa) branch-derivative matrix of each cluster.
 
@@ -102,9 +101,7 @@ def surface_matrix(
     negative sign; there the P1 field is exactly zero, so only the gradient
     term survives.
     """
-    if quad_order is None:
-        quad_order = default_quad_order(family, stiff, mass)
-    rule = triangle_quadrature(quad_order)
+    rule = triangle_quadrature(default_quad_order(family, stiff, mass))
     tets = mesh.bfacet_tets
     # exact barycentric coordinates of the facet quadrature points in the
     # owning tet: a one-hot map from facet vertices to local tet vertices
@@ -126,36 +123,28 @@ def surface_matrix(
 
 
 def helmholtz_volume_matrix(
-    mesh, family, chi_bar, direction, eps, nu, clusters: Sequence[EigenCluster],
-    quad_order=None,
+    mesh, family, chi_bar, direction, eps, nu, clusters: Sequence[EigenCluster]
 ) -> List[np.ndarray]:
     """Volume-integral branch-derivative matrices of Helmholtz clusters."""
-    return volume_matrix(P1, mesh, family, chi_bar, direction, eps, nu, clusters,
-                         quad_order)
+    return volume_matrix(P1, mesh, family, chi_bar, direction, eps, nu, clusters)
 
 
 def maxwell_volume_matrix(
-    mesh, family, chi_bar, direction, eps, mu_inv, clusters: Sequence[EigenCluster],
-    quad_order=None,
+    mesh, family, chi_bar, direction, eps, mu_inv, clusters: Sequence[EigenCluster]
 ) -> List[np.ndarray]:
     """Volume-integral branch-derivative matrices of Maxwell clusters."""
-    return volume_matrix(NEDELEC, mesh, family, chi_bar, direction, mu_inv, eps,
-                         clusters, quad_order)
+    return volume_matrix(NEDELEC, mesh, family, chi_bar, direction, mu_inv, eps, clusters)
 
 
 def helmholtz_surface_matrix(
-    mesh, family, chi_bar, direction, eps, nu, clusters: Sequence[EigenCluster],
-    quad_order=None,
+    mesh, family, chi_bar, direction, eps, nu, clusters: Sequence[EigenCluster]
 ) -> List[np.ndarray]:
     """Surface-integral branch-derivative matrices of Helmholtz clusters."""
-    return surface_matrix(P1, mesh, family, chi_bar, direction, eps, nu, clusters,
-                          quad_order)
+    return surface_matrix(P1, mesh, family, chi_bar, direction, eps, nu, clusters)
 
 
 def maxwell_surface_matrix(
-    mesh, family, chi_bar, direction, eps, mu_inv, clusters: Sequence[EigenCluster],
-    quad_order=None,
+    mesh, family, chi_bar, direction, eps, mu_inv, clusters: Sequence[EigenCluster]
 ) -> List[np.ndarray]:
     """Surface-integral branch-derivative matrices of Maxwell clusters."""
-    return surface_matrix(NEDELEC, mesh, family, chi_bar, direction, mu_inv, eps,
-                          clusters, quad_order)
+    return surface_matrix(NEDELEC, mesh, family, chi_bar, direction, mu_inv, eps, clusters)

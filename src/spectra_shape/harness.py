@@ -8,8 +8,8 @@ cross-checks with branch tracking, and emits machine-readable JSON reports.
 import datetime
 import json
 from dataclasses import dataclass, field
-from math import comb
-from typing import List, Optional
+from functools import cached_property, partial
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -18,39 +18,93 @@ from scipy.optimize import linear_sum_assignment
 from . import hadamard, helmholtz, maxwell, transforms
 from .errors import ConfigError, ContractViolationError
 from .fem_common import Pencil, PencilDerivative
-from .geometry import box_mesh_size, build_box_mesh, load_mesh
-from .perturbation import elementary_symmetric, rellich_matrix
+from .geometry import Mesh, box_mesh_size, build_box_mesh, load_mesh
+from .perturbation import elementary_symmetric, rellich_matrix, trace_formula
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_KERNEL_TOL,
     EigenCluster,
+    EigenDecomposition,
     cluster_spectrum,
     solve_pencil,
 )
 
 SCHEMA_VERSION = 1
 
-_KNOWN_KEYS = {
-    "problem",
-    "mesh",
-    "family",
-    "coefficients",
-    "chi_bar",
-    "direction",
-    "index_range",
-    "kernel_tol",
-    "cluster_tol",
-    "fd_step",
-    "fd_steps",
-    "refinement",
-    "surface_form_trusted",
-    "abstract",
-    "output",
-}
-
-_PROBLEMS = ("helmholtz", "maxwell", "abstract-pencil")
+# coefficient keys per FEM problem, in assembly order; Maxwell's "mu" is mu^-1
+_COEFFICIENT_KEYS = {"helmholtz": ("epsilon", "nu"), "maxwell": ("epsilon", "mu")}
+_MATRIX = (transforms.matrix_coefficient_from_config, transforms.identity_matrix_coefficient)
+_SCALAR = (transforms.scalar_coefficient_from_config, transforms.unit_scalar_coefficient)
+_COEFFICIENT_PARSERS = {"epsilon": _MATRIX, "mu": _MATRIX, "nu": _SCALAR}
+_PROBLEMS = (*_COEFFICIENT_KEYS, "abstract-pencil")
 
 MAX_STUDY_DOFS = 200_000
+
+
+def _positive(value) -> float:
+    v = float(value)
+    if v <= 0:
+        raise ValueError(f"must be positive, got {v}")
+    return v
+
+
+def _index_range(value) -> tuple:
+    lo, hi = (int(v) for v in value)
+    if not 1 <= lo <= hi:
+        raise ValueError(f"need 1 <= lo <= hi, got {value}")
+    return lo, hi
+
+
+def _levels(value) -> tuple:
+    levels = tuple(int(n) for n in value)
+    if any(n < 1 for n in levels):
+        raise ValueError("refinement levels must be >= 1")
+    return levels
+
+
+# how RunConfig.from_dict converts each config key besides "problem"
+_FIELDS = {
+    "mesh": dict, "family": dict, "coefficients": dict, "abstract": dict,
+    "chi_bar": float, "direction": float, "surface_form_trusted": bool,
+    "kernel_tol": _positive, "cluster_tol": _positive, "fd_step": _positive,
+    "fd_steps": lambda value: tuple(_positive(s) for s in value),
+    "index_range": _index_range, "refinement": _levels, "output": lambda value: value,
+}
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_mesh_spec(spec: dict):
+    kind = spec.get("type", "box")
+    if kind == "file" and "path" not in spec:
+        raise ConfigError("a file mesh needs a 'path'")
+    if kind not in ("box", "file"):
+        raise ConfigError(f"unknown mesh type {kind!r}")
+    dims = spec.get("dims", (1.0, 1.0, 1.0))
+    if not (isinstance(dims, (list, tuple)) and len(dims) == 3
+            and all(_is_integer(d) or isinstance(d, float) for d in dims)):
+        raise ConfigError(f"mesh dims must be three numbers, got {dims!r}")
+    if not _is_integer(spec.get("n", 4)):
+        raise ConfigError(f"mesh n must be an integer, got {spec['n']!r}")
+
+
+def _parsed(key: str, parse, value):
+    """parse(value), with a malformed value reported as a ConfigError naming `key`."""
+    try:
+        return parse(value)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key} {value!r}: {exc!r}")
+
+
+def _coefficients(keys, spec: dict) -> tuple:
+    """Coefficient objects for `keys`, in order; an absent key is the identity."""
+    out = []
+    for key in keys:
+        parse, identity = _COEFFICIENT_PARSERS[key]
+        out.append(_parsed(key, parse, spec[key]) if key in spec else identity())
+    return tuple(out)
 
 
 @dataclass
@@ -77,55 +131,25 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - _KNOWN_KEYS
+        unknown = set(raw) - set(_FIELDS) - {"problem"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         problem = raw.get("problem")
         if problem not in _PROBLEMS:
             raise ConfigError(f"problem must be one of {_PROBLEMS}, got {problem!r}")
         cfg = cls(problem=problem)
-        if "mesh" in raw:
-            cfg.mesh = dict(raw["mesh"])
-        if "family" in raw:
-            cfg.family = dict(raw["family"])
-        if "coefficients" in raw:
-            cfg.coefficients = dict(raw["coefficients"])
-        cfg.chi_bar = float(raw.get("chi_bar", cfg.chi_bar))
-        cfg.direction = float(raw.get("direction", cfg.direction))
-        if "index_range" in raw:
-            lo, hi = raw["index_range"]
-            if not (1 <= int(lo) <= int(hi)):
-                raise ConfigError(f"bad index_range {raw['index_range']}")
-            cfg.index_range = (int(lo), int(hi))
-        for key in ("kernel_tol", "cluster_tol", "fd_step"):
+        for key, convert in _FIELDS.items():
             if key in raw:
-                v = float(raw[key])
-                if v <= 0:
-                    raise ConfigError(f"{key} must be positive, got {v}")
-                setattr(cfg, key, v)
-        if "fd_steps" in raw:
-            steps = tuple(float(s) for s in raw["fd_steps"])
-            if any(s <= 0 for s in steps):
-                raise ConfigError("fd_steps must be positive")
-            cfg.fd_steps = steps
-        if "refinement" in raw:
-            cfg.refinement = tuple(int(n) for n in raw["refinement"])
-            if any(n < 1 for n in cfg.refinement):
-                raise ConfigError("refinement levels must be >= 1")
-        cfg.surface_form_trusted = bool(
-            raw.get("surface_form_trusted", cfg.surface_form_trusted)
-        )
-        if "abstract" in raw:
-            cfg.abstract = dict(raw["abstract"])
-        cfg.output = raw.get("output")
-        if cfg.mesh.get("type") == "file" and "path" not in cfg.mesh:
-            raise ConfigError("a file mesh needs a 'path'")
-        # validate component specs eagerly so errors surface as ConfigError
-        if cfg.problem != "abstract-pencil":
-            try:
-                _components(cfg)
-            except KeyError as exc:
-                raise ConfigError(f"family or coefficient spec lacks key {exc}")
+                setattr(cfg, key, _parsed(key, convert, raw[key]))
+        _check_mesh_spec(cfg.mesh)
+        if problem in _COEFFICIENT_KEYS:
+            keys = _COEFFICIENT_KEYS[problem]
+            unread = sorted(set(cfg.coefficients) - set(keys))
+            if unread:
+                raise ConfigError(f"{problem} reads the coefficients {list(keys)}, not {unread}")
+            # parse the specs now, so that a malformed one is a ConfigError
+            _parsed("family", transforms.family_from_config, cfg.family)
+            _coefficients(keys, cfg.coefficients)
         return cfg
 
 
@@ -141,75 +165,95 @@ def load_config(path: str) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# problem construction
+# the problem
 # ---------------------------------------------------------------------------
 
-def _build_mesh(cfg: RunConfig, n_override: Optional[int] = None):
+@dataclass(eq=False)
+class Problem:
+    """One configured eigenvalue problem, made by `build_problem`: the config,
+    the mesh, and the per-problem routes with the family and the ordered
+    coefficients bound in. An abstract pencil has no mesh (None) and no
+    volume or surface form. The mesh and the solution at chi_bar are computed
+    once, on first use."""
+
+    cfg: RunConfig
+    build_mesh: Callable[[], Optional[Mesh]]
+    assemble: Callable[[Optional[Mesh], float], Pencil]
+    derivative: Callable[[Optional[Mesh]], PencilDerivative]
+    volume_form: Optional[Callable] = None     # (mesh, clusters) -> matrices
+    surface_form: Optional[Callable] = None    # (mesh, clusters) -> matrices
+
+    @cached_property
+    def mesh(self) -> Optional[Mesh]:
+        return self.build_mesh()
+
+    @cached_property
+    def solution(self) -> Tuple[Pencil, EigenDecomposition, List[EigenCluster]]:
+        """Pencil at chi_bar, its solve up to index_range[1] and its clusters."""
+        cfg = self.cfg
+        pencil = assemble_at(self, cfg.chi_bar)
+        dec = solve_pencil(pencil, cfg.kernel_tol, count=cfg.index_range[1],
+                           cluster_tol=cfg.cluster_tol)
+        return pencil, dec, cluster_spectrum(dec, cfg.cluster_tol)
+
+
+def _build_mesh(cfg: RunConfig, n: Optional[int]):
     spec = cfg.mesh
-    kind = spec.get("type", "box")
-    if kind == "box":
-        dims = tuple(spec.get("dims", (1.0, 1.0, 1.0)))
-        n = int(n_override if n_override is not None else spec.get("n", 4))
-        partition = spec.get("partition", "T")
-        return build_box_mesh(dims, n, partition)
-    if kind == "file":
-        if n_override is not None:
-            raise ConfigError("refinement studies require a box mesh spec")
+    if spec.get("type", "box") == "file":
         return load_mesh(spec["path"])
-    raise ConfigError(f"unknown mesh type {spec.get('type')!r}")
+    dims = tuple(spec.get("dims", (1.0, 1.0, 1.0)))
+    return build_box_mesh(dims, spec.get("n", 4) if n is None else n,
+                          spec.get("partition", "T"))
 
 
-def _components(cfg: RunConfig):
-    """Family and coefficient objects for a FEM problem config."""
-    fam = transforms.family_from_config(cfg.family)
-    co = cfg.coefficients
-    eps = (
-        transforms.matrix_coefficient_from_config(co["epsilon"])
-        if "epsilon" in co
-        else transforms.identity_matrix_coefficient()
-    )
+def build_problem(cfg: RunConfig, n: Optional[int] = None) -> Problem:
+    """The `Problem` of `cfg`, or with `n` of the refinement level on the n-box.
+    The only reader of the problem kind. The per-problem functions are looked
+    up here, not at import, so that a wrapper installed on them is called."""
+    if cfg.problem == "abstract-pencil":
+        if n is not None:
+            raise ConfigError("refinement studies need a FEM problem")
+        spec = cfg.abstract
+        return Problem(
+            cfg, lambda: None,
+            assemble=lambda mesh, chi: Pencil(*_abstract_matrices(spec, chi)[:2], quad_order=0),
+            derivative=lambda mesh: PencilDerivative(
+                *(cfg.direction * A for A in _abstract_matrices(spec, cfg.chi_bar)[2:])))
+
+    # dof_entity indexes box_mesh_size: Nedelec dofs are edges, P1 dofs vertices
     if cfg.problem == "maxwell":
-        second = (
-            transforms.matrix_coefficient_from_config(co["mu"])
-            if "mu" in co
-            else transforms.identity_matrix_coefficient()
-        )
+        pencil, deriv, volume, surface, dof_entity = (
+            maxwell.assemble_maxwell, maxwell.assemble_maxwell_derivative,
+            hadamard.maxwell_volume_matrix, hadamard.maxwell_surface_matrix, 1)
     else:
-        second = (
-            transforms.scalar_coefficient_from_config(co["nu"])
-            if "nu" in co
-            else transforms.unit_scalar_coefficient()
-        )
-    return fam, eps, second
+        pencil, deriv, volume, surface, dof_entity = (
+            helmholtz.assemble_helmholtz, helmholtz.assemble_helmholtz_derivative,
+            hadamard.helmholtz_volume_matrix, hadamard.helmholtz_surface_matrix, 0)
+    if n is not None:
+        if cfg.mesh.get("type", "box") != "box":
+            raise ConfigError("refinement studies require a box mesh spec")
+        dofs = box_mesh_size(n)[dof_entity]
+        if dofs > MAX_STUDY_DOFS:
+            raise ConfigError(f"refinement level n={n} has ~{dofs} dofs "
+                              f"(> {MAX_STUDY_DOFS}); refusing the study")
+    fam = _parsed("family", transforms.family_from_config, cfg.family)
+    coefficients = _coefficients(_COEFFICIENT_KEYS[cfg.problem], cfg.coefficients)
+    args = (fam, cfg.chi_bar, cfg.direction, *coefficients)
+    return Problem(cfg, partial(_build_mesh, cfg, n),
+                   assemble=lambda mesh, chi: pencil(mesh, fam, chi, *coefficients),
+                   derivative=lambda mesh: deriv(mesh, *args),
+                   volume_form=lambda mesh, clusters: volume(mesh, *args, clusters),
+                   surface_form=lambda mesh, clusters: surface(mesh, *args, clusters))
 
 
-def assemble_at(cfg: RunConfig, chi: float, n_override=None, mesh=None) -> Pencil:
-    """Pencil of the configured problem at parameter chi."""
-    if cfg.problem == "abstract-pencil":
-        return abstract_pencil(cfg.abstract, chi)
-    if mesh is None:
-        mesh = _build_mesh(cfg, n_override)
-    fam, eps, second = _components(cfg)
-    if cfg.problem == "maxwell":
-        return maxwell.assemble_maxwell(mesh, fam, chi, eps, second)
-    return helmholtz.assemble_helmholtz(mesh, fam, chi, eps, second)
+def assemble_at(problem: Problem, chi: float) -> Pencil:
+    """Pencil of the problem at parameter chi."""
+    return problem.assemble(problem.mesh, chi)
 
 
-def derivative_at(cfg: RunConfig, n_override=None, mesh=None) -> PencilDerivative:
-    """Pencil derivative of the configured problem at chi_bar."""
-    if cfg.problem == "abstract-pencil":
-        d = abstract_derivative(cfg.abstract, cfg.chi_bar)
-        return PencilDerivative(cfg.direction * d.dK, cfg.direction * d.dM)
-    if mesh is None:
-        mesh = _build_mesh(cfg, n_override)
-    fam, eps, second = _components(cfg)
-    if cfg.problem == "maxwell":
-        return maxwell.assemble_maxwell_derivative(
-            mesh, fam, cfg.chi_bar, cfg.direction, eps, second
-        )
-    return helmholtz.assemble_helmholtz_derivative(
-        mesh, fam, cfg.chi_bar, cfg.direction, eps, second
-    )
+def derivative_at(problem: Problem) -> PencilDerivative:
+    """Pencil derivative of the problem at chi_bar."""
+    return problem.derivative(problem.mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -248,22 +292,11 @@ def _abstract_matrices(spec: dict, chi: float):
     raise ConfigError(f"unknown abstract pencil kind {spec.get('kind')!r}")
 
 
-def abstract_pencil(spec: dict, chi: float) -> Pencil:
-    K, M, _, _ = _abstract_matrices(spec, chi)
-    return Pencil(K, M, mesh=None, quad_order=0)
-
-
-def abstract_derivative(spec: dict, chi_bar: float) -> PencilDerivative:
-    _, _, dK, dM = _abstract_matrices(spec, chi_bar)
-    return PencilDerivative(dK, dM)
-
-
 # ---------------------------------------------------------------------------
 # finite differences with branch tracking
 # ---------------------------------------------------------------------------
 
-def tracked_fd_slopes(cfg: RunConfig, pencil0: Pencil, clusters: List[EigenCluster],
-                      step: float, mesh=None):
+def tracked_fd_slopes(problem: Problem, clusters: List[EigenCluster], step: float):
     """Central-difference branch slopes of each cluster across chi_bar +- step.
 
     The pencils at chi_bar +- step are solved once for all the clusters, up
@@ -273,10 +306,12 @@ def tracked_fd_slopes(cfg: RunConfig, pencil0: Pencil, clusters: List[EigenClust
     fallback is used. Returns ([(slopes ascending, tracking tag)] per
     cluster, decomposition at +step, at -step).
     """
+    cfg = problem.cfg
+    M0 = problem.solution[0].M
     count = max(cl.indices[-1] for cl in clusters) + 1
 
     def solve_at(chi):
-        return solve_pencil(assemble_at(cfg, chi, mesh=mesh), cfg.kernel_tol,
+        return solve_pencil(assemble_at(problem, chi), cfg.kernel_tol,
                             count=count, cluster_tol=cfg.cluster_tol)
 
     dec_p, dec_m = solve_at(cfg.chi_bar + step), solve_at(cfg.chi_bar - step)
@@ -288,15 +323,12 @@ def tracked_fd_slopes(cfg: RunConfig, pencil0: Pencil, clusters: List[EigenClust
     for cl in clusters:
         idx = cl.indices
         lp, lm = dec_p.eigenvalues[idx], dec_m.eigenvalues[idx]
-        overlap = np.abs(dec_p.eigenvectors[:, idx].T @ pencil0.M @ dec_m.eigenvectors[:, idx])
+        overlap = np.abs(dec_p.eigenvectors[:, idx].T @ M0 @ dec_m.eigenvectors[:, idx])
         rows, cols = linear_sum_assignment(-overlap)
-        if overlap[rows, cols].min() > 0.5:
-            slopes = cfg.direction * (lp[rows] - lm[cols]) / (2.0 * step)
-            tag = "overlap"
-        else:
-            slopes = cfg.direction * (np.sort(lp) - np.sort(lm)) / (2.0 * step)
-            tag = "sort"
-        fits.append((np.sort(slopes), tag))
+        tag = "overlap"
+        if overlap[rows, cols].min() <= 0.5:
+            rows, cols, tag = np.argsort(lp), np.argsort(lm), "sort"
+        fits.append((np.sort(cfg.direction * (lp[rows] - lm[cols]) / (2.0 * step)), tag))
     return fits, dec_p, dec_m
 
 
@@ -323,19 +355,13 @@ def _relative_gap(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.max(np.abs(A - B)) / max(np.max(np.abs(B)), 1e-300))
 
 
-def _hadamard_matrices(cfg: RunConfig, mesh, clusters: List[EigenCluster], surface: bool):
-    """Volume matrix and, if `surface`, surface matrix (else None) of each FEM cluster."""
-    fam, eps, second = _components(cfg)
-    volume_form, surface_form = {
-        "helmholtz": (hadamard.helmholtz_volume_matrix, hadamard.helmholtz_surface_matrix),
-        "maxwell": (hadamard.maxwell_volume_matrix, hadamard.maxwell_surface_matrix),
-    }[cfg.problem]
-    args = (mesh, fam, cfg.chi_bar, cfg.direction, eps, second, clusters)
-    return zip(volume_form(*args), surface_form(*args) if surface else [None] * len(clusters))
+def _hadamard_matrices(problem: Problem, clusters: List[EigenCluster], surface: bool):
+    """Volume matrix and, if `surface`, surface matrix of each cluster; None
+    where the problem has no such form or it is not wanted."""
+    def form(route, wanted):
+        return route(problem.mesh, clusters) if route and wanted else [None] * len(clusters)
 
-
-def _sym_derivatives(lambda_bar: float, m: int, trace: float):
-    return [lambda_bar ** (s - 1) * comb(m - 1, s - 1) * trace for s in range(1, m + 1)]
+    return zip(form(problem.volume_form, True), form(problem.surface_form, surface))
 
 
 @dataclass
@@ -359,37 +385,26 @@ class DerivativeReport:
             "clusters": self.clusters,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
     def write(self, path: str):
         with open(path, "w") as f:
-            f.write(self.to_json())
-            f.write("\n")
+            f.write(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
-def run(cfg: RunConfig) -> DerivativeReport:
+def run(problem: Problem) -> DerivativeReport:
     """Assemble, solve, and evaluate every derivative route for the clusters
     covering the configured eigenvalue index range."""
-    mesh = None if cfg.problem == "abstract-pencil" else _build_mesh(cfg)
-    pencil = assemble_at(cfg, cfg.chi_bar, mesh=mesh)
-    deriv = derivative_at(cfg, mesh=mesh)
+    cfg = problem.cfg
+    pencil, dec, clusters = problem.solution
     lo, hi = cfg.index_range
-    dec = solve_pencil(pencil, cfg.kernel_tol, count=hi, cluster_tol=cfg.cluster_tol)
-    clusters = cluster_spectrum(dec, cfg.cluster_tol)
-
     if hi > len(dec.eigenvalues):
         raise ConfigError(
             f"index_range {cfg.index_range} exceeds the {len(dec.eigenvalues)} "
             "computed eigenvalues"
         )
-    wanted = [
-        c for c in clusters
-        if c.indices[-1] + 1 >= lo and c.indices[0] + 1 <= hi
-    ]
+    deriv = derivative_at(problem)
+    wanted = [c for c in clusters if c.indices[-1] + 1 >= lo and c.indices[0] + 1 <= hi]
 
-    forms = ([(None, None)] * len(wanted) if cfg.problem == "abstract-pencil"
-             else _hadamard_matrices(cfg, mesh, wanted, cfg.surface_form_trusted))
+    forms = _hadamard_matrices(problem, wanted, cfg.surface_form_trusted)
     records = []
     for cl, (V, S) in zip(wanted, forms):
         R = rellich_matrix(deriv, cl).matrix
@@ -400,7 +415,7 @@ def run(cfg: RunConfig) -> DerivativeReport:
             "multiplicity": cl.multiplicity,
             "rellich_matrix": _matrix_entry(R),
             "slopes_rellich": np.sort(sla.eigvalsh(R)).tolist(),
-            "sym_derivatives_rellich": _sym_derivatives(
+            "sym_derivatives_rellich": trace_formula(
                 cl.lambda_bar, cl.multiplicity, float(np.trace(R))
             ),
         }
@@ -415,7 +430,7 @@ def run(cfg: RunConfig) -> DerivativeReport:
         if V is not None:
             rec["volume_matrix"] = _matrix_entry(V)
             rec["slopes_volume"] = np.sort(sla.eigvalsh(V)).tolist()
-            rec["sym_derivatives_volume"] = _sym_derivatives(
+            rec["sym_derivatives_volume"] = trace_formula(
                 cl.lambda_bar, cl.multiplicity, float(np.trace(V))
             )
             rec["route_discrepancy"] = _relative_gap(V, R)
@@ -429,7 +444,7 @@ def run(cfg: RunConfig) -> DerivativeReport:
     steps = [cluster_fd_step(cl, cfg.fd_step) for cl in wanted]
     for step in dict.fromkeys(steps):
         group = [i for i, s in enumerate(steps) if s == step]
-        fits, _, _ = tracked_fd_slopes(cfg, pencil, [wanted[i] for i in group], step, mesh=mesh)
+        fits, _, _ = tracked_fd_slopes(problem, [wanted[i] for i in group], step)
         for i, (fd_slopes, tag) in zip(group, fits):
             records[i].update(slopes_fd=fd_slopes.tolist(), fd_step=step, fd_tracking=tag)
 
@@ -443,7 +458,7 @@ def run(cfg: RunConfig) -> DerivativeReport:
         "dofs": pencil.size,
         "kernel_dim": dec.kernel_dim,
         "quad_order": pencil.quad_order,
-        "mesh": cfg.mesh if cfg.problem != "abstract-pencil" else None,
+        "mesh": None if problem.mesh is None else cfg.mesh,
     }
     report = DerivativeReport(
         clusters=records,
@@ -455,7 +470,7 @@ def run(cfg: RunConfig) -> DerivativeReport:
     return report
 
 
-def fd_check(cfg: RunConfig, steps) -> List[dict]:
+def fd_check(problem: Problem, steps) -> List[dict]:
     """Central-difference table over the given steps with Richardson reference.
 
     Each row carries the tracked branch slopes and the slopes of the
@@ -463,21 +478,19 @@ def fd_check(cfg: RunConfig, steps) -> List[dict]:
     no tracking needed). A tracking failure is recorded in the row instead
     of aborting the table.
     """
+    cfg = problem.cfg
     steps = sorted(float(s) for s in steps)
     if len(steps) < 2:
         raise ConfigError("fd_check needs at least two steps")
-    mesh = None if cfg.problem == "abstract-pencil" else _build_mesh(cfg)
-    pencil = assemble_at(cfg, cfg.chi_bar, mesh=mesh)
-    dec = solve_pencil(pencil, cfg.kernel_tol, count=1, cluster_tol=cfg.cluster_tol)
-    cl = cluster_spectrum(dec, cfg.cluster_tol)[0]
+    _, _, clusters = problem.solution
+    cl = clusters[0]
     m = cl.multiplicity
 
     rows = []
     for step in steps:
         row = {"step": step}
         try:
-            [(slopes, tag)], dec_p, dec_m = tracked_fd_slopes(cfg, pencil, [cl], step,
-                                                              mesh=mesh)
+            [(slopes, tag)], dec_p, dec_m = tracked_fd_slopes(problem, [cl], step)
             row["slopes"] = slopes.tolist()
             row["tracking"] = tag
         except ContractViolationError as exc:
@@ -495,52 +508,37 @@ def fd_check(cfg: RunConfig, steps) -> List[dict]:
         rows.append(row)
 
     good = [r for r in rows if "slopes" in r]
+    fd = [np.asarray(r["slopes"]) for r in good]
     if len(good) >= 2:
         # Richardson on the two smallest steps: e(h) = c h^2
-        s_small = np.asarray(good[0]["slopes"])
-        s_big = np.asarray(good[1]["slopes"])
         ratio = good[1]["step"] / good[0]["step"]
-        rich = (ratio**2 * s_small - s_big) / (ratio**2 - 1.0)
+        rich = (ratio**2 * fd[0] - fd[1]) / (ratio**2 - 1.0)
         for r in rows:
             r["richardson"] = rich.tolist()
     if len(good) >= 3:
-        s0 = np.asarray(good[0]["slopes"])
-        s1 = np.asarray(good[1]["slopes"])
-        s2 = np.asarray(good[2]["slopes"])
-        h_ratio = good[1]["step"] / good[0]["step"]
-        num = np.abs(s2 - s1).max()
-        den = np.abs(s1 - s0).max()
+        num = np.abs(fd[2] - fd[1]).max()
+        den = np.abs(fd[1] - fd[0]).max()
         if den > 0 and num > 0:
-            order = float(np.log(num / den) / np.log(h_ratio))
+            order = float(np.log(num / den) / np.log(ratio))
             for r in rows:
                 r["observed_order"] = order
     return rows
 
 
-def refinement_study(cfg: RunConfig) -> List[dict]:
-    """Route discrepancies and surface-volume gaps over a refinement sequence."""
-    if cfg.problem == "abstract-pencil":
-        raise ConfigError("refinement studies need a FEM problem")
+def refinement_study(problem: Problem) -> List[dict]:
+    """Route discrepancies and surface-volume gaps over a refinement sequence,
+    with one `Problem` per level."""
+    cfg = problem.cfg
     if not cfg.refinement:
         raise ConfigError("refinement list is empty")
     rows = []
     prev_gap = None
     for n in cfg.refinement:
-        if cfg.mesh.get("type", "box") == "box":
-            vertices, edges = box_mesh_size(n)
-            est_dofs = edges if cfg.problem == "maxwell" else vertices
-            if est_dofs > MAX_STUDY_DOFS:
-                raise ConfigError(
-                    f"refinement level n={n} has ~{est_dofs} dofs "
-                    f"(> {MAX_STUDY_DOFS}); refusing the study"
-                )
-        mesh = _build_mesh(cfg, n_override=n)
-        pencil = assemble_at(cfg, cfg.chi_bar, mesh=mesh)
-        deriv = derivative_at(cfg, mesh=mesh)
-        dec = solve_pencil(pencil, cfg.kernel_tol, count=1, cluster_tol=cfg.cluster_tol)
-        cl = cluster_spectrum(dec, cfg.cluster_tol)[0]
-        R = rellich_matrix(deriv, cl).matrix
-        ((V, S),) = _hadamard_matrices(cfg, mesh, [cl], surface=True)
+        level = build_problem(cfg, n)
+        pencil, dec, clusters = level.solution
+        cl = clusters[0]
+        R = rellich_matrix(derivative_at(level), cl).matrix
+        ((V, S),) = _hadamard_matrices(level, [cl], surface=True)
         gap = _relative_gap(S, V)
         rows.append({
             "n": n,

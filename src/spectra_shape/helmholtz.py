@@ -35,13 +35,11 @@ def free_vertex_dofs(mesh: Mesh):
     return free_dofs(P1, mesh)
 
 
-def assemble_helmholtz(mesh, family, chi, eps, nu, quad_order=None) -> Pencil:
+def assemble_helmholtz(mesh, family, chi, eps, nu) -> Pencil:
     """Helmholtz pencil (K, M) at transformation parameter chi."""
-    return assemble_pencil(P1, mesh, family, chi, eps, nu, quad_order)
+    return assemble_pencil(P1, mesh, family, chi, eps, nu)
 
 
-def assemble_helmholtz_derivative(
-    mesh, family, chi_bar, direction, eps, nu, quad_order=None
-) -> PencilDerivative:
+def assemble_helmholtz_derivative(mesh, family, chi_bar, direction, eps, nu) -> PencilDerivative:
     """Directional derivative (dK, dM) of the Helmholtz pencil at chi_bar."""
-    return assemble_derivative(P1, mesh, family, chi_bar, direction, eps, nu, quad_order)
+    return assemble_derivative(P1, mesh, family, chi_bar, direction, eps, nu)

@@ -64,20 +64,18 @@ def free_edge_dofs(mesh: Mesh):
     return free_dofs(NEDELEC, mesh)
 
 
-def assemble_maxwell(mesh, family, chi, eps, mu_inv, quad_order=None) -> Pencil:
+def assemble_maxwell(mesh, family, chi, eps, mu_inv) -> Pencil:
     """Maxwell pencil (K, M) at transformation parameter chi."""
-    pencil = assemble_pencil(NEDELEC, mesh, family, chi, mu_inv, eps, quad_order)
+    pencil = assemble_pencil(NEDELEC, mesh, family, chi, mu_inv, eps)
     pencil.kernel_basis = gradient_kernel_basis(mesh)
     return pencil
 
 
 def assemble_maxwell_derivative(
-    mesh, family, chi_bar, direction, eps, mu_inv, quad_order=None
+    mesh, family, chi_bar, direction, eps, mu_inv
 ) -> PencilDerivative:
     """Directional derivative (dK, dM) of the Maxwell pencil at chi_bar."""
-    return assemble_derivative(
-        NEDELEC, mesh, family, chi_bar, direction, mu_inv, eps, quad_order
-    )
+    return assemble_derivative(NEDELEC, mesh, family, chi_bar, direction, mu_inv, eps)
 
 
 def gradient_kernel_basis(mesh: Mesh) -> sp.csr_array:

@@ -112,15 +112,20 @@ def hellmann_feynman(
     return float(u @ deriv.dK @ u - lambda_bar * (u @ deriv.dM @ u))
 
 
+def trace_formula(lambda_bar: float, m: int, trace: float) -> list:
+    """Derivatives of Lambda_{F,s}, s = 1..m, for a cluster of multiplicity m
+    at lambda_bar whose branch-slope matrix has the given trace:
+    lambda_bar^(s-1) * C(m-1, s-1) * trace."""
+    return [lambda_bar ** (s - 1) * comb(m - 1, s - 1) * trace for s in range(1, m + 1)]
+
+
 def symmetric_function_derivative(
     cluster: EigenCluster, deriv: PencilDerivative, s: int
 ) -> float:
-    """Directional derivative of Lambda_{F,s} via the trace formula:
-    lambda_bar^(s-1) * C(m-1, s-1) * trace(R)."""
+    """Directional derivative of Lambda_{F,s} via the trace formula of the
+    cluster's Rellich matrix R."""
     m = cluster.multiplicity
     if not 1 <= s <= m:
         raise ContractViolationError(f"order s={s} outside 1..{m}")
     R = rellich_matrix(deriv, cluster)
-    return float(
-        cluster.lambda_bar ** (s - 1) * comb(m - 1, s - 1) * np.trace(R.matrix)
-    )
+    return float(trace_formula(cluster.lambda_bar, m, np.trace(R.matrix))[s - 1])

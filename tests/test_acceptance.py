@@ -215,7 +215,7 @@ def test_criterion_04_branch_splitting():
     match tracked FD within max(1e-4 lambda, 2 x split width); continuum
     targets {-2pi^2, -2pi^2, 0} within 10% at n=6, improving at n=8."""
     cfg = harness.RunConfig(problem="abstract-pencil", abstract={"kind": "crossing"})
-    rep = harness.run(cfg)
+    rep = harness.run(harness.build_problem(cfg))
     crossing = np.abs(np.asarray(rep.clusters[0]["slopes_rellich"]) - [-1, 1]).max()
 
     case6 = maxwell_case(6)
@@ -228,9 +228,7 @@ def test_criterion_04_branch_splitting():
         "cluster_tol": CLUSTER_TOL,
     })
     step = harness.cluster_fd_step(cl6, mcfg.fd_step)
-    [(fd6, tag)], _, _ = harness.tracked_fd_slopes(
-        mcfg, case6["pencil"], [cl6], step, mesh=case6["mesh"]
-    )
+    [(fd6, tag)], _, _ = harness.tracked_fd_slopes(harness.build_problem(mcfg), [cl6], step)
     fd_tol = max(1e-4 * cl6.lambda_bar, 2 * cl6.width)
     fd_dev = np.abs(slopes6 - fd6).max()
 
@@ -259,16 +257,16 @@ def test_criterion_05_symmetric_function_derivatives():
     # synthetic exactly degenerate pencils: 1e-5 relative
     worst_rel = 0.0
     for seed in (1, 11):
-        cfg = harness.RunConfig(
+        problem = harness.build_problem(harness.RunConfig(
             problem="abstract-pencil",
             abstract={"kind": "degenerate", "m": 3, "lambda": 2.0, "seed": seed},
-        )
-        dec = solve_pencil(harness.assemble_at(cfg, 0.0))
+        ))
+        dec = solve_pencil(harness.assemble_at(problem, 0.0))
         cl = cluster_spectrum(dec)[0]
-        deriv = harness.derivative_at(cfg)
+        deriv = harness.derivative_at(problem)
         h = 1e-5
-        lam_p = np.sort(solve_pencil(harness.assemble_at(cfg, h)).eigenvalues[cl.indices])
-        lam_m = np.sort(solve_pencil(harness.assemble_at(cfg, -h)).eigenvalues[cl.indices])
+        lam_p = np.sort(solve_pencil(harness.assemble_at(problem, h)).eigenvalues[cl.indices])
+        lam_m = np.sort(solve_pencil(harness.assemble_at(problem, -h)).eigenvalues[cl.indices])
         for s in range(1, cl.multiplicity + 1):
             fd = (elementary_symmetric(lam_p, s) - elementary_symmetric(lam_m, s)) / (2 * h)
             val = symmetric_function_derivative(cl, deriv, s)
@@ -452,7 +450,7 @@ def test_criterion_09_deterministic_reports(tmp_path):
                        "g": {"type": "sin", "axis": 0, "amplitude": 0.08}},
             "output": str(tmp_path / name),
         })
-        harness.run(cfg)
+        harness.run(harness.build_problem(cfg))
         lines = (tmp_path / name).read_text().splitlines()
         texts.append("\n".join(l for l in lines if '"created_at"' not in l))
     ok = texts[0] == texts[1]

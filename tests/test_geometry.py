@@ -338,6 +338,17 @@ class TestMeshValidation:
             Mesh(verts, tets, np.empty((0, 3), dtype=int), [], np.empty(0, dtype=int))
         assert str(err.value) == "facet (0, 1, 2) shared by more than two tets"
 
+    @pytest.mark.parametrize("part", ["tets", "bfacet_vertices"])
+    @pytest.mark.parametrize("bad", [-1, "nv"])
+    def test_vertex_index_out_of_range(self, cube_n2, part, bad):
+        parts = mesh_parts(cube_n2)
+        nv = len(parts["vertices"])
+        parts[part][3, 1] = nv if bad == "nv" else bad
+        with pytest.raises(InvalidGeometryError) as err:
+            Mesh(**parts)
+        name = "tet" if part == "tets" else "boundary facet"
+        assert str(err.value) == f"{name} 3 has a vertex index outside [0, {nv})"
+
     def test_negative_volume_rejected(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]])
         tets = np.array([[0, 2, 1, 3]])  # inverted orientation
@@ -360,6 +371,10 @@ class TestMeshIO:
         np.testing.assert_array_equal(back.tets, cube_n2.tets)
         np.testing.assert_array_equal(back.bfacet_vertices, cube_n2.bfacet_vertices)
         assert list(back.bfacet_tags) == list(cube_n2.bfacet_tags)
+
+    def test_missing_file_is_a_format_error(self, tmp_path):
+        with pytest.raises(MeshFormatError, match="cannot read mesh"):
+            load_mesh(str(tmp_path / "absent.tetmesh"))
 
     def test_bad_header_reports_line(self, tmp_path, monkeypatch):
         # a relative path, so that the word "line" can only come from the message

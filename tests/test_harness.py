@@ -10,6 +10,7 @@ import pytest
 
 from spectra_shape import cli, harness
 from spectra_shape.errors import ConfigError
+from spectra_shape.geometry import build_box_mesh, save_mesh
 
 HELM_SCALING = {
     "problem": "helmholtz",
@@ -61,10 +62,20 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             harness.RunConfig.from_dict(dict(HELM_SCALING, mesh={"type": "file"}))
 
+    @pytest.mark.parametrize("problem, coefficients", [
+        ("helmholtz", {"mu": {"kind": "constant"}}),
+        ("helmholtz", {"epsilonn": {"kind": "constant"}}),
+        ("maxwell", {"nu": {"kind": "constant", "v": 2.0}}),
+    ])
+    def test_coefficient_the_problem_does_not_read_rejected(self, problem, coefficients):
+        with pytest.raises(ConfigError, match="reads the coefficients"):
+            harness.RunConfig.from_dict(
+                dict(HELM_SCALING, problem=problem, coefficients=coefficients))
+
 
 class TestRun:
     def test_helmholtz_scaling_report(self):
-        report = harness.run(config())
+        report = harness.run(harness.build_problem(config()))
         rec = report.clusters[0]
         lam = rec["lambda_bar"]
         assert rec["slopes_volume"][0] == pytest.approx(-2 * lam, rel=1e-8)
@@ -75,7 +86,7 @@ class TestRun:
         cfg = harness.RunConfig(
             problem="abstract-pencil", abstract={"kind": "crossing"}
         )
-        report = harness.run(cfg)
+        report = harness.run(harness.build_problem(cfg))
         np.testing.assert_allclose(
             report.clusters[0]["slopes_rellich"], [-1.0, 1.0], atol=1e-12
         )
@@ -84,7 +95,7 @@ class TestRun:
         paths = []
         for name in ("a.json", "b.json"):
             cfg = config(output=str(tmp_path / name))
-            harness.run(cfg)
+            harness.run(harness.build_problem(cfg))
             paths.append(tmp_path / name)
         docs = [json.loads(p.read_text()) for p in paths]
         for d in docs:
@@ -93,14 +104,14 @@ class TestRun:
 
     def test_index_range_beyond_spectrum_rejected(self):
         with pytest.raises(ConfigError):
-            harness.run(config(index_range=[1, 10_000]))
+            harness.run(harness.build_problem(config(index_range=[1, 10_000])))
 
     def test_untrusted_surface_form_is_not_computed(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("surface matrix computed for an untrusted form")
 
         monkeypatch.setattr(harness.hadamard, "helmholtz_surface_matrix", refuse)
-        rec = harness.run(config(surface_form_trusted=False)).clusters[0]
+        rec = harness.run(harness.build_problem(config(surface_form_trusted=False))).clusters[0]
         assert "volume_matrix" in rec
         assert "surface_matrix" not in rec and "surface_volume_gap" not in rec
 
@@ -114,7 +125,7 @@ class TestRun:
 
         monkeypatch.setattr(harness, "assemble_at", counting)
         box = {"type": "box", "dims": [1, 1.3, 1.7], "n": 3, "partition": "T"}
-        records = harness.run(config(mesh=box, index_range=[1, 2])).clusters
+        records = harness.run(harness.build_problem(config(mesh=box, index_range=[1, 2]))).clusters
         assert [r["multiplicity"] for r in records] == [1, 1]
         assert records[0]["fd_step"] == records[1]["fd_step"]
         # one assembly at chi_bar, then one at each of chi_bar +- step for both
@@ -123,7 +134,7 @@ class TestRun:
             assert rec["slopes_fd"] == pytest.approx(rec["slopes_rellich"], rel=1e-6)
 
     def test_report_schema_fields(self):
-        report = harness.run(config())
+        report = harness.run(harness.build_problem(config()))
         doc = report.to_dict()
         assert doc["schema_version"] == harness.SCHEMA_VERSION
         assert "created_at" in doc
@@ -133,24 +144,24 @@ class TestRun:
 class TestFdCheck:
     def test_scaling_richardson_hits_exact_slope(self):
         cfg = config()
-        rows = harness.fd_check(cfg, (1e-3, 1e-4))
-        lam = harness.run(cfg).clusters[0]["lambda_bar"]
+        rows = harness.fd_check(harness.build_problem(cfg), (1e-3, 1e-4))
+        lam = harness.run(harness.build_problem(cfg)).clusters[0]["lambda_bar"]
         rich = rows[0]["richardson"][0]
         assert rich == pytest.approx(-2 * lam, rel=1e-9)
 
     def test_translation_slopes_vanish(self):
         cfg = config(family={"kind": "translation", "b1": [1.0, 0.0, 0.0]})
-        rows = harness.fd_check(cfg, (1e-3, 1e-4))
+        rows = harness.fd_check(harness.build_problem(cfg), (1e-3, 1e-4))
         for row in rows:
             assert np.abs(row["slopes"]).max() <= 1e-10
 
     def test_observed_order_is_two(self):
         cfg = config()
-        rows = harness.fd_check(cfg, (1e-3, 5e-4, 2.5e-4))
+        rows = harness.fd_check(harness.build_problem(cfg), (1e-3, 5e-4, 2.5e-4))
         assert 1.9 <= rows[0]["observed_order"] <= 2.1
 
     def test_sym_slopes_recorded_per_step(self):
-        rows = harness.fd_check(config(), (1e-3, 1e-4))
+        rows = harness.fd_check(harness.build_problem(config()), (1e-3, 1e-4))
         for row in rows:
             assert row["step"] > 0
             assert len(row["sym_slopes"]) == 1
@@ -164,19 +175,19 @@ class TestFdCheck:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(harness, "solve_pencil", counting)
-        rows = harness.fd_check(config(), (1e-3, 5e-4, 2.5e-4))
+        rows = harness.fd_check(harness.build_problem(config()), (1e-3, 5e-4, 2.5e-4))
         assert all("sym_slopes" in r for r in rows)
         # one solve at chi_bar, then one per chi_bar +- step
         assert len(solves) == 1 + 2 * 3
 
     def test_too_few_steps_rejected(self):
         with pytest.raises(ConfigError):
-            harness.fd_check(config(), (1e-3,))
+            harness.fd_check(harness.build_problem(config()), (1e-3,))
 
 
 class TestRefinementStudy:
     def test_gap_and_routes_over_levels(self):
-        rows = harness.refinement_study(config(refinement=[2, 3, 4]))
+        rows = harness.refinement_study(harness.build_problem(config(refinement=[2, 3, 4])))
         gaps = [r["surface_volume_gap"] for r in rows]
         assert gaps == sorted(gaps, reverse=True)
         assert all(r["route_discrepancy"] <= 1e-10 for r in rows)
@@ -185,11 +196,11 @@ class TestRefinementStudy:
     def test_dof_guard(self):
         cfg = config(problem="maxwell", refinement=[64])
         with pytest.raises(ConfigError):
-            harness.refinement_study(cfg)
+            harness.refinement_study(harness.build_problem(cfg))
 
     def test_empty_refinement_rejected(self):
         with pytest.raises(ConfigError):
-            harness.refinement_study(config(refinement=[]))
+            harness.refinement_study(harness.build_problem(config(refinement=[])))
 
 
 class TestCli:
@@ -228,6 +239,37 @@ class TestCli:
             cli.main(["eig", "--config", str(tmp_path / "nope.json")])
             == cli.EXIT_CONFIG
         )
+
+    @pytest.mark.parametrize("key, raw", [
+        ("kernel_tol", {"kernel_tol": "abc"}),
+        ("index_range", {"index_range": [1, 2, 3]}),
+        ("refinement", {"refinement": "x"}),
+        ("direction", {"direction": None}),
+        ("mesh n", {"mesh": dict(HELM_SCALING["mesh"], n="four")}),
+        ("mesh dims", {"mesh": dict(HELM_SCALING["mesh"], dims=[1, 1])}),
+        ("nu", {"coefficients": {"nu": {"kind": "constant", "v": "x"}}}),
+    ])
+    def test_malformed_value_exit_code(self, tmp_path, capsys, key, raw):
+        path = self.write_config(tmp_path, dict(HELM_SCALING, **raw))
+        assert cli.main(["eig", "--config", path]) == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+    def test_missing_mesh_file_exit_code(self, tmp_path):
+        raw = dict(HELM_SCALING, mesh={"type": "file", "path": str(tmp_path / "no.tetmesh")})
+        path = self.write_config(tmp_path, raw)
+        assert cli.main(["eig", "--config", path]) == cli.EXIT_CONFIG
+
+    def test_vertex_index_out_of_range_exit_code(self, tmp_path):
+        mesh = build_box_mesh((1, 1, 1), 2, "T")
+        mesh_path = tmp_path / "bad.tetmesh"
+        save_mesh(mesh, str(mesh_path))
+        lines = mesh_path.read_text().splitlines()
+        tet = lines.index(f"tets {mesh.num_tets()}") + 1
+        lines[tet] = " ".join(lines[tet].split()[:3] + [str(mesh.num_vertices())])
+        mesh_path.write_text("\n".join(lines) + "\n")
+        raw = dict(HELM_SCALING, mesh={"type": "file", "path": str(mesh_path)})
+        path = self.write_config(tmp_path, raw)
+        assert cli.main(["eig", "--config", path]) == cli.EXIT_CONFIG
 
     def test_missing_family_key_exit_code(self, tmp_path):
         raw = dict(HELM_SCALING, family={"kind": "bump"})
@@ -274,6 +316,32 @@ class TestCli:
         assert cli.main(["verify", "--config", path]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["worst_route_discrepancy"] <= 1e-10
+
+    def count_calls(self, monkeypatch, name):
+        calls = []
+        original = getattr(harness, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counting)
+        return calls
+
+    def test_verify_builds_one_mesh_and_solves_chi_bar_once(self, tmp_path, capsys,
+                                                             monkeypatch):
+        meshes = self.count_calls(monkeypatch, "build_box_mesh")
+        assemblies = self.count_calls(monkeypatch, "assemble_at")
+        path = self.write_config(tmp_path, dict(HELM_SCALING, fd_steps=[1e-3, 1e-4]))
+        assert cli.main(["verify", "--config", path]) == 0
+        assert len(meshes) == 1
+        assert [chi for _, chi in assemblies].count(0.0) == 1
+
+    def test_study_builds_one_mesh_per_level(self, tmp_path, capsys, monkeypatch):
+        meshes = self.count_calls(monkeypatch, "build_box_mesh")
+        path = self.write_config(tmp_path, dict(HELM_SCALING, refinement=[2, 3]))
+        assert cli.main(["study", "--config", path]) == 0
+        assert [n for _, n, _ in meshes] == [2, 3]
 
     def test_study_command(self, tmp_path, capsys):
         path = self.write_config(tmp_path, dict(HELM_SCALING, refinement=[2, 3]))

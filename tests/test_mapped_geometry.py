@@ -104,7 +104,7 @@ class TestTraffic:
             "cluster_tol": 0.08,
         })
         calls = _count(monkeypatch, tf.BumpFamily, "velocity_jacobian")
-        report = harness.run(cfg)
+        report = harness.run(harness.build_problem(cfg))
         assert len(report.clusters) >= 2
         assert all("surface_matrix" in rec for rec in report.clusters)
         assert len(calls) == 3

@@ -143,15 +143,16 @@ class TestRellichMatrix:
     def test_slopes_match_fd_on_synthetic_families(self):
         """One-sided FD of the sorted branches of analytic pencil families."""
         for spec in ({"kind": "crossing"}, {"kind": "degenerate", "seed": 5}):
-            cfg = harness.RunConfig(problem="abstract-pencil", abstract=spec)
-            p0 = harness.assemble_at(cfg, 0.0)
+            problem = harness.build_problem(
+                harness.RunConfig(problem="abstract-pencil", abstract=spec))
+            p0 = harness.assemble_at(problem, 0.0)
             dec = solve_pencil(p0)
             cl = cluster_spectrum(dec)[0]
             slopes = np.sort(
-                rellich_matrix(harness.derivative_at(cfg), cl).slopes()
+                rellich_matrix(harness.derivative_at(problem), cl).slopes()
             )
             h = 1e-4
-            lam_p = solve_pencil(harness.assemble_at(cfg, h)).eigenvalues[cl.indices]
+            lam_p = solve_pencil(harness.assemble_at(problem, h)).eigenvalues[cl.indices]
             fd = np.sort((np.sort(lam_p) - np.sort(dec.eigenvalues[cl.indices])) / h)
             scale = max(1.0, abs(cl.lambda_bar))
             np.testing.assert_allclose(slopes / scale, fd / scale, atol=1e-3)
@@ -198,18 +199,18 @@ class TestTraceFormula:
     def test_matches_fd_on_degenerate_pencil(self):
         """Central FD of Lambda_{F,s} over the exactly degenerate synthetic
         cluster, tolerance max(1e-6 |value|, 1e-8) after scaling."""
-        cfg = harness.RunConfig(
+        problem = harness.build_problem(harness.RunConfig(
             problem="abstract-pencil",
             abstract={"kind": "degenerate", "m": 3, "lambda": 2.0, "seed": 11},
-        )
-        p0 = harness.assemble_at(cfg, 0.0)
+        ))
+        p0 = harness.assemble_at(problem, 0.0)
         dec = solve_pencil(p0)
         cl = cluster_spectrum(dec)[0]
         assert cl.width <= 1e-10
-        deriv = harness.derivative_at(cfg)
+        deriv = harness.derivative_at(problem)
         h = 1e-5
-        lam_p = np.sort(solve_pencil(harness.assemble_at(cfg, h)).eigenvalues[cl.indices])
-        lam_m = np.sort(solve_pencil(harness.assemble_at(cfg, -h)).eigenvalues[cl.indices])
+        lam_p = np.sort(solve_pencil(harness.assemble_at(problem, h)).eigenvalues[cl.indices])
+        lam_m = np.sort(solve_pencil(harness.assemble_at(problem, -h)).eigenvalues[cl.indices])
         for s in range(1, cl.multiplicity + 1):
             fd = (elementary_symmetric(lam_p, s) - elementary_symmetric(lam_m, s)) / (2 * h)
             val = symmetric_function_derivative(cl, deriv, s)
