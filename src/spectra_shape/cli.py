@@ -150,8 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for the synthetic pencil catalog")
         p.add_argument("--threads", type=int, default=None,
                        help="BLAS thread cap (best effort)")
     return parser
@@ -168,8 +166,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = harness.load_config(args.config)
-        if args.seed is not None:
-            cfg.abstract = dict(cfg.abstract, seed=args.seed)
         _COMMANDS[args.command](cfg, args.out)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from . import transforms
 from .errors import DegenerateProblemError
 from .geometry import Mesh, tet_quadrature
-from .transforms import AffineFamily, ConstantMatrixCoefficient, ConstantScalarCoefficient
+from .transforms import AffineFamily
 
 Matrix = Union[np.ndarray, sp.csr_array]
 
@@ -96,13 +96,11 @@ def scatter_symmetric(local: np.ndarray, gdofs: np.ndarray, ndof: int) -> sp.csr
 
 
 def default_quad_order(family, *coefficients) -> int:
-    """Order 2 when everything is affine/constant, order 4 otherwise."""
-    if not isinstance(family, AffineFamily):
-        return 4
-    for c in coefficients:
-        if not isinstance(c, (ConstantMatrixCoefficient, ConstantScalarCoefficient)):
-            return 4
-    return 2
+    """Order 2 when the family is affine and every coefficient is constant
+    (its gradient G is zero), order 4 otherwise."""
+    if isinstance(family, AffineFamily) and all(c.constant for c in coefficients):
+        return 2
+    return 4
 
 
 def _assemble(space: Space, mesh: Mesh, quad_order: int, coefficients):

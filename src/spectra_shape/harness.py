@@ -33,30 +33,52 @@ SCHEMA_VERSION = 1
 
 # coefficient keys per FEM problem, in assembly order; Maxwell's "mu" is mu^-1
 _COEFFICIENT_KEYS = {"helmholtz": ("epsilon", "nu"), "maxwell": ("epsilon", "mu")}
-_MATRIX = (transforms.matrix_coefficient_from_config, transforms.identity_matrix_coefficient)
-_SCALAR = (transforms.scalar_coefficient_from_config, transforms.unit_scalar_coefficient)
-_COEFFICIENT_PARSERS = {"epsilon": _MATRIX, "mu": _MATRIX, "nu": _SCALAR}
+_COEFFICIENT_PARSERS = {"epsilon": transforms.matrix_coefficient_from_config,
+                        "mu": transforms.matrix_coefficient_from_config,
+                        "nu": transforms.scalar_coefficient_from_config}
 _PROBLEMS = (*_COEFFICIENT_KEYS, "abstract-pencil")
 
 MAX_STUDY_DOFS = 200_000
 
 
+def _is(value, *types) -> bool:
+    """Whether `value` has one of the JSON `types`; a bool is not a number."""
+    return isinstance(value, types) and isinstance(value, bool) == (bool in types)
+
+
+def _typed(what: str, *types):
+    """Converter that passes a value of one of the JSON `types` and rejects any other."""
+    def check(value):
+        if not _is(value, *types):
+            raise TypeError(f"must be {what}, got {value!r}")
+        return value
+    return check
+
+
+_integer = _typed("an integer", int)
+_object = _typed("an object", dict)
+
+
+def _number(value) -> float:
+    return float(_typed("a number", int, float)(value))
+
+
 def _positive(value) -> float:
-    v = float(value)
+    v = _number(value)
     if v <= 0:
         raise ValueError(f"must be positive, got {v}")
     return v
 
 
 def _index_range(value) -> tuple:
-    lo, hi = (int(v) for v in value)
+    lo, hi = (_integer(v) for v in value)
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got {value}")
     return lo, hi
 
 
 def _levels(value) -> tuple:
-    levels = tuple(int(n) for n in value)
+    levels = tuple(_integer(n) for n in value)
     if any(n < 1 for n in levels):
         raise ValueError("refinement levels must be >= 1")
     return levels
@@ -64,16 +86,12 @@ def _levels(value) -> tuple:
 
 # how RunConfig.from_dict converts each config key besides "problem"
 _FIELDS = {
-    "mesh": dict, "family": dict, "coefficients": dict, "abstract": dict,
-    "chi_bar": float, "direction": float, "surface_form_trusted": bool,
+    "mesh": _object, "family": _object, "coefficients": _object, "abstract": _object,
+    "chi_bar": _number, "direction": _number, "surface_form_trusted": _typed("a bool", bool),
     "kernel_tol": _positive, "cluster_tol": _positive, "fd_step": _positive,
     "fd_steps": lambda value: tuple(_positive(s) for s in value),
-    "index_range": _index_range, "refinement": _levels, "output": lambda value: value,
+    "index_range": _index_range, "refinement": _levels, "output": _typed("a string path", str),
 }
-
-
-def _is_integer(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _check_mesh_spec(spec: dict):
@@ -84,9 +102,9 @@ def _check_mesh_spec(spec: dict):
         raise ConfigError(f"unknown mesh type {kind!r}")
     dims = spec.get("dims", (1.0, 1.0, 1.0))
     if not (isinstance(dims, (list, tuple)) and len(dims) == 3
-            and all(_is_integer(d) or isinstance(d, float) for d in dims)):
+            and all(_is(d, int, float) for d in dims)):
         raise ConfigError(f"mesh dims must be three numbers, got {dims!r}")
-    if not _is_integer(spec.get("n", 4)):
+    if not _is(spec.get("n", 4), int):
         raise ConfigError(f"mesh n must be an integer, got {spec['n']!r}")
 
 
@@ -99,12 +117,8 @@ def _parsed(key: str, parse, value):
 
 
 def _coefficients(keys, spec: dict) -> tuple:
-    """Coefficient objects for `keys`, in order; an absent key is the identity."""
-    out = []
-    for key in keys:
-        parse, identity = _COEFFICIENT_PARSERS[key]
-        out.append(_parsed(key, parse, spec[key]) if key in spec else identity())
-    return tuple(out)
+    """Coefficient fields for `keys`, in order; an absent key is the identity."""
+    return tuple(_parsed(key, _COEFFICIENT_PARSERS[key], spec.get(key, {})) for key in keys)
 
 
 @dataclass
@@ -174,7 +188,7 @@ class Problem:
     the mesh, and the per-problem routes with the family and the ordered
     coefficients bound in. An abstract pencil has no mesh (None) and no
     volume or surface form. The mesh and the solution at chi_bar are computed
-    once, on first use."""
+    once, on first use, and so is each solve of `solve_at`."""
 
     cfg: RunConfig
     build_mesh: Callable[[], Optional[Mesh]]
@@ -182,6 +196,7 @@ class Problem:
     derivative: Callable[[Optional[Mesh]], PencilDerivative]
     volume_form: Optional[Callable] = None     # (mesh, clusters) -> matrices
     surface_form: Optional[Callable] = None    # (mesh, clusters) -> matrices
+    solves: dict = field(default_factory=dict)  # (chi, count) -> EigenDecomposition
 
     @cached_property
     def mesh(self) -> Optional[Mesh]:
@@ -256,6 +271,16 @@ def derivative_at(problem: Problem) -> PencilDerivative:
     return problem.derivative(problem.mesh)
 
 
+def solve_at(problem: Problem, chi: float, count: int) -> EigenDecomposition:
+    """Solve of the pencil at chi up to `count`, computed once per (chi, count)."""
+    key = (chi, count)
+    if key not in problem.solves:
+        cfg = problem.cfg
+        problem.solves[key] = solve_pencil(assemble_at(problem, chi), cfg.kernel_tol,
+                                           count=count, cluster_tol=cfg.cluster_tol)
+    return problem.solves[key]
+
+
 # ---------------------------------------------------------------------------
 # synthetic pencil catalog
 # ---------------------------------------------------------------------------
@@ -309,12 +334,8 @@ def tracked_fd_slopes(problem: Problem, clusters: List[EigenCluster], step: floa
     cfg = problem.cfg
     M0 = problem.solution[0].M
     count = max(cl.indices[-1] for cl in clusters) + 1
-
-    def solve_at(chi):
-        return solve_pencil(assemble_at(problem, chi), cfg.kernel_tol,
-                            count=count, cluster_tol=cfg.cluster_tol)
-
-    dec_p, dec_m = solve_at(cfg.chi_bar + step), solve_at(cfg.chi_bar - step)
+    dec_p = solve_at(problem, cfg.chi_bar + step, count)
+    dec_m = solve_at(problem, cfg.chi_bar - step, count)
     if count > min(len(dec_p.eigenvalues), len(dec_m.eigenvalues)):
         raise ContractViolationError(
             "cluster membership changed between chi_bar-step and chi_bar+step"

@@ -9,7 +9,7 @@ pull-backs, their derivatives and the velocity field read the map from a
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -21,29 +21,37 @@ def _sym(A: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# displacement field catalog for bump families
+# field catalog: coefficients and bump displacements
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConstantField:
-    c: np.ndarray
+class AffineField:
+    """f(x) = c0 + G x, with the gradient on the last axis of G: a scalar
+    (c0 a number, G (3,)), vector (c0 (3,), G (3, 3)) or 3x3 matrix field
+    (c0 (3, 3), G (3, 3, 3)). G defaults to zero, a constant field."""
+
+    c0: np.ndarray
+    G: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        c0 = np.asarray(self.c0, dtype=float)
+        G = np.zeros(c0.shape + (3,)) if self.G is None else np.asarray(self.G, dtype=float)
+        if G.shape != c0.shape + (3,):
+            raise ValueError(f"G of shape {G.shape} is not the gradient of c0 {c0.shape}")
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "G", G)
+
+    @property
+    def constant(self) -> bool:
+        return not self.G.any()
 
     def value(self, X):
-        return np.broadcast_to(self.c, X.shape).copy()
+        if self.constant:  # a read-only view: no product with a zero G per point
+            return np.broadcast_to(self.c0, (len(X),) + self.c0.shape)
+        return self.c0 + np.tensordot(X, self.G, (1, -1))
 
-    def jacobian(self, X):
-        return np.zeros((len(X), 3, 3))
-
-
-@dataclass(frozen=True)
-class LinearField:
-    G: np.ndarray
-
-    def value(self, X):
-        return X @ np.asarray(self.G).T
-
-    def jacobian(self, X):
-        return np.broadcast_to(self.G, (len(X), 3, 3)).copy()
+    def gradient(self, X):
+        return np.broadcast_to(self.G, (len(X),) + self.G.shape)
 
 
 @dataclass(frozen=True)
@@ -62,7 +70,7 @@ class SinField:
         )
         return out
 
-    def jacobian(self, X):
+    def gradient(self, X):
         out = np.zeros((len(X), 3, 3))
         out[:, self.axis, self.depends_on] = (
             self.amplitude
@@ -86,8 +94,6 @@ class AffineFamily:
     b0: np.ndarray = field(default_factory=lambda: np.zeros(3))
     b1: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
-    kind = "affine"
-
     def map(self, chi, X):
         A = np.asarray(self.A0) + chi * np.asarray(self.A1)
         return X @ A.T + (np.asarray(self.b0) + chi * np.asarray(self.b1))
@@ -109,19 +115,17 @@ class BumpFamily:
 
     g: object
 
-    kind = "bump"
-
     def map(self, chi, X):
         return X + chi * self.g.value(X)
 
     def jacobian(self, chi, X):
-        return np.broadcast_to(np.eye(3), (len(X), 3, 3)) + chi * self.g.jacobian(X)
+        return np.broadcast_to(np.eye(3), (len(X), 3, 3)) + chi * self.g.gradient(X)
 
     def velocity(self, chi, X):
         return self.g.value(X)
 
     def velocity_jacobian(self, chi, X):
-        return self.g.jacobian(X)
+        return self.g.gradient(X)
 
 
 def scaling_family(rate: float = 1.0) -> AffineFamily:
@@ -138,93 +142,6 @@ def stretch_family(axis: int = 0) -> AffineFamily:
     A1 = np.zeros((3, 3))
     A1[axis, axis] = 1.0
     return AffineFamily(A1=A1)
-
-
-# ---------------------------------------------------------------------------
-# coefficient fields
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConstantMatrixCoefficient:
-    M: np.ndarray
-
-    def value(self, X):
-        return np.broadcast_to(self.M, (len(X), 3, 3)).copy()
-
-    def gradient(self, X):
-        return np.zeros((len(X), 3, 3, 3))
-
-
-@dataclass(frozen=True)
-class AffineDiagonalCoefficient:
-    """diag entries d0_i + D[i] . x ; D rows are the entry gradients."""
-
-    d0: np.ndarray
-    D: np.ndarray
-
-    def value(self, X):
-        diag = np.asarray(self.d0) + X @ np.asarray(self.D).T
-        out = np.zeros((len(X), 3, 3))
-        for i in range(3):
-            out[:, i, i] = diag[:, i]
-        return out
-
-    def gradient(self, X):
-        out = np.zeros((len(X), 3, 3, 3))
-        for i in range(3):
-            out[:, i, i, :] = np.asarray(self.D)[i]
-        return out
-
-
-@dataclass(frozen=True)
-class ScalarAffineIdentityCoefficient:
-    """(c0 + c . x) * Identity."""
-
-    c0: float
-    c: np.ndarray
-
-    def value(self, X):
-        s = self.c0 + X @ np.asarray(self.c)
-        return s[:, None, None] * np.eye(3)
-
-    def gradient(self, X):
-        out = np.zeros((len(X), 3, 3, 3))
-        for i in range(3):
-            out[:, i, i, :] = np.asarray(self.c)
-        return out
-
-
-@dataclass(frozen=True)
-class ConstantScalarCoefficient:
-    v: float
-
-    def value(self, X):
-        return np.full(len(X), float(self.v))
-
-    def gradient(self, X):
-        return np.zeros((len(X), 3))
-
-
-@dataclass(frozen=True)
-class AffineScalarCoefficient:
-    """c0 + c . x."""
-
-    c0: float
-    c: np.ndarray
-
-    def value(self, X):
-        return self.c0 + X @ np.asarray(self.c)
-
-    def gradient(self, X):
-        return np.broadcast_to(np.asarray(self.c, dtype=float), (len(X), 3)).copy()
-
-
-def identity_matrix_coefficient() -> ConstantMatrixCoefficient:
-    return ConstantMatrixCoefficient(np.eye(3))
-
-
-def unit_scalar_coefficient() -> ConstantScalarCoefficient:
-    return ConstantScalarCoefficient(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +298,9 @@ def coefficient_kind(name: str) -> CoefficientKind:
 def field_from_config(spec: dict):
     kind = spec.get("type")
     if kind == "constant":
-        return ConstantField(np.asarray(spec["c"], dtype=float))
+        return AffineField(spec["c"])
     if kind == "linear":
-        return LinearField(np.asarray(spec["G"], dtype=float))
+        return AffineField(np.zeros(3), spec["G"])
     if kind == "sin":
         return SinField(
             axis=int(spec["axis"]),
@@ -414,30 +331,31 @@ def family_from_config(spec: dict):
     raise ConfigError(f"unknown transformation family kind {kind!r}")
 
 
-def matrix_coefficient_from_config(spec: dict):
+def _diagonal(d0, D) -> AffineField:
+    """diag(d0 + D x): entry i is d0[i] + D[i] . x."""
+    G = np.zeros((3, 3, 3))
+    G[range(3), range(3)] = D
+    return AffineField(np.diag(np.asarray(d0, dtype=float)), G)
+
+
+def matrix_coefficient_from_config(spec: dict) -> AffineField:
+    """A 3x3 matrix coefficient; an empty spec is the identity."""
     kind = spec.get("kind", "constant")
     if kind == "constant":
-        return ConstantMatrixCoefficient(
-            np.asarray(spec.get("M", np.eye(3).tolist()), dtype=float)
-        )
+        return AffineField(spec.get("M", np.eye(3)))
     if kind == "affine-diagonal":
-        return AffineDiagonalCoefficient(
-            d0=np.asarray(spec["d0"], dtype=float),
-            D=np.asarray(spec["D"], dtype=float),
-        )
+        return _diagonal(spec["d0"], spec["D"])
     if kind == "scalar-affine-identity":
-        return ScalarAffineIdentityCoefficient(
-            c0=float(spec["c0"]), c=np.asarray(spec["c"], dtype=float)
-        )
+        # (c0 + c . x) I
+        return _diagonal(np.full(3, float(spec["c0"])), np.broadcast_to(spec["c"], (3, 3)))
     raise ConfigError(f"unknown matrix coefficient kind {kind!r}")
 
 
-def scalar_coefficient_from_config(spec: dict):
+def scalar_coefficient_from_config(spec: dict) -> AffineField:
+    """A scalar coefficient c0 + c . x; an empty spec is 1."""
     kind = spec.get("kind", "constant")
     if kind == "constant":
-        return ConstantScalarCoefficient(float(spec.get("v", 1.0)))
+        return AffineField(float(spec.get("v", 1.0)))
     if kind == "affine":
-        return AffineScalarCoefficient(
-            c0=float(spec["c0"]), c=np.asarray(spec["c"], dtype=float)
-        )
+        return AffineField(float(spec["c0"]), spec["c"])
     raise ConfigError(f"unknown scalar coefficient kind {kind!r}")

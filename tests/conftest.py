@@ -22,17 +22,17 @@ def cube_n4():
 
 @pytest.fixture(scope="session")
 def eye_eps():
-    return transforms.identity_matrix_coefficient()
+    return transforms.AffineField(np.eye(3))
 
 
 @pytest.fixture(scope="session")
 def eye_mu():
-    return transforms.identity_matrix_coefficient()
+    return transforms.AffineField(np.eye(3))
 
 
 @pytest.fixture(scope="session")
 def unit_nu():
-    return transforms.unit_scalar_coefficient()
+    return transforms.AffineField(1.0)
 
 
 @pytest.fixture

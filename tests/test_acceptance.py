@@ -36,8 +36,8 @@ from spectra_shape.spectral import (
     subspace_gap,
 )
 
-EYE = tf.identity_matrix_coefficient()
-ONE = tf.unit_scalar_coefficient()
+EYE = tf.AffineField(np.eye(3))
+ONE = tf.AffineField(1.0)
 PI2_2 = 2 * np.pi**2
 PI2_3 = 3 * np.pi**2
 CLUSTER_TOL = 0.08  # groups the physically degenerate lowest Maxwell triple
@@ -102,15 +102,15 @@ def test_criterion_01_route_equivalence():
         # half-period sine so the boundary actually moves (Psi.n nonzero at
         # x=1) and the slope matrix is well away from zero
         tf.BumpFamily(tf.SinField(axis=0, depends_on=0, amplitude=0.1, frequency=0.5)),
-        tf.BumpFamily(tf.LinearField(
-            np.array([[0.0, 0.2, 0.0], [0.0, 0.0, 0.1], [0.05, 0.0, 0.0]])
+        tf.BumpFamily(tf.AffineField(
+            np.zeros(3), np.array([[0.0, 0.2, 0.0], [0.0, 0.0, 0.1], [0.05, 0.0, 0.0]])
         )),
     ]
-    eps_var = tf.ScalarAffineIdentityCoefficient(1.5, np.array([0.2, -0.1, 0.3]))
-    nu_var = tf.AffineScalarCoefficient(2.0, np.array([0.1, 0.2, -0.3]))
-    mu_var = tf.AffineDiagonalCoefficient(
-        np.array([2.0, 2.0, 2.0]), 0.3 * np.eye(3)
-    )
+    eps_var = tf.matrix_coefficient_from_config(
+        {"kind": "scalar-affine-identity", "c0": 1.5, "c": [0.2, -0.1, 0.3]})
+    nu_var = tf.AffineField(2.0, np.array([0.1, 0.2, -0.3]))
+    mu_var = tf.matrix_coefficient_from_config(
+        {"kind": "affine-diagonal", "d0": [2.0, 2.0, 2.0], "D": 0.3 * np.eye(3)})
     mesh_h = build_box_mesh((1, 1, 1), 4, "T")
     mesh_m = build_box_mesh((1, 1, 1), 4, "T")
 

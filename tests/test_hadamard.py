@@ -17,8 +17,8 @@ from spectra_shape.geometry import build_box_mesh
 from spectra_shape.perturbation import rellich_matrix
 from spectra_shape.spectral import cluster_spectrum, solve_pencil
 
-EYE = tf.identity_matrix_coefficient()
-ONE = tf.unit_scalar_coefficient()
+EYE = tf.AffineField(np.eye(3))
+ONE = tf.AffineField(1.0)
 
 FAMILIES = [
     tf.scaling_family(),

@@ -248,6 +248,14 @@ class TestCli:
         ("mesh n", {"mesh": dict(HELM_SCALING["mesh"], n="four")}),
         ("mesh dims", {"mesh": dict(HELM_SCALING["mesh"], dims=[1, 1])}),
         ("nu", {"coefficients": {"nu": {"kind": "constant", "v": "x"}}}),
+        # values of the wrong JSON type, which a conversion would accept
+        ("surface_form_trusted", {"surface_form_trusted": "false"}),
+        ("refinement", {"refinement": "12"}),
+        ("index_range", {"index_range": [1.7, 2.2]}),
+        ("chi_bar", {"chi_bar": "0"}),
+        ("direction", {"direction": True}),
+        ("mesh", {"mesh": [["type", "box"], ["n", 2]]}),
+        ("output", {"output": 7}),
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, key, raw):
         path = self.write_config(tmp_path, dict(HELM_SCALING, **raw))
@@ -336,6 +344,9 @@ class TestCli:
         assert cli.main(["verify", "--config", path]) == 0
         assert len(meshes) == 1
         assert [chi for _, chi in assemblies].count(0.0) == 1
+        # fd_steps repeats run()'s default fd_step 1e-4: chi_bar, chi_bar +- 1e-4
+        # and chi_bar +- 1e-3 are each assembled and solved once
+        assert len(assemblies) == 5
 
     def test_study_builds_one_mesh_per_level(self, tmp_path, capsys, monkeypatch):
         meshes = self.count_calls(monkeypatch, "build_box_mesh")

@@ -23,7 +23,7 @@ class TestDofs:
         with pytest.raises(DegenerateProblemError):
             hh.assemble_helmholtz(
                 mesh, tf.AffineFamily(), 0.0,
-                tf.identity_matrix_coefficient(), tf.unit_scalar_coefficient(),
+                tf.AffineField(np.eye(3)), tf.AffineField(1.0),
             )
 
 

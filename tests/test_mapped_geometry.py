@@ -20,8 +20,9 @@ from spectra_shape.errors import InadmissibleParameterError
 from spectra_shape.geometry import build_box_mesh
 from spectra_shape.spectral import cluster_spectrum, solve_pencil
 
-EPS = tf.AffineDiagonalCoefficient(np.array([1.0, 1.2, 0.9]), 0.1 * np.eye(3))
-NU = tf.AffineScalarCoefficient(1.1, np.array([0.2, -0.1, 0.15]))
+EPS = tf.matrix_coefficient_from_config(
+    {"kind": "affine-diagonal", "d0": [1.0, 1.2, 0.9], "D": 0.1 * np.eye(3)})
+NU = tf.AffineField(1.1, np.array([0.2, -0.1, 0.15]))
 MIXED = {"x0": "T", "x1": "N", "y0": "N", "y1": "T", "z0": "T", "z1": "N"}
 BUMP = tf.BumpFamily(tf.SinField(axis=0, depends_on=1, amplitude=0.08, frequency=1.0))
 

@@ -30,12 +30,13 @@ from spectra_shape.geometry import build_box_mesh
 from spectra_shape.perturbation import rellich_matrix
 from spectra_shape.spectral import cluster_spectrum, solve_pencil
 
-EPS = tf.AffineDiagonalCoefficient(
-    np.array([1.0, 1.2, 0.9]),
-    np.array([[0.3, 0.0, 0.1], [0.0, -0.2, 0.0], [0.1, 0.1, 0.25]]),
-)
-NU = tf.AffineScalarCoefficient(1.1, np.array([0.2, -0.1, 0.15]))
-MU_INV = tf.ScalarAffineIdentityCoefficient(0.9, np.array([-0.1, 0.2, 0.05]))
+EPS = tf.matrix_coefficient_from_config({
+    "kind": "affine-diagonal", "d0": [1.0, 1.2, 0.9],
+    "D": [[0.3, 0.0, 0.1], [0.0, -0.2, 0.0], [0.1, 0.1, 0.25]],
+})
+NU = tf.AffineField(1.1, np.array([0.2, -0.1, 0.15]))
+MU_INV = tf.matrix_coefficient_from_config(
+    {"kind": "scalar-affine-identity", "c0": 0.9, "c": [-0.1, 0.2, 0.05]})
 MIXED = {"x0": "T", "x1": "N", "y0": "N", "y1": "T", "z0": "T", "z1": "N"}
 FAMILIES = {
     "scaling": tf.scaling_family(),

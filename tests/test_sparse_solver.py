@@ -13,8 +13,8 @@ from spectra_shape.fem_common import Pencil
 from spectra_shape.geometry import box_mesh_size, build_box_mesh
 from spectra_shape.spectral import cluster_spectrum, solve_pencil
 
-EYE = tf.identity_matrix_coefficient()
-ONE = tf.unit_scalar_coefficient()
+EYE = tf.AffineField(np.eye(3))
+ONE = tf.AffineField(1.0)
 MIXED = {"x0": "T", "x1": "N", "y0": "T", "y1": "T", "z0": "N", "z1": "T"}
 PARTITIONS = {"T": "T", "N": "N", "mixed": MIXED}
 

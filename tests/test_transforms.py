@@ -10,6 +10,7 @@ import pytest
 
 from spectra_shape import transforms as tf
 from spectra_shape.errors import ConfigError, InadmissibleParameterError
+from spectra_shape.fem_common import default_quad_order
 
 
 def random_points(rng, n=100):
@@ -35,22 +36,23 @@ FAMILIES = [
     tf.AffineFamily(A1=np.array([[0.2, 0.1, 0.0], [0.0, -0.3, 0.05], [0.1, 0.0, 0.4]]),
                     b1=np.array([0.1, 0.0, -0.2])),
     tf.BumpFamily(tf.SinField(axis=0, depends_on=1, amplitude=0.08, frequency=1.0)),
-    tf.BumpFamily(tf.LinearField(np.array([[0.0, 0.2, 0.0],
-                                           [0.0, 0.0, 0.1],
-                                           [0.05, 0.0, 0.0]]))),
+    tf.BumpFamily(tf.AffineField(np.zeros(3), np.array([[0.0, 0.2, 0.0],
+                                                        [0.0, 0.0, 0.1],
+                                                        [0.05, 0.0, 0.0]]))),
 ]
 
 MATRIX_COEFFS = [
-    tf.identity_matrix_coefficient(),
-    tf.ConstantMatrixCoefficient(np.diag([1.0, 2.0, 3.0])),
-    tf.AffineDiagonalCoefficient(d0=np.array([2.0, 2.0, 2.0]),
-                                 D=0.3 * np.eye(3)),
-    tf.ScalarAffineIdentityCoefficient(c0=1.5, c=np.array([0.2, -0.1, 0.3])),
+    tf.AffineField(np.eye(3)),
+    tf.AffineField(np.diag([1.0, 2.0, 3.0])),
+    tf.matrix_coefficient_from_config(
+        {"kind": "affine-diagonal", "d0": [2.0, 2.0, 2.0], "D": 0.3 * np.eye(3)}),
+    tf.matrix_coefficient_from_config(
+        {"kind": "scalar-affine-identity", "c0": 1.5, "c": [0.2, -0.1, 0.3]}),
 ]
 
 SCALAR_COEFFS = [
-    tf.unit_scalar_coefficient(),
-    tf.AffineScalarCoefficient(c0=2.0, c=np.array([0.1, 0.2, -0.3])),
+    tf.AffineField(1.0),
+    tf.AffineField(2.0, np.array([0.1, 0.2, -0.3])),
 ]
 
 
@@ -58,7 +60,7 @@ class TestPullBacks:
     def test_identity_map_is_identity_pullback(self, rng):
         fam = tf.AffineFamily()
         X = random_points(rng, 20)
-        eps = tf.ConstantMatrixCoefficient(np.diag([1.0, 2.0, 3.0]))
+        eps = tf.AffineField(np.diag([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(
             pull_back("epsilon", fam, 0.0, eps, X), eps.value(X), atol=1e-14
         )
@@ -109,7 +111,7 @@ class TestPullBacks:
         fam = tf.scaling_family()
         X = np.array([[0.5, 0.5, 0.5]])
         with pytest.raises(InadmissibleParameterError):
-            pull_back("epsilon", fam, -1.0, tf.identity_matrix_coefficient(), X)
+            pull_back("epsilon", fam, -1.0, tf.AffineField(np.eye(3)), X)
 
 
 class TestDirectionalDerivatives:
@@ -204,3 +206,77 @@ class TestConfigParsers:
             tf.matrix_coefficient_from_config({"kind": "mystery"})
         with pytest.raises(ConfigError):
             tf.scalar_coefficient_from_config({"kind": "mystery"})
+
+
+D0 = np.array([1.0, 1.2, 0.9])
+D = np.array([[0.3, 0.0, 0.1], [0.0, -0.2, 0.0], [0.1, 0.1, 0.25]])
+C = np.array([0.2, -0.1, 0.3])
+M = np.array([[2.0, 0.1, 0.0], [0.1, 1.5, 0.2], [0.0, 0.2, 1.0]])
+EYE = np.eye(3)
+
+
+def _constant(value):
+    """Value and gradient of a constant field, as functions of the points X."""
+    value = np.asarray(value, dtype=float)
+    return (lambda X: np.broadcast_to(value, (len(X),) + value.shape),
+            lambda X: np.zeros((len(X),) + value.shape + (3,)))
+
+
+# (parser, spec, value(X), gradient(X)): each config kind and its documented formula
+CATALOGUE = {
+    "matrix constant": (tf.matrix_coefficient_from_config,
+                        {"kind": "constant", "M": M.tolist()}, *_constant(M)),
+    "matrix default": (tf.matrix_coefficient_from_config, {}, *_constant(EYE)),
+    # diag(d0 + D x)
+    "matrix affine-diagonal": (
+        tf.matrix_coefficient_from_config,
+        {"kind": "affine-diagonal", "d0": D0.tolist(), "D": D.tolist()},
+        lambda X: np.einsum("ij,nj->nij", EYE, D0 + X @ D.T),
+        lambda X: np.broadcast_to(np.einsum("ij,jk->ijk", EYE, D), (len(X), 3, 3, 3))),
+    # (c0 + c . x) I
+    "matrix scalar-affine-identity": (
+        tf.matrix_coefficient_from_config,
+        {"kind": "scalar-affine-identity", "c0": 1.5, "c": C.tolist()},
+        lambda X: (1.5 + X @ C)[:, None, None] * EYE,
+        lambda X: np.broadcast_to(np.einsum("ij,k->ijk", EYE, C), (len(X), 3, 3, 3))),
+    "scalar constant": (tf.scalar_coefficient_from_config,
+                        {"kind": "constant", "v": 2.5}, *_constant(2.5)),
+    "scalar default": (tf.scalar_coefficient_from_config, {}, *_constant(1.0)),
+    # c0 + c . x
+    "scalar affine": (tf.scalar_coefficient_from_config,
+                      {"kind": "affine", "c0": 2.0, "c": C.tolist()},
+                      lambda X: 2.0 + X @ C, lambda X: np.broadcast_to(C, (len(X), 3))),
+    "field constant": (tf.field_from_config,
+                       {"type": "constant", "c": C.tolist()}, *_constant(C)),
+    # G x
+    "field linear": (tf.field_from_config, {"type": "linear", "G": D.tolist()},
+                     lambda X: X @ D.T, lambda X: np.broadcast_to(D, (len(X), 3, 3))),
+}
+
+
+class TestCatalogue:
+    @pytest.mark.parametrize("name", CATALOGUE)
+    def test_config_kind_matches_its_formula(self, name, rng):
+        parse, spec, value, gradient = CATALOGUE[name]
+        X = rng.uniform(-1.0, 2.0, size=(50, 3))
+        f = parse(spec)
+        assert isinstance(f, tf.AffineField)
+        np.testing.assert_allclose(f.value(X), value(X), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(f.gradient(X), gradient(X), rtol=0, atol=1e-14)
+
+    def test_gradient_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError):
+            tf.AffineField(np.eye(3), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("family, coefficients, order", [
+        (tf.scaling_family(), [{}, {"kind": "constant", "v": 2.0}], 2),
+        (tf.scaling_family(), [{"kind": "affine-diagonal", "d0": D0.tolist(),
+                                "D": D.tolist()}, {}], 4),
+        (tf.BumpFamily(tf.SinField(0, 0, 0.1, 0.5)), [{}, {}], 4),
+        # a zero gradient is a constant value, which order 2 integrates exactly
+        (tf.scaling_family(), [{}, {"kind": "affine", "c0": 2.0, "c": [0, 0, 0]}], 2),
+    ], ids=["affine-constant", "affine-diagonal", "bump", "affine-zero-gradient"])
+    def test_default_quad_order(self, family, coefficients, order):
+        eps = tf.matrix_coefficient_from_config(coefficients[0])
+        nu = tf.scalar_coefficient_from_config(coefficients[1])
+        assert default_quad_order(family, eps, nu) == order
