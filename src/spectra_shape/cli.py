@@ -11,7 +11,6 @@ them when it loads.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -52,12 +51,10 @@ def solve_pencil(*args, **kwargs):
 
 
 def _emit(payload: dict, out_path):
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if out_path:
-        with open(out_path, "w") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    """``harness.write_json``, under a name that ``bench/tracing.py`` wraps."""
+    from .harness import write_json
+
+    write_json(payload, out_path)
 
 
 def _cmd_eig(cfg, out):
@@ -81,7 +78,8 @@ def _cmd_dshape(cfg, out):
     from . import harness
 
     report = harness.run(harness.build_problem(cfg))
-    _emit(report.to_dict(), out or cfg.output)
+    if out or not cfg.output:  # run() has written the config's output already
+        _emit(report, out)
 
 
 def _cmd_verify(cfg, out):
@@ -91,10 +89,10 @@ def _cmd_verify(cfg, out):
     report = harness.run(problem)
     table = harness.fd_check(problem, cfg.fd_steps)
     # an abstract pencil has no volume form, so no route discrepancy
-    worst_route = max((rec.get("route_discrepancy", 0.0) for rec in report.clusters),
+    worst_route = max((rec.get("route_discrepancy", 0.0) for rec in report["clusters"]),
                       default=0.0)
     payload = {
-        "report": report.to_dict(),
+        "report": report,
         "fd_table": table,
         "worst_route_discrepancy": worst_route,
     }
@@ -121,7 +119,7 @@ def _cmd_abstract(cfg, out):
         demo_cfg = harness.RunConfig(problem="abstract-pencil", abstract=spec)
         demo_cfg.cluster_tol = cfg.cluster_tol
         report = harness.run(harness.build_problem(demo_cfg))
-        demos[spec["kind"]] = report.clusters[0]["slopes_rellich"]
+        demos[spec["kind"]] = report["clusters"][0]["slopes_rellich"]
     _emit({"branch_slopes": demos}, out)
 
 

@@ -60,9 +60,9 @@ class Space:
     entities: Callable
     # mesh -> entity ids constrained on the tangential boundary part
     constrained: Callable
-    # (mesh, grads, bary (n|1, nq, 4), tets) -> basis values (n|1, nq, k, c)
+    # (mesh, bary (n|1, nq, 4), tets) -> basis values (n|1, nq, k, c)
     values: Callable
-    # (mesh, grads, tets) -> constant grad or curl of the basis (n, k, 3)
+    # (mesh, tets) -> constant grad or curl of the basis (n, k, 3)
     derivatives: Callable
     # (J, det, Jinv, F (n, nq, m, c)) -> values on the deformed domain
     push_values: Callable
@@ -79,6 +79,19 @@ def free_dofs(space: Space, mesh: Mesh):
     dof_of = -np.ones(count, dtype=int)
     dof_of[free] = np.arange(len(free))
     return free, dof_of
+
+
+def local_basis(space: Space, mesh: Mesh, bary, tets=slice(None)):
+    """The local basis of `space` on ``tets``: the number of free dofs, the dof
+    of each local function (-1 where constrained), the basis values at the
+    barycentric points ``bary`` (n|1, nq, 4) and the basis derivatives."""
+    free, dof_of = free_dofs(space, mesh)
+    if len(free) == 0:
+        raise DegenerateProblemError(
+            "every dof is constrained by the tangential boundary; no free dofs"
+        )
+    return (len(free), dof_of[space.entities(mesh)[0][tets]],
+            space.values(mesh, bary, tets), space.derivatives(mesh, tets))
 
 
 def scatter_symmetric(local: np.ndarray, gdofs: np.ndarray, ndof: int) -> sp.csr_array:
@@ -106,27 +119,16 @@ def default_quad_order(family, *coefficients) -> int:
 def _assemble(space: Space, mesh: Mesh, quad_order: int, coefficients):
     """Stiffness/mass over the free dofs; ``coefficients(X)`` gives the
     (stiffness, mass) coefficient values at the points X (N, 3)."""
-    rule = tet_quadrature(quad_order)
-    grads = mesh.barycentric_gradients
     pts, w = mesh.quadrature_points(quad_order)
     nt, nq, _ = pts.shape
     stiff, mass = coefficients(pts.reshape(nt * nq, 3))
-    ders = space.derivatives(mesh, grads, slice(None))             # (nt, k, 3)
-    vals = space.values(mesh, grads, rule.points[None], slice(None))  # (.., nq, k, c)
+    ndof, gdofs, vals, ders = local_basis(space, mesh, tet_quadrature(quad_order).points[None])
     c = vals.shape[-1]
     k_loc = np.einsum("nq,nqab,nia,njb->nij", w, stiff.reshape(nt, nq, 3, 3),
                       ders, ders, optimize=True)
     m_loc = np.einsum("nq,nqab,nqia,nqjb->nij", w, mass.reshape(nt, nq, c, c),
                       vals, vals, optimize=True)
-
-    free, dof_of = free_dofs(space, mesh)
-    if len(free) == 0:
-        raise DegenerateProblemError(
-            "every dof is constrained by the tangential boundary; no free dofs"
-        )
-    gdofs = dof_of[space.entities(mesh)[0]]
-    return (scatter_symmetric(k_loc, gdofs, len(free)),
-            scatter_symmetric(m_loc, gdofs, len(free)))
+    return scatter_symmetric(k_loc, gdofs, ndof), scatter_symmetric(m_loc, gdofs, ndof)
 
 
 def assemble_pencil(space: Space, mesh, family, chi, stiff, mass) -> Pencil:

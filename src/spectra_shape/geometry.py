@@ -116,9 +116,9 @@ class Mesh:
     bfacet_vertices: np.ndarray          # (nb, 3) int
     bfacet_tags: List[str]               # 'T' or 'N'
     bfacet_tets: np.ndarray              # (nb,) owning tet index
-    edges: np.ndarray = field(default=None)        # (ne, 2) int, lexicographic
-    tet_edges: np.ndarray = field(default=None)    # (nt, 6) int
-    tet_edge_signs: np.ndarray = field(default=None)  # (nt, 6) +-1
+    edges: np.ndarray = field(init=False)          # (ne, 2) int, lexicographic
+    tet_edges: np.ndarray = field(init=False)      # (nt, 6) int
+    tet_edge_signs: np.ndarray = field(init=False)  # (nt, 6) +-1
     # facet_incidence(tets), when the caller has computed it already
     incidence: InitVar[Optional[tuple]] = None
     _quadrature: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -128,8 +128,7 @@ class Mesh:
         self.tets = np.asarray(self.tets, dtype=int)
         self.bfacet_vertices = np.asarray(self.bfacet_vertices, dtype=int)
         self.bfacet_tets = np.asarray(self.bfacet_tets, dtype=int)
-        if self.edges is None:
-            self._build_edges()
+        self._build_edges()
         self.validate(incidence)
 
     def _build_edges(self):
@@ -383,74 +382,53 @@ def load_mesh(path: str) -> Mesh:
             raw = f.readlines()
     except OSError as exc:
         raise MeshFormatError(f"{path}: cannot read mesh: {exc}")
-    lines = []
-    for lineno, line in enumerate(raw, start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped))
-    pos = 0
+    lines = iter([(lineno, text) for lineno, line in enumerate(raw, start=1)
+                  if (text := line.split("#", 1)[0].strip())])
 
     def take():
-        nonlocal pos
-        if pos >= len(lines):
+        item = next(lines, None)
+        if item is None:
             raise MeshFormatError(f"{path}: unexpected end of file")
-        item = lines[pos]
-        pos += 1
         return item
 
     lineno, header = take()
     if header != "tetmesh v1":
         raise MeshFormatError(f"{path}: line {lineno}: expected 'tetmesh v1' header")
 
-    def section(name):
+    def section(name, width, parse, expected, bad):
+        """The rows of the section `name`, each `width` fields read by `parse`;
+        `expected` and `bad` describe a row of another width and one that
+        does not parse."""
         lineno, line = take()
         parts = line.split()
         if len(parts) != 2 or parts[0] != name:
             raise MeshFormatError(f"{path}: line {lineno}: expected '{name} <count>'")
         try:
-            return int(parts[1])
+            count = int(parts[1])
+            if count < 0:
+                raise ValueError(count)
         except ValueError:
             raise MeshFormatError(f"{path}: line {lineno}: bad count {parts[1]!r}")
+        rows = []
+        for _ in range(count):
+            lineno, line = take()
+            parts = line.split()
+            if len(parts) != width:
+                raise MeshFormatError(f"{path}: line {lineno}: {expected}")
+            try:
+                rows.append(parse(parts))
+            except ValueError:
+                raise MeshFormatError(f"{path}: line {lineno}: {bad}")
+        return rows
 
-    nv = section("vertices")
-    vertices = np.empty((nv, 3))
-    for i in range(nv):
-        lineno, line = take()
-        parts = line.split()
-        if len(parts) != 3:
-            raise MeshFormatError(f"{path}: line {lineno}: expected 3 coordinates")
-        try:
-            vertices[i] = [float(p) for p in parts]
-        except ValueError:
-            raise MeshFormatError(f"{path}: line {lineno}: bad coordinate")
-
-    nt = section("tets")
-    tets = np.empty((nt, 4), dtype=int)
-    for i in range(nt):
-        lineno, line = take()
-        parts = line.split()
-        if len(parts) != 4:
-            raise MeshFormatError(f"{path}: line {lineno}: expected 4 vertex indices")
-        try:
-            tets[i] = [int(p) for p in parts]
-        except ValueError:
-            raise MeshFormatError(f"{path}: line {lineno}: bad index")
-
-    nb = section("bfacets")
-    bf_verts = np.empty((nb, 3), dtype=int)
-    bf_tags = []
-    for i in range(nb):
-        lineno, line = take()
-        parts = line.split()
-        if len(parts) != 4:
-            raise MeshFormatError(
-                f"{path}: line {lineno}: expected 3 indices and a tag letter"
-            )
-        try:
-            bf_verts[i] = [int(p) for p in parts[:3]]
-        except ValueError:
-            raise MeshFormatError(f"{path}: line {lineno}: bad index")
-        bf_tags.append(parts[3])
+    vertices = np.array(section("vertices", 3, lambda parts: [float(p) for p in parts],
+                                "expected 3 coordinates", "bad coordinate")).reshape(-1, 3)
+    tets = np.array(section("tets", 4, lambda parts: [int(p) for p in parts],
+                            "expected 4 vertex indices", "bad index"), dtype=int).reshape(-1, 4)
+    bfacets = section("bfacets", 4, lambda parts: [int(p) for p in parts[:3]] + parts[3:],
+                      "expected 3 indices and a tag letter", "bad index")
+    bf_verts = np.array([row[:3] for row in bfacets], dtype=int).reshape(-1, 3)
+    bf_tags = [row[3] for row in bfacets]
 
     incidence = facets, counts, owners = facet_incidence(tets)
     at = _row_index(facets, bf_verts)

@@ -16,7 +16,7 @@ from typing import List, Sequence
 import numpy as np
 
 from . import transforms
-from .fem_common import Space, default_quad_order, free_dofs
+from .fem_common import Space, default_quad_order, local_basis
 from .geometry import tet_quadrature, triangle_quadrature
 from .helmholtz import P1
 from .maxwell import NEDELEC
@@ -25,16 +25,6 @@ from .spectral import EigenCluster
 
 def _sym(A):
     return 0.5 * (A + A.T)
-
-
-def _basis(space: Space, mesh, bary, tets=slice(None)):
-    """What `_cluster_matrices` reads of the space on ``tets``: the dof of each
-    local basis function (-1 where constrained), the basis values at the
-    barycentric points ``bary`` (n|1, nq, 4) and the basis derivatives."""
-    grads = mesh.barycentric_gradients
-    dof_of = free_dofs(space, mesh)[1]
-    return (dof_of[space.entities(mesh)[0][tets]],
-            space.values(mesh, grads, bary, tets), space.derivatives(mesh, grads, tets))
 
 
 def _frames(geo, shape):
@@ -54,7 +44,7 @@ def _cluster_matrices(space: Space, basis, frames, w, B_stiff, B_mass, clusters)
     """sym(sum over samples of w (B_stiff(D_h, D_l) - lambda_bar B_mass(F_h, F_l)))
     per cluster, with F and D the cluster's eigenfield values and derivatives
     pushed forward to the deformed domain, one cluster at a time."""
-    gdofs, values, derivatives = basis
+    _, gdofs, values, derivatives = basis
     out = []
     for cl in clusters:
         # a constrained dof (-1) reads the appended zero row
@@ -82,7 +72,7 @@ def volume_matrix(
     B_stiff, B_mass = (transforms.coefficient_kind(name).bracket(c, v, geo)
                        for name, c in zip(space.coefficients, (stiff, mass)))
     del v  # not needed past the brackets: free it before the eigenfields
-    basis = _basis(space, mesh, tet_quadrature(quad_order).points[None])
+    basis = local_basis(space, mesh, tet_quadrature(quad_order).points[None])
     frames = _frames(geo, w.shape)
     return _cluster_matrices(space, basis, frames, w * frames[1], B_stiff, B_mass,
                              clusters)
@@ -118,7 +108,7 @@ def surface_matrix(
     sign = np.where(np.asarray(mesh.bfacet_tags) == "N", 1.0, -1.0)
     weight = (sign[:, None] * 2.0 * area[:, None] * rule.weights
               * np.einsum("fqa,fqa->fq", psi.reshape(shape + (3,)), nanson))
-    return _cluster_matrices(space, _basis(space, mesh, bary, tets), frames, weight,
+    return _cluster_matrices(space, local_basis(space, mesh, bary, tets), frames, weight,
                              stiff.value(geo.y), mass.value(geo.y), clusters)
 
 

@@ -28,6 +28,7 @@ from .spectral import (
     cluster_spectrum,
     solve_pencil,
 )
+from .transforms import is_json, spec_value
 
 SCHEMA_VERSION = 1
 
@@ -41,15 +42,10 @@ _PROBLEMS = (*_COEFFICIENT_KEYS, "abstract-pencil")
 MAX_STUDY_DOFS = 200_000
 
 
-def _is(value, *types) -> bool:
-    """Whether `value` has one of the JSON `types`; a bool is not a number."""
-    return isinstance(value, types) and isinstance(value, bool) == (bool in types)
-
-
 def _typed(what: str, *types):
     """Converter that passes a value of one of the JSON `types` and rejects any other."""
     def check(value):
-        if not _is(value, *types):
+        if not is_json(value, *types):
             raise TypeError(f"must be {what}, got {value!r}")
         return value
     return check
@@ -102,9 +98,9 @@ def _check_mesh_spec(spec: dict):
         raise ConfigError(f"unknown mesh type {kind!r}")
     dims = spec.get("dims", (1.0, 1.0, 1.0))
     if not (isinstance(dims, (list, tuple)) and len(dims) == 3
-            and all(_is(d, int, float) for d in dims)):
+            and all(is_json(d, int, float) for d in dims)):
         raise ConfigError(f"mesh dims must be three numbers, got {dims!r}")
-    if not _is(spec.get("n", 4), int):
+    if not is_json(spec.get("n", 4), int):
         raise ConfigError(f"mesh n must be an integer, got {spec['n']!r}")
 
 
@@ -228,12 +224,12 @@ def build_problem(cfg: RunConfig, n: Optional[int] = None) -> Problem:
     if cfg.problem == "abstract-pencil":
         if n is not None:
             raise ConfigError("refinement studies need a FEM problem")
-        spec = cfg.abstract
+        K0, dK = _parsed("abstract", _abstract_pencil, cfg.abstract)
+        eye = np.eye(len(K0))
         return Problem(
             cfg, lambda: None,
-            assemble=lambda mesh, chi: Pencil(*_abstract_matrices(spec, chi)[:2], quad_order=0),
-            derivative=lambda mesh: PencilDerivative(
-                *(cfg.direction * A for A in _abstract_matrices(spec, cfg.chi_bar)[2:])))
+            assemble=lambda mesh, chi: Pencil(K0 + chi * dK, eye, quad_order=0),
+            derivative=lambda mesh: PencilDerivative(cfg.direction * dK, np.zeros_like(dK)))
 
     # dof_entity indexes box_mesh_size: Nedelec dofs are edges, P1 dofs vertices
     if cfg.problem == "maxwell":
@@ -285,35 +281,33 @@ def solve_at(problem: Problem, chi: float, count: int) -> EigenDecomposition:
 # synthetic pencil catalog
 # ---------------------------------------------------------------------------
 
-def _abstract_matrices(spec: dict, chi: float):
+def _abstract_pencil(spec: dict):
+    """(K0, dK) of the synthetic pencil K(chi) = K0 + chi dK, M = I."""
     kind = spec.get("kind", "crossing")
     if kind == "crossing":
         # double eigenvalue at chi=0 splitting with slopes exactly -1 and +1
-        K = np.array([[1.0, chi], [chi, 1.0]])
-        return K, np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2))
+        return np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
     if kind == "diagonal":
-        d0 = np.asarray(spec.get("d0", [1.0, 2.0]), dtype=float)
-        d1 = np.asarray(spec.get("d1", [1.0, 0.0]), dtype=float)
+        d0 = spec_value(spec, "d0", [1.0, 2.0], shape=(None,))
+        d1 = spec_value(spec, "d1", [1.0, 0.0], shape=(None,))
         if d0.shape != d1.shape:
             raise ConfigError("diagonal pencil needs d0 and d1 of equal length")
-        return np.diag(d0 + chi * d1), np.eye(len(d0)), np.diag(d1), np.zeros_like(np.diag(d1))
+        return np.diag(d0), np.diag(d1)
     if kind == "degenerate":
         # exactly degenerate block of multiplicity m inside a larger pencil,
         # rotated by a seeded orthogonal matrix so nothing is axis-aligned
-        m = int(spec.get("m", 3))
-        lam = float(spec.get("lambda", 2.0))
-        extra = np.asarray(spec.get("extra", [5.0, 9.0]), dtype=float)
-        seed = int(spec.get("seed", 0))
-        rng = np.random.default_rng(seed)
+        m = spec_value(spec, "m", 3, integer=True, low=1)
+        lam = spec_value(spec, "lambda", 2.0)
+        extra = spec_value(spec, "extra", [5.0, 9.0], shape=(None,))
+        rng = np.random.default_rng(spec_value(spec, "seed", 0, integer=True, low=0))
         n = m + len(extra)
         A = rng.standard_normal((m, m))
-        A = 0.5 * (A + A.T)
         dK = np.zeros((n, n))
-        dK[:m, :m] = A
+        dK[:m, :m] = 0.5 * (A + A.T)
         dK[m:, m:] = np.diag(rng.standard_normal(len(extra)))
         K0 = np.diag(np.concatenate([np.full(m, lam), extra]))
         Q = sla.qr(rng.standard_normal((n, n)))[0]
-        return Q @ (K0 + chi * dK) @ Q.T, np.eye(n), Q @ dK @ Q.T, np.zeros((n, n))
+        return Q @ K0 @ Q.T, Q @ dK @ Q.T
     raise ConfigError(f"unknown abstract pencil kind {spec.get('kind')!r}")
 
 
@@ -376,44 +370,34 @@ def _relative_gap(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.max(np.abs(A - B)) / max(np.max(np.abs(B)), 1e-300))
 
 
-def _hadamard_matrices(problem: Problem, clusters: List[EigenCluster], surface: bool):
-    """Volume matrix and, if `surface`, surface matrix of each cluster; None
-    where the problem has no such form or it is not wanted."""
+def _route_matrices(problem: Problem, clusters: List[EigenCluster], surface: bool):
+    """Rellich matrix, volume matrix and, if `surface`, surface matrix of each
+    cluster; None where the problem has no such form or it is not wanted."""
+    deriv = derivative_at(problem)
+
     def form(route, wanted):
         return route(problem.mesh, clusters) if route and wanted else [None] * len(clusters)
 
-    return zip(form(problem.volume_form, True), form(problem.surface_form, surface))
+    return zip([rellich_matrix(deriv, cl) for cl in clusters],
+               form(problem.volume_form, True), form(problem.surface_form, surface))
 
 
-@dataclass
-class DerivativeReport:
-    """Per-cluster derivative results plus an environment block.
-
-    Serialized as deterministic JSON; the created_at field is the only
-    entry excluded from byte comparison between runs.
-    """
-
-    clusters: List[dict]
-    environment: dict
-    schema_version: int = SCHEMA_VERSION
-    created_at: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "created_at": self.created_at,
-            "environment": self.environment,
-            "clusters": self.clusters,
-        }
-
-    def write(self, path: str):
+def write_json(payload, path: Optional[str]):
+    """`payload` as sorted, indented JSON: printed where `path` is empty or
+    None, else written to `path` with a trailing newline."""
+    text = json.dumps(payload, sort_keys=True, indent=2)
+    if path:
         with open(path, "w") as f:
-            f.write(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
+            f.write(text + "\n")
+    else:
+        print(text)
 
 
-def run(problem: Problem) -> DerivativeReport:
+def run(problem: Problem) -> dict:
     """Assemble, solve, and evaluate every derivative route for the clusters
-    covering the configured eigenvalue index range."""
+    covering the configured eigenvalue index range. The report is a dict of
+    schema_version, created_at (the one entry that differs between runs),
+    environment and clusters, written to the config's output if it has one."""
     cfg = problem.cfg
     pencil, dec, clusters = problem.solution
     lo, hi = cfg.index_range
@@ -422,13 +406,11 @@ def run(problem: Problem) -> DerivativeReport:
             f"index_range {cfg.index_range} exceeds the {len(dec.eigenvalues)} "
             "computed eigenvalues"
         )
-    deriv = derivative_at(problem)
     wanted = [c for c in clusters if c.indices[-1] + 1 >= lo and c.indices[0] + 1 <= hi]
 
-    forms = _hadamard_matrices(problem, wanted, cfg.surface_form_trusted)
+    routes = _route_matrices(problem, wanted, cfg.surface_form_trusted)
     records = []
-    for cl, (V, S) in zip(wanted, forms):
-        R = rellich_matrix(deriv, cl).matrix
+    for cl, (R, V, S) in zip(wanted, routes):
         rec = {
             "indices": [int(i) + 1 for i in cl.indices],
             "lambda_bar": cl.lambda_bar,
@@ -481,13 +463,14 @@ def run(problem: Problem) -> DerivativeReport:
         "quad_order": pencil.quad_order,
         "mesh": None if problem.mesh is None else cfg.mesh,
     }
-    report = DerivativeReport(
-        clusters=records,
-        environment=env,
-        created_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    )
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "environment": env,
+        "clusters": records,
+    }
     if cfg.output:
-        report.write(cfg.output)
+        write_json(report, cfg.output)
     return report
 
 
@@ -558,8 +541,7 @@ def refinement_study(problem: Problem) -> List[dict]:
         level = build_problem(cfg, n)
         pencil, dec, clusters = level.solution
         cl = clusters[0]
-        R = rellich_matrix(derivative_at(level), cl).matrix
-        ((V, S),) = _hadamard_matrices(level, [cl], surface=True)
+        ((R, V, S),) = _route_matrices(level, [cl], surface=True)
         gap = _relative_gap(S, V)
         rows.append({
             "n": n,

@@ -14,25 +14,18 @@ from .fem_common import (
     Space,
     assemble_derivative,
     assemble_pencil,
-    free_dofs,
 )
-from .geometry import Mesh
 
 # P1 on vertices: u = f o Phi^-1 and grad u = (J^-T grad f) o Phi^-1
 P1 = Space(
     coefficients=("epsilon", "nu"),
     entities=lambda mesh: (mesh.tets, mesh.num_vertices()),
     constrained=lambda mesh: mesh.boundary_vertex_set("T"),
-    values=lambda mesh, grads, bary, tets: bary[..., None],
-    derivatives=lambda mesh, grads, tets: grads[tets],
+    values=lambda mesh, bary, tets: bary[..., None],
+    derivatives=lambda mesh, tets: mesh.barycentric_gradients[tets],
     push_values=lambda J, det, Jinv, F: F,
     push_derivatives=lambda J, det, Jinv, D: np.einsum("nqba,nmb->nqma", Jinv, D),
 )
-
-
-def free_vertex_dofs(mesh: Mesh):
-    """Free vertices (not on closure of Gamma_t) and the vertex -> dof map."""
-    return free_dofs(P1, mesh)
 
 
 def assemble_helmholtz(mesh, family, chi, eps, nu) -> Pencil:

@@ -18,28 +18,28 @@ from .fem_common import (
     free_dofs,
 )
 from .geometry import Mesh, TET_EDGE_PAIRS
-from .helmholtz import free_vertex_dofs
+from .helmholtz import P1
 
 _EDGE_A, _EDGE_B = np.array(TET_EDGE_PAIRS).T
 
 
-def _edge_values(mesh: Mesh, grads, bary, tets) -> np.ndarray:
+def _edge_values(mesh: Mesh, bary, tets) -> np.ndarray:
     """Signed edge basis values at barycentric points: (n, nq, 6, 3).
 
     w_(a,b)(x) = lambda_a grad(lambda_b) - lambda_b grad(lambda_a).
     """
-    g = grads[tets]
+    g = mesh.barycentric_gradients[tets]
     vals = (bary[:, :, _EDGE_A, None] * g[:, None, _EDGE_B, :]
             - bary[:, :, _EDGE_B, None] * g[:, None, _EDGE_A, :])
     return vals * mesh.tet_edge_signs[tets][:, None, :, None]
 
 
-def _edge_curls(mesh: Mesh, grads, tets) -> np.ndarray:
+def _edge_curls(mesh: Mesh, tets) -> np.ndarray:
     """Constant curls of the signed edge basis functions: (n, 6, 3).
 
     curl w_(a,b) = 2 grad(lambda_a) x grad(lambda_b), oriented globally.
     """
-    g = grads[tets]
+    g = mesh.barycentric_gradients[tets]
     curls = 2.0 * np.cross(g[:, _EDGE_A, :], g[:, _EDGE_B, :])
     return curls * mesh.tet_edge_signs[tets][:, :, None]
 
@@ -57,11 +57,6 @@ NEDELEC = Space(
         np.einsum("nqab,nmb->nqma", J, D) / det[:, :, None, None]
     ),
 )
-
-
-def free_edge_dofs(mesh: Mesh):
-    """Free edges (not contained in a Gamma_t facet) and the edge -> dof map."""
-    return free_dofs(NEDELEC, mesh)
 
 
 def assemble_maxwell(mesh, family, chi, eps, mu_inv) -> Pencil:
@@ -86,8 +81,8 @@ def gradient_kernel_basis(mesh: Mesh) -> sp.csr_array:
     the edge interpolant of grad(hat_v) and lies in the kernel of the
     curl-curl stiffness exactly.
     """
-    free_edges, _ = free_edge_dofs(mesh)
-    free_verts, vert_dof = free_vertex_dofs(mesh)
+    free_edges, _ = free_dofs(NEDELEC, mesh)
+    free_verts, vert_dof = free_dofs(P1, mesh)
     cols = vert_dof[mesh.edges[free_edges]].ravel()     # (start, end) per edge
     rows = np.repeat(np.arange(len(free_edges)), 2)
     vals = np.tile([-1.0, 1.0], len(free_edges))

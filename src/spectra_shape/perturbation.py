@@ -3,11 +3,9 @@ elementary symmetric functions and their shifted/reciprocal transforms,
 the branch-slope matrix for multiple eigenvalues, and the simple-eigenvalue
 derivative."""
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ContractViolationError, MultiplicityError
 from .fem_common import PencilDerivative
@@ -78,27 +76,16 @@ def reconstruct_lambda(hat_values) -> np.ndarray:
     return out[1:]
 
 
-@dataclass
-class RellichMatrix:
-    """Hermitian m x m matrix whose eigenvalues are the branch slopes."""
-
-    matrix: np.ndarray
-    lambda_bar: float
-
-    def slopes(self) -> np.ndarray:
-        return sla.eigvalsh(self.matrix)
-
-
-def rellich_matrix(deriv: PencilDerivative, cluster: EigenCluster) -> RellichMatrix:
-    """Branch-slope matrix R_hl = u_l . dK u_h - lambda_bar u_l . dM u_h."""
+def rellich_matrix(deriv: PencilDerivative, cluster: EigenCluster) -> np.ndarray:
+    """Branch-slope matrix R_hl = u_l . dK u_h - lambda_bar u_l . dM u_h,
+    symmetrised: the m x m matrix whose eigenvalues are the branch slopes."""
     U = cluster.vectors
     if U.shape[0] != deriv.dK.shape[0]:
         raise ContractViolationError(
             f"cluster vectors of size {U.shape[0]} vs pencil size {deriv.dK.shape[0]}"
         )
     R = U.T @ deriv.dK @ U - cluster.lambda_bar * (U.T @ deriv.dM @ U)
-    R = 0.5 * (R + R.T)
-    return RellichMatrix(R, cluster.lambda_bar)
+    return 0.5 * (R + R.T)
 
 
 def hellmann_feynman(
@@ -128,4 +115,4 @@ def symmetric_function_derivative(
     if not 1 <= s <= m:
         raise ContractViolationError(f"order s={s} outside 1..{m}")
     R = rellich_matrix(deriv, cluster)
-    return float(trace_formula(cluster.lambda_bar, m, np.trace(R.matrix))[s - 1])
+    return float(trace_formula(cluster.lambda_bar, m, np.trace(R))[s - 1])

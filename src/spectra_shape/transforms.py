@@ -295,18 +295,45 @@ def coefficient_kind(name: str) -> CoefficientKind:
 # JSON config parsing
 # ---------------------------------------------------------------------------
 
+def is_json(value, *types) -> bool:
+    """Whether `value` has one of the JSON `types`; a bool is not a number."""
+    return isinstance(value, types) and isinstance(value, bool) == (bool in types)
+
+
+def spec_value(spec: dict, key: str, default=None, shape=(), integer=False,
+               low=-np.inf, high=np.inf):
+    """spec[key], required where `default` is None, as a float array of
+    `shape` (None: any length), a float for shape (), or an int in
+    [low, high] if `integer`. Entries are JSON numbers, not bools or
+    strings; a violation is a ConfigError naming `key`."""
+    value = spec[key] if default is None else spec.get(key, default)
+    entries = np.array(value, dtype=object)
+    ok = (entries.ndim == len(shape)
+          and all(n in (None, size) for n, size in zip(shape, entries.shape))
+          and all(is_json(x, int) and low <= x <= high if integer else is_json(x, int, float)
+                  for x in entries.flat))
+    if not ok:
+        what = (f"an integer in [{low}, {high}]" if integer
+                else "a number" if not shape else f"an array of shape {shape} of numbers")
+        raise ConfigError(f"{key!r} must be {what}, got {value!r}")
+    if integer:
+        return int(value)
+    return float(value) if not shape else np.asarray(value, dtype=float)
+
+
 def field_from_config(spec: dict):
     kind = spec.get("type")
     if kind == "constant":
-        return AffineField(spec["c"])
+        return AffineField(spec_value(spec, "c", shape=(3,)))
     if kind == "linear":
-        return AffineField(np.zeros(3), spec["G"])
+        return AffineField(np.zeros(3), spec_value(spec, "G", shape=(3, 3)))
     if kind == "sin":
+        axis = spec_value(spec, "axis", integer=True, low=0, high=2)
         return SinField(
-            axis=int(spec["axis"]),
-            depends_on=int(spec.get("dependsOn", spec["axis"])),
-            amplitude=float(spec.get("amplitude", 0.1)),
-            frequency=float(spec.get("frequency", 1.0)),
+            axis=axis,
+            depends_on=spec_value(spec, "dependsOn", axis, integer=True, low=0, high=2),
+            amplitude=spec_value(spec, "amplitude", 0.1),
+            frequency=spec_value(spec, "frequency", 1.0),
         )
     raise ConfigError(f"unknown displacement field type {kind!r}")
 
@@ -315,19 +342,19 @@ def family_from_config(spec: dict):
     kind = spec.get("kind")
     if kind == "affine":
         return AffineFamily(
-            A0=np.asarray(spec.get("A0", np.eye(3).tolist()), dtype=float),
-            A1=np.asarray(spec.get("A1", np.zeros((3, 3)).tolist()), dtype=float),
-            b0=np.asarray(spec.get("b0", [0, 0, 0]), dtype=float),
-            b1=np.asarray(spec.get("b1", [0, 0, 0]), dtype=float),
+            A0=spec_value(spec, "A0", np.eye(3).tolist(), shape=(3, 3)),
+            A1=spec_value(spec, "A1", np.zeros((3, 3)).tolist(), shape=(3, 3)),
+            b0=spec_value(spec, "b0", [0, 0, 0], shape=(3,)),
+            b1=spec_value(spec, "b1", [0, 0, 0], shape=(3,)),
         )
     if kind == "bump":
         return BumpFamily(field_from_config(spec["g"]))
     if kind == "scaling":
-        return scaling_family(float(spec.get("rate", 1.0)))
+        return scaling_family(spec_value(spec, "rate", 1.0))
     if kind == "translation":
-        return translation_family(spec.get("b1", (1.0, 0.0, 0.0)))
+        return translation_family(spec_value(spec, "b1", [1.0, 0.0, 0.0], shape=(3,)))
     if kind == "stretch":
-        return stretch_family(int(spec.get("axis", 0)))
+        return stretch_family(spec_value(spec, "axis", 0, integer=True, low=0, high=2))
     raise ConfigError(f"unknown transformation family kind {kind!r}")
 
 
@@ -342,12 +369,13 @@ def matrix_coefficient_from_config(spec: dict) -> AffineField:
     """A 3x3 matrix coefficient; an empty spec is the identity."""
     kind = spec.get("kind", "constant")
     if kind == "constant":
-        return AffineField(spec.get("M", np.eye(3)))
+        return AffineField(spec_value(spec, "M", np.eye(3).tolist(), shape=(3, 3)))
     if kind == "affine-diagonal":
-        return _diagonal(spec["d0"], spec["D"])
+        return _diagonal(spec_value(spec, "d0", shape=(3,)), spec_value(spec, "D", shape=(3, 3)))
     if kind == "scalar-affine-identity":
         # (c0 + c . x) I
-        return _diagonal(np.full(3, float(spec["c0"])), np.broadcast_to(spec["c"], (3, 3)))
+        return _diagonal(np.full(3, spec_value(spec, "c0")),
+                         np.broadcast_to(spec_value(spec, "c", shape=(3,)), (3, 3)))
     raise ConfigError(f"unknown matrix coefficient kind {kind!r}")
 
 
@@ -355,7 +383,7 @@ def scalar_coefficient_from_config(spec: dict) -> AffineField:
     """A scalar coefficient c0 + c . x; an empty spec is 1."""
     kind = spec.get("kind", "constant")
     if kind == "constant":
-        return AffineField(float(spec.get("v", 1.0)))
+        return AffineField(spec_value(spec, "v", 1.0))
     if kind == "affine":
-        return AffineField(float(spec["c0"]), spec["c"])
+        return AffineField(spec_value(spec, "c0"), spec_value(spec, "c", shape=(3,)))
     raise ConfigError(f"unknown scalar coefficient kind {kind!r}")

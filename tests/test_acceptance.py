@@ -58,7 +58,7 @@ def helmholtz_case(n):
     dec = solve_pencil(pencil)
     cl = cluster_spectrum(dec, CLUSTER_TOL)[0]
     deriv = hh.assemble_helmholtz_derivative(mesh, fam, 0.0, 1.0, EYE, ONE)
-    R = rellich_matrix(deriv, cl).matrix
+    R = rellich_matrix(deriv, cl)
     V = hd.helmholtz_volume_matrix(mesh, fam, 0.0, 1.0, EYE, ONE, [cl])[0]
     S = hd.helmholtz_surface_matrix(mesh, fam, 0.0, 1.0, EYE, ONE, [cl])[0]
     return dict(mesh=mesh, fam=fam, pencil=pencil, dec=dec, cl=cl,
@@ -74,7 +74,7 @@ def maxwell_case(n):
     dec = solve_pencil(pencil)
     cl = cluster_spectrum(dec, CLUSTER_TOL)[0]
     deriv = mx.assemble_maxwell_derivative(mesh, fam, 0.0, 1.0, EYE, EYE)
-    R = rellich_matrix(deriv, cl).matrix
+    R = rellich_matrix(deriv, cl)
     V = hd.maxwell_volume_matrix(mesh, fam, 0.0, 1.0, EYE, EYE, [cl])[0]
     S = hd.maxwell_surface_matrix(mesh, fam, 0.0, 1.0, EYE, EYE, [cl])[0]
     return dict(mesh=mesh, fam=fam, pencil=pencil, dec=dec, cl=cl,
@@ -137,7 +137,7 @@ def test_criterion_01_route_equivalence():
             d = mx.assemble_maxwell_derivative(mesh_m, fam, 0.0, 1.0, eps, second)
             cl = cluster_spectrum(solve_pencil(p), CLUSTER_TOL)[0]
             V = hd.maxwell_volume_matrix(mesh_m, fam, 0.0, 1.0, eps, second, [cl])[0]
-        R = rellich_matrix(d, cl).matrix
+        R = rellich_matrix(d, cl)
         worst = max(worst, np.abs(V - R).max() / np.abs(R).max())
     report(
         "criterion 1 (route equivalence)",
@@ -201,8 +201,8 @@ def test_criterion_03_exact_scaling_and_translation():
             dt = mx.assemble_maxwell_derivative(mesh, fam_t, 0.0, 1.0, EYE, EYE)
         cl = cluster_spectrum(solve_pencil(p), CLUSTER_TOL)[0]
         lam = cl.lambda_bar
-        s_scaling = sla.eigvalsh(rellich_matrix(ds, cl).matrix)
-        s_translation = sla.eigvalsh(rellich_matrix(dt, cl).matrix)
+        s_scaling = sla.eigvalsh(rellich_matrix(ds, cl))
+        s_translation = sla.eigvalsh(rellich_matrix(dt, cl))
         rel = np.abs(s_scaling + 2 * lam).max() / (2 * lam)
         tra = np.abs(s_translation).max()
         ok = ok and rel <= 1e-8 and tra <= 1e-10 * lam
@@ -216,7 +216,7 @@ def test_criterion_04_branch_splitting():
     targets {-2pi^2, -2pi^2, 0} within 10% at n=6, improving at n=8."""
     cfg = harness.RunConfig(problem="abstract-pencil", abstract={"kind": "crossing"})
     rep = harness.run(harness.build_problem(cfg))
-    crossing = np.abs(np.asarray(rep.clusters[0]["slopes_rellich"]) - [-1, 1]).max()
+    crossing = np.abs(np.asarray(rep["clusters"][0]["slopes_rellich"]) - [-1, 1]).max()
 
     case6 = maxwell_case(6)
     cl6 = case6["cl"]

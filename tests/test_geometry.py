@@ -439,6 +439,27 @@ class TestMeshIO:
         assert back.bfacet_tags == shuffled.bfacet_tags
         back.validate()
 
+    @pytest.mark.parametrize("text, message", [
+        ("vertices -1\n", "line 2: bad count '-1'"),
+        ("vertices x\n", "line 2: bad count 'x'"),
+        ("tets 0\n", "line 2: expected 'vertices <count>'"),
+        ("vertices 1\n0 0\n", "line 3: expected 3 coordinates"),
+        ("vertices 1\n0 0 z\n", "line 3: bad coordinate"),
+        ("vertices 0\ntets 1\n0 1 2\n", "line 4: expected 4 vertex indices"),
+        ("vertices 0\ntets 1\n0 1 2 3.5\n", "line 4: bad index"),
+        ("vertices 0\ntets 0\nbfacets 1\n0 1 2\n",
+         "line 5: expected 3 indices and a tag letter"),
+        ("vertices 0\ntets 0\nbfacets 1\n0 1 x T\n", "line 5: bad index"),
+        ("vertices 2\n0 0 0\n", "unexpected end of file"),
+    ], ids=["negative count", "count", "section", "coordinates", "coordinate",
+            "tet width", "tet index", "facet width", "facet index", "end of file"])
+    def test_malformed_section_messages(self, tmp_path, monkeypatch, text, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.tetmesh").write_text("tetmesh v1\n" + text)
+        with pytest.raises(MeshFormatError) as err:
+            load_mesh("bad.tetmesh")
+        assert str(err.value) == f"bad.tetmesh: {message}"
+
     def test_truncated_file_raises(self, tmp_path, cube_n2):
         path = tmp_path / "trunc.tetmesh"
         save_mesh(cube_n2, str(path))

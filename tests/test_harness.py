@@ -19,6 +19,9 @@ HELM_SCALING = {
 }
 
 
+MIXED = {"x0": "T", "x1": "N", "y0": "T", "y1": "T", "z0": "N", "z1": "T"}
+
+
 def config(**overrides):
     raw = dict(HELM_SCALING)
     raw.update(overrides)
@@ -76,7 +79,7 @@ class TestRunConfig:
 class TestRun:
     def test_helmholtz_scaling_report(self):
         report = harness.run(harness.build_problem(config()))
-        rec = report.clusters[0]
+        rec = report["clusters"][0]
         lam = rec["lambda_bar"]
         assert rec["slopes_volume"][0] == pytest.approx(-2 * lam, rel=1e-8)
         assert rec["slopes_fd"][0] == pytest.approx(-2 * lam, rel=1e-6)
@@ -88,7 +91,7 @@ class TestRun:
         )
         report = harness.run(harness.build_problem(cfg))
         np.testing.assert_allclose(
-            report.clusters[0]["slopes_rellich"], [-1.0, 1.0], atol=1e-12
+            report["clusters"][0]["slopes_rellich"], [-1.0, 1.0], atol=1e-12
         )
 
     def test_report_is_deterministic(self, tmp_path):
@@ -111,7 +114,7 @@ class TestRun:
             raise AssertionError("surface matrix computed for an untrusted form")
 
         monkeypatch.setattr(harness.hadamard, "helmholtz_surface_matrix", refuse)
-        rec = harness.run(harness.build_problem(config(surface_form_trusted=False))).clusters[0]
+        rec = harness.run(harness.build_problem(config(surface_form_trusted=False)))["clusters"][0]
         assert "volume_matrix" in rec
         assert "surface_matrix" not in rec and "surface_volume_gap" not in rec
 
@@ -125,7 +128,7 @@ class TestRun:
 
         monkeypatch.setattr(harness, "assemble_at", counting)
         box = {"type": "box", "dims": [1, 1.3, 1.7], "n": 3, "partition": "T"}
-        records = harness.run(harness.build_problem(config(mesh=box, index_range=[1, 2]))).clusters
+        records = harness.run(harness.build_problem(config(mesh=box, index_range=[1, 2])))["clusters"]
         assert [r["multiplicity"] for r in records] == [1, 1]
         assert records[0]["fd_step"] == records[1]["fd_step"]
         # one assembly at chi_bar, then one at each of chi_bar +- step for both
@@ -134,8 +137,7 @@ class TestRun:
             assert rec["slopes_fd"] == pytest.approx(rec["slopes_rellich"], rel=1e-6)
 
     def test_report_schema_fields(self):
-        report = harness.run(harness.build_problem(config()))
-        doc = report.to_dict()
+        doc = harness.run(harness.build_problem(config()))
         assert doc["schema_version"] == harness.SCHEMA_VERSION
         assert "created_at" in doc
         assert doc["environment"]["dofs"] > 0
@@ -145,7 +147,7 @@ class TestFdCheck:
     def test_scaling_richardson_hits_exact_slope(self):
         cfg = config()
         rows = harness.fd_check(harness.build_problem(cfg), (1e-3, 1e-4))
-        lam = harness.run(harness.build_problem(cfg)).clusters[0]["lambda_bar"]
+        lam = harness.run(harness.build_problem(cfg))["clusters"][0]["lambda_bar"]
         rich = rows[0]["richardson"][0]
         assert rich == pytest.approx(-2 * lam, rel=1e-9)
 
@@ -193,6 +195,15 @@ class TestRefinementStudy:
         assert all(r["route_discrepancy"] <= 1e-10 for r in rows)
         assert all(r["gap_decreased"] for r in rows)
 
+    def test_study_and_run_share_one_route_evaluation(self):
+        cfg = config(mesh=dict(HELM_SCALING["mesh"], partition=MIXED), refinement=[3],
+                     family={"kind": "bump", "g": {"type": "sin", "axis": 0, "amplitude": 0.08}})
+        [row] = harness.refinement_study(harness.build_problem(cfg))
+        rec = harness.run(harness.build_problem(cfg))["clusters"][0]
+        assert row["route_discrepancy"] == rec["route_discrepancy"]
+        assert row["surface_volume_gap"] == rec["surface_volume_gap"]
+        assert row["surface_volume_gap"] > 0
+
     def test_dof_guard(self):
         cfg = config(problem="maxwell", refinement=[64])
         with pytest.raises(ConfigError):
@@ -221,6 +232,25 @@ class TestCli:
         assert cli.main(["dshape", "--config", path, "--out", out]) == 0
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["clusters"]
+
+    def test_dshape_writes_the_config_output_once(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "report.json"
+        path = self.write_config(tmp_path, dict(HELM_SCALING, output=str(out)))
+        written = []
+        real_open = open
+
+        def spy(file, mode="r", *args, **kwargs):
+            if "w" in mode:
+                written.append(str(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", spy)
+        assert cli.main(["dshape", "--config", path]) == 0
+        assert written == [str(out)]
+        assert capsys.readouterr().out == ""
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        assert json.loads(text)["clusters"]
 
     def test_abstract_demo(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"problem": "abstract-pencil"})
@@ -256,10 +286,25 @@ class TestCli:
         ("direction", {"direction": True}),
         ("mesh", {"mesh": [["type", "box"], ["n", 2]]}),
         ("output", {"output": 7}),
+        # nested values: JSON numbers, integers in range, arrays of the parsed shape
+        ("'M'", {"coefficients": {"epsilon": {"kind": "constant", "M": [[1, 0], [0, 1]]}}}),
+        ("'c'", {"family": {"kind": "bump", "g": {"type": "constant", "c": [0.1, 0.2]}}}),
+        ("'A1'", {"family": {"kind": "affine", "A1": [[1, 0], [0, 1]]}}),
+        ("'axis'", {"family": {"kind": "bump", "g": {"type": "sin", "axis": 5}}}),
+        ("'axis'", {"family": {"kind": "stretch", "axis": 1.7}}),
+        ("'amplitude'", {"family": {"kind": "bump",
+                                    "g": {"type": "sin", "axis": 0, "amplitude": "0.05"}}}),
+        ("'rate'", {"family": {"kind": "scaling", "rate": "2"}}),
+        ("'m'", {"problem": "abstract-pencil", "abstract": {"kind": "degenerate", "m": "x"}}),
+        ("'m'", {"problem": "abstract-pencil", "abstract": {"kind": "degenerate", "m": 0}}),
+        ("'d0'", {"problem": "abstract-pencil", "abstract": {"kind": "diagonal", "d0": [1, "a"]}}),
+        ("'seed'", {"abstract": {"seed": "x"}}),
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, key, raw):
         path = self.write_config(tmp_path, dict(HELM_SCALING, **raw))
-        assert cli.main(["eig", "--config", path]) == cli.EXIT_CONFIG
+        # the abstract command's degenerate demo is the reader of a "seed"
+        command = "abstract" if key == "'seed'" else "eig"
+        assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
         assert key in capsys.readouterr().err
 
     def test_missing_mesh_file_exit_code(self, tmp_path):
@@ -278,6 +323,14 @@ class TestCli:
         raw = dict(HELM_SCALING, mesh={"type": "file", "path": str(mesh_path)})
         path = self.write_config(tmp_path, raw)
         assert cli.main(["eig", "--config", path]) == cli.EXIT_CONFIG
+
+    def test_negative_mesh_section_count_exit_code(self, tmp_path, capsys):
+        mesh_path = tmp_path / "negative.tetmesh"
+        mesh_path.write_text("tetmesh v1\nvertices -1\n")
+        raw = dict(HELM_SCALING, mesh={"type": "file", "path": str(mesh_path)})
+        path = self.write_config(tmp_path, raw)
+        assert cli.main(["eig", "--config", path]) == cli.EXIT_CONFIG
+        assert "bad count '-1'" in capsys.readouterr().err
 
     def test_missing_family_key_exit_code(self, tmp_path):
         raw = dict(HELM_SCALING, family={"kind": "bump"})

@@ -6,6 +6,7 @@ import pytest
 from spectra_shape import helmholtz as hh
 from spectra_shape import transforms as tf
 from spectra_shape.errors import DegenerateProblemError
+from spectra_shape.fem_common import free_dofs
 from spectra_shape.geometry import build_box_mesh
 from spectra_shape.spectral import solve_pencil
 
@@ -14,7 +15,7 @@ PI2_3 = 3 * np.pi**2
 
 class TestDofs:
     def test_all_dirichlet_counts(self, cube_n3):
-        free, dof_of = hh.free_vertex_dofs(cube_n3)
+        free, dof_of = free_dofs(hh.P1, cube_n3)
         assert len(free) == (3 - 1) ** 3
         assert np.all(dof_of[free] == np.arange(len(free)))
 

@@ -5,6 +5,8 @@ import pytest
 
 from spectra_shape import maxwell as mx
 from spectra_shape import transforms as tf
+from spectra_shape.fem_common import free_dofs
+from spectra_shape.helmholtz import P1
 from spectra_shape.geometry import build_box_mesh
 from spectra_shape.spectral import solve_pencil
 
@@ -13,8 +15,8 @@ PI2_2 = 2 * np.pi**2
 
 def loop_gradient_basis(mesh):
     """Reference construction of the discrete gradient, one edge at a time."""
-    free_edges, _ = mx.free_edge_dofs(mesh)
-    free_verts, vert_dof = mx.free_vertex_dofs(mesh)
+    free_edges, _ = free_dofs(mx.NEDELEC, mesh)
+    free_verts, vert_dof = free_dofs(P1, mesh)
     G = np.zeros((len(free_edges), len(free_verts)))
     for row, e in enumerate(free_edges):
         a, b = mesh.edges[e]
@@ -109,6 +111,6 @@ class TestSpectrum:
         assert abs(lam1 - PI2_2) / PI2_2 < 0.06
 
     def test_edge_count_dofs(self, cube_n2):
-        free, dof_of = mx.free_edge_dofs(cube_n2)
+        free, dof_of = free_dofs(mx.NEDELEC, cube_n2)
         constrained = cube_n2.boundary_edge_set("T")
         assert len(free) + len(constrained) == cube_n2.num_edges()

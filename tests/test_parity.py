@@ -127,7 +127,7 @@ def meshes():
 def _lowest_cluster_numbers(mesh, problem, fam, chi):
     assemble, derivative, volume, surface, second = ROUTES[problem]
     cl = cluster_spectrum(solve_pencil(assemble(mesh, fam, chi, EPS, second), count=1))[0]
-    R = rellich_matrix(derivative(mesh, fam, chi, 1.0, EPS, second), cl).matrix
+    R = rellich_matrix(derivative(mesh, fam, chi, 1.0, EPS, second), cl)
     V = volume(mesh, fam, chi, 1.0, EPS, second, [cl])[0]
     S = surface(mesh, fam, chi, 1.0, EPS, second, [cl])[0]
     return (cl.lambda_bar, np.trace(R), np.trace(V), np.trace(S))
