@@ -77,8 +77,10 @@ def _cmd_eig(cfg, out):
 def _cmd_dshape(cfg, out):
     from . import harness
 
+    if out:  # --out wins over the config's output, which run() would write
+        cfg.output = None
     report = harness.run(harness.build_problem(cfg))
-    if out or not cfg.output:  # run() has written the config's output already
+    if not cfg.output:
         _emit(report, out)
 
 

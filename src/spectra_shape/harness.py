@@ -9,7 +9,7 @@ import datetime
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -28,7 +28,7 @@ from .spectral import (
     cluster_spectrum,
     solve_pencil,
 )
-from .transforms import is_json, spec_value
+from .transforms import spec_value
 
 SCHEMA_VERSION = 1
 
@@ -42,79 +42,49 @@ _PROBLEMS = (*_COEFFICIENT_KEYS, "abstract-pencil")
 MAX_STUDY_DOFS = 200_000
 
 
-def _typed(what: str, *types):
-    """Converter that passes a value of one of the JSON `types` and rejects any other."""
-    def check(value):
-        if not is_json(value, *types):
-            raise TypeError(f"must be {what}, got {value!r}")
-        return value
-    return check
+# the least positive float: a number >= _POSITIVE is a number > 0
+_POSITIVE = float(np.nextafter(0.0, 1.0))
+
+# spec_value arguments of each config key besides "problem"
+_FIELDS = dict(
+    mesh=dict(of=dict), family=dict(of=dict), coefficients=dict(of=dict),
+    abstract=dict(of=dict), chi_bar={}, direction={}, surface_form_trusted=dict(of=bool),
+    kernel_tol=dict(low=_POSITIVE), cluster_tol=dict(low=_POSITIVE),
+    fd_step=dict(low=_POSITIVE), fd_steps=dict(shape=(None,), low=_POSITIVE),
+    index_range=dict(of=int, shape=(2,), low=1), refinement=dict(of=int, shape=(None,), low=1),
+    output=dict(of=str),
+)
 
 
-_integer = _typed("an integer", int)
-_object = _typed("an object", dict)
+class MeshSpec(NamedTuple):
+    """A checked mesh spec: a mesh file at `path`, or a box of `dims` with
+    `n` cells per side and a face `partition` ('T', 'N' or an object over
+    the six faces; `build_box_mesh` checks the letters)."""
+
+    type: str
+    path: Optional[str]
+    dims: tuple
+    n: int
+    partition: object
 
 
-def _number(value) -> float:
-    return float(_typed("a number", int, float)(value))
-
-
-def _positive(value) -> float:
-    v = _number(value)
-    if v <= 0:
-        raise ValueError(f"must be positive, got {v}")
-    return v
-
-
-def _index_range(value) -> tuple:
-    lo, hi = (_integer(v) for v in value)
-    if not 1 <= lo <= hi:
-        raise ValueError(f"need 1 <= lo <= hi, got {value}")
-    return lo, hi
-
-
-def _levels(value) -> tuple:
-    levels = tuple(_integer(n) for n in value)
-    if any(n < 1 for n in levels):
-        raise ValueError("refinement levels must be >= 1")
-    return levels
-
-
-# how RunConfig.from_dict converts each config key besides "problem"
-_FIELDS = {
-    "mesh": _object, "family": _object, "coefficients": _object, "abstract": _object,
-    "chi_bar": _number, "direction": _number, "surface_form_trusted": _typed("a bool", bool),
-    "kernel_tol": _positive, "cluster_tol": _positive, "fd_step": _positive,
-    "fd_steps": lambda value: tuple(_positive(s) for s in value),
-    "index_range": _index_range, "refinement": _levels, "output": _typed("a string path", str),
-}
-
-
-def _check_mesh_spec(spec: dict):
-    kind = spec.get("type", "box")
-    if kind == "file" and "path" not in spec:
-        raise ConfigError("a file mesh needs a 'path'")
+def mesh_spec(spec: dict) -> MeshSpec:
+    """The `MeshSpec` of a config's mesh object; an absent key takes the
+    default of a unit box with n = 4 and every face 'T'."""
+    kind = spec_value(spec, "type", "box", of=str, name="mesh type")
     if kind not in ("box", "file"):
         raise ConfigError(f"unknown mesh type {kind!r}")
-    dims = spec.get("dims", (1.0, 1.0, 1.0))
-    if not (isinstance(dims, (list, tuple)) and len(dims) == 3
-            and all(is_json(d, int, float) for d in dims)):
-        raise ConfigError(f"mesh dims must be three numbers, got {dims!r}")
-    if not is_json(spec.get("n", 4), int):
-        raise ConfigError(f"mesh n must be an integer, got {spec['n']!r}")
-
-
-def _parsed(key: str, parse, value):
-    """parse(value), with a malformed value reported as a ConfigError naming `key`."""
-    try:
-        return parse(value)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {key} {value!r}: {exc!r}")
+    return MeshSpec(
+        kind,
+        spec_value(spec, "path", of=str, name="mesh path") if kind == "file" else None,
+        tuple(spec_value(spec, "dims", [1.0, 1.0, 1.0], shape=(3,), name="mesh dims").tolist()),
+        spec_value(spec, "n", 4, of=int, low=1, name="mesh n"),
+        spec_value(spec, "partition", "T", of=(str, dict), name="mesh partition"))
 
 
 def _coefficients(keys, spec: dict) -> tuple:
     """Coefficient fields for `keys`, in order; an absent key is the identity."""
-    return tuple(_parsed(key, _COEFFICIENT_PARSERS[key], spec.get(key, {})) for key in keys)
+    return tuple(_COEFFICIENT_PARSERS[key](spec_value(spec, key, {}, of=dict)) for key in keys)
 
 
 @dataclass
@@ -144,21 +114,26 @@ class RunConfig:
         unknown = set(raw) - set(_FIELDS) - {"problem"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        problem = raw.get("problem")
+        problem = spec_value(raw, "problem", of=str)
         if problem not in _PROBLEMS:
             raise ConfigError(f"problem must be one of {_PROBLEMS}, got {problem!r}")
         cfg = cls(problem=problem)
-        for key, convert in _FIELDS.items():
+        for key, kwargs in _FIELDS.items():
             if key in raw:
-                setattr(cfg, key, _parsed(key, convert, raw[key]))
-        _check_mesh_spec(cfg.mesh)
+                value = spec_value(raw, key, **kwargs)
+                # an array becomes a tuple of Python numbers
+                setattr(cfg, key, tuple(value.tolist()) if "shape" in kwargs else value)
+        lo, hi = cfg.index_range
+        if lo > hi:
+            raise ConfigError(f"index_range needs lo <= hi, got {list(cfg.index_range)}")
+        mesh_spec(cfg.mesh)
         if problem in _COEFFICIENT_KEYS:
             keys = _COEFFICIENT_KEYS[problem]
             unread = sorted(set(cfg.coefficients) - set(keys))
             if unread:
                 raise ConfigError(f"{problem} reads the coefficients {list(keys)}, not {unread}")
             # parse the specs now, so that a malformed one is a ConfigError
-            _parsed("family", transforms.family_from_config, cfg.family)
+            transforms.family_from_config(cfg.family)
             _coefficients(keys, cfg.coefficients)
         return cfg
 
@@ -209,12 +184,10 @@ class Problem:
 
 
 def _build_mesh(cfg: RunConfig, n: Optional[int]):
-    spec = cfg.mesh
-    if spec.get("type", "box") == "file":
-        return load_mesh(spec["path"])
-    dims = tuple(spec.get("dims", (1.0, 1.0, 1.0)))
-    return build_box_mesh(dims, spec.get("n", 4) if n is None else n,
-                          spec.get("partition", "T"))
+    spec = mesh_spec(cfg.mesh)
+    if spec.type == "file":
+        return load_mesh(spec.path)
+    return build_box_mesh(spec.dims, spec.n if n is None else n, spec.partition)
 
 
 def build_problem(cfg: RunConfig, n: Optional[int] = None) -> Problem:
@@ -224,7 +197,7 @@ def build_problem(cfg: RunConfig, n: Optional[int] = None) -> Problem:
     if cfg.problem == "abstract-pencil":
         if n is not None:
             raise ConfigError("refinement studies need a FEM problem")
-        K0, dK = _parsed("abstract", _abstract_pencil, cfg.abstract)
+        K0, dK = _abstract_pencil(cfg.abstract)
         eye = np.eye(len(K0))
         return Problem(
             cfg, lambda: None,
@@ -241,13 +214,13 @@ def build_problem(cfg: RunConfig, n: Optional[int] = None) -> Problem:
             helmholtz.assemble_helmholtz, helmholtz.assemble_helmholtz_derivative,
             hadamard.helmholtz_volume_matrix, hadamard.helmholtz_surface_matrix, 0)
     if n is not None:
-        if cfg.mesh.get("type", "box") != "box":
+        if mesh_spec(cfg.mesh).type != "box":
             raise ConfigError("refinement studies require a box mesh spec")
         dofs = box_mesh_size(n)[dof_entity]
         if dofs > MAX_STUDY_DOFS:
             raise ConfigError(f"refinement level n={n} has ~{dofs} dofs "
                               f"(> {MAX_STUDY_DOFS}); refusing the study")
-    fam = _parsed("family", transforms.family_from_config, cfg.family)
+    fam = transforms.family_from_config(cfg.family)
     coefficients = _coefficients(_COEFFICIENT_KEYS[cfg.problem], cfg.coefficients)
     args = (fam, cfg.chi_bar, cfg.direction, *coefficients)
     return Problem(cfg, partial(_build_mesh, cfg, n),
@@ -283,23 +256,24 @@ def solve_at(problem: Problem, chi: float, count: int) -> EigenDecomposition:
 
 def _abstract_pencil(spec: dict):
     """(K0, dK) of the synthetic pencil K(chi) = K0 + chi dK, M = I."""
-    kind = spec.get("kind", "crossing")
+    kind = spec_value(spec, "kind", "crossing", of=str)
     if kind == "crossing":
         # double eigenvalue at chi=0 splitting with slopes exactly -1 and +1
         return np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
     if kind == "diagonal":
         d0 = spec_value(spec, "d0", [1.0, 2.0], shape=(None,))
         d1 = spec_value(spec, "d1", [1.0, 0.0], shape=(None,))
-        if d0.shape != d1.shape:
-            raise ConfigError("diagonal pencil needs d0 and d1 of equal length")
+        if d0.shape != d1.shape or not len(d0):
+            raise ConfigError(f"diagonal pencil needs 'd0' and 'd1' of equal length >= 1, "
+                              f"got {d0.tolist()} and {d1.tolist()}")
         return np.diag(d0), np.diag(d1)
     if kind == "degenerate":
         # exactly degenerate block of multiplicity m inside a larger pencil,
         # rotated by a seeded orthogonal matrix so nothing is axis-aligned
-        m = spec_value(spec, "m", 3, integer=True, low=1)
+        m = spec_value(spec, "m", 3, of=int, low=1)
         lam = spec_value(spec, "lambda", 2.0)
         extra = spec_value(spec, "extra", [5.0, 9.0], shape=(None,))
-        rng = np.random.default_rng(spec_value(spec, "seed", 0, integer=True, low=0))
+        rng = np.random.default_rng(spec_value(spec, "seed", 0, of=int, low=0))
         n = m + len(extra)
         A = rng.standard_normal((m, m))
         dK = np.zeros((n, n))
@@ -308,7 +282,7 @@ def _abstract_pencil(spec: dict):
         K0 = np.diag(np.concatenate([np.full(m, lam), extra]))
         Q = sla.qr(rng.standard_normal((n, n)))[0]
         return Q @ K0 @ Q.T, Q @ dK @ Q.T
-    raise ConfigError(f"unknown abstract pencil kind {spec.get('kind')!r}")
+    raise ConfigError(f"unknown abstract pencil kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -295,43 +295,57 @@ def coefficient_kind(name: str) -> CoefficientKind:
 # JSON config parsing
 # ---------------------------------------------------------------------------
 
-def is_json(value, *types) -> bool:
-    """Whether `value` has one of the JSON `types`; a bool is not a number."""
-    return isinstance(value, types) and isinstance(value, bool) == (bool in types)
+# the JSON types and their names, by the type `spec_value` reads
+_JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
+               bool: (bool, "a bool"), str: (str, "a string"), dict: (dict, "an object")}
 
 
-def spec_value(spec: dict, key: str, default=None, shape=(), integer=False,
-               low=-np.inf, high=np.inf):
-    """spec[key], required where `default` is None, as a float array of
-    `shape` (None: any length), a float for shape (), or an int in
-    [low, high] if `integer`. Entries are JSON numbers, not bools or
-    strings; a violation is a ConfigError naming `key`."""
-    value = spec[key] if default is None else spec.get(key, default)
-    entries = np.array(value, dtype=object)
-    ok = (entries.ndim == len(shape)
-          and all(n in (None, size) for n, size in zip(shape, entries.shape))
-          and all(is_json(x, int) and low <= x <= high if integer else is_json(x, int, float)
-                  for x in entries.flat))
-    if not ok:
-        what = (f"an integer in [{low}, {high}]" if integer
-                else "a number" if not shape else f"an array of shape {shape} of numbers")
-        raise ConfigError(f"{key!r} must be {what}, got {value!r}")
-    if integer:
-        return int(value)
-    return float(value) if not shape else np.asarray(value, dtype=float)
+def spec_value(spec: dict, key: str, default=None, of=float, shape=(), low=-np.inf,
+               high=np.inf, name=None):
+    """spec[key], required where `default` is None: a JSON value of type `of`
+    (float, int, bool, str, dict, or a tuple of them), or nested lists of
+    such values of `shape` (None: any length). A number lies in [low, high];
+    a bool is not a number. Returns `of(value)`, a float or int array for a
+    `shape`, or the value itself for a tuple `of`. A violation is a
+    ConfigError naming `name`, by default the quoted key."""
+    label = repr(key) if name is None else name
+    if default is None and key not in spec:
+        raise ConfigError(f"missing {label}")
+    value = spec.get(key, default)
+    if isinstance(value, np.ndarray):  # from code, not from JSON
+        value = value.tolist()
+    types = of if isinstance(of, tuple) else (of,)
+
+    def fits(x, shape):
+        if shape:
+            return (isinstance(x, (list, tuple)) and shape[0] in (None, len(x))
+                    and all(fits(y, shape[1:]) for y in x))
+        return any(isinstance(x, _JSON_TYPES[t][0]) and isinstance(x, bool) == (t is bool)
+                   and (t not in (int, float) or low <= x <= high) for t in types)
+
+    if not fits(value, shape):
+        what = " or ".join(_JSON_TYPES[t][1] for t in types)
+        if (low, high) != (-np.inf, np.inf):
+            what += f" in [{low}, {high}]"
+        if shape:
+            what = f"an array of shape {shape}, each entry {what}"
+        raise ConfigError(f"{label} must be {what}, got {value!r}")
+    if isinstance(of, tuple):
+        return value
+    return np.asarray(value, dtype=of) if shape else of(value)
 
 
 def field_from_config(spec: dict):
-    kind = spec.get("type")
+    kind = spec_value(spec, "type", of=str)
     if kind == "constant":
         return AffineField(spec_value(spec, "c", shape=(3,)))
     if kind == "linear":
         return AffineField(np.zeros(3), spec_value(spec, "G", shape=(3, 3)))
     if kind == "sin":
-        axis = spec_value(spec, "axis", integer=True, low=0, high=2)
+        axis = spec_value(spec, "axis", of=int, low=0, high=2)
         return SinField(
             axis=axis,
-            depends_on=spec_value(spec, "dependsOn", axis, integer=True, low=0, high=2),
+            depends_on=spec_value(spec, "dependsOn", axis, of=int, low=0, high=2),
             amplitude=spec_value(spec, "amplitude", 0.1),
             frequency=spec_value(spec, "frequency", 1.0),
         )
@@ -339,7 +353,7 @@ def field_from_config(spec: dict):
 
 
 def family_from_config(spec: dict):
-    kind = spec.get("kind")
+    kind = spec_value(spec, "kind", of=str)
     if kind == "affine":
         return AffineFamily(
             A0=spec_value(spec, "A0", np.eye(3).tolist(), shape=(3, 3)),
@@ -348,13 +362,13 @@ def family_from_config(spec: dict):
             b1=spec_value(spec, "b1", [0, 0, 0], shape=(3,)),
         )
     if kind == "bump":
-        return BumpFamily(field_from_config(spec["g"]))
+        return BumpFamily(field_from_config(spec_value(spec, "g", of=dict)))
     if kind == "scaling":
         return scaling_family(spec_value(spec, "rate", 1.0))
     if kind == "translation":
         return translation_family(spec_value(spec, "b1", [1.0, 0.0, 0.0], shape=(3,)))
     if kind == "stretch":
-        return stretch_family(spec_value(spec, "axis", 0, integer=True, low=0, high=2))
+        return stretch_family(spec_value(spec, "axis", 0, of=int, low=0, high=2))
     raise ConfigError(f"unknown transformation family kind {kind!r}")
 
 
@@ -367,7 +381,7 @@ def _diagonal(d0, D) -> AffineField:
 
 def matrix_coefficient_from_config(spec: dict) -> AffineField:
     """A 3x3 matrix coefficient; an empty spec is the identity."""
-    kind = spec.get("kind", "constant")
+    kind = spec_value(spec, "kind", "constant", of=str)
     if kind == "constant":
         return AffineField(spec_value(spec, "M", np.eye(3).tolist(), shape=(3, 3)))
     if kind == "affine-diagonal":
@@ -381,7 +395,7 @@ def matrix_coefficient_from_config(spec: dict) -> AffineField:
 
 def scalar_coefficient_from_config(spec: dict) -> AffineField:
     """A scalar coefficient c0 + c . x; an empty spec is 1."""
-    kind = spec.get("kind", "constant")
+    kind = spec_value(spec, "kind", "constant", of=str)
     if kind == "constant":
         return AffineField(spec_value(spec, "v", 1.0))
     if kind == "affine":

@@ -7,10 +7,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectra_shape import cli, harness
 from spectra_shape.errors import ConfigError
-from spectra_shape.geometry import build_box_mesh, save_mesh
+from spectra_shape.geometry import BOX_FACES, build_box_mesh, save_mesh
 
 HELM_SCALING = {
     "problem": "helmholtz",
@@ -233,20 +235,32 @@ class TestCli:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["clusters"]
 
-    def test_dshape_writes_the_config_output_once(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("cli_out", [False, True], ids=["config-output", "out-wins"])
+    def test_dshape_writes_the_config_output_once(self, tmp_path, capsys, monkeypatch,
+                                                  cli_out):
         out = tmp_path / "report.json"
         path = self.write_config(tmp_path, dict(HELM_SCALING, output=str(out)))
-        written = []
-        real_open = open
+        argv = ["dshape", "--config", path]
+        if cli_out:  # --out wins, and its report goes through cli._emit
+            out = tmp_path / "cli-report.json"
+            argv += ["--out", str(out)]
+        written, emitted = [], []
+        real_open, real_emit = open, cli._emit
 
         def spy(file, mode="r", *args, **kwargs):
             if "w" in mode:
                 written.append(str(file))
             return real_open(file, mode, *args, **kwargs)
 
+        def emit(payload, out_path):
+            emitted.append(out_path)
+            real_emit(payload, out_path)
+
         monkeypatch.setattr("builtins.open", spy)
-        assert cli.main(["dshape", "--config", path]) == 0
+        monkeypatch.setattr(cli, "_emit", emit)
+        assert cli.main(argv) == 0
         assert written == [str(out)]
+        assert emitted == ([str(out)] if cli_out else [])
         assert capsys.readouterr().out == ""
         text = out.read_text()
         assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
@@ -299,6 +313,16 @@ class TestCli:
         ("'m'", {"problem": "abstract-pencil", "abstract": {"kind": "degenerate", "m": 0}}),
         ("'d0'", {"problem": "abstract-pencil", "abstract": {"kind": "diagonal", "d0": [1, "a"]}}),
         ("'seed'", {"abstract": {"seed": "x"}}),
+        ("mesh path", {"mesh": {"type": "file", "path": None}}),
+        ("mesh path", {"mesh": {"type": "file", "path": ["a"]}}),
+        # an integer path would be opened as a file descriptor: 0 is stdin
+        ("mesh path", {"mesh": {"type": "file", "path": 0}}),
+        ("mesh partition", {"mesh": dict(HELM_SCALING["mesh"], partition=5)}),
+        ("mesh partition", {"mesh": dict(HELM_SCALING["mesh"], partition=["T"])}),
+        ("epsilon", {"coefficients": {"epsilon": 5}}),
+        ("'g'", {"family": {"kind": "bump", "g": [0.1, 0.0, 0.0]}}),
+        ("'d0'", {"problem": "abstract-pencil", "abstract": {"kind": "diagonal", "d0": [],
+                                                             "d1": []}}),
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, key, raw):
         path = self.write_config(tmp_path, dict(HELM_SCALING, **raw))
@@ -412,3 +436,111 @@ class TestCli:
         assert cli.main(["study", "--config", path]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["levels"]) == 2
+
+
+# Random configs for the config reader: well-formed values with random JSON
+# values put in at a few positions. Values are small, so that no draw
+# allocates a large pencil or mesh.
+NUMBER = st.integers(-20, 20) | st.floats(-20, 20)
+POSITIVE = st.floats(1e-12, 1.0)
+AXIS = st.integers(0, 2)
+TEXT = st.text("TNab", max_size=3)  # as a mesh path: a relative path that names no file
+JSON = st.recursive(st.none() | st.booleans() | NUMBER | TEXT,
+                    lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(TEXT, inner, max_size=4), max_leaves=8)
+
+
+def _vector(n=3):
+    return st.lists(NUMBER, min_size=n, max_size=n)
+
+
+MATRIX = st.lists(_vector(), min_size=3, max_size=3)
+
+
+def _spec(required=None, **fields):
+    """Objects with the `required` fields and any subset of `fields`, each
+    drawn from its strategy."""
+    return st.fixed_dictionaries(required or {}, optional=fields)
+
+
+def _kind(*kinds):
+    return st.sampled_from(kinds)
+
+
+FIELD = _spec({"type": _kind("constant", "linear", "sin")}, c=_vector(), G=MATRIX,
+              axis=AXIS, dependsOn=AXIS, amplitude=NUMBER, frequency=NUMBER)
+MATRIX_COEFFICIENT = _spec(kind=_kind("constant", "affine-diagonal", "scalar-affine-identity"),
+                           M=MATRIX, d0=_vector(), D=MATRIX, c0=NUMBER, c=_vector())
+COEFFICIENTS = {"epsilon": MATRIX_COEFFICIENT, "mu": MATRIX_COEFFICIENT,
+                "nu": _spec(kind=_kind("constant", "affine"), v=NUMBER, c0=NUMBER, c=_vector())}
+
+
+def _configs(mesh_path):
+    """Configs of every problem, with the coefficients that the problem reads."""
+    mesh = _spec({"n": st.integers(1, 3)}, type=_kind("box", "file"),
+                 path=_kind(mesh_path, "missing"),
+                 dims=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+                 partition=_kind("T", "N") | st.fixed_dictionaries(
+                     {face: _kind("T", "N") for face in BOX_FACES}))
+    family = _spec({"kind": _kind("affine", "bump", "scaling", "translation", "stretch")},
+                   A0=MATRIX, A1=MATRIX, b0=_vector(), b1=_vector(), g=FIELD, rate=NUMBER,
+                   axis=AXIS)
+    abstract = _spec(kind=_kind("crossing", "diagonal", "degenerate"),
+                     d0=st.lists(NUMBER, min_size=1, max_size=4),
+                     d1=st.lists(NUMBER, min_size=1, max_size=4), m=st.integers(1, 20),
+                     extra=st.lists(NUMBER, max_size=4), seed=st.integers(0, 20),
+                     **{"lambda": NUMBER})
+
+    def config(problem):
+        coefficients = _spec(**{key: COEFFICIENTS[key]
+                                for key in harness._COEFFICIENT_KEYS.get(problem, ())})
+        return _spec(
+            {"problem": st.just(problem), "mesh": mesh},
+            family=family, coefficients=coefficients, abstract=abstract, chi_bar=NUMBER,
+            direction=NUMBER, kernel_tol=POSITIVE, cluster_tol=POSITIVE, fd_step=POSITIVE,
+            fd_steps=st.lists(POSITIVE, max_size=4),
+            index_range=st.lists(st.integers(1, 4), min_size=2, max_size=2).map(sorted),
+            refinement=st.lists(st.integers(1, 4), max_size=4),
+            surface_form_trusted=st.booleans(), output=TEXT)
+
+    return _kind(*harness._PROBLEMS).flatmap(config)
+
+
+def _positions(spec, at=()):
+    """The key path of every value in the nested objects of `spec`."""
+    for key, value in spec.items():
+        yield at + (key,)
+        if isinstance(value, dict):
+            yield from _positions(value, at + (key,))
+
+
+class TestConfigReader:
+    @pytest.fixture(scope="class")
+    def mesh_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("mesh") / "box.tetmesh"
+        save_mesh(build_box_mesh((1, 1, 1), 1, "T"), str(path))
+        return str(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_value_anywhere_is_a_config_error_or_read(self, mesh_path, data):
+        """A config with well-formed values and one or two random JSON values
+        at any position: reading it, building its problem and building a
+        small mesh raise no error other than those `cli` maps to exit 2."""
+        raw = data.draw(_configs(mesh_path))
+        positions = data.draw(st.permutations(list(_positions(raw))))
+        for *parents, key in positions[:data.draw(st.integers(0, 2))]:
+            target = raw
+            for parent in parents:
+                target = target.get(parent) if isinstance(target, dict) else None
+            if isinstance(target, dict):
+                target[key] = data.draw(JSON)
+        try:
+            cfg = harness.RunConfig.from_dict(raw)
+            problem = harness.build_problem(cfg)
+            if cfg.problem != "abstract-pencil":
+                spec = harness.mesh_spec(cfg.mesh)
+                if spec.type == "file" or spec.n <= 3:
+                    assert problem.mesh.num_tets() > 0
+        except cli._CONFIG_ERRORS:
+            pass
