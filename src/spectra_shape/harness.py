@@ -13,7 +13,6 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import linear_sum_assignment
 
 from . import hadamard, helmholtz, maxwell, transforms
 from .errors import ConfigError, ContractViolationError
@@ -289,15 +288,57 @@ def _abstract_pencil(spec: dict):
 # finite differences with branch tracking
 # ---------------------------------------------------------------------------
 
+def max_overlap_pairing(overlap: np.ndarray) -> np.ndarray:
+    """The column paired with each row of the square matrix `overlap` in a
+    pairing of rows with columns that maximises the total overlap.
+
+    The Hungarian method by shortest augmenting paths, O(m^3): rows join the
+    pairing one at a time, each along the shortest path of reduced costs
+    from a dummy column (m) to a free column, and the row and column
+    potentials u, v keep every reduced cost nonnegative.
+    """
+    cost = -np.asarray(overlap, dtype=float)
+    m = len(cost)
+    row_of = np.full(m + 1, -1)   # row paired with each column, -1 if free
+    u, v = np.zeros(m), np.zeros(m + 1)
+    for i in range(m):
+        row_of[m] = i
+        j0 = m
+        dist = np.full(m, np.inf)       # shortest reduced path cost to each column
+        prev = np.full(m, m)            # the column before it on that path
+        used = np.zeros(m + 1, dtype=bool)
+        while row_of[j0] != -1:
+            used[j0] = True
+            i0 = row_of[j0]
+            free = np.flatnonzero(~used[:m])
+            reduced = cost[i0, free] - u[i0] - v[free]
+            closer = reduced < dist[free]
+            dist[free[closer]] = reduced[closer]
+            prev[free[closer]] = j0
+            j1 = free[np.argmin(dist[free])]
+            delta = dist[j1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            dist[free] -= delta
+            j0 = j1
+        while j0 != m:  # augment: shift the pairing along the path
+            row_of[j0] = row_of[prev[j0]]
+            j0 = prev[j0]
+    cols = np.empty(m, dtype=int)
+    cols[row_of[:m]] = np.arange(m)
+    return cols
+
+
 def tracked_fd_slopes(problem: Problem, clusters: List[EigenCluster], step: float):
     """Central-difference branch slopes of each cluster across chi_bar +- step.
 
     The pencils at chi_bar +- step are solved once for all the clusters, up
     to the highest index among them. Branches at +step and -step are paired
-    by eigenvector overlap in the M(chi_bar) inner product (solved as an
-    assignment problem); if the pairing is ambiguous the sorted-eigenvalue
-    fallback is used. Returns ([(slopes ascending, tracking tag)] per
-    cluster, decomposition at +step, at -step).
+    by `max_overlap_pairing` of their eigenvector overlaps in the M(chi_bar)
+    inner product; if the smallest paired overlap is <= 0.5 the pairing is
+    ambiguous and the sorted-eigenvalue fallback is used. Returns ([(slopes
+    ascending, tracking tag, smallest paired overlap)] per cluster,
+    decomposition at +step, at -step).
     """
     cfg = problem.cfg
     M0 = problem.solution[0].M
@@ -313,11 +354,13 @@ def tracked_fd_slopes(problem: Problem, clusters: List[EigenCluster], step: floa
         idx = cl.indices
         lp, lm = dec_p.eigenvalues[idx], dec_m.eigenvalues[idx]
         overlap = np.abs(dec_p.eigenvectors[:, idx].T @ M0 @ dec_m.eigenvectors[:, idx])
-        rows, cols = linear_sum_assignment(-overlap)
+        rows, cols = np.arange(len(idx)), max_overlap_pairing(overlap)
+        min_overlap = float(overlap[rows, cols].min())
         tag = "overlap"
-        if overlap[rows, cols].min() <= 0.5:
+        if min_overlap <= 0.5:
             rows, cols, tag = np.argsort(lp), np.argsort(lm), "sort"
-        fits.append((np.sort(cfg.direction * (lp[rows] - lm[cols]) / (2.0 * step)), tag))
+        fits.append((np.sort(cfg.direction * (lp[rows] - lm[cols]) / (2.0 * step)), tag,
+                     min_overlap))
     return fits, dec_p, dec_m
 
 
@@ -422,8 +465,9 @@ def run(problem: Problem) -> dict:
     for step in dict.fromkeys(steps):
         group = [i for i, s in enumerate(steps) if s == step]
         fits, _, _ = tracked_fd_slopes(problem, [wanted[i] for i in group], step)
-        for i, (fd_slopes, tag) in zip(group, fits):
-            records[i].update(slopes_fd=fd_slopes.tolist(), fd_step=step, fd_tracking=tag)
+        for i, (fd_slopes, tag, min_overlap) in zip(group, fits):
+            records[i].update(slopes_fd=fd_slopes.tolist(), fd_step=step, fd_tracking=tag,
+                              fd_min_overlap=min_overlap)
 
     env = {
         "problem": cfg.problem,
@@ -468,9 +512,10 @@ def fd_check(problem: Problem, steps) -> List[dict]:
     for step in steps:
         row = {"step": step}
         try:
-            [(slopes, tag)], dec_p, dec_m = tracked_fd_slopes(problem, [cl], step)
+            [(slopes, tag, min_overlap)], dec_p, dec_m = tracked_fd_slopes(problem, [cl], step)
             row["slopes"] = slopes.tolist()
             row["tracking"] = tag
+            row["fd_min_overlap"] = min_overlap
         except ContractViolationError as exc:
             row["tracking"] = f"failed: {exc}"
             rows.append(row)

@@ -296,7 +296,7 @@ def coefficient_kind(name: str) -> CoefficientKind:
 # ---------------------------------------------------------------------------
 
 # the JSON types and their names, by the type `spec_value` reads
-_JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
+_JSON_TYPES = {float: ((int, float), "a finite number"), int: (int, "an integer"),
                bool: (bool, "a bool"), str: (str, "a string"), dict: (dict, "an object")}
 
 
@@ -304,10 +304,10 @@ def spec_value(spec: dict, key: str, default=None, of=float, shape=(), low=-np.i
                high=np.inf, name=None):
     """spec[key], required where `default` is None: a JSON value of type `of`
     (float, int, bool, str, dict, or a tuple of them), or nested lists of
-    such values of `shape` (None: any length). A number lies in [low, high];
-    a bool is not a number. Returns `of(value)`, a float or int array for a
-    `shape`, or the value itself for a tuple `of`. A violation is a
-    ConfigError naming `name`, by default the quoted key."""
+    such values of `shape` (None: any length). A number is finite and lies
+    in [low, high]; a bool is not a number. Returns `of(value)`, a float or
+    int array for a `shape`, or the value itself for a tuple `of`. A
+    violation is a ConfigError naming `name`, by default the quoted key."""
     label = repr(key) if name is None else name
     if default is None and key not in spec:
         raise ConfigError(f"missing {label}")
@@ -321,7 +321,8 @@ def spec_value(spec: dict, key: str, default=None, of=float, shape=(), low=-np.i
             return (isinstance(x, (list, tuple)) and shape[0] in (None, len(x))
                     and all(fits(y, shape[1:]) for y in x))
         return any(isinstance(x, _JSON_TYPES[t][0]) and isinstance(x, bool) == (t is bool)
-                   and (t not in (int, float) or low <= x <= high) for t in types)
+                   and (t not in (int, float) or -np.inf < x < np.inf and low <= x <= high)
+                   for t in types)
 
     if not fits(value, shape):
         what = " or ".join(_JSON_TYPES[t][1] for t in types)

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.optimize import linear_sum_assignment  # oracle of the pairing tests only
 
 from spectra_shape import cli, harness
 from spectra_shape.errors import ConfigError
@@ -86,6 +88,8 @@ class TestRun:
         assert rec["slopes_volume"][0] == pytest.approx(-2 * lam, rel=1e-8)
         assert rec["slopes_fd"][0] == pytest.approx(-2 * lam, rel=1e-6)
         assert rec["route_discrepancy"] <= 1e-10
+        assert rec["fd_tracking"] == "overlap"
+        assert rec["fd_min_overlap"] == pytest.approx(1.0, abs=1e-6)
 
     def test_crossing_pencil_slopes(self):
         cfg = harness.RunConfig(
@@ -169,6 +173,7 @@ class TestFdCheck:
         for row in rows:
             assert row["step"] > 0
             assert len(row["sym_slopes"]) == 1
+            assert row["fd_min_overlap"] > 0.5
 
     def test_each_shifted_pencil_is_solved_once(self, monkeypatch):
         solves = []
@@ -187,6 +192,42 @@ class TestFdCheck:
     def test_too_few_steps_rejected(self):
         with pytest.raises(ConfigError):
             harness.fd_check(harness.build_problem(config()), (1e-3,))
+
+
+def check_pairing_against_oracle(overlap):
+    """`max_overlap_pairing` is a permutation with the total overlap of the
+    scipy oracle, and it is the oracle's pairing when the optimum is unique."""
+    m = len(overlap)
+    cols = harness.max_overlap_pairing(overlap)
+    _, oracle = linear_sum_assignment(overlap, maximize=True)
+    assert sorted(cols.tolist()) == list(range(m))
+    best = overlap[np.arange(m), oracle].sum()
+    assert abs(overlap[np.arange(m), cols].sum() - best) <= 1e-12
+    # the optimum is unique when forbidding any one of its pairs lowers it;
+    # entries lie in [0, 1], so a pairing through an entry of -(m + 1) totals < 0
+    runner_up = -np.inf
+    for i in range(m):
+        forbidden = overlap.copy()
+        forbidden[i, oracle[i]] = -(m + 1.0)
+        _, alt = linear_sum_assignment(forbidden, maximize=True)
+        runner_up = max(runner_up, forbidden[np.arange(m), alt].sum())
+    if best - runner_up > 1e-9:
+        np.testing.assert_array_equal(cols, oracle)
+
+
+class TestMaxOverlapPairing:
+    @settings(max_examples=200, deadline=None)
+    @given(overlap=st.integers(1, 8).flatmap(
+        lambda m: hnp.arrays(float, (m, m), elements=st.floats(0.0, 1.0))))
+    def test_matches_the_assignment_oracle(self, overlap):
+        check_pairing_against_oracle(overlap)
+
+    def test_twelve_branches(self):
+        rng = np.random.default_rng(12)
+        check_pairing_against_oracle(rng.random((12, 12)))
+        # eigenvector overlaps of a rotated basis: |Q| of an orthogonal Q
+        Q = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+        check_pairing_against_oracle(np.abs(Q))
 
 
 class TestRefinementStudy:
@@ -323,6 +364,11 @@ class TestCli:
         ("'g'", {"family": {"kind": "bump", "g": [0.1, 0.0, 0.0]}}),
         ("'d0'", {"problem": "abstract-pencil", "abstract": {"kind": "diagonal", "d0": [],
                                                              "d1": []}}),
+        # JSON's Infinity, which Python's json module reads as a float
+        ("chi_bar", {"chi_bar": float("inf")}),
+        ("kernel_tol", {"kernel_tol": float("inf")}),
+        ("'rate'", {"family": {"kind": "scaling", "rate": float("-inf")}}),
+        ("mesh dims", {"mesh": dict(HELM_SCALING["mesh"], dims=[float("inf"), 1, 1])}),
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, key, raw):
         path = self.write_config(tmp_path, dict(HELM_SCALING, **raw))
@@ -379,6 +425,17 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60).stdout
         assert out.strip() == "[]"
+
+    def test_import_and_config_load_leave_out_scipy_optimize(self, tmp_path):
+        """FD branch pairing is in-package: neither the CLI nor the harness
+        nor reading a config loads scipy.optimize."""
+        path = self.write_config(tmp_path, HELM_SCALING)
+        code = ("import sys, spectra_shape.cli, spectra_shape.harness as h; "
+                f"h.load_config({path!r}); print('scipy.optimize' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.strip() == "False"
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # chi_bar = -1 collapses the scaling map: det J <= 0
