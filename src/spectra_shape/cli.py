@@ -108,7 +108,7 @@ def _cmd_verify(cfg, out):
 def _cmd_study(cfg, out):
     from . import harness
 
-    rows = harness.refinement_study(harness.build_problem(cfg))
+    rows = harness.refinement_study(cfg)
     _emit({"levels": rows}, out)
 
 

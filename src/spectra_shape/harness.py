@@ -7,8 +7,8 @@ cross-checks with branch tracking, and emits machine-readable JSON reports.
 
 import datetime
 import json
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -38,7 +38,7 @@ _COEFFICIENT_PARSERS = {"epsilon": transforms.matrix_coefficient_from_config,
                         "nu": transforms.scalar_coefficient_from_config}
 _PROBLEMS = (*_COEFFICIENT_KEYS, "abstract-pencil")
 
-MAX_STUDY_DOFS = 200_000
+MAX_DOFS = 200_000
 
 
 # the least positive float: a number >= _POSITIVE is a number > 0
@@ -81,14 +81,10 @@ def mesh_spec(spec: dict) -> MeshSpec:
         spec_value(spec, "partition", "T", of=(str, dict), name="mesh partition"))
 
 
-def _coefficients(keys, spec: dict) -> tuple:
-    """Coefficient fields for `keys`, in order; an absent key is the identity."""
-    return tuple(_COEFFICIENT_PARSERS[key](spec_value(spec, key, {}, of=dict)) for key in keys)
-
-
 @dataclass
 class RunConfig:
-    """Validated driver configuration with deterministic defaults."""
+    """Run configuration with deterministic defaults. `from_dict` checks
+    the top-level values; `build_problem` reads the nested specs."""
 
     problem: str
     mesh: dict = field(default_factory=lambda: {"type": "box"})
@@ -125,15 +121,6 @@ class RunConfig:
         lo, hi = cfg.index_range
         if lo > hi:
             raise ConfigError(f"index_range needs lo <= hi, got {list(cfg.index_range)}")
-        mesh_spec(cfg.mesh)
-        if problem in _COEFFICIENT_KEYS:
-            keys = _COEFFICIENT_KEYS[problem]
-            unread = sorted(set(cfg.coefficients) - set(keys))
-            if unread:
-                raise ConfigError(f"{problem} reads the coefficients {list(keys)}, not {unread}")
-            # parse the specs now, so that a malformed one is a ConfigError
-            transforms.family_from_config(cfg.family)
-            _coefficients(keys, cfg.coefficients)
         return cfg
 
 
@@ -155,22 +142,18 @@ def load_config(path: str) -> RunConfig:
 @dataclass(eq=False)
 class Problem:
     """One configured eigenvalue problem, made by `build_problem`: the config,
-    the mesh, and the per-problem routes with the family and the ordered
-    coefficients bound in. An abstract pencil has no mesh (None) and no
-    volume or surface form. The mesh and the solution at chi_bar are computed
-    once, on first use, and so is each solve of `solve_at`."""
+    the mesh, and the per-problem routes with the mesh, the family and the
+    ordered coefficients bound in. An abstract pencil has no mesh (None) and
+    no volume or surface form. The solution at chi_bar is computed once, on
+    first use, and so is each solve of `solve_at`."""
 
     cfg: RunConfig
-    build_mesh: Callable[[], Optional[Mesh]]
-    assemble: Callable[[Optional[Mesh], float], Pencil]
-    derivative: Callable[[Optional[Mesh]], PencilDerivative]
-    volume_form: Optional[Callable] = None     # (mesh, clusters) -> matrices
-    surface_form: Optional[Callable] = None    # (mesh, clusters) -> matrices
+    mesh: Optional[Mesh]
+    assemble: Callable[[float], Pencil]
+    derivative: Callable[[], PencilDerivative]
+    volume_form: Optional[Callable] = None     # clusters -> matrices
+    surface_form: Optional[Callable] = None    # clusters -> matrices
     solves: dict = field(default_factory=dict)  # (chi, count) -> EigenDecomposition
-
-    @cached_property
-    def mesh(self) -> Optional[Mesh]:
-        return self.build_mesh()
 
     @cached_property
     def solution(self) -> Tuple[Pencil, EigenDecomposition, List[EigenCluster]]:
@@ -182,26 +165,18 @@ class Problem:
         return pencil, dec, cluster_spectrum(dec, cfg.cluster_tol)
 
 
-def _build_mesh(cfg: RunConfig, n: Optional[int]):
-    spec = mesh_spec(cfg.mesh)
-    if spec.type == "file":
-        return load_mesh(spec.path)
-    return build_box_mesh(spec.dims, spec.n if n is None else n, spec.partition)
-
-
-def build_problem(cfg: RunConfig, n: Optional[int] = None) -> Problem:
-    """The `Problem` of `cfg`, or with `n` of the refinement level on the n-box.
-    The only reader of the problem kind. The per-problem functions are looked
+def build_problem(cfg: RunConfig) -> Problem:
+    """The `Problem` of `cfg`: the only reader of the problem kind and the
+    nested specs, all checked before a mesh is built; a box of more than
+    MAX_DOFS dofs is refused unbuilt. The per-problem functions are looked
     up here, not at import, so that a wrapper installed on them is called."""
     if cfg.problem == "abstract-pencil":
-        if n is not None:
-            raise ConfigError("refinement studies need a FEM problem")
         K0, dK = _abstract_pencil(cfg.abstract)
         eye = np.eye(len(K0))
         return Problem(
-            cfg, lambda: None,
-            assemble=lambda mesh, chi: Pencil(K0 + chi * dK, eye, quad_order=0),
-            derivative=lambda mesh: PencilDerivative(cfg.direction * dK, np.zeros_like(dK)))
+            cfg, None,
+            assemble=lambda chi: Pencil(K0 + chi * dK, eye, quad_order=0),
+            derivative=lambda: PencilDerivative(cfg.direction * dK, np.zeros_like(dK)))
 
     # dof_entity indexes box_mesh_size: Nedelec dofs are edges, P1 dofs vertices
     if cfg.problem == "maxwell":
@@ -212,31 +187,39 @@ def build_problem(cfg: RunConfig, n: Optional[int] = None) -> Problem:
         pencil, deriv, volume, surface, dof_entity = (
             helmholtz.assemble_helmholtz, helmholtz.assemble_helmholtz_derivative,
             hadamard.helmholtz_volume_matrix, hadamard.helmholtz_surface_matrix, 0)
-    if n is not None:
-        if mesh_spec(cfg.mesh).type != "box":
-            raise ConfigError("refinement studies require a box mesh spec")
-        dofs = box_mesh_size(n)[dof_entity]
-        if dofs > MAX_STUDY_DOFS:
-            raise ConfigError(f"refinement level n={n} has ~{dofs} dofs "
-                              f"(> {MAX_STUDY_DOFS}); refusing the study")
+    spec = mesh_spec(cfg.mesh)
+    keys = _COEFFICIENT_KEYS[cfg.problem]
+    unread = sorted(set(cfg.coefficients) - set(keys))
+    if unread:
+        raise ConfigError(f"{cfg.problem} reads the coefficients {list(keys)}, not {unread}")
     fam = transforms.family_from_config(cfg.family)
-    coefficients = _coefficients(_COEFFICIENT_KEYS[cfg.problem], cfg.coefficients)
-    args = (fam, cfg.chi_bar, cfg.direction, *coefficients)
-    return Problem(cfg, partial(_build_mesh, cfg, n),
-                   assemble=lambda mesh, chi: pencil(mesh, fam, chi, *coefficients),
-                   derivative=lambda mesh: deriv(mesh, *args),
-                   volume_form=lambda mesh, clusters: volume(mesh, *args, clusters),
-                   surface_form=lambda mesh, clusters: surface(mesh, *args, clusters))
+    # an absent coefficient is the identity
+    coefficients = tuple(_COEFFICIENT_PARSERS[key](spec_value(cfg.coefficients, key, {}, of=dict))
+                         for key in keys)
+    if spec.type == "file":
+        mesh = load_mesh(spec.path)
+    else:
+        dofs = box_mesh_size(spec.n)[dof_entity]
+        if dofs > MAX_DOFS:
+            raise ConfigError(f"box mesh n={spec.n} has ~{dofs} dofs (> {MAX_DOFS}); "
+                              "refusing to build it")
+        mesh = build_box_mesh(spec.dims, spec.n, spec.partition)
+    args = (mesh, fam, cfg.chi_bar, cfg.direction, *coefficients)
+    return Problem(cfg, mesh,
+                   assemble=lambda chi: pencil(mesh, fam, chi, *coefficients),
+                   derivative=lambda: deriv(*args),
+                   volume_form=lambda clusters: volume(*args, clusters),
+                   surface_form=lambda clusters: surface(*args, clusters))
 
 
 def assemble_at(problem: Problem, chi: float) -> Pencil:
     """Pencil of the problem at parameter chi."""
-    return problem.assemble(problem.mesh, chi)
+    return problem.assemble(chi)
 
 
 def derivative_at(problem: Problem) -> PencilDerivative:
     """Pencil derivative of the problem at chi_bar."""
-    return problem.derivative(problem.mesh)
+    return problem.derivative()
 
 
 def solve_at(problem: Problem, chi: float, count: int) -> EigenDecomposition:
@@ -336,9 +319,8 @@ def tracked_fd_slopes(problem: Problem, clusters: List[EigenCluster], step: floa
     to the highest index among them. Branches at +step and -step are paired
     by `max_overlap_pairing` of their eigenvector overlaps in the M(chi_bar)
     inner product; if the smallest paired overlap is <= 0.5 the pairing is
-    ambiguous and the sorted-eigenvalue fallback is used. Returns ([(slopes
-    ascending, tracking tag, smallest paired overlap)] per cluster,
-    decomposition at +step, at -step).
+    ambiguous and the sorted-eigenvalue fallback is used. Returns (slopes
+    ascending, tracking tag, smallest paired overlap) per cluster.
     """
     cfg = problem.cfg
     M0 = problem.solution[0].M
@@ -347,8 +329,7 @@ def tracked_fd_slopes(problem: Problem, clusters: List[EigenCluster], step: floa
     dec_m = solve_at(problem, cfg.chi_bar - step, count)
     if count > min(len(dec_p.eigenvalues), len(dec_m.eigenvalues)):
         raise ContractViolationError(
-            "cluster membership changed between chi_bar-step and chi_bar+step"
-        )
+            "cluster membership changed between chi_bar-step and chi_bar+step")
     fits = []
     for cl in clusters:
         idx = cl.indices
@@ -361,7 +342,7 @@ def tracked_fd_slopes(problem: Problem, clusters: List[EigenCluster], step: floa
             rows, cols, tag = np.argsort(lp), np.argsort(lm), "sort"
         fits.append((np.sort(cfg.direction * (lp[rows] - lm[cols]) / (2.0 * step)), tag,
                      min_overlap))
-    return fits, dec_p, dec_m
+    return fits
 
 
 def cluster_fd_step(cluster: EigenCluster, base_step: float) -> float:
@@ -382,9 +363,11 @@ def _matrix_entry(A: np.ndarray):
     return A.tolist()
 
 
-def _relative_gap(A: np.ndarray, B: np.ndarray) -> float:
-    """max |A - B| relative to max |B|."""
-    return float(np.max(np.abs(A - B)) / max(np.max(np.abs(B)), 1e-300))
+def _relative_gap(A: np.ndarray, B: np.ndarray, cluster: EigenCluster) -> float:
+    """max |A - B| relative to max |B| floored at 1e-6 |lambda_bar|, so that
+    slopes zero by symmetry, where A and B are round-off, read as equal."""
+    scale = max(np.max(np.abs(B)), 1e-6 * abs(cluster.lambda_bar), 1e-300)
+    return float(np.max(np.abs(A - B)) / scale)
 
 
 def _route_matrices(problem: Problem, clusters: List[EigenCluster], surface: bool):
@@ -393,7 +376,7 @@ def _route_matrices(problem: Problem, clusters: List[EigenCluster], surface: boo
     deriv = derivative_at(problem)
 
     def form(route, wanted):
-        return route(problem.mesh, clusters) if route and wanted else [None] * len(clusters)
+        return route(clusters) if route and wanted else [None] * len(clusters)
 
     return zip([rellich_matrix(deriv, cl) for cl in clusters],
                form(problem.volume_form, True), form(problem.surface_form, surface))
@@ -419,10 +402,8 @@ def run(problem: Problem) -> dict:
     pencil, dec, clusters = problem.solution
     lo, hi = cfg.index_range
     if hi > len(dec.eigenvalues):
-        raise ConfigError(
-            f"index_range {cfg.index_range} exceeds the {len(dec.eigenvalues)} "
-            "computed eigenvalues"
-        )
+        raise ConfigError(f"index_range {cfg.index_range} exceeds the "
+                          f"{len(dec.eigenvalues)} computed eigenvalues")
     wanted = [c for c in clusters if c.indices[-1] + 1 >= lo and c.indices[0] + 1 <= hi]
 
     routes = _route_matrices(problem, wanted, cfg.surface_form_trusted)
@@ -435,9 +416,8 @@ def run(problem: Problem) -> dict:
             "multiplicity": cl.multiplicity,
             "rellich_matrix": _matrix_entry(R),
             "slopes_rellich": np.sort(sla.eigvalsh(R)).tolist(),
-            "sym_derivatives_rellich": trace_formula(
-                cl.lambda_bar, cl.multiplicity, float(np.trace(R))
-            ),
+            "sym_derivatives_rellich": trace_formula(cl.lambda_bar, cl.multiplicity,
+                                                     float(np.trace(R))),
         }
         residual = np.max(
             np.abs(pencil.K @ cl.vectors - pencil.M @ cl.vectors
@@ -450,21 +430,20 @@ def run(problem: Problem) -> dict:
         if V is not None:
             rec["volume_matrix"] = _matrix_entry(V)
             rec["slopes_volume"] = np.sort(sla.eigvalsh(V)).tolist()
-            rec["sym_derivatives_volume"] = trace_formula(
-                cl.lambda_bar, cl.multiplicity, float(np.trace(V))
-            )
-            rec["route_discrepancy"] = _relative_gap(V, R)
+            rec["sym_derivatives_volume"] = trace_formula(cl.lambda_bar, cl.multiplicity,
+                                                          float(np.trace(V)))
+            rec["route_discrepancy"] = _relative_gap(V, R, cl)
             if S is not None:
                 rec["surface_matrix"] = _matrix_entry(S)
                 rec["slopes_surface"] = np.sort(sla.eigvalsh(S)).tolist()
-                rec["surface_volume_gap"] = _relative_gap(S, V)
+                rec["surface_volume_gap"] = _relative_gap(S, V, cl)
         records.append(rec)
 
     # clusters that share an FD step share the solves at chi_bar +- step
     steps = [cluster_fd_step(cl, cfg.fd_step) for cl in wanted]
     for step in dict.fromkeys(steps):
         group = [i for i, s in enumerate(steps) if s == step]
-        fits, _, _ = tracked_fd_slopes(problem, [wanted[i] for i in group], step)
+        fits = tracked_fd_slopes(problem, [wanted[i] for i in group], step)
         for i, (fd_slopes, tag, min_overlap) in zip(group, fits):
             records[i].update(slopes_fd=fd_slopes.tolist(), fd_step=step, fd_tracking=tag,
                               fd_min_overlap=min_overlap)
@@ -498,37 +477,29 @@ def fd_check(problem: Problem, steps) -> List[dict]:
     Each row carries the tracked branch slopes and the slopes of the
     elementary symmetric functions of the cluster (sorted eigenvalues only,
     no tracking needed). A tracking failure is recorded in the row instead
-    of aborting the table.
-    """
+    of aborting the table. The observed order needs geometric steps."""
     cfg = problem.cfg
     steps = sorted(float(s) for s in steps)
     if len(steps) < 2:
         raise ConfigError("fd_check needs at least two steps")
     _, _, clusters = problem.solution
     cl = clusters[0]
-    m = cl.multiplicity
+    count = cl.indices[-1] + 1
 
     rows = []
     for step in steps:
-        row = {"step": step}
         try:
-            [(slopes, tag, min_overlap)], dec_p, dec_m = tracked_fd_slopes(problem, [cl], step)
-            row["slopes"] = slopes.tolist()
-            row["tracking"] = tag
-            row["fd_min_overlap"] = min_overlap
+            [(slopes, tag, min_overlap)] = tracked_fd_slopes(problem, [cl], step)
         except ContractViolationError as exc:
-            row["tracking"] = f"failed: {exc}"
-            rows.append(row)
+            rows.append({"step": step, "tracking": f"failed: {exc}"})
             continue
-        lam_p = np.sort(dec_p.eigenvalues[cl.indices])
-        lam_m = np.sort(dec_m.eigenvalues[cl.indices])
-        row["sym_slopes"] = [
-            cfg.direction
-            * (elementary_symmetric(lam_p, s) - elementary_symmetric(lam_m, s))
-            / (2.0 * step)
-            for s in range(1, m + 1)
-        ]
-        rows.append(row)
+        # the solves that tracked_fd_slopes made, from the problem's memo
+        lam_p, lam_m = (np.sort(solve_at(problem, cfg.chi_bar + h, count).eigenvalues[cl.indices])
+                        for h in (step, -step))
+        sym = [cfg.direction * (elementary_symmetric(lam_p, s) - elementary_symmetric(lam_m, s))
+               / (2.0 * step) for s in range(1, cl.multiplicity + 1)]
+        rows.append({"step": step, "slopes": slopes.tolist(), "tracking": tag,
+                     "fd_min_overlap": min_overlap, "sym_slopes": sym})
 
     good = [r for r in rows if "slopes" in r]
     fd = [np.asarray(r["slopes"]) for r in good]
@@ -538,7 +509,7 @@ def fd_check(problem: Problem, steps) -> List[dict]:
         rich = (ratio**2 * fd[0] - fd[1]) / (ratio**2 - 1.0)
         for r in rows:
             r["richardson"] = rich.tolist()
-    if len(good) >= 3:
+    if len(good) >= 3 and abs(good[2]["step"] / good[1]["step"] - ratio) <= 1e-9 * ratio:
         num = np.abs(fd[2] - fd[1]).max()
         den = np.abs(fd[1] - fd[0]).max()
         if den > 0 and num > 0:
@@ -548,26 +519,29 @@ def fd_check(problem: Problem, steps) -> List[dict]:
     return rows
 
 
-def refinement_study(problem: Problem) -> List[dict]:
-    """Route discrepancies and surface-volume gaps over a refinement sequence,
-    with one `Problem` per level."""
-    cfg = problem.cfg
+def refinement_study(cfg: RunConfig) -> List[dict]:
+    """Route discrepancies and surface-volume gaps over a refinement sequence:
+    the `Problem` of `cfg` with the box's n set to each level in turn."""
+    if cfg.problem not in _COEFFICIENT_KEYS:
+        raise ConfigError("refinement studies need a FEM problem")
+    if mesh_spec(cfg.mesh).type != "box":
+        raise ConfigError("refinement studies require a box mesh spec")
     if not cfg.refinement:
         raise ConfigError("refinement list is empty")
     rows = []
     prev_gap = None
     for n in cfg.refinement:
-        level = build_problem(cfg, n)
+        level = build_problem(replace(cfg, mesh=dict(cfg.mesh, n=n)))
         pencil, dec, clusters = level.solution
         cl = clusters[0]
         ((R, V, S),) = _route_matrices(level, [cl], surface=True)
-        gap = _relative_gap(S, V)
+        gap = _relative_gap(S, V, cl)
         rows.append({
             "n": n,
             "dofs": pencil.size,
             "eigenvalues": dec.eigenvalues[: cl.indices[-1] + 1].tolist(),
             "lambda_bar": cl.lambda_bar,
-            "route_discrepancy": _relative_gap(V, R),
+            "route_discrepancy": _relative_gap(V, R, cl),
             "surface_volume_gap": gap,
             "gap_decreased": bool(prev_gap is None or gap < prev_gap),
         })

@@ -228,7 +228,7 @@ def test_criterion_04_branch_splitting():
         "cluster_tol": CLUSTER_TOL,
     })
     step = harness.cluster_fd_step(cl6, mcfg.fd_step)
-    [(fd6, tag, _)], _, _ = harness.tracked_fd_slopes(harness.build_problem(mcfg), [cl6], step)
+    [(fd6, tag, _)] = harness.tracked_fd_slopes(harness.build_problem(mcfg), [cl6], step)
     fd_tol = max(1e-4 * cl6.lambda_bar, 2 * cl6.width)
     fd_dev = np.abs(slopes6 - fd6).max()
 

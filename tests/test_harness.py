@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ HELM_SCALING = {
 
 
 MIXED = {"x0": "T", "x1": "N", "y0": "T", "y1": "T", "z0": "N", "z1": "T"}
+BUMP_X = {"kind": "bump", "g": {"type": "sin", "axis": 0, "amplitude": 0.08}}
 
 
 def config(**overrides):
@@ -55,19 +57,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             harness.RunConfig.from_dict(dict(HELM_SCALING, kernel_tol=0.0))
 
+    # the nested specs are read, and checked, when the problem is built
     def test_bad_coefficient_spec_rejected(self):
         with pytest.raises(ConfigError):
-            harness.RunConfig.from_dict(
-                dict(HELM_SCALING, coefficients={"nu": {"kind": "mystery"}})
-            )
+            harness.build_problem(config(coefficients={"nu": {"kind": "mystery"}}))
 
     def test_missing_spec_key_rejected_at_parse(self):
         with pytest.raises(ConfigError):
-            harness.RunConfig.from_dict(dict(HELM_SCALING, family={"kind": "bump"}))
+            harness.build_problem(config(family={"kind": "bump"}))
 
     def test_file_mesh_without_path_rejected(self):
         with pytest.raises(ConfigError):
-            harness.RunConfig.from_dict(dict(HELM_SCALING, mesh={"type": "file"}))
+            harness.build_problem(config(mesh={"type": "file"}))
 
     @pytest.mark.parametrize("problem, coefficients", [
         ("helmholtz", {"mu": {"kind": "constant"}}),
@@ -76,8 +77,8 @@ class TestRunConfig:
     ])
     def test_coefficient_the_problem_does_not_read_rejected(self, problem, coefficients):
         with pytest.raises(ConfigError, match="reads the coefficients"):
-            harness.RunConfig.from_dict(
-                dict(HELM_SCALING, problem=problem, coefficients=coefficients))
+            harness.build_problem(harness.RunConfig.from_dict(
+                dict(HELM_SCALING, problem=problem, coefficients=coefficients)))
 
 
 class TestRun:
@@ -168,6 +169,11 @@ class TestFdCheck:
         rows = harness.fd_check(harness.build_problem(cfg), (1e-3, 5e-4, 2.5e-4))
         assert 1.9 <= rows[0]["observed_order"] <= 2.1
 
+    @pytest.mark.parametrize("steps", [(1e-3, 2e-3, 8e-3), (1e-3, 3e-3, 4e-3, 1e-2)])
+    def test_observed_order_needs_geometric_steps(self, steps):
+        rows = harness.fd_check(harness.build_problem(config()), steps)
+        assert all("slopes" in r and "observed_order" not in r for r in rows)
+
     def test_sym_slopes_recorded_per_step(self):
         rows = harness.fd_check(harness.build_problem(config()), (1e-3, 1e-4))
         for row in rows:
@@ -232,7 +238,7 @@ class TestMaxOverlapPairing:
 
 class TestRefinementStudy:
     def test_gap_and_routes_over_levels(self):
-        rows = harness.refinement_study(harness.build_problem(config(refinement=[2, 3, 4])))
+        rows = harness.refinement_study(config(refinement=[2, 3, 4]))
         gaps = [r["surface_volume_gap"] for r in rows]
         assert gaps == sorted(gaps, reverse=True)
         assert all(r["route_discrepancy"] <= 1e-10 for r in rows)
@@ -240,21 +246,31 @@ class TestRefinementStudy:
 
     def test_study_and_run_share_one_route_evaluation(self):
         cfg = config(mesh=dict(HELM_SCALING["mesh"], partition=MIXED), refinement=[3],
-                     family={"kind": "bump", "g": {"type": "sin", "axis": 0, "amplitude": 0.08}})
-        [row] = harness.refinement_study(harness.build_problem(cfg))
+                     family=BUMP_X)
+        [row] = harness.refinement_study(cfg)
         rec = harness.run(harness.build_problem(cfg))["clusters"][0]
         assert row["route_discrepancy"] == rec["route_discrepancy"]
         assert row["surface_volume_gap"] == rec["surface_volume_gap"]
         assert row["surface_volume_gap"] > 0
 
+    def test_slope_zero_by_symmetry_passes_route_equivalence(self):
+        """On the all-T box a bump along x leaves the lowest slope zero by
+        symmetry, so every route reads round-off of zero."""
+        cfg = config(refinement=[3], family=BUMP_X)
+        rec = harness.run(harness.build_problem(cfg))["clusters"][0]
+        assert abs(rec["slopes_rellich"][0]) <= 1e-12 * rec["lambda_bar"]
+        assert rec["route_discrepancy"] <= 1e-10 and rec["surface_volume_gap"] <= 1e-8
+        [row] = harness.refinement_study(cfg)
+        assert row["route_discrepancy"] <= 1e-10 and row["surface_volume_gap"] <= 1e-8
+
     def test_dof_guard(self):
         cfg = config(problem="maxwell", refinement=[64])
         with pytest.raises(ConfigError):
-            harness.refinement_study(harness.build_problem(cfg))
+            harness.refinement_study(cfg)
 
     def test_empty_refinement_rejected(self):
         with pytest.raises(ConfigError):
-            harness.refinement_study(harness.build_problem(config(refinement=[])))
+            harness.refinement_study(config(refinement=[]))
 
 
 class TestCli:
@@ -488,6 +504,26 @@ class TestCli:
         assert cli.main(["study", "--config", path]) == 0
         assert [n for _, n, _ in meshes] == [2, 3]
 
+    @pytest.mark.parametrize("command", ["eig", "dshape"])
+    def test_box_above_the_dof_limit_is_refused_unbuilt(self, tmp_path, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("box mesh built above the dof limit")
+
+        monkeypatch.setattr(harness, "build_box_mesh", refuse)
+        path = self.write_config(tmp_path, {"problem": "maxwell", "mesh": {"type": "box", "n": 64}})
+        start = time.perf_counter()
+        assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"problem": "abstract-pencil"}, "FEM problem"),
+        (dict(HELM_SCALING, mesh={"type": "file", "path": "box.tetmesh"}), "box mesh spec"),
+    ], ids=["abstract-pencil", "file-mesh"])
+    def test_study_needs_a_fem_problem_on_a_box(self, tmp_path, capsys, raw, message):
+        path = self.write_config(tmp_path, dict(raw, refinement=[2, 3]))
+        assert cli.main(["study", "--config", path]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_study_command(self, tmp_path, capsys):
         path = self.write_config(tmp_path, dict(HELM_SCALING, refinement=[2, 3]))
         assert cli.main(["study", "--config", path]) == 0
@@ -582,8 +618,8 @@ class TestConfigReader:
     @given(data=st.data())
     def test_any_value_anywhere_is_a_config_error_or_read(self, mesh_path, data):
         """A config with well-formed values and one or two random JSON values
-        at any position: reading it, building its problem and building a
-        small mesh raise no error other than those `cli` maps to exit 2."""
+        at any position: reading it and building its problem, mesh included,
+        raise no error other than those `cli` maps to exit 2."""
         raw = data.draw(_configs(mesh_path))
         positions = data.draw(st.permutations(list(_positions(raw))))
         for *parents, key in positions[:data.draw(st.integers(0, 2))]:
@@ -596,8 +632,6 @@ class TestConfigReader:
             cfg = harness.RunConfig.from_dict(raw)
             problem = harness.build_problem(cfg)
             if cfg.problem != "abstract-pencil":
-                spec = harness.mesh_spec(cfg.mesh)
-                if spec.type == "file" or spec.n <= 3:
-                    assert problem.mesh.num_tets() > 0
+                assert problem.mesh.num_tets() > 0
         except cli._CONFIG_ERRORS:
             pass
