@@ -63,7 +63,7 @@ def _cmd_eig(cfg, out):
     pencil = harness.assemble_at(harness.build_problem(cfg), cfg.chi_bar)
     lo, hi = cfg.index_range
     dec = solve_pencil(pencil, cfg.kernel_tol, count=hi, cluster_tol=cfg.cluster_tol)
-    hi = min(hi, len(dec.eigenvalues))
+    harness.check_index_range(cfg, dec)
     _emit(
         {
             "eigenvalues": dec.eigenvalues[lo - 1 : hi].tolist(),

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from . import transforms
 from .errors import DegenerateProblemError
 from .geometry import Mesh, tet_quadrature
-from .transforms import AffineFamily
+from .transforms import AffineField
 
 Matrix = Union[np.ndarray, sp.csr_array]
 
@@ -109,9 +109,9 @@ def scatter_symmetric(local: np.ndarray, gdofs: np.ndarray, ndof: int) -> sp.csr
 
 
 def default_quad_order(family, *coefficients) -> int:
-    """Order 2 when the family is affine and every coefficient is constant
-    (its gradient G is zero), order 4 otherwise."""
-    if isinstance(family, AffineFamily) and all(c.constant for c in coefficients):
+    """Order 2 when the family's field g is affine and every coefficient is
+    constant (its gradient G is zero), order 4 otherwise."""
+    if isinstance(family.g, AffineField) and all(c.constant for c in coefficients):
         return 2
     return 4
 
@@ -152,7 +152,7 @@ def assemble_derivative(
 
     def coefficients(X):
         geo = transforms.map_points(family, chi_bar, X)
-        v = transforms.psi_on_physical(family, chi_bar, direction, geo)
+        v = transforms.psi_on_physical(family, direction, geo)
         return [transforms.coefficient_kind(name).derivative(c, v, geo)
                 for name, c in zip(space.coefficients, (stiff, mass))]
 

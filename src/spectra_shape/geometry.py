@@ -274,24 +274,13 @@ def facet_incidence(tets: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     return facets, counts, first // len(TET_FACE_TRIPLES)
 
 
-def _lex(rows: np.ndarray) -> np.ndarray:
-    """Integer rows as one record each, which compare lexicographically."""
-    rows = np.ascontiguousarray(rows, dtype=int)
-    return rows.view([(f"c{k}", int) for k in range(rows.shape[1])]).reshape(-1)
-
-
 def _row_index(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Index in `table` of each row of `rows`, read as a vertex set; -1 where
-    it is absent.
-
-    `table` holds sorted rows in lexicographic order, as the facets of
-    `facet_incidence` and `Mesh.edges` do.
-    """
-    keys, entries = _lex(table), _lex(np.sort(rows, axis=1))
-    at = np.searchsorted(keys, entries)
-    found = at < len(keys)
-    found[found] = keys[at[found]] == entries[found]
-    return np.where(found, at, -1)
+    """Index in `table`, of distinct sorted rows, of each row of `rows`, read
+    as a vertex set; -1 where it is absent. The stable sort of `_unique_rows`
+    puts a table row first among the rows equal to it."""
+    _, first, inverse, _ = _unique_rows(np.vstack([table, np.sort(rows, axis=1)]))
+    at = first[inverse[len(table):]]
+    return np.where(at < len(table), at, -1)
 
 
 def box_mesh_size(n: int) -> Tuple[int, int]:

@@ -21,10 +21,7 @@ from .geometry import tet_quadrature, triangle_quadrature
 from .helmholtz import P1
 from .maxwell import NEDELEC
 from .spectral import EigenCluster
-
-
-def _sym(A):
-    return 0.5 * (A + A.T)
+from .transforms import _sym
 
 
 def _frames(geo, shape):
@@ -68,7 +65,7 @@ def volume_matrix(
     quad_order = default_quad_order(family, stiff, mass)
     pts, w = mesh.quadrature_points(quad_order)
     geo = transforms.map_points(family, chi_bar, pts.reshape(-1, 3))
-    v = transforms.psi_on_physical(family, chi_bar, direction, geo)
+    v = transforms.psi_on_physical(family, direction, geo)
     B_stiff, B_mass = (transforms.coefficient_kind(name).bracket(c, v, geo)
                        for name, c in zip(space.coefficients, (stiff, mass)))
     del v  # not needed past the brackets: free it before the eigenfields
@@ -104,7 +101,7 @@ def surface_matrix(
     frames = _frames(geo, shape)
     # Nanson: n dsigma_Phi = det(J) J^-T n_ref dsigma_ref
     nanson = frames[1][:, :, None] * np.einsum("fqba,fb->fqa", frames[2], n_ref)
-    psi = transforms.psi_on_physical(family, chi_bar, direction, geo).psi
+    psi = transforms.psi_on_physical(family, direction, geo).psi
     sign = np.where(np.asarray(mesh.bfacet_tags) == "N", 1.0, -1.0)
     weight = (sign[:, None] * 2.0 * area[:, None] * rule.weights
               * np.einsum("fqa,fqa->fq", psi.reshape(shape + (3,)), nanson))

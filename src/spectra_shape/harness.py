@@ -393,6 +393,13 @@ def write_json(payload, path: Optional[str]):
         print(text)
 
 
+def check_index_range(cfg: RunConfig, dec: EigenDecomposition):
+    """Refuse an index_range that reaches past the computed eigenvalues."""
+    if cfg.index_range[1] > len(dec.eigenvalues):
+        raise ConfigError(f"index_range {cfg.index_range} exceeds the "
+                          f"{len(dec.eigenvalues)} computed eigenvalues")
+
+
 def run(problem: Problem) -> dict:
     """Assemble, solve, and evaluate every derivative route for the clusters
     covering the configured eigenvalue index range. The report is a dict of
@@ -400,10 +407,8 @@ def run(problem: Problem) -> dict:
     environment and clusters, written to the config's output if it has one."""
     cfg = problem.cfg
     pencil, dec, clusters = problem.solution
+    check_index_range(cfg, dec)
     lo, hi = cfg.index_range
-    if hi > len(dec.eigenvalues):
-        raise ConfigError(f"index_range {cfg.index_range} exceeds the "
-                          f"{len(dec.eigenvalues)} computed eigenvalues")
     wanted = [c for c in clusters if c.indices[-1] + 1 >= lo and c.indices[0] + 1 <= hi]
 
     routes = _route_matrices(problem, wanted, cfg.surface_form_trusted)
@@ -482,6 +487,8 @@ def fd_check(problem: Problem, steps) -> List[dict]:
     steps = sorted(float(s) for s in steps)
     if len(steps) < 2:
         raise ConfigError("fd_check needs at least two steps")
+    if len(set(steps)) < len(steps):
+        raise ConfigError(f"fd_check needs distinct steps, got {steps}")
     _, _, clusters = problem.solution
     cl = clusters[0]
     count = cl.indices[-1] + 1

@@ -1,11 +1,12 @@
 """Parameterized domain transformations and material coefficient fields.
 
-Everything here is closed form: each transformation family exposes its map,
-Jacobian, parameter velocity and velocity Jacobian; each coefficient field
-exposes its value and spatial gradient. All evaluators are vectorized over
-points of shape (N, 3) and are pure functions of immutable data. The
-pull-backs, their derivatives and the velocity field read the map from a
-`MappedPoints`, evaluated once per parameter and point set.
+Everything here is closed form: each coefficient and displacement field
+exposes its value and spatial gradient, and the one transformation family
+Phi_chi = Phi_0 + chi * g its map and Jacobian, with the field g as its
+parameter velocity. All evaluators are vectorized over points of shape
+(N, 3) and are pure functions of immutable data. The pull-backs, their
+derivatives and the velocity field read the map from a `MappedPoints`,
+evaluated once per parameter and point set.
 """
 
 from dataclasses import dataclass, field
@@ -48,7 +49,9 @@ class AffineField:
     def value(self, X):
         if self.constant:  # a read-only view: no product with a zero G per point
             return np.broadcast_to(self.c0, (len(X),) + self.c0.shape)
-        return self.c0 + np.tensordot(X, self.G, (1, -1))
+        # G^T in C order, c0 added in place: each 2-3x faster on many points
+        out = (X @ self.G.reshape(-1, 3).T.copy()).reshape((len(X),) + self.c0.shape)
+        return np.add(out, self.c0, out=out)
 
     def gradient(self, X):
         return np.broadcast_to(self.G, (len(X),) + self.G.shape)
@@ -82,66 +85,39 @@ class SinField:
 
 
 # ---------------------------------------------------------------------------
-# transformation families
+# the transformation family
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AffineFamily:
-    """Phi_chi(x) = (A0 + chi*A1) x + b0 + chi*b1."""
-
-    A0: np.ndarray = field(default_factory=lambda: np.eye(3))
-    A1: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
-    b0: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    b1: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def map(self, chi, X):
-        A = np.asarray(self.A0) + chi * np.asarray(self.A1)
-        return X @ A.T + (np.asarray(self.b0) + chi * np.asarray(self.b1))
-
-    def jacobian(self, chi, X):
-        A = np.asarray(self.A0) + chi * np.asarray(self.A1)
-        return np.broadcast_to(A, (len(X), 3, 3)).copy()
-
-    def velocity(self, chi, X):
-        return X @ np.asarray(self.A1).T + np.asarray(self.b1)
-
-    def velocity_jacobian(self, chi, X):
-        return np.broadcast_to(self.A1, (len(X), 3, 3)).copy()
-
-
-@dataclass(frozen=True)
-class BumpFamily:
-    """Phi_chi(x) = x + chi * g(x) with g from the closed-form field catalog."""
+class Family:
+    """Phi_chi(x) = base(x) + chi * g(x): an affine base map (the identity by
+    default) perturbed along a field g of the catalog, the parameter velocity
+    dPhi/dchi. Affine exactly where g is an AffineField."""
 
     g: object
+    base: AffineField = field(default_factory=lambda: AffineField(np.zeros(3), np.eye(3)))
 
     def map(self, chi, X):
-        return X + chi * self.g.value(X)
+        return self.base.value(X) + chi * self.g.value(X)
 
     def jacobian(self, chi, X):
-        return np.broadcast_to(np.eye(3), (len(X), 3, 3)) + chi * self.g.gradient(X)
-
-    def velocity(self, chi, X):
-        return self.g.value(X)
-
-    def velocity_jacobian(self, chi, X):
-        return self.g.gradient(X)
+        return self.base.gradient(X) + chi * self.g.gradient(X)
 
 
-def scaling_family(rate: float = 1.0) -> AffineFamily:
+def scaling_family(rate: float = 1.0) -> Family:
     """Phi_chi(x) = (1 + rate*chi) x."""
-    return AffineFamily(A1=rate * np.eye(3))
+    return Family(AffineField(np.zeros(3), rate * np.eye(3)))
 
 
-def translation_family(b1=(1.0, 0.0, 0.0)) -> AffineFamily:
-    return AffineFamily(b1=np.asarray(b1, dtype=float))
+def translation_family(b1=(1.0, 0.0, 0.0)) -> Family:
+    return Family(AffineField(b1))
 
 
-def stretch_family(axis: int = 0) -> AffineFamily:
+def stretch_family(axis: int = 0) -> Family:
     """Phi_chi = diag(..., 1+chi, ...) stretching a single axis."""
-    A1 = np.zeros((3, 3))
-    A1[axis, axis] = 1.0
-    return AffineFamily(A1=A1)
+    G = np.zeros((3, 3))
+    G[axis, axis] = 1.0
+    return Family(AffineField(np.zeros(3), G))
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +172,12 @@ class Velocity(NamedTuple):
     div_psi: np.ndarray
 
 
-def psi_on_physical(family, chi_bar, direction, geo: MappedPoints) -> Velocity:
-    """Perturbation field at the mapped points of `geo`, parameterized by the
-    reference point x; no inverse map is ever computed."""
-    jpsi = direction * family.velocity_jacobian(chi_bar, geo.x) @ geo.Jinv
-    return Velocity(direction * family.velocity(chi_bar, geo.x), jpsi,
+def psi_on_physical(family, direction, geo: MappedPoints) -> Velocity:
+    """Perturbation field direction * g, g the family's velocity, at the mapped
+    points of `geo`, parameterized by the reference point x; no inverse map
+    is ever computed."""
+    jpsi = direction * family.g.gradient(geo.x) @ geo.Jinv
+    return Velocity(direction * family.g.value(geo.x), jpsi,
                     np.trace(jpsi, axis1=1, axis2=2))
 
 
@@ -356,14 +333,13 @@ def field_from_config(spec: dict):
 def family_from_config(spec: dict):
     kind = spec_value(spec, "kind", of=str)
     if kind == "affine":
-        return AffineFamily(
-            A0=spec_value(spec, "A0", np.eye(3).tolist(), shape=(3, 3)),
-            A1=spec_value(spec, "A1", np.zeros((3, 3)).tolist(), shape=(3, 3)),
-            b0=spec_value(spec, "b0", [0, 0, 0], shape=(3,)),
-            b1=spec_value(spec, "b1", [0, 0, 0], shape=(3,)),
-        )
+        return Family(
+            AffineField(spec_value(spec, "b1", [0, 0, 0], shape=(3,)),
+                        spec_value(spec, "A1", np.zeros((3, 3)).tolist(), shape=(3, 3))),
+            AffineField(spec_value(spec, "b0", [0, 0, 0], shape=(3,)),
+                        spec_value(spec, "A0", np.eye(3).tolist(), shape=(3, 3))))
     if kind == "bump":
-        return BumpFamily(field_from_config(spec_value(spec, "g", of=dict)))
+        return Family(field_from_config(spec_value(spec, "g", of=dict)))
     if kind == "scaling":
         return scaling_family(spec_value(spec, "rate", 1.0))
     if kind == "translation":

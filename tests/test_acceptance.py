@@ -95,14 +95,14 @@ def test_criterion_01_route_equivalence():
         tf.scaling_family(),
         tf.stretch_family(0),
         tf.stretch_family(2),
-        tf.AffineFamily(
-            A1=np.array([[0.2, 0.1, 0.0], [0.0, -0.3, 0.05], [0.1, 0.0, 0.4]]),
-            b1=np.array([0.1, 0.0, -0.2]),
-        ),
+        tf.Family(tf.AffineField(
+            np.array([0.1, 0.0, -0.2]),
+            np.array([[0.2, 0.1, 0.0], [0.0, -0.3, 0.05], [0.1, 0.0, 0.4]]),
+        )),
         # half-period sine so the boundary actually moves (Psi.n nonzero at
         # x=1) and the slope matrix is well away from zero
-        tf.BumpFamily(tf.SinField(axis=0, depends_on=0, amplitude=0.1, frequency=0.5)),
-        tf.BumpFamily(tf.AffineField(
+        tf.Family(tf.SinField(axis=0, depends_on=0, amplitude=0.1, frequency=0.5)),
+        tf.Family(tf.AffineField(
             np.zeros(3), np.array([[0.0, 0.2, 0.0], [0.0, 0.0, 0.1], [0.05, 0.0, 0.0]])
         )),
     ]

@@ -24,7 +24,7 @@ FAMILIES = [
     tf.scaling_family(),
     tf.translation_family((0.2, -0.1, 0.3)),
     tf.stretch_family(2),
-    tf.BumpFamily(tf.SinField(axis=0, depends_on=1, amplitude=0.08, frequency=1.0)),
+    tf.Family(tf.SinField(axis=0, depends_on=1, amplitude=0.08, frequency=1.0)),
 ]
 
 

@@ -331,6 +331,27 @@ class TestCli:
             doc["branch_slopes"]["crossing"], [-1.0, 1.0], atol=1e-12
         )
 
+    def test_repeated_fd_steps_exit_code(self, tmp_path, capsys):
+        """Equal steps would give a Richardson ratio of 1, a division by zero."""
+        path = self.write_config(tmp_path, dict(HELM_SCALING, fd_steps=[1e-3, 1e-3]))
+        assert cli.main(["verify", "--config", path]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "distinct steps" in captured.err and captured.out == ""
+
+    def test_index_range_past_the_spectrum_exit_code(self, tmp_path, capsys):
+        """eig refuses what dshape refuses, with the same message: an n=2
+        box with every face T has one free vertex, so one eigenvalue."""
+        raw = dict(HELM_SCALING, mesh=dict(HELM_SCALING["mesh"], n=2), index_range=[2, 3])
+        path = self.write_config(tmp_path, raw)
+        errors = []
+        for command in ("eig", "dshape"):
+            assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert "index_range (2, 3) exceeds the 1 computed eigenvalues" in errors[0]
+
     def test_config_error_exit_code(self, tmp_path):
         path = self.write_config(tmp_path, {"problem": "bogus"})
         assert cli.main(["eig", "--config", path]) == cli.EXIT_CONFIG

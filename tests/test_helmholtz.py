@@ -10,6 +10,9 @@ from spectra_shape.fem_common import free_dofs
 from spectra_shape.geometry import build_box_mesh
 from spectra_shape.spectral import solve_pencil
 
+# g = 0: Phi_chi(x) = x for every chi
+IDENTITY = tf.Family(tf.AffineField(np.zeros(3)))
+
 PI2_3 = 3 * np.pi**2
 
 
@@ -23,7 +26,7 @@ class TestDofs:
         mesh = build_box_mesh((1, 1, 1), 1, "T")
         with pytest.raises(DegenerateProblemError):
             hh.assemble_helmholtz(
-                mesh, tf.AffineFamily(), 0.0,
+                mesh, IDENTITY, 0.0,
                 tf.AffineField(np.eye(3)), tf.AffineField(1.0),
             )
 
@@ -62,7 +65,7 @@ class TestExactAffineIdentities:
 class TestMatrixDerivativesVsFD:
     @pytest.mark.parametrize("family", [
         tf.scaling_family(),
-        tf.BumpFamily(tf.SinField(axis=2, depends_on=0, amplitude=0.1, frequency=1.0)),
+        tf.Family(tf.SinField(axis=2, depends_on=0, amplitude=0.1, frequency=1.0)),
     ])
     def test_dK_dM_match_fd(self, cube_n2, family, eye_eps, unit_nu):
         h = 1e-5
@@ -75,13 +78,13 @@ class TestMatrixDerivativesVsFD:
 
 class TestSpectrum:
     def test_lowest_eigenvalue_bracket(self, cube_n4, eye_eps, unit_nu):
-        p = hh.assemble_helmholtz(cube_n4, tf.AffineFamily(), 0.0, eye_eps, unit_nu)
+        p = hh.assemble_helmholtz(cube_n4, IDENTITY, 0.0, eye_eps, unit_nu)
         lam1 = solve_pencil(p).eigenvalues[0]
         # P1 approximation from above; measured 1.2665 * 3pi^2 on this mesh
         assert PI2_3 < lam1 < 1.27 * PI2_3
 
     def test_matrices_spd(self, cube_n3, eye_eps, unit_nu):
-        p = hh.assemble_helmholtz(cube_n3, tf.AffineFamily(), 0.0, eye_eps, unit_nu)
+        p = hh.assemble_helmholtz(cube_n3, IDENTITY, 0.0, eye_eps, unit_nu)
         K, M = p.K.toarray(), p.M.toarray()
         np.testing.assert_allclose(K, K.T, atol=1e-14)
         np.testing.assert_allclose(M, M.T, atol=1e-14)

@@ -2,8 +2,8 @@
 data evaluated once per mesh.
 
 The closed-form 3x3 determinant and adjugate are pinned against LAPACK;
-spies count how often the family's Jacobians and the tet edge matrices are
-evaluated by assembly, the Hadamard forms and a full run.
+spies count how often the family's Jacobian, the velocity field and the tet
+edge matrices are evaluated by assembly, the Hadamard forms and a full run.
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ EPS = tf.matrix_coefficient_from_config(
     {"kind": "affine-diagonal", "d0": [1.0, 1.2, 0.9], "D": 0.1 * np.eye(3)})
 NU = tf.AffineField(1.1, np.array([0.2, -0.1, 0.15]))
 MIXED = {"x0": "T", "x1": "N", "y0": "N", "y1": "T", "z0": "T", "z1": "N"}
-BUMP = tf.BumpFamily(tf.SinField(axis=0, depends_on=1, amplitude=0.08, frequency=1.0))
+BUMP = tf.Family(tf.SinField(axis=0, depends_on=1, amplitude=0.08, frequency=1.0))
 
 
 def _orthogonal(rng, n):
@@ -55,7 +55,7 @@ class TestClosedForm:
 
     def test_folding_bump_is_inadmissible(self, cube_n3):
         """J_00 = 1 + chi a pi cos(pi x) < 0 near x = 1 for chi a pi > 1."""
-        fam = tf.BumpFamily(tf.SinField(axis=0, depends_on=0, amplitude=0.5, frequency=1.0))
+        fam = tf.Family(tf.SinField(axis=0, depends_on=0, amplitude=0.5, frequency=1.0))
         pts, _ = cube_n3.quadrature_points(4)
         worst = np.linalg.det(fam.jacobian(1.0, pts.reshape(-1, 3))).min()
         assert worst < 0
@@ -65,12 +65,13 @@ class TestClosedForm:
 
 
 def _count(monkeypatch, owner, name):
-    """Replace owner.name with a wrapper that records each call's first array."""
+    """Replace owner.name with a wrapper that records the shape of each call's
+    first array, None for a call without one."""
     calls = []
     real = getattr(owner, name)
 
     def counted(*args):
-        calls.append(next(a for a in args if isinstance(a, np.ndarray)).shape)
+        calls.append(next((a.shape for a in args if isinstance(a, np.ndarray)), None))
         return real(*args)
 
     monkeypatch.setattr(owner, name, counted)
@@ -81,7 +82,7 @@ class TestTraffic:
     @pytest.mark.parametrize("assemble, second", [(hh.assemble_helmholtz, NU),
                                                   (mx.assemble_maxwell, EPS)])
     def test_assembly_maps_each_point_set_once(self, monkeypatch, cube_n3, assemble, second):
-        calls = _count(monkeypatch, tf.BumpFamily, "jacobian")
+        calls = _count(monkeypatch, tf.Family, "jacobian")
         assemble(cube_n3, BUMP, 0.2, EPS, second)
         assert len(calls) == 1
 
@@ -89,14 +90,14 @@ class TestTraffic:
         (hh.assemble_helmholtz_derivative, NU), (mx.assemble_maxwell_derivative, EPS)])
     def test_derivative_maps_each_point_set_once(self, monkeypatch, cube_n3, derivative,
                                                  second):
-        jac = _count(monkeypatch, tf.BumpFamily, "jacobian")
-        vel = _count(monkeypatch, tf.BumpFamily, "velocity_jacobian")
+        jac = _count(monkeypatch, tf.Family, "jacobian")
+        vel = _count(monkeypatch, tf, "psi_on_physical")
         derivative(cube_n3, BUMP, 0.2, 1.0, EPS, second)
         assert (len(jac), len(vel)) == (1, 1)
 
     def test_run_evaluates_each_form_once(self, monkeypatch):
         """Derivative assembly, volume form and surface form: one velocity
-        Jacobian each, however many clusters are wanted."""
+        field each, however many clusters are wanted."""
         cfg = harness.RunConfig.from_dict({
             "problem": "helmholtz",
             "mesh": {"type": "box", "n": 3, "partition": "T"},
@@ -104,7 +105,7 @@ class TestTraffic:
             "index_range": [1, 4],
             "cluster_tol": 0.08,
         })
-        calls = _count(monkeypatch, tf.BumpFamily, "velocity_jacobian")
+        calls = _count(monkeypatch, tf, "psi_on_physical")
         report = harness.run(harness.build_problem(cfg))
         assert len(report["clusters"]) >= 2
         assert all("surface_matrix" in rec for rec in report["clusters"])
@@ -116,7 +117,7 @@ class TestTraffic:
                            cluster_tol=0.08)
         clusters = cluster_spectrum(dec, 0.08)
         assert len(clusters) >= 2
-        jac = _count(monkeypatch, tf.BumpFamily, "jacobian")
+        jac = _count(monkeypatch, tf.Family, "jacobian")
         V = hd.helmholtz_volume_matrix(mesh, BUMP, 0.2, 1.0, EPS, NU, clusters)
         S = hd.helmholtz_surface_matrix(mesh, BUMP, 0.2, 1.0, EPS, NU, clusters)
         assert len(jac) == 2

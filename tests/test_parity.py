@@ -40,11 +40,11 @@ MU_INV = tf.matrix_coefficient_from_config(
 MIXED = {"x0": "T", "x1": "N", "y0": "N", "y1": "T", "z0": "T", "z1": "N"}
 FAMILIES = {
     "scaling": tf.scaling_family(),
-    "affine-A1": tf.AffineFamily(
-        A1=np.array([[0.2, 0.1, 0.0], [0.0, -0.3, 0.05], [0.1, 0.0, 0.4]]),
-        b1=np.array([0.1, 0.0, -0.2]),
-    ),
-    "bump-sin": tf.BumpFamily(
+    "affine-A1": tf.Family(tf.AffineField(
+        np.array([0.1, 0.0, -0.2]),
+        np.array([[0.2, 0.1, 0.0], [0.0, -0.3, 0.05], [0.1, 0.0, 0.4]]),
+    )),
+    "bump-sin": tf.Family(
         tf.SinField(axis=0, depends_on=1, amplitude=0.08, frequency=1.0)
     ),
 }

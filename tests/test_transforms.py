@@ -25,7 +25,7 @@ def pull_back(kind, family, chi, coeff, X):
 def derivative(kind, family, chi_bar, direction, coeff, X):
     """Directional derivative of the pulled-back coefficient of `kind`."""
     geo = tf.map_points(family, chi_bar, X)
-    v = tf.psi_on_physical(family, chi_bar, direction, geo)
+    v = tf.psi_on_physical(family, direction, geo)
     return tf.coefficient_kind(kind).derivative(coeff, v, geo)
 
 
@@ -33,12 +33,14 @@ FAMILIES = [
     tf.scaling_family(1.0),
     tf.translation_family((0.3, -0.2, 0.1)),
     tf.stretch_family(1),
-    tf.AffineFamily(A1=np.array([[0.2, 0.1, 0.0], [0.0, -0.3, 0.05], [0.1, 0.0, 0.4]]),
-                    b1=np.array([0.1, 0.0, -0.2])),
-    tf.BumpFamily(tf.SinField(axis=0, depends_on=1, amplitude=0.08, frequency=1.0)),
-    tf.BumpFamily(tf.AffineField(np.zeros(3), np.array([[0.0, 0.2, 0.0],
-                                                        [0.0, 0.0, 0.1],
-                                                        [0.05, 0.0, 0.0]]))),
+    tf.Family(tf.AffineField(
+        np.array([0.1, 0.0, -0.2]),
+        np.array([[0.2, 0.1, 0.0], [0.0, -0.3, 0.05], [0.1, 0.0, 0.4]]),
+    )),
+    tf.Family(tf.SinField(axis=0, depends_on=1, amplitude=0.08, frequency=1.0)),
+    tf.Family(tf.AffineField(np.zeros(3), np.array([[0.0, 0.2, 0.0],
+                                                     [0.0, 0.0, 0.1],
+                                                     [0.05, 0.0, 0.0]]))),
 ]
 
 MATRIX_COEFFS = [
@@ -58,7 +60,7 @@ SCALAR_COEFFS = [
 
 class TestPullBacks:
     def test_identity_map_is_identity_pullback(self, rng):
-        fam = tf.AffineFamily()
+        fam = tf.Family(tf.AffineField(np.zeros(3)))
         X = random_points(rng, 20)
         eps = tf.AffineField(np.diag([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(
@@ -175,29 +177,41 @@ class TestVelocityField:
         physical-side Jacobian and div Psi its trace."""
         X = random_points(rng, 40)
         chi_bar = 0.05
-        psi, jpsi, div_psi = tf.psi_on_physical(
-            family, chi_bar, 1.0, tf.map_points(family, chi_bar, X))
-        np.testing.assert_allclose(psi, family.velocity(chi_bar, X), atol=1e-12)
+        psi, jpsi, div_psi = tf.psi_on_physical(family, 1.0, tf.map_points(family, chi_bar, X))
+        np.testing.assert_allclose(psi, family.g.value(X), atol=1e-12)
         np.testing.assert_allclose(
             div_psi, np.trace(jpsi, axis1=1, axis2=2), atol=1e-13
         )
         J = family.jacobian(chi_bar, X)
-        np.testing.assert_allclose(
-            jpsi @ J, family.velocity_jacobian(chi_bar, X), atol=1e-12
-        )
+        np.testing.assert_allclose(jpsi @ J, family.g.gradient(X), atol=1e-12)
 
 
 class TestConfigParsers:
     def test_family_round_trips(self):
         fam = tf.family_from_config({"kind": "stretch", "axis": 2})
-        assert isinstance(fam, tf.AffineFamily)
-        assert fam.A1[2, 2] == 1.0
+        assert isinstance(fam, tf.Family)
+        np.testing.assert_array_equal(fam.g.G, np.diag([0.0, 0.0, 1.0]))
+        np.testing.assert_array_equal(fam.base.G, np.eye(3))
 
     def test_bump_family_with_sin_field(self):
         fam = tf.family_from_config(
             {"kind": "bump", "g": {"type": "sin", "axis": 0, "amplitude": 0.1}}
         )
-        assert isinstance(fam, tf.BumpFamily)
+        assert isinstance(fam, tf.Family)
+        assert fam.g == tf.SinField(axis=0, depends_on=0, amplitude=0.1, frequency=1.0)
+
+    def test_affine_family_with_a_base_map(self, rng):
+        """Phi_chi(x) = (A0 + chi A1) x + b0 + chi b1 with A0 != I and b0 != 0."""
+        A0 = np.array([[1.1, 0.1, 0.0], [0.0, 0.9, 0.2], [0.05, 0.0, 1.2]])
+        A1 = np.array([[0.2, 0.1, 0.0], [0.0, -0.3, 0.05], [0.1, 0.0, 0.4]])
+        b0, b1 = np.array([0.3, -0.2, 0.5]), np.array([0.1, 0.0, -0.2])
+        fam = tf.family_from_config({"kind": "affine", "A0": A0.tolist(), "A1": A1.tolist(),
+                                     "b0": b0.tolist(), "b1": b1.tolist()})
+        X, chi = random_points(rng, 30), 0.3
+        np.testing.assert_allclose(fam.map(chi, X), X @ (A0 + chi * A1).T + b0 + chi * b1,
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(fam.jacobian(chi, X),
+                                   np.broadcast_to(A0 + chi * A1, (30, 3, 3)), rtol=0, atol=1e-15)
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ConfigError):
@@ -272,10 +286,13 @@ class TestCatalogue:
         (tf.scaling_family(), [{}, {"kind": "constant", "v": 2.0}], 2),
         (tf.scaling_family(), [{"kind": "affine-diagonal", "d0": D0.tolist(),
                                 "D": D.tolist()}, {}], 4),
-        (tf.BumpFamily(tf.SinField(0, 0, 0.1, 0.5)), [{}, {}], 4),
+        (tf.Family(tf.SinField(0, 0, 0.1, 0.5)), [{}, {}], 4),
         # a zero gradient is a constant value, which order 2 integrates exactly
         (tf.scaling_family(), [{}, {"kind": "affine", "c0": 2.0, "c": [0, 0, 0]}], 2),
-    ], ids=["affine-constant", "affine-diagonal", "bump", "affine-zero-gradient"])
+        # a bump along an affine field is an affine map
+        (tf.family_from_config({"kind": "bump", "g": {"type": "linear", "G": D.tolist()}}),
+         [{}, {}], 2),
+    ], ids=["affine-constant", "affine-diagonal", "bump", "affine-zero-gradient", "affine-bump"])
     def test_default_quad_order(self, family, coefficients, order):
         eps = tf.matrix_coefficient_from_config(coefficients[0])
         nu = tf.scalar_coefficient_from_config(coefficients[1])
