@@ -87,6 +87,7 @@ def _cmd_dshape(cfg, out):
 def _cmd_verify(cfg, out):
     from . import harness
 
+    harness.check_fd_steps(cfg.fd_steps)
     problem = harness.build_problem(cfg)
     report = harness.run(problem)
     table = harness.fd_check(problem, cfg.fd_steps)

@@ -1,5 +1,5 @@
 """Shared finite element plumbing: element geometry, the finite-element
-space, pencils and their assembly."""
+space, the discretisation of a problem, pencils and their assembly."""
 
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
@@ -68,6 +68,8 @@ class Space:
     push_values: Callable
     # (J, det, Jinv, D (n, m, 3)) -> derivatives on the deformed domain (n, nq, m, 3)
     push_derivatives: Callable
+    # mesh -> columns spanning the known part of ker K, or None
+    kernel_basis: Optional[Callable] = None
 
 
 def free_dofs(space: Space, mesh: Mesh):
@@ -87,9 +89,8 @@ def local_basis(space: Space, mesh: Mesh, bary, tets=slice(None)):
     barycentric points ``bary`` (n|1, nq, 4) and the basis derivatives."""
     free, dof_of = free_dofs(space, mesh)
     if len(free) == 0:
-        raise DegenerateProblemError(
-            "every dof is constrained by the tangential boundary; no free dofs"
-        )
+        raise DegenerateProblemError("every dof is constrained by the tangential boundary; "
+                                     "no free dofs")
     return (len(free), dof_of[space.entities(mesh)[0][tets]],
             space.values(mesh, bary, tets), space.derivatives(mesh, tets))
 
@@ -116,13 +117,40 @@ def default_quad_order(family, *coefficients) -> int:
     return 4
 
 
-def _assemble(space: Space, mesh: Mesh, quad_order: int, coefficients):
-    """Stiffness/mass over the free dofs; ``coefficients(X)`` gives the
-    (stiffness, mass) coefficient values at the points X (N, 3)."""
-    pts, w = mesh.quadrature_points(quad_order)
-    nt, nq, _ = pts.shape
-    stiff, mass = coefficients(pts.reshape(nt * nq, 3))
-    ndof, gdofs, vals, ders = local_basis(space, mesh, tet_quadrature(quad_order).points[None])
+@dataclass(eq=False, repr=False)
+class Discretisation:
+    """A problem discretised on the reference mesh: the space, the mesh, the
+    family and the (stiffness, mass) coefficients, with the data that no chi
+    changes computed once: the quadrature order, the tet rule's points and
+    weights, the local basis at the rule's points and the kernel basis."""
+
+    space: Space
+    mesh: Mesh
+    family: object
+    stiff: AffineField
+    mass: AffineField
+
+    def __post_init__(self):
+        self.quad_order = default_quad_order(self.family, self.stiff, self.mass)
+        self.points, self.weights = self.mesh.quadrature_points(self.quad_order)
+        self.basis = local_basis(self.space, self.mesh,
+                                 tet_quadrature(self.quad_order).points[None])
+        kernel = self.space.kernel_basis
+        self.kernel_basis = None if kernel is None else kernel(self.mesh)
+
+    def coefficient_maps(self):
+        """(maps, coefficient) of the stiffness and the mass, maps looked up per call."""
+        return zip(map(transforms.coefficient_kind, self.space.coefficients),
+                   (self.stiff, self.mass))
+
+
+def _assemble(disc: Discretisation, chi, coefficients):
+    """Stiffness/mass over the free dofs; ``coefficients(geo)`` gives the
+    (stiffness, mass) coefficient values at the quadrature points mapped at chi."""
+    nt, nq, _ = disc.points.shape
+    stiff, mass = coefficients(transforms.map_points(disc.family, chi,
+                                                     disc.points.reshape(nt * nq, 3)))
+    w, (ndof, gdofs, vals, ders) = disc.weights, disc.basis
     c = vals.shape[-1]
     k_loc = np.einsum("nq,nqab,nia,njb->nij", w, stiff.reshape(nt, nq, 3, 3),
                       ders, ders, optimize=True)
@@ -131,29 +159,18 @@ def _assemble(space: Space, mesh: Mesh, quad_order: int, coefficients):
     return scatter_symmetric(k_loc, gdofs, ndof), scatter_symmetric(m_loc, gdofs, ndof)
 
 
-def assemble_pencil(space: Space, mesh, family, chi, stiff, mass) -> Pencil:
-    """Pencil (K, M) of `space` at transformation parameter chi."""
-    quad_order = default_quad_order(family, stiff, mass)
-
-    def coefficients(X):
-        geo = transforms.map_points(family, chi, X)
-        return [transforms.coefficient_kind(name).pull_back(c, geo)
-                for name, c in zip(space.coefficients, (stiff, mass))]
-
-    K, M = _assemble(space, mesh, quad_order, coefficients)
-    return Pencil(K, M, quad_order=quad_order)
+def assemble_pencil(disc: Discretisation, chi) -> Pencil:
+    """Pencil (K, M) of the discretisation at transformation parameter chi."""
+    K, M = _assemble(disc, chi, lambda geo: [kind.pull_back(c, geo)
+                                             for kind, c in disc.coefficient_maps()])
+    return Pencil(K, M, disc.quad_order, disc.kernel_basis)
 
 
-def assemble_derivative(
-    space: Space, mesh, family, chi_bar, direction, stiff, mass
-) -> PencilDerivative:
-    """Directional derivative (dK, dM) of the pencil of `space` at chi_bar."""
-    quad_order = default_quad_order(family, stiff, mass)
+def assemble_derivative(disc: Discretisation, chi_bar, direction) -> PencilDerivative:
+    """Directional derivative (dK, dM) of the pencil at chi_bar."""
 
-    def coefficients(X):
-        geo = transforms.map_points(family, chi_bar, X)
-        v = transforms.psi_on_physical(family, direction, geo)
-        return [transforms.coefficient_kind(name).derivative(c, v, geo)
-                for name, c in zip(space.coefficients, (stiff, mass))]
+    def coefficients(geo):
+        v = transforms.psi_on_physical(disc.family, direction, geo)
+        return [kind.derivative(c, v, geo) for kind, c in disc.coefficient_maps()]
 
-    return PencilDerivative(*_assemble(space, mesh, quad_order, coefficients))
+    return PencilDerivative(*_assemble(disc, chi_bar, coefficients))

@@ -5,10 +5,10 @@ back to the reference quadrature points: fields are pushed forward with the
 space's transform (scalar or covariant Piola), the volume measure with
 det(J), and boundary normals with the cofactor (Nanson) rule. This keeps
 the volume route bit-consistent with the pencil-derivative route. Each form
-is written once over a finite-element space; the per-problem functions
-order the coefficients as (stiffness, mass) for it. Each form takes a
-sequence of clusters and returns one matrix per cluster: everything but the
-eigenfields is evaluated once per call.
+is written once over a `Discretisation`, whose space, quadrature and local
+basis it reads. Each form takes a sequence of clusters and returns one
+matrix per cluster: everything but the eigenfields is evaluated once per
+call.
 """
 
 from typing import List, Sequence
@@ -16,10 +16,8 @@ from typing import List, Sequence
 import numpy as np
 
 from . import transforms
-from .fem_common import Space, default_quad_order, local_basis
-from .geometry import tet_quadrature, triangle_quadrature
-from .helmholtz import P1
-from .maxwell import NEDELEC
+from .fem_common import Discretisation, Space, local_basis
+from .geometry import triangle_quadrature
 from .spectral import EigenCluster
 from .transforms import _sym
 
@@ -54,30 +52,24 @@ def _cluster_matrices(space: Space, basis, frames, w, B_stiff, B_mass, clusters)
 
 
 def volume_matrix(
-    space: Space, mesh, family, chi_bar, direction, stiff, mass,
-    clusters: Sequence[EigenCluster],
+    disc: Discretisation, chi_bar, direction, clusters: Sequence[EigenCluster]
 ) -> List[np.ndarray]:
-    """Volume-integral branch-derivative matrix of each cluster of `space`.
+    """Volume-integral branch-derivative matrix of each cluster.
 
     The mapped points, the velocity field and the coefficient brackets are
     evaluated once for all clusters.
     """
-    quad_order = default_quad_order(family, stiff, mass)
-    pts, w = mesh.quadrature_points(quad_order)
-    geo = transforms.map_points(family, chi_bar, pts.reshape(-1, 3))
-    v = transforms.psi_on_physical(family, direction, geo)
-    B_stiff, B_mass = (transforms.coefficient_kind(name).bracket(c, v, geo)
-                       for name, c in zip(space.coefficients, (stiff, mass)))
+    geo = transforms.map_points(disc.family, chi_bar, disc.points.reshape(-1, 3))
+    v = transforms.psi_on_physical(disc.family, direction, geo)
+    B_stiff, B_mass = (kind.bracket(c, v, geo) for kind, c in disc.coefficient_maps())
     del v  # not needed past the brackets: free it before the eigenfields
-    basis = local_basis(space, mesh, tet_quadrature(quad_order).points[None])
-    frames = _frames(geo, w.shape)
-    return _cluster_matrices(space, basis, frames, w * frames[1], B_stiff, B_mass,
-                             clusters)
+    frames = _frames(geo, disc.weights.shape)
+    return _cluster_matrices(disc.space, disc.basis, frames, disc.weights * frames[1],
+                             B_stiff, B_mass, clusters)
 
 
 def surface_matrix(
-    space: Space, mesh, family, chi_bar, direction, stiff, mass,
-    clusters: Sequence[EigenCluster],
+    disc: Discretisation, chi_bar, direction, clusters: Sequence[EigenCluster]
 ) -> List[np.ndarray]:
     """Surface-integral (Hirakawa) branch-derivative matrix of each cluster.
 
@@ -88,7 +80,8 @@ def surface_matrix(
     negative sign; there the P1 field is exactly zero, so only the gradient
     term survives.
     """
-    rule = triangle_quadrature(default_quad_order(family, stiff, mass))
+    mesh = disc.mesh
+    rule = triangle_quadrature(disc.quad_order)
     tets = mesh.bfacet_tets
     # exact barycentric coordinates of the facet quadrature points in the
     # owning tet: a one-hot map from facet vertices to local tet vertices
@@ -97,41 +90,18 @@ def surface_matrix(
     pts = np.einsum("qi,fik->fqk", rule.points, mesh.vertices[mesh.bfacet_vertices])
     n_ref, area = mesh.facet_geometry(np.arange(len(tets)))
     shape = (len(tets), len(rule.weights))
-    geo = transforms.map_points(family, chi_bar, pts.reshape(-1, 3))
+    geo = transforms.map_points(disc.family, chi_bar, pts.reshape(-1, 3))
     frames = _frames(geo, shape)
     # Nanson: n dsigma_Phi = det(J) J^-T n_ref dsigma_ref
     nanson = frames[1][:, :, None] * np.einsum("fqba,fb->fqa", frames[2], n_ref)
-    psi = transforms.psi_on_physical(family, direction, geo).psi
+    psi = transforms.psi_on_physical(disc.family, direction, geo).psi
     sign = np.where(np.asarray(mesh.bfacet_tags) == "N", 1.0, -1.0)
     weight = (sign[:, None] * 2.0 * area[:, None] * rule.weights
               * np.einsum("fqa,fqa->fq", psi.reshape(shape + (3,)), nanson))
-    return _cluster_matrices(space, local_basis(space, mesh, bary, tets), frames, weight,
-                             stiff.value(geo.y), mass.value(geo.y), clusters)
+    return _cluster_matrices(disc.space, local_basis(disc.space, mesh, bary, tets), frames,
+                             weight, disc.stiff.value(geo.y), disc.mass.value(geo.y), clusters)
 
 
-def helmholtz_volume_matrix(
-    mesh, family, chi_bar, direction, eps, nu, clusters: Sequence[EigenCluster]
-) -> List[np.ndarray]:
-    """Volume-integral branch-derivative matrices of Helmholtz clusters."""
-    return volume_matrix(P1, mesh, family, chi_bar, direction, eps, nu, clusters)
-
-
-def maxwell_volume_matrix(
-    mesh, family, chi_bar, direction, eps, mu_inv, clusters: Sequence[EigenCluster]
-) -> List[np.ndarray]:
-    """Volume-integral branch-derivative matrices of Maxwell clusters."""
-    return volume_matrix(NEDELEC, mesh, family, chi_bar, direction, mu_inv, eps, clusters)
-
-
-def helmholtz_surface_matrix(
-    mesh, family, chi_bar, direction, eps, nu, clusters: Sequence[EigenCluster]
-) -> List[np.ndarray]:
-    """Surface-integral branch-derivative matrices of Helmholtz clusters."""
-    return surface_matrix(P1, mesh, family, chi_bar, direction, eps, nu, clusters)
-
-
-def maxwell_surface_matrix(
-    mesh, family, chi_bar, direction, eps, mu_inv, clusters: Sequence[EigenCluster]
-) -> List[np.ndarray]:
-    """Surface-integral branch-derivative matrices of Maxwell clusters."""
-    return surface_matrix(NEDELEC, mesh, family, chi_bar, direction, mu_inv, eps, clusters)
+# plain names of the generic forms, looked up by `harness.build_problem`
+helmholtz_volume_matrix = maxwell_volume_matrix = volume_matrix
+helmholtz_surface_matrix = maxwell_surface_matrix = surface_matrix

@@ -27,7 +27,7 @@ from .spectral import (
     cluster_spectrum,
     solve_pencil,
 )
-from .transforms import spec_value
+from .transforms import _POSITIVE, spec_value
 
 SCHEMA_VERSION = 1
 
@@ -39,10 +39,7 @@ _COEFFICIENT_PARSERS = {"epsilon": transforms.matrix_coefficient_from_config,
 _PROBLEMS = (*_COEFFICIENT_KEYS, "abstract-pencil")
 
 MAX_DOFS = 200_000
-
-
-# the least positive float: a number >= _POSITIVE is a number > 0
-_POSITIVE = float(np.nextafter(0.0, 1.0))
+_DOF_ENTITY = {"helmholtz": 0, "maxwell": 1}
 
 # spec_value arguments of each config key besides "problem"
 _FIELDS = dict(
@@ -166,10 +163,11 @@ class Problem:
 
 
 def build_problem(cfg: RunConfig) -> Problem:
-    """The `Problem` of `cfg`: the only reader of the problem kind and the
-    nested specs, all checked before a mesh is built; a box of more than
-    MAX_DOFS dofs is refused unbuilt. The per-problem functions are looked
-    up here, not at import, so that a wrapper installed on them is called."""
+    """The `Problem` of `cfg`: the only reader of the problem kind and the nested
+    specs, all checked before a mesh is built; a box of more than MAX_DOFS dofs
+    is refused unbuilt. Its one `Discretisation` is built here and bound into
+    its routes; the per-problem functions are looked up here, not at import, so
+    that a wrapper installed on them is called."""
     if cfg.problem == "abstract-pencil":
         K0, dK = _abstract_pencil(cfg.abstract)
         eye = np.eye(len(K0))
@@ -178,15 +176,14 @@ def build_problem(cfg: RunConfig) -> Problem:
             assemble=lambda chi: Pencil(K0 + chi * dK, eye, quad_order=0),
             derivative=lambda: PencilDerivative(cfg.direction * dK, np.zeros_like(dK)))
 
-    # dof_entity indexes box_mesh_size: Nedelec dofs are edges, P1 dofs vertices
     if cfg.problem == "maxwell":
-        pencil, deriv, volume, surface, dof_entity = (
+        pencil, deriv, volume, surface = (
             maxwell.assemble_maxwell, maxwell.assemble_maxwell_derivative,
-            hadamard.maxwell_volume_matrix, hadamard.maxwell_surface_matrix, 1)
+            hadamard.maxwell_volume_matrix, hadamard.maxwell_surface_matrix)
     else:
-        pencil, deriv, volume, surface, dof_entity = (
+        pencil, deriv, volume, surface = (
             helmholtz.assemble_helmholtz, helmholtz.assemble_helmholtz_derivative,
-            hadamard.helmholtz_volume_matrix, hadamard.helmholtz_surface_matrix, 0)
+            hadamard.helmholtz_volume_matrix, hadamard.helmholtz_surface_matrix)
     spec = mesh_spec(cfg.mesh)
     keys = _COEFFICIENT_KEYS[cfg.problem]
     unread = sorted(set(cfg.coefficients) - set(keys))
@@ -199,17 +196,23 @@ def build_problem(cfg: RunConfig) -> Problem:
     if spec.type == "file":
         mesh = load_mesh(spec.path)
     else:
-        dofs = box_mesh_size(spec.n)[dof_entity]
-        if dofs > MAX_DOFS:
-            raise ConfigError(f"box mesh n={spec.n} has ~{dofs} dofs (> {MAX_DOFS}); "
-                              "refusing to build it")
+        _check_box_size(cfg.problem, spec.n)
         mesh = build_box_mesh(spec.dims, spec.n, spec.partition)
-    args = (mesh, fam, cfg.chi_bar, cfg.direction, *coefficients)
+    fem = maxwell if cfg.problem == "maxwell" else helmholtz
+    disc = fem.discretise(mesh, fam, *coefficients)
+    args = (disc, cfg.chi_bar, cfg.direction)
     return Problem(cfg, mesh,
-                   assemble=lambda chi: pencil(mesh, fam, chi, *coefficients),
+                   assemble=lambda chi: pencil(disc, chi),
                    derivative=lambda: deriv(*args),
                    volume_form=lambda clusters: volume(*args, clusters),
                    surface_form=lambda clusters: surface(*args, clusters))
+
+
+def _check_box_size(problem: str, n: int):
+    """Refuse a box of more than MAX_DOFS dofs (vertices for P1, edges for Nedelec) unbuilt."""
+    dofs = box_mesh_size(n)[_DOF_ENTITY[problem]]
+    if dofs > MAX_DOFS:
+        raise ConfigError(f"box mesh n={n} has ~{dofs} dofs (> {MAX_DOFS}); refusing to build it")
 
 
 def assemble_at(problem: Problem, chi: float) -> Pencil:
@@ -476,6 +479,14 @@ def run(problem: Problem) -> dict:
     return report
 
 
+def check_fd_steps(steps) -> List[float]:
+    """The FD table's steps in ascending order, at least two and distinct."""
+    steps = sorted(float(s) for s in steps)
+    if len(steps) < 2 or len(set(steps)) < len(steps):
+        raise ConfigError(f"fd_check needs at least two distinct steps, got {steps}")
+    return steps
+
+
 def fd_check(problem: Problem, steps) -> List[dict]:
     """Central-difference table over the given steps with Richardson reference.
 
@@ -484,11 +495,7 @@ def fd_check(problem: Problem, steps) -> List[dict]:
     no tracking needed). A tracking failure is recorded in the row instead
     of aborting the table. The observed order needs geometric steps."""
     cfg = problem.cfg
-    steps = sorted(float(s) for s in steps)
-    if len(steps) < 2:
-        raise ConfigError("fd_check needs at least two steps")
-    if len(set(steps)) < len(steps):
-        raise ConfigError(f"fd_check needs distinct steps, got {steps}")
+    steps = check_fd_steps(steps)
     _, _, clusters = problem.solution
     cl = clusters[0]
     count = cl.indices[-1] + 1
@@ -535,6 +542,8 @@ def refinement_study(cfg: RunConfig) -> List[dict]:
         raise ConfigError("refinement studies require a box mesh spec")
     if not cfg.refinement:
         raise ConfigError("refinement list is empty")
+    for n in cfg.refinement:  # every level, before the first is built
+        _check_box_size(cfg.problem, n)
     rows = []
     prev_gap = None
     for n in cfg.refinement:

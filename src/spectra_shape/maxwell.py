@@ -10,8 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem_common import (
-    Pencil,
-    PencilDerivative,
+    Discretisation,
     Space,
     assemble_derivative,
     assemble_pencil,
@@ -44,35 +43,6 @@ def _edge_curls(mesh: Mesh, tets) -> np.ndarray:
     return curls * mesh.tet_edge_signs[tets][:, :, None]
 
 
-# Nedelec-1 on edges, covariant Piola map:
-# E = (J^-T F) o Phi^-1 and rot E = (det J)^-1 (J rot F) o Phi^-1
-NEDELEC = Space(
-    coefficients=("mu_inv", "epsilon"),
-    entities=lambda mesh: (mesh.tet_edges, mesh.num_edges()),
-    constrained=lambda mesh: mesh.boundary_edge_set("T"),
-    values=_edge_values,
-    derivatives=_edge_curls,
-    push_values=lambda J, det, Jinv, F: np.einsum("nqba,nqmb->nqma", Jinv, F),
-    push_derivatives=lambda J, det, Jinv, D: (
-        np.einsum("nqab,nmb->nqma", J, D) / det[:, :, None, None]
-    ),
-)
-
-
-def assemble_maxwell(mesh, family, chi, eps, mu_inv) -> Pencil:
-    """Maxwell pencil (K, M) at transformation parameter chi."""
-    pencil = assemble_pencil(NEDELEC, mesh, family, chi, mu_inv, eps)
-    pencil.kernel_basis = gradient_kernel_basis(mesh)
-    return pencil
-
-
-def assemble_maxwell_derivative(
-    mesh, family, chi_bar, direction, eps, mu_inv
-) -> PencilDerivative:
-    """Directional derivative (dK, dM) of the Maxwell pencil at chi_bar."""
-    return assemble_derivative(NEDELEC, mesh, family, chi_bar, direction, mu_inv, eps)
-
-
 def gradient_kernel_basis(mesh: Mesh) -> sp.csr_array:
     """Discrete gradients of free hat functions in edge-circulation dofs.
 
@@ -91,3 +61,29 @@ def gradient_kernel_basis(mesh: Mesh) -> sp.csr_array:
         (vals[keep], (rows[keep], cols[keep])),
         shape=(len(free_edges), len(free_verts)),
     )
+
+
+# Nedelec-1 on edges, covariant Piola map:
+# E = (J^-T F) o Phi^-1 and rot E = (det J)^-1 (J rot F) o Phi^-1
+NEDELEC = Space(
+    coefficients=("mu_inv", "epsilon"),
+    entities=lambda mesh: (mesh.tet_edges, mesh.num_edges()),
+    constrained=lambda mesh: mesh.boundary_edge_set("T"),
+    values=_edge_values,
+    derivatives=_edge_curls,
+    push_values=lambda J, det, Jinv, F: np.einsum("nqba,nqmb->nqma", Jinv, F),
+    push_derivatives=lambda J, det, Jinv, D: (
+        np.einsum("nqab,nmb->nqma", J, D) / det[:, :, None, None]
+    ),
+    kernel_basis=gradient_kernel_basis,
+)
+
+
+def discretise(mesh, family, eps, mu_inv) -> Discretisation:
+    """Maxwell discretisation: Nedelec-1 with stiffness mu_inv and mass eps."""
+    return Discretisation(NEDELEC, mesh, family, mu_inv, eps)
+
+
+# plain names of the generic routines, looked up by `harness.build_problem`
+assemble_maxwell = assemble_pencil
+assemble_maxwell_derivative = assemble_derivative

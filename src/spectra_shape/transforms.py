@@ -277,6 +277,10 @@ _JSON_TYPES = {float: ((int, float), "a finite number"), int: (int, "an integer"
                bool: (bool, "a bool"), str: (str, "a string"), dict: (dict, "an object")}
 
 
+# the least positive float: a number >= _POSITIVE is a number > 0
+_POSITIVE = float(np.nextafter(0.0, 1.0))
+
+
 def spec_value(spec: dict, key: str, default=None, of=float, shape=(), low=-np.inf,
                high=np.inf, name=None):
     """spec[key], required where `default` is None: a JSON value of type `of`
@@ -360,7 +364,10 @@ def matrix_coefficient_from_config(spec: dict) -> AffineField:
     """A 3x3 matrix coefficient; an empty spec is the identity."""
     kind = spec_value(spec, "kind", "constant", of=str)
     if kind == "constant":
-        return AffineField(spec_value(spec, "M", np.eye(3).tolist(), shape=(3, 3)))
+        M = spec_value(spec, "M", np.eye(3).tolist(), shape=(3, 3))
+        if not (np.array_equal(M, M.T) and np.linalg.eigvalsh(M).min() > 0):
+            raise ConfigError(f"constant 'M' must be symmetric positive-definite, got {M.tolist()}")
+        return AffineField(M)
     if kind == "affine-diagonal":
         return _diagonal(spec_value(spec, "d0", shape=(3,)), spec_value(spec, "D", shape=(3, 3)))
     if kind == "scalar-affine-identity":
@@ -374,7 +381,7 @@ def scalar_coefficient_from_config(spec: dict) -> AffineField:
     """A scalar coefficient c0 + c . x; an empty spec is 1."""
     kind = spec_value(spec, "kind", "constant", of=str)
     if kind == "constant":
-        return AffineField(spec_value(spec, "v", 1.0))
+        return AffineField(spec_value(spec, "v", 1.0, low=_POSITIVE))
     if kind == "affine":
         return AffineField(spec_value(spec, "c0"), spec_value(spec, "c", shape=(3,)))
     raise ConfigError(f"unknown scalar coefficient kind {kind!r}")

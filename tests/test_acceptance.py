@@ -54,14 +54,15 @@ def helmholtz_case(n):
     """All-Dirichlet unit cube under the uniform scaling family."""
     fam = tf.scaling_family()
     mesh = build_box_mesh((1.0, 1.0, 1.0), n, "T")
-    pencil = hh.assemble_helmholtz(mesh, fam, 0.0, EYE, ONE)
+    disc = hh.discretise(mesh, fam, EYE, ONE)
+    pencil = hh.assemble_helmholtz(disc, 0.0)
     dec = solve_pencil(pencil)
     cl = cluster_spectrum(dec, CLUSTER_TOL)[0]
-    deriv = hh.assemble_helmholtz_derivative(mesh, fam, 0.0, 1.0, EYE, ONE)
+    deriv = hh.assemble_helmholtz_derivative(disc, 0.0, 1.0)
     R = rellich_matrix(deriv, cl)
-    V = hd.helmholtz_volume_matrix(mesh, fam, 0.0, 1.0, EYE, ONE, [cl])[0]
-    S = hd.helmholtz_surface_matrix(mesh, fam, 0.0, 1.0, EYE, ONE, [cl])[0]
-    return dict(mesh=mesh, fam=fam, pencil=pencil, dec=dec, cl=cl,
+    V = hd.helmholtz_volume_matrix(disc, 0.0, 1.0, [cl])[0]
+    S = hd.helmholtz_surface_matrix(disc, 0.0, 1.0, [cl])[0]
+    return dict(mesh=mesh, disc=disc, pencil=pencil, dec=dec, cl=cl,
                 deriv=deriv, R=R, V=V, S=S)
 
 
@@ -70,14 +71,15 @@ def maxwell_case(n):
     """All-tangential (PEC) unit cube under the single-axis stretch family."""
     fam = tf.stretch_family(0)
     mesh = build_box_mesh((1.0, 1.0, 1.0), n, "T")
-    pencil = mx.assemble_maxwell(mesh, fam, 0.0, EYE, EYE)
+    disc = mx.discretise(mesh, fam, EYE, EYE)
+    pencil = mx.assemble_maxwell(disc, 0.0)
     dec = solve_pencil(pencil)
     cl = cluster_spectrum(dec, CLUSTER_TOL)[0]
-    deriv = mx.assemble_maxwell_derivative(mesh, fam, 0.0, 1.0, EYE, EYE)
+    deriv = mx.assemble_maxwell_derivative(disc, 0.0, 1.0)
     R = rellich_matrix(deriv, cl)
-    V = hd.maxwell_volume_matrix(mesh, fam, 0.0, 1.0, EYE, EYE, [cl])[0]
-    S = hd.maxwell_surface_matrix(mesh, fam, 0.0, 1.0, EYE, EYE, [cl])[0]
-    return dict(mesh=mesh, fam=fam, pencil=pencil, dec=dec, cl=cl,
+    V = hd.maxwell_volume_matrix(disc, 0.0, 1.0, [cl])[0]
+    S = hd.maxwell_surface_matrix(disc, 0.0, 1.0, [cl])[0]
+    return dict(mesh=mesh, disc=disc, pencil=pencil, dec=dec, cl=cl,
                 deriv=deriv, R=R, V=V, S=S)
 
 
@@ -128,15 +130,17 @@ def test_criterion_01_route_equivalence():
     worst = 0.0
     for problem, fam, eps, second in cases:
         if problem == "helmholtz":
-            p = hh.assemble_helmholtz(mesh_h, fam, 0.0, eps, second)
-            d = hh.assemble_helmholtz_derivative(mesh_h, fam, 0.0, 1.0, eps, second)
+            disc = hh.discretise(mesh_h, fam, eps, second)
+            p = hh.assemble_helmholtz(disc, 0.0)
+            d = hh.assemble_helmholtz_derivative(disc, 0.0, 1.0)
             cl = cluster_spectrum(solve_pencil(p), CLUSTER_TOL)[0]
-            V = hd.helmholtz_volume_matrix(mesh_h, fam, 0.0, 1.0, eps, second, [cl])[0]
+            V = hd.helmholtz_volume_matrix(disc, 0.0, 1.0, [cl])[0]
         else:
-            p = mx.assemble_maxwell(mesh_m, fam, 0.0, eps, second)
-            d = mx.assemble_maxwell_derivative(mesh_m, fam, 0.0, 1.0, eps, second)
+            disc = mx.discretise(mesh_m, fam, eps, second)
+            p = mx.assemble_maxwell(disc, 0.0)
+            d = mx.assemble_maxwell_derivative(disc, 0.0, 1.0)
             cl = cluster_spectrum(solve_pencil(p), CLUSTER_TOL)[0]
-            V = hd.maxwell_volume_matrix(mesh_m, fam, 0.0, 1.0, eps, second, [cl])[0]
+            V = hd.maxwell_volume_matrix(disc, 0.0, 1.0, [cl])[0]
         R = rellich_matrix(d, cl)
         worst = max(worst, np.abs(V - R).max() / np.abs(R).max())
     report(
@@ -159,19 +163,16 @@ def test_criterion_02_hellmann_feynman_vs_fd():
 
     fam = tf.stretch_family(0)
     hcase = helmholtz_case(4)
-    dh = hh.assemble_helmholtz_derivative(hcase["mesh"], fam, 0.0, 1.0, EYE, ONE)
+    disc_h = hh.discretise(hcase["mesh"], fam, EYE, ONE)
+    dh = hh.assemble_helmholtz_derivative(disc_h, 0.0, 1.0)
     lam_h = hcase["dec"].eigenvalues[0]
     hf_h = hellmann_feynman(dh, lam_h, hcase["dec"].eigenvectors[:, 0])
-    fd_h = richardson(
-        lambda c: hh.assemble_helmholtz(hcase["mesh"], fam, c, EYE, ONE)
-    )
+    fd_h = richardson(lambda c: hh.assemble_helmholtz(disc_h, c))
 
     mcase = maxwell_case(4)
     lam_m = mcase["dec"].eigenvalues[0]  # separated from the pair above it
     hf_m = hellmann_feynman(mcase["deriv"], lam_m, mcase["dec"].eigenvectors[:, 0])
-    fd_m = richardson(
-        lambda c: mx.assemble_maxwell(mcase["mesh"], fam, c, EYE, EYE)
-    )
+    fd_m = richardson(lambda c: mx.assemble_maxwell(mcase["disc"], c))
 
     err_h = abs(hf_h - fd_h)
     err_m = abs(hf_m - fd_m)
@@ -192,13 +193,15 @@ def test_criterion_03_exact_scaling_and_translation():
         fam_s = tf.scaling_family()
         fam_t = tf.translation_family((1.0, 0.0, 0.0))
         if problem == "helmholtz":
-            p = hh.assemble_helmholtz(mesh, fam_s, 0.0, EYE, ONE)
-            ds = hh.assemble_helmholtz_derivative(mesh, fam_s, 0.0, 1.0, EYE, ONE)
-            dt = hh.assemble_helmholtz_derivative(mesh, fam_t, 0.0, 1.0, EYE, ONE)
+            disc_s = hh.discretise(mesh, fam_s, EYE, ONE)
+            p = hh.assemble_helmholtz(disc_s, 0.0)
+            ds = hh.assemble_helmholtz_derivative(disc_s, 0.0, 1.0)
+            dt = hh.assemble_helmholtz_derivative(hh.discretise(mesh, fam_t, EYE, ONE), 0.0, 1.0)
         else:
-            p = mx.assemble_maxwell(mesh, fam_s, 0.0, EYE, EYE)
-            ds = mx.assemble_maxwell_derivative(mesh, fam_s, 0.0, 1.0, EYE, EYE)
-            dt = mx.assemble_maxwell_derivative(mesh, fam_t, 0.0, 1.0, EYE, EYE)
+            disc_s = mx.discretise(mesh, fam_s, EYE, EYE)
+            p = mx.assemble_maxwell(disc_s, 0.0)
+            ds = mx.assemble_maxwell_derivative(disc_s, 0.0, 1.0)
+            dt = mx.assemble_maxwell_derivative(mx.discretise(mesh, fam_t, EYE, EYE), 0.0, 1.0)
         cl = cluster_spectrum(solve_pencil(p), CLUSTER_TOL)[0]
         lam = cl.lambda_bar
         s_scaling = sla.eigvalsh(rellich_matrix(ds, cl))
@@ -276,14 +279,9 @@ def test_criterion_05_symmetric_function_derivatives():
     case = maxwell_case(6)
     cl = case["cl"]
     m = cl.multiplicity
-    fam = case["fam"]
     h = 1e-4
-    lam_p = np.sort(solve_pencil(
-        mx.assemble_maxwell(case["mesh"], fam, +h, EYE, EYE)
-    ).eigenvalues[cl.indices])
-    lam_m = np.sort(solve_pencil(
-        mx.assemble_maxwell(case["mesh"], fam, -h, EYE, EYE)
-    ).eigenvalues[cl.indices])
+    lam_p = np.sort(solve_pencil(mx.assemble_maxwell(case["disc"], +h)).eigenvalues[cl.indices])
+    lam_m = np.sort(solve_pencil(mx.assemble_maxwell(case["disc"], -h)).eigenvalues[cl.indices])
     worst_ratio = 0.0
     for s in range(1, m + 1):
         fd = (elementary_symmetric(lam_p, s) - elementary_symmetric(lam_m, s)) / (2 * h)

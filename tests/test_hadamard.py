@@ -29,56 +29,56 @@ FAMILIES = [
 
 
 def helm_cluster(mesh, family, chi, eps=EYE, nu=ONE):
-    p = hh.assemble_helmholtz(mesh, family, chi, eps, nu)
-    return p, cluster_spectrum(solve_pencil(p))[0]
+    disc = hh.discretise(mesh, family, eps, nu)
+    return disc, cluster_spectrum(solve_pencil(hh.assemble_helmholtz(disc, chi)))[0]
 
 
 def maxw_cluster(mesh, family, chi, eps=EYE, mu=EYE, tol=0.08):
-    p = mx.assemble_maxwell(mesh, family, chi, eps, mu)
-    return p, cluster_spectrum(solve_pencil(p), tol)[0]
+    disc = mx.discretise(mesh, family, eps, mu)
+    return disc, cluster_spectrum(solve_pencil(mx.assemble_maxwell(disc, chi)), tol)[0]
 
 
 class TestRouteEquivalence:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_helmholtz_volume_equals_pencil_derivative(self, cube_n3, family):
-        _, cl = helm_cluster(cube_n3, family, 0.0)
-        d = hh.assemble_helmholtz_derivative(cube_n3, family, 0.0, 1.0, EYE, ONE)
+        disc, cl = helm_cluster(cube_n3, family, 0.0)
+        d = hh.assemble_helmholtz_derivative(disc, 0.0, 1.0)
         R = rellich_matrix(d, cl)
-        V = hd.helmholtz_volume_matrix(cube_n3, family, 0.0, 1.0, EYE, ONE, [cl])[0]
+        V = hd.helmholtz_volume_matrix(disc, 0.0, 1.0, [cl])[0]
         assert np.abs(V - R).max() <= 1e-10 * max(np.abs(R).max(), 1.0)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_maxwell_volume_equals_pencil_derivative(self, cube_n2, family):
-        _, cl = maxw_cluster(cube_n2, family, 0.0)
-        d = mx.assemble_maxwell_derivative(cube_n2, family, 0.0, 1.0, EYE, EYE)
+        disc, cl = maxw_cluster(cube_n2, family, 0.0)
+        d = mx.assemble_maxwell_derivative(disc, 0.0, 1.0)
         R = rellich_matrix(d, cl)
-        V = hd.maxwell_volume_matrix(cube_n2, family, 0.0, 1.0, EYE, EYE, [cl])[0]
+        V = hd.maxwell_volume_matrix(disc, 0.0, 1.0, [cl])[0]
         assert np.abs(V - R).max() <= 1e-10 * max(np.abs(R).max(), 1.0)
 
     def test_equivalence_away_from_reference_parameter(self, cube_n2):
         family = FAMILIES[3]
         chi = 0.06
-        _, cl = maxw_cluster(cube_n2, family, chi)
-        d = mx.assemble_maxwell_derivative(cube_n2, family, chi, 1.0, EYE, EYE)
+        disc, cl = maxw_cluster(cube_n2, family, chi)
+        d = mx.assemble_maxwell_derivative(disc, chi, 1.0)
         R = rellich_matrix(d, cl)
-        V = hd.maxwell_volume_matrix(cube_n2, family, chi, 1.0, EYE, EYE, [cl])[0]
+        V = hd.maxwell_volume_matrix(disc, chi, 1.0, [cl])[0]
         assert np.abs(V - R).max() <= 1e-10 * max(np.abs(R).max(), 1.0)
 
 
 class TestAnalyticValues:
     def test_translation_gives_zero_volume_matrix(self, cube_n3):
         fam = tf.translation_family((1.0, 0.0, 0.0))
-        _, cl = helm_cluster(cube_n3, fam, 0.0)
-        V = hd.helmholtz_volume_matrix(cube_n3, fam, 0.0, 1.0, EYE, ONE, [cl])[0]
+        disc, cl = helm_cluster(cube_n3, fam, 0.0)
+        V = hd.helmholtz_volume_matrix(disc, 0.0, 1.0, [cl])[0]
         assert np.abs(V).max() <= 1e-12
-        _, clm = maxw_cluster(cube_n3, fam, 0.0)
-        Vm = hd.maxwell_volume_matrix(cube_n3, fam, 0.0, 1.0, EYE, EYE, [clm])[0]
+        discm, clm = maxw_cluster(cube_n3, fam, 0.0)
+        Vm = hd.maxwell_volume_matrix(discm, 0.0, 1.0, [clm])[0]
         assert np.abs(Vm).max() <= 1e-12
 
     def test_scaling_volume_matrix_is_minus_two_lambda(self, cube_n3):
         fam = tf.scaling_family()
-        _, cl = maxw_cluster(cube_n3, fam, 0.0)
-        V = hd.maxwell_volume_matrix(cube_n3, fam, 0.0, 1.0, EYE, EYE, [cl])[0]
+        disc, cl = maxw_cluster(cube_n3, fam, 0.0)
+        V = hd.maxwell_volume_matrix(disc, 0.0, 1.0, [cl])[0]
         np.testing.assert_allclose(
             V, -2.0 * cl.lambda_bar * np.eye(cl.multiplicity),
             atol=1e-9 * cl.lambda_bar,
@@ -86,8 +86,8 @@ class TestAnalyticValues:
 
     def test_helmholtz_scaling_slope(self, cube_n3):
         fam = tf.scaling_family()
-        _, cl = helm_cluster(cube_n3, fam, 0.0)
-        V = hd.helmholtz_volume_matrix(cube_n3, fam, 0.0, 1.0, EYE, ONE, [cl])[0]
+        disc, cl = helm_cluster(cube_n3, fam, 0.0)
+        V = hd.helmholtz_volume_matrix(disc, 0.0, 1.0, [cl])[0]
         slopes = sla.eigvalsh(V)
         np.testing.assert_allclose(
             slopes, -2.0 * cl.lambda_bar, rtol=1e-10
@@ -97,8 +97,8 @@ class TestAnalyticValues:
 class TestSurfaceForm:
     def test_hermitian(self, cube_n3):
         fam = tf.stretch_family(0)
-        _, cl = maxw_cluster(cube_n3, fam, 0.0)
-        S = hd.maxwell_surface_matrix(cube_n3, fam, 0.0, 1.0, EYE, EYE, [cl])[0]
+        disc, cl = maxw_cluster(cube_n3, fam, 0.0)
+        S = hd.maxwell_surface_matrix(disc, 0.0, 1.0, [cl])[0]
         np.testing.assert_allclose(S, S.T, atol=1e-12)
 
     def test_translation_surface_negligible(self):
@@ -107,8 +107,8 @@ class TestSurfaceForm:
         fam = tf.translation_family((1.0, 0.0, 0.0))
         for n in (2, 3, 4):
             mesh = build_box_mesh((1, 1, 1), n, "T")
-            _, cl = helm_cluster(mesh, fam, 0.0)
-            S = hd.helmholtz_surface_matrix(mesh, fam, 0.0, 1.0, EYE, ONE, [cl])[0]
+            disc, cl = helm_cluster(mesh, fam, 0.0)
+            S = hd.helmholtz_surface_matrix(disc, 0.0, 1.0, [cl])[0]
             assert np.abs(S).max() <= 1e-10
 
     def test_surface_approaches_volume_helmholtz(self):
@@ -116,9 +116,9 @@ class TestSurfaceForm:
         prev = None
         for n in (2, 3, 4):
             mesh = build_box_mesh((1, 1, 1), n, "T")
-            _, cl = helm_cluster(mesh, fam, 0.0)
-            V = hd.helmholtz_volume_matrix(mesh, fam, 0.0, 1.0, EYE, ONE, [cl])[0]
-            S = hd.helmholtz_surface_matrix(mesh, fam, 0.0, 1.0, EYE, ONE, [cl])[0]
+            disc, cl = helm_cluster(mesh, fam, 0.0)
+            V = hd.helmholtz_volume_matrix(disc, 0.0, 1.0, [cl])[0]
+            S = hd.helmholtz_surface_matrix(disc, 0.0, 1.0, [cl])[0]
             gap = np.abs(S - V).max() / np.abs(V).max()
             if prev is not None:
                 assert gap < prev
@@ -132,11 +132,12 @@ class TestSurfaceForm:
         prev = None
         for n in (2, 3, 4):
             mesh = build_box_mesh((1, 1, 1), n, part)
-            p = mx.assemble_maxwell(mesh, family, 0.0, EYE, EYE)
+            disc = mx.discretise(mesh, family, EYE, EYE)
+            p = mx.assemble_maxwell(disc, 0.0)
             cl = cluster_spectrum(solve_pencil(p, count=1))[0]
             assert cl.multiplicity == 1
-            V = hd.maxwell_volume_matrix(mesh, family, 0.0, 1.0, EYE, EYE, [cl])[0]
-            S = hd.maxwell_surface_matrix(mesh, family, 0.0, 1.0, EYE, EYE, [cl])[0]
+            V = hd.maxwell_volume_matrix(disc, 0.0, 1.0, [cl])[0]
+            S = hd.maxwell_surface_matrix(disc, 0.0, 1.0, [cl])[0]
             gap = np.abs(S - V).max() / np.abs(V).max()
             if prev is not None:
                 assert gap < prev
@@ -151,10 +152,10 @@ class TestSurfaceForm:
         part_b = {"x0": "N", "x1": "T", "y0": "T", "y1": "T", "z0": "T", "z1": "T"}
         mesh_a = build_box_mesh((1, 1, 1), 3, part_a)
         mesh_b = build_box_mesh((1, 1, 1), 3, part_b)
-        _, cl_a = helm_cluster(mesh_a, fam, 0.0)
-        _, cl_b = helm_cluster(mesh_b, fam, 0.0)
-        S_a = hd.helmholtz_surface_matrix(mesh_a, fam, 0.0, 1.0, EYE, ONE, [cl_a])[0]
-        S_b = hd.helmholtz_surface_matrix(mesh_b, fam, 0.0, 1.0, EYE, ONE, [cl_b])[0]
+        disc_a, cl_a = helm_cluster(mesh_a, fam, 0.0)
+        disc_b, cl_b = helm_cluster(mesh_b, fam, 0.0)
+        S_a = hd.helmholtz_surface_matrix(disc_a, 0.0, 1.0, [cl_a])[0]
+        S_b = hd.helmholtz_surface_matrix(disc_b, 0.0, 1.0, [cl_b])[0]
         # the two partitions are mirror images; the eigenvalues agree but the
         # surface matrices are built from different boundary parts
         assert cl_a.lambda_bar == pytest.approx(cl_b.lambda_bar, rel=1e-10)

@@ -1,7 +1,9 @@
 """Driver configs, reports, FD tables, refinement studies, and the CLI."""
 
+import cProfile
 import json
 import os
+import pstats
 import subprocess
 import sys
 import time
@@ -13,8 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment  # oracle of the pairing tests only
 
-from spectra_shape import cli, harness
-from spectra_shape.errors import ConfigError
+from spectra_shape import cli, fem_common, harness, maxwell
+from spectra_shape.errors import ConfigError, DegenerateProblemError
 from spectra_shape.geometry import BOX_FACES, build_box_mesh, save_mesh
 
 HELM_SCALING = {
@@ -338,6 +340,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert "distinct steps" in captured.err and captured.out == ""
 
+    def test_repeated_fd_steps_are_refused_before_the_work(self, tmp_path, monkeypatch):
+        def refuse(problem):
+            raise AssertionError("run() called before the FD steps were checked")
+
+        monkeypatch.setattr(harness, "run", refuse)
+        path = self.write_config(tmp_path, dict(HELM_SCALING, fd_steps=[1e-3, 1e-3]))
+        assert cli.main(["verify", "--config", path]) == cli.EXIT_CONFIG
+
     def test_index_range_past_the_spectrum_exit_code(self, tmp_path, capsys):
         """eig refuses what dshape refuses, with the same message: an n=2
         box with every face T has one free vertex, so one eigenvalue."""
@@ -406,6 +416,18 @@ class TestCli:
         ("kernel_tol", {"kernel_tol": float("inf")}),
         ("'rate'", {"family": {"kind": "scaling", "rate": float("-inf")}}),
         ("mesh dims", {"mesh": dict(HELM_SCALING["mesh"], dims=[float("inf"), 1, 1])}),
+        # constant coefficients that are not positive
+        ("constant 'M' must be symmetric positive-definite",
+         {"coefficients": {"epsilon": {"M": [[1, 0, 0], [0, 1, 0], [0, 0, -0.5]]}}}),
+        ("constant 'M' must be symmetric positive-definite",
+         {"coefficients": {"epsilon": {"M": [[1, 5, 0], [0, 1, 0], [0, 0, 1]]}}}),
+        ("constant 'M' must be symmetric positive-definite",
+         {"coefficients": {"epsilon": {"M": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]}}}),
+        ("constant 'M' must be symmetric positive-definite",
+         {"problem": "maxwell", "mesh": dict(HELM_SCALING["mesh"], n=2),
+          "coefficients": {"mu": {"M": [[1, 0, 0], [0, 1, 0], [0, 0, -0.5]]}}}),
+        ("'v' must be a finite number in [5e-324, inf], got -1",
+         {"coefficients": {"nu": {"kind": "constant", "v": -1}}}),
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, key, raw):
         path = self.write_config(tmp_path, dict(HELM_SCALING, **raw))
@@ -536,6 +558,44 @@ class TestCli:
         assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
         assert time.perf_counter() - start < 1.0
 
+    def test_study_refuses_an_oversize_level_before_the_first(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("study level built before every level was checked")
+
+        monkeypatch.setattr(harness, "build_box_mesh", refuse)
+        raw = {"problem": "maxwell", "mesh": {"type": "box", "n": 3}, "refinement": [3, 64]}
+        path = self.write_config(tmp_path, raw)
+        assert cli.main(["study", "--config", path]) == cli.EXIT_CONFIG
+        assert "n=64" in capsys.readouterr().err
+
+    def test_verify_builds_the_reference_data_once(self, tmp_path):
+        """A Maxwell `verify` (the benchmark's seed-1 config, n = 3) builds the
+        kernel basis once and the local basis twice, the discretisation's and
+        the surface form's, over its ten assemblies; counted by code object,
+        whatever name a caller uses."""
+        raw = {"problem": "maxwell",
+               "mesh": {"type": "box", "n": 3, "partition": {
+                   "x0": "T", "x1": "N", "y0": "T", "y1": "T", "z0": "N", "z1": "T"}},
+               "family": {"kind": "bump", "g": {"type": "sin", "axis": 0,
+                                                "amplitude": 0.06422556741993805,
+                                                "frequency": 0.5}},
+               "direction": 1.7153257868178367,
+               "coefficients": {"epsilon": {"M": (1.1930657241276608 * np.eye(3)).tolist()}},
+               "index_range": [1, 2]}
+        path = self.write_config(tmp_path, raw)
+        profile = cProfile.Profile()
+        out = str(tmp_path / "out.json")
+        assert profile.runcall(cli.main, ["verify", "--config", path, "--out", out]) == 0
+        stats = pstats.Stats(profile).stats
+
+        def calls(function):
+            code = function.__code__
+            return stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]
+
+        assert [calls(f) for f in (maxwell.gradient_kernel_basis, fem_common.local_basis,
+                                   fem_common._assemble)] == [1, 2, 10]
+
     @pytest.mark.parametrize("raw, message", [
         ({"problem": "abstract-pencil"}, "FEM problem"),
         (dict(HELM_SCALING, mesh={"type": "file", "path": "box.tetmesh"}), "box mesh spec"),
@@ -632,7 +692,8 @@ class TestConfigReader:
     @pytest.fixture(scope="class")
     def mesh_path(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("mesh") / "box.tetmesh"
-        save_mesh(build_box_mesh((1, 1, 1), 1, "T"), str(path))
+        # all N: every dof of the one-cell box is free, so a problem on it builds
+        save_mesh(build_box_mesh((1, 1, 1), 1, "N"), str(path))
         return str(path)
 
     @settings(max_examples=300, deadline=None)
@@ -640,7 +701,10 @@ class TestConfigReader:
     def test_any_value_anywhere_is_a_config_error_or_read(self, mesh_path, data):
         """A config with well-formed values and one or two random JSON values
         at any position: reading it and building its problem, mesh included,
-        raise no error other than those `cli` maps to exit 2."""
+        raise no error other than those `cli` maps to exit 2, or the exit-3
+        `DegenerateProblemError` of a mesh with no free dof (a one-cell box
+        whose T faces hold every dof), which its discretisation raises when
+        the problem is built."""
         raw = data.draw(_configs(mesh_path))
         positions = data.draw(st.permutations(list(_positions(raw))))
         for *parents, key in positions[:data.draw(st.integers(0, 2))]:
@@ -656,3 +720,5 @@ class TestConfigReader:
                 assert problem.mesh.num_tets() > 0
         except cli._CONFIG_ERRORS:
             pass
+        except DegenerateProblemError as exc:
+            assert "no free dofs" in str(exc)

@@ -25,10 +25,7 @@ class TestDofs:
     def test_no_free_dofs_raises(self):
         mesh = build_box_mesh((1, 1, 1), 1, "T")
         with pytest.raises(DegenerateProblemError):
-            hh.assemble_helmholtz(
-                mesh, IDENTITY, 0.0,
-                tf.AffineField(np.eye(3)), tf.AffineField(1.0),
-            )
+            hh.discretise(mesh, IDENTITY, tf.AffineField(np.eye(3)), tf.AffineField(1.0))
 
 
 class TestExactAffineIdentities:
@@ -38,26 +35,23 @@ class TestExactAffineIdentities:
 
     def test_scaling_matrix_derivatives(self, cube_n3, eye_eps, unit_nu):
         fam = tf.scaling_family()
-        p = hh.assemble_helmholtz(cube_n3, fam, 0.0, eye_eps, unit_nu)
-        d = hh.assemble_helmholtz_derivative(cube_n3, fam, 0.0, 1.0, eye_eps, unit_nu)
+        disc = hh.discretise(cube_n3, fam, eye_eps, unit_nu)
+        p = hh.assemble_helmholtz(disc, 0.0)
+        d = hh.assemble_helmholtz_derivative(disc, 0.0, 1.0)
         np.testing.assert_allclose(d.dK.toarray(), p.K.toarray(), atol=1e-12 * np.abs(p.K).max())
         np.testing.assert_allclose(d.dM.toarray(), 3 * p.M.toarray(), atol=1e-12 * np.abs(p.M).max())
 
     def test_scaling_eigenvalue_law(self, cube_n3, eye_eps, unit_nu):
-        fam = tf.scaling_family()
-        lam0 = solve_pencil(
-            hh.assemble_helmholtz(cube_n3, fam, 0.0, eye_eps, unit_nu)
-        ).eigenvalues[0]
+        disc = hh.discretise(cube_n3, tf.scaling_family(), eye_eps, unit_nu)
+        lam0 = solve_pencil(hh.assemble_helmholtz(disc, 0.0)).eigenvalues[0]
         chi = 0.2
-        lam = solve_pencil(
-            hh.assemble_helmholtz(cube_n3, fam, chi, eye_eps, unit_nu)
-        ).eigenvalues[0]
+        lam = solve_pencil(hh.assemble_helmholtz(disc, chi)).eigenvalues[0]
         assert lam == pytest.approx(lam0 / (1 + chi) ** 2, rel=1e-13)
 
     def test_translation_leaves_pencil_unchanged(self, cube_n3, eye_eps, unit_nu):
-        fam = tf.translation_family((0.4, 0.1, -0.3))
-        p0 = hh.assemble_helmholtz(cube_n3, fam, 0.0, eye_eps, unit_nu)
-        p1 = hh.assemble_helmholtz(cube_n3, fam, 0.3, eye_eps, unit_nu)
+        disc = hh.discretise(cube_n3, tf.translation_family((0.4, 0.1, -0.3)), eye_eps, unit_nu)
+        p0 = hh.assemble_helmholtz(disc, 0.0)
+        p1 = hh.assemble_helmholtz(disc, 0.3)
         np.testing.assert_allclose(p1.K.toarray(), p0.K.toarray(), atol=1e-12)
         np.testing.assert_allclose(p1.M.toarray(), p0.M.toarray(), atol=1e-12)
 
@@ -69,22 +63,23 @@ class TestMatrixDerivativesVsFD:
     ])
     def test_dK_dM_match_fd(self, cube_n2, family, eye_eps, unit_nu):
         h = 1e-5
-        pp = hh.assemble_helmholtz(cube_n2, family, h, eye_eps, unit_nu)
-        pm = hh.assemble_helmholtz(cube_n2, family, -h, eye_eps, unit_nu)
-        d = hh.assemble_helmholtz_derivative(cube_n2, family, 0.0, 1.0, eye_eps, unit_nu)
+        disc = hh.discretise(cube_n2, family, eye_eps, unit_nu)
+        pp = hh.assemble_helmholtz(disc, h)
+        pm = hh.assemble_helmholtz(disc, -h)
+        d = hh.assemble_helmholtz_derivative(disc, 0.0, 1.0)
         np.testing.assert_allclose(d.dK.toarray(), (pp.K - pm.K).toarray() / (2 * h), atol=1e-8)
         np.testing.assert_allclose(d.dM.toarray(), (pp.M - pm.M).toarray() / (2 * h), atol=1e-8)
 
 
 class TestSpectrum:
     def test_lowest_eigenvalue_bracket(self, cube_n4, eye_eps, unit_nu):
-        p = hh.assemble_helmholtz(cube_n4, IDENTITY, 0.0, eye_eps, unit_nu)
+        p = hh.assemble_helmholtz(hh.discretise(cube_n4, IDENTITY, eye_eps, unit_nu), 0.0)
         lam1 = solve_pencil(p).eigenvalues[0]
         # P1 approximation from above; measured 1.2665 * 3pi^2 on this mesh
         assert PI2_3 < lam1 < 1.27 * PI2_3
 
     def test_matrices_spd(self, cube_n3, eye_eps, unit_nu):
-        p = hh.assemble_helmholtz(cube_n3, IDENTITY, 0.0, eye_eps, unit_nu)
+        p = hh.assemble_helmholtz(hh.discretise(cube_n3, IDENTITY, eye_eps, unit_nu), 0.0)
         K, M = p.K.toarray(), p.M.toarray()
         np.testing.assert_allclose(K, K.T, atol=1e-14)
         np.testing.assert_allclose(M, M.T, atol=1e-14)

@@ -60,7 +60,7 @@ class TestClosedForm:
         worst = np.linalg.det(fam.jacobian(1.0, pts.reshape(-1, 3))).min()
         assert worst < 0
         with pytest.raises(InadmissibleParameterError) as err:
-            hh.assemble_helmholtz(cube_n3, fam, 1.0, EPS, NU)
+            hh.assemble_helmholtz(hh.discretise(cube_n3, fam, EPS, NU), 1.0)
         assert str(err.value) == f"det J_Phi <= 0 at parameter 1.0 (min {worst:g})"
 
 
@@ -79,20 +79,24 @@ def _count(monkeypatch, owner, name):
 
 
 class TestTraffic:
-    @pytest.mark.parametrize("assemble, second", [(hh.assemble_helmholtz, NU),
-                                                  (mx.assemble_maxwell, EPS)])
-    def test_assembly_maps_each_point_set_once(self, monkeypatch, cube_n3, assemble, second):
+    @pytest.mark.parametrize("discretise, assemble, second", [
+        (hh.discretise, hh.assemble_helmholtz, NU), (mx.discretise, mx.assemble_maxwell, EPS)],
+        ids=["assemble_helmholtz-second0", "assemble_maxwell-second1"])
+    def test_assembly_maps_each_point_set_once(self, monkeypatch, cube_n3, discretise,
+                                               assemble, second):
         calls = _count(monkeypatch, tf.Family, "jacobian")
-        assemble(cube_n3, BUMP, 0.2, EPS, second)
+        assemble(discretise(cube_n3, BUMP, EPS, second), 0.2)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("derivative, second", [
-        (hh.assemble_helmholtz_derivative, NU), (mx.assemble_maxwell_derivative, EPS)])
-    def test_derivative_maps_each_point_set_once(self, monkeypatch, cube_n3, derivative,
-                                                 second):
+    @pytest.mark.parametrize("discretise, derivative, second", [
+        (hh.discretise, hh.assemble_helmholtz_derivative, NU),
+        (mx.discretise, mx.assemble_maxwell_derivative, EPS)],
+        ids=["assemble_helmholtz_derivative-second0", "assemble_maxwell_derivative-second1"])
+    def test_derivative_maps_each_point_set_once(self, monkeypatch, cube_n3, discretise,
+                                                 derivative, second):
         jac = _count(monkeypatch, tf.Family, "jacobian")
         vel = _count(monkeypatch, tf, "psi_on_physical")
-        derivative(cube_n3, BUMP, 0.2, 1.0, EPS, second)
+        derivative(discretise(cube_n3, BUMP, EPS, second), 0.2, 1.0)
         assert (len(jac), len(vel)) == (1, 1)
 
     def test_run_evaluates_each_form_once(self, monkeypatch):
@@ -112,34 +116,34 @@ class TestTraffic:
         assert len(calls) == 3
 
     def test_forms_share_the_map_across_clusters(self, monkeypatch):
-        mesh = build_box_mesh((1, 1, 1), 3, MIXED)
-        dec = solve_pencil(hh.assemble_helmholtz(mesh, BUMP, 0.2, EPS, NU), count=4,
-                           cluster_tol=0.08)
+        disc = hh.discretise(build_box_mesh((1, 1, 1), 3, MIXED), BUMP, EPS, NU)
+        dec = solve_pencil(hh.assemble_helmholtz(disc, 0.2), count=4, cluster_tol=0.08)
         clusters = cluster_spectrum(dec, 0.08)
         assert len(clusters) >= 2
         jac = _count(monkeypatch, tf.Family, "jacobian")
-        V = hd.helmholtz_volume_matrix(mesh, BUMP, 0.2, 1.0, EPS, NU, clusters)
-        S = hd.helmholtz_surface_matrix(mesh, BUMP, 0.2, 1.0, EPS, NU, clusters)
+        V = hd.helmholtz_volume_matrix(disc, 0.2, 1.0, clusters)
+        S = hd.helmholtz_surface_matrix(disc, 0.2, 1.0, clusters)
         assert len(jac) == 2
         for cl, v, s in zip(clusters, V, S):
             assert v.shape == s.shape == (cl.multiplicity, cl.multiplicity)
             np.testing.assert_array_equal(
-                v, hd.helmholtz_volume_matrix(mesh, BUMP, 0.2, 1.0, EPS, NU, [cl])[0])
+                v, hd.helmholtz_volume_matrix(disc, 0.2, 1.0, [cl])[0])
 
     def test_barycentric_gradients_once_per_mesh(self, monkeypatch):
         calls = _count(monkeypatch, geometry, "det_adjugate")
         mesh = build_box_mesh((1, 1, 1), 3, MIXED)
-        for assemble, derivative, volume, surface, second in (
-            (hh.assemble_helmholtz, hh.assemble_helmholtz_derivative,
-             hd.helmholtz_volume_matrix, hd.helmholtz_surface_matrix, NU),
-            (mx.assemble_maxwell, mx.assemble_maxwell_derivative,
-             hd.maxwell_volume_matrix, hd.maxwell_surface_matrix, EPS),
+        for disc, assemble, derivative, volume, surface in (
+            (hh.discretise(mesh, BUMP, EPS, NU), hh.assemble_helmholtz,
+             hh.assemble_helmholtz_derivative, hd.helmholtz_volume_matrix,
+             hd.helmholtz_surface_matrix),
+            (mx.discretise(mesh, BUMP, EPS, EPS), mx.assemble_maxwell,
+             mx.assemble_maxwell_derivative, hd.maxwell_volume_matrix,
+             hd.maxwell_surface_matrix),
         ):
-            cl = cluster_spectrum(solve_pencil(assemble(mesh, BUMP, 0.2, EPS, second),
-                                               count=1))[0]
-            derivative(mesh, BUMP, 0.2, 1.0, EPS, second)
-            volume(mesh, BUMP, 0.2, 1.0, EPS, second, [cl])
-            surface(mesh, BUMP, 0.2, 1.0, EPS, second, [cl])
+            cl = cluster_spectrum(solve_pencil(assemble(disc, 0.2), count=1))[0]
+            derivative(disc, 0.2, 1.0)
+            volume(disc, 0.2, 1.0, [cl])
+            surface(disc, 0.2, 1.0, [cl])
         assert calls.count((mesh.num_tets(), 3, 3)) == 1
         assert mesh.barycentric_gradients is mesh.barycentric_gradients
 

@@ -40,17 +40,17 @@ class TestGradientKernel:
         np.testing.assert_array_equal(G.toarray(), loop_gradient_basis(mesh))
 
     def test_pencil_carries_the_basis(self, cube_n2, eye_eps, eye_mu):
-        p = mx.assemble_maxwell(cube_n2, IDENTITY, 0.0, eye_eps, eye_mu)
+        p = mx.assemble_maxwell(mx.discretise(cube_n2, IDENTITY, eye_eps, eye_mu), 0.0)
         G = mx.gradient_kernel_basis(cube_n2)
         assert (p.kernel_basis != G).nnz == 0
 
     def test_gradients_lie_in_stiffness_kernel(self, cube_n2, eye_eps, eye_mu):
-        p = mx.assemble_maxwell(cube_n2, IDENTITY, 0.0, eye_eps, eye_mu)
+        p = mx.assemble_maxwell(mx.discretise(cube_n2, IDENTITY, eye_eps, eye_mu), 0.0)
         G = mx.gradient_kernel_basis(cube_n2)
         assert np.abs(p.K @ G).max() < 1e-12 * np.abs(p.K).max()
 
     def test_kernel_dim_equals_gradient_count_all_t(self, cube_n3, eye_eps, eye_mu):
-        p = mx.assemble_maxwell(cube_n3, IDENTITY, 0.0, eye_eps, eye_mu)
+        p = mx.assemble_maxwell(mx.discretise(cube_n3, IDENTITY, eye_eps, eye_mu), 0.0)
         dec = solve_pencil(p)
         G = mx.gradient_kernel_basis(cube_n3)
         # for an all-tangential boundary the free hat functions are linearly
@@ -60,7 +60,7 @@ class TestGradientKernel:
 
     def test_kernel_dim_equals_gradient_rank_all_n(self, eye_eps, eye_mu):
         mesh = build_box_mesh((1, 1, 1), 2, "N")
-        p = mx.assemble_maxwell(mesh, IDENTITY, 0.0, eye_eps, eye_mu)
+        p = mx.assemble_maxwell(mx.discretise(mesh, IDENTITY, eye_eps, eye_mu), 0.0)
         dec = solve_pencil(p)
         G = mx.gradient_kernel_basis(mesh)
         # with every vertex free the constant potential is in the nullspace
@@ -76,20 +76,17 @@ class TestExactAffineIdentities:
 
     def test_scaling_matrix_derivatives(self, cube_n2, eye_eps, eye_mu):
         fam = tf.scaling_family()
-        p = mx.assemble_maxwell(cube_n2, fam, 0.0, eye_eps, eye_mu)
-        d = mx.assemble_maxwell_derivative(cube_n2, fam, 0.0, 1.0, eye_eps, eye_mu)
+        disc = mx.discretise(cube_n2, fam, eye_eps, eye_mu)
+        p = mx.assemble_maxwell(disc, 0.0)
+        d = mx.assemble_maxwell_derivative(disc, 0.0, 1.0)
         np.testing.assert_allclose(d.dK.toarray(), -p.K.toarray(), atol=1e-12 * np.abs(p.K).max())
         np.testing.assert_allclose(d.dM.toarray(), p.M.toarray(), atol=1e-12 * np.abs(p.M).max())
 
     def test_scaling_eigenvalue_law(self, cube_n2, eye_eps, eye_mu):
-        fam = tf.scaling_family()
-        lam0 = solve_pencil(
-            mx.assemble_maxwell(cube_n2, fam, 0.0, eye_eps, eye_mu)
-        ).eigenvalues[0]
+        disc = mx.discretise(cube_n2, tf.scaling_family(), eye_eps, eye_mu)
+        lam0 = solve_pencil(mx.assemble_maxwell(disc, 0.0)).eigenvalues[0]
         chi = 0.15
-        lam = solve_pencil(
-            mx.assemble_maxwell(cube_n2, fam, chi, eye_eps, eye_mu)
-        ).eigenvalues[0]
+        lam = solve_pencil(mx.assemble_maxwell(disc, chi)).eigenvalues[0]
         assert lam == pytest.approx(lam0 / (1 + chi) ** 2, rel=1e-12)
 
 
@@ -100,16 +97,17 @@ class TestMatrixDerivativesVsFD:
     ])
     def test_dK_dM_match_fd(self, cube_n2, family, eye_eps, eye_mu):
         h = 1e-5
-        pp = mx.assemble_maxwell(cube_n2, family, h, eye_eps, eye_mu)
-        pm = mx.assemble_maxwell(cube_n2, family, -h, eye_eps, eye_mu)
-        d = mx.assemble_maxwell_derivative(cube_n2, family, 0.0, 1.0, eye_eps, eye_mu)
+        disc = mx.discretise(cube_n2, family, eye_eps, eye_mu)
+        pp = mx.assemble_maxwell(disc, h)
+        pm = mx.assemble_maxwell(disc, -h)
+        d = mx.assemble_maxwell_derivative(disc, 0.0, 1.0)
         np.testing.assert_allclose(d.dK.toarray(), (pp.K - pm.K).toarray() / (2 * h), atol=1e-7)
         np.testing.assert_allclose(d.dM.toarray(), (pp.M - pm.M).toarray() / (2 * h), atol=1e-7)
 
 
 class TestSpectrum:
     def test_lowest_resonance_near_continuum(self, cube_n4, eye_eps, eye_mu):
-        p = mx.assemble_maxwell(cube_n4, IDENTITY, 0.0, eye_eps, eye_mu)
+        p = mx.assemble_maxwell(mx.discretise(cube_n4, IDENTITY, eye_eps, eye_mu), 0.0)
         lam1 = solve_pencil(p).eigenvalues[0]
         assert abs(lam1 - PI2_2) / PI2_2 < 0.06
 

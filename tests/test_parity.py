@@ -111,9 +111,9 @@ PINNED_36_POINT = {
 }
 
 ROUTES = {
-    "helmholtz": (hh.assemble_helmholtz, hh.assemble_helmholtz_derivative,
+    "helmholtz": (hh.discretise, hh.assemble_helmholtz, hh.assemble_helmholtz_derivative,
                   hd.helmholtz_volume_matrix, hd.helmholtz_surface_matrix, NU),
-    "maxwell": (mx.assemble_maxwell, mx.assemble_maxwell_derivative,
+    "maxwell": (mx.discretise, mx.assemble_maxwell, mx.assemble_maxwell_derivative,
                 hd.maxwell_volume_matrix, hd.maxwell_surface_matrix, MU_INV),
 }
 
@@ -125,11 +125,12 @@ def meshes():
 
 
 def _lowest_cluster_numbers(mesh, problem, fam, chi):
-    assemble, derivative, volume, surface, second = ROUTES[problem]
-    cl = cluster_spectrum(solve_pencil(assemble(mesh, fam, chi, EPS, second), count=1))[0]
-    R = rellich_matrix(derivative(mesh, fam, chi, 1.0, EPS, second), cl)
-    V = volume(mesh, fam, chi, 1.0, EPS, second, [cl])[0]
-    S = surface(mesh, fam, chi, 1.0, EPS, second, [cl])[0]
+    discretise, assemble, derivative, volume, surface, second = ROUTES[problem]
+    disc = discretise(mesh, fam, EPS, second)
+    cl = cluster_spectrum(solve_pencil(assemble(disc, chi), count=1))[0]
+    R = rellich_matrix(derivative(disc, chi, 1.0), cl)
+    V = volume(disc, chi, 1.0, [cl])[0]
+    S = surface(disc, chi, 1.0, [cl])[0]
     return (cl.lambda_bar, np.trace(R), np.trace(V), np.trace(S))
 
 

@@ -23,8 +23,8 @@ def fem_pencil(problem, n, partition, family=None):
     mesh = build_box_mesh((1.0, 1.0, 1.0), n, PARTITIONS[partition])
     family = family or tf.stretch_family(0)
     if problem == "maxwell":
-        return mx.assemble_maxwell(mesh, family, 0.0, EYE, EYE)
-    return hh.assemble_helmholtz(mesh, family, 0.0, EYE, ONE)
+        return mx.assemble_maxwell(mx.discretise(mesh, family, EYE, EYE), 0.0)
+    return hh.assemble_helmholtz(hh.discretise(mesh, family, EYE, ONE), 0.0)
 
 
 @pytest.fixture
