@@ -77,11 +77,7 @@ def _cmd_eig(cfg, out):
 def _cmd_dshape(cfg, out):
     from . import harness
 
-    if out:  # --out wins over the config's output, which run() would write
-        cfg.output = None
-    report = harness.run(harness.build_problem(cfg))
-    if not cfg.output:
-        _emit(report, out)
+    _emit(harness.run(harness.build_problem(cfg)), out)
 
 
 def _cmd_verify(cfg, out):
@@ -150,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--out", default=None,
+                       help="output path (default: the config's output, else stdout)")
         p.add_argument("--threads", type=int, default=None,
                        help="BLAS thread cap (best effort)")
     return parser
@@ -167,7 +164,10 @@ def main(argv=None) -> int:
 
     try:
         cfg = harness.load_config(args.config)
-        _COMMANDS[args.command](cfg, args.out)
+        # every command writes its payload once: to --out, else to the
+        # config's output, else to stdout; run() then writes no report itself
+        out, cfg.output = args.out or cfg.output, None
+        _COMMANDS[args.command](cfg, out)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

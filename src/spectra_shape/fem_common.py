@@ -51,7 +51,7 @@ class Space:
     The two spaces differ only in these members; assembly, the free-dof map,
     the eigenfield push-forward and the Hadamard forms are written once over
     them. Local basis functions carry a trailing component axis (1 for
-    scalar fields), and ``tets`` selects the tets a call evaluates.
+    scalar fields), and ``tets`` selects the tets that ``values`` evaluates.
     """
 
     # (stiffness, mass) coefficient kinds, see transforms.coefficient_kind
@@ -62,7 +62,7 @@ class Space:
     constrained: Callable
     # (mesh, bary (n|1, nq, 4), tets) -> basis values (n|1, nq, k, c)
     values: Callable
-    # (mesh, tets) -> constant grad or curl of the basis (n, k, 3)
+    # mesh -> constant grad or curl of the basis per tet (nt, k, 3)
     derivatives: Callable
     # (J, det, Jinv, F (n, nq, m, c)) -> values on the deformed domain
     push_values: Callable
@@ -81,18 +81,6 @@ def free_dofs(space: Space, mesh: Mesh):
     dof_of = -np.ones(count, dtype=int)
     dof_of[free] = np.arange(len(free))
     return free, dof_of
-
-
-def local_basis(space: Space, mesh: Mesh, bary, tets=slice(None)):
-    """The local basis of `space` on ``tets``: the number of free dofs, the dof
-    of each local function (-1 where constrained), the basis values at the
-    barycentric points ``bary`` (n|1, nq, 4) and the basis derivatives."""
-    free, dof_of = free_dofs(space, mesh)
-    if len(free) == 0:
-        raise DegenerateProblemError("every dof is constrained by the tangential boundary; "
-                                     "no free dofs")
-    return (len(free), dof_of[space.entities(mesh)[0][tets]],
-            space.values(mesh, bary, tets), space.derivatives(mesh, tets))
 
 
 def scatter_symmetric(local: np.ndarray, gdofs: np.ndarray, ndof: int) -> sp.csr_array:
@@ -121,8 +109,10 @@ def default_quad_order(family, *coefficients) -> int:
 class Discretisation:
     """A problem discretised on the reference mesh: the space, the mesh, the
     family and the (stiffness, mass) coefficients, with the data that no chi
-    changes computed once: the quadrature order, the tet rule's points and
-    weights, the local basis at the rule's points and the kernel basis."""
+    changes computed once from one tet rule: the quadrature order, the rule's
+    points and weights per tet, the local basis (the free dof count, the dof of
+    each local function, -1 where constrained, and the basis values at the
+    points and derivatives per tet) and the kernel basis."""
 
     space: Space
     mesh: Mesh
@@ -131,12 +121,18 @@ class Discretisation:
     mass: AffineField
 
     def __post_init__(self):
+        space, mesh = self.space, self.mesh
         self.quad_order = default_quad_order(self.family, self.stiff, self.mass)
-        self.points, self.weights = self.mesh.quadrature_points(self.quad_order)
-        self.basis = local_basis(self.space, self.mesh,
-                                 tet_quadrature(self.quad_order).points[None])
-        kernel = self.space.kernel_basis
-        self.kernel_basis = None if kernel is None else kernel(self.mesh)
+        rule = tet_quadrature(self.quad_order)
+        self.points = np.einsum("qa,nak->nqk", rule.points, mesh.vertices[mesh.tets])
+        self.weights = 6.0 * mesh.tet_volumes()[:, None] * rule.weights[None, :]
+        free, dof_of = free_dofs(space, mesh)
+        if len(free) == 0:
+            raise DegenerateProblemError("every dof is constrained by the tangential boundary; "
+                                         "no free dofs")
+        self.basis = (len(free), dof_of[space.entities(mesh)[0]],
+                      space.values(mesh, rule.points[None], slice(None)), space.derivatives(mesh))
+        self.kernel_basis = None if space.kernel_basis is None else space.kernel_basis(mesh)
 
     def coefficient_maps(self):
         """(maps, coefficient) of the stiffness and the mass, maps looked up per call."""

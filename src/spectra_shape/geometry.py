@@ -107,29 +107,28 @@ class Mesh:
     ``tets`` are stored with positive signed volume. Each edge is stored
     once, oriented low index -> high index. ``tet_edges``/``tet_edge_signs``
     give, per tet, the global edge index of each local edge and the sign
-    relating the local orientation to the global one. Tet volumes,
-    barycentric gradients and quadrature points are computed once, on first use.
+    relating the local orientation to the global one. ``bfacet_tets``, the
+    tet owning each boundary facet, is derived by `validate`. Tet volumes and
+    barycentric gradients are computed once, on first use.
     """
 
     vertices: np.ndarray                 # (nv, 3)
     tets: np.ndarray                     # (nt, 4) int
     bfacet_vertices: np.ndarray          # (nb, 3) int
     bfacet_tags: List[str]               # 'T' or 'N'
-    bfacet_tets: np.ndarray              # (nb,) owning tet index
+    bfacet_tets: np.ndarray = field(init=False)     # (nb,) owning tet index
     edges: np.ndarray = field(init=False)          # (ne, 2) int, lexicographic
     tet_edges: np.ndarray = field(init=False)      # (nt, 6) int
     tet_edge_signs: np.ndarray = field(init=False)  # (nt, 6) +-1
     # facet_incidence(tets), when the caller has computed it already
     incidence: InitVar[Optional[tuple]] = None
-    _quadrature: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self, incidence):
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.tets = np.asarray(self.tets, dtype=int)
         self.bfacet_vertices = np.asarray(self.bfacet_vertices, dtype=int)
-        self.bfacet_tets = np.asarray(self.bfacet_tets, dtype=int)
         self._build_edges()
-        self.validate(incidence)
+        self.bfacet_tets = self.validate(incidence)
 
     def _build_edges(self):
         pairs = self.tets[:, TET_EDGE_PAIRS]             # (nt, 6, 2)
@@ -160,24 +159,6 @@ class Mesh:
         # grad lambda_k is column k of the inverse edge matrix, k = 1, 2, 3
         g = np.swapaxes(adj, 1, 2) / det[:, None, None]
         return np.concatenate([-g.sum(axis=1, keepdims=True), g], axis=1)
-
-    def quadrature_points(self, order: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Points (nt, nq, 3) and tet-integrating weights (nt, nq) of tet_quadrature(order)."""
-        if order not in self._quadrature:
-            rule = tet_quadrature(order)
-            pts = np.einsum("qa,nak->nqk", rule.points, self.vertices[self.tets])
-            w = 6.0 * self.tet_volumes()[:, None] * rule.weights[None, :]
-            self._quadrature[order] = pts, w
-        return self._quadrature[order]
-
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    def num_tets(self) -> int:
-        return len(self.tets)
-
-    def num_edges(self) -> int:
-        return len(self.edges)
 
     def facet_geometry(self, facets) -> Tuple[np.ndarray, np.ndarray]:
         """Unit outward normals and areas of boundary facets.
@@ -210,7 +191,8 @@ class Mesh:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self, incidence=None):
+    def validate(self, incidence=None) -> np.ndarray:
+        """Check the mesh; returns the tet owning each boundary facet."""
         nv = len(self.vertices)
         for name, rows in (("tet", self.tets), ("boundary facet", self.bfacet_vertices)):
             _raise_first(np.any((rows < 0) | (rows >= nv), axis=1), lambda i: (
@@ -228,14 +210,13 @@ class Mesh:
             f"tagged facet {i} {_triple(tris[i])} is not a boundary facet"))
         _raise_first(~np.isin(np.asarray(self.bfacet_tags, dtype=str), ("T", "N")),
                      lambda i: f"facet {i} has unknown tag {self.bfacet_tags[i]!r}")
-        _raise_first(np.append(owners, -1)[at] != self.bfacet_tets, lambda i: (
-            f"facet {i} does not belong to tet {self.bfacet_tets[i]}"))
         repeated = np.ones(len(at), dtype=bool)
         repeated[np.unique(at, return_index=True)[1]] = False
         _raise_first(repeated, lambda i: f"facet {_triple(facets[at[i]])} tagged twice")
         untagged = counts == 1
         untagged[at] = False
         _raise_first(untagged, lambda i: f"untagged boundary facet {_triple(facets[i])}")
+        return owners[at]
 
 
 def _raise_first(bad: np.ndarray, message):
@@ -310,6 +291,9 @@ def build_box_mesh(
         raise InvalidGeometryError(f"need at least one subdivision, got {n}")
     if isinstance(partition, str):
         partition = {f: partition for f in BOX_FACES}
+    unknown = sorted(set(partition) - set(BOX_FACES))
+    if unknown:
+        raise InvalidGeometryError(f"partition names no box face {unknown}")
     for f in BOX_FACES:
         if partition.get(f) not in ("T", "N"):
             raise InvalidGeometryError(f"face {f} must be tagged 'T' or 'N'")
@@ -335,8 +319,8 @@ def build_box_mesh(
     # boundary facets: those of one tet, tagged by the box face they lie on;
     # on two faces at once (degenerate dims only), the later axis and the
     # low face win
-    incidence = facets, counts, owners = facet_incidence(tets)
-    bf_verts, bf_tets = facets[counts == 1], owners[counts == 1]
+    incidence = facets, counts, _ = facet_incidence(tets)
+    bf_verts = facets[counts == 1]
     pts = vertices[bf_verts]
     face = np.full(len(bf_verts), -1)
     for ax in range(3):
@@ -346,17 +330,17 @@ def build_box_mesh(
         f"boundary facet {_triple(bf_verts[i])} not on a box face"))
     bf_tags = np.array([partition[f] for f in BOX_FACES])[face].tolist()
 
-    return Mesh(vertices, tets, bf_verts, bf_tags, bf_tets, incidence=incidence)
+    return Mesh(vertices, tets, bf_verts, bf_tags, incidence=incidence)
 
 
 def save_mesh(mesh: Mesh, path: str):
     """Write a mesh in the ``tetmesh v1`` text format."""
     with open(path, "w") as f:
         f.write("tetmesh v1\n")
-        f.write(f"vertices {mesh.num_vertices()}\n")
+        f.write(f"vertices {len(mesh.vertices)}\n")
         for v in mesh.vertices:
             f.write(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-        f.write(f"tets {mesh.num_tets()}\n")
+        f.write(f"tets {len(mesh.tets)}\n")
         np.savetxt(f, mesh.tets, fmt="%d")
         f.write(f"bfacets {len(mesh.bfacet_vertices)}\n")
         rows = np.column_stack([mesh.bfacet_vertices.astype(str),
@@ -417,11 +401,4 @@ def load_mesh(path: str) -> Mesh:
     bfacets = section("bfacets", 4, lambda parts: [int(p) for p in parts[:3]] + parts[3:],
                       "expected 3 indices and a tag letter", "bad index")
     bf_verts = np.array([row[:3] for row in bfacets], dtype=int).reshape(-1, 3)
-    bf_tags = [row[3] for row in bfacets]
-
-    incidence = facets, counts, owners = facet_incidence(tets)
-    at = _row_index(facets, bf_verts)
-    count = np.append(counts, 0)[at]
-    _raise_first(count != 1, lambda i: (
-        f"facet {_triple(bf_verts[i])} owned by {count[i]} tets, expected 1"))
-    return Mesh(vertices, tets, bf_verts, bf_tags, owners[at], incidence=incidence)
+    return Mesh(vertices, tets, bf_verts, [row[3] for row in bfacets])

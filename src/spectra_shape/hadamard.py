@@ -16,7 +16,7 @@ from typing import List, Sequence
 import numpy as np
 
 from . import transforms
-from .fem_common import Discretisation, Space, local_basis
+from .fem_common import Discretisation, Space
 from .geometry import triangle_quadrature
 from .spectral import EigenCluster
 from .transforms import _sym
@@ -98,8 +98,10 @@ def surface_matrix(
     sign = np.where(np.asarray(mesh.bfacet_tags) == "N", 1.0, -1.0)
     weight = (sign[:, None] * 2.0 * area[:, None] * rule.weights
               * np.einsum("fqa,fqa->fq", psi.reshape(shape + (3,)), nanson))
-    return _cluster_matrices(disc.space, local_basis(disc.space, mesh, bary, tets), frames,
-                             weight, disc.stiff.value(geo.y), disc.mass.value(geo.y), clusters)
+    ndof, gdofs, _, derivatives = disc.basis
+    basis = ndof, gdofs[tets], disc.space.values(mesh, bary, tets), derivatives[tets]
+    return _cluster_matrices(disc.space, basis, frames, weight, disc.stiff.value(geo.y),
+                             disc.mass.value(geo.y), clusters)
 
 
 # plain names of the generic forms, looked up by `harness.build_problem`

@@ -27,7 +27,7 @@ from .spectral import (
     cluster_spectrum,
     solve_pencil,
 )
-from .transforms import _POSITIVE, spec_value
+from .transforms import _POSITIVE, AffineField, spec_kind, spec_value
 
 SCHEMA_VERSION = 1
 
@@ -55,7 +55,7 @@ _FIELDS = dict(
 class MeshSpec(NamedTuple):
     """A checked mesh spec: a mesh file at `path`, or a box of `dims` with
     `n` cells per side and a face `partition` ('T', 'N' or an object over
-    the six faces; `build_box_mesh` checks the letters)."""
+    the six faces; `build_box_mesh` checks the faces and letters)."""
 
     type: str
     path: Optional[str]
@@ -67,9 +67,8 @@ class MeshSpec(NamedTuple):
 def mesh_spec(spec: dict) -> MeshSpec:
     """The `MeshSpec` of a config's mesh object; an absent key takes the
     default of a unit box with n = 4 and every face 'T'."""
-    kind = spec_value(spec, "type", "box", of=str, name="mesh type")
-    if kind not in ("box", "file"):
-        raise ConfigError(f"unknown mesh type {kind!r}")
+    kind = spec_kind(spec, "type", "mesh type",
+                     {"box": ("dims", "n", "partition"), "file": ("path",)}, "box")
     return MeshSpec(
         kind,
         spec_value(spec, "path", of=str, name="mesh path") if kind == "file" else None,
@@ -165,9 +164,10 @@ class Problem:
 def build_problem(cfg: RunConfig) -> Problem:
     """The `Problem` of `cfg`: the only reader of the problem kind and the nested
     specs, all checked before a mesh is built; a box of more than MAX_DOFS dofs
-    is refused unbuilt. Its one `Discretisation` is built here and bound into
-    its routes; the per-problem functions are looked up here, not at import, so
-    that a wrapper installed on them is called."""
+    is refused unbuilt. Each coefficient is checked positive at the mesh
+    vertices mapped by Phi_chi_bar. Its one `Discretisation` is built here and
+    bound into its routes; the per-problem functions are looked up here, not at
+    import, so that a wrapper installed on them is called."""
     if cfg.problem == "abstract-pencil":
         K0, dK = _abstract_pencil(cfg.abstract)
         eye = np.eye(len(K0))
@@ -198,6 +198,9 @@ def build_problem(cfg: RunConfig) -> Problem:
     else:
         _check_box_size(cfg.problem, spec.n)
         mesh = build_box_mesh(spec.dims, spec.n, spec.partition)
+    y = fam.map(cfg.chi_bar, mesh.vertices)
+    for key, coefficient in zip(keys, coefficients):
+        _check_positive(key, coefficient, y)
     fem = maxwell if cfg.problem == "maxwell" else helmholtz
     disc = fem.discretise(mesh, fam, *coefficients)
     args = (disc, cfg.chi_bar, cfg.direction)
@@ -213,6 +216,19 @@ def _check_box_size(problem: str, n: int):
     dofs = box_mesh_size(n)[_DOF_ENTITY[problem]]
     if dofs > MAX_DOFS:
         raise ConfigError(f"box mesh n={n} has ~{dofs} dofs (> {MAX_DOFS}); refusing to build it")
+
+
+def _check_positive(key: str, coefficient: AffineField, y: np.ndarray):
+    """Refuse a coefficient whose least eigenvalue (a scalar's value) is <= 0
+    at a point of `y`, the mesh vertices mapped by Phi_chi_bar. The least
+    eigenvalue of an affine field is concave, so for an affine map this
+    covers the whole domain."""
+    value = coefficient.value(y)
+    least = value if value.ndim == 1 else np.linalg.eigvalsh(value)[:, 0]
+    i = int(np.argmin(least))
+    if least[i] <= 0:
+        raise ConfigError(f"coefficient {key!r} must be positive-definite; its least eigenvalue "
+                          f"is {least[i]:g} at the mapped vertex {y[i].tolist()}")
 
 
 def assemble_at(problem: Problem, chi: float) -> Pencil:
@@ -241,7 +257,9 @@ def solve_at(problem: Problem, chi: float, count: int) -> EigenDecomposition:
 
 def _abstract_pencil(spec: dict):
     """(K0, dK) of the synthetic pencil K(chi) = K0 + chi dK, M = I."""
-    kind = spec_value(spec, "kind", "crossing", of=str)
+    kind = spec_kind(spec, "kind", "abstract pencil kind", {
+        "crossing": (), "diagonal": ("d0", "d1"),
+        "degenerate": ("m", "lambda", "extra", "seed")}, "crossing")
     if kind == "crossing":
         # double eigenvalue at chi=0 splitting with slopes exactly -1 and +1
         return np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -252,22 +270,20 @@ def _abstract_pencil(spec: dict):
             raise ConfigError(f"diagonal pencil needs 'd0' and 'd1' of equal length >= 1, "
                               f"got {d0.tolist()} and {d1.tolist()}")
         return np.diag(d0), np.diag(d1)
-    if kind == "degenerate":
-        # exactly degenerate block of multiplicity m inside a larger pencil,
-        # rotated by a seeded orthogonal matrix so nothing is axis-aligned
-        m = spec_value(spec, "m", 3, of=int, low=1)
-        lam = spec_value(spec, "lambda", 2.0)
-        extra = spec_value(spec, "extra", [5.0, 9.0], shape=(None,))
-        rng = np.random.default_rng(spec_value(spec, "seed", 0, of=int, low=0))
-        n = m + len(extra)
-        A = rng.standard_normal((m, m))
-        dK = np.zeros((n, n))
-        dK[:m, :m] = 0.5 * (A + A.T)
-        dK[m:, m:] = np.diag(rng.standard_normal(len(extra)))
-        K0 = np.diag(np.concatenate([np.full(m, lam), extra]))
-        Q = sla.qr(rng.standard_normal((n, n)))[0]
-        return Q @ K0 @ Q.T, Q @ dK @ Q.T
-    raise ConfigError(f"unknown abstract pencil kind {kind!r}")
+    # degenerate: an exactly degenerate block of multiplicity m inside a larger
+    # pencil, rotated by a seeded orthogonal matrix so nothing is axis-aligned
+    m = spec_value(spec, "m", 3, of=int, low=1)
+    lam = spec_value(spec, "lambda", 2.0)
+    extra = spec_value(spec, "extra", [5.0, 9.0], shape=(None,))
+    rng = np.random.default_rng(spec_value(spec, "seed", 0, of=int, low=0))
+    n = m + len(extra)
+    A = rng.standard_normal((m, m))
+    dK = np.zeros((n, n))
+    dK[:m, :m] = 0.5 * (A + A.T)
+    dK[m:, m:] = np.diag(rng.standard_normal(len(extra)))
+    K0 = np.diag(np.concatenate([np.full(m, lam), extra]))
+    Q = sla.qr(rng.standard_normal((n, n)))[0]
+    return Q @ K0 @ Q.T, Q @ dK @ Q.T
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ from .fem_common import Discretisation, Space, assemble_derivative, assemble_pen
 # P1 on vertices: u = f o Phi^-1 and grad u = (J^-T grad f) o Phi^-1
 P1 = Space(
     coefficients=("epsilon", "nu"),
-    entities=lambda mesh: (mesh.tets, mesh.num_vertices()),
+    entities=lambda mesh: (mesh.tets, len(mesh.vertices)),
     constrained=lambda mesh: mesh.boundary_vertex_set("T"),
     values=lambda mesh, bary, tets: bary[..., None],
-    derivatives=lambda mesh, tets: mesh.barycentric_gradients[tets],
+    derivatives=lambda mesh: mesh.barycentric_gradients,
     push_values=lambda J, det, Jinv, F: F,
     push_derivatives=lambda J, det, Jinv, D: np.einsum("nqba,nmb->nqma", Jinv, D),
 )

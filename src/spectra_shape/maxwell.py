@@ -33,14 +33,14 @@ def _edge_values(mesh: Mesh, bary, tets) -> np.ndarray:
     return vals * mesh.tet_edge_signs[tets][:, None, :, None]
 
 
-def _edge_curls(mesh: Mesh, tets) -> np.ndarray:
-    """Constant curls of the signed edge basis functions: (n, 6, 3).
+def _edge_curls(mesh: Mesh) -> np.ndarray:
+    """Constant curls of the signed edge basis functions: (nt, 6, 3).
 
     curl w_(a,b) = 2 grad(lambda_a) x grad(lambda_b), oriented globally.
     """
-    g = mesh.barycentric_gradients[tets]
+    g = mesh.barycentric_gradients
     curls = 2.0 * np.cross(g[:, _EDGE_A, :], g[:, _EDGE_B, :])
-    return curls * mesh.tet_edge_signs[tets][:, :, None]
+    return curls * mesh.tet_edge_signs[:, :, None]
 
 
 def gradient_kernel_basis(mesh: Mesh) -> sp.csr_array:
@@ -67,7 +67,7 @@ def gradient_kernel_basis(mesh: Mesh) -> sp.csr_array:
 # E = (J^-T F) o Phi^-1 and rot E = (det J)^-1 (J rot F) o Phi^-1
 NEDELEC = Space(
     coefficients=("mu_inv", "epsilon"),
-    entities=lambda mesh: (mesh.tet_edges, mesh.num_edges()),
+    entities=lambda mesh: (mesh.tet_edges, len(mesh.edges)),
     constrained=lambda mesh: mesh.boundary_edge_set("T"),
     values=_edge_values,
     derivatives=_edge_curls,

@@ -317,25 +317,41 @@ def spec_value(spec: dict, key: str, default=None, of=float, shape=(), low=-np.i
     return np.asarray(value, dtype=of) if shape else of(value)
 
 
+def spec_kind(spec: dict, key: str, what: str, kinds: dict, default=None) -> str:
+    """The kind spec[key], a string read by `spec_value` under the name `what`.
+    `kinds` maps each kind to the other keys its spec reads: an unknown kind,
+    or a key of `spec` that its kind does not read, is a ConfigError naming it."""
+    kind = spec_value(spec, key, default, of=str, name=what)
+    if kind not in kinds:
+        raise ConfigError(f"unknown {what} {kind!r}")
+    unread = sorted(set(spec) - {key, *kinds[kind]})
+    if unread:
+        raise ConfigError(f"{what} {kind!r} does not read the keys {unread}")
+    return kind
+
+
 def field_from_config(spec: dict):
-    kind = spec_value(spec, "type", of=str)
+    kind = spec_kind(spec, "type", "displacement field type", {
+        "constant": ("c",), "linear": ("G",),
+        "sin": ("axis", "dependsOn", "amplitude", "frequency")})
     if kind == "constant":
         return AffineField(spec_value(spec, "c", shape=(3,)))
     if kind == "linear":
         return AffineField(np.zeros(3), spec_value(spec, "G", shape=(3, 3)))
-    if kind == "sin":
-        axis = spec_value(spec, "axis", of=int, low=0, high=2)
-        return SinField(
-            axis=axis,
-            depends_on=spec_value(spec, "dependsOn", axis, of=int, low=0, high=2),
-            amplitude=spec_value(spec, "amplitude", 0.1),
-            frequency=spec_value(spec, "frequency", 1.0),
-        )
-    raise ConfigError(f"unknown displacement field type {kind!r}")
+    # sin
+    axis = spec_value(spec, "axis", of=int, low=0, high=2)
+    return SinField(
+        axis=axis,
+        depends_on=spec_value(spec, "dependsOn", axis, of=int, low=0, high=2),
+        amplitude=spec_value(spec, "amplitude", 0.1),
+        frequency=spec_value(spec, "frequency", 1.0),
+    )
 
 
 def family_from_config(spec: dict):
-    kind = spec_value(spec, "kind", of=str)
+    kind = spec_kind(spec, "kind", "transformation family kind", {
+        "affine": ("b1", "A1", "b0", "A0"), "bump": ("g",), "scaling": ("rate",),
+        "translation": ("b1",), "stretch": ("axis",)})
     if kind == "affine":
         return Family(
             AffineField(spec_value(spec, "b1", [0, 0, 0], shape=(3,)),
@@ -348,9 +364,7 @@ def family_from_config(spec: dict):
         return scaling_family(spec_value(spec, "rate", 1.0))
     if kind == "translation":
         return translation_family(spec_value(spec, "b1", [1.0, 0.0, 0.0], shape=(3,)))
-    if kind == "stretch":
-        return stretch_family(spec_value(spec, "axis", 0, of=int, low=0, high=2))
-    raise ConfigError(f"unknown transformation family kind {kind!r}")
+    return stretch_family(spec_value(spec, "axis", 0, of=int, low=0, high=2))
 
 
 def _diagonal(d0, D) -> AffineField:
@@ -362,7 +376,9 @@ def _diagonal(d0, D) -> AffineField:
 
 def matrix_coefficient_from_config(spec: dict) -> AffineField:
     """A 3x3 matrix coefficient; an empty spec is the identity."""
-    kind = spec_value(spec, "kind", "constant", of=str)
+    kind = spec_kind(spec, "kind", "matrix coefficient kind", {
+        "constant": ("M",), "affine-diagonal": ("d0", "D"),
+        "scalar-affine-identity": ("c0", "c")}, "constant")
     if kind == "constant":
         M = spec_value(spec, "M", np.eye(3).tolist(), shape=(3, 3))
         if not (np.array_equal(M, M.T) and np.linalg.eigvalsh(M).min() > 0):
@@ -370,18 +386,15 @@ def matrix_coefficient_from_config(spec: dict) -> AffineField:
         return AffineField(M)
     if kind == "affine-diagonal":
         return _diagonal(spec_value(spec, "d0", shape=(3,)), spec_value(spec, "D", shape=(3, 3)))
-    if kind == "scalar-affine-identity":
-        # (c0 + c . x) I
-        return _diagonal(np.full(3, spec_value(spec, "c0")),
-                         np.broadcast_to(spec_value(spec, "c", shape=(3,)), (3, 3)))
-    raise ConfigError(f"unknown matrix coefficient kind {kind!r}")
+    # scalar-affine-identity: (c0 + c . x) I
+    return _diagonal(np.full(3, spec_value(spec, "c0")),
+                     np.broadcast_to(spec_value(spec, "c", shape=(3,)), (3, 3)))
 
 
 def scalar_coefficient_from_config(spec: dict) -> AffineField:
     """A scalar coefficient c0 + c . x; an empty spec is 1."""
-    kind = spec_value(spec, "kind", "constant", of=str)
+    kind = spec_kind(spec, "kind", "scalar coefficient kind",
+                     {"constant": ("v",), "affine": ("c0", "c")}, "constant")
     if kind == "constant":
         return AffineField(spec_value(spec, "v", 1.0, low=_POSITIVE))
-    if kind == "affine":
-        return AffineField(spec_value(spec, "c0"), spec_value(spec, "c", shape=(3,)))
-    raise ConfigError(f"unknown scalar coefficient kind {kind!r}")
+    return AffineField(spec_value(spec, "c0"), spec_value(spec, "c", shape=(3,)))

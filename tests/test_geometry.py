@@ -33,7 +33,8 @@ MESH_ARRAYS = ("vertices", "tets", "bfacet_vertices", "bfacet_tags", "bfacet_tet
 
 
 def reference_box_mesh(dims, n, partition):
-    """Kuhn box mesh built by walking every cell and every tet face in Python.
+    """Kuhn box mesh built by walking every cell and every tet face in Python,
+    with the owning tet of each boundary facet found by the same walk.
 
     The loop form the vectorised ``build_box_mesh`` must reproduce exactly.
     """
@@ -79,7 +80,7 @@ def reference_box_mesh(dims, n, partition):
         bf_verts.append(key)
         bf_tags.append(partition[face])
         bf_tets.append(owner[key])
-    return Mesh(vertices, np.array(tets), np.array(bf_verts), bf_tags, np.array(bf_tets))
+    return Mesh(vertices, np.array(tets), np.array(bf_verts), bf_tags), np.array(bf_tets)
 
 
 def reference_boundary_edges(mesh, tag):
@@ -198,14 +199,14 @@ class TestBoxMesh:
     def test_counts(self):
         for n in (1, 2, 3):
             mesh = build_box_mesh((1, 1, 1), n, "T")
-            assert mesh.num_vertices() == (n + 1) ** 3
-            assert mesh.num_tets() == 6 * n**3
+            assert len(mesh.vertices) == (n + 1) ** 3
+            assert len(mesh.tets) == 6 * n**3
             assert len(mesh.bfacet_vertices) == 12 * n**2
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_closed_form_size(self, n):
         mesh = build_box_mesh((1, 2, 0.5), n, "N")
-        assert box_mesh_size(n) == (mesh.num_vertices(), mesh.num_edges())
+        assert box_mesh_size(n) == (len(mesh.vertices), len(mesh.edges))
 
     def test_volumes_sum_to_box(self):
         mesh = build_box_mesh((2.0, 1.0, 0.5), 3, "T")
@@ -233,7 +234,7 @@ class TestBoxMesh:
     def test_boundary_edge_set_is_subset_of_edges(self, cube_n2):
         edges = cube_n2.boundary_edge_set("T")
         assert len(edges) > 0
-        assert edges.max() < cube_n2.num_edges()
+        assert edges.max() < len(cube_n2.edges)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("dims,partition", [
@@ -242,7 +243,8 @@ class TestBoxMesh:
     ])
     def test_matches_loop_reference(self, n, dims, partition):
         mesh = build_box_mesh(dims, n, partition)
-        ref = reference_box_mesh(dims, n, partition)
+        ref, owners = reference_box_mesh(dims, n, partition)
+        assert np.array_equal(mesh.bfacet_tets, owners)
         for name in MESH_ARRAYS:
             got, want = getattr(mesh, name), getattr(ref, name)
             assert np.array_equal(np.asarray(got), np.asarray(want)), name
@@ -271,7 +273,6 @@ def mesh_parts(mesh):
         tets=mesh.tets.copy(),
         bfacet_vertices=mesh.bfacet_vertices.copy(),
         bfacet_tags=list(mesh.bfacet_tags),
-        bfacet_tets=mesh.bfacet_tets.copy(),
     )
 
 
@@ -291,7 +292,6 @@ class TestMeshValidation:
         dropped = tuple(parts["bfacet_vertices"][0].tolist())
         parts["bfacet_vertices"] = parts["bfacet_vertices"][1:]
         parts["bfacet_tags"] = parts["bfacet_tags"][1:]
-        parts["bfacet_tets"] = parts["bfacet_tets"][1:]
         with pytest.raises(InvalidGeometryError, match="untagged boundary facet") as err:
             Mesh(**parts)
         assert str(err.value) == f"untagged boundary facet {dropped}"
@@ -303,20 +303,11 @@ class TestMeshValidation:
             Mesh(**parts)
         assert str(err.value) == "facet 3 has unknown tag 'X'"
 
-    def test_wrong_owner(self, cube_n2):
-        parts = mesh_parts(cube_n2)
-        wrong = (parts["bfacet_tets"][2] + 1) % len(parts["tets"])
-        parts["bfacet_tets"][2] = wrong
-        with pytest.raises(InvalidGeometryError) as err:
-            Mesh(**parts)
-        assert str(err.value) == f"facet 2 does not belong to tet {wrong}"
-
     def test_facet_tagged_twice(self, cube_n2):
         parts = mesh_parts(cube_n2)
         twice = tuple(parts["bfacet_vertices"][5].tolist())
         parts["bfacet_vertices"] = np.vstack([parts["bfacet_vertices"], [twice]])
         parts["bfacet_tags"].append("N")
-        parts["bfacet_tets"] = np.append(parts["bfacet_tets"], parts["bfacet_tets"][5])
         with pytest.raises(InvalidGeometryError) as err:
             Mesh(**parts)
         assert str(err.value) == f"facet {twice} tagged twice"
@@ -335,7 +326,7 @@ class TestMeshValidation:
                           [0, 0, -1.0], [0.2, 0.2, 1.0]])
         tets = np.array([[0, 1, 2, 3], [0, 2, 1, 4], [0, 1, 2, 5]])
         with pytest.raises(InvalidGeometryError) as err:
-            Mesh(verts, tets, np.empty((0, 3), dtype=int), [], np.empty(0, dtype=int))
+            Mesh(verts, tets, np.empty((0, 3), dtype=int), [])
         assert str(err.value) == "facet (0, 1, 2) shared by more than two tets"
 
     @pytest.mark.parametrize("part", ["tets", "bfacet_vertices"])
@@ -358,7 +349,6 @@ class TestMeshValidation:
                 tets=tets,
                 bfacet_vertices=np.empty((0, 3), dtype=int),
                 bfacet_tags=np.empty(0, dtype=object),
-                bfacet_tets=np.empty(0, dtype=int),
             )
 
 
@@ -394,7 +384,7 @@ class TestMeshIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidGeometryError) as err:
             load_mesh(str(path))
-        assert str(err.value) == f"facet {inner} owned by 2 tets, expected 1"
+        assert str(err.value) == f"tagged facet 0 {inner} is not a boundary facet"
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "problem": "helmholtz",
@@ -402,7 +392,7 @@ class TestMeshIO:
             "family": {"kind": "scaling"},
         }))
         assert cli.main(["eig", "--config", str(config)]) == cli.EXIT_CONFIG
-        assert "owned by 2 tets, expected 1" in capsys.readouterr().err
+        assert f"tagged facet 0 {inner} is not a boundary facet" in capsys.readouterr().err
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -412,11 +402,12 @@ class TestMeshIO:
     )
     def test_relabelled_round_trip(self, tmp_path_factory, n, partition, seed):
         """Relabel vertices, shuffle tets, facets and each facet's vertex order,
-        then save and load: the owners follow the tets and validation passes."""
+        then save and load: the derived owners follow the tets and validation
+        passes."""
         mesh = build_box_mesh((1.0, 0.8, 1.3), n, MIXED if partition == "mixed" else partition)
         rng = np.random.default_rng(seed)
-        relabel = rng.permutation(mesh.num_vertices())
-        tet_order = rng.permutation(mesh.num_tets())
+        relabel = rng.permutation(len(mesh.vertices))
+        tet_order = rng.permutation(len(mesh.tets))
         facet_order = rng.permutation(len(mesh.bfacet_vertices))
         new_tet = np.argsort(tet_order)
         vertices = np.empty_like(mesh.vertices)
@@ -428,12 +419,13 @@ class TestMeshIO:
             relabel[mesh.tets[tet_order]],
             tris,
             [mesh.bfacet_tags[i] for i in facet_order],
-            new_tet[mesh.bfacet_tets[facet_order]],
         )
+        owners = new_tet[mesh.bfacet_tets[facet_order]]
+        np.testing.assert_array_equal(shuffled.bfacet_tets, owners)
         path = tmp_path_factory.mktemp("shuffled") / "mesh.tetmesh"
         save_mesh(shuffled, str(path))
         back = load_mesh(str(path))
-        np.testing.assert_array_equal(back.bfacet_tets, new_tet[mesh.bfacet_tets[facet_order]])
+        np.testing.assert_array_equal(back.bfacet_tets, owners)
         np.testing.assert_array_equal(back.tets, shuffled.tets)
         np.testing.assert_array_equal(back.bfacet_vertices, tris)
         assert back.bfacet_tags == shuffled.bfacet_tags

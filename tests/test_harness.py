@@ -83,6 +83,16 @@ class TestRunConfig:
                 dict(HELM_SCALING, problem=problem, coefficients=coefficients)))
 
 
+    def test_affine_coefficient_checked_at_the_mapped_vertices(self):
+        """nu = 1 - 0.8 x is positive on the unit box but not at x = 1.5,
+        where Phi_0.5 = 1.5 x takes the vertices with x = 1."""
+        nu = {"kind": "affine", "c0": 1.0, "c": [-0.8, 0.0, 0.0]}
+        assert harness.build_problem(config(coefficients={"nu": nu})).mesh is not None
+        with pytest.raises(ConfigError, match=r"'nu' .* least eigenvalue is -0.2 at the "
+                                              r"mapped vertex \[1.5, 0.0, 0.0\]"):
+            harness.build_problem(config(coefficients={"nu": nu}, chi_bar=0.5))
+
+
 class TestRun:
     def test_helmholtz_scaling_report(self):
         report = harness.run(harness.build_problem(config()))
@@ -294,13 +304,15 @@ class TestCli:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["clusters"]
 
-    @pytest.mark.parametrize("cli_out", [False, True], ids=["config-output", "out-wins"])
-    def test_dshape_writes_the_config_output_once(self, tmp_path, capsys, monkeypatch,
-                                                  cli_out):
+    def write_payload_once(self, tmp_path, capsys, monkeypatch, command, cli_out):
+        """Run `command` on a config with an output, and with --out if
+        `cli_out`; check that the payload went through cli._emit once, to
+        --out, else to the config's output, and that nothing else was
+        written or printed. Returns the payload."""
         out = tmp_path / "report.json"
-        path = self.write_config(tmp_path, dict(HELM_SCALING, output=str(out)))
-        argv = ["dshape", "--config", path]
-        if cli_out:  # --out wins, and its report goes through cli._emit
+        path = self.write_config(tmp_path, dict(HELM_SCALING, output=str(out), refinement=[2, 3]))
+        argv = [command, "--config", path]
+        if cli_out:
             out = tmp_path / "cli-report.json"
             argv += ["--out", str(out)]
         written, emitted = [], []
@@ -318,12 +330,28 @@ class TestCli:
         monkeypatch.setattr("builtins.open", spy)
         monkeypatch.setattr(cli, "_emit", emit)
         assert cli.main(argv) == 0
-        assert written == [str(out)]
-        assert emitted == ([str(out)] if cli_out else [])
+        assert written == emitted == [str(out)]
         assert capsys.readouterr().out == ""
         text = out.read_text()
         assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
-        assert json.loads(text)["clusters"]
+        return json.loads(text)
+
+    @pytest.mark.parametrize("cli_out", [False, True], ids=["config-output", "out-wins"])
+    def test_dshape_writes_the_config_output_once(self, tmp_path, capsys, monkeypatch,
+                                                  cli_out):
+        doc = self.write_payload_once(tmp_path, capsys, monkeypatch, "dshape", cli_out)
+        assert doc["clusters"]
+
+    @pytest.mark.parametrize("cli_out", [False, True], ids=["config-output", "out-wins"])
+    @pytest.mark.parametrize("command, key", [
+        ("eig", "eigenvalues"), ("verify", "fd_table"), ("study", "levels"),
+        ("abstract", "branch_slopes"),
+    ])
+    def test_every_command_writes_its_payload_once(self, tmp_path, capsys, monkeypatch,
+                                                   command, key, cli_out):
+        """The output rule of dshape holds for every command: verify writes
+        its whole payload, not its dshape report, to the config's output."""
+        assert self.write_payload_once(tmp_path, capsys, monkeypatch, command, cli_out)[key]
 
     def test_abstract_demo(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"problem": "abstract-pencil"})
@@ -428,6 +456,32 @@ class TestCli:
           "coefficients": {"mu": {"M": [[1, 0, 0], [0, 1, 0], [0, 0, -0.5]]}}}),
         ("'v' must be a finite number in [5e-324, inf], got -1",
          {"coefficients": {"nu": {"kind": "constant", "v": -1}}}),
+        # affine coefficients that are not positive at a mapped mesh vertex
+        ("coefficient 'epsilon' must be positive-definite",
+         {"coefficients": {"epsilon": {"kind": "affine-diagonal", "d0": [1, 1, -0.5],
+                                       "D": np.zeros((3, 3)).tolist()}}}),
+        ("coefficient 'nu' must be positive-definite",
+         {"coefficients": {"nu": {"kind": "affine", "c0": -1, "c": [0, 0, 0]}}}),
+        ("coefficient 'mu' must be positive-definite",
+         {"problem": "maxwell", "mesh": dict(HELM_SCALING["mesh"], n=2),
+          "coefficients": {"mu": {"kind": "scalar-affine-identity", "c0": 1,
+                                  "c": [0, -2, 0]}}}),
+        # keys that a nested spec does not read
+        ("mesh type 'box' does not read the keys ['nn']", {"mesh": {"type": "box", "nn": 2}}),
+        ("mesh type 'file' does not read the keys ['n']",
+         {"mesh": {"type": "file", "path": "box.tetmesh", "n": 2}}),
+        ("partition names no box face ['w9']",
+         {"mesh": dict(HELM_SCALING["mesh"], partition=dict(MIXED, w9="N"))}),
+        ("displacement field type 'sin' does not read the keys ['amplitdue']",
+         {"family": {"kind": "bump", "g": {"type": "sin", "axis": 0, "amplitdue": 0.2}}}),
+        ("transformation family kind 'scaling' does not read the keys ['axis']",
+         {"family": {"kind": "scaling", "axis": 1}}),
+        ("matrix coefficient kind 'constant' does not read the keys ['d0']",
+         {"coefficients": {"epsilon": {"d0": [1, 1, 1]}}}),
+        ("scalar coefficient kind 'affine' does not read the keys ['v']",
+         {"coefficients": {"nu": {"kind": "affine", "c0": 1, "c": [0, 0, 0], "v": 1}}}),
+        ("abstract pencil kind 'crossing' does not read the keys ['m']",
+         {"problem": "abstract-pencil", "abstract": {"kind": "crossing", "m": 3}}),
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, key, raw):
         path = self.write_config(tmp_path, dict(HELM_SCALING, **raw))
@@ -446,8 +500,8 @@ class TestCli:
         mesh_path = tmp_path / "bad.tetmesh"
         save_mesh(mesh, str(mesh_path))
         lines = mesh_path.read_text().splitlines()
-        tet = lines.index(f"tets {mesh.num_tets()}") + 1
-        lines[tet] = " ".join(lines[tet].split()[:3] + [str(mesh.num_vertices())])
+        tet = lines.index(f"tets {len(mesh.tets)}") + 1
+        lines[tet] = " ".join(lines[tet].split()[:3] + [str(len(mesh.vertices))])
         mesh_path.write_text("\n".join(lines) + "\n")
         raw = dict(HELM_SCALING, mesh={"type": "file", "path": str(mesh_path)})
         path = self.write_config(tmp_path, raw)
@@ -571,9 +625,9 @@ class TestCli:
 
     def test_verify_builds_the_reference_data_once(self, tmp_path):
         """A Maxwell `verify` (the benchmark's seed-1 config, n = 3) builds the
-        kernel basis once and the local basis twice, the discretisation's and
-        the surface form's, over its ten assemblies; counted by code object,
-        whatever name a caller uses."""
+        kernel basis once and the free-dof map three times, the
+        discretisation's and the kernel basis's two, over its ten assemblies;
+        counted by code object, whatever name a caller uses."""
         raw = {"problem": "maxwell",
                "mesh": {"type": "box", "n": 3, "partition": {
                    "x0": "T", "x1": "N", "y0": "T", "y1": "T", "z0": "N", "z1": "T"}},
@@ -593,8 +647,8 @@ class TestCli:
             code = function.__code__
             return stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]
 
-        assert [calls(f) for f in (maxwell.gradient_kernel_basis, fem_common.local_basis,
-                                   fem_common._assemble)] == [1, 2, 10]
+        assert [calls(f) for f in (maxwell.gradient_kernel_basis, fem_common.free_dofs,
+                                   fem_common._assemble)] == [1, 3, 10]
 
     @pytest.mark.parametrize("raw, message", [
         ({"problem": "abstract-pencil"}, "FEM problem"),
@@ -641,29 +695,38 @@ def _kind(*kinds):
     return st.sampled_from(kinds)
 
 
-FIELD = _spec({"type": _kind("constant", "linear", "sin")}, c=_vector(), G=MATRIX,
-              axis=AXIS, dependsOn=AXIS, amplitude=NUMBER, frequency=NUMBER)
-MATRIX_COEFFICIENT = _spec(kind=_kind("constant", "affine-diagonal", "scalar-affine-identity"),
-                           M=MATRIX, d0=_vector(), D=MATRIX, c0=NUMBER, c=_vector())
+# each spec holds only the keys that its kind reads, its required keys always
+FIELD = (_spec({"type": st.just("constant"), "c": _vector()})
+         | _spec({"type": st.just("linear"), "G": MATRIX})
+         | _spec({"type": st.just("sin"), "axis": AXIS}, dependsOn=AXIS, amplitude=NUMBER,
+                 frequency=NUMBER))
+MATRIX_COEFFICIENT = (_spec(kind=st.just("constant"), M=MATRIX)
+                      | _spec({"kind": st.just("affine-diagonal"), "d0": _vector(), "D": MATRIX})
+                      | _spec({"kind": st.just("scalar-affine-identity"), "c0": NUMBER,
+                               "c": _vector()}))
 COEFFICIENTS = {"epsilon": MATRIX_COEFFICIENT, "mu": MATRIX_COEFFICIENT,
-                "nu": _spec(kind=_kind("constant", "affine"), v=NUMBER, c0=NUMBER, c=_vector())}
+                "nu": _spec(kind=st.just("constant"), v=NUMBER)
+                | _spec({"kind": st.just("affine"), "c0": NUMBER, "c": _vector()})}
 
 
 def _configs(mesh_path):
     """Configs of every problem, with the coefficients that the problem reads."""
-    mesh = _spec({"n": st.integers(1, 3)}, type=_kind("box", "file"),
-                 path=_kind(mesh_path, "missing"),
-                 dims=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
-                 partition=_kind("T", "N") | st.fixed_dictionaries(
-                     {face: _kind("T", "N") for face in BOX_FACES}))
-    family = _spec({"kind": _kind("affine", "bump", "scaling", "translation", "stretch")},
-                   A0=MATRIX, A1=MATRIX, b0=_vector(), b1=_vector(), g=FIELD, rate=NUMBER,
-                   axis=AXIS)
-    abstract = _spec(kind=_kind("crossing", "diagonal", "degenerate"),
-                     d0=st.lists(NUMBER, min_size=1, max_size=4),
-                     d1=st.lists(NUMBER, min_size=1, max_size=4), m=st.integers(1, 20),
-                     extra=st.lists(NUMBER, max_size=4), seed=st.integers(0, 20),
-                     **{"lambda": NUMBER})
+    mesh = (_spec({"n": st.integers(1, 3)}, type=st.just("box"),
+                  dims=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+                  partition=_kind("T", "N") | st.fixed_dictionaries(
+                      {face: _kind("T", "N") for face in BOX_FACES}))
+            | _spec({"type": st.just("file"), "path": st.just(mesh_path)}))
+    family = (_spec({"kind": st.just("affine")}, A0=MATRIX, A1=MATRIX, b0=_vector(), b1=_vector())
+              | _spec({"kind": st.just("bump"), "g": FIELD})
+              | _spec({"kind": st.just("scaling")}, rate=NUMBER)
+              | _spec({"kind": st.just("translation")}, b1=_vector())
+              | _spec({"kind": st.just("stretch")}, axis=AXIS))
+    abstract = (_spec(kind=st.just("crossing"))
+                | _spec({"kind": st.just("diagonal")}, d0=st.lists(NUMBER, min_size=1, max_size=4),
+                        d1=st.lists(NUMBER, min_size=1, max_size=4))
+                | _spec({"kind": st.just("degenerate")}, m=st.integers(1, 20),
+                        extra=st.lists(NUMBER, max_size=4), seed=st.integers(0, 20),
+                        **{"lambda": NUMBER}))
 
     def config(problem):
         coefficients = _spec(**{key: COEFFICIENTS[key]
@@ -704,10 +767,12 @@ class TestConfigReader:
         raise no error other than those `cli` maps to exit 2, or the exit-3
         `DegenerateProblemError` of a mesh with no free dof (a one-cell box
         whose T faces hold every dof), which its discretisation raises when
-        the problem is built."""
+        the problem is built. A draw with no random value holds only keys
+        that its specs read."""
         raw = data.draw(_configs(mesh_path))
         positions = data.draw(st.permutations(list(_positions(raw))))
-        for *parents, key in positions[:data.draw(st.integers(0, 2))]:
+        replaced = positions[:data.draw(st.integers(0, 2))]
+        for *parents, key in replaced:
             target = raw
             for parent in parents:
                 target = target.get(parent) if isinstance(target, dict) else None
@@ -717,8 +782,8 @@ class TestConfigReader:
             cfg = harness.RunConfig.from_dict(raw)
             problem = harness.build_problem(cfg)
             if cfg.problem != "abstract-pencil":
-                assert problem.mesh.num_tets() > 0
-        except cli._CONFIG_ERRORS:
-            pass
+                assert len(problem.mesh.tets) > 0
+        except cli._CONFIG_ERRORS as exc:
+            assert replaced or "does not read the keys" not in str(exc)
         except DegenerateProblemError as exc:
             assert "no free dofs" in str(exc)

@@ -114,4 +114,4 @@ class TestSpectrum:
     def test_edge_count_dofs(self, cube_n2):
         free, dof_of = free_dofs(mx.NEDELEC, cube_n2)
         constrained = cube_n2.boundary_edge_set("T")
-        assert len(free) + len(constrained) == cube_n2.num_edges()
+        assert len(free) + len(constrained) == len(cube_n2.edges)
