@@ -112,6 +112,10 @@ def _cmd_study(cfg, out):
 def _cmd_abstract(cfg, out):
     from . import harness
 
+    unread = sorted(set(cfg.abstract) - {"seed"})
+    if unread:
+        raise ConfigError(f"the abstract command reads only 'abstract.seed', "
+                          f"it does not read the keys {unread}")
     demos = {}
     for spec in ({"kind": "crossing"}, {"kind": "diagonal"},
                  {"kind": "degenerate", "seed": cfg.abstract.get("seed", 0)}):

@@ -14,7 +14,8 @@ class MeshFormatError(SpectraShapeError):
 
 
 class InadmissibleParameterError(SpectraShapeError):
-    """det J_Phi <= 0 at an evaluation point for the requested parameter."""
+    """At the requested parameter, det J_Phi <= 0 or a coefficient is not
+    positive-definite at an evaluation point."""
 
 
 class DegenerateProblemError(SpectraShapeError):

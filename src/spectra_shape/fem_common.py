@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import transforms
-from .errors import DegenerateProblemError
+from .errors import DegenerateProblemError, InadmissibleParameterError
 from .geometry import Mesh, tet_quadrature
 from .transforms import AffineField
 
@@ -156,9 +156,24 @@ def _assemble(disc: Discretisation, chi, coefficients):
 
 
 def assemble_pencil(disc: Discretisation, chi) -> Pencil:
-    """Pencil (K, M) of the discretisation at transformation parameter chi."""
-    K, M = _assemble(disc, chi, lambda geo: [kind.pull_back(c, geo)
-                                             for kind, c in disc.coefficient_maps()])
+    """Pencil (K, M) of the discretisation at transformation parameter chi.
+
+    M is certified positive-definite: `map_points` checks det J > 0 and
+    each non-constant coefficient is checked positive-definite at every
+    mapped quadrature point (the constant ones are checked when the config
+    is read); the tet rules have positive weights and are unisolvent for
+    the local bases. A failure makes chi inadmissible."""
+
+    def coefficients(geo):
+        for name, c in zip(disc.space.coefficients, (disc.stiff, disc.mass)):
+            i = None if c.constant else transforms.first_not_positive(c.value(geo.y))
+            if i is not None:
+                raise InadmissibleParameterError(
+                    f"coefficient {name!r} is not positive-definite at parameter {chi} "
+                    f"(mapped point {geo.y[i].tolist()})")
+        return [kind.pull_back(c, geo) for kind, c in disc.coefficient_maps()]
+
+    K, M = _assemble(disc, chi, coefficients)
     return Pencil(K, M, disc.quad_order, disc.kernel_basis)
 
 

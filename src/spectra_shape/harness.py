@@ -97,6 +97,8 @@ class RunConfig:
     surface_form_trusted: bool = True
     abstract: dict = field(default_factory=dict)
     output: Optional[str] = None
+    # the top-level keys of the config read by `from_dict`, not a config key
+    keys: frozenset = frozenset()
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -108,7 +110,7 @@ class RunConfig:
         problem = spec_value(raw, "problem", of=str)
         if problem not in _PROBLEMS:
             raise ConfigError(f"problem must be one of {_PROBLEMS}, got {problem!r}")
-        cfg = cls(problem=problem)
+        cfg = cls(problem=problem, keys=frozenset(raw))
         for key, kwargs in _FIELDS.items():
             if key in raw:
                 value = spec_value(raw, key, **kwargs)
@@ -163,13 +165,15 @@ class Problem:
 
 def build_problem(cfg: RunConfig) -> Problem:
     """The `Problem` of `cfg`: the only reader of the problem kind and the nested
-    specs, all checked before a mesh is built; a box of more than MAX_DOFS dofs
-    is refused unbuilt. Each coefficient is checked positive at the mesh
-    vertices mapped by Phi_chi_bar. Its one `Discretisation` is built here and
-    bound into its routes; the per-problem functions are looked up here, not at
-    import, so that a wrapper installed on them is called."""
+    specs, all checked before a mesh is built; a top-level spec that the problem
+    does not read, and a box of more than MAX_DOFS dofs, are refused unbuilt.
+    Each coefficient is checked positive at the mesh vertices mapped by
+    Phi_chi_bar. Its one `Discretisation` is built here and bound into its
+    routes; the per-problem functions are looked up here, not at import, so
+    that a wrapper installed on them is called."""
     if cfg.problem == "abstract-pencil":
         K0, dK = _abstract_pencil(cfg.abstract)
+        _check_unread(cfg, ("mesh", "family", "coefficients"))
         eye = np.eye(len(K0))
         return Problem(
             cfg, None,
@@ -193,6 +197,7 @@ def build_problem(cfg: RunConfig) -> Problem:
     # an absent coefficient is the identity
     coefficients = tuple(_COEFFICIENT_PARSERS[key](spec_value(cfg.coefficients, key, {}, of=dict))
                          for key in keys)
+    _check_unread(cfg, ("abstract",))
     if spec.type == "file":
         mesh = load_mesh(spec.path)
     else:
@@ -211,6 +216,13 @@ def build_problem(cfg: RunConfig) -> Problem:
                    surface_form=lambda clusters: surface(*args, clusters))
 
 
+def _check_unread(cfg: RunConfig, specs):
+    """Refuse the top-level `specs` of the config that its problem does not read."""
+    unread = sorted(cfg.keys & set(specs))
+    if unread:
+        raise ConfigError(f"problem {cfg.problem!r} does not read the keys {unread}")
+
+
 def _check_box_size(problem: str, n: int):
     """Refuse a box of more than MAX_DOFS dofs (vertices for P1, edges for Nedelec) unbuilt."""
     dofs = box_mesh_size(n)[_DOF_ENTITY[problem]]
@@ -219,16 +231,16 @@ def _check_box_size(problem: str, n: int):
 
 
 def _check_positive(key: str, coefficient: AffineField, y: np.ndarray):
-    """Refuse a coefficient whose least eigenvalue (a scalar's value) is <= 0
+    """Refuse a coefficient that is not positive-definite (a scalar not > 0)
     at a point of `y`, the mesh vertices mapped by Phi_chi_bar. The least
     eigenvalue of an affine field is concave, so for an affine map this
     covers the whole domain."""
     value = coefficient.value(y)
-    least = value if value.ndim == 1 else np.linalg.eigvalsh(value)[:, 0]
-    i = int(np.argmin(least))
-    if least[i] <= 0:
+    i = transforms.first_not_positive(value)
+    if i is not None:
+        least = np.linalg.eigvalsh(value[i]).min() if value.ndim > 1 else value[i]
         raise ConfigError(f"coefficient {key!r} must be positive-definite; its least eigenvalue "
-                          f"is {least[i]:g} at the mapped vertex {y[i].tolist()}")
+                          f"is {least:g} at the mapped vertex {y[i].tolist()}")
 
 
 def assemble_at(problem: Problem, chi: float) -> Pencil:

@@ -4,8 +4,12 @@ contour-quadrature spectral projectors, subspace gaps and clustering.
 ``solve_pencil`` has two paths. Without a ``count`` it runs a full dense
 ``eigh``: the reference oracle. With a ``count`` a sparse pencil is solved
 for its lowest complete clusters only, by shift-invert Lanczos (ARPACK via
-``eigsh``) with the known kernel projected out; the kernel dimension is
-measured by a Sylvester inertia count.
+``eigsh``) with the known kernel projected out. It makes two large
+factorisations: the shift K - sigma M, once, and per Lanczos attempt
+K - mid M inside the gap that closes the returned clusters, whose Sylvester
+inertia certifies that no eigenvalue below it was missed, near-zero ones
+included. The mass M is not factorised: assembly certifies that it is
+positive-definite.
 """
 
 from dataclasses import dataclass
@@ -121,7 +125,7 @@ def _count_below(K, M, shift: float) -> int:
 
 def _kernel_projector(G, M):
     """M-orthogonal projector off range(G), x -> x - G (G^T M G)^-1 G^T M x,
-    and the dimension of range(G)."""
+    and the rank of G, checked by the pivots of the LDL^T of G^T M G."""
     if G is None:
         return (lambda x: x), 0
     if not np.any(G @ np.ones(G.shape[1])):
@@ -129,7 +133,14 @@ def _kernel_projector(G, M):
         # potential spans ker G, so drop one anchor column
         G = G[:, 1:]
     MG = M @ G
-    A = _ldl(G.T @ MG)
+    try:
+        A = _ldl(G.T @ MG)
+        pivots = A.U.diagonal()
+        deficient = np.any(pivots <= len(pivots) * np.finfo(float).eps * pivots.max())
+    except PencilError:  # an exactly zero pivot
+        deficient = True
+    if deficient:
+        raise PencilError("kernel basis is rank-deficient")
     GtM = sp.csr_array(MG.T)
     return (lambda x: x - G @ A.solve(GtM @ x)), G.shape[1]
 
@@ -139,18 +150,17 @@ def _solve_sparse(pencil: Pencil, kernel_tol: float, count: int, cluster_tol: fl
     ARPACK would need as many pairs as the pencil has."""
     K, M = pencil.K, pencil.M
     n = K.shape[0]
-    if np.any(_ldl(M).U.diagonal() <= 0):
+    # O(n) guard for hand-built pencils; assembly certifies that M is SPD
+    if np.any(M.diagonal() <= 0):
         raise PencilError("mass matrix is not positive-definite")
     cut = kernel_tol * pencil.lambda_scale()
-    kernel_dim = _count_below(K, M, cut)
     project, rank = _kernel_projector(pencil.kernel_basis, M)
     sigma = -SHIFT_FRACTION * pencil.lambda_scale()
     solve = _ldl(K - sigma * M).solve
     opinv = spla.LinearOperator((n, n), matvec=lambda x: project(solve(x)), dtype=float)
     # fixed start vector: repeated runs give identical reports
     v0 = np.random.default_rng(0).standard_normal(n)
-    # near-zero modes the projection leaves in (e.g. Helmholtz constants)
-    k = count + max(kernel_dim - rank, 0) + EXTRA_PAIRS
+    k = count + EXTRA_PAIRS
     while k < n:
         try:
             vals, vecs = spla.eigsh(
@@ -162,10 +172,13 @@ def _solve_sparse(pencil: Pencil, kernel_tol: float, count: int, cluster_tol: fl
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
         keep = vals >= cut
+        # the kernel: range(G) and the near-zero modes the projection leaves
+        # in (e.g. Helmholtz constants)
+        kernel_dim = rank + int(np.sum(~keep))
         vals, vecs = vals[keep], vecs[:, keep]
         end = _complete_end(vals, count, cluster_tol)
-        # a Lanczos run can miss a copy of a multiple eigenvalue; the
-        # inertia inside the gap counts every eigenvalue below it
+        # a Lanczos run can miss a copy of an eigenvalue, near zero or not;
+        # the inertia inside the gap counts every eigenvalue below it
         if end is not None and _count_below(
             K, M, 0.5 * (vals[end - 1] + vals[end])
         ) == kernel_dim + end:
@@ -197,10 +210,14 @@ def solve_pencil(
     after the last one) that cover the first c eigenvalues; all of them if
     there are no more than c. A sparse pencil is solved by shift-invert
     Lanczos below the spectrum with range(pencil.kernel_basis) projected
-    out; kernel_dim is the inertia of K - cut M, and the inertia inside the
-    closing gap must equal kernel_dim plus the pairs returned. Dense
-    pencils, and sparse ones too small for ARPACK, go through the dense
-    path and are truncated the same way.
+    out; kernel_dim is the rank of the kernel basis plus the Ritz values
+    below cut, and the inertia inside the closing gap must equal kernel_dim
+    plus the pairs returned. A sparse M must be symmetric positive-definite:
+    it is not factorised, only its diagonal is checked. `assemble_pencil`
+    certifies it (det J > 0 and every coefficient SPD at each quadrature
+    point, a rule with positive weights). Dense pencils, and sparse ones
+    too small for ARPACK, go through the dense path, which checks M by
+    Cholesky, and are truncated the same way.
     """
     if count is None:
         return _solve_dense(pencil, kernel_tol)

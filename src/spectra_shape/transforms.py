@@ -98,7 +98,10 @@ class Family:
     base: AffineField = field(default_factory=lambda: AffineField(np.zeros(3), np.eye(3)))
 
     def map(self, chi, X):
-        return self.base.value(X) + chi * self.g.value(X)
+        out = chi * self.g.value(X)
+        # the identity base adds X itself: no product with I per point
+        identity = not self.base.c0.any() and np.array_equal(self.base.G, np.eye(3))
+        return np.add(X if identity else self.base.value(X), out, out=out)
 
     def jacobian(self, chi, X):
         return self.base.gradient(X) + chi * self.g.gradient(X)
@@ -162,6 +165,23 @@ def map_points(family, chi, X) -> MappedPoints:
             f"det J_Phi <= 0 at parameter {chi} (min {det.min():g})"
         )
     return MappedPoints(X, family.map(chi, X), J, det, np.divide(adj, det[:, None, None], adj))
+
+
+def first_not_positive(value) -> Optional[int]:
+    """Index of the first point at which a scalar field value (N,) or a
+    symmetric 3x3 matrix field value (N, 3, 3) is not positive-definite, or
+    None: Sylvester's criterion on the closed-form leading minors."""
+    if value.ndim == 1:
+        positive = value > 0
+    else:
+        a = np.moveaxis(value, (-2, -1), (0, 1))  # entry-major views
+        minor2 = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        det = (a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
+               - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
+               + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]))
+        positive = (a[0, 0] > 0) & (minor2 > 0) & (det > 0)
+    bad = np.flatnonzero(~positive)
+    return int(bad[0]) if len(bad) else None
 
 
 class Velocity(NamedTuple):
@@ -381,7 +401,7 @@ def matrix_coefficient_from_config(spec: dict) -> AffineField:
         "scalar-affine-identity": ("c0", "c")}, "constant")
     if kind == "constant":
         M = spec_value(spec, "M", np.eye(3).tolist(), shape=(3, 3))
-        if not (np.array_equal(M, M.T) and np.linalg.eigvalsh(M).min() > 0):
+        if not (np.array_equal(M, M.T) and first_not_positive(M[None]) is None):
             raise ConfigError(f"constant 'M' must be symmetric positive-definite, got {M.tolist()}")
         return AffineField(M)
     if kind == "affine-diagonal":

@@ -368,6 +368,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert "distinct steps" in captured.err and captured.out == ""
 
+    def test_coefficient_not_positive_at_an_fd_step_exit_code(self, tmp_path, capsys):
+        """nu = 1.2 - x is positive on the unit box, but the stretch map at
+        the first FD step, chi = 0.3, takes x up to 1.3: assembly there
+        refuses the pencil, after the run at chi_bar = 0 went through."""
+        raw = dict(HELM_SCALING, family={"kind": "stretch", "axis": 0}, fd_steps=[0.3, 0.6],
+                   coefficients={"nu": {"kind": "affine", "c0": 1.2, "c": [-1, 0, 0]}})
+        path = self.write_config(tmp_path, raw)
+        assert cli.main(["verify", "--config", path]) == cli.EXIT_NUMERICAL
+        assert "'nu' is not positive-definite at parameter 0.3" in capsys.readouterr().err
+
     def test_repeated_fd_steps_are_refused_before_the_work(self, tmp_path, monkeypatch):
         def refuse(problem):
             raise AssertionError("run() called before the FD steps were checked")
@@ -482,11 +492,21 @@ class TestCli:
          {"coefficients": {"nu": {"kind": "affine", "c0": 1, "c": [0, 0, 0], "v": 1}}}),
         ("abstract pencil kind 'crossing' does not read the keys ['m']",
          {"problem": "abstract-pencil", "abstract": {"kind": "crossing", "m": 3}}),
+        # top-level specs that the problem does not read
+        ("problem 'abstract-pencil' does not read the keys ['family', 'mesh']",
+         {"problem": "abstract-pencil", "mesh": {"type": "box", "nn": 2},
+          "family": {"kind": "nope"}, "abstract": {"kind": "crossing"}}),
+        ("problem 'abstract-pencil' does not read the keys ['coefficients', 'family', 'mesh']",
+         {"problem": "abstract-pencil", "coefficients": {}}),
+        ("problem 'helmholtz' does not read the keys ['abstract']",
+         {"abstract": {"kind": "crossing", "zz": 1}}),
+        ("reads only 'abstract.seed', it does not read the keys ['sed']",
+         {"abstract": {"seed": 1, "sed": 2}}),
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, key, raw):
         path = self.write_config(tmp_path, dict(HELM_SCALING, **raw))
-        # the abstract command's degenerate demo is the reader of a "seed"
-        command = "abstract" if key == "'seed'" else "eig"
+        # the abstract command reads only the "seed" of its degenerate demo
+        command = "abstract" if "seed" in key else "eig"
         assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
         assert key in capsys.readouterr().err
 
@@ -710,7 +730,7 @@ COEFFICIENTS = {"epsilon": MATRIX_COEFFICIENT, "mu": MATRIX_COEFFICIENT,
 
 
 def _configs(mesh_path):
-    """Configs of every problem, with the coefficients that the problem reads."""
+    """Configs of every problem, with the specs and coefficients that the problem reads."""
     mesh = (_spec({"n": st.integers(1, 3)}, type=st.just("box"),
                   dims=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
                   partition=_kind("T", "N") | st.fixed_dictionaries(
@@ -729,16 +749,18 @@ def _configs(mesh_path):
                         **{"lambda": NUMBER}))
 
     def config(problem):
-        coefficients = _spec(**{key: COEFFICIENTS[key]
-                                for key in harness._COEFFICIENT_KEYS.get(problem, ())})
-        return _spec(
-            {"problem": st.just(problem), "mesh": mesh},
-            family=family, coefficients=coefficients, abstract=abstract, chi_bar=NUMBER,
-            direction=NUMBER, kernel_tol=POSITIVE, cluster_tol=POSITIVE, fd_step=POSITIVE,
-            fd_steps=st.lists(POSITIVE, max_size=4),
+        common = dict(
+            chi_bar=NUMBER, direction=NUMBER, kernel_tol=POSITIVE, cluster_tol=POSITIVE,
+            fd_step=POSITIVE, fd_steps=st.lists(POSITIVE, max_size=4),
             index_range=st.lists(st.integers(1, 4), min_size=2, max_size=2).map(sorted),
             refinement=st.lists(st.integers(1, 4), max_size=4),
             surface_form_trusted=st.booleans(), output=TEXT)
+        if problem == "abstract-pencil":
+            return _spec({"problem": st.just(problem)}, abstract=abstract, **common)
+        coefficients = _spec(**{key: COEFFICIENTS[key]
+                                for key in harness._COEFFICIENT_KEYS[problem]})
+        return _spec({"problem": st.just(problem), "mesh": mesh},
+                     family=family, coefficients=coefficients, **common)
 
     return _kind(*harness._PROBLEMS).flatmap(config)
 

@@ -8,9 +8,9 @@ from spectra_shape import helmholtz as hh
 from spectra_shape import maxwell as mx
 from spectra_shape import spectral
 from spectra_shape import transforms as tf
-from spectra_shape.errors import PencilError
+from spectra_shape.errors import InadmissibleParameterError, PencilError
 from spectra_shape.fem_common import Pencil
-from spectra_shape.geometry import box_mesh_size, build_box_mesh
+from spectra_shape.geometry import box_mesh_size, build_box_mesh, tet_quadrature
 from spectra_shape.spectral import cluster_spectrum, solve_pencil
 
 EYE = tf.AffineField(np.eye(3))
@@ -125,6 +125,60 @@ def test_missed_copy_is_detected(monkeypatch):
     assert len(calls) == 2 and calls[1] == 2 * calls[0]
 
 
+def test_missed_kernel_mode_is_detected(monkeypatch):
+    """The kernel dimension is the rank of the kernel basis plus the Ritz
+    values below cut: a Lanczos run that misses the constant of an all-N
+    Helmholtz pencil reads kernel_dim 0, the inertia in the closing gap
+    counts one more eigenvalue, and the solve is repeated with more pairs."""
+    p = fem_pencil("helmholtz", 4, "N")
+    cut = spectral.DEFAULT_KERNEL_TOL * p.lambda_scale()
+    calls = []
+    eigsh = spectral.spla.eigsh
+
+    def first_call_misses_the_constant(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        calls.append(len(vals))
+        if len(calls) == 1:
+            drop = np.argmin(np.abs(vals))
+            assert abs(vals[drop]) < cut
+            vals, vecs = np.delete(vals, drop), np.delete(vecs, drop, axis=1)
+        return vals, vecs
+
+    monkeypatch.setattr(spectral.spla, "eigsh", first_call_misses_the_constant)
+    dec = solve_pencil(p, count=2)
+    dense = solve_pencil(p)
+    assert calls == [6, 12]
+    assert dec.kernel_dim == dense.kernel_dim == 1
+    np.testing.assert_allclose(dec.eigenvalues, dense.eigenvalues[:len(dec.eigenvalues)],
+                               rtol=1e-10)
+
+
+@pytest.mark.parametrize("problem,n,partition", [("helmholtz", 4, "T"), ("maxwell", 3, "mixed")])
+def test_two_full_size_factorisations(problem, n, partition, monkeypatch):
+    """One Lanczos attempt factorises K - sigma M and K - mid M, never M
+    itself; Maxwell adds the small G^T M G of its kernel projector."""
+    p = fem_pencil(problem, n, partition)
+    sizes = []
+    ldl = spectral._ldl
+
+    def spy(A):
+        sizes.append(A.shape[0])
+        return ldl(A)
+
+    monkeypatch.setattr(spectral, "_ldl", spy)
+    solve_pencil(p, count=1)
+    kernel = [] if p.kernel_basis is None else [p.kernel_basis.shape[1]]
+    assert sorted(sizes) == kernel + [p.size, p.size]
+
+
+def test_rank_deficient_kernel_basis_rejected():
+    p = fem_pencil("maxwell", 3, "T")
+    G = p.kernel_basis
+    p.kernel_basis = sp.csr_array(sp.hstack([G, G[:, [0]]]))
+    with pytest.raises(PencilError, match="kernel basis is rank-deficient"):
+        solve_pencil(p, count=1)
+
+
 def test_small_pencil_uses_dense_path(dense_calls):
     """ARPACK needs fewer pairs than the pencil size; below that the dense
     oracle runs and is truncated to complete clusters the same way."""
@@ -155,3 +209,40 @@ def test_indefinite_sparse_mass_rejected():
 
 def test_helmholtz_pencil_has_no_kernel_basis():
     assert fem_pencil("helmholtz", 2, "T").kernel_basis is None
+
+
+# The sparse solver does not factorise M: assembly certifies it positive-definite.
+
+@pytest.mark.parametrize("key", ["nu", "epsilon"])
+def test_coefficient_checked_at_every_assembled_chi(key):
+    """An affine coefficient 1.2 - x is positive on the unit box, so the
+    pencil assembles at chi = 0; the stretch map at chi = 0.6 takes x up to
+    1.6, where it is negative, and that chi is inadmissible."""
+    mesh = build_box_mesh((1.0, 1.0, 1.0), 3, "T")
+    if key == "nu":
+        eps, nu = EYE, tf.scalar_coefficient_from_config({"kind": "affine", "c0": 1.2,
+                                                          "c": [-1, 0, 0]})
+    else:
+        eps, nu = tf.matrix_coefficient_from_config(
+            {"kind": "scalar-affine-identity", "c0": 1.2, "c": [-1, 0, 0]}), ONE
+    disc = hh.discretise(mesh, tf.stretch_family(0), eps, nu)
+    assert hh.assemble_helmholtz(disc, 0.0).size == disc.basis[0]
+    with pytest.raises(InadmissibleParameterError,
+                       match=f"'{key}' is not positive-definite at parameter 0.6"):
+        hh.assemble_helmholtz(disc, 0.6)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_tet_rules_are_unisolvent(order):
+    """The rules that assembly uses (orders 2 and 4; 3 is the rule of 4) have
+    positive weights, and their local P1 and Nedelec mass matrices are
+    positive-definite. The one-point centroid rule (order <= 1) is not
+    unisolvent for either space, and assembly does not use it."""
+    rule = tet_quadrature(order)
+    assert np.all(rule.weights > 0)
+    mesh = build_box_mesh((1.0, 1.0, 1.0), 1, "N")
+    for space in (hh.P1, mx.NEDELEC):
+        vals = space.values(mesh, rule.points[None], slice(None))
+        least, largest = np.linalg.eigvalsh(
+            np.einsum("q,nqia,nqja->nij", rule.weights, vals, vals))[:, [0, -1]].T
+        assert np.all(least > 1e-6 * largest)

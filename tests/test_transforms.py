@@ -213,6 +213,15 @@ class TestConfigParsers:
         np.testing.assert_allclose(fam.jacobian(chi, X),
                                    np.broadcast_to(A0 + chi * A1, (30, 3, 3)), rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("g", [tf.SinField(0, 1, 0.1, 1.0), tf.AffineField([0.1, 0.0, 0.2]),
+                                   tf.AffineField(np.zeros(3), np.diag([1.0, 0.5, 0.0]))])
+    def test_identity_base_map_is_x_plus_chi_g(self, rng, g):
+        """With the identity base the map is X + chi g(X) bit for bit, the
+        value of base.value(X) + chi g(X)."""
+        fam, X, chi = tf.Family(g), random_points(rng, 50), 0.37
+        assert np.array_equal(fam.map(chi, X), X + chi * g.value(X))
+        assert np.array_equal(fam.map(chi, X), fam.base.value(X) + chi * g.value(X))
+
     def test_unknown_kind_raises(self):
         with pytest.raises(ConfigError):
             tf.family_from_config({"kind": "mystery"})
@@ -297,3 +306,17 @@ class TestCatalogue:
         eps = tf.matrix_coefficient_from_config(coefficients[0])
         nu = tf.scalar_coefficient_from_config(coefficients[1])
         assert default_quad_order(family, eps, nu) == order
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_first_not_positive_matches_the_least_eigenvalue(seed):
+    """Sylvester's leading minors against eigvalsh on symmetric matrices
+    with eigenvalues of either sign, and on scalars."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((200, 3, 3)))[0]
+    lam = rng.uniform(0.1, 2.0, (200, 3)) * rng.choice([1.0, 1.0, 1.0, -1.0], (200, 3))
+    A = tf._sym(np.einsum("nij,nj,nkj->nik", Q, lam, Q))
+    bad = np.flatnonzero(np.linalg.eigvalsh(A)[:, 0] <= 0)
+    assert tf.first_not_positive(A) == bad[0]
+    assert tf.first_not_positive(A[lam.min(axis=1) > 0]) is None
+    assert tf.first_not_positive(lam[:, 0]) == np.flatnonzero(lam[:, 0] <= 0)[0]
