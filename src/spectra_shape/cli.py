@@ -3,17 +3,16 @@
 Subcommands: eig (spectrum only), dshape (derivative routes), verify
 (FD plus route-equivalence suite), study (refinement), abstract
 (synthetic pencil demos). Exit codes: 0 success, 2 config error,
-3 numerical failure, 4 invariant violation.
-
-Importing this module loads neither numpy nor scipy: ``main`` sets the BLAS
-thread variables first and imports the engine after, because OpenBLAS reads
-them when it loads.
+3 numerical failure, 4 invariant violation. The BLAS thread count is read
+from OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS.
 """
 
 import argparse
-import os
 import sys
 
+from numpy.linalg import LinAlgError
+
+from . import harness
 from .errors import (
     ConfigError,
     ContourError,
@@ -25,6 +24,8 @@ from .errors import (
     NearSingularError,
     PencilError,
 )
+from .harness import write_json as _emit
+from .spectral import solve_pencil
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -36,30 +37,12 @@ _NUMERICAL_ERRORS = (
     ContourError,
     DegenerateProblemError,
     InadmissibleParameterError,
+    LinAlgError,
 )
 _CONFIG_ERRORS = (ConfigError, MeshFormatError, InvalidGeometryError)
 
 
-def solve_pencil(*args, **kwargs):
-    """``spectral.solve_pencil``, imported on first use (see the module doc).
-
-    A module-level name, so that ``bench/tracing.py`` can wrap it.
-    """
-    from .spectral import solve_pencil as solve
-
-    return solve(*args, **kwargs)
-
-
-def _emit(payload: dict, out_path):
-    """``harness.write_json``, under a name that ``bench/tracing.py`` wraps."""
-    from .harness import write_json
-
-    write_json(payload, out_path)
-
-
 def _cmd_eig(cfg, out):
-    from . import harness
-
     pencil = harness.assemble_at(harness.build_problem(cfg), cfg.chi_bar)
     lo, hi = cfg.index_range
     dec = solve_pencil(pencil, cfg.kernel_tol, count=hi, cluster_tol=cfg.cluster_tol)
@@ -75,14 +58,10 @@ def _cmd_eig(cfg, out):
 
 
 def _cmd_dshape(cfg, out):
-    from . import harness
-
     _emit(harness.run(harness.build_problem(cfg)), out)
 
 
 def _cmd_verify(cfg, out):
-    from . import harness
-
     harness.check_fd_steps(cfg.fd_steps)
     problem = harness.build_problem(cfg)
     report = harness.run(problem)
@@ -103,15 +82,11 @@ def _cmd_verify(cfg, out):
 
 
 def _cmd_study(cfg, out):
-    from . import harness
-
     rows = harness.refinement_study(cfg)
     _emit({"levels": rows}, out)
 
 
 def _cmd_abstract(cfg, out):
-    from . import harness
-
     unread = sorted(set(cfg.abstract) - {"seed"})
     if unread:
         raise ConfigError(f"the abstract command reads only 'abstract.seed', "
@@ -127,11 +102,11 @@ def _cmd_abstract(cfg, out):
 
 
 _COMMANDS = {
-    "eig": _cmd_eig,
-    "dshape": _cmd_dshape,
-    "verify": _cmd_verify,
-    "study": _cmd_study,
-    "abstract": _cmd_abstract,
+    "eig": (_cmd_eig, "solve the pencil spectrum only"),
+    "dshape": (_cmd_dshape, "compute all derivative routes and write a report"),
+    "verify": (_cmd_verify, "run the FD and route-equivalence suite"),
+    "study": (_cmd_study, "run a mesh refinement study"),
+    "abstract": (_cmd_abstract, "run the synthetic pencil demos"),
 }
 
 
@@ -141,41 +116,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Eigenvalue shape derivatives on parameter-transformed domains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("eig", "solve the pencil spectrum only"),
-        ("dshape", "compute all derivative routes and write a report"),
-        ("verify", "run the FD and route-equivalence suite"),
-        ("study", "run a mesh refinement study"),
-        ("abstract", "run the synthetic pencil demos"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None,
                        help="output path (default: the config's output, else stdout)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="BLAS thread cap (best effort)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-    from numpy.linalg import LinAlgError
-
-    from . import harness
-
     try:
         cfg = harness.load_config(args.config)
         # every command writes its payload once: to --out, else to the
         # config's output, else to stdout; run() then writes no report itself
         out, cfg.output = args.out or cfg.output, None
-        _COMMANDS[args.command](cfg, out)
+        _COMMANDS[args.command][0](cfg, out)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS + (LinAlgError,) as exc:
+    except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ContractViolationError as exc:

@@ -197,6 +197,8 @@ class Mesh:
         for name, rows in (("tet", self.tets), ("boundary facet", self.bfacet_vertices)):
             _raise_first(np.any((rows < 0) | (rows >= nv), axis=1), lambda i: (
                 f"{name} {i} has a vertex index outside [0, {nv})"))
+        _raise_first(np.bincount(self.tets.ravel(), minlength=nv) == 0,
+                     lambda i: f"vertex {i} belongs to no tet")
         vols = self.tet_volumes()
         _raise_first(vols <= 0,
                      lambda i: f"tet {i} has non-positive signed volume {vols[i]:g}")
@@ -316,18 +318,13 @@ def build_box_mesh(
     cells = np.stack([ii, jj, kk], axis=-1)[:n, :n, :n].reshape(-1, 1, 1, 3)
     tets = ((cells + paths) @ np.array([m * m, m, 1])).reshape(-1, 4)
 
-    # boundary facets: those of one tet, tagged by the box face they lie on;
-    # on two faces at once (degenerate dims only), the later axis and the
-    # low face win
+    # boundary facets: those of one tet, tagged by the grid index, 0 or n,
+    # that their three vertices share (on exactly one axis)
     incidence = facets, counts, _ = facet_incidence(tets)
     bf_verts = facets[counts == 1]
-    pts = vertices[bf_verts]
-    face = np.full(len(bf_verts), -1)
-    for ax in range(3):
-        face[np.all(np.abs(pts[:, :, ax] - dims[ax]) < 1e-14, axis=1)] = 2 * ax + 1
-        face[np.all(np.abs(pts[:, :, ax]) < 1e-14, axis=1)] = 2 * ax
-    _raise_first(face < 0, lambda i: (
-        f"boundary facet {_triple(bf_verts[i])} not on a box face"))
+    index = np.stack(np.unravel_index(bf_verts, (m, m, m)), axis=-1)   # (nb, 3, 3)
+    axis = np.all(index == index[:, :1], axis=1).argmax(axis=1)
+    face = 2 * axis + (index[np.arange(len(bf_verts)), 0, axis] == n)
     bf_tags = np.array([partition[f] for f in BOX_FACES])[face].tolist()
 
     return Mesh(vertices, tets, bf_verts, bf_tags, incidence=incidence)

@@ -126,12 +126,13 @@ def _count_below(K, M, shift: float) -> int:
 def _kernel_projector(G, M):
     """M-orthogonal projector off range(G), x -> x - G (G^T M G)^-1 G^T M x,
     and the rank of G, checked by the pivots of the LDL^T of G^T M G."""
-    if G is None:
-        return (lambda x: x), 0
-    if not np.any(G @ np.ones(G.shape[1])):
+    if G is not None and not np.any(G @ np.ones(G.shape[1])):
         # every vertex is free (no tangential boundary): the constant
         # potential spans ker G, so drop one anchor column
         G = G[:, 1:]
+    if G is None or G.shape[1] == 0:
+        # no column: nothing to project
+        return (lambda x: x), 0
     MG = M @ G
     try:
         A = _ldl(G.T @ MG)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from spectra_shape import cli
 from spectra_shape.errors import InvalidGeometryError, MeshFormatError
 from spectra_shape.geometry import (
+    BOX_FACES,
     TET_EDGE_PAIRS,
     _T14_EDGE,
     _T14_VERTEX,
@@ -227,6 +228,20 @@ class TestBoxMesh:
         # the N face is x=1: 2*n^2 facets
         assert list(mesh.bfacet_tags).count("N") == 8
 
+    @pytest.mark.parametrize("d, n", [(123.457, 9), (123.457, 11), (1000.1, 9),
+                                      (7777.77, 5), (7777.77, 7), (7777.77, 10)])
+    def test_long_box_faces_tagged(self, d, n):
+        """Vertex x coordinates are i*d/n, which at i = n need not equal d:
+        each face still carries its 2n^2 facets, tagged by the partition."""
+        mesh = build_box_mesh((d, 1, 1), n, MIXED)
+        normals, _ = mesh.facet_geometry(np.arange(len(mesh.bfacet_vertices)))
+        axis = np.abs(normals).argmax(axis=1)
+        face = 2 * axis + (normals[np.arange(len(axis)), axis] > 0)
+        tags = np.asarray(mesh.bfacet_tags)
+        for f, name in enumerate(BOX_FACES):
+            assert np.sum(face == f) == 2 * n**2
+            assert set(tags[face == f]) == {MIXED[name]}
+
     def test_boundary_vertex_set_all_dirichlet(self, cube_n2):
         verts = cube_n2.boundary_vertex_set("T")
         assert len(verts) == 27 - 1  # every vertex except the center
@@ -340,6 +355,13 @@ class TestMeshValidation:
         name = "tet" if part == "tets" else "boundary facet"
         assert str(err.value) == f"{name} 3 has a vertex index outside [0, {nv})"
 
+    def test_unused_vertex_rejected(self, cube_n2):
+        parts = mesh_parts(cube_n2)
+        parts["vertices"] = np.vstack([parts["vertices"], [5.0, 5.0, 5.0]])
+        with pytest.raises(InvalidGeometryError) as err:
+            Mesh(**parts)
+        assert str(err.value) == "vertex 27 belongs to no tet"
+
     def test_negative_volume_rejected(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]])
         tets = np.array([[0, 2, 1, 3]])  # inverted orientation
@@ -393,6 +415,19 @@ class TestMeshIO:
         }))
         assert cli.main(["eig", "--config", str(config)]) == cli.EXIT_CONFIG
         assert f"tagged facet 0 {inner} is not a boundary facet" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem", ["helmholtz", "maxwell"])
+    def test_unused_vertex_in_file_exit_code(self, tmp_path, capsys, problem):
+        """A vertex outside every tet is malformed input, not a numerical
+        failure of the singular mass matrix it would give."""
+        path = tmp_path / "one-tet.tetmesh"
+        path.write_text("tetmesh v1\nvertices 5\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n5 5 5\n"
+                        "tets 1\n0 1 2 3\nbfacets 4\n1 2 3 N\n0 2 3 N\n0 1 3 N\n0 1 2 N\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"problem": problem,
+                                      "mesh": {"type": "file", "path": str(path)}}))
+        assert cli.main(["eig", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert "vertex 4 belongs to no tet" in capsys.readouterr().err
 
     @settings(max_examples=25, deadline=None)
     @given(

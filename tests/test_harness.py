@@ -549,16 +549,6 @@ class TestCli:
         with pytest.raises(KeyError):
             cli.main(["dshape", "--config", path])
 
-    def test_import_loads_no_numerics(self):
-        """--threads must be set before numpy loads OpenBLAS, so importing
-        the CLI module may not load numpy or scipy."""
-        code = ("import sys, spectra_shape.cli; "
-                "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=60).stdout
-        assert out.strip() == "[]"
-
     def test_import_and_config_load_leave_out_scipy_optimize(self, tmp_path):
         """FD branch pairing is in-package: neither the CLI nor the harness
         nor reading a config loads scipy.optimize."""

@@ -179,6 +179,32 @@ def test_rank_deficient_kernel_basis_rejected():
         solve_pencil(p, count=1)
 
 
+@pytest.mark.parametrize("partition, lam", [
+    ("T", 20.0),
+    ({"x0": "N", "x1": "T", "y0": "T", "y1": "T", "z0": "T", "z1": "T"}, 14.9767),
+])
+def test_kernel_basis_without_columns(partition, lam):
+    """Maxwell n=1 with every vertex on a T face: G has no column, so the
+    projection is the identity and the kernel is empty."""
+    mesh = build_box_mesh((1.0, 1.0, 1.0), 1, partition)
+    p = mx.assemble_maxwell(mx.discretise(mesh, tf.stretch_family(0), EYE, EYE), 0.0)
+    assert p.kernel_basis.shape[1] == 0
+    dense = solve_pencil(p)
+    dec = solve_pencil(p, count=1)
+    assert dec.kernel_dim == dense.kernel_dim == 0
+    np.testing.assert_allclose(dec.eigenvalues, dense.eigenvalues[:1], rtol=1e-12)
+    assert dec.eigenvalues[0] == pytest.approx(lam, rel=1e-5)
+
+
+def test_anchor_drop_leaving_no_column_projects_nothing():
+    """One column whose rows sum to zero reads as 'every vertex free'; the
+    anchor drop then leaves no column, which projects nothing."""
+    x = np.arange(3.0)
+    project, rank = spectral._kernel_projector(sp.csr_array((3, 1)), sp.eye_array(3))
+    assert rank == 0
+    np.testing.assert_array_equal(project(x), x)
+
+
 def test_small_pencil_uses_dense_path(dense_calls):
     """ARPACK needs fewer pairs than the pencil size; below that the dense
     oracle runs and is truncated to complete clusters the same way."""
