@@ -1,5 +1,12 @@
 """Shared finite element plumbing: element geometry, the finite-element
-space, the discretisation of a problem, pencils and their assembly."""
+space, the discretisation of a problem, pencils and their assembly.
+
+Assembly integrates over the quadrature first: the element derivatives are
+constant on each tet, so the local stiffness is D (sum_q w C_q) D^T with the
+per-tet moment of the coefficient, and the local mass of P1, whose values at
+the rule's points are the same on every tet, is one product of the weighted
+coefficient with a table of value products. The global matrices are summed
+into a CSR pattern computed once per discretisation."""
 
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
@@ -64,10 +71,11 @@ class Space:
     values: Callable
     # mesh -> constant grad or curl of the basis per tet (nt, k, 3)
     derivatives: Callable
-    # (J, det, Jinv, F (n, nq, m, c)) -> values on the deformed domain
-    push_values: Callable
-    # (J, det, Jinv, D (n, m, 3)) -> derivatives on the deformed domain (n, nq, m, 3)
-    push_derivatives: Callable
+    # (J, det, Jinv), entry-major (3, 3, N) -> the matrix P (3, 3, N) that
+    # pushes derivatives D to the deformed domain, P D
+    derivative_map: Callable
+    # the same for values; None for scalar values, which are not transformed
+    value_map: Optional[Callable] = None
     # mesh -> columns spanning the known part of ker K, or None
     kernel_basis: Optional[Callable] = None
 
@@ -83,18 +91,76 @@ def free_dofs(space: Space, mesh: Mesh):
     return free, dof_of
 
 
-def scatter_symmetric(local: np.ndarray, gdofs: np.ndarray, ndof: int) -> sp.csr_array:
-    """Accumulate per-element blocks into a sparse symmetric global matrix.
+class ScatterPattern:
+    """Where the entries of local matrices (nt, k, k) go in a symmetric CSR
+    matrix over `ndof` dofs, for the dofs `gdofs` (nt, k) of each local
+    function, -1 where constrained: the upper-triangle slot of each local
+    pair i <= j, and the slot that each CSR entry mirrors."""
 
-    local: (nt, k, k); gdofs: (nt, k) with -1 marking constrained entries.
-    """
-    nt, k, _ = local.shape
-    rows = np.repeat(gdofs, k, axis=1).ravel()
-    cols = np.tile(gdofs, (1, k)).ravel()
-    data = local.reshape(nt, k * k).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    A = sp.csr_array((data[keep], (rows[keep], cols[keep])), shape=(ndof, ndof))
-    return sp.csr_array(0.5 * (A + A.T))
+    def __init__(self, gdofs: np.ndarray, ndof: int):
+        self.pairs = np.triu_indices(gdofs.shape[1])
+        rows, cols = (gdofs[:, p].ravel() for p in self.pairs)
+        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+        upper, slot = np.unique(np.where(lo >= 0, lo * ndof + hi, -1), return_inverse=True)
+        # a constrained pair (key -1, first in order) sums into a dropped slot 0
+        self.drop = int(upper[0] < 0)
+        self.size = len(upper) - self.drop
+        lo, hi = np.divmod(upper[self.drop:], ndof)
+        off = lo != hi
+        rows = np.concatenate([lo, hi[off]])
+        cols = np.concatenate([hi, lo[off]])
+        order = np.lexsort((cols, rows))
+        index = np.int32 if len(slot) < 2**31 else np.int64
+        self.slot = slot.ravel().astype(index)
+        self.mirror = np.concatenate([np.arange(self.size), np.flatnonzero(off)])[order]
+        self.mirror = self.mirror.astype(index)
+        self.indices = cols[order].astype(index)
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=ndof))]
+                                     ).astype(index)
+        self.shape = (ndof, ndof)
+
+    def matrix(self, local: np.ndarray) -> sp.csr_array:
+        """The symmetric part of the sum of the local matrices (nt, k, k), exactly
+        symmetric: each pair's two orientations summed, the diagonal doubled,
+        and the sums halved. An entry that sums to exactly zero is left out,
+        as the sparse sum A + A^T leaves it out: the P1 stiffness of a Kuhn
+        mesh with a constant isotropic coefficient keeps its 7-point stencil."""
+        i, j = self.pairs
+        values = np.bincount(self.slot, weights=(local[:, i, j] + local[:, j, i]).ravel(),
+                             minlength=self.drop + self.size)[self.drop:]
+        values *= 0.5
+        A = sp.csr_array((values[self.mirror], self.indices.copy(), self.indptr.copy()),
+                         shape=self.shape)
+        A.eliminate_zeros()
+        return A
+
+
+def tet_moment(w: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """sum over each tet's points q of w_q C_q: w (nt, nq) and C entry-major
+    (3, 3, nt * nq) -> (nt, 3, 3)."""
+    return np.einsum("abnq,nq->nab", C.reshape((3, 3) + w.shape), w)
+
+
+def local_stiffness(derivatives: np.ndarray, moment: np.ndarray) -> np.ndarray:
+    """D G D^T per tet of the constant derivatives D (nt, k, 3) and the
+    moment G (nt, 3, 3) of the coefficient: (nt, k, k)."""
+    return derivatives @ moment @ derivatives.transpose(0, 2, 1)
+
+
+def local_mass(values: np.ndarray, wc: np.ndarray) -> np.ndarray:
+    """sum_q F_q (w c)_q F_q^T per tet of the values F_q (k, c) of the k local
+    functions, given as (n|1, nq, k, c), and the weighted coefficient wc at
+    the points: (n * nq,) for scalar values, entry-major (c, c, n * nq)
+    otherwise. (n, k, k)."""
+    _, nq, k, c = values.shape
+    n = wc.shape[-1] // nq
+    if values.shape[0] == 1 and c == 1:  # shared values: one table of products
+        f = values[0, :, :, 0]
+        return (wc.reshape(n, nq) @ (f[:, :, None] * f[:, None, :]).reshape(nq, k * k)
+                ).reshape(n, k, k)
+    # one batched product per point: no copy of the values in another layout
+    wc = transforms.point_major(transforms.point_major(wc.reshape(c, c, n, nq)))
+    return sum((values[:, q] @ wc[:, q]) @ values[:, q].transpose(0, 2, 1) for q in range(nq))
 
 
 def default_quad_order(family, *coefficients) -> int:
@@ -112,7 +178,8 @@ class Discretisation:
     changes computed once from one tet rule: the quadrature order, the rule's
     points and weights per tet, the local basis (the free dof count, the dof of
     each local function, -1 where constrained, and the basis values at the
-    points and derivatives per tet) and the kernel basis."""
+    points and derivatives per tet), the CSR scatter pattern of the free dofs
+    and the kernel basis."""
 
     space: Space
     mesh: Mesh
@@ -124,7 +191,7 @@ class Discretisation:
         space, mesh = self.space, self.mesh
         self.quad_order = default_quad_order(self.family, self.stiff, self.mass)
         rule = tet_quadrature(self.quad_order)
-        self.points = np.einsum("qa,nak->nqk", rule.points, mesh.vertices[mesh.tets])
+        self.points = rule.points @ mesh.vertices[mesh.tets]
         self.weights = 6.0 * mesh.tet_volumes()[:, None] * rule.weights[None, :]
         free, dof_of = free_dofs(space, mesh)
         if len(free) == 0:
@@ -132,6 +199,7 @@ class Discretisation:
                                          "no free dofs")
         self.basis = (len(free), dof_of[space.entities(mesh)[0]],
                       space.values(mesh, rule.points[None], slice(None)), space.derivatives(mesh))
+        self.pattern = ScatterPattern(self.basis[1], len(free))
         self.kernel_basis = None if space.kernel_basis is None else space.kernel_basis(mesh)
 
     def coefficient_maps(self):
@@ -143,16 +211,12 @@ class Discretisation:
 def _assemble(disc: Discretisation, chi, coefficients):
     """Stiffness/mass over the free dofs; ``coefficients(geo)`` gives the
     (stiffness, mass) coefficient values at the quadrature points mapped at chi."""
-    nt, nq, _ = disc.points.shape
     stiff, mass = coefficients(transforms.map_points(disc.family, chi,
-                                                     disc.points.reshape(nt * nq, 3)))
-    w, (ndof, gdofs, vals, ders) = disc.weights, disc.basis
-    c = vals.shape[-1]
-    k_loc = np.einsum("nq,nqab,nia,njb->nij", w, stiff.reshape(nt, nq, 3, 3),
-                      ders, ders, optimize=True)
-    m_loc = np.einsum("nq,nqab,nqia,nqjb->nij", w, mass.reshape(nt, nq, c, c),
-                      vals, vals, optimize=True)
-    return scatter_symmetric(k_loc, gdofs, ndof), scatter_symmetric(m_loc, gdofs, ndof)
+                                                     disc.points.reshape(-1, 3)))
+    w, (_, _, values, derivatives) = disc.weights, disc.basis
+    k_loc = local_stiffness(derivatives, tet_moment(w, transforms.entry_major(stiff)))
+    m_loc = local_mass(values, w.ravel() * transforms.entry_major(mass))
+    return disc.pattern.matrix(k_loc), disc.pattern.matrix(m_loc)
 
 
 def assemble_pencil(disc: Discretisation, chi) -> Pencil:

@@ -6,9 +6,16 @@ space's transform (scalar or covariant Piola), the volume measure with
 det(J), and boundary normals with the cofactor (Nanson) rule. This keeps
 the volume route bit-consistent with the pencil-derivative route. Each form
 is written once over a `Discretisation`, whose space, quadrature and local
-basis it reads. Each form takes a sequence of clusters and returns one
-matrix per cluster: everything but the eigenfields is evaluated once per
-call.
+basis it reads.
+
+The forms integrate over the quadrature first. The element derivatives are
+constant on each tet (each facet's owning tet), so the stiffness part is
+the per-tet moment G = sum_q w P_q^T B_q P_q of the coefficient B under the
+space's derivative push map P, and the mass part the local mass matrix of
+the pushed mass coefficient; both are computed once per call, entry-major
+(see `transforms`). Each form takes a sequence of clusters and returns one
+matrix per cluster, which then costs a contraction of the moment and the
+local mass with the cluster's eigenvector coefficients.
 """
 
 from typing import List, Sequence
@@ -16,38 +23,43 @@ from typing import List, Sequence
 import numpy as np
 
 from . import transforms
-from .fem_common import Discretisation, Space
+from .fem_common import Discretisation, local_mass, tet_moment
 from .geometry import triangle_quadrature
 from .spectral import EigenCluster
-from .transforms import _sym
+from .transforms import _sym, congruence, entry_major
 
 
-def _frames(geo, shape):
-    """J, det J and J^-1 of the mapped points, with leading axes `shape`."""
-    return (geo.J.reshape(shape + (3, 3)), geo.det.reshape(shape),
-            geo.Jinv.reshape(shape + (3, 3)))
+def _stiffness_moment(space, frames, w, B):
+    """sum over each tet's points of w P^T B P: the moment (n, 3, 3) of the
+    entry-major stiffness coefficient B (3, 3, N|1) under the space's
+    derivative push map P, with the weights w (n, nq)."""
+    P = space.derivative_map(*frames)
+    return tet_moment(w, congruence(P.swapaxes(0, 1), B))
 
 
-def _weighted_gram(w, B, F):
-    """sum over samples of w * B(F_h, F_l), for a matrix or scalar B."""
-    c = F.shape[-1]
-    B = B.reshape(w.shape + (c, c))
-    return np.einsum("nq,nqab,nqha,nqlb->hl", w, B, F, F, optimize=True)
+def _pushed_mass(space, values, frames, w, B):
+    """Local mass matrices (n, k, k) of the values (n|1, nq, k, c) pushed by the
+    space's value map P, weighted by w (n, nq): sum_q w F^T P^T B P F."""
+    P = None if space.value_map is None else space.value_map(*frames)
+    wB = w.ravel() * B if P is None else congruence(P.swapaxes(0, 1), B, w.ravel())
+    return local_mass(values, wB)
 
 
-def _cluster_matrices(space: Space, basis, frames, w, B_stiff, B_mass, clusters):
-    """sym(sum over samples of w (B_stiff(D_h, D_l) - lambda_bar B_mass(F_h, F_l)))
-    per cluster, with F and D the cluster's eigenfield values and derivatives
-    pushed forward to the deformed domain, one cluster at a time."""
-    _, gdofs, values, derivatives = basis
+def _cluster_matrices(gdofs, derivatives, moment, mass, clusters):
+    """sym(sum over tets of D^T G D - lambda_bar C^T m C) per cluster, with C the
+    cluster's coefficients on each tet's local functions (n, k, m), D = d^T C
+    its constant reference derivatives (n, 3, m), G the stiffness moment and m
+    the local mass."""
     out = []
     for cl in clusters:
         # a constrained dof (-1) reads the appended zero row
         ct = np.vstack([cl.vectors, np.zeros((1, cl.vectors.shape[1]))])[gdofs]
-        F = space.push_values(*frames, np.einsum("nqka,nkm->nqma", values, ct))
-        D = space.push_derivatives(*frames, np.einsum("nka,nkm->nma", derivatives, ct))
-        out.append(_sym(_weighted_gram(w, B_stiff, D)
-                        - cl.lambda_bar * _weighted_gram(w, B_mass, F)))
+        D = derivatives.transpose(0, 2, 1) @ ct
+        # sums over all tets in einsum's own loops, not in a BLAS reduction,
+        # which a second thread would split with another round-off
+        stiff = np.einsum("nah,nal->hl", D, moment @ D)
+        mass_part = np.einsum("nkh,nkl->hl", ct, mass @ ct)
+        out.append(_sym(stiff - cl.lambda_bar * mass_part))
     return out
 
 
@@ -56,16 +68,19 @@ def volume_matrix(
 ) -> List[np.ndarray]:
     """Volume-integral branch-derivative matrix of each cluster.
 
-    The mapped points, the velocity field and the coefficient brackets are
-    evaluated once for all clusters.
+    The mapped points, the velocity field, the coefficient brackets, the
+    stiffness moment and the local mass are evaluated once for all clusters.
     """
     geo = transforms.map_points(disc.family, chi_bar, disc.points.reshape(-1, 3))
     v = transforms.psi_on_physical(disc.family, direction, geo)
-    B_stiff, B_mass = (kind.bracket(c, v, geo) for kind, c in disc.coefficient_maps())
-    del v  # not needed past the brackets: free it before the eigenfields
-    frames = _frames(geo, disc.weights.shape)
-    return _cluster_matrices(disc.space, disc.basis, frames, disc.weights * frames[1],
-                             B_stiff, B_mass, clusters)
+    B_stiff, B_mass = (entry_major(kind.bracket(c, v, geo))
+                       for kind, c in disc.coefficient_maps())
+    del v  # not needed past the brackets: free it before the moment and the mass
+    frames = (geo.J, geo.det, geo.Jinv)
+    w = disc.weights * geo.det.reshape(disc.weights.shape)
+    _, gdofs, values, derivatives = disc.basis
+    return _cluster_matrices(gdofs, derivatives, _stiffness_moment(disc.space, frames, w, B_stiff),
+                             _pushed_mass(disc.space, values, frames, w, B_mass), clusters)
 
 
 def surface_matrix(
@@ -86,22 +101,24 @@ def surface_matrix(
     # exact barycentric coordinates of the facet quadrature points in the
     # owning tet: a one-hot map from facet vertices to local tet vertices
     onehot = mesh.bfacet_vertices[:, :, None] == mesh.tets[tets][:, None, :]
-    bary = np.einsum("qi,fij->fqj", rule.points, onehot.astype(float))
-    pts = np.einsum("qi,fik->fqk", rule.points, mesh.vertices[mesh.bfacet_vertices])
+    bary = rule.points @ onehot.astype(float)
+    pts = rule.points @ mesh.vertices[mesh.bfacet_vertices]
     n_ref, area = mesh.facet_geometry(np.arange(len(tets)))
-    shape = (len(tets), len(rule.weights))
     geo = transforms.map_points(disc.family, chi_bar, pts.reshape(-1, 3))
-    frames = _frames(geo, shape)
+    frames = (geo.J, geo.det, geo.Jinv)
     # Nanson: n dsigma_Phi = det(J) J^-T n_ref dsigma_ref
-    nanson = frames[1][:, :, None] * np.einsum("fqba,fb->fqa", frames[2], n_ref)
+    nanson = geo.det.reshape(len(tets), -1) * (
+        geo.Jinv.reshape(3, 3, len(tets), -1) * n_ref.T[:, None, :, None]).sum(0)
     psi = transforms.psi_on_physical(disc.family, direction, geo).psi
     sign = np.where(np.asarray(mesh.bfacet_tags) == "N", 1.0, -1.0)
-    weight = (sign[:, None] * 2.0 * area[:, None] * rule.weights
-              * np.einsum("fqa,fqa->fq", psi.reshape(shape + (3,)), nanson))
-    ndof, gdofs, _, derivatives = disc.basis
-    basis = ndof, gdofs[tets], disc.space.values(mesh, bary, tets), derivatives[tets]
-    return _cluster_matrices(disc.space, basis, frames, weight, disc.stiff.value(geo.y),
-                             disc.mass.value(geo.y), clusters)
+    w = (sign[:, None] * 2.0 * area[:, None] * rule.weights
+         * (entry_major(psi).reshape(nanson.shape) * nanson).sum(0))
+    _, gdofs, _, derivatives = disc.basis
+    return _cluster_matrices(
+        gdofs[tets], derivatives[tets],
+        _stiffness_moment(disc.space, frames, w, disc.stiff.entries(geo.y)),
+        _pushed_mass(disc.space, disc.space.values(mesh, bary, tets), frames, w,
+                     disc.mass.entries(geo.y)), clusters)
 
 
 # plain names of the generic forms, looked up by `harness.build_problem`

@@ -395,10 +395,12 @@ def _matrix_entry(A: np.ndarray):
 
 
 def _relative_gap(A: np.ndarray, B: np.ndarray, cluster: EigenCluster) -> float:
-    """max |A - B| relative to max |B| floored at 1e-6 |lambda_bar|, so that
-    slopes zero by symmetry, where A and B are round-off, read as equal."""
-    scale = max(np.max(np.abs(B)), 1e-6 * abs(cluster.lambda_bar), 1e-300)
-    return float(np.max(np.abs(A - B)) / scale)
+    """||A - B||_2 relative to ||B||_2 floored at 1e-6 |lambda_bar|, so that
+    slopes zero by symmetry, where A and B are round-off, read as equal. The
+    spectral norm does not change when the cluster's basis is rotated, so
+    neither does the gap, also inside an exactly degenerate sub-cluster."""
+    scale = max(np.linalg.norm(B, 2), 1e-6 * abs(cluster.lambda_bar), 1e-300)
+    return float(np.linalg.norm(A - B, 2) / scale)
 
 
 def _route_matrices(problem: Problem, clusters: List[EigenCluster], surface: bool):

@@ -6,8 +6,6 @@ pulled-back coefficients, never through the mesh geometry. Dirichlet dofs
 (vertices on the closure of the tangential boundary part) are eliminated.
 """
 
-import numpy as np
-
 from .fem_common import Discretisation, Space, assemble_derivative, assemble_pencil
 
 # P1 on vertices: u = f o Phi^-1 and grad u = (J^-T grad f) o Phi^-1
@@ -17,8 +15,7 @@ P1 = Space(
     constrained=lambda mesh: mesh.boundary_vertex_set("T"),
     values=lambda mesh, bary, tets: bary[..., None],
     derivatives=lambda mesh: mesh.barycentric_gradients,
-    push_values=lambda J, det, Jinv, F: F,
-    push_derivatives=lambda J, det, Jinv, D: np.einsum("nqba,nmb->nqma", Jinv, D),
+    derivative_map=lambda J, det, Jinv: Jinv.swapaxes(0, 1),
 )
 
 

@@ -71,10 +71,8 @@ NEDELEC = Space(
     constrained=lambda mesh: mesh.boundary_edge_set("T"),
     values=_edge_values,
     derivatives=_edge_curls,
-    push_values=lambda J, det, Jinv, F: np.einsum("nqba,nqmb->nqma", Jinv, F),
-    push_derivatives=lambda J, det, Jinv, D: (
-        np.einsum("nqab,nmb->nqma", J, D) / det[:, :, None, None]
-    ),
+    derivative_map=lambda J, det, Jinv: J / det,
+    value_map=lambda J, det, Jinv: Jinv.swapaxes(0, 1),
     kernel_basis=gradient_kernel_basis,
 )
 

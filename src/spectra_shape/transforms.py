@@ -7,6 +7,15 @@ parameter velocity. All evaluators are vectorized over points of shape
 (N, 3) and are pure functions of immutable data. The pull-backs, their
 derivatives and the velocity field read the map from a `MappedPoints`,
 evaluated once per parameter and point set.
+
+Per-point 3x3 algebra is entry-major: a stack of matrices is stored as
+(3, 3, N), so that each entry is one contiguous length-N vector. The
+determinant and adjugate are written out entry by entry over those
+vectors, and the products, congruences and brackets contract over the two
+entry axes, with no per-point copy or transpose. The stacks that the
+public functions return keep the point-major shape (N, 3, 3) as views of
+that storage (`point_major`); `entry_major` takes such a view back
+without a copy.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +28,34 @@ from .errors import ConfigError, InadmissibleParameterError
 
 def _sym(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + np.swapaxes(A, -1, -2))
+
+
+def entry_major(A: np.ndarray) -> np.ndarray:
+    """The (..., N) view of a point-major stack A (N, ...): contiguous where A
+    is the `point_major` view of entry-major storage."""
+    return np.moveaxis(A, 0, -1)
+
+
+def point_major(a: np.ndarray) -> np.ndarray:
+    """The (N, ...) view of an entry-major stack a (..., N)."""
+    return np.moveaxis(a, -1, 0)
+
+
+def _mul(A, B):
+    """Pointwise products A B of entry-major 3x3 stacks (3, 3, N) or (3, 3, 1)."""
+    return np.einsum("ak...,kb...->ab...", A, B)
+
+
+def congruence(P, B, scale=1.0):
+    """scale * sym(P B P^T) of entry-major stacks P (3, 3, N) and B (3, 3, N|1),
+    with weights scale (N,): the upper triangle of P sym(B) P^T, mirrored,
+    so the result is exactly symmetric. Entry-major (3, 3, N)."""
+    T = _mul(P, B + B.swapaxes(0, 1))  # 2 P sym(B)
+    out = np.einsum("ac...,dc...->ad...", T, P)
+    out *= 0.5 * scale
+    for a, d in ((0, 1), (0, 2), (1, 2)):
+        out[d, a] = out[a, d]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -46,12 +83,23 @@ class AffineField:
     def constant(self) -> bool:
         return not self.G.any()
 
+    def along(self, V):
+        """G v, the derivative along each vector v of V (N, 3): entry-major (..., N)."""
+        return (self.G.reshape(-1, 3) @ V.T).reshape(self.G.shape[:-1] + (len(V),))
+
+    def entries(self, X):
+        """The value at X (N, 3) entry-major (..., N); (..., 1) if constant."""
+        if self.constant:
+            return self.c0[..., None]
+        out = self.along(X)
+        out += self.c0[..., None]
+        return out
+
     def value(self, X):
-        if self.constant:  # a read-only view: no product with a zero G per point
-            return np.broadcast_to(self.c0, (len(X),) + self.c0.shape)
-        # G^T in C order, c0 added in place: each 2-3x faster on many points
-        out = (X @ self.G.reshape(-1, 3).T.copy()).reshape((len(X),) + self.c0.shape)
-        return np.add(out, self.c0, out=out)
+        """The value at X (N, 3): (N, ...), a view of entry-major storage
+        (read-only for a constant field: no product with a zero G per point)."""
+        out = point_major(self.entries(X))
+        return np.broadcast_to(out, (len(X),) + self.c0.shape) if self.constant else out
 
     def gradient(self, X):
         return np.broadcast_to(self.G, (len(X),) + self.G.shape)
@@ -74,14 +122,14 @@ class SinField:
         return out
 
     def gradient(self, X):
-        out = np.zeros((len(X), 3, 3))
-        out[:, self.axis, self.depends_on] = (
+        out = np.zeros((3, 3, len(X)))
+        out[self.axis, self.depends_on] = (
             self.amplitude
             * np.pi
             * self.frequency
             * np.cos(np.pi * self.frequency * X[:, self.depends_on])
         )
-        return out
+        return point_major(out)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +152,10 @@ class Family:
         return np.add(X if identity else self.base.value(X), out, out=out)
 
     def jacobian(self, chi, X):
-        return self.base.gradient(X) + chi * self.g.gradient(X)
+        """J_Phi at X: (N, 3, 3), a view of entry-major storage."""
+        J = np.multiply(entry_major(self.g.gradient(X)), chi, out=np.empty((3, 3, len(X))))
+        J += self.base.G[..., None]
+        return point_major(J)
 
 
 def scaling_family(rate: float = 1.0) -> Family:
@@ -128,22 +179,27 @@ def stretch_family(axis: int = 0) -> Family:
 # ---------------------------------------------------------------------------
 
 def det_adjugate(A):
-    """Closed-form det A and adj A (A adj A = det(A) I) of 3x3 matrices (..., 3, 3)."""
-    a = np.ascontiguousarray(np.moveaxis(A, (-2, -1), (0, 1)))  # entry-major
-    adj = np.empty_like(a)
+    """Closed-form det A and adj A (A adj A = det(A) I) of 3x3 matrices (..., 3, 3),
+    read entry by entry without a copy; adj is a view of entry-major storage."""
+    a = np.moveaxis(A, (-2, -1), (0, 1))  # entry-major view
+    adj, tmp = np.empty(a.shape), np.empty(a.shape[2:])
     for i in range(3):
         for j in range(3):
             # cofactor of entry (j, i), with cyclic indices
             r, s, c, d = (j + 1) % 3, (j + 2) % 3, (i + 1) % 3, (i + 2) % 3
-            adj[i, j] = a[r, c] * a[s, d] - a[r, d] * a[s, c]
-    det = (a[0] * adj[:, 0]).sum(axis=0)
-    return det, np.ascontiguousarray(np.moveaxis(adj, (0, 1), (-2, -1)))
+            np.multiply(a[r, c], a[s, d], out=adj[i, j])
+            adj[i, j] -= np.multiply(a[r, d], a[s, c], out=tmp)
+    det = a[0, 0] * adj[0, 0]
+    for k in (1, 2):
+        det += np.multiply(a[0, k], adj[k, 0], out=tmp)
+    return det, np.moveaxis(adj, (0, 1), (-2, -1))
 
 
 @dataclass(frozen=True)
 class MappedPoints:
     """Phi_chi at reference points x (N, 3): y = Phi(x), J_Phi, det J_Phi and
-    J_Phi^-1, shared by every consumer. It stands in for x, with its shape."""
+    J_Phi^-1, shared by every consumer; J and Jinv are contiguous entry-major
+    stacks (3, 3, N). It stands in for x, with its shape."""
 
     x: np.ndarray
     y: np.ndarray
@@ -164,7 +220,8 @@ def map_points(family, chi, X) -> MappedPoints:
         raise InadmissibleParameterError(
             f"det J_Phi <= 0 at parameter {chi} (min {det.min():g})"
         )
-    return MappedPoints(X, family.map(chi, X), J, det, np.divide(adj, det[:, None, None], adj))
+    Jinv = entry_major(adj)
+    return MappedPoints(X, family.map(chi, X), entry_major(J), det, np.divide(Jinv, det, Jinv))
 
 
 def first_not_positive(value) -> Optional[int]:
@@ -185,7 +242,8 @@ def first_not_positive(value) -> Optional[int]:
 
 
 class Velocity(NamedTuple):
-    """Perturbation field Psi at y = Phi(x), its Jacobian J_Psi and div Psi."""
+    """Perturbation field Psi at y = Phi(x), its Jacobian J_Psi (N, 3, 3), a view
+    of entry-major storage, and div Psi."""
 
     psi: np.ndarray
     jpsi: np.ndarray
@@ -196,65 +254,75 @@ def psi_on_physical(family, direction, geo: MappedPoints) -> Velocity:
     """Perturbation field direction * g, g the family's velocity, at the mapped
     points of `geo`, parameterized by the reference point x; no inverse map
     is ever computed."""
-    jpsi = direction * family.g.gradient(geo.x) @ geo.Jinv
-    return Velocity(direction * family.g.value(geo.x), jpsi,
-                    np.trace(jpsi, axis1=1, axis2=2))
+    jpsi = _mul(entry_major(family.g.gradient(geo.x)), geo.Jinv)
+    jpsi *= direction
+    return Velocity(direction * family.g.value(geo.x), point_major(jpsi),
+                    jpsi[0, 0] + jpsi[1, 1] + jpsi[2, 2])
 
+
+# The coefficients are AffineFields: `entries` gives the value at the mapped
+# points entry-major, one column for a constant field, and `along` the
+# derivative d_Psi, which a constant field does not have.
 
 def _contravariant(B, geo):
-    """det(J) J^-1 B J^-T, symmetrized."""
-    return _sym(geo.det[:, None, None]
-                * np.einsum("nab,nbc,ndc->nad", geo.Jinv, B, geo.Jinv, optimize=True))
+    """det(J) J^-1 B J^-T, symmetrized, of an entry-major B."""
+    return point_major(congruence(geo.Jinv, B, geo.det))
 
 
 def _covariant(B, geo):
-    """det(J)^-1 J^T B J, symmetrized."""
-    return _sym(np.einsum("nba,nbc,ncd->nad", geo.J, B, geo.J, optimize=True)
-                / geo.det[:, None, None])
+    """det(J)^-1 J^T B J, symmetrized, of an entry-major B."""
+    return point_major(congruence(geo.J.swapaxes(0, 1), B, 1.0 / geo.det))
 
 
 def transformed_epsilon(eps, geo: MappedPoints):
     """eps_Phi = det(J) J^-1 eps(Phi(x)) J^-T, symmetric positive-definite."""
-    return _contravariant(eps.value(geo.y), geo)
+    return _contravariant(eps.entries(geo.y), geo)
 
 
 def transformed_mu_inv(mu_inv, geo: MappedPoints):
     """mu_Phi^-1 = det(J)^-1 J^T mu^-1(Phi(x)) J."""
-    return _covariant(mu_inv.value(geo.y), geo)
+    return _covariant(mu_inv.entries(geo.y), geo)
 
 
 def transformed_nu(nu, geo: MappedPoints):
     """nu_Phi = det(J) * nu(Phi(x)) > 0."""
-    return geo.det * nu.value(geo.y)
+    return geo.det * nu.entries(geo.y)
 
 
 def epsilon_bracket(eps, v: Velocity, geo: MappedPoints):
     """d_Psi eps + div(Psi) eps - 2 sym(J_Psi eps) at the mapped points."""
-    et = eps.value(geo.y)
-    d_eps = np.einsum("nijk,nk->nij", eps.gradient(geo.y), v.psi)
-    return d_eps + v.div_psi[:, None, None] * et - 2.0 * _sym(v.jpsi @ et)
+    et = eps.entries(geo.y)
+    W = _mul(entry_major(v.jpsi), et)
+    out = v.div_psi * et - W - W.swapaxes(0, 1)
+    if not eps.constant:
+        out += eps.along(v.psi)
+    return point_major(out)
 
 
 def mu_inv_bracket(mu_inv, v: Velocity, geo: MappedPoints):
     """d_Psi mu^-1 - div(Psi) mu^-1 + 2 sym(mu^-1 J_Psi) at the mapped points."""
-    mt = mu_inv.value(geo.y)
-    d_mt = np.einsum("nijk,nk->nij", mu_inv.gradient(geo.y), v.psi)
-    return d_mt - v.div_psi[:, None, None] * mt + 2.0 * _sym(mt @ v.jpsi)
+    mt = mu_inv.entries(geo.y)
+    W = _mul(mt, entry_major(v.jpsi))
+    out = W + W.swapaxes(0, 1) - v.div_psi * mt
+    if not mu_inv.constant:
+        out += mu_inv.along(v.psi)
+    return point_major(out)
 
 
 def nu_bracket(nu, v: Velocity, geo: MappedPoints):
     """d_Psi nu + div(Psi) nu at the mapped points."""
-    return np.einsum("nk,nk->n", nu.gradient(geo.y), v.psi) + v.div_psi * nu.value(geo.y)
+    out = v.div_psi * nu.entries(geo.y)
+    return out if nu.constant else out + nu.along(v.psi)
 
 
 def directional_coefficient_epsilon(eps, v: Velocity, geo: MappedPoints):
     """Directional parameter derivative of the pulled-back permittivity."""
-    return _contravariant(epsilon_bracket(eps, v, geo), geo)
+    return _contravariant(entry_major(epsilon_bracket(eps, v, geo)), geo)
 
 
 def directional_coefficient_mu_inv(mu_inv, v: Velocity, geo: MappedPoints):
     """Directional parameter derivative of the pulled-back inverse permeability."""
-    return _covariant(mu_inv_bracket(mu_inv, v, geo), geo)
+    return _covariant(entry_major(mu_inv_bracket(mu_inv, v, geo)), geo)
 
 
 def directional_coefficient_nu(nu, v: Velocity, geo: MappedPoints):

@@ -7,6 +7,7 @@ import pstats
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -274,6 +275,25 @@ class TestRefinementStudy:
         assert rec["route_discrepancy"] <= 1e-10 and rec["surface_volume_gap"] <= 1e-8
         [row] = harness.refinement_study(cfg)
         assert row["route_discrepancy"] <= 1e-10 and row["surface_volume_gap"] <= 1e-8
+
+    def test_route_gaps_do_not_depend_on_the_basis(self):
+        """The exact double [2, 3] of a bump on the all-T n=4 box, its vectors
+        rotated by a random orthogonal Q: the matrices' entries move, the
+        spectral-norm gaps stay to 1e-12."""
+        cfg = config(mesh=dict(HELM_SCALING["mesh"], n=4), index_range=[2, 3], cluster_tol=0.08,
+                     family={"kind": "bump", "g": {"type": "sin", "axis": 0,
+                                                   "amplitude": 0.078, "frequency": 0.5}})
+        problem = harness.build_problem(cfg)
+        _, dec, clusters = problem.solution
+        [cl] = [c for c in clusters if list(c.indices) == [1, 2]]
+        assert np.ptp(dec.eigenvalues[cl.indices]) <= 1e-12 * cl.lambda_bar
+        Q = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 2)))[0]
+        turned = replace(cl, vectors=cl.vectors @ Q)
+        (R, V, S), (R2, V2, S2) = harness._route_matrices(problem, [cl, turned], surface=True)
+        assert np.max(np.abs(S2 - S)) > 1e-3 * np.max(np.abs(S))
+        for (A, B), (A2, B2) in (((V, R), (V2, R2)), ((S, V), (S2, V2))):
+            assert (harness._relative_gap(A2, B2, turned)
+                    == pytest.approx(harness._relative_gap(A, B, cl), rel=0, abs=1e-12))
 
     def test_dof_guard(self):
         cfg = config(problem="maxwell", refinement=[64])

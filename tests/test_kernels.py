@@ -1,0 +1,293 @@
+"""The entry-major point kernels and the quadrature-first forms against the
+point-major einsum formulas that they replace, kept here as the reference.
+
+Each kernel must match its reference to 1e-13 relative on random
+well-conditioned maps, coefficients and weights: the determinant and
+adjugate, the two congruences of the pull-backs, the three brackets, the
+P1 and Nedelec local stiffness and mass, and the volume form's stiffness
+moment. The assembled matrices are summed into a CSR pattern computed once
+per discretisation; they must be exactly symmetric and match the COO
+assembly of the local matrices, nnz included.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spectra_shape import hadamard as hd
+from spectra_shape import helmholtz as hh
+from spectra_shape import maxwell as mx
+from spectra_shape import transforms as tf
+from spectra_shape.fem_common import local_mass, local_stiffness, tet_moment
+from spectra_shape.geometry import build_box_mesh
+from spectra_shape.spectral import cluster_spectrum, solve_pencil
+
+# a small default profile: the kernels are cheap, and tier-1 has a 30 s budget
+SMALL = settings(max_examples=15, deadline=None)
+SEEDS = st.integers(0, 2**32 - 1)
+
+EPS = tf.matrix_coefficient_from_config(
+    {"kind": "affine-diagonal", "d0": [1.0, 1.2, 0.9], "D": 0.1 * np.eye(3)})
+NU = tf.AffineField(1.1, np.array([0.2, -0.1, 0.15]))
+MIXED = {"x0": "T", "x1": "N", "y0": "N", "y1": "T", "z0": "T", "z1": "N"}
+BUMP = tf.Family(tf.SinField(axis=0, depends_on=1, amplitude=0.08, frequency=1.0))
+
+
+def _close(got, ref, rtol=1e-13):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
+def _family(rng):
+    """A bump along a random field over a random affine base map near the
+    identity: a Jacobian that varies from point to point."""
+    base = tf.AffineField(rng.uniform(-0.5, 0.5, 3), np.eye(3) + rng.uniform(-0.2, 0.2, (3, 3)))
+    axis, dep = rng.integers(0, 3, 2)
+    return tf.Family(tf.SinField(int(axis), int(dep), rng.uniform(0.02, 0.1), 1.0), base)
+
+
+def _geo(rng, n):
+    return tf.map_points(_family(rng), rng.uniform(-1.0, 1.0), rng.uniform(0.0, 1.0, (n, 3)))
+
+
+def _frames(geo):
+    """J, det J and J^-1 as point-major (N, 3, 3) stacks."""
+    return tf.point_major(geo.J), geo.det, tf.point_major(geo.Jinv)
+
+
+def _sym_matrix(rng, n):
+    A = rng.uniform(-1.0, 1.0, (n, 3, 3))
+    return A + np.swapaxes(A, 1, 2) + 4.0 * np.eye(3)
+
+
+# ---------------------------------------------------------------------------
+# the point-major formulas replaced by the kernels
+# ---------------------------------------------------------------------------
+
+def old_det_adjugate(A):
+    a = np.ascontiguousarray(np.moveaxis(A, (-2, -1), (0, 1)))
+    adj = np.empty_like(a)
+    for i in range(3):
+        for j in range(3):
+            r, s, c, d = (j + 1) % 3, (j + 2) % 3, (i + 1) % 3, (i + 2) % 3
+            adj[i, j] = a[r, c] * a[s, d] - a[r, d] * a[s, c]
+    det = (a[0] * adj[:, 0]).sum(axis=0)
+    return det, np.ascontiguousarray(np.moveaxis(adj, (0, 1), (-2, -1)))
+
+
+def old_contravariant(B, J, det, Jinv):
+    return tf._sym(det[:, None, None]
+                   * np.einsum("nab,nbc,ndc->nad", Jinv, B, Jinv, optimize=True))
+
+
+def old_covariant(B, J, det, Jinv):
+    return tf._sym(np.einsum("nba,nbc,ncd->nad", J, B, J, optimize=True) / det[:, None, None])
+
+
+def old_velocity(family, direction, J, det, Jinv, x):
+    jpsi = direction * family.g.gradient(x) @ Jinv
+    return direction * family.g.value(x), jpsi, np.trace(jpsi, axis1=1, axis2=2)
+
+
+def old_brackets(eps, mu_inv, nu, psi, jpsi, div_psi, y):
+    et, mt = eps.value(y), mu_inv.value(y)
+    d_eps = np.einsum("nijk,nk->nij", eps.gradient(y), psi)
+    d_mt = np.einsum("nijk,nk->nij", mu_inv.gradient(y), psi)
+    return (d_eps + div_psi[:, None, None] * et - 2.0 * tf._sym(jpsi @ et),
+            d_mt - div_psi[:, None, None] * mt + 2.0 * tf._sym(mt @ jpsi),
+            np.einsum("nk,nk->n", nu.gradient(y), psi) + div_psi * nu.value(y))
+
+
+def old_local_stiffness(w, C, ders):
+    nt, nq = w.shape
+    return np.einsum("nq,nqab,nia,njb->nij", w, C.reshape(nt, nq, 3, 3), ders, ders,
+                     optimize=True)
+
+
+def old_local_mass(w, C, vals):
+    nt, nq = w.shape
+    c = vals.shape[-1]
+    return np.einsum("nq,nqab,nqia,nqjb->nij", w, C.reshape(nt, nq, c, c), vals, vals,
+                     optimize=True)
+
+
+def old_scatter(local, gdofs, ndof):
+    nt, k, _ = local.shape
+    rows = np.repeat(gdofs, k, axis=1).ravel()
+    cols = np.tile(gdofs, (1, k)).ravel()
+    data = local.reshape(nt, k * k).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    A = sp.csr_array((data[keep], (rows[keep], cols[keep])), shape=(ndof, ndof))
+    return sp.csr_array(0.5 * (A + A.T))
+
+
+# ---------------------------------------------------------------------------
+# point kernels
+# ---------------------------------------------------------------------------
+
+class TestPointKernels:
+    @SMALL
+    @given(seed=SEEDS, n=st.integers(1, 200))
+    def test_det_adjugate(self, seed, n):
+        rng = np.random.default_rng(seed)
+        A = np.eye(3) + rng.uniform(-0.4, 0.4, (n, 3, 3))
+        for stack in (A, tf.point_major(np.ascontiguousarray(tf.entry_major(A)))):
+            det, adj = tf.det_adjugate(stack)
+            ref_det, ref_adj = old_det_adjugate(A)
+            _close(det, ref_det)
+            _close(adj, ref_adj)
+
+    @SMALL
+    @given(seed=SEEDS, n=st.integers(1, 200))
+    def test_congruences(self, seed, n):
+        """With a broadcast-constant B, through the public pull-backs, and with
+        a per-point B that is not symmetric."""
+        rng = np.random.default_rng(seed)
+        geo = _geo(rng, n)
+        frames = _frames(geo)
+        M = _sym_matrix(rng, 1)[0]
+        const = tf.AffineField(M)
+        _close(tf.transformed_epsilon(const, geo),
+               old_contravariant(np.broadcast_to(M, (n, 3, 3)), *frames))
+        _close(tf.transformed_mu_inv(const, geo),
+               old_covariant(np.broadcast_to(M, (n, 3, 3)), *frames))
+        B = rng.uniform(-1.0, 1.0, (n, 3, 3))
+        _close(tf._contravariant(tf.entry_major(B), geo), old_contravariant(B, *frames))
+        _close(tf._covariant(tf.entry_major(B), geo), old_covariant(B, *frames))
+
+    @SMALL
+    @given(seed=SEEDS, n=st.integers(1, 200), constant=st.booleans())
+    def test_brackets(self, seed, n, constant):
+        """The three brackets of constant and of affine coefficients, and the
+        velocity field that they read."""
+        rng = np.random.default_rng(seed)
+        family = _family(rng)
+        geo = tf.map_points(family, rng.uniform(-1.0, 1.0), rng.uniform(0.0, 1.0, (n, 3)))
+        direction = rng.uniform(-2.0, 2.0)
+        eps = tf.AffineField(_sym_matrix(rng, 1)[0],
+                             None if constant else rng.uniform(-0.3, 0.3, (3, 3, 3)))
+        mu_inv = tf.AffineField(_sym_matrix(rng, 1)[0],
+                                None if constant else rng.uniform(-0.3, 0.3, (3, 3, 3)))
+        nu = tf.AffineField(2.0, None if constant else rng.uniform(-0.3, 0.3, 3))
+        v = tf.psi_on_physical(family, direction, geo)
+        old_v = old_velocity(family, direction, *_frames(geo), geo.x)
+        for got, ref in zip(v, old_v):
+            _close(got, ref)
+        refs = old_brackets(eps, mu_inv, nu, *old_v, geo.y)
+        for bracket, c, ref in zip((tf.epsilon_bracket, tf.mu_inv_bracket, tf.nu_bracket),
+                                   (eps, mu_inv, nu), refs):
+            _close(bracket(c, v, geo), ref)
+
+
+# ---------------------------------------------------------------------------
+# local matrices and the volume-form moment
+# ---------------------------------------------------------------------------
+
+SPACES = {"p1": (hh.discretise, NU), "nedelec": (mx.discretise, EPS)}
+
+
+@pytest.fixture(scope="module")
+def discs():
+    mesh = build_box_mesh((1.0, 1.0, 1.0), 2, MIXED)
+    return {name: discretise(mesh, BUMP, EPS, second)
+            for name, (discretise, second) in SPACES.items()}
+
+
+class TestLocalMatrices:
+    @SMALL
+    @given(seed=SEEDS, space=st.sampled_from(sorted(SPACES)))
+    def test_local_stiffness_and_mass(self, discs, seed, space):
+        disc = discs[space]
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.1, 1.0, disc.weights.shape)
+        _, _, vals, ders = disc.basis
+        C = _sym_matrix(rng, w.size)
+        _close(local_stiffness(ders, tet_moment(w, np.ascontiguousarray(tf.entry_major(C)))),
+               old_local_stiffness(w, C, ders))
+        c = vals.shape[-1]
+        Cm = rng.uniform(0.5, 2.0, w.size) if c == 1 else _sym_matrix(rng, w.size)
+        wc = w.ravel() * (Cm if c == 1 else np.ascontiguousarray(tf.entry_major(Cm)))
+        _close(local_mass(vals, wc), old_local_mass(w, Cm, np.broadcast_to(
+            vals, w.shape + vals.shape[2:])))
+
+    @SMALL
+    @given(seed=SEEDS, space=st.sampled_from(sorted(SPACES)))
+    def test_volume_moment(self, discs, seed, space):
+        """sum_q w P^T B P with the space's push map: J^-T for P1, J / det J for
+        Nedelec."""
+        disc = discs[space]
+        rng = np.random.default_rng(seed)
+        geo = tf.map_points(disc.family, rng.uniform(-1.0, 1.0), disc.points.reshape(-1, 3))
+        J, det, Jinv = _frames(geo)
+        P = np.swapaxes(Jinv, 1, 2) if space == "p1" else J / det[:, None, None]
+        w = rng.uniform(0.1, 1.0, disc.weights.shape)
+        B = _sym_matrix(rng, w.size)
+        ref = tf._sym(np.einsum("nq,nqba,nqbc,nqcd->nad", w, *(
+            A.reshape(w.shape + (3, 3)) for A in (P, B, P)), optimize=True))
+        got = hd._stiffness_moment(disc.space, (geo.J, geo.det, geo.Jinv), w,
+                                   np.ascontiguousarray(tf.entry_major(B)))
+        _close(got, ref)
+
+
+def _count(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_volume_form_builds_its_moment_once(monkeypatch, discs):
+    """One stiffness moment per call, for one cluster and for three alike."""
+    disc = discs["p1"]
+    dec = solve_pencil(hh.assemble_helmholtz(disc, 0.2), count=6, cluster_tol=1e-3)
+    clusters = cluster_spectrum(dec, 1e-3)[:3]
+    assert len(clusters) == 3
+    calls = _count(monkeypatch, hd, "_stiffness_moment")
+    one = hd.volume_matrix(disc, 0.2, 1.0, clusters[:1])
+    assert len(calls) == 1
+    three = hd.volume_matrix(disc, 0.2, 1.0, clusters)
+    assert len(calls) == 2
+    np.testing.assert_array_equal(one[0], three[0])
+
+
+# ---------------------------------------------------------------------------
+# the CSR scatter pattern
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("discretise, assemble, derivative, second, family, chi", [
+    (hh.discretise, hh.assemble_helmholtz, hh.assemble_helmholtz_derivative, NU, BUMP, 0.2),
+    (mx.discretise, mx.assemble_maxwell, mx.assemble_maxwell_derivative, EPS, BUMP, 0.2),
+    # constant coefficients on the identity map: the Kuhn mesh's P1 stiffness
+    # has exact zeros, which the matrices leave out
+    (hh.discretise, hh.assemble_helmholtz, hh.assemble_helmholtz_derivative,
+     tf.AffineField(1.0), tf.scaling_family(), 0.0),
+], ids=["helmholtz-bump", "maxwell-bump", "helmholtz-scaling"])
+def test_scatter_pattern_matches_coo_assembly(discretise, assemble, derivative, second,
+                                              family, chi):
+    """K, M, dK and dM exactly symmetric, with the nnz and to 1e-14 the entries
+    of the COO assembly of the same local matrices."""
+    eps = EPS if second is not EPS else tf.AffineField(np.eye(3))
+    disc = discretise(build_box_mesh((1.0, 1.0, 1.0), 3, MIXED), family, eps, second)
+    pencil, deriv = assemble(disc, chi), derivative(disc, chi, 1.0)
+    geo = tf.map_points(disc.family, chi, disc.points.reshape(-1, 3))
+    v = tf.psi_on_physical(disc.family, 1.0, geo)
+    ndof, gdofs, vals, ders = disc.basis
+    w = disc.weights
+    vals = np.broadcast_to(vals, w.shape + vals.shape[2:])
+    for (K, M), coefficients in (
+            ((pencil.K, pencil.M), [kind.pull_back(c, geo) for kind, c in disc.coefficient_maps()]),
+            ((deriv.dK, deriv.dM),
+             [kind.derivative(c, v, geo) for kind, c in disc.coefficient_maps()])):
+        stiff, mass = coefficients
+        for A, ref in ((K, old_scatter(old_local_stiffness(w, stiff, ders), gdofs, ndof)),
+                       (M, old_scatter(old_local_mass(w, mass, vals), gdofs, ndof))):
+            assert abs(A - A.T).max() == 0
+            assert A.nnz == ref.nnz
+            assert abs(A - ref).max() <= 1e-14 * abs(ref).max()
