@@ -5,8 +5,9 @@ Assembly integrates over the quadrature first: the element derivatives are
 constant on each tet, so the local stiffness is D (sum_q w C_q) D^T with the
 per-tet moment of the coefficient, and the local mass of P1, whose values at
 the rule's points are the same on every tet, is one product of the weighted
-coefficient with a table of value products. The global matrices are summed
-into a CSR pattern computed once per discretisation."""
+coefficient with a table of value products. `local_matrices` is that one
+kernel, for the pencil, its derivative and the Hadamard forms. The global
+matrices are summed into a CSR pattern computed once per discretisation."""
 
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
@@ -92,75 +93,59 @@ def free_dofs(space: Space, mesh: Mesh):
 
 
 class ScatterPattern:
-    """Where the entries of local matrices (nt, k, k) go in a symmetric CSR
-    matrix over `ndof` dofs, for the dofs `gdofs` (nt, k) of each local
-    function, -1 where constrained: the upper-triangle slot of each local
-    pair i <= j, and the slot that each CSR entry mirrors."""
+    """Where the entries of local matrices (nt, k, k) go in a CSR matrix over
+    `ndof` dofs, for the dofs `gdofs` (nt, k) of each local function, -1 where
+    constrained: the CSR slot of each local pair (i, j), from the sorted keys
+    row * ndof + col of all pairs."""
 
     def __init__(self, gdofs: np.ndarray, ndof: int):
-        self.pairs = np.triu_indices(gdofs.shape[1])
-        rows, cols = (gdofs[:, p].ravel() for p in self.pairs)
-        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-        upper, slot = np.unique(np.where(lo >= 0, lo * ndof + hi, -1), return_inverse=True)
+        rows, cols = gdofs[:, :, None], gdofs[:, None, :]
+        keys, slot = np.unique(np.where((rows >= 0) & (cols >= 0), rows * ndof + cols, -1),
+                               return_inverse=True)
         # a constrained pair (key -1, first in order) sums into a dropped slot 0
-        self.drop = int(upper[0] < 0)
-        self.size = len(upper) - self.drop
-        lo, hi = np.divmod(upper[self.drop:], ndof)
-        off = lo != hi
-        rows = np.concatenate([lo, hi[off]])
-        cols = np.concatenate([hi, lo[off]])
-        order = np.lexsort((cols, rows))
-        index = np.int32 if len(slot) < 2**31 else np.int64
+        self.drop = int(keys[0] < 0)
+        rows, cols = np.divmod(keys[self.drop:], ndof)
+        index = np.int32 if slot.size < 2**31 else np.int64
         self.slot = slot.ravel().astype(index)
-        self.mirror = np.concatenate([np.arange(self.size), np.flatnonzero(off)])[order]
-        self.mirror = self.mirror.astype(index)
-        self.indices = cols[order].astype(index)
+        self.indices = cols.astype(index)
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=ndof))]
                                      ).astype(index)
         self.shape = (ndof, ndof)
 
     def matrix(self, local: np.ndarray) -> sp.csr_array:
-        """The symmetric part of the sum of the local matrices (nt, k, k), exactly
-        symmetric: each pair's two orientations summed, the diagonal doubled,
-        and the sums halved. An entry that sums to exactly zero is left out,
-        as the sparse sum A + A^T leaves it out: the P1 stiffness of a Kuhn
-        mesh with a constant isotropic coefficient keeps its 7-point stencil."""
-        i, j = self.pairs
-        values = np.bincount(self.slot, weights=(local[:, i, j] + local[:, j, i]).ravel(),
-                             minlength=self.drop + self.size)[self.drop:]
-        values *= 0.5
-        A = sp.csr_array((values[self.mirror], self.indices.copy(), self.indptr.copy()),
-                         shape=self.shape)
+        """The sum of the symmetric parts of the local matrices (nt, k, k),
+        exactly symmetric: an entry and its mirror sum the same halved pair
+        sums in the same tet order. An entry that sums to exactly zero is
+        left out, as the sparse sum A + A^T leaves it out: the P1 stiffness of
+        a Kuhn mesh with a constant isotropic coefficient keeps its 7-point
+        stencil."""
+        values = np.bincount(self.slot, weights=(0.5 * (local + local.transpose(0, 2, 1))).ravel(),
+                             minlength=self.drop + len(self.indices))[self.drop:]
+        A = sp.csr_array((values, self.indices.copy(), self.indptr.copy()), shape=self.shape)
         A.eliminate_zeros()
         return A
 
 
-def tet_moment(w: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """sum over each tet's points q of w_q C_q: w (nt, nq) and C entry-major
-    (3, 3, nt * nq) -> (nt, 3, 3)."""
-    return np.einsum("abnq,nq->nab", C.reshape((3, 3) + w.shape), w)
-
-
-def local_stiffness(derivatives: np.ndarray, moment: np.ndarray) -> np.ndarray:
-    """D G D^T per tet of the constant derivatives D (nt, k, 3) and the
-    moment G (nt, 3, 3) of the coefficient: (nt, k, k)."""
-    return derivatives @ moment @ derivatives.transpose(0, 2, 1)
-
-
-def local_mass(values: np.ndarray, wc: np.ndarray) -> np.ndarray:
-    """sum_q F_q (w c)_q F_q^T per tet of the values F_q (k, c) of the k local
-    functions, given as (n|1, nq, k, c), and the weighted coefficient wc at
-    the points: (n * nq,) for scalar values, entry-major (c, c, n * nq)
-    otherwise. (n, k, k)."""
-    _, nq, k, c = values.shape
-    n = wc.shape[-1] // nq
+def local_matrices(values: np.ndarray, derivatives: np.ndarray, w: np.ndarray,
+                   stiff: np.ndarray, mass: np.ndarray):
+    """The local stiffness and mass matrices (n, k, k) of the k local functions
+    on each of n tets: D (sum_q w_q C_q) D^T of their constant derivatives
+    D (n, k, 3), the stiffness coefficient C entry-major (3, 3, n * nq) and the
+    weights w (n, nq); and sum_q F_q m_q F_q^T of their values F_q (k, c),
+    given as (n|1, nq, k, c), and the mass coefficient m already weighted:
+    (n * nq,) for scalar values, entry-major (c, c, n * nq) otherwise."""
+    n, nq = w.shape
+    _, _, k, c = values.shape
+    moment = np.einsum("abnq,nq->nab", stiff.reshape(3, 3, n, nq), w)
+    k_loc = derivatives @ moment @ derivatives.transpose(0, 2, 1)
     if values.shape[0] == 1 and c == 1:  # shared values: one table of products
         f = values[0, :, :, 0]
-        return (wc.reshape(n, nq) @ (f[:, :, None] * f[:, None, :]).reshape(nq, k * k)
-                ).reshape(n, k, k)
+        return k_loc, (mass.reshape(n, nq) @ (f[:, :, None] * f[:, None, :]).reshape(nq, k * k)
+                       ).reshape(n, k, k)
     # one batched product per point: no copy of the values in another layout
-    wc = transforms.point_major(transforms.point_major(wc.reshape(c, c, n, nq)))
-    return sum((values[:, q] @ wc[:, q]) @ values[:, q].transpose(0, 2, 1) for q in range(nq))
+    mass = transforms.point_major(transforms.point_major(mass.reshape(c, c, n, nq)))
+    return k_loc, sum((values[:, q] @ mass[:, q]) @ values[:, q].transpose(0, 2, 1)
+                      for q in range(nq))
 
 
 def default_quad_order(family, *coefficients) -> int:
@@ -176,10 +161,10 @@ class Discretisation:
     """A problem discretised on the reference mesh: the space, the mesh, the
     family and the (stiffness, mass) coefficients, with the data that no chi
     changes computed once from one tet rule: the quadrature order, the rule's
-    points and weights per tet, the local basis (the free dof count, the dof of
-    each local function, -1 where constrained, and the basis values at the
-    points and derivatives per tet), the CSR scatter pattern of the free dofs
-    and the kernel basis."""
+    points and weights per tet, the local basis (`gdofs`, the dof of each local
+    function, -1 where constrained; `values`, the basis values at the rule's
+    points; `derivatives`, their constant derivatives per tet), the CSR
+    scatter pattern of the free dofs and the kernel basis."""
 
     space: Space
     mesh: Mesh
@@ -197,9 +182,10 @@ class Discretisation:
         if len(free) == 0:
             raise DegenerateProblemError("every dof is constrained by the tangential boundary; "
                                          "no free dofs")
-        self.basis = (len(free), dof_of[space.entities(mesh)[0]],
-                      space.values(mesh, rule.points[None], slice(None)), space.derivatives(mesh))
-        self.pattern = ScatterPattern(self.basis[1], len(free))
+        self.gdofs = dof_of[space.entities(mesh)[0]]
+        self.values = space.values(mesh, rule.points[None], slice(None))
+        self.derivatives = space.derivatives(mesh)
+        self.pattern = ScatterPattern(self.gdofs, len(free))
         self.kernel_basis = None if space.kernel_basis is None else space.kernel_basis(mesh)
 
     def coefficient_maps(self):
@@ -207,16 +193,13 @@ class Discretisation:
         return zip(map(transforms.coefficient_kind, self.space.coefficients),
                    (self.stiff, self.mass))
 
-
-def _assemble(disc: Discretisation, chi, coefficients):
-    """Stiffness/mass over the free dofs; ``coefficients(geo)`` gives the
-    (stiffness, mass) coefficient values at the quadrature points mapped at chi."""
-    stiff, mass = coefficients(transforms.map_points(disc.family, chi,
-                                                     disc.points.reshape(-1, 3)))
-    w, (_, _, values, derivatives) = disc.weights, disc.basis
-    k_loc = local_stiffness(derivatives, tet_moment(w, transforms.entry_major(stiff)))
-    m_loc = local_mass(values, w.ravel() * transforms.entry_major(mass))
-    return disc.pattern.matrix(k_loc), disc.pattern.matrix(m_loc)
+    def matrices(self, stiff, mass):
+        """Stiffness and mass matrices over the free dofs of the (stiffness,
+        mass) coefficient values at the rule's points, point-major."""
+        w = self.weights
+        local = local_matrices(self.values, self.derivatives, w, transforms.entry_major(stiff),
+                               w.ravel() * transforms.entry_major(mass))
+        return tuple(map(self.pattern.matrix, local))
 
 
 def assemble_pencil(disc: Discretisation, chi) -> Pencil:
@@ -227,25 +210,22 @@ def assemble_pencil(disc: Discretisation, chi) -> Pencil:
     mapped quadrature point (the constant ones are checked when the config
     is read); the tet rules have positive weights and are unisolvent for
     the local bases. A failure makes chi inadmissible."""
-
-    def coefficients(geo):
-        for name, c in zip(disc.space.coefficients, (disc.stiff, disc.mass)):
-            i = None if c.constant else transforms.first_not_positive(c.value(geo.y))
-            if i is not None:
-                raise InadmissibleParameterError(
-                    f"coefficient {name!r} is not positive-definite at parameter {chi} "
-                    f"(mapped point {geo.y[i].tolist()})")
-        return [kind.pull_back(c, geo) for kind, c in disc.coefficient_maps()]
-
-    K, M = _assemble(disc, chi, coefficients)
-    return Pencil(K, M, disc.quad_order, disc.kernel_basis)
+    geo = transforms.map_points(disc.family, chi, disc.points.reshape(-1, 3))
+    for name, c in zip(disc.space.coefficients, (disc.stiff, disc.mass)):
+        i = None if c.constant else transforms.first_not_positive(c.value(geo.y))
+        if i is not None:
+            raise InadmissibleParameterError(
+                f"coefficient {name!r} is not positive-definite at parameter {chi} "
+                f"(mapped point {geo.y[i].tolist()})")
+    coefficients = [kind.pull_back(c, geo) for kind, c in disc.coefficient_maps()]
+    del geo  # free the mapped points before the local matrices
+    return Pencil(*disc.matrices(*coefficients), disc.quad_order, disc.kernel_basis)
 
 
 def assemble_derivative(disc: Discretisation, chi_bar, direction) -> PencilDerivative:
     """Directional derivative (dK, dM) of the pencil at chi_bar."""
-
-    def coefficients(geo):
-        v = transforms.psi_on_physical(disc.family, direction, geo)
-        return [kind.derivative(c, v, geo) for kind, c in disc.coefficient_maps()]
-
-    return PencilDerivative(*_assemble(disc, chi_bar, coefficients))
+    geo = transforms.map_points(disc.family, chi_bar, disc.points.reshape(-1, 3))
+    v = transforms.psi_on_physical(disc.family, direction, geo)
+    coefficients = [kind.derivative(c, v, geo) for kind, c in disc.coefficient_maps()]
+    del geo, v  # free the mapped points before the local matrices
+    return PencilDerivative(*disc.matrices(*coefficients))

@@ -8,14 +8,13 @@ the volume route bit-consistent with the pencil-derivative route. Each form
 is written once over a `Discretisation`, whose space, quadrature and local
 basis it reads.
 
-The forms integrate over the quadrature first. The element derivatives are
-constant on each tet (each facet's owning tet), so the stiffness part is
-the per-tet moment G = sum_q w P_q^T B_q P_q of the coefficient B under the
-space's derivative push map P, and the mass part the local mass matrix of
-the pushed mass coefficient; both are computed once per call, entry-major
-(see `transforms`). Each form takes a sequence of clusters and returns one
-matrix per cluster, which then costs a contraction of the moment and the
-local mass with the cluster's eigenvector coefficients.
+The forms integrate over the quadrature first: the coefficient bracket is
+pushed by the space's derivative and value maps P to sym(P^T B P) at the
+points, once per call and entry-major (see `transforms`), and the local
+(stiffness, mass) matrices of the pushed pair come from the assembly's
+kernel, `local_matrices`. Each form takes a sequence of clusters and returns
+one matrix per cluster, which then costs a contraction of the local
+matrices with the cluster's eigenvector coefficients.
 """
 
 from typing import List, Sequence
@@ -23,43 +22,35 @@ from typing import List, Sequence
 import numpy as np
 
 from . import transforms
-from .fem_common import Discretisation, local_mass, tet_moment
+from .fem_common import Discretisation, local_matrices
 from .geometry import triangle_quadrature
 from .spectral import EigenCluster
 from .transforms import _sym, congruence, entry_major
 
 
-def _stiffness_moment(space, frames, w, B):
-    """sum over each tet's points of w P^T B P: the moment (n, 3, 3) of the
-    entry-major stiffness coefficient B (3, 3, N|1) under the space's
-    derivative push map P, with the weights w (n, nq)."""
-    P = space.derivative_map(*frames)
-    return tet_moment(w, congruence(P.swapaxes(0, 1), B))
+def _pushed(space, geo, w, B_stiff, B_mass):
+    """The entry-major coefficients B_stiff (3, 3, N|1) and B_mass (N|1) or
+    (3, 3, N|1) pushed by the space's derivative and value maps P at the
+    mapped points `geo`, sym(P^T B P), the mass weighted by w (n, nq): the
+    (stiffness, mass) input of `local_matrices`."""
+    frames = (geo.J, geo.det, geo.Jinv)
+    stiff = congruence(space.derivative_map(*frames).swapaxes(0, 1), B_stiff)
+    if space.value_map is None:
+        return stiff, w.ravel() * B_mass
+    return stiff, congruence(space.value_map(*frames).swapaxes(0, 1), B_mass, w.ravel())
 
 
-def _pushed_mass(space, values, frames, w, B):
-    """Local mass matrices (n, k, k) of the values (n|1, nq, k, c) pushed by the
-    space's value map P, weighted by w (n, nq): sum_q w F^T P^T B P F."""
-    P = None if space.value_map is None else space.value_map(*frames)
-    wB = w.ravel() * B if P is None else congruence(P.swapaxes(0, 1), B, w.ravel())
-    return local_mass(values, wB)
-
-
-def _cluster_matrices(gdofs, derivatives, moment, mass, clusters):
-    """sym(sum over tets of D^T G D - lambda_bar C^T m C) per cluster, with C the
-    cluster's coefficients on each tet's local functions (n, k, m), D = d^T C
-    its constant reference derivatives (n, 3, m), G the stiffness moment and m
-    the local mass."""
+def _cluster_matrices(gdofs, k_loc, m_loc, clusters):
+    """sym(sum over tets of C^T (k - lambda_bar m) C) per cluster, with C the
+    cluster's coefficients on each tet's local functions (n, k, m) and k, m
+    the local matrices."""
     out = []
     for cl in clusters:
         # a constrained dof (-1) reads the appended zero row
         ct = np.vstack([cl.vectors, np.zeros((1, cl.vectors.shape[1]))])[gdofs]
-        D = derivatives.transpose(0, 2, 1) @ ct
         # sums over all tets in einsum's own loops, not in a BLAS reduction,
         # which a second thread would split with another round-off
-        stiff = np.einsum("nah,nal->hl", D, moment @ D)
-        mass_part = np.einsum("nkh,nkl->hl", ct, mass @ ct)
-        out.append(_sym(stiff - cl.lambda_bar * mass_part))
+        out.append(_sym(np.einsum("nkh,nkl->hl", ct, (k_loc - cl.lambda_bar * m_loc) @ ct)))
     return out
 
 
@@ -68,19 +59,19 @@ def volume_matrix(
 ) -> List[np.ndarray]:
     """Volume-integral branch-derivative matrix of each cluster.
 
-    The mapped points, the velocity field, the coefficient brackets, the
-    stiffness moment and the local mass are evaluated once for all clusters.
+    The mapped points, the velocity field, the coefficient brackets and the
+    local matrices are evaluated once for all clusters.
     """
     geo = transforms.map_points(disc.family, chi_bar, disc.points.reshape(-1, 3))
     v = transforms.psi_on_physical(disc.family, direction, geo)
     B_stiff, B_mass = (entry_major(kind.bracket(c, v, geo))
                        for kind, c in disc.coefficient_maps())
-    del v  # not needed past the brackets: free it before the moment and the mass
-    frames = (geo.J, geo.det, geo.Jinv)
+    del v  # not needed past the brackets: free it before the push
     w = disc.weights * geo.det.reshape(disc.weights.shape)
-    _, gdofs, values, derivatives = disc.basis
-    return _cluster_matrices(gdofs, derivatives, _stiffness_moment(disc.space, frames, w, B_stiff),
-                             _pushed_mass(disc.space, values, frames, w, B_mass), clusters)
+    stiff, mass = _pushed(disc.space, geo, w, B_stiff, B_mass)
+    del geo, B_stiff, B_mass  # nor these past the push: free them before the local matrices
+    return _cluster_matrices(disc.gdofs, *local_matrices(disc.values, disc.derivatives, w,
+                                                         stiff, mass), clusters)
 
 
 def surface_matrix(
@@ -105,7 +96,6 @@ def surface_matrix(
     pts = rule.points @ mesh.vertices[mesh.bfacet_vertices]
     n_ref, area = mesh.facet_geometry(np.arange(len(tets)))
     geo = transforms.map_points(disc.family, chi_bar, pts.reshape(-1, 3))
-    frames = (geo.J, geo.det, geo.Jinv)
     # Nanson: n dsigma_Phi = det(J) J^-T n_ref dsigma_ref
     nanson = geo.det.reshape(len(tets), -1) * (
         geo.Jinv.reshape(3, 3, len(tets), -1) * n_ref.T[:, None, :, None]).sum(0)
@@ -113,12 +103,10 @@ def surface_matrix(
     sign = np.where(np.asarray(mesh.bfacet_tags) == "N", 1.0, -1.0)
     w = (sign[:, None] * 2.0 * area[:, None] * rule.weights
          * (entry_major(psi).reshape(nanson.shape) * nanson).sum(0))
-    _, gdofs, _, derivatives = disc.basis
-    return _cluster_matrices(
-        gdofs[tets], derivatives[tets],
-        _stiffness_moment(disc.space, frames, w, disc.stiff.entries(geo.y)),
-        _pushed_mass(disc.space, disc.space.values(mesh, bary, tets), frames, w,
-                     disc.mass.entries(geo.y)), clusters)
+    return _cluster_matrices(disc.gdofs[tets], *local_matrices(
+        disc.space.values(mesh, bary, tets), disc.derivatives[tets], w,
+        *_pushed(disc.space, geo, w, disc.stiff.entries(geo.y), disc.mass.entries(geo.y))),
+        clusters)
 
 
 # plain names of the generic forms, looked up by `harness.build_problem`

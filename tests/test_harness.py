@@ -30,6 +30,16 @@ HELM_SCALING = {
 MIXED = {"x0": "T", "x1": "N", "y0": "T", "y1": "T", "z0": "N", "z1": "T"}
 BUMP_X = {"kind": "bump", "g": {"type": "sin", "axis": 0, "amplitude": 0.08}}
 
+# the benchmark's seed-1 maxwell-mixed-verify config at n = 3
+MAXWELL_MIXED = {"problem": "maxwell",
+                 "mesh": {"type": "box", "n": 3, "partition": MIXED},
+                 "family": {"kind": "bump", "g": {"type": "sin", "axis": 0,
+                                                  "amplitude": 0.06422556741993805,
+                                                  "frequency": 0.5}},
+                 "direction": 1.7153257868178367,
+                 "coefficients": {"epsilon": {"M": (1.1930657241276608 * np.eye(3)).tolist()}},
+                 "index_range": [1, 2]}
+
 
 def config(**overrides):
     raw = dict(HELM_SCALING)
@@ -181,6 +191,15 @@ class TestFdCheck:
         cfg = config()
         rows = harness.fd_check(harness.build_problem(cfg), (1e-3, 5e-4, 2.5e-4))
         assert 1.9 <= rows[0]["observed_order"] <= 2.1
+
+    def test_observed_order_needs_differences_above_round_off(self):
+        """At the default geometric steps the slope differences of this config
+        are 185 and 716 round-off units eps |lambda_bar| / h_min, below the
+        1e4 units that an observed order needs."""
+        problem = harness.build_problem(harness.RunConfig.from_dict(MAXWELL_MIXED))
+        rows = harness.fd_check(problem, problem.cfg.fd_steps)
+        assert len(rows) == 3
+        assert all("slopes" in r and "observed_order" not in r for r in rows)
 
     @pytest.mark.parametrize("steps", [(1e-3, 2e-3, 8e-3), (1e-3, 3e-3, 4e-3, 1e-2)])
     def test_observed_order_needs_geometric_steps(self, steps):
@@ -653,21 +672,24 @@ class TestCli:
         assert cli.main(["study", "--config", path]) == cli.EXIT_CONFIG
         assert "n=64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("levels", [[3, 3], [4, 3], [2, 4, 4]])
+    def test_study_refuses_levels_that_do_not_increase(self, tmp_path, capsys, monkeypatch,
+                                                       levels):
+        """A repeated or decreasing level exits 2 before any level is built."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("study level built before the levels were checked")
+
+        monkeypatch.setattr(harness, "build_box_mesh", refuse)
+        path = self.write_config(tmp_path, dict(HELM_SCALING, refinement=levels))
+        assert cli.main(["study", "--config", path]) == cli.EXIT_CONFIG
+        assert "strictly increasing" in capsys.readouterr().err
+
     def test_verify_builds_the_reference_data_once(self, tmp_path):
         """A Maxwell `verify` (the benchmark's seed-1 config, n = 3) builds the
         kernel basis once and the free-dof map three times, the
         discretisation's and the kernel basis's two, over its ten assemblies;
         counted by code object, whatever name a caller uses."""
-        raw = {"problem": "maxwell",
-               "mesh": {"type": "box", "n": 3, "partition": {
-                   "x0": "T", "x1": "N", "y0": "T", "y1": "T", "z0": "N", "z1": "T"}},
-               "family": {"kind": "bump", "g": {"type": "sin", "axis": 0,
-                                                "amplitude": 0.06422556741993805,
-                                                "frequency": 0.5}},
-               "direction": 1.7153257868178367,
-               "coefficients": {"epsilon": {"M": (1.1930657241276608 * np.eye(3)).tolist()}},
-               "index_range": [1, 2]}
-        path = self.write_config(tmp_path, raw)
+        path = self.write_config(tmp_path, MAXWELL_MIXED)
         profile = cProfile.Profile()
         out = str(tmp_path / "out.json")
         assert profile.runcall(cli.main, ["verify", "--config", path, "--out", out]) == 0
@@ -678,7 +700,7 @@ class TestCli:
             return stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]
 
         assert [calls(f) for f in (maxwell.gradient_kernel_basis, fem_common.free_dofs,
-                                   fem_common._assemble)] == [1, 3, 10]
+                                   fem_common.Discretisation.matrices)] == [1, 3, 10]
 
     @pytest.mark.parametrize("raw, message", [
         ({"problem": "abstract-pencil"}, "FEM problem"),

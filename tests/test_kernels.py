@@ -4,10 +4,11 @@ point-major einsum formulas that they replace, kept here as the reference.
 Each kernel must match its reference to 1e-13 relative on random
 well-conditioned maps, coefficients and weights: the determinant and
 adjugate, the two congruences of the pull-backs, the three brackets, the
-P1 and Nedelec local stiffness and mass, and the volume form's stiffness
-moment. The assembled matrices are summed into a CSR pattern computed once
-per discretisation; they must be exactly symmetric and match the COO
-assembly of the local matrices, nnz included.
+P1 and Nedelec local stiffness and mass, and the volume form's pushed
+coefficients. The assembled matrices are summed into a CSR pattern computed
+once per discretisation; they must be exactly symmetric and match the COO
+assembly of the local matrices, nnz included, and on random dof maps and
+local matrices the pattern must give the dense sum of their symmetric parts.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from spectra_shape import hadamard as hd
 from spectra_shape import helmholtz as hh
 from spectra_shape import maxwell as mx
 from spectra_shape import transforms as tf
-from spectra_shape.fem_common import local_mass, local_stiffness, tet_moment
+from spectra_shape.fem_common import ScatterPattern, local_matrices
 from spectra_shape.geometry import build_box_mesh
 from spectra_shape.spectral import cluster_spectrum, solve_pencil
 
@@ -202,33 +203,43 @@ class TestLocalMatrices:
         disc = discs[space]
         rng = np.random.default_rng(seed)
         w = rng.uniform(0.1, 1.0, disc.weights.shape)
-        _, _, vals, ders = disc.basis
+        vals, ders = disc.values, disc.derivatives
         C = _sym_matrix(rng, w.size)
-        _close(local_stiffness(ders, tet_moment(w, np.ascontiguousarray(tf.entry_major(C)))),
-               old_local_stiffness(w, C, ders))
         c = vals.shape[-1]
         Cm = rng.uniform(0.5, 2.0, w.size) if c == 1 else _sym_matrix(rng, w.size)
         wc = w.ravel() * (Cm if c == 1 else np.ascontiguousarray(tf.entry_major(Cm)))
-        _close(local_mass(vals, wc), old_local_mass(w, Cm, np.broadcast_to(
-            vals, w.shape + vals.shape[2:])))
+        k_loc, m_loc = local_matrices(vals, ders, w, np.ascontiguousarray(tf.entry_major(C)), wc)
+        _close(k_loc, old_local_stiffness(w, C, ders))
+        _close(m_loc, old_local_mass(w, Cm, np.broadcast_to(vals, w.shape + vals.shape[2:])))
 
     @SMALL
     @given(seed=SEEDS, space=st.sampled_from(sorted(SPACES)))
     def test_volume_moment(self, discs, seed, space):
-        """sum_q w P^T B P with the space's push map: J^-T for P1, J / det J for
-        Nedelec."""
+        """P^T B P with the space's push maps: the derivative map J^-T for P1
+        and J / det J for Nedelec, and the value map J^-T for Nedelec (P1
+        values are not pushed), the mass weighted by w."""
         disc = discs[space]
         rng = np.random.default_rng(seed)
         geo = tf.map_points(disc.family, rng.uniform(-1.0, 1.0), disc.points.reshape(-1, 3))
         J, det, Jinv = _frames(geo)
-        P = np.swapaxes(Jinv, 1, 2) if space == "p1" else J / det[:, None, None]
+        JinvT = np.swapaxes(Jinv, 1, 2)
+        P = JinvT if space == "p1" else J / det[:, None, None]
         w = rng.uniform(0.1, 1.0, disc.weights.shape)
         B = _sym_matrix(rng, w.size)
-        ref = tf._sym(np.einsum("nq,nqba,nqbc,nqcd->nad", w, *(
-            A.reshape(w.shape + (3, 3)) for A in (P, B, P)), optimize=True))
-        got = hd._stiffness_moment(disc.space, (geo.J, geo.det, geo.Jinv), w,
-                                   np.ascontiguousarray(tf.entry_major(B)))
-        _close(got, ref)
+
+        def pushed(P, B):
+            return tf._sym(np.einsum("nba,nbc,ncd->nad", P, B, P, optimize=True))
+
+        if space == "p1":
+            Bm = rng.uniform(0.5, 2.0, w.size)
+            ref_mass = w.ravel() * Bm
+        else:
+            Bm = _sym_matrix(rng, w.size)
+            ref_mass = w.ravel()[:, None, None] * pushed(JinvT, Bm)
+        stiff, mass = hd._pushed(disc.space, geo, w, np.ascontiguousarray(tf.entry_major(B)),
+                                 np.ascontiguousarray(tf.entry_major(Bm)))
+        _close(tf.point_major(stiff), pushed(P, B))
+        _close(tf.point_major(mass), ref_mass)
 
 
 def _count(monkeypatch, owner, name):
@@ -244,12 +255,12 @@ def _count(monkeypatch, owner, name):
 
 
 def test_volume_form_builds_its_moment_once(monkeypatch, discs):
-    """One stiffness moment per call, for one cluster and for three alike."""
+    """One set of local matrices per call, for one cluster and for three alike."""
     disc = discs["p1"]
     dec = solve_pencil(hh.assemble_helmholtz(disc, 0.2), count=6, cluster_tol=1e-3)
     clusters = cluster_spectrum(dec, 1e-3)[:3]
     assert len(clusters) == 3
-    calls = _count(monkeypatch, hd, "_stiffness_moment")
+    calls = _count(monkeypatch, hd, "local_matrices")
     one = hd.volume_matrix(disc, 0.2, 1.0, clusters[:1])
     assert len(calls) == 1
     three = hd.volume_matrix(disc, 0.2, 1.0, clusters)
@@ -278,9 +289,9 @@ def test_scatter_pattern_matches_coo_assembly(discretise, assemble, derivative, 
     pencil, deriv = assemble(disc, chi), derivative(disc, chi, 1.0)
     geo = tf.map_points(disc.family, chi, disc.points.reshape(-1, 3))
     v = tf.psi_on_physical(disc.family, 1.0, geo)
-    ndof, gdofs, vals, ders = disc.basis
+    ndof, gdofs, ders = disc.pattern.shape[0], disc.gdofs, disc.derivatives
     w = disc.weights
-    vals = np.broadcast_to(vals, w.shape + vals.shape[2:])
+    vals = np.broadcast_to(disc.values, w.shape + disc.values.shape[2:])
     for (K, M), coefficients in (
             ((pencil.K, pencil.M), [kind.pull_back(c, geo) for kind, c in disc.coefficient_maps()]),
             ((deriv.dK, deriv.dM),
@@ -291,3 +302,38 @@ def test_scatter_pattern_matches_coo_assembly(discretise, assemble, derivative, 
             assert abs(A - A.T).max() == 0
             assert A.nnz == ref.nnz
             assert abs(A - ref).max() <= 1e-14 * abs(ref).max()
+
+
+@SMALL
+@given(seed=SEEDS, nt=st.integers(1, 6), k=st.sampled_from([4, 6]))
+def test_scatter_pattern_sums_symmetric_parts(seed, nt, k):
+    """Random dof maps, -1 where constrained and the last tet fully
+    constrained, and random local matrices, some of whose pairs cancel
+    exactly: antisymmetric pairs, and a negated copy of the first tet. The
+    matrix is exactly symmetric with sorted indices, stores no exact zero and
+    equals the dense sum of (L + L^T) / 2 to 1e-14 relative, nonzeros
+    included."""
+    rng = np.random.default_rng(seed)
+    ndof = int(rng.integers(k, 3 * k + 1))
+    gdofs = np.array([rng.permutation(ndof)[:k] for _ in range(nt)])
+    gdofs[rng.random((nt, k)) < 0.3] = -1
+    gdofs[-1] = -1
+    local = rng.uniform(-1.0, 1.0, (nt, k, k))
+    i, j = np.nonzero(np.triu(rng.random((k, k)) < 0.3, 1))
+    local[0, j, i] = -local[0, i, j]
+    if nt >= 3:
+        gdofs[1], local[1] = gdofs[0], -local[0]
+    A = ScatterPattern(gdofs, ndof).matrix(local)
+
+    ref = np.zeros((ndof, ndof))
+    rows, cols = np.repeat(gdofs, k, axis=1).ravel(), np.tile(gdofs, (1, k)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    np.add.at(ref, (rows[keep], cols[keep]),
+              (0.5 * (local + local.transpose(0, 2, 1))).ravel()[keep])
+    assert A.shape == (ndof, ndof)
+    assert (A != A.T).nnz == 0
+    assert all(np.all(np.diff(A.indices[a:b]) > 0) for a, b in zip(A.indptr, A.indptr[1:]))
+    assert np.all(A.data != 0)
+    dense = A.toarray()
+    np.testing.assert_array_equal(dense != 0, ref != 0)
+    assert np.max(np.abs(dense - ref), initial=0.0) <= 1e-14 * np.max(np.abs(ref), initial=0.0)

@@ -252,7 +252,7 @@ def test_coefficient_checked_at_every_assembled_chi(key):
         eps, nu = tf.matrix_coefficient_from_config(
             {"kind": "scalar-affine-identity", "c0": 1.2, "c": [-1, 0, 0]}), ONE
     disc = hh.discretise(mesh, tf.stretch_family(0), eps, nu)
-    assert hh.assemble_helmholtz(disc, 0.0).size == disc.basis[0]
+    assert hh.assemble_helmholtz(disc, 0.0).size == disc.pattern.shape[0]
     with pytest.raises(InadmissibleParameterError,
                        match=f"'{key}' is not positive-definite at parameter 0.6"):
         hh.assemble_helmholtz(disc, 0.6)
