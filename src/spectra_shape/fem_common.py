@@ -7,7 +7,16 @@ per-tet moment of the coefficient, and the local mass of P1, whose values at
 the rule's points are the same on every tet, is one product of the weighted
 coefficient with a table of value products. `local_matrices` is that one
 kernel, for the pencil, its derivative and the Hadamard forms. The global
-matrices are summed into a CSR pattern computed once per discretisation."""
+matrices are summed into a CSR pattern computed once per discretisation.
+
+No sum over the point or tet axis goes through one large 2-D BLAS product:
+such sums run in einsum's own loops (`np.einsum` without `optimize`) or as
+stacked products of tiny per-tet matrices, each far below the size at
+which OpenBLAS threads a product. A
+threaded product wakes numpy's BLAS worker pool, which then spins beside
+scipy's (each loads its own OpenBLAS) and the main thread on the cores the
+process has, and splits the sum with a round-off that depends on the thread
+count. Only the eigensolver (`spectral`) calls BLAS and LAPACK at size."""
 
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
@@ -140,8 +149,7 @@ def local_matrices(values: np.ndarray, derivatives: np.ndarray, w: np.ndarray,
     k_loc = derivatives @ moment @ derivatives.transpose(0, 2, 1)
     if values.shape[0] == 1 and c == 1:  # shared values: one table of products
         f = values[0, :, :, 0]
-        return k_loc, (mass.reshape(n, nq) @ (f[:, :, None] * f[:, None, :]).reshape(nq, k * k)
-                       ).reshape(n, k, k)
+        return k_loc, np.einsum("nq,qkl->nkl", mass.reshape(n, nq), f[:, :, None] * f[:, None, :])
     # one batched product per point: no copy of the values in another layout
     mass = transforms.point_major(transforms.point_major(mass.reshape(c, c, n, nq)))
     return k_loc, sum((values[:, q] @ mass[:, q]) @ values[:, q].transpose(0, 2, 1)

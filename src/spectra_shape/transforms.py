@@ -16,6 +16,11 @@ entry axes, with no per-point copy or transpose. The stacks that the
 public functions return keep the point-major shape (N, 3, 3) as views of
 that storage (`point_major`); `entry_major` takes such a view back
 without a copy.
+
+Products over the point axis are einsum contractions (no `optimize`), not
+one 2-D BLAS product of the stacked points: such a product is large enough
+for OpenBLAS to thread, which wakes numpy's BLAS worker pool (see
+`fem_common`). The affine fields' `along` is one of them.
 """
 
 from dataclasses import dataclass, field
@@ -85,7 +90,7 @@ class AffineField:
 
     def along(self, V):
         """G v, the derivative along each vector v of V (N, 3): entry-major (..., N)."""
-        return (self.G.reshape(-1, 3) @ V.T).reshape(self.G.shape[:-1] + (len(V),))
+        return np.einsum("...k,nk->...n", self.G, V)
 
     def entries(self, X):
         """The value at X (N, 3) entry-major (..., N); (..., 1) if constant."""

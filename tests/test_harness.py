@@ -308,11 +308,13 @@ class TestRefinementStudy:
         assert np.ptp(dec.eigenvalues[cl.indices]) <= 1e-12 * cl.lambda_bar
         Q = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 2)))[0]
         turned = replace(cl, vectors=cl.vectors @ Q)
-        (R, V, S), (R2, V2, S2) = harness._route_matrices(problem, [cl, turned], surface=True)
+        (R, V, S, floor), (R2, V2, S2, floor2) = harness._route_matrices(
+            problem, [cl, turned], surface=True)
         assert np.max(np.abs(S2 - S)) > 1e-3 * np.max(np.abs(S))
+        assert floor2 == pytest.approx(floor, rel=1e-12)
         for (A, B), (A2, B2) in (((V, R), (V2, R2)), ((S, V), (S2, V2))):
-            assert (harness._relative_gap(A2, B2, turned)
-                    == pytest.approx(harness._relative_gap(A, B, cl), rel=0, abs=1e-12))
+            assert (harness._relative_gap(A2, B2, floor2)
+                    == pytest.approx(harness._relative_gap(A, B, floor), rel=0, abs=1e-12))
 
     def test_dof_guard(self):
         cfg = config(problem="maxwell", refinement=[64])
@@ -416,6 +418,24 @@ class TestCli:
         path = self.write_config(tmp_path, raw)
         assert cli.main(["verify", "--config", path]) == cli.EXIT_NUMERICAL
         assert "'nu' is not positive-definite at parameter 0.3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem", ["maxwell", "helmholtz"])
+    def test_slope_zero_by_symmetry_verifies(self, tmp_path, problem):
+        """A sin bump along x on the all-T n=6 box leaves the lowest slope zero
+        by symmetry. The routes' round-off is measured against the round-off
+        scale of the slope, tens of |lambda_bar| where stiffness and mass
+        cancel: it reads well under the 1e-10 gate. Against 1e-6 |lambda_bar|
+        it read 1.8e-10 (Maxwell, exit 4) and 8.5e-11 (Helmholtz)."""
+        raw = {"problem": problem, "mesh": {"type": "box", "n": 6},
+               "family": {"kind": "bump", "g": {"type": "sin", "axis": 0, "dependsOn": 0,
+                                                "amplitude": 0.1, "frequency": 1.0}},
+               "index_range": [1, 1]}
+        out = tmp_path / "verify.json"
+        assert cli.main(["verify", "--config", self.write_config(tmp_path, raw),
+                         "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert abs(payload["report"]["clusters"][0]["slopes_rellich"][0]) <= 1e-12
+        assert payload["worst_route_discrepancy"] <= 1e-11
 
     def test_repeated_fd_steps_are_refused_before_the_work(self, tmp_path, monkeypatch):
         def refuse(problem):

@@ -5,10 +5,13 @@ Each kernel must match its reference to 1e-13 relative on random
 well-conditioned maps, coefficients and weights: the determinant and
 adjugate, the two congruences of the pull-backs, the three brackets, the
 P1 and Nedelec local stiffness and mass, and the volume form's pushed
-coefficients. The assembled matrices are summed into a CSR pattern computed
-once per discretisation; they must be exactly symmetric and match the COO
-assembly of the local matrices, nnz included, and on random dof maps and
-local matrices the pattern must give the dense sum of their symmetric parts.
+coefficients. The two point-axis sums that left a 2-D BLAS product for
+einsum's loops, an affine field along vectors and the P1 mass of shared
+values, must match that product to 1e-14. The assembled matrices are
+summed into a CSR pattern computed once per discretisation; they must be
+exactly symmetric and match the COO assembly of the local matrices, nnz
+included, and on random dof maps and local matrices the pattern must give
+the dense sum of their symmetric parts.
 """
 
 import numpy as np
@@ -114,6 +117,19 @@ def old_local_mass(w, C, vals):
                      optimize=True)
 
 
+def old_shared_mass(mass, values):
+    """The P1 mass of shared scalar values as one (n, nq) x (nq, k*k) BLAS product."""
+    f = values[0, :, :, 0]
+    nq, k = f.shape
+    return (mass.reshape(-1, nq) @ (f[:, :, None] * f[:, None, :]).reshape(nq, k * k)
+            ).reshape(-1, k, k)
+
+
+def old_along(G, V):
+    """G v as one (-1, 3) x (3, N) BLAS product."""
+    return (G.reshape(-1, 3) @ V.T).reshape(G.shape[:-1] + (len(V),))
+
+
 def old_scatter(local, gdofs, ndof):
     nt, k, _ = local.shape
     rows = np.repeat(gdofs, k, axis=1).ravel()
@@ -181,6 +197,20 @@ class TestPointKernels:
                                    (eps, mu_inv, nu), refs):
             _close(bracket(c, v, geo), ref)
 
+    @SMALL
+    @given(seed=SEEDS, n=st.integers(1, 300), shape=st.sampled_from([(), (3,), (3, 3)]))
+    def test_along(self, seed, n, shape):
+        """Scalar, vector and matrix G along point-major vectors and along a
+        view of entry-major storage: the old BLAS product to 1e-14, as
+        contiguous entry-major (..., N)."""
+        rng = np.random.default_rng(seed)
+        field = tf.AffineField(rng.uniform(-1.0, 1.0, shape), rng.uniform(-1.0, 1.0, shape + (3,)))
+        V = rng.uniform(-1.0, 1.0, (n, 3))
+        for vectors in (V, tf.point_major(np.ascontiguousarray(tf.entry_major(V)))):
+            got = field.along(vectors)
+            assert got.flags.c_contiguous
+            _close(got, old_along(field.G, V), rtol=1e-14)
+
 
 # ---------------------------------------------------------------------------
 # local matrices and the volume-form moment
@@ -211,6 +241,18 @@ class TestLocalMatrices:
         k_loc, m_loc = local_matrices(vals, ders, w, np.ascontiguousarray(tf.entry_major(C)), wc)
         _close(k_loc, old_local_stiffness(w, C, ders))
         _close(m_loc, old_local_mass(w, Cm, np.broadcast_to(vals, w.shape + vals.shape[2:])))
+
+    @SMALL
+    @given(seed=SEEDS)
+    def test_shared_p1_mass(self, discs, seed):
+        """The shared-values path of the P1 mass: the old BLAS product to 1e-14."""
+        disc = discs["p1"]
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.1, 1.0, disc.weights.shape)
+        mass = w.ravel() * rng.uniform(0.5, 2.0, w.size)
+        stiff = np.ascontiguousarray(tf.entry_major(_sym_matrix(rng, w.size)))
+        _, m_loc = local_matrices(disc.values, disc.derivatives, w, stiff, mass)
+        _close(m_loc, old_shared_mass(mass, disc.values), rtol=1e-14)
 
     @SMALL
     @given(seed=SEEDS, space=st.sampled_from(sorted(SPACES)))
