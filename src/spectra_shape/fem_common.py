@@ -9,14 +9,14 @@ coefficient with a table of value products. `local_matrices` is that one
 kernel, for the pencil, its derivative and the Hadamard forms. The global
 matrices are summed into a CSR pattern computed once per discretisation.
 
-No sum over the point or tet axis goes through one large 2-D BLAS product:
-such sums run in einsum's own loops (`np.einsum` without `optimize`) or as
-stacked products of tiny per-tet matrices, each far below the size at
-which OpenBLAS threads a product. A
-threaded product wakes numpy's BLAS worker pool, which then spins beside
-scipy's (each loads its own OpenBLAS) and the main thread on the cores the
-process has, and splits the sum with a round-off that depends on the thread
-count. Only the eigensolver (`spectral`) calls BLAS and LAPACK at size."""
+No product over the point or tet axis goes through one 2-D BLAS product
+large enough for OpenBLAS to thread: such products run in einsum's own
+loops (`np.einsum` without `optimize`), as stacked products of tiny per-tet
+matrices, or over chunks of points far below OpenBLAS's threading size. A
+threaded product wakes numpy's BLAS worker pool, whose workers then spin
+beside scipy's pool (each loads its own OpenBLAS) and the main thread on
+the cores the process has. Only the eigensolver (`spectral`) calls BLAS and
+LAPACK at size."""
 
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union

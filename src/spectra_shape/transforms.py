@@ -17,10 +17,13 @@ public functions return keep the point-major shape (N, 3, 3) as views of
 that storage (`point_major`); `entry_major` takes such a view back
 without a copy.
 
-Products over the point axis are einsum contractions (no `optimize`), not
-one 2-D BLAS product of the stacked points: such a product is large enough
-for OpenBLAS to thread, which wakes numpy's BLAS worker pool (see
-`fem_common`). The affine fields' `along` is one of them.
+No product over the stacked points is one 2-D BLAS product large enough
+for OpenBLAS to thread: that wakes numpy's BLAS worker pool, whose workers
+then spin on the cores the process has (see `fem_common`). The affine
+fields' `along`, whose output axis is the point axis, multiplies G by
+chunks of `ALONG_CHUNK` points, each below the size that OpenBLAS threads
+and about as fast per point as the whole product on one thread (einsum's
+loop over point-major vectors is several times slower).
 """
 
 from dataclasses import dataclass, field
@@ -67,6 +70,12 @@ def congruence(P, B, scale=1.0):
 # field catalog: coefficients and bump displacements
 # ---------------------------------------------------------------------------
 
+# Points per BLAS product in `AffineField.along`: a (9, 3) x (3, 4096)
+# product has m n k = 110592, and OpenBLAS gives a gemm one thread per
+# 262144 of m n k, so it threads none below 524288 (measured on 0.3.31).
+ALONG_CHUNK = 4096
+
+
 @dataclass(frozen=True)
 class AffineField:
     """f(x) = c0 + G x, with the gradient on the last axis of G: a scalar
@@ -90,7 +99,11 @@ class AffineField:
 
     def along(self, V):
         """G v, the derivative along each vector v of V (N, 3): entry-major (..., N)."""
-        return np.einsum("...k,nk->...n", self.G, V)
+        G = self.G.reshape(-1, 3)
+        out = np.empty((len(G), len(V)))
+        for i in range(0, len(V), ALONG_CHUNK):
+            np.matmul(G, V[i:i + ALONG_CHUNK].T, out=out[:, i:i + ALONG_CHUNK])
+        return out.reshape(self.G.shape[:-1] + (len(V),))
 
     def entries(self, X):
         """The value at X (N, 3) entry-major (..., N); (..., 1) if constant."""

@@ -4,10 +4,11 @@ numpy and scipy each load their own OpenBLAS, each with its own pool of
 worker threads. A 2-D BLAS product over the point or tet axis is large
 enough at the benchmark sizes for numpy's OpenBLAS to thread it, and its
 woken workers then spin beside scipy's and the main thread. The kernels
-contract over those axes in einsum's own loops instead. This test runs
-them on inputs above OpenBLAS's threading threshold in a fresh process
-with two BLAS threads, and reads the CPU time of numpy's pool threads,
-the threads that exist right after `import numpy`, from /proc.
+keep such products in einsum's own loops or in chunks too small to
+thread. This test runs them at sizes the benchmark's workloads reach, on
+which a single product would thread, in a fresh process with two BLAS
+threads, and reads the CPU time of numpy's pool threads, the threads that
+exist right after `import numpy`, from /proc.
 """
 
 import json
@@ -46,9 +47,10 @@ SCRIPT = textwrap.dedent("""
     w = rng.uniform(0.1, 1.0, (n, nq))
     stiff = np.broadcast_to(np.eye(3)[:, :, None], (3, 3, n * nq))
     mass = rng.uniform(0.5, 2.0, n * nq)
-    # an affine matrix field along 84000 vectors
-    field = transforms.AffineField(np.eye(3), rng.standard_normal((3, 3, 3)))
-    V = rng.standard_normal((84000, 3))
+    # an affine vector field at 16464 tets x 4 points: a (3, 3) x (3, N)
+    # product would thread at two threads from N = 58255 on
+    field = transforms.AffineField(np.zeros(3), rng.standard_normal((3, 3)))
+    V = rng.standard_normal((65856, 3))
 
     before = cpu_s(pool)
     for _ in range(50):

@@ -5,9 +5,9 @@ Each kernel must match its reference to 1e-13 relative on random
 well-conditioned maps, coefficients and weights: the determinant and
 adjugate, the two congruences of the pull-backs, the three brackets, the
 P1 and Nedelec local stiffness and mass, and the volume form's pushed
-coefficients. The two point-axis sums that left a 2-D BLAS product for
-einsum's loops, an affine field along vectors and the P1 mass of shared
-values, must match that product to 1e-14. The assembled matrices are
+coefficients. An affine field along vectors, now a product over chunks of
+points, and the P1 mass of shared values, now an einsum over the points,
+must match the one 2-D BLAS product each was to 1e-14. The assembled matrices are
 summed into a CSR pattern computed once per discretisation; they must be
 exactly symmetric and match the COO assembly of the local matrices, nnz
 included, and on random dof maps and local matrices the pattern must give
@@ -198,11 +198,13 @@ class TestPointKernels:
             _close(bracket(c, v, geo), ref)
 
     @SMALL
-    @given(seed=SEEDS, n=st.integers(1, 300), shape=st.sampled_from([(), (3,), (3, 3)]))
+    @given(seed=SEEDS, n=st.sampled_from([1, 300, tf.ALONG_CHUNK, tf.ALONG_CHUNK + 1,
+                                          2 * tf.ALONG_CHUNK + 7]),
+           shape=st.sampled_from([(), (3,), (3, 3)]))
     def test_along(self, seed, n, shape):
         """Scalar, vector and matrix G along point-major vectors and along a
-        view of entry-major storage: the old BLAS product to 1e-14, as
-        contiguous entry-major (..., N)."""
+        view of entry-major storage, in one chunk and across chunks: the old
+        BLAS product to 1e-14, as contiguous entry-major (..., N)."""
         rng = np.random.default_rng(seed)
         field = tf.AffineField(rng.uniform(-1.0, 1.0, shape), rng.uniform(-1.0, 1.0, shape + (3,)))
         V = rng.uniform(-1.0, 1.0, (n, 3))
