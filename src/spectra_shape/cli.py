@@ -129,8 +129,8 @@ def main(argv=None) -> int:
     try:
         cfg = harness.load_config(args.config)
         # every command writes its payload once: to --out, else to the
-        # config's output, else to stdout; run() then writes no report itself
-        out, cfg.output = args.out or cfg.output, None
+        # config's output, else to stdout
+        out = args.out or cfg.output
         _COMMANDS[args.command][0](cfg, out)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

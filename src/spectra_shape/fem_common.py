@@ -71,21 +71,19 @@ class Space:
     scalar fields), and ``tets`` selects the tets that ``values`` evaluates.
     """
 
-    # (stiffness, mass) coefficient kinds, see transforms.coefficient_kind
+    # (stiffness, mass) coefficient kinds, see transforms.coefficient_kind:
+    # the push-forwards of the derivatives and of the values are theirs
     coefficients: Tuple[str, str]
     # mesh -> (entity id of each local dof per tet (nt, k), entity count)
     entities: Callable
+    # n -> the entity count of a box of n cells per side, without building it
+    box_dofs: Callable
     # mesh -> entity ids constrained on the tangential boundary part
     constrained: Callable
     # (mesh, bary (n|1, nq, 4), tets) -> basis values (n|1, nq, k, c)
     values: Callable
     # mesh -> constant grad or curl of the basis per tet (nt, k, 3)
     derivatives: Callable
-    # (J, det, Jinv), entry-major (3, 3, N) -> the matrix P (3, 3, N) that
-    # pushes derivatives D to the deformed domain, P D
-    derivative_map: Callable
-    # the same for values; None for scalar values, which are not transformed
-    value_map: Optional[Callable] = None
     # mesh -> columns spanning the known part of ker K, or None
     kernel_basis: Optional[Callable] = None
 
@@ -197,16 +195,15 @@ class Discretisation:
         self.kernel_basis = None if space.kernel_basis is None else space.kernel_basis(mesh)
 
     def coefficient_maps(self):
-        """(maps, coefficient) of the stiffness and the mass, maps looked up per call."""
+        """(kind, coefficient) of the stiffness and the mass, kinds looked up per call."""
         return zip(map(transforms.coefficient_kind, self.space.coefficients),
                    (self.stiff, self.mass))
 
     def matrices(self, stiff, mass):
         """Stiffness and mass matrices over the free dofs of the (stiffness,
-        mass) coefficient values at the rule's points, point-major."""
+        mass) coefficient values at the rule's points, entry-major."""
         w = self.weights
-        local = local_matrices(self.values, self.derivatives, w, transforms.entry_major(stiff),
-                               w.ravel() * transforms.entry_major(mass))
+        local = local_matrices(self.values, self.derivatives, w, stiff, w.ravel() * mass)
         return tuple(map(self.pattern.matrix, local))
 
 

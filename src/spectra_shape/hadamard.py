@@ -1,16 +1,16 @@
 """Volume- and surface-integral eigenvalue derivative matrices.
 
 All integrals over the deformed domain are computed by change of variables
-back to the reference quadrature points: fields are pushed forward with the
-space's transform (scalar or covariant Piola), the volume measure with
-det(J), and boundary normals with the cofactor (Nanson) rule. This keeps
-the volume route bit-consistent with the pencil-derivative route. Each form
-is written once over a `Discretisation`, whose space, quadrature and local
-basis it reads.
+back to the reference quadrature points: fields are pushed forward by the
+Piola map of their coefficient's kind (scalars are not transformed), the
+volume measure with det(J), and boundary normals with the cofactor (Nanson)
+rule. This keeps the volume route bit-consistent with the pencil-derivative
+route. Each form is written once over a `Discretisation`, whose space,
+quadrature and local basis it reads.
 
 The forms integrate over the quadrature first: the coefficient bracket is
-pushed by the space's derivative and value maps P to sym(P^T B P) at the
-points, once per call and entry-major (see `transforms`), and the local
+pushed by its kind's push-forward P to sym(P^T B P) at the points, once
+per call and entry-major (see `transforms`), and the local
 (stiffness, mass) matrices of the pushed pair come from the assembly's
 kernel, `local_matrices`. Each form takes a sequence of clusters and returns
 one matrix per cluster, which then costs a contraction of the local
@@ -28,16 +28,14 @@ from .spectral import EigenCluster
 from .transforms import _sym, congruence, entry_major
 
 
-def _pushed(space, geo, w, B_stiff, B_mass):
-    """The entry-major coefficients B_stiff (3, 3, N|1) and B_mass (N|1) or
-    (3, 3, N|1) pushed by the space's derivative and value maps P at the
-    mapped points `geo`, sym(P^T B P), the mass weighted by w (n, nq): the
-    (stiffness, mass) input of `local_matrices`."""
-    frames = (geo.J, geo.det, geo.Jinv)
-    stiff = congruence(space.derivative_map(*frames).swapaxes(0, 1), B_stiff)
-    if space.value_map is None:
-        return stiff, w.ravel() * B_mass
-    return stiff, congruence(space.value_map(*frames).swapaxes(0, 1), B_mass, w.ravel())
+def _pushed(disc, geo, w, B_stiff, B_mass):
+    """The entry-major coefficients B_stiff (3, 3, N|1) and B_mass, (N|1) or
+    (3, 3, N|1), pushed by the push-forward P of their kinds at the mapped
+    points `geo`, sym(P^T B P), the mass weighted by w (n, nq); a scalar kind
+    has no P: the (stiffness, mass) input of `local_matrices`."""
+    return [B * scale if kind.push is None else congruence(kind.push(geo).swapaxes(0, 1), B, scale)
+            for (kind, _), B, scale in zip(disc.coefficient_maps(), (B_stiff, B_mass),
+                                           (1.0, w.ravel()))]
 
 
 def _cluster_matrices(gdofs, k_loc, m_loc, clusters):
@@ -64,11 +62,11 @@ def volume_matrix(
     """
     geo = transforms.map_points(disc.family, chi_bar, disc.points.reshape(-1, 3))
     v = transforms.psi_on_physical(disc.family, direction, geo)
-    B_stiff, B_mass = (entry_major(kind.bracket(c, v, geo))
+    B_stiff, B_mass = (transforms.bracket(kind.sign, c, v, geo)
                        for kind, c in disc.coefficient_maps())
     del v  # not needed past the brackets: free it before the push
     w = disc.weights * geo.det.reshape(disc.weights.shape)
-    stiff, mass = _pushed(disc.space, geo, w, B_stiff, B_mass)
+    stiff, mass = _pushed(disc, geo, w, B_stiff, B_mass)
     del geo, B_stiff, B_mass  # nor these past the push: free them before the local matrices
     return _cluster_matrices(disc.gdofs, *local_matrices(disc.values, disc.derivatives, w,
                                                          stiff, mass), clusters)
@@ -105,7 +103,7 @@ def surface_matrix(
          * (entry_major(psi).reshape(nanson.shape) * nanson).sum(0))
     return _cluster_matrices(disc.gdofs[tets], *local_matrices(
         disc.space.values(mesh, bary, tets), disc.derivatives[tets], w,
-        *_pushed(disc.space, geo, w, disc.stiff.entries(geo.y), disc.mass.entries(geo.y))),
+        *_pushed(disc, geo, w, disc.stiff.entries(geo.y), disc.mass.entries(geo.y))),
         clusters)
 
 

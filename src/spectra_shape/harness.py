@@ -16,8 +16,8 @@ import scipy.linalg as sla
 
 from . import hadamard, helmholtz, maxwell, transforms
 from .errors import ConfigError, ContractViolationError
-from .fem_common import Pencil, PencilDerivative
-from .geometry import Mesh, box_mesh_size, build_box_mesh, load_mesh
+from .fem_common import Discretisation, Pencil, PencilDerivative
+from .geometry import Mesh, build_box_mesh, load_mesh
 from .perturbation import elementary_symmetric, rellich_matrix, trace_formula
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
@@ -31,15 +31,12 @@ from .transforms import _POSITIVE, AffineField, spec_kind, spec_value
 
 SCHEMA_VERSION = 1
 
-# coefficient keys per FEM problem, in assembly order; Maxwell's "mu" is mu^-1
-_COEFFICIENT_KEYS = {"helmholtz": ("epsilon", "nu"), "maxwell": ("epsilon", "mu")}
-_COEFFICIENT_PARSERS = {"epsilon": transforms.matrix_coefficient_from_config,
-                        "mu": transforms.matrix_coefficient_from_config,
-                        "nu": transforms.scalar_coefficient_from_config}
-_PROBLEMS = (*_COEFFICIENT_KEYS, "abstract-pencil")
+# the finite-element space of each FEM problem; its (stiffness, mass)
+# coefficient kinds name the config keys that the problem reads
+_SPACES = {"helmholtz": helmholtz.P1, "maxwell": maxwell.NEDELEC}
+_PROBLEMS = (*_SPACES, "abstract-pencil")
 
 MAX_DOFS = 200_000
-_DOF_ENTITY = {"helmholtz": 0, "maxwell": 1}
 
 # spec_value arguments of each config key besides "problem"
 _FIELDS = dict(
@@ -141,9 +138,9 @@ def load_config(path: str) -> RunConfig:
 class Problem:
     """One configured eigenvalue problem, made by `build_problem`: the config,
     the mesh, and the per-problem routes with the mesh, the family and the
-    ordered coefficients bound in. An abstract pencil has no mesh (None) and
-    no volume or surface form. The solution at chi_bar is computed once, on
-    first use, and so is each solve of `solve_at`."""
+    (stiffness, mass) coefficients bound in. An abstract pencil has no mesh
+    (None) and no volume or surface form. The solution at chi_bar is computed
+    once, on first use, and so is each solve of `solve_at`."""
 
     cfg: RunConfig
     mesh: Optional[Mesh]
@@ -189,25 +186,26 @@ def build_problem(cfg: RunConfig) -> Problem:
             helmholtz.assemble_helmholtz, helmholtz.assemble_helmholtz_derivative,
             hadamard.helmholtz_volume_matrix, hadamard.helmholtz_surface_matrix)
     spec = mesh_spec(cfg.mesh)
-    keys = _COEFFICIENT_KEYS[cfg.problem]
+    space = _SPACES[cfg.problem]
+    kinds = [transforms.coefficient_kind(name) for name in space.coefficients]
+    keys = [kind.key for kind in kinds]
     unread = sorted(set(cfg.coefficients) - set(keys))
     if unread:
-        raise ConfigError(f"{cfg.problem} reads the coefficients {list(keys)}, not {unread}")
+        raise ConfigError(f"{cfg.problem} reads the coefficients {keys}, not {unread}")
     fam = transforms.family_from_config(cfg.family)
     # an absent coefficient is the identity
-    coefficients = tuple(_COEFFICIENT_PARSERS[key](spec_value(cfg.coefficients, key, {}, of=dict))
-                         for key in keys)
+    coefficients = [kind.parse(spec_value(cfg.coefficients, kind.key, {}, of=dict))
+                    for kind in kinds]
     _check_unread(cfg, ("abstract",))
     if spec.type == "file":
         mesh = load_mesh(spec.path)
     else:
-        _check_box_size(cfg.problem, spec.n)
+        _check_box_size(space, spec.n)
         mesh = build_box_mesh(spec.dims, spec.n, spec.partition)
     y = fam.map(cfg.chi_bar, mesh.vertices)
     for key, coefficient in zip(keys, coefficients):
         _check_positive(key, coefficient, y)
-    fem = maxwell if cfg.problem == "maxwell" else helmholtz
-    disc = fem.discretise(mesh, fam, *coefficients)
+    disc = Discretisation(space, mesh, fam, *coefficients)
     args = (disc, cfg.chi_bar, cfg.direction)
     return Problem(cfg, mesh,
                    assemble=lambda chi: pencil(disc, chi),
@@ -223,9 +221,9 @@ def _check_unread(cfg: RunConfig, specs):
         raise ConfigError(f"problem {cfg.problem!r} does not read the keys {unread}")
 
 
-def _check_box_size(problem: str, n: int):
-    """Refuse a box of more than MAX_DOFS dofs (vertices for P1, edges for Nedelec) unbuilt."""
-    dofs = box_mesh_size(n)[_DOF_ENTITY[problem]]
+def _check_box_size(space, n: int):
+    """Refuse a box of more than MAX_DOFS dofs of the space unbuilt."""
+    dofs = space.box_dofs(n)
     if dofs > MAX_DOFS:
         raise ConfigError(f"box mesh n={n} has ~{dofs} dofs (> {MAX_DOFS}); refusing to build it")
 
@@ -452,7 +450,7 @@ def run(problem: Problem) -> dict:
     """Assemble, solve, and evaluate every derivative route for the clusters
     covering the configured eigenvalue index range. The report is a dict of
     schema_version, created_at (the one entry that differs between runs),
-    environment and clusters, written to the config's output if it has one."""
+    environment and clusters; its caller writes it."""
     cfg = problem.cfg
     pencil, dec, clusters = problem.solution
     check_index_range(cfg, dec)
@@ -513,15 +511,12 @@ def run(problem: Problem) -> dict:
         "quad_order": pencil.quad_order,
         "mesh": None if problem.mesh is None else cfg.mesh,
     }
-    report = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "environment": env,
         "clusters": records,
     }
-    if cfg.output:
-        write_json(report, cfg.output)
-    return report
 
 
 def check_fd_steps(steps) -> List[float]:
@@ -586,7 +581,7 @@ def fd_check(problem: Problem, steps) -> List[dict]:
 def refinement_study(cfg: RunConfig) -> List[dict]:
     """Route discrepancies and surface-volume gaps over a refinement sequence:
     the `Problem` of `cfg` with the box's n set to each level in turn."""
-    if cfg.problem not in _COEFFICIENT_KEYS:
+    if cfg.problem not in _SPACES:
         raise ConfigError("refinement studies need a FEM problem")
     if mesh_spec(cfg.mesh).type != "box":
         raise ConfigError("refinement studies require a box mesh spec")
@@ -595,7 +590,7 @@ def refinement_study(cfg: RunConfig) -> List[dict]:
     if any(a >= b for a, b in zip(cfg.refinement, cfg.refinement[1:])):
         raise ConfigError(f"refinement must be strictly increasing, got {list(cfg.refinement)}")
     for n in cfg.refinement:  # every level, before the first is built
-        _check_box_size(cfg.problem, n)
+        _check_box_size(_SPACES[cfg.problem], n)
     rows = []
     prev_gap = None
     for n in cfg.refinement:

@@ -9,14 +9,8 @@ boundary part carry the n x E = 0 constraint and are eliminated.
 import numpy as np
 import scipy.sparse as sp
 
-from .fem_common import (
-    Discretisation,
-    Space,
-    assemble_derivative,
-    assemble_pencil,
-    free_dofs,
-)
-from .geometry import Mesh, TET_EDGE_PAIRS
+from .fem_common import Space, assemble_derivative, assemble_pencil, free_dofs
+from .geometry import Mesh, TET_EDGE_PAIRS, box_mesh_size
 from .helmholtz import P1
 
 _EDGE_A, _EDGE_B = np.array(TET_EDGE_PAIRS).T
@@ -63,23 +57,17 @@ def gradient_kernel_basis(mesh: Mesh) -> sp.csr_array:
     )
 
 
-# Nedelec-1 on edges, covariant Piola map:
-# E = (J^-T F) o Phi^-1 and rot E = (det J)^-1 (J rot F) o Phi^-1
+# Nedelec-1 on edges: E = (J^-T F) o Phi^-1 and rot E = (det J)^-1 (J rot F) o Phi^-1,
+# the push-forwards of the mass kind eps and of the stiffness kind mu^-1
 NEDELEC = Space(
     coefficients=("mu_inv", "epsilon"),
     entities=lambda mesh: (mesh.tet_edges, len(mesh.edges)),
+    box_dofs=lambda n: box_mesh_size(n)[1],
     constrained=lambda mesh: mesh.boundary_edge_set("T"),
     values=_edge_values,
     derivatives=_edge_curls,
-    derivative_map=lambda J, det, Jinv: J / det,
-    value_map=lambda J, det, Jinv: Jinv.swapaxes(0, 1),
     kernel_basis=gradient_kernel_basis,
 )
-
-
-def discretise(mesh, family, eps, mu_inv) -> Discretisation:
-    """Maxwell discretisation: Nedelec-1 with stiffness mu_inv and mass eps."""
-    return Discretisation(NEDELEC, mesh, family, mu_inv, eps)
 
 
 # plain names of the generic routines, looked up by `harness.build_problem`

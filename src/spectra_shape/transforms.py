@@ -12,10 +12,17 @@ Per-point 3x3 algebra is entry-major: a stack of matrices is stored as
 (3, 3, N), so that each entry is one contiguous length-N vector. The
 determinant and adjugate are written out entry by entry over those
 vectors, and the products, congruences and brackets contract over the two
-entry axes, with no per-point copy or transpose. The stacks that the
-public functions return keep the point-major shape (N, 3, 3) as views of
-that storage (`point_major`); `entry_major` takes such a view back
-without a copy.
+entry axes, with no per-point copy or transpose. The coefficient kinds'
+pull-backs and brackets return entry-major stacks, which assembly and the
+Hadamard forms read as they are; the fields, the Jacobians and the
+velocity keep the point-major shape (N, 3, 3) as views of that storage
+(`point_major`), and `entry_major` takes such a view back without a copy.
+
+The degree of the form that a coefficient weighs fixes how its fields move
+under Phi (finite element exterior calculus): 1-forms (eps on grad u and E)
+with the covariant Piola map J^-T, 2-forms (mu^-1 on curl E) with the
+contravariant J / det J, scalars (nu on u) not at all. Each
+`CoefficientKind` owns that rule, its config key and its parser.
 
 No product over the stacked points is one 2-D BLAS product large enough
 for OpenBLAS to thread: that wakes numpy's BLAS worker pool, whose workers
@@ -280,97 +287,99 @@ def psi_on_physical(family, direction, geo: MappedPoints) -> Velocity:
 
 # The coefficients are AffineFields: `entries` gives the value at the mapped
 # points entry-major, one column for a constant field, and `along` the
-# derivative d_Psi, which a constant field does not have.
+# derivative d_Psi, which a constant field does not have. The pull-back and
+# the bracket are one rule each, keyed by the kind's sign s: +1 for eps and
+# nu, -1 for mu^-1.
 
-def _contravariant(B, geo):
-    """det(J) J^-1 B J^-T, symmetrized, of an entry-major B."""
-    return point_major(congruence(geo.Jinv, B, geo.det))
+def pull_back(sign, B, geo: MappedPoints):
+    """det(J)^s Q B Q^T, symmetrized, of an entry-major B (3, 3, N|1), with
+    Q = J^-1 for s = +1 and Q = J^T for s = -1; det(J)^s B of a scalar B (N|1,)."""
+    Q, scale = (geo.Jinv, geo.det) if sign > 0 else (geo.J.swapaxes(0, 1), 1.0 / geo.det)
+    return scale * B if B.ndim == 1 else congruence(Q, B, scale)
 
 
-def _covariant(B, geo):
-    """det(J)^-1 J^T B J, symmetrized, of an entry-major B."""
-    return point_major(congruence(geo.J.swapaxes(0, 1), B, 1.0 / geo.det))
+def bracket(sign, c, v: Velocity, geo: MappedPoints):
+    """d_Psi c + s (div(Psi) c - W - W^T) at the mapped points, with W = J_Psi c
+    for s = +1 and W = c J_Psi for s = -1; a scalar c has no W. The terms are
+    summed in place."""
+    ct = c.entries(geo.y)
+    if ct.ndim == 1:
+        out = v.div_psi * ct
+    else:
+        # W before the sum: in the other order the derivative assembly's peak
+        # RSS on an n = 10 bump (84000 points) rose by 2 MB (glibc malloc)
+        jpsi = entry_major(v.jpsi)
+        W = _mul(jpsi, ct) if sign > 0 else _mul(ct, jpsi)
+        out = v.div_psi * ct
+        out -= W
+        out -= W.swapaxes(0, 1)
+    if sign < 0:
+        np.negative(out, out=out)
+    if not c.constant:
+        out += c.along(v.psi)
+    return out
 
 
 def transformed_epsilon(eps, geo: MappedPoints):
     """eps_Phi = det(J) J^-1 eps(Phi(x)) J^-T, symmetric positive-definite."""
-    return _contravariant(eps.entries(geo.y), geo)
+    return pull_back(1, eps.entries(geo.y), geo)
 
 
 def transformed_mu_inv(mu_inv, geo: MappedPoints):
     """mu_Phi^-1 = det(J)^-1 J^T mu^-1(Phi(x)) J."""
-    return _covariant(mu_inv.entries(geo.y), geo)
+    return pull_back(-1, mu_inv.entries(geo.y), geo)
 
 
 def transformed_nu(nu, geo: MappedPoints):
     """nu_Phi = det(J) * nu(Phi(x)) > 0."""
-    return geo.det * nu.entries(geo.y)
-
-
-def epsilon_bracket(eps, v: Velocity, geo: MappedPoints):
-    """d_Psi eps + div(Psi) eps - 2 sym(J_Psi eps) at the mapped points."""
-    et = eps.entries(geo.y)
-    W = _mul(entry_major(v.jpsi), et)
-    out = v.div_psi * et - W - W.swapaxes(0, 1)
-    if not eps.constant:
-        out += eps.along(v.psi)
-    return point_major(out)
-
-
-def mu_inv_bracket(mu_inv, v: Velocity, geo: MappedPoints):
-    """d_Psi mu^-1 - div(Psi) mu^-1 + 2 sym(mu^-1 J_Psi) at the mapped points."""
-    mt = mu_inv.entries(geo.y)
-    W = _mul(mt, entry_major(v.jpsi))
-    out = W + W.swapaxes(0, 1) - v.div_psi * mt
-    if not mu_inv.constant:
-        out += mu_inv.along(v.psi)
-    return point_major(out)
-
-
-def nu_bracket(nu, v: Velocity, geo: MappedPoints):
-    """d_Psi nu + div(Psi) nu at the mapped points."""
-    out = v.div_psi * nu.entries(geo.y)
-    return out if nu.constant else out + nu.along(v.psi)
+    return pull_back(1, nu.entries(geo.y), geo)
 
 
 def directional_coefficient_epsilon(eps, v: Velocity, geo: MappedPoints):
     """Directional parameter derivative of the pulled-back permittivity."""
-    return _contravariant(entry_major(epsilon_bracket(eps, v, geo)), geo)
+    return pull_back(1, bracket(1, eps, v, geo), geo)
 
 
 def directional_coefficient_mu_inv(mu_inv, v: Velocity, geo: MappedPoints):
     """Directional parameter derivative of the pulled-back inverse permeability."""
-    return _covariant(entry_major(mu_inv_bracket(mu_inv, v, geo)), geo)
+    return pull_back(-1, bracket(-1, mu_inv, v, geo), geo)
 
 
 def directional_coefficient_nu(nu, v: Velocity, geo: MappedPoints):
     """Directional parameter derivative of the pulled-back scalar weight."""
-    return geo.det * nu_bracket(nu, v, geo)
+    return pull_back(1, bracket(1, nu, v, geo), geo)
 
 
 class CoefficientKind(NamedTuple):
-    """The maps of one coefficient kind: pull-back, its directional
-    parameter derivative, and the bracket of the volume Hadamard form."""
+    """One coefficient kind: its config key and parser, the push-forward P
+    (geo -> entry-major (3, 3, N)) of the fields it weighs, None for scalar
+    fields, which are not transformed, the sign of its pull-back and bracket,
+    the pull-back and its directional parameter derivative."""
 
+    key: str
+    parse: Callable
+    push: Optional[Callable]
+    sign: int
     pull_back: Callable
     derivative: Callable
-    bracket: Callable
 
 
 def coefficient_kind(name: str) -> CoefficientKind:
-    """Maps of the coefficient kind 'epsilon', 'mu_inv' or 'nu'.
+    """The coefficient kind 'epsilon' (covariant Piola J^-T), 'mu_inv'
+    (contravariant Piola J / det J, read from the config key 'mu') or 'nu'.
 
     The table is built per call, so the module attributes in effect at call
     time are the ones returned, also when they were replaced after import.
     """
     return {
         "epsilon": CoefficientKind(
-            transformed_epsilon, directional_coefficient_epsilon, epsilon_bracket
-        ),
+            "epsilon", matrix_coefficient_from_config, lambda geo: geo.Jinv.swapaxes(0, 1),
+            1, transformed_epsilon, directional_coefficient_epsilon),
         "mu_inv": CoefficientKind(
-            transformed_mu_inv, directional_coefficient_mu_inv, mu_inv_bracket
-        ),
-        "nu": CoefficientKind(transformed_nu, directional_coefficient_nu, nu_bracket),
+            "mu", matrix_coefficient_from_config, lambda geo: geo.J / geo.det,
+            -1, transformed_mu_inv, directional_coefficient_mu_inv),
+        "nu": CoefficientKind("nu", scalar_coefficient_from_config, None,
+                              1, transformed_nu, directional_coefficient_nu),
     }[name]
 
 

@@ -18,8 +18,10 @@ from spectra_shape import harness
 from spectra_shape import helmholtz as hh
 from spectra_shape import maxwell as mx
 from spectra_shape import transforms as tf
-from spectra_shape.fem_common import Pencil
+from spectra_shape.fem_common import Discretisation, Pencil
 from spectra_shape.geometry import build_box_mesh
+from spectra_shape.helmholtz import P1
+from spectra_shape.maxwell import NEDELEC
 from spectra_shape.perturbation import (
     elementary_symmetric,
     hat_functions,
@@ -54,7 +56,7 @@ def helmholtz_case(n):
     """All-Dirichlet unit cube under the uniform scaling family."""
     fam = tf.scaling_family()
     mesh = build_box_mesh((1.0, 1.0, 1.0), n, "T")
-    disc = hh.discretise(mesh, fam, EYE, ONE)
+    disc = Discretisation(P1, mesh, fam, EYE, ONE)
     pencil = hh.assemble_helmholtz(disc, 0.0)
     dec = solve_pencil(pencil)
     cl = cluster_spectrum(dec, CLUSTER_TOL)[0]
@@ -71,7 +73,7 @@ def maxwell_case(n):
     """All-tangential (PEC) unit cube under the single-axis stretch family."""
     fam = tf.stretch_family(0)
     mesh = build_box_mesh((1.0, 1.0, 1.0), n, "T")
-    disc = mx.discretise(mesh, fam, EYE, EYE)
+    disc = Discretisation(NEDELEC, mesh, fam, EYE, EYE)
     pencil = mx.assemble_maxwell(disc, 0.0)
     dec = solve_pencil(pencil)
     cl = cluster_spectrum(dec, CLUSTER_TOL)[0]
@@ -130,13 +132,13 @@ def test_criterion_01_route_equivalence():
     worst = 0.0
     for problem, fam, eps, second in cases:
         if problem == "helmholtz":
-            disc = hh.discretise(mesh_h, fam, eps, second)
+            disc = Discretisation(P1, mesh_h, fam, eps, second)
             p = hh.assemble_helmholtz(disc, 0.0)
             d = hh.assemble_helmholtz_derivative(disc, 0.0, 1.0)
             cl = cluster_spectrum(solve_pencil(p), CLUSTER_TOL)[0]
             V = hd.helmholtz_volume_matrix(disc, 0.0, 1.0, [cl])[0]
         else:
-            disc = mx.discretise(mesh_m, fam, eps, second)
+            disc = Discretisation(NEDELEC, mesh_m, fam, second, eps)
             p = mx.assemble_maxwell(disc, 0.0)
             d = mx.assemble_maxwell_derivative(disc, 0.0, 1.0)
             cl = cluster_spectrum(solve_pencil(p), CLUSTER_TOL)[0]
@@ -163,7 +165,7 @@ def test_criterion_02_hellmann_feynman_vs_fd():
 
     fam = tf.stretch_family(0)
     hcase = helmholtz_case(4)
-    disc_h = hh.discretise(hcase["mesh"], fam, EYE, ONE)
+    disc_h = Discretisation(P1, hcase["mesh"], fam, EYE, ONE)
     dh = hh.assemble_helmholtz_derivative(disc_h, 0.0, 1.0)
     lam_h = hcase["dec"].eigenvalues[0]
     hf_h = hellmann_feynman(dh, lam_h, hcase["dec"].eigenvectors[:, 0])
@@ -193,15 +195,17 @@ def test_criterion_03_exact_scaling_and_translation():
         fam_s = tf.scaling_family()
         fam_t = tf.translation_family((1.0, 0.0, 0.0))
         if problem == "helmholtz":
-            disc_s = hh.discretise(mesh, fam_s, EYE, ONE)
+            disc_s = Discretisation(P1, mesh, fam_s, EYE, ONE)
             p = hh.assemble_helmholtz(disc_s, 0.0)
             ds = hh.assemble_helmholtz_derivative(disc_s, 0.0, 1.0)
-            dt = hh.assemble_helmholtz_derivative(hh.discretise(mesh, fam_t, EYE, ONE), 0.0, 1.0)
+            dt = hh.assemble_helmholtz_derivative(Discretisation(P1, mesh, fam_t, EYE, ONE),
+                                                  0.0, 1.0)
         else:
-            disc_s = mx.discretise(mesh, fam_s, EYE, EYE)
+            disc_s = Discretisation(NEDELEC, mesh, fam_s, EYE, EYE)
             p = mx.assemble_maxwell(disc_s, 0.0)
             ds = mx.assemble_maxwell_derivative(disc_s, 0.0, 1.0)
-            dt = mx.assemble_maxwell_derivative(mx.discretise(mesh, fam_t, EYE, EYE), 0.0, 1.0)
+            dt = mx.assemble_maxwell_derivative(Discretisation(NEDELEC, mesh, fam_t, EYE, EYE),
+                                                0.0, 1.0)
         cl = cluster_spectrum(solve_pencil(p), CLUSTER_TOL)[0]
         lam = cl.lambda_bar
         s_scaling = sla.eigvalsh(rellich_matrix(ds, cl))
@@ -448,7 +452,7 @@ def test_criterion_09_deterministic_reports(tmp_path):
                        "g": {"type": "sin", "axis": 0, "amplitude": 0.08}},
             "output": str(tmp_path / name),
         })
-        harness.run(harness.build_problem(cfg))
+        harness.write_json(harness.run(harness.build_problem(cfg)), cfg.output)
         lines = (tmp_path / name).read_text().splitlines()
         texts.append("\n".join(l for l in lines if '"created_at"' not in l))
     ok = texts[0] == texts[1]

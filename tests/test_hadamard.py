@@ -13,7 +13,10 @@ from spectra_shape import hadamard as hd
 from spectra_shape import helmholtz as hh
 from spectra_shape import maxwell as mx
 from spectra_shape import transforms as tf
+from spectra_shape.fem_common import Discretisation
 from spectra_shape.geometry import build_box_mesh
+from spectra_shape.helmholtz import P1
+from spectra_shape.maxwell import NEDELEC
 from spectra_shape.perturbation import rellich_matrix
 from spectra_shape.spectral import cluster_spectrum, solve_pencil
 
@@ -29,12 +32,12 @@ FAMILIES = [
 
 
 def helm_cluster(mesh, family, chi, eps=EYE, nu=ONE):
-    disc = hh.discretise(mesh, family, eps, nu)
+    disc = Discretisation(P1, mesh, family, eps, nu)
     return disc, cluster_spectrum(solve_pencil(hh.assemble_helmholtz(disc, chi)))[0]
 
 
 def maxw_cluster(mesh, family, chi, eps=EYE, mu=EYE, tol=0.08):
-    disc = mx.discretise(mesh, family, eps, mu)
+    disc = Discretisation(NEDELEC, mesh, family, mu, eps)
     return disc, cluster_spectrum(solve_pencil(mx.assemble_maxwell(disc, chi)), tol)[0]
 
 
@@ -132,7 +135,7 @@ class TestSurfaceForm:
         prev = None
         for n in (2, 3, 4):
             mesh = build_box_mesh((1, 1, 1), n, part)
-            disc = mx.discretise(mesh, family, EYE, EYE)
+            disc = Discretisation(NEDELEC, mesh, family, EYE, EYE)
             p = mx.assemble_maxwell(disc, 0.0)
             cl = cluster_spectrum(solve_pencil(p, count=1))[0]
             assert cl.multiplicity == 1

@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment  # oracle of the pairing tests only
 
 from spectra_shape import cli, fem_common, harness, maxwell
+from spectra_shape import transforms as tf
 from spectra_shape.errors import ConfigError, DegenerateProblemError
 from spectra_shape.geometry import BOX_FACES, build_box_mesh, save_mesh
 
@@ -124,13 +125,8 @@ class TestRun:
             report["clusters"][0]["slopes_rellich"], [-1.0, 1.0], atol=1e-12
         )
 
-    def test_report_is_deterministic(self, tmp_path):
-        paths = []
-        for name in ("a.json", "b.json"):
-            cfg = config(output=str(tmp_path / name))
-            harness.run(harness.build_problem(cfg))
-            paths.append(tmp_path / name)
-        docs = [json.loads(p.read_text()) for p in paths]
+    def test_report_is_deterministic(self):
+        docs = [harness.run(harness.build_problem(config())) for _ in range(2)]
         for d in docs:
             d.pop("created_at")
         assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
@@ -171,6 +167,31 @@ class TestRun:
         assert doc["schema_version"] == harness.SCHEMA_VERSION
         assert "created_at" in doc
         assert doc["environment"]["dofs"] > 0
+
+
+class TestCoefficientRoles:
+    """Each config key reaches the role of its kind through `build_problem`:
+    constant coefficients scale the eigenvalues by stiffness / mass, so a
+    swapped role reads the inverse factor. Maxwell's "mu" is mu^-1, its
+    stiffness."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("problem, coefficients, factor", [
+        ("helmholtz", {"epsilon": {"M": (2.5 * np.eye(3)).tolist()}, "nu": {"v": 0.4}},
+         2.5 / 0.4),
+        ("maxwell", {"epsilon": {"M": (2.5 * np.eye(3)).tolist()},
+                     "mu": {"M": (0.6 * np.eye(3)).tolist()}}, 0.6 / 2.5),
+    ], ids=["helmholtz", "maxwell"])
+    def test_config_key_reaches_its_role(self, n, problem, coefficients, factor):
+        def eigenvalues(coefficients):
+            cfg = harness.RunConfig.from_dict({
+                "problem": problem, "mesh": {"type": "box", "n": n, "partition": MIXED},
+                "coefficients": coefficients, "index_range": [1, 4]})
+            return harness.build_problem(cfg).solution[1].eigenvalues
+
+        reference = eigenvalues({})
+        assert len(reference) >= 4
+        np.testing.assert_allclose(eigenvalues(coefficients), factor * reference, rtol=1e-12)
 
 
 class TestFdCheck:
@@ -809,8 +830,8 @@ def _configs(mesh_path):
             surface_form_trusted=st.booleans(), output=TEXT)
         if problem == "abstract-pencil":
             return _spec({"problem": st.just(problem)}, abstract=abstract, **common)
-        coefficients = _spec(**{key: COEFFICIENTS[key]
-                                for key in harness._COEFFICIENT_KEYS[problem]})
+        keys = [tf.coefficient_kind(name).key for name in harness._SPACES[problem].coefficients]
+        coefficients = _spec(**{key: COEFFICIENTS[key] for key in keys})
         return _spec({"problem": st.just(problem), "mesh": mesh},
                      family=family, coefficients=coefficients, **common)
 

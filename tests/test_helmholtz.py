@@ -6,8 +6,9 @@ import pytest
 from spectra_shape import helmholtz as hh
 from spectra_shape import transforms as tf
 from spectra_shape.errors import DegenerateProblemError
-from spectra_shape.fem_common import free_dofs
+from spectra_shape.fem_common import Discretisation, free_dofs
 from spectra_shape.geometry import build_box_mesh
+from spectra_shape.helmholtz import P1
 from spectra_shape.spectral import solve_pencil
 
 # g = 0: Phi_chi(x) = x for every chi
@@ -25,7 +26,7 @@ class TestDofs:
     def test_no_free_dofs_raises(self):
         mesh = build_box_mesh((1, 1, 1), 1, "T")
         with pytest.raises(DegenerateProblemError):
-            hh.discretise(mesh, IDENTITY, tf.AffineField(np.eye(3)), tf.AffineField(1.0))
+            Discretisation(P1, mesh, IDENTITY, tf.AffineField(np.eye(3)), tf.AffineField(1.0))
 
 
 class TestExactAffineIdentities:
@@ -35,21 +36,22 @@ class TestExactAffineIdentities:
 
     def test_scaling_matrix_derivatives(self, cube_n3, eye_eps, unit_nu):
         fam = tf.scaling_family()
-        disc = hh.discretise(cube_n3, fam, eye_eps, unit_nu)
+        disc = Discretisation(P1, cube_n3, fam, eye_eps, unit_nu)
         p = hh.assemble_helmholtz(disc, 0.0)
         d = hh.assemble_helmholtz_derivative(disc, 0.0, 1.0)
         np.testing.assert_allclose(d.dK.toarray(), p.K.toarray(), atol=1e-12 * np.abs(p.K).max())
         np.testing.assert_allclose(d.dM.toarray(), 3 * p.M.toarray(), atol=1e-12 * np.abs(p.M).max())
 
     def test_scaling_eigenvalue_law(self, cube_n3, eye_eps, unit_nu):
-        disc = hh.discretise(cube_n3, tf.scaling_family(), eye_eps, unit_nu)
+        disc = Discretisation(P1, cube_n3, tf.scaling_family(), eye_eps, unit_nu)
         lam0 = solve_pencil(hh.assemble_helmholtz(disc, 0.0)).eigenvalues[0]
         chi = 0.2
         lam = solve_pencil(hh.assemble_helmholtz(disc, chi)).eigenvalues[0]
         assert lam == pytest.approx(lam0 / (1 + chi) ** 2, rel=1e-13)
 
     def test_translation_leaves_pencil_unchanged(self, cube_n3, eye_eps, unit_nu):
-        disc = hh.discretise(cube_n3, tf.translation_family((0.4, 0.1, -0.3)), eye_eps, unit_nu)
+        disc = Discretisation(P1, cube_n3, tf.translation_family((0.4, 0.1, -0.3)), eye_eps,
+                              unit_nu)
         p0 = hh.assemble_helmholtz(disc, 0.0)
         p1 = hh.assemble_helmholtz(disc, 0.3)
         np.testing.assert_allclose(p1.K.toarray(), p0.K.toarray(), atol=1e-12)
@@ -63,7 +65,7 @@ class TestMatrixDerivativesVsFD:
     ])
     def test_dK_dM_match_fd(self, cube_n2, family, eye_eps, unit_nu):
         h = 1e-5
-        disc = hh.discretise(cube_n2, family, eye_eps, unit_nu)
+        disc = Discretisation(P1, cube_n2, family, eye_eps, unit_nu)
         pp = hh.assemble_helmholtz(disc, h)
         pm = hh.assemble_helmholtz(disc, -h)
         d = hh.assemble_helmholtz_derivative(disc, 0.0, 1.0)
@@ -73,13 +75,13 @@ class TestMatrixDerivativesVsFD:
 
 class TestSpectrum:
     def test_lowest_eigenvalue_bracket(self, cube_n4, eye_eps, unit_nu):
-        p = hh.assemble_helmholtz(hh.discretise(cube_n4, IDENTITY, eye_eps, unit_nu), 0.0)
+        p = hh.assemble_helmholtz(Discretisation(P1, cube_n4, IDENTITY, eye_eps, unit_nu), 0.0)
         lam1 = solve_pencil(p).eigenvalues[0]
         # P1 approximation from above; measured 1.2665 * 3pi^2 on this mesh
         assert PI2_3 < lam1 < 1.27 * PI2_3
 
     def test_matrices_spd(self, cube_n3, eye_eps, unit_nu):
-        p = hh.assemble_helmholtz(hh.discretise(cube_n3, IDENTITY, eye_eps, unit_nu), 0.0)
+        p = hh.assemble_helmholtz(Discretisation(P1, cube_n3, IDENTITY, eye_eps, unit_nu), 0.0)
         K, M = p.K.toarray(), p.M.toarray()
         np.testing.assert_allclose(K, K.T, atol=1e-14)
         np.testing.assert_allclose(M, M.T, atol=1e-14)

@@ -3,8 +3,8 @@ point-major einsum formulas that they replace, kept here as the reference.
 
 Each kernel must match its reference to 1e-13 relative on random
 well-conditioned maps, coefficients and weights: the determinant and
-adjugate, the two congruences of the pull-backs, the three brackets, the
-P1 and Nedelec local stiffness and mass, and the volume form's pushed
+adjugate, the pull-back rule at both signs, the bracket of the three
+kinds, the P1 and Nedelec local stiffness and mass, and the volume form's pushed
 coefficients. An affine field along vectors, now a product over chunks of
 points, and the P1 mass of shared values, now an einsum over the points,
 must match the one 2-D BLAS product each was to 1e-14. The assembled matrices are
@@ -24,8 +24,10 @@ from spectra_shape import hadamard as hd
 from spectra_shape import helmholtz as hh
 from spectra_shape import maxwell as mx
 from spectra_shape import transforms as tf
-from spectra_shape.fem_common import ScatterPattern, local_matrices
+from spectra_shape.fem_common import Discretisation, ScatterPattern, local_matrices
 from spectra_shape.geometry import build_box_mesh
+from spectra_shape.helmholtz import P1
+from spectra_shape.maxwell import NEDELEC
 from spectra_shape.spectral import cluster_spectrum, solve_pencil
 
 # a small default profile: the kernels are cheap, and tier-1 has a 30 s budget
@@ -166,13 +168,15 @@ class TestPointKernels:
         frames = _frames(geo)
         M = _sym_matrix(rng, 1)[0]
         const = tf.AffineField(M)
-        _close(tf.transformed_epsilon(const, geo),
+        _close(tf.point_major(tf.transformed_epsilon(const, geo)),
                old_contravariant(np.broadcast_to(M, (n, 3, 3)), *frames))
-        _close(tf.transformed_mu_inv(const, geo),
+        _close(tf.point_major(tf.transformed_mu_inv(const, geo)),
                old_covariant(np.broadcast_to(M, (n, 3, 3)), *frames))
         B = rng.uniform(-1.0, 1.0, (n, 3, 3))
-        _close(tf._contravariant(tf.entry_major(B), geo), old_contravariant(B, *frames))
-        _close(tf._covariant(tf.entry_major(B), geo), old_covariant(B, *frames))
+        _close(tf.point_major(tf.pull_back(1, tf.entry_major(B), geo)),
+               old_contravariant(B, *frames))
+        _close(tf.point_major(tf.pull_back(-1, tf.entry_major(B), geo)),
+               old_covariant(B, *frames))
 
     @SMALL
     @given(seed=SEEDS, n=st.integers(1, 200), constant=st.booleans())
@@ -193,9 +197,8 @@ class TestPointKernels:
         for got, ref in zip(v, old_v):
             _close(got, ref)
         refs = old_brackets(eps, mu_inv, nu, *old_v, geo.y)
-        for bracket, c, ref in zip((tf.epsilon_bracket, tf.mu_inv_bracket, tf.nu_bracket),
-                                   (eps, mu_inv, nu), refs):
-            _close(bracket(c, v, geo), ref)
+        for sign, c, ref in zip((1, -1, 1), (eps, mu_inv, nu), refs):
+            _close(tf.point_major(tf.bracket(sign, c, v, geo)), ref)
 
     @SMALL
     @given(seed=SEEDS, n=st.sampled_from([1, 300, tf.ALONG_CHUNK, tf.ALONG_CHUNK + 1,
@@ -218,14 +221,14 @@ class TestPointKernels:
 # local matrices and the volume-form moment
 # ---------------------------------------------------------------------------
 
-SPACES = {"p1": (hh.discretise, NU), "nedelec": (mx.discretise, EPS)}
+SPACES = {"p1": (P1, NU), "nedelec": (NEDELEC, EPS)}
 
 
 @pytest.fixture(scope="module")
 def discs():
     mesh = build_box_mesh((1.0, 1.0, 1.0), 2, MIXED)
-    return {name: discretise(mesh, BUMP, EPS, second)
-            for name, (discretise, second) in SPACES.items()}
+    return {name: Discretisation(space, mesh, BUMP, EPS, second)
+            for name, (space, second) in SPACES.items()}
 
 
 class TestLocalMatrices:
@@ -259,9 +262,10 @@ class TestLocalMatrices:
     @SMALL
     @given(seed=SEEDS, space=st.sampled_from(sorted(SPACES)))
     def test_volume_moment(self, discs, seed, space):
-        """P^T B P with the space's push maps: the derivative map J^-T for P1
-        and J / det J for Nedelec, and the value map J^-T for Nedelec (P1
-        values are not pushed), the mass weighted by w."""
+        """P^T B P with the push-forwards of the space's kinds: J^-T of eps for
+        the P1 stiffness and the Nedelec mass, J / det J of mu^-1 for the
+        Nedelec stiffness (nu has none: P1 values are not pushed), the mass
+        weighted by w."""
         disc = discs[space]
         rng = np.random.default_rng(seed)
         geo = tf.map_points(disc.family, rng.uniform(-1.0, 1.0), disc.points.reshape(-1, 3))
@@ -280,7 +284,7 @@ class TestLocalMatrices:
         else:
             Bm = _sym_matrix(rng, w.size)
             ref_mass = w.ravel()[:, None, None] * pushed(JinvT, Bm)
-        stiff, mass = hd._pushed(disc.space, geo, w, np.ascontiguousarray(tf.entry_major(B)),
+        stiff, mass = hd._pushed(disc, geo, w, np.ascontiguousarray(tf.entry_major(B)),
                                  np.ascontiguousarray(tf.entry_major(Bm)))
         _close(tf.point_major(stiff), pushed(P, B))
         _close(tf.point_major(mass), ref_mass)
@@ -316,20 +320,20 @@ def test_volume_form_builds_its_moment_once(monkeypatch, discs):
 # the CSR scatter pattern
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("discretise, assemble, derivative, second, family, chi", [
-    (hh.discretise, hh.assemble_helmholtz, hh.assemble_helmholtz_derivative, NU, BUMP, 0.2),
-    (mx.discretise, mx.assemble_maxwell, mx.assemble_maxwell_derivative, EPS, BUMP, 0.2),
+@pytest.mark.parametrize("space, assemble, derivative, stiff, mass, family, chi", [
+    (P1, hh.assemble_helmholtz, hh.assemble_helmholtz_derivative, EPS, NU, BUMP, 0.2),
+    (NEDELEC, mx.assemble_maxwell, mx.assemble_maxwell_derivative, EPS,
+     tf.AffineField(np.eye(3)), BUMP, 0.2),
     # constant coefficients on the identity map: the Kuhn mesh's P1 stiffness
     # has exact zeros, which the matrices leave out
-    (hh.discretise, hh.assemble_helmholtz, hh.assemble_helmholtz_derivative,
+    (P1, hh.assemble_helmholtz, hh.assemble_helmholtz_derivative, EPS,
      tf.AffineField(1.0), tf.scaling_family(), 0.0),
 ], ids=["helmholtz-bump", "maxwell-bump", "helmholtz-scaling"])
-def test_scatter_pattern_matches_coo_assembly(discretise, assemble, derivative, second,
+def test_scatter_pattern_matches_coo_assembly(space, assemble, derivative, stiff, mass,
                                               family, chi):
     """K, M, dK and dM exactly symmetric, with the nnz and to 1e-14 the entries
     of the COO assembly of the same local matrices."""
-    eps = EPS if second is not EPS else tf.AffineField(np.eye(3))
-    disc = discretise(build_box_mesh((1.0, 1.0, 1.0), 3, MIXED), family, eps, second)
+    disc = Discretisation(space, build_box_mesh((1.0, 1.0, 1.0), 3, MIXED), family, stiff, mass)
     pencil, deriv = assemble(disc, chi), derivative(disc, chi, 1.0)
     geo = tf.map_points(disc.family, chi, disc.points.reshape(-1, 3))
     v = tf.psi_on_physical(disc.family, 1.0, geo)
@@ -337,9 +341,10 @@ def test_scatter_pattern_matches_coo_assembly(discretise, assemble, derivative, 
     w = disc.weights
     vals = np.broadcast_to(disc.values, w.shape + disc.values.shape[2:])
     for (K, M), coefficients in (
-            ((pencil.K, pencil.M), [kind.pull_back(c, geo) for kind, c in disc.coefficient_maps()]),
+            ((pencil.K, pencil.M),
+             [tf.point_major(kind.pull_back(c, geo)) for kind, c in disc.coefficient_maps()]),
             ((deriv.dK, deriv.dM),
-             [kind.derivative(c, v, geo) for kind, c in disc.coefficient_maps()])):
+             [tf.point_major(kind.derivative(c, v, geo)) for kind, c in disc.coefficient_maps()])):
         stiff, mass = coefficients
         for A, ref in ((K, old_scatter(old_local_stiffness(w, stiff, ders), gdofs, ndof)),
                        (M, old_scatter(old_local_mass(w, mass, vals), gdofs, ndof))):

@@ -17,7 +17,10 @@ from spectra_shape import helmholtz as hh
 from spectra_shape import maxwell as mx
 from spectra_shape import transforms as tf
 from spectra_shape.errors import InadmissibleParameterError
+from spectra_shape.fem_common import Discretisation
 from spectra_shape.geometry import build_box_mesh
+from spectra_shape.helmholtz import P1
+from spectra_shape.maxwell import NEDELEC
 from spectra_shape.spectral import cluster_spectrum, solve_pencil
 
 EPS = tf.matrix_coefficient_from_config(
@@ -56,7 +59,7 @@ class TestClosedForm:
     def test_folding_bump_is_inadmissible(self, cube_n3):
         """J_00 = 1 + chi a pi cos(pi x) < 0 near x = 1 for chi a pi > 1."""
         fam = tf.Family(tf.SinField(axis=0, depends_on=0, amplitude=0.5, frequency=1.0))
-        disc = hh.discretise(cube_n3, fam, EPS, NU)
+        disc = Discretisation(P1, cube_n3, fam, EPS, NU)
         worst = np.linalg.det(fam.jacobian(1.0, disc.points.reshape(-1, 3))).min()
         assert worst < 0
         with pytest.raises(InadmissibleParameterError) as err:
@@ -79,24 +82,24 @@ def _count(monkeypatch, owner, name):
 
 
 class TestTraffic:
-    @pytest.mark.parametrize("discretise, assemble, second", [
-        (hh.discretise, hh.assemble_helmholtz, NU), (mx.discretise, mx.assemble_maxwell, EPS)],
+    @pytest.mark.parametrize("space, assemble, second", [
+        (P1, hh.assemble_helmholtz, NU), (NEDELEC, mx.assemble_maxwell, EPS)],
         ids=["assemble_helmholtz-second0", "assemble_maxwell-second1"])
-    def test_assembly_maps_each_point_set_once(self, monkeypatch, cube_n3, discretise,
+    def test_assembly_maps_each_point_set_once(self, monkeypatch, cube_n3, space,
                                                assemble, second):
         calls = _count(monkeypatch, tf.Family, "jacobian")
-        assemble(discretise(cube_n3, BUMP, EPS, second), 0.2)
+        assemble(Discretisation(space, cube_n3, BUMP, EPS, second), 0.2)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("discretise, derivative, second", [
-        (hh.discretise, hh.assemble_helmholtz_derivative, NU),
-        (mx.discretise, mx.assemble_maxwell_derivative, EPS)],
+    @pytest.mark.parametrize("space, derivative, second", [
+        (P1, hh.assemble_helmholtz_derivative, NU),
+        (NEDELEC, mx.assemble_maxwell_derivative, EPS)],
         ids=["assemble_helmholtz_derivative-second0", "assemble_maxwell_derivative-second1"])
-    def test_derivative_maps_each_point_set_once(self, monkeypatch, cube_n3, discretise,
+    def test_derivative_maps_each_point_set_once(self, monkeypatch, cube_n3, space,
                                                  derivative, second):
         jac = _count(monkeypatch, tf.Family, "jacobian")
         vel = _count(monkeypatch, tf, "psi_on_physical")
-        derivative(discretise(cube_n3, BUMP, EPS, second), 0.2, 1.0)
+        derivative(Discretisation(space, cube_n3, BUMP, EPS, second), 0.2, 1.0)
         assert (len(jac), len(vel)) == (1, 1)
 
     def test_run_evaluates_each_form_once(self, monkeypatch):
@@ -116,7 +119,7 @@ class TestTraffic:
         assert len(calls) == 3
 
     def test_forms_share_the_map_across_clusters(self, monkeypatch):
-        disc = hh.discretise(build_box_mesh((1, 1, 1), 3, MIXED), BUMP, EPS, NU)
+        disc = Discretisation(P1, build_box_mesh((1, 1, 1), 3, MIXED), BUMP, EPS, NU)
         dec = solve_pencil(hh.assemble_helmholtz(disc, 0.2), count=4, cluster_tol=0.08)
         clusters = cluster_spectrum(dec, 0.08)
         assert len(clusters) >= 2
@@ -133,10 +136,10 @@ class TestTraffic:
         calls = _count(monkeypatch, geometry, "det_adjugate")
         mesh = build_box_mesh((1, 1, 1), 3, MIXED)
         for disc, assemble, derivative, volume, surface in (
-            (hh.discretise(mesh, BUMP, EPS, NU), hh.assemble_helmholtz,
+            (Discretisation(P1, mesh, BUMP, EPS, NU), hh.assemble_helmholtz,
              hh.assemble_helmholtz_derivative, hd.helmholtz_volume_matrix,
              hd.helmholtz_surface_matrix),
-            (mx.discretise(mesh, BUMP, EPS, EPS), mx.assemble_maxwell,
+            (Discretisation(NEDELEC, mesh, BUMP, EPS, EPS), mx.assemble_maxwell,
              mx.assemble_maxwell_derivative, hd.maxwell_volume_matrix,
              hd.maxwell_surface_matrix),
         ):
@@ -153,5 +156,5 @@ class TestTraffic:
         b = build_box_mesh((2, 1, 1), 2, "T")
         np.testing.assert_allclose(b.barycentric_gradients[:, :, 0],
                                    0.5 * a.barycentric_gradients[:, :, 0])
-        weights = [hh.discretise(m, tf.scaling_family(), EPS, NU).weights for m in (a, b)]
+        weights = [Discretisation(P1, m, tf.scaling_family(), EPS, NU).weights for m in (a, b)]
         np.testing.assert_allclose(weights[1], 2 * weights[0])

@@ -5,9 +5,10 @@ import pytest
 
 from spectra_shape import maxwell as mx
 from spectra_shape import transforms as tf
-from spectra_shape.fem_common import free_dofs
+from spectra_shape.fem_common import Discretisation, free_dofs
 from spectra_shape.helmholtz import P1
 from spectra_shape.geometry import build_box_mesh
+from spectra_shape.maxwell import NEDELEC
 from spectra_shape.spectral import solve_pencil
 
 # g = 0: Phi_chi(x) = x for every chi
@@ -40,17 +41,17 @@ class TestGradientKernel:
         np.testing.assert_array_equal(G.toarray(), loop_gradient_basis(mesh))
 
     def test_pencil_carries_the_basis(self, cube_n2, eye_eps, eye_mu):
-        p = mx.assemble_maxwell(mx.discretise(cube_n2, IDENTITY, eye_eps, eye_mu), 0.0)
+        p = mx.assemble_maxwell(Discretisation(NEDELEC, cube_n2, IDENTITY, eye_mu, eye_eps), 0.0)
         G = mx.gradient_kernel_basis(cube_n2)
         assert (p.kernel_basis != G).nnz == 0
 
     def test_gradients_lie_in_stiffness_kernel(self, cube_n2, eye_eps, eye_mu):
-        p = mx.assemble_maxwell(mx.discretise(cube_n2, IDENTITY, eye_eps, eye_mu), 0.0)
+        p = mx.assemble_maxwell(Discretisation(NEDELEC, cube_n2, IDENTITY, eye_mu, eye_eps), 0.0)
         G = mx.gradient_kernel_basis(cube_n2)
         assert np.abs(p.K @ G).max() < 1e-12 * np.abs(p.K).max()
 
     def test_kernel_dim_equals_gradient_count_all_t(self, cube_n3, eye_eps, eye_mu):
-        p = mx.assemble_maxwell(mx.discretise(cube_n3, IDENTITY, eye_eps, eye_mu), 0.0)
+        p = mx.assemble_maxwell(Discretisation(NEDELEC, cube_n3, IDENTITY, eye_mu, eye_eps), 0.0)
         dec = solve_pencil(p)
         G = mx.gradient_kernel_basis(cube_n3)
         # for an all-tangential boundary the free hat functions are linearly
@@ -60,7 +61,7 @@ class TestGradientKernel:
 
     def test_kernel_dim_equals_gradient_rank_all_n(self, eye_eps, eye_mu):
         mesh = build_box_mesh((1, 1, 1), 2, "N")
-        p = mx.assemble_maxwell(mx.discretise(mesh, IDENTITY, eye_eps, eye_mu), 0.0)
+        p = mx.assemble_maxwell(Discretisation(NEDELEC, mesh, IDENTITY, eye_mu, eye_eps), 0.0)
         dec = solve_pencil(p)
         G = mx.gradient_kernel_basis(mesh)
         # with every vertex free the constant potential is in the nullspace
@@ -76,14 +77,14 @@ class TestExactAffineIdentities:
 
     def test_scaling_matrix_derivatives(self, cube_n2, eye_eps, eye_mu):
         fam = tf.scaling_family()
-        disc = mx.discretise(cube_n2, fam, eye_eps, eye_mu)
+        disc = Discretisation(NEDELEC, cube_n2, fam, eye_mu, eye_eps)
         p = mx.assemble_maxwell(disc, 0.0)
         d = mx.assemble_maxwell_derivative(disc, 0.0, 1.0)
         np.testing.assert_allclose(d.dK.toarray(), -p.K.toarray(), atol=1e-12 * np.abs(p.K).max())
         np.testing.assert_allclose(d.dM.toarray(), p.M.toarray(), atol=1e-12 * np.abs(p.M).max())
 
     def test_scaling_eigenvalue_law(self, cube_n2, eye_eps, eye_mu):
-        disc = mx.discretise(cube_n2, tf.scaling_family(), eye_eps, eye_mu)
+        disc = Discretisation(NEDELEC, cube_n2, tf.scaling_family(), eye_mu, eye_eps)
         lam0 = solve_pencil(mx.assemble_maxwell(disc, 0.0)).eigenvalues[0]
         chi = 0.15
         lam = solve_pencil(mx.assemble_maxwell(disc, chi)).eigenvalues[0]
@@ -97,7 +98,7 @@ class TestMatrixDerivativesVsFD:
     ])
     def test_dK_dM_match_fd(self, cube_n2, family, eye_eps, eye_mu):
         h = 1e-5
-        disc = mx.discretise(cube_n2, family, eye_eps, eye_mu)
+        disc = Discretisation(NEDELEC, cube_n2, family, eye_mu, eye_eps)
         pp = mx.assemble_maxwell(disc, h)
         pm = mx.assemble_maxwell(disc, -h)
         d = mx.assemble_maxwell_derivative(disc, 0.0, 1.0)
@@ -107,7 +108,7 @@ class TestMatrixDerivativesVsFD:
 
 class TestSpectrum:
     def test_lowest_resonance_near_continuum(self, cube_n4, eye_eps, eye_mu):
-        p = mx.assemble_maxwell(mx.discretise(cube_n4, IDENTITY, eye_eps, eye_mu), 0.0)
+        p = mx.assemble_maxwell(Discretisation(NEDELEC, cube_n4, IDENTITY, eye_mu, eye_eps), 0.0)
         lam1 = solve_pencil(p).eigenvalues[0]
         assert abs(lam1 - PI2_2) / PI2_2 < 0.06
 

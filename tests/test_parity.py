@@ -26,7 +26,10 @@ from spectra_shape import hadamard as hd
 from spectra_shape import helmholtz as hh
 from spectra_shape import maxwell as mx
 from spectra_shape import transforms as tf
+from spectra_shape.fem_common import Discretisation
 from spectra_shape.geometry import build_box_mesh
+from spectra_shape.helmholtz import P1
+from spectra_shape.maxwell import NEDELEC
 from spectra_shape.perturbation import rellich_matrix
 from spectra_shape.spectral import cluster_spectrum, solve_pencil
 
@@ -110,11 +113,12 @@ PINNED_36_POINT = {
         6.515785820145555, -0.07833012364519308, -0.0783301236451929, -0.07776877242778035),
 }
 
+# the space, the routes and the (stiffness, mass) coefficients of each problem
 ROUTES = {
-    "helmholtz": (hh.discretise, hh.assemble_helmholtz, hh.assemble_helmholtz_derivative,
-                  hd.helmholtz_volume_matrix, hd.helmholtz_surface_matrix, NU),
-    "maxwell": (mx.discretise, mx.assemble_maxwell, mx.assemble_maxwell_derivative,
-                hd.maxwell_volume_matrix, hd.maxwell_surface_matrix, MU_INV),
+    "helmholtz": (P1, hh.assemble_helmholtz, hh.assemble_helmholtz_derivative,
+                  hd.helmholtz_volume_matrix, hd.helmholtz_surface_matrix, (EPS, NU)),
+    "maxwell": (NEDELEC, mx.assemble_maxwell, mx.assemble_maxwell_derivative,
+                hd.maxwell_volume_matrix, hd.maxwell_surface_matrix, (MU_INV, EPS)),
 }
 
 
@@ -125,8 +129,8 @@ def meshes():
 
 
 def _lowest_cluster_numbers(mesh, problem, fam, chi):
-    discretise, assemble, derivative, volume, surface, second = ROUTES[problem]
-    disc = discretise(mesh, fam, EPS, second)
+    space, assemble, derivative, volume, surface, coefficients = ROUTES[problem]
+    disc = Discretisation(space, mesh, fam, *coefficients)
     cl = cluster_spectrum(solve_pencil(assemble(disc, chi), count=1))[0]
     R = rellich_matrix(derivative(disc, chi, 1.0), cl)
     V = volume(disc, chi, 1.0, [cl])[0]

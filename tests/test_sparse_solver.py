@@ -9,8 +9,10 @@ from spectra_shape import maxwell as mx
 from spectra_shape import spectral
 from spectra_shape import transforms as tf
 from spectra_shape.errors import InadmissibleParameterError, PencilError
-from spectra_shape.fem_common import Pencil
+from spectra_shape.fem_common import Discretisation, Pencil
 from spectra_shape.geometry import box_mesh_size, build_box_mesh, tet_quadrature
+from spectra_shape.helmholtz import P1
+from spectra_shape.maxwell import NEDELEC
 from spectra_shape.spectral import cluster_spectrum, solve_pencil
 
 EYE = tf.AffineField(np.eye(3))
@@ -23,8 +25,8 @@ def fem_pencil(problem, n, partition, family=None):
     mesh = build_box_mesh((1.0, 1.0, 1.0), n, PARTITIONS[partition])
     family = family or tf.stretch_family(0)
     if problem == "maxwell":
-        return mx.assemble_maxwell(mx.discretise(mesh, family, EYE, EYE), 0.0)
-    return hh.assemble_helmholtz(hh.discretise(mesh, family, EYE, ONE), 0.0)
+        return mx.assemble_maxwell(Discretisation(NEDELEC, mesh, family, EYE, EYE), 0.0)
+    return hh.assemble_helmholtz(Discretisation(P1, mesh, family, EYE, ONE), 0.0)
 
 
 @pytest.fixture
@@ -187,7 +189,7 @@ def test_kernel_basis_without_columns(partition, lam):
     """Maxwell n=1 with every vertex on a T face: G has no column, so the
     projection is the identity and the kernel is empty."""
     mesh = build_box_mesh((1.0, 1.0, 1.0), 1, partition)
-    p = mx.assemble_maxwell(mx.discretise(mesh, tf.stretch_family(0), EYE, EYE), 0.0)
+    p = mx.assemble_maxwell(Discretisation(NEDELEC, mesh, tf.stretch_family(0), EYE, EYE), 0.0)
     assert p.kernel_basis.shape[1] == 0
     dense = solve_pencil(p)
     dec = solve_pencil(p, count=1)
@@ -251,7 +253,7 @@ def test_coefficient_checked_at_every_assembled_chi(key):
     else:
         eps, nu = tf.matrix_coefficient_from_config(
             {"kind": "scalar-affine-identity", "c0": 1.2, "c": [-1, 0, 0]}), ONE
-    disc = hh.discretise(mesh, tf.stretch_family(0), eps, nu)
+    disc = Discretisation(P1, mesh, tf.stretch_family(0), eps, nu)
     assert hh.assemble_helmholtz(disc, 0.0).size == disc.pattern.shape[0]
     with pytest.raises(InadmissibleParameterError,
                        match=f"'{key}' is not positive-definite at parameter 0.6"):

@@ -19,14 +19,14 @@ def random_points(rng, n=100):
 
 def pull_back(kind, family, chi, coeff, X):
     """Pulled-back coefficient of `kind` at reference points X."""
-    return tf.coefficient_kind(kind).pull_back(coeff, tf.map_points(family, chi, X))
+    return tf.point_major(tf.coefficient_kind(kind).pull_back(coeff, tf.map_points(family, chi, X)))
 
 
 def derivative(kind, family, chi_bar, direction, coeff, X):
     """Directional derivative of the pulled-back coefficient of `kind`."""
     geo = tf.map_points(family, chi_bar, X)
     v = tf.psi_on_physical(family, direction, geo)
-    return tf.coefficient_kind(kind).derivative(coeff, v, geo)
+    return tf.point_major(tf.coefficient_kind(kind).derivative(coeff, v, geo))
 
 
 FAMILIES = [
@@ -114,6 +114,32 @@ class TestPullBacks:
         X = np.array([[0.5, 0.5, 0.5]])
         with pytest.raises(InadmissibleParameterError):
             pull_back("epsilon", fam, -1.0, tf.AffineField(np.eye(3)), X)
+
+
+class TestCoefficientKinds:
+    @pytest.mark.parametrize("name", ["epsilon", "mu_inv", "nu"])
+    def test_pull_back_is_the_push_forward_congruence(self, name, rng):
+        """det(J) sym(P^T B P), with the kind's push-forward P, is its
+        pull-back to 1e-13 relative at random admissible mapped points, for
+        constant and affine coefficients; the scalar kind, and only it, has
+        no push-forward (P = 1)."""
+        kind = tf.coefficient_kind(name)
+        assert (kind.push is None) is (name == "nu")
+        coefficients = MATRIX_COEFFS if kind.push is not None else SCALAR_COEFFS
+        for family in FAMILIES:
+            for coeff in coefficients:
+                X = random_points(rng, 40)
+                geo = tf.map_points(family, rng.uniform(-0.1, 0.1), X)
+                B = coeff.value(geo.y)
+                if kind.push is None:
+                    expect = geo.det * B
+                else:
+                    P = tf.point_major(kind.push(geo))
+                    expect = geo.det[:, None, None] * tf._sym(
+                        np.einsum("nba,nbc,ncd->nad", P, B, P))
+                got = tf.point_major(kind.pull_back(coeff, geo))
+                assert got.shape == expect.shape
+                assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 class TestDirectionalDerivatives:
