@@ -16,7 +16,12 @@ matrices, or over chunks of points far below OpenBLAS's threading size. A
 threaded product wakes numpy's BLAS worker pool, whose workers then spin
 beside scipy's pool (each loads its own OpenBLAS) and the main thread on
 the cores the process has. Only the eigensolver (`spectral`) calls BLAS and
-LAPACK at size."""
+LAPACK at size.
+
+The per-point chain (the map, the coefficients at the mapped points, the
+local matrices) runs over blocks of at most `POINTS_PER_BLOCK` rule points
+(`Discretisation.local`), whose local matrices are joined in tet order: every
+sum runs in the order of one pass over all points."""
 
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
@@ -30,6 +35,12 @@ from .geometry import Mesh, tet_quadrature
 from .transforms import AffineField
 
 Matrix = Union[np.ndarray, sp.csr_array]
+
+# Rule points per block of tets: an entry-major 3x3 stack of 8192 points is
+# 0.6 MB, so the ten or so stacks of a block's chain stay in a 4 MB per-core
+# L2 (at the 84000 points of an order-4 n = 10 mesh a stack is 6 MB). Blocks
+# of 4096 to 16384 points measured equally fast (see README).
+POINTS_PER_BLOCK = 8192
 
 
 @dataclass
@@ -199,12 +210,36 @@ class Discretisation:
         return zip(map(transforms.coefficient_kind, self.space.coefficients),
                    (self.stiff, self.mass))
 
-    def matrices(self, stiff, mass):
+    def local(self, chi, kernel):
+        """The local (stiffness, mass) matrices (nt, k, k) of all tets in tet
+        order, from kernel(geo, w, values, derivatives) on each block of tets:
+        the map at chi at its rule points, their weights (n, nq), and its basis
+        values and derivatives. A block that finds chi inadmissible reruns the
+        chain over all points, which raises the one-pass error: the global
+        minimum of det J, the first point at which a coefficient fails."""
+        step = max(1, POINTS_PER_BLOCK // self.weights.shape[1])
+
+        def block(tets):
+            geo = transforms.map_points(self.family, chi, self.points[tets].reshape(-1, 3))
+            values = self.values if len(self.values) == 1 else self.values[tets]
+            return kernel(geo, self.weights[tets], values, self.derivatives[tets])
+
+        try:
+            parts = [block(slice(i, i + step)) for i in range(0, len(self.weights), step)]
+        except InadmissibleParameterError:
+            block(slice(None))
+            raise
+        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+    def assemble(self, chi, coefficients):
         """Stiffness and mass matrices over the free dofs of the (stiffness,
-        mass) coefficient values at the rule's points, entry-major."""
-        w = self.weights
-        local = local_matrices(self.values, self.derivatives, w, stiff, w.ravel() * mass)
-        return tuple(map(self.pattern.matrix, local))
+        mass) coefficient values, entry-major, that coefficients(geo) gives
+        at the mapped points of each block."""
+        def kernel(geo, w, values, derivatives):
+            stiff, mass = coefficients(geo)
+            return local_matrices(values, derivatives, w, stiff, w.ravel() * mass)
+
+        return tuple(map(self.pattern.matrix, self.local(chi, kernel)))
 
 
 def assemble_pencil(disc: Discretisation, chi) -> Pencil:
@@ -215,22 +250,22 @@ def assemble_pencil(disc: Discretisation, chi) -> Pencil:
     mapped quadrature point (the constant ones are checked when the config
     is read); the tet rules have positive weights and are unisolvent for
     the local bases. A failure makes chi inadmissible."""
-    geo = transforms.map_points(disc.family, chi, disc.points.reshape(-1, 3))
-    for name, c in zip(disc.space.coefficients, (disc.stiff, disc.mass)):
-        i = None if c.constant else transforms.first_not_positive(c.value(geo.y))
-        if i is not None:
-            raise InadmissibleParameterError(
-                f"coefficient {name!r} is not positive-definite at parameter {chi} "
-                f"(mapped point {geo.y[i].tolist()})")
-    coefficients = [kind.pull_back(c, geo) for kind, c in disc.coefficient_maps()]
-    del geo  # free the mapped points before the local matrices
-    return Pencil(*disc.matrices(*coefficients), disc.quad_order, disc.kernel_basis)
+    def coefficients(geo):
+        for name, c in zip(disc.space.coefficients, (disc.stiff, disc.mass)):
+            i = None if c.constant else transforms.first_not_positive(c.value(geo.y))
+            if i is not None:
+                raise InadmissibleParameterError(
+                    f"coefficient {name!r} is not positive-definite at parameter {chi} "
+                    f"(mapped point {geo.y[i].tolist()})")
+        return [kind.pull_back(c, geo) for kind, c in disc.coefficient_maps()]
+
+    return Pencil(*disc.assemble(chi, coefficients), disc.quad_order, disc.kernel_basis)
 
 
 def assemble_derivative(disc: Discretisation, chi_bar, direction) -> PencilDerivative:
     """Directional derivative (dK, dM) of the pencil at chi_bar."""
-    geo = transforms.map_points(disc.family, chi_bar, disc.points.reshape(-1, 3))
-    v = transforms.psi_on_physical(disc.family, direction, geo)
-    coefficients = [kind.derivative(c, v, geo) for kind, c in disc.coefficient_maps()]
-    del geo, v  # free the mapped points before the local matrices
-    return PencilDerivative(*disc.matrices(*coefficients))
+    def coefficients(geo):
+        v = transforms.psi_on_physical(disc.family, direction, geo)
+        return [kind.derivative(c, v, geo) for kind, c in disc.coefficient_maps()]
+
+    return PencilDerivative(*disc.assemble(chi_bar, coefficients))

@@ -12,9 +12,11 @@ The forms integrate over the quadrature first: the coefficient bracket is
 pushed by its kind's push-forward P to sym(P^T B P) at the points, once
 per call and entry-major (see `transforms`), and the local
 (stiffness, mass) matrices of the pushed pair come from the assembly's
-kernel, `local_matrices`. Each form takes a sequence of clusters and returns
-one matrix per cluster, which then costs a contraction of the local
-matrices with the cluster's eigenvector coefficients.
+kernel, `local_matrices`. The volume form runs that chain over the blocks
+of tets of `Discretisation.local`, as assembly does; the surface form's
+O(n^2) facet points are one block. Each form takes a sequence of clusters
+and returns one matrix per cluster, which then costs a contraction of the
+local matrices with the cluster's eigenvector coefficients.
 """
 
 from typing import List, Sequence
@@ -58,18 +60,17 @@ def volume_matrix(
     """Volume-integral branch-derivative matrix of each cluster.
 
     The mapped points, the velocity field, the coefficient brackets and the
-    local matrices are evaluated once for all clusters.
+    local matrices are evaluated once for all clusters, block by block of
+    tets (`Discretisation.local`).
     """
-    geo = transforms.map_points(disc.family, chi_bar, disc.points.reshape(-1, 3))
-    v = transforms.psi_on_physical(disc.family, direction, geo)
-    B_stiff, B_mass = (transforms.bracket(kind.sign, c, v, geo)
-                       for kind, c in disc.coefficient_maps())
-    del v  # not needed past the brackets: free it before the push
-    w = disc.weights * geo.det.reshape(disc.weights.shape)
-    stiff, mass = _pushed(disc, geo, w, B_stiff, B_mass)
-    del geo, B_stiff, B_mass  # nor these past the push: free them before the local matrices
-    return _cluster_matrices(disc.gdofs, *local_matrices(disc.values, disc.derivatives, w,
-                                                         stiff, mass), clusters)
+    def kernel(geo, w, values, derivatives):
+        v = transforms.psi_on_physical(disc.family, direction, geo)
+        B_stiff, B_mass = (transforms.bracket(kind.sign, c, v, geo)
+                           for kind, c in disc.coefficient_maps())
+        w = w * geo.det.reshape(w.shape)
+        return local_matrices(values, derivatives, w, *_pushed(disc, geo, w, B_stiff, B_mass))
+
+    return _cluster_matrices(disc.gdofs, *disc.local(chi_bar, kernel), clusters)
 
 
 def surface_matrix(

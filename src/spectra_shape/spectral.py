@@ -5,11 +5,11 @@ contour-quadrature spectral projectors, subspace gaps and clustering.
 ``eigh``: the reference oracle. With a ``count`` a sparse pencil is solved
 for its lowest complete clusters only, by shift-invert Lanczos (ARPACK via
 ``eigsh``) with the known kernel projected out. It makes two large
-factorisations: the shift K - sigma M, once, and per Lanczos attempt
-K - mid M inside the gap that closes the returned clusters, whose Sylvester
-inertia certifies that no eigenvalue below it was missed, near-zero ones
-included. The mass M is not factorised: assembly certifies that it is
-positive-definite.
+factorisations, one alive at a time: the shift K - sigma M, and K - mid M
+inside the gap that closes the returned clusters, whose Sylvester inertia
+certifies that no eigenvalue below it was missed, near-zero ones included.
+A failed inertia check makes both again with more pairs. The mass M is not
+factorised: assembly certifies that it is positive-definite.
 """
 
 from dataclasses import dataclass
@@ -146,9 +146,20 @@ def _kernel_projector(G, M):
     return (lambda x: x - G @ A.solve(GtM @ x)), G.shape[1]
 
 
+def _shift_inverse(K, M, sigma, project):
+    """The Lanczos operator x -> project((K - sigma M)^-1 x); the factor of
+    K - sigma M lives as long as the operator."""
+    solve = _ldl(K - sigma * M).solve
+    return spla.LinearOperator(K.shape, matvec=lambda x: project(solve(x)), dtype=float)
+
+
 def _solve_sparse(pencil: Pencil, kernel_tol: float, count: int, cluster_tol: float):
     """Lowest complete clusters covering `count` eigenvalues, or None when
-    ARPACK would need as many pairs as the pencil has."""
+    ARPACK would need as many pairs as the pencil has.
+
+    One large factor is alive at a time: the shift's is kept across
+    Lanczos attempts that do not converge, freed before the inertia's is
+    made, and made again only when the inertia check fails."""
     K, M = pencil.K, pencil.M
     n = K.shape[0]
     # O(n) guard for hand-built pencils; assembly certifies that M is SPD
@@ -157,12 +168,13 @@ def _solve_sparse(pencil: Pencil, kernel_tol: float, count: int, cluster_tol: fl
     cut = kernel_tol * pencil.lambda_scale()
     project, rank = _kernel_projector(pencil.kernel_basis, M)
     sigma = -SHIFT_FRACTION * pencil.lambda_scale()
-    solve = _ldl(K - sigma * M).solve
-    opinv = spla.LinearOperator((n, n), matvec=lambda x: project(solve(x)), dtype=float)
+    opinv = None
     # fixed start vector: repeated runs give identical reports
     v0 = np.random.default_rng(0).standard_normal(n)
     k = count + EXTRA_PAIRS
     while k < n:
+        if opinv is None:
+            opinv = _shift_inverse(K, M, sigma, project)
         try:
             vals, vecs = spla.eigsh(
                 K, k, M, sigma=sigma, which="LM", v0=v0, OPinv=opinv, tol=LANCZOS_TOL
@@ -180,10 +192,10 @@ def _solve_sparse(pencil: Pencil, kernel_tol: float, count: int, cluster_tol: fl
         end = _complete_end(vals, count, cluster_tol)
         # a Lanczos run can miss a copy of an eigenvalue, near zero or not;
         # the inertia inside the gap counts every eigenvalue below it
-        if end is not None and _count_below(
-            K, M, 0.5 * (vals[end - 1] + vals[end])
-        ) == kernel_dim + end:
-            return _rayleigh_ritz(K, M, vecs[:, :end], kernel_dim)
+        if end is not None:
+            opinv = None
+            if _count_below(K, M, 0.5 * (vals[end - 1] + vals[end])) == kernel_dim + end:
+                return _rayleigh_ritz(K, M, vecs[:, :end], kernel_dim)
         k *= 2
     return None
 

@@ -741,7 +741,7 @@ class TestCli:
             return stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]
 
         assert [calls(f) for f in (maxwell.gradient_kernel_basis, fem_common.free_dofs,
-                                   fem_common.Discretisation.matrices)] == [1, 3, 10]
+                                   fem_common.Discretisation.assemble)] == [1, 3, 10]
 
     @pytest.mark.parametrize("raw, message", [
         ({"problem": "abstract-pencil"}, "FEM problem"),

@@ -20,10 +20,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectra_shape import fem_common
 from spectra_shape import hadamard as hd
 from spectra_shape import helmholtz as hh
 from spectra_shape import maxwell as mx
 from spectra_shape import transforms as tf
+from spectra_shape.errors import InadmissibleParameterError
 from spectra_shape.fem_common import Discretisation, ScatterPattern, local_matrices
 from spectra_shape.geometry import build_box_mesh
 from spectra_shape.helmholtz import P1
@@ -386,3 +388,80 @@ def test_scatter_pattern_sums_symmetric_parts(seed, nt, k):
     dense = A.toarray()
     np.testing.assert_array_equal(dense != 0, ref != 0)
     assert np.max(np.abs(dense - ref), initial=0.0) <= 1e-14 * np.max(np.abs(ref), initial=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the blocks of tets
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def mesh6():
+    """216 tets per slab of cells along x; a block of the default size
+    (585 tets at order 4) ends inside a slab."""
+    return build_box_mesh((1.0, 1.0, 1.0), 6, MIXED)
+
+
+@pytest.mark.parametrize("space, second", [(P1, NU), (NEDELEC, EPS)], ids=["p1", "nedelec"])
+def test_blocks_match_one_pass(monkeypatch, mesh6, space, second):
+    """K, M, dK, dM and the volume matrices over three blocks of tets equal,
+    bit for bit, those of one block that covers every point: the local
+    matrices are joined in tet order, so every sum runs in the same order."""
+    disc = Discretisation(space, mesh6, BUMP, EPS, second)
+    clusters = cluster_spectrum(solve_pencil(fem_common.assemble_pencil(disc, 0.2), count=4,
+                                             cluster_tol=1e-3), 1e-3)
+
+    def forms():
+        pencil = fem_common.assemble_pencil(disc, 0.2)
+        deriv = fem_common.assemble_derivative(disc, 0.2, 1.3)
+        volumes = hd.volume_matrix(disc, 0.2, 1.3, clusters)
+        return [pencil.K, pencil.M, deriv.dK, deriv.dM], volumes
+
+    maps = _count(monkeypatch, tf, "map_points")
+    blocked, volumes = forms()
+    assert len(maps) == 3 * 3
+    monkeypatch.setattr(fem_common, "POINTS_PER_BLOCK", disc.weights.size)
+    whole, whole_volumes = forms()
+    assert len(maps) == 3 * 3 + 3
+    for A, B in zip(blocked, whole):
+        for attr in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(A, attr), getattr(B, attr))
+    for V, W in zip(volumes, whole_volumes, strict=True):
+        np.testing.assert_array_equal(V, W)
+
+
+FOLD = tf.Family(tf.SinField(axis=0, depends_on=0, amplitude=0.5, frequency=1.0))
+
+
+@pytest.mark.parametrize("chi, c0, folds, nu_fails, message", [
+    # J_00 = 1 + chi a pi cos(pi x) <= 0 from x = 0.864 on: the last slab only
+    (0.7, 2.0, [5], [], "det J_Phi <= 0"),
+    # from x = 0.732 on: the last two slabs, the minimum in the last
+    (0.955, 2.0, [4, 5], [], "det J_Phi <= 0"),
+    # nu = c0 - y < 0 from x = 0.68 on, no fold
+    (0.3, 0.8, [], [4, 5], "coefficient 'nu' is not positive-definite"),
+    # nu < 0 from x = 0.76 on, in a slab before the fold's: det J is checked first
+    (0.7, 1.0, [5], [4, 5], "det J_Phi <= 0"),
+], ids=["fold-last-block", "fold-two-blocks", "nu-later-block", "nu-before-fold"])
+def test_blocks_raise_the_one_pass_error(monkeypatch, mesh6, chi, c0, folds, nu_fails, message):
+    """Blocks of one slab of cells each (six blocks): an inadmissible chi
+    whose first failure lies in a later block reads the one-pass message,
+    with the global minimum of det J and the first mapped point at which nu
+    fails, and a fold after a failing coefficient still wins."""
+    nu = tf.AffineField(c0, np.array([-1.0, 0.0, 0.0]))
+    disc = Discretisation(P1, mesh6, FOLD, EPS, nu)
+    slabs = disc.points.reshape(6, -1, 3)
+    det = np.stack([tf.det_adjugate(FOLD.jacobian(chi, x))[0] for x in slabs])
+    nu_at = np.stack([nu.value(FOLD.map(chi, x)) for x in slabs])
+    assert np.flatnonzero((det <= 0).any(1)).tolist() == folds
+    assert np.flatnonzero((nu_at <= 0).any(1)).tolist() == nu_fails
+    assert len(folds) < 2 or det[folds[0]].min() > det.min()
+    monkeypatch.setattr(fem_common, "POINTS_PER_BLOCK", disc.weights.size // 6)
+    with pytest.raises(InadmissibleParameterError) as blocked:
+        hh.assemble_helmholtz(disc, chi)
+    monkeypatch.setattr(fem_common, "POINTS_PER_BLOCK", disc.weights.size)
+    with pytest.raises(InadmissibleParameterError) as whole:
+        hh.assemble_helmholtz(disc, chi)
+    assert str(blocked.value).startswith(message)
+    assert str(blocked.value) == str(whole.value)
+    if folds:
+        assert str(whole.value) == f"det J_Phi <= 0 at parameter {chi} (min {det.min():g})"

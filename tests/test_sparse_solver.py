@@ -1,5 +1,7 @@
 """Sparse shift-invert path of solve_pencil against the dense oracle."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -106,10 +108,9 @@ def test_exact_triple_is_returned_whole():
     assert dec.kernel_dim == 0
 
 
-def test_missed_copy_is_detected(monkeypatch):
-    """A Krylov space can hold fewer copies of a multiple eigenvalue than it
-    has; the inertia count inside the closing gap catches that and the
-    solve is repeated with more pairs."""
+def miss_a_copy_once(monkeypatch):
+    """Make the first Lanczos run drop one copy of the eigenvalue 2; returns
+    the number of pairs of each run."""
     calls = []
     eigsh = spectral.spla.eigsh
 
@@ -122,6 +123,14 @@ def test_missed_copy_is_detected(monkeypatch):
         return vals, vecs
 
     monkeypatch.setattr(spectral.spla, "eigsh", first_call_misses_a_copy)
+    return calls
+
+
+def test_missed_copy_is_detected(monkeypatch):
+    """A Krylov space can hold fewer copies of a multiple eigenvalue than it
+    has; the inertia count inside the closing gap catches that and the
+    solve is repeated with more pairs."""
+    calls = miss_a_copy_once(monkeypatch)
     dec = solve_pencil(diagonal_pencil_with_triple(), count=2)
     np.testing.assert_allclose(dec.eigenvalues, [1.0, 2.0, 2.0, 2.0], rtol=1e-12)
     assert len(calls) == 2 and calls[1] == 2 * calls[0]
@@ -171,6 +180,58 @@ def test_two_full_size_factorisations(problem, n, partition, monkeypatch):
     solve_pencil(p, count=1)
     kernel = [] if p.kernel_basis is None else [p.kernel_basis.shape[1]]
     assert sorted(sizes) == kernel + [p.size, p.size]
+
+
+class _Factor:
+    """A factor whose lifetime a weak reference can see (a SuperLU takes none)."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, b):
+        return self.lu.solve(b)
+
+    @property
+    def U(self):
+        return self.lu.U
+
+
+@pytest.mark.parametrize("case", ["helmholtz", "maxwell", "missed copy", "no convergence"])
+def test_one_full_size_factor_alive(case, monkeypatch):
+    """No full-size factor is alive when another is made: the shift's is
+    freed before the inertia's. When the inertia check fails (a Lanczos run
+    that missed a copy of the triple), the shift is factorised again; a
+    Lanczos run that does not converge keeps it."""
+    if case == "missed copy":
+        miss_a_copy_once(monkeypatch)
+        p, made = diagonal_pencil_with_triple(), 4
+    elif case == "no convergence":
+        eigsh, calls = spectral.spla.eigsh, []
+
+        def first_call_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise spectral.spla.ArpackNoConvergence("no convergence", [], [])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spectral.spla, "eigsh", first_call_fails)
+        p, made = fem_pencil("helmholtz", 4, "mixed"), 2
+    else:
+        p, made = fem_pencil(case, 4 if case == "helmholtz" else 3, "mixed"), 2
+    ldl, factors, alive_when_made = spectral._ldl, [], []
+
+    def spy(A):
+        full = A.shape[0] == p.size
+        if full:
+            alive_when_made.append(sum(ref() is not None for ref in factors))
+        factor = _Factor(ldl(A))
+        if full:
+            factors.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(spectral, "_ldl", spy)
+    solve_pencil(p, count=2)
+    assert alive_when_made == [0] * made
 
 
 def test_rank_deficient_kernel_basis_rejected():
