@@ -21,7 +21,11 @@ LAPACK at size.
 The per-point chain (the map, the coefficients at the mapped points, the
 local matrices) runs over blocks of at most `POINTS_PER_BLOCK` rule points
 (`Discretisation.local`), whose local matrices are joined in tet order: every
-sum runs in the order of one pass over all points."""
+sum runs in the order of one pass over all points.
+
+Each discretisation also numbers its free dofs once, by a geometric nested
+dissection (`nested_dissection`): the sparse eigensolver factorises every
+large matrix of its pencils in that ordering, which no chi changes."""
 
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
@@ -42,6 +46,11 @@ Matrix = Union[np.ndarray, sp.csr_array]
 # of 4096 to 16384 points measured equally fast (see README).
 POINTS_PER_BLOCK = 8192
 
+# Dofs at which the nested dissection stops splitting: 16, 32 and 64 gave the
+# fill 497,704, 518,760 and 596,604 of the all-T Nedelec n = 8 shift
+# factor, against 692,646 under SuperLU's MMD (see README)
+LEAF_DOFS = 32
+
 
 @dataclass
 class Pencil:
@@ -55,6 +64,8 @@ class Pencil:
     quad_order: int = 2
     # columns spanning the known part of ker K (Maxwell discrete gradients)
     kernel_basis: Optional[sp.csr_array] = None
+    # fill-reducing ordering of the dofs for the factorisations, or None
+    ordering: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
@@ -144,6 +155,49 @@ class ScatterPattern:
         return A
 
 
+def dof_positions(gdofs: np.ndarray, mesh: Mesh, ndof: int) -> np.ndarray:
+    """Position (ndof, 3) of each of `ndof` dofs: the mean barycentre of the
+    tets whose local functions `gdofs` (nt, k), -1 where constrained, carry it."""
+    bins = gdofs.ravel() + 1  # constrained entries sum into the dropped bin 0
+    centres = np.repeat(mesh.vertices[mesh.tets].mean(axis=1), gdofs.shape[1], axis=0)
+    sums = [np.bincount(bins, weights=centres[:, a], minlength=ndof + 1)[1:] for a in range(3)]
+    return np.stack(sums, axis=1) / np.bincount(bins, minlength=ndof + 1)[1:, None]
+
+
+def nested_dissection(positions: np.ndarray, pattern: ScatterPattern) -> np.ndarray:
+    """A fill-reducing ordering of the dofs: order[i] is the dof numbered i.
+
+    A set of more than `LEAF_DOFS` dofs splits at the median of its widest
+    coordinate; the dofs of the upper half that couple to the lower half in
+    the CSR pattern form the separator. Both halves are numbered the same
+    way, the lower first, and the separator after them. Positions within
+    round-off of the median go to the upper half, so that dofs on a mesh
+    plane through it stay together in the separator."""
+    indptr, indices = pattern.indptr, pattern.indices
+    lower = np.zeros(len(positions), dtype=bool)
+    order, stack = [], [(np.arange(len(positions)), True)]
+    while stack:  # (dofs, split): the lower half is popped first
+        dofs, split = stack.pop()
+        if split and len(dofs) > LEAF_DOFS:
+            x = positions[dofs]
+            extent = x.max(axis=0) - x.min(axis=0)
+            axis = np.argmax(extent)
+            below = x[:, axis] < np.median(x[:, axis]) - 1e-9 * extent[axis]
+            if below.any():
+                low, high = dofs[below], dofs[~below]
+                # does any entry of a row of the upper half lie in the lower half
+                starts, lengths = indptr[high], indptr[high + 1] - indptr[high]
+                firsts = np.cumsum(lengths) - lengths
+                entries = np.arange(lengths.sum()) + np.repeat(starts - firsts, lengths)
+                lower[low] = True
+                separator = np.logical_or.reduceat(lower[indices[entries]], firsts)
+                lower[low] = False
+                stack += [(high[separator], False), (high[~separator], True), (low, True)]
+                continue
+        order.append(dofs)
+    return np.concatenate(order)
+
+
 def local_matrices(values: np.ndarray, derivatives: np.ndarray, w: np.ndarray,
                    stiff: np.ndarray, mass: np.ndarray):
     """The local stiffness and mass matrices (n, k, k) of the k local functions
@@ -181,7 +235,9 @@ class Discretisation:
     points and weights per tet, the local basis (`gdofs`, the dof of each local
     function, -1 where constrained; `values`, the basis values at the rule's
     points; `derivatives`, their constant derivatives per tet), the CSR
-    scatter pattern of the free dofs and the kernel basis."""
+    scatter pattern of the free dofs, the kernel basis and the nested
+    dissection ordering of the free dofs (`ordering`), from the mean
+    barycentre of the tets that carry each dof."""
 
     space: Space
     mesh: Mesh
@@ -203,6 +259,8 @@ class Discretisation:
         self.values = space.values(mesh, rule.points[None], slice(None))
         self.derivatives = space.derivatives(mesh)
         self.pattern = ScatterPattern(self.gdofs, len(free))
+        self.ordering = nested_dissection(dof_positions(self.gdofs, mesh, len(free)),
+                                          self.pattern)
         self.kernel_basis = None if space.kernel_basis is None else space.kernel_basis(mesh)
 
     def coefficient_maps(self):
@@ -259,7 +317,8 @@ def assemble_pencil(disc: Discretisation, chi) -> Pencil:
                     f"(mapped point {geo.y[i].tolist()})")
         return [kind.pull_back(c, geo) for kind, c in disc.coefficient_maps()]
 
-    return Pencil(*disc.assemble(chi, coefficients), disc.quad_order, disc.kernel_basis)
+    return Pencil(*disc.assemble(chi, coefficients), disc.quad_order, disc.kernel_basis,
+                  disc.ordering)
 
 
 def assemble_derivative(disc: Discretisation, chi_bar, direction) -> PencilDerivative:

@@ -10,6 +10,11 @@ inside the gap that closes the returned clusters, whose Sylvester inertia
 certifies that no eigenvalue below it was missed, near-zero ones included.
 A failed inertia check makes both again with more pairs. The mass M is not
 factorised: assembly certifies that it is positive-definite.
+
+Both large factorisations of a FEM pencil run in its discretisation's
+nested-dissection ordering (`Pencil.ordering`), pre-permuted, with no
+ordering of SuperLU's own; the kernel projector's small G^T M G, and pencils
+without an ordering, take SuperLU's MMD.
 """
 
 from dataclasses import dataclass
@@ -97,16 +102,37 @@ def _solve_dense(pencil: Pencil, kernel_tol: float) -> EigenDecomposition:
     return EigenDecomposition(vals[keep], vecs[:, keep], int(np.sum(~keep)))
 
 
-def _ldl(A):
-    """SuperLU factorisation with diagonal pivots in a symmetric ordering.
+class _Reordered:
+    """The factor of A[order][:, order], solving with A in its own numbering."""
+
+    def __init__(self, lu, order):
+        self.lu, self.order = lu, order
+
+    @property
+    def U(self):
+        return self.lu.U
+
+    def solve(self, b):
+        x = np.empty_like(b)
+        x[self.order] = self.lu.solve(b[self.order])
+        return x
+
+
+def _ldl(A, order=None):
+    """SuperLU factorisation with diagonal pivots in a symmetric ordering:
+    A is factorised pre-permuted by `order` (order[i] is the row numbered
+    i), with no ordering of SuperLU's own, or, without one, in SuperLU's
+    MMD ordering of A + A^T.
 
     For symmetric A this is P A P^T = L U with U = D L^T, so the signs of
     diag(U) give the inertia of A (Sylvester).
     """
+    if order is not None:
+        A = A[order][:, order]
     try:
         lu = spla.splu(
             sp.csc_matrix(A),
-            permc_spec="MMD_AT_PLUS_A",
+            permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
             diag_pivot_thresh=0.0,
             relax=1,
             options={"SymmetricMode": True},
@@ -115,12 +141,12 @@ def _ldl(A):
         raise PencilError(f"symmetric factorisation failed: {exc}")
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise PencilError("symmetric factorisation left the diagonal")
-    return lu
+    return lu if order is None else _Reordered(lu, order)
 
 
-def _count_below(K, M, shift: float) -> int:
+def _count_below(K, M, shift: float, order) -> int:
     """Number of eigenvalues of the pencil below shift: negative pivots of K - shift M."""
-    return int(np.sum(_ldl(K - shift * M).U.diagonal() < 0))
+    return int(np.sum(_ldl(K - shift * M, order).U.diagonal() < 0))
 
 
 def _kernel_projector(G, M):
@@ -146,10 +172,10 @@ def _kernel_projector(G, M):
     return (lambda x: x - G @ A.solve(GtM @ x)), G.shape[1]
 
 
-def _shift_inverse(K, M, sigma, project):
+def _shift_inverse(K, M, sigma, project, order):
     """The Lanczos operator x -> project((K - sigma M)^-1 x); the factor of
-    K - sigma M lives as long as the operator."""
-    solve = _ldl(K - sigma * M).solve
+    K - sigma M, in the ordering `order`, lives as long as the operator."""
+    solve = _ldl(K - sigma * M, order).solve
     return spla.LinearOperator(K.shape, matvec=lambda x: project(solve(x)), dtype=float)
 
 
@@ -174,7 +200,7 @@ def _solve_sparse(pencil: Pencil, kernel_tol: float, count: int, cluster_tol: fl
     k = count + EXTRA_PAIRS
     while k < n:
         if opinv is None:
-            opinv = _shift_inverse(K, M, sigma, project)
+            opinv = _shift_inverse(K, M, sigma, project, pencil.ordering)
         try:
             vals, vecs = spla.eigsh(
                 K, k, M, sigma=sigma, which="LM", v0=v0, OPinv=opinv, tol=LANCZOS_TOL
@@ -194,7 +220,8 @@ def _solve_sparse(pencil: Pencil, kernel_tol: float, count: int, cluster_tol: fl
         # the inertia inside the gap counts every eigenvalue below it
         if end is not None:
             opinv = None
-            if _count_below(K, M, 0.5 * (vals[end - 1] + vals[end])) == kernel_dim + end:
+            mid = 0.5 * (vals[end - 1] + vals[end])
+            if _count_below(K, M, mid, pencil.ordering) == kernel_dim + end:
                 return _rayleigh_ritz(K, M, vecs[:, :end], kernel_dim)
         k *= 2
     return None

@@ -167,19 +167,30 @@ def test_missed_kernel_mode_is_detected(monkeypatch):
 @pytest.mark.parametrize("problem,n,partition", [("helmholtz", 4, "T"), ("maxwell", 3, "mixed")])
 def test_two_full_size_factorisations(problem, n, partition, monkeypatch):
     """One Lanczos attempt factorises K - sigma M and K - mid M, never M
-    itself; Maxwell adds the small G^T M G of its kernel projector."""
+    itself; Maxwell adds the small G^T M G of its kernel projector. Both
+    full-size factorisations run SuperLU with no ordering of its own on the
+    discretisation's nested dissection; G^T M G has none and takes MMD."""
     p = fem_pencil(problem, n, partition)
-    sizes = []
-    ldl = spectral._ldl
+    sizes, orders, specs = [], [], []
+    ldl, splu = spectral._ldl, spectral.spla.splu
 
-    def spy(A):
+    def spy(A, order=None):
         sizes.append(A.shape[0])
-        return ldl(A)
+        orders.append((A.shape[0], order))
+        return ldl(A, order)
+
+    def splu_spy(A, **kwargs):
+        specs.append((A.shape[0], kwargs["permc_spec"]))
+        return splu(A, **kwargs)
 
     monkeypatch.setattr(spectral, "_ldl", spy)
+    monkeypatch.setattr(spectral.spla, "splu", splu_spy)
     solve_pencil(p, count=1)
     kernel = [] if p.kernel_basis is None else [p.kernel_basis.shape[1]]
     assert sorted(sizes) == kernel + [p.size, p.size]
+    assert all(order is p.ordering for size, order in orders if size == p.size)
+    assert all(order is None for size, order in orders if size != p.size)
+    assert sorted(specs) == [(size, "MMD_AT_PLUS_A") for size in kernel] + [(p.size, "NATURAL")] * 2
 
 
 class _Factor:
@@ -220,11 +231,11 @@ def test_one_full_size_factor_alive(case, monkeypatch):
         p, made = fem_pencil(case, 4 if case == "helmholtz" else 3, "mixed"), 2
     ldl, factors, alive_when_made = spectral._ldl, [], []
 
-    def spy(A):
+    def spy(A, order=None):
         full = A.shape[0] == p.size
         if full:
             alive_when_made.append(sum(ref() is not None for ref in factors))
-        factor = _Factor(ldl(A))
+        factor = _Factor(ldl(A, order))
         if full:
             factors.append(weakref.ref(factor))
         return factor
