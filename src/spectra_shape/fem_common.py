@@ -24,8 +24,9 @@ local matrices) runs over blocks of at most `POINTS_PER_BLOCK` rule points
 sum runs in the order of one pass over all points.
 
 Each discretisation also numbers its free dofs once, by a geometric nested
-dissection (`nested_dissection`): the sparse eigensolver factorises every
-large matrix of its pencils in that ordering, which no chi changes."""
+dissection (`nested_dissection`), which no chi changes: the sparse
+eigensolver factorises the shift of its pencils in that ordering, and counts
+their inertia on its elimination tree (`DissectionTree`)."""
 
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
@@ -66,6 +67,8 @@ class Pencil:
     kernel_basis: Optional[sp.csr_array] = None
     # fill-reducing ordering of the dofs for the factorisations, or None
     ordering: Optional[np.ndarray] = None
+    # the elimination tree of that ordering, for the inertia count, or None
+    tree: Optional["DissectionTree"] = None
 
     @property
     def size(self) -> int:
@@ -164,8 +167,24 @@ def dof_positions(gdofs: np.ndarray, mesh: Mesh, ndof: int) -> np.ndarray:
     return np.stack(sums, axis=1) / np.bincount(bins, minlength=ndof + 1)[1:, None]
 
 
-def nested_dissection(positions: np.ndarray, pattern: ScatterPattern) -> np.ndarray:
-    """A fill-reducing ordering of the dofs: order[i] is the dof numbered i.
+@dataclass(frozen=True, eq=False)
+class DissectionTree:
+    """The elimination tree of a nested dissection, in the numbering of its
+    ordering. Node i numbers the dofs bounds[i]:bounds[i+1]; the nodes come in
+    post-order (the lower half's subtree, the upper half's, their separator),
+    a leaf has no children and a separator the roots of its halves' subtrees.
+    `fronts[i]` are the later rows, sorted, that the dofs of node i's subtree
+    couple to: all of them in ancestors' separators, and a superset of the
+    rows of its Schur update."""
+
+    bounds: np.ndarray
+    children: Tuple[Tuple[int, ...], ...]
+    fronts: Tuple[np.ndarray, ...]
+
+
+def nested_dissection(positions: np.ndarray, pattern: ScatterPattern):
+    """A fill-reducing ordering of the dofs, order[i] the dof numbered i, and
+    its elimination tree (`DissectionTree`).
 
     A set of more than `LEAF_DOFS` dofs splits at the median of its widest
     coordinate; the dofs of the upper half that couple to the lower half in
@@ -175,10 +194,13 @@ def nested_dissection(positions: np.ndarray, pattern: ScatterPattern) -> np.ndar
     plane through it stay together in the separator."""
     indptr, indices = pattern.indptr, pattern.indices
     lower = np.zeros(len(positions), dtype=bool)
-    order, stack = [], [(np.arange(len(positions)), True)]
-    while stack:  # (dofs, split): the lower half is popped first
-        dofs, split = stack.pop()
-        if split and len(dofs) > LEAF_DOFS:
+    order, children, roots = [], [], []
+    # (dofs, the children of a separator or None for a set to split, the
+    # children list of the node above): the lower half is popped first
+    stack = [(np.arange(len(positions)), None, roots)]
+    while stack:
+        dofs, kids, siblings = stack.pop()
+        if kids is None and len(dofs) > LEAF_DOFS:
             x = positions[dofs]
             extent = x.max(axis=0) - x.min(axis=0)
             axis = np.argmax(extent)
@@ -192,10 +214,31 @@ def nested_dissection(positions: np.ndarray, pattern: ScatterPattern) -> np.ndar
                 lower[low] = True
                 separator = np.logical_or.reduceat(lower[indices[entries]], firsts)
                 lower[low] = False
-                stack += [(high[separator], False), (high[~separator], True), (low, True)]
+                kids = []
+                stack += [(high[separator], kids, siblings), (high[~separator], None, kids),
+                          (low, None, kids)]
                 continue
+        siblings.append(len(order))
+        children.append(tuple(kids or ()))
         order.append(dofs)
-    return np.concatenate(order)
+    bounds = np.cumsum([0] + [len(dofs) for dofs in order])
+    order = np.concatenate(order)
+    return order, DissectionTree(bounds, tuple(children), _fronts(order, bounds, children, pattern))
+
+
+def _fronts(order, bounds, children, pattern):
+    """The later rows each node's subtree couples to, in the new numbering:
+    those of the node's own rows and of its children's fronts."""
+    n = len(order)
+    P = sp.csr_array((np.ones(len(pattern.indices)), pattern.indices, pattern.indptr),
+                     shape=(n, n))[order][:, order]
+    fronts = []
+    for node, kids in enumerate(children):
+        a, b = bounds[node], bounds[node + 1]
+        rows = np.unique(np.concatenate([P.indices[P.indptr[a]:P.indptr[b]]]
+                                        + [fronts[k] for k in kids]))
+        fronts.append(rows[rows >= b])
+    return tuple(fronts)
 
 
 def local_matrices(values: np.ndarray, derivatives: np.ndarray, w: np.ndarray,
@@ -237,7 +280,8 @@ class Discretisation:
     points; `derivatives`, their constant derivatives per tet), the CSR
     scatter pattern of the free dofs, the kernel basis and the nested
     dissection ordering of the free dofs (`ordering`), from the mean
-    barycentre of the tets that carry each dof."""
+    barycentre of the tets that carry each dof, with its elimination tree
+    (`tree`)."""
 
     space: Space
     mesh: Mesh
@@ -259,8 +303,8 @@ class Discretisation:
         self.values = space.values(mesh, rule.points[None], slice(None))
         self.derivatives = space.derivatives(mesh)
         self.pattern = ScatterPattern(self.gdofs, len(free))
-        self.ordering = nested_dissection(dof_positions(self.gdofs, mesh, len(free)),
-                                          self.pattern)
+        self.ordering, self.tree = nested_dissection(
+            dof_positions(self.gdofs, mesh, len(free)), self.pattern)
         self.kernel_basis = None if space.kernel_basis is None else space.kernel_basis(mesh)
 
     def coefficient_maps(self):
@@ -318,7 +362,7 @@ def assemble_pencil(disc: Discretisation, chi) -> Pencil:
         return [kind.pull_back(c, geo) for kind, c in disc.coefficient_maps()]
 
     return Pencil(*disc.assemble(chi, coefficients), disc.quad_order, disc.kernel_basis,
-                  disc.ordering)
+                  disc.ordering, disc.tree)
 
 
 def assemble_derivative(disc: Discretisation, chi_bar, direction) -> PencilDerivative:

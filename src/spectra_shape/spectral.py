@@ -4,17 +4,26 @@ contour-quadrature spectral projectors, subspace gaps and clustering.
 ``solve_pencil`` has two paths. Without a ``count`` it runs a full dense
 ``eigh``: the reference oracle. With a ``count`` a sparse pencil is solved
 for its lowest complete clusters only, by shift-invert Lanczos (ARPACK via
-``eigsh``) with the known kernel projected out. It makes two large
-factorisations, one alive at a time: the shift K - sigma M, and K - mid M
-inside the gap that closes the returned clusters, whose Sylvester inertia
-certifies that no eigenvalue below it was missed, near-zero ones included.
-A failed inertia check makes both again with more pairs. The mass M is not
-factorised: assembly certifies that it is positive-definite.
+``eigsh``) with the known kernel projected out. It keeps one large factor,
+SuperLU's of the shift K - sigma M, and counts the Sylvester inertia of
+K - mid M inside the gap that closes the returned clusters, which certifies
+that no eigenvalue below it was missed, near-zero ones included. A failed
+inertia check factorises the shift again and runs with more pairs. The mass
+M is not factorised: assembly certifies that it is positive-definite.
 
-Both large factorisations of a FEM pencil run in its discretisation's
+The shift of a FEM pencil is factorised in its discretisation's
 nested-dissection ordering (`Pencil.ordering`), pre-permuted, with no
-ordering of SuperLU's own; the kernel projector's small G^T M G, and pencils
-without an ordering, take SuperLU's MMD.
+ordering of SuperLU's own. Its inertia is counted by a multifrontal pass
+over that ordering's elimination tree (`Pencil.tree`) that keeps no factor:
+Bunch-Kaufman on each front's pivot block, the Schur update passed to the
+parent and dropped once added, and no SuperLU factor alive meanwhile.
+Pencils without a tree, and a pivot block that is exactly singular, count
+from SuperLU's pivots in its MMD ordering; the kernel projector's small
+G^T M G takes MMD as well.
+
+Dense products at size run in scipy's LAPACK and BLAS (`lapack.dsysv`,
+`blas.dgemm`), never through numpy's `@`: a product large enough to thread
+wakes numpy's BLAS pool beside scipy's (see `fem_common`).
 """
 
 from dataclasses import dataclass
@@ -22,6 +31,7 @@ from typing import List, Optional
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import blas, lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -39,6 +49,9 @@ EXTRA_PAIRS = 4
 # relative accuracy of the Ritz values; the Rayleigh-Ritz step on the
 # returned block gives eigenvalues to round-off from vectors this accurate
 LANCZOS_TOL = 1e-12
+# the inertia count takes a subtree of the elimination tree with at most this
+# many dofs as one front: fewer and larger dense blocks, the same count
+MERGED_DOFS = 128
 
 
 @dataclass
@@ -108,10 +121,6 @@ class _Reordered:
     def __init__(self, lu, order):
         self.lu, self.order = lu, order
 
-    @property
-    def U(self):
-        return self.lu.U
-
     def solve(self, b):
         x = np.empty_like(b)
         x[self.order] = self.lu.solve(b[self.order])
@@ -144,14 +153,95 @@ def _ldl(A, order=None):
     return lu if order is None else _Reordered(lu, order)
 
 
-def _count_below(K, M, shift: float, order) -> int:
-    """Number of eigenvalues of the pencil below shift: negative pivots of K - shift M."""
-    return int(np.sum(_ldl(K - shift * M, order).U.diagonal() < 0))
+def _negatives(ldu, ipiv) -> int:
+    """Negative eigenvalues of the block-diagonal D of a Bunch-Kaufman
+    factorisation (`dsytrf` or `dsysv`, lower): a 1x1 block where ipiv > 0,
+    a 2x2 block on each pair of consecutive negative entries."""
+    d = ldu.diagonal()
+    first = np.flatnonzero(ipiv < 0)[::2]
+    a, b, e = d[first], d[first + 1], ldu[first + 1, first]
+    det = a * b - e * e
+    return int(np.count_nonzero(d[ipiv > 0] < 0) + np.count_nonzero(det < 0)
+               + 2 * np.count_nonzero((det > 0) & (a + b < 0)))
+
+
+def _count_on_tree(A, tree) -> Optional[int]:
+    """Negative eigenvalues of the symmetric A, numbered as its `tree`, by a
+    multifrontal LDL^T that keeps no factor, or None when a pivot block is
+    exactly singular.
+
+    Front by front in post-order: a node's front, over its pivots and its
+    `tree.fronts` rows, takes A's entries and its children's Schur updates
+    (extend-add); its pivot block is factorised by Bunch-Kaufman, whose D
+    has the block's negative eigenvalues, and the update F22 - F21 F11^-1
+    F12 goes to the parent. A subtree of at most `MERGED_DOFS` dofs is one
+    front, whose pivots are all its dofs. A child's update is dropped once
+    added; every dense product runs in scipy's LAPACK and BLAS."""
+    A = sp.csr_array(A)
+    indptr, indices, data = A.indptr, A.indices, A.data
+    bounds, children, fronts = tree.bounds, tree.children, tree.fronts
+    # node i's subtree numbers first[i]:bounds[i + 1]; the root's parent is
+    # a sentinel that is never small
+    nodes = len(children)
+    first, parent = bounds[:-1].copy(), np.full(nodes, nodes)
+    for node, kids in enumerate(children):
+        if kids:
+            first[node] = first[list(kids)].min()
+            parent[list(kids)] = node
+    small = np.append(bounds[1:] - first <= MERGED_DOFS, False)
+    updates, negatives = {}, 0
+    for node, (kids, rows) in enumerate(zip(children, fronts)):
+        if small[node] and small[parent[node]]:
+            continue  # in the front of a subtree above it
+        a, b = (first if small[node] else bounds)[node], bounds[node + 1]
+        kids = () if small[node] else kids
+        p, u = b - a, len(rows)
+        F11, F12, F22 = (np.zeros(shape, order="F") for shape in ((p, p), (p, u), (u, u)))
+        # the front's rows of A from its first pivot's column on (the entries
+        # left of them were added by the fronts below)
+        r = np.repeat(np.arange(p), np.diff(indptr[a:b + 1]))
+        c, v = indices[indptr[a]:indptr[b]], data[indptr[a]:indptr[b]]
+        pivot, later = (c >= a) & (c < b), c >= b
+        F11[r[pivot], c[pivot] - a] = v[pivot]
+        F12[r[later], np.searchsorted(rows, c[later])] = v[later]
+        for kid in kids:
+            # a child's rows: some of the node's pivots, then later rows
+            kid_rows, update = fronts[kid], updates.pop(kid)
+            k = np.searchsorted(kid_rows, b)
+            i, j = kid_rows[:k] - a, np.searchsorted(rows, kid_rows[k:])
+            F11[np.ix_(i, i)] += update[:k, :k]
+            F12[np.ix_(i, j)] += update[:k, k:]
+            F22[np.ix_(j, j)] += update[k:, k:]
+        if p:
+            # Bunch-Kaufman factor of F11 and X = F11^-1 F12 in one call
+            ldu, ipiv, X, info = lapack.dsysv(F11, F12, lower=1, lwork=64 * p, overwrite_a=1)
+            if info > 0:
+                return None
+            negatives += _negatives(ldu, ipiv)
+            if u:
+                F22 = blas.dgemm(-1.0, F12, X, beta=1.0, c=F22, trans_a=1, overwrite_c=1)
+        updates[node] = F22
+    return negatives
+
+
+def _count_below(K, M, shift: float, order=None, tree=None) -> int:
+    """Number of eigenvalues of the pencil below shift: the negative
+    eigenvalues of K - shift M (Sylvester), counted on the elimination tree
+    of `order` when there is one and no pivot block of it is exactly
+    singular, from SuperLU's pivots in MMD ordering otherwise."""
+    A = K - shift * M
+    if tree is not None:
+        count = _count_on_tree(A[order][:, order], tree)
+        if count is not None:
+            return count
+    return int(np.sum(_ldl(A).U.diagonal() < 0))
 
 
 def _kernel_projector(G, M):
     """M-orthogonal projector off range(G), x -> x - G (G^T M G)^-1 G^T M x,
-    and the rank of G, checked by the pivots of the LDL^T of G^T M G."""
+    and the rank of G, checked by the pivots of the LDL^T of G^T M G. The
+    checked factor, with the copies its pivots are read through, is dropped;
+    the projector keeps a fresh one."""
     if G is not None and not np.any(G @ np.ones(G.shape[1])):
         # every vertex is free (no tangential boundary): the constant
         # potential spans ker G, so drop one anchor column
@@ -160,16 +250,16 @@ def _kernel_projector(G, M):
         # no column: nothing to project
         return (lambda x: x), 0
     MG = M @ G
+    GtMG = G.T @ MG
     try:
-        A = _ldl(G.T @ MG)
-        pivots = A.U.diagonal()
+        pivots = _ldl(GtMG).U.diagonal()
         deficient = np.any(pivots <= len(pivots) * np.finfo(float).eps * pivots.max())
     except PencilError:  # an exactly zero pivot
         deficient = True
     if deficient:
         raise PencilError("kernel basis is rank-deficient")
-    GtM = sp.csr_array(MG.T)
-    return (lambda x: x - G @ A.solve(GtM @ x)), G.shape[1]
+    solve, GtM = _ldl(GtMG).solve, sp.csr_array(MG.T)
+    return (lambda x: x - G @ solve(GtM @ x)), G.shape[1]
 
 
 def _shift_inverse(K, M, sigma, project, order):
@@ -184,8 +274,8 @@ def _solve_sparse(pencil: Pencil, kernel_tol: float, count: int, cluster_tol: fl
     ARPACK would need as many pairs as the pencil has.
 
     One large factor is alive at a time: the shift's is kept across
-    Lanczos attempts that do not converge, freed before the inertia's is
-    made, and made again only when the inertia check fails."""
+    Lanczos attempts that do not converge, freed before the inertia is
+    counted, and made again only when the inertia check fails."""
     K, M = pencil.K, pencil.M
     n = K.shape[0]
     # O(n) guard for hand-built pencils; assembly certifies that M is SPD
@@ -221,7 +311,7 @@ def _solve_sparse(pencil: Pencil, kernel_tol: float, count: int, cluster_tol: fl
         if end is not None:
             opinv = None
             mid = 0.5 * (vals[end - 1] + vals[end])
-            if _count_below(K, M, mid, pencil.ordering) == kernel_dim + end:
+            if _count_below(K, M, mid, pencil.ordering, pencil.tree) == kernel_dim + end:
                 return _rayleigh_ritz(K, M, vecs[:, :end], kernel_dim)
         k *= 2
     return None

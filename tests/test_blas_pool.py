@@ -1,14 +1,16 @@
-"""numpy's BLAS worker pool stays asleep in the point kernels.
+"""numpy's BLAS worker pool stays asleep in the point kernels and in the
+inertia count.
 
 numpy and scipy each load their own OpenBLAS, each with its own pool of
 worker threads. A 2-D BLAS product over the point or tet axis is large
 enough at the benchmark sizes for numpy's OpenBLAS to thread it, and its
 woken workers then spin beside scipy's and the main thread. The kernels
 keep such products in einsum's own loops or in chunks too small to
-thread. This test runs them at sizes the benchmark's workloads reach, on
-which a single product would thread, in a fresh process with two BLAS
-threads, and reads the CPU time of numpy's pool threads, the threads that
-exist right after `import numpy`, from /proc.
+thread, and the count-only pass of the eigensolver runs its dense products
+in scipy's LAPACK and BLAS. These tests run them at sizes the benchmark's
+workloads reach, on which a single product would thread, in a fresh process
+with two BLAS threads, and read the CPU time of numpy's pool threads, the
+threads that exist right after `import numpy`, from /proc.
 """
 
 import json
@@ -23,7 +25,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-SCRIPT = textwrap.dedent("""
+PRELUDE = textwrap.dedent("""
     import json, os, threading
 
     def cpu_s(tids):
@@ -36,7 +38,9 @@ SCRIPT = textwrap.dedent("""
 
     import numpy as np
     pool = sorted({int(t) for t in os.listdir("/proc/self/task")} - {threading.get_native_id()})
+""")
 
+KERNELS = PRELUDE + textwrap.dedent("""
     from spectra_shape import fem_common, transforms
 
     rng = np.random.default_rng(0)
@@ -59,6 +63,24 @@ SCRIPT = textwrap.dedent("""
     print(json.dumps({"threads": len(pool), "cpu_s": cpu_s(pool) - before}))
 """)
 
+# the count-only pass on the all-T Nedelec n = 8 pencil (3032 dofs, the
+# size of maxwell-stretch-dshape) at a shift in the gap above its lowest
+# triple: 343 kernel modes and 3 eigenvalues below it
+COUNT = PRELUDE + textwrap.dedent("""
+    from spectra_shape import maxwell, spectral, transforms
+    from spectra_shape.fem_common import Discretisation, assemble_pencil
+    from spectra_shape.geometry import build_box_mesh
+
+    eye = transforms.AffineField(np.eye(3))
+    disc = Discretisation(maxwell.NEDELEC, build_box_mesh((1.0, 1.0, 1.0), 8, "T"),
+                          transforms.stretch_family(0), eye, eye)
+    p = assemble_pencil(disc, 0.0)
+    before = cpu_s(pool)
+    counts = [spectral._count_below(p.K, p.M, 25.0, p.ordering, p.tree) for _ in range(10)]
+    assert counts == [346] * 10, counts
+    print(json.dumps({"threads": len(pool), "cpu_s": cpu_s(pool) - before}))
+""")
+
 
 def _cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -71,16 +93,34 @@ def _numpy_blas_name() -> str:
         return ""
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
-@pytest.mark.skipif(_cores() < 2, reason="needs two cores for a two-thread BLAS pool")
-@pytest.mark.skipif("openblas" not in _numpy_blas_name().lower(),
-                    reason="numpy's BLAS is not OpenBLAS")
-def test_point_kernels_leave_numpys_blas_pool_asleep():
+pytestmark = [
+    pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task"),
+    pytest.mark.skipif(_cores() < 2, reason="needs two cores for a two-thread BLAS pool"),
+    pytest.mark.skipif("openblas" not in _numpy_blas_name().lower(),
+                       reason="numpy's BLAS is not OpenBLAS"),
+]
+
+
+def _pool_cpu_s(script: str) -> float:
+    """CPU seconds of numpy's pool threads in the measured part of the script,
+    run in a fresh process at two BLAS threads."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True)
     result = json.loads(out.stdout.strip().splitlines()[-1])
     if result["threads"] == 0:
         pytest.skip("numpy's OpenBLAS started no worker threads")
-    assert result["cpu_s"] <= 0.02, f"numpy's BLAS pool used {result['cpu_s']:.2f} s of CPU"
+    return result["cpu_s"]
+
+
+def test_point_kernels_leave_numpys_blas_pool_asleep():
+    cpu_s = _pool_cpu_s(KERNELS)
+    assert cpu_s <= 0.02, f"numpy's BLAS pool used {cpu_s:.2f} s of CPU"
+
+
+def test_count_pass_leaves_numpys_blas_pool_asleep():
+    """Ten count-only passes: a Schur update through numpy's `@` in place of
+    `blas.dgemm` wakes the pool and fails this."""
+    cpu_s = _pool_cpu_s(COUNT)
+    assert cpu_s <= 0.02, f"numpy's BLAS pool used {cpu_s:.2f} s of CPU"

@@ -1,14 +1,20 @@
-"""The nested-dissection ordering of a discretisation's free dofs, and the
-factorisations that the sparse eigensolver makes in it."""
+"""The nested-dissection ordering of a discretisation's free dofs, its
+elimination tree, the factorisations that the sparse eigensolver makes in it
+and the inertia count on the tree."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from spectra_shape import harness, spectral
 from spectra_shape import transforms as tf
-from spectra_shape.fem_common import Discretisation, assemble_pencil, dof_positions
+from spectra_shape.fem_common import (DissectionTree, Discretisation, assemble_pencil,
+                                      dof_positions, nested_dissection)
 from spectra_shape.geometry import build_box_mesh, load_mesh
 from spectra_shape.helmholtz import P1
 from spectra_shape.maxwell import NEDELEC
@@ -57,21 +63,149 @@ def test_every_pencil_of_a_problem_carries_the_one_ordering():
         assert harness.assemble_at(problem, chi).ordering is pencil.ordering
 
 
-@pytest.mark.parametrize("case", [("helmholtz", 6, "T"), ("maxwell", 4, MIXED_PARTITION),
-                                  "one-tet"], ids=["helmholtz-T", "maxwell-mixed", "one-tet"])
-def test_inertia_equals_mmd(case, tmp_path):
-    """At a shift between consecutive distinct eigenvalues, K - s M has as
-    many negative pivots in the discretisation's ordering as under MMD, and
-    as many as there are eigenvalues below s; at the kernel's gap and the
-    lowest 24 others."""
+def subtrees(tree):
+    """The first dof of each node's subtree: its descendants and itself
+    number the range first[i]:tree.bounds[i + 1]."""
+    first = tree.bounds[:-1].copy()
+    for i, kids in enumerate(tree.children):
+        first[i] = min([first[i]] + [first[k] for k in kids])
+    return first
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_tree_partitions_the_ordering_in_post_order(case, tmp_path):
+    """The count on the tree is only right when these hold: the nodes number
+    [0, n) in consecutive ranges, each child comes before its parent and has
+    one, the root is last, no entry of the pattern couples two sibling
+    subtrees, and the fronts of a node are exactly the later rows its
+    subtree couples to, all of them in its ancestors."""
+    disc = discretisation(case, tmp_path)
+    tree, n = disc.tree, len(disc.ordering)
+    assert tree.bounds[0] == 0 and tree.bounds[-1] == n
+    assert np.all(np.diff(tree.bounds) >= 0)
+    nodes = len(tree.children)
+    parent = np.full(nodes, -1)
+    for i, kids in enumerate(tree.children):
+        assert all(k < i for k in kids) and np.all(parent[list(kids)] == -1)
+        parent[list(kids)] = i
+    assert np.nonzero(parent < 0)[0].tolist() == [nodes - 1]
+
+    pattern = disc.pattern
+    P = sp.csr_array((np.ones(len(pattern.indices)), pattern.indices, pattern.indptr),
+                     shape=pattern.shape)[disc.ordering][:, disc.ordering]
+    first = subtrees(tree)
+    for i, kids in enumerate(tree.children):
+        ranges = [slice(first[k], tree.bounds[k + 1]) for k in kids]
+        for x in ranges:
+            for y in ranges:
+                if x != y:
+                    assert P[x][:, y].nnz == 0
+        ancestors, a = [], parent[i]
+        while a >= 0:
+            ancestors += range(tree.bounds[a], tree.bounds[a + 1])
+            a = parent[a]
+        coupled = np.unique(P[first[i]:tree.bounds[i + 1]].indices)
+        expected = coupled[coupled >= tree.bounds[i + 1]]
+        np.testing.assert_array_equal(tree.fronts[i], expected)
+        assert set(expected.tolist()) <= set(ancestors)
+
+
+COUNT_CASES = CASES[:1] + [("helmholtz", 6, "N"), ("helmholtz", 6, MIXED_PARTITION),
+                           ("maxwell", 4, "T"), ("maxwell", 4, "N")] + CASES[2:3] + ["one-tet"]
+COUNT_IDS = ["helmholtz-T", "helmholtz-N", "helmholtz-mixed", "maxwell-T", "maxwell-N",
+             "maxwell-mixed", "one-tet"]
+
+
+@pytest.mark.parametrize("case", COUNT_CASES, ids=COUNT_IDS)
+def test_inertia_equals_mmd(case, tmp_path, monkeypatch):
+    """Just above zero and at a shift between consecutive distinct
+    eigenvalues, the count-only pass on the discretisation's tree finds as
+    many negative eigenvalues of K - s M as SuperLU's pivots under MMD, and
+    as many as there are eigenvalues below s: at the kernel's gap and the
+    lowest 24 others; with the small subtrees merged into one front each,
+    and with a front per node."""
     p = assemble_pencil(discretisation(case, tmp_path), 0.0)
     vals = sla.eigh(p.K.toarray(), p.M.toarray(), eigvals_only=True)
     gaps = np.nonzero(np.diff(vals) > 1e-6 * np.abs(vals).max())[0]
     assert len(gaps) >= 2
-    for i in gaps[:25]:
-        s = 0.5 * (vals[i] + vals[i + 1])
-        assert spectral._count_below(p.K, p.M, s, p.ordering) == i + 1
-        assert spectral._count_below(p.K, p.M, s, None) == i + 1
+    shifts = [spectral.DEFAULT_KERNEL_TOL * p.lambda_scale()]
+    shifts += [0.5 * (vals[i] + vals[i + 1]) for i in gaps[:25]]
+    for s in shifts:
+        below = int(np.sum(vals < s))
+        assert spectral._count_below(p.K, p.M, s, p.ordering, p.tree) == below
+        assert spectral._count_below(p.K, p.M, s) == below
+        A = (p.K - s * p.M)[p.ordering][:, p.ordering]
+        for merged in (spectral.MERGED_DOFS, 0):
+            monkeypatch.setattr(spectral, "MERGED_DOFS", merged)
+            assert spectral._count_on_tree(A, p.tree) == below
+
+
+def chain(values, diagonal):
+    """A symmetric pentadiagonal matrix on dofs 0..n-1 at x = i, with its
+    nested dissection and tree."""
+    n = len(diagonal)
+    A = sp.diags([values[1:], values, diagonal, values, values[1:]], [-2, -1, 0, 1, 2],
+                 shape=(n, n), format="csr")
+    positions = np.stack([np.arange(n, dtype=float), np.zeros(n), np.zeros(n)], axis=1)
+    order, tree = nested_dissection(positions, SimpleNamespace(indptr=A.indptr,
+                                                               indices=A.indices))
+    return sp.csr_array(A[order][:, order]), tree
+
+
+def test_two_by_two_pivots_are_counted(monkeypatch):
+    """A zero diagonal makes Bunch-Kaufman take 2x2 pivot blocks, each with
+    one negative and one positive eigenvalue; on a 300-dof chain with zero
+    diagonals (a front per node, 2x2 blocks in the leaves and separators)
+    the count equals the eigenvalues' below zero, and [[0, 1], [1, 0]] in a
+    larger front takes a 2x2 block."""
+    monkeypatch.setattr(spectral, "MERGED_DOFS", 0)
+    blocks, negatives = [], spectral._negatives
+
+    def spy(ldu, ipiv):
+        blocks.append(np.sum(ipiv < 0) // 2)
+        return negatives(ldu, ipiv)
+
+    monkeypatch.setattr(spectral, "_negatives", spy)
+    rng = np.random.default_rng(3)
+    for diagonal in (np.zeros(300), rng.choice([0.0, 0.0, 1.0, -1.0], 300)):
+        A, tree = chain(rng.uniform(0.5, 1.5, 299), diagonal)
+        blocks.clear()
+        expected = int(np.sum(np.linalg.eigvalsh(A.toarray()) < 0))
+        assert spectral._count_on_tree(A, tree) == expected
+        assert len(blocks) > 3 and sum(blocks) > 3
+    # [[0, 1], [1, 0]] and a negative pivot in one front, with a separator
+    A = np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, -3.0, 1.0],
+                  [1.0, 0.0, 1.0, 2.0]])
+    tree = DissectionTree(np.array([0, 3, 4]), ((), (0,)), (np.array([3]), np.array([], int)))
+    assert np.any(lapack.dsytrf(A[:3, :3], lower=1)[1] < 0)
+    assert spectral._count_on_tree(sp.csr_array(A), tree) == int(np.sum(np.linalg.eigvalsh(A) < 0))
+
+
+def test_singular_pivot_block_falls_back_to_superlu(monkeypatch):
+    """A leaf whose pivot block is exactly zero stops the pass (Bunch-Kaufman
+    reports it singular); the count then comes from SuperLU's pivots in its
+    MMD ordering, and is right. Merged into one front with its parent, the
+    leaf's block is part of a regular one."""
+    A = sp.csr_array(np.array([[0.0, 0.0, 1.0, 1.0, 1.0],
+                               [0.0, 1.0, 1.0, 0.0, 0.0],
+                               [1.0, 1.0, 2.0, 1.0, 0.0],
+                               [1.0, 0.0, 1.0, 3.0, 1.0],
+                               [1.0, 0.0, 0.0, 1.0, 4.0]]))
+    tree = DissectionTree(np.array([0, 1, 2, 5]), ((), (), (0, 1)),
+                          (np.array([2, 3, 4]), np.array([2]), np.array([], int)))
+    assert spectral._count_on_tree(A, tree) == 1
+    monkeypatch.setattr(spectral, "MERGED_DOFS", 0)
+    assert spectral._count_on_tree(A, tree) is None
+    orders, ldl = [], spectral._ldl
+
+    def spy(A, order=None):
+        orders.append(order)
+        return ldl(A, order)
+
+    monkeypatch.setattr(spectral, "_ldl", spy)
+    count = spectral._count_below(A, sp.eye_array(5, format="csr"), 0.0, np.arange(5), tree)
+    assert count == int(np.sum(np.linalg.eigvalsh(A.toarray()) < 0)) == 1
+    assert orders == [None]
 
 
 def test_solve_matches_spsolve():

@@ -1,5 +1,6 @@
 """Sparse shift-invert path of solve_pencil against the dense oracle."""
 
+import dataclasses
 import weakref
 
 import numpy as np
@@ -164,33 +165,69 @@ def test_missed_kernel_mode_is_detected(monkeypatch):
                                rtol=1e-10)
 
 
-@pytest.mark.parametrize("problem,n,partition", [("helmholtz", 4, "T"), ("maxwell", 3, "mixed")])
-def test_two_full_size_factorisations(problem, n, partition, monkeypatch):
-    """One Lanczos attempt factorises K - sigma M and K - mid M, never M
-    itself; Maxwell adds the small G^T M G of its kernel projector. Both
-    full-size factorisations run SuperLU with no ordering of its own on the
-    discretisation's nested dissection; G^T M G has none and takes MMD."""
-    p = fem_pencil(problem, n, partition)
-    sizes, orders, specs = [], [], []
-    ldl, splu = spectral._ldl, spectral.spla.splu
+def spy_factorisations(monkeypatch):
+    """Records each SuperLU factorisation (size, ordering, permc_spec) and
+    the size of each count-only pass on the tree."""
+    made, passes = [], []
+    ldl, splu, count = spectral._ldl, spectral.spla.splu, spectral._count_on_tree
 
-    def spy(A, order=None):
-        sizes.append(A.shape[0])
-        orders.append((A.shape[0], order))
+    def ldl_spy(A, order=None):
+        made.append((A.shape[0], order))
         return ldl(A, order)
 
     def splu_spy(A, **kwargs):
-        specs.append((A.shape[0], kwargs["permc_spec"]))
+        made[-1] += (kwargs["permc_spec"],)
         return splu(A, **kwargs)
 
-    monkeypatch.setattr(spectral, "_ldl", spy)
+    def count_spy(A, tree):
+        passes.append(A.shape[0])
+        return count(A, tree)
+
+    monkeypatch.setattr(spectral, "_ldl", ldl_spy)
     monkeypatch.setattr(spectral.spla, "splu", splu_spy)
+    monkeypatch.setattr(spectral, "_count_on_tree", count_spy)
+    return made, passes
+
+
+@pytest.mark.parametrize("problem,n,partition", [("helmholtz", 4, "T"), ("maxwell", 3, "mixed")])
+def test_two_full_size_factorisations(problem, n, partition, monkeypatch):
+    """One Lanczos attempt on a FEM pencil factorises K - sigma M with
+    SuperLU, with no ordering of its own, on the discretisation's nested
+    dissection, and counts the inertia of K - mid M by one count-only pass
+    on its tree, which keeps no factor; M itself is never factorised.
+    Maxwell adds the small G^T M G of its kernel projector, in MMD: once for
+    the rank check, whose factor is dropped, and once for the projector."""
+    p = fem_pencil(problem, n, partition)
+    made, passes = spy_factorisations(monkeypatch)
     solve_pencil(p, count=1)
-    kernel = [] if p.kernel_basis is None else [p.kernel_basis.shape[1]]
-    assert sorted(sizes) == kernel + [p.size, p.size]
-    assert all(order is p.ordering for size, order in orders if size == p.size)
-    assert all(order is None for size, order in orders if size != p.size)
-    assert sorted(specs) == [(size, "MMD_AT_PLUS_A") for size in kernel] + [(p.size, "NATURAL")] * 2
+    kernel = [] if p.kernel_basis is None else [p.kernel_basis.shape[1]] * 2
+    assert sorted(size for size, _, _ in made) == kernel + [p.size]
+    assert [(o is p.ordering, spec) for size, o, spec in made if size == p.size] == [
+        (True, "NATURAL")]
+    assert all(o is None and spec == "MMD_AT_PLUS_A" for size, o, spec in made
+               if size != p.size)
+    assert passes == [p.size]
+
+
+@pytest.mark.parametrize("case", ["no tree", "diagonal"])
+def test_pencil_without_a_tree_counts_with_superlu(case, monkeypatch):
+    """A pencil with no elimination tree (built by hand, or a FEM pencil
+    stripped of it) makes two full-size SuperLU factorisations per attempt:
+    the shift, in the pencil's ordering if it has one, and the inertia's in
+    MMD; no count-only pass runs."""
+    if case == "no tree":
+        p = dataclasses.replace(fem_pencil("helmholtz", 4, "mixed"), tree=None)
+    else:
+        p = diagonal_pencil_with_triple()
+    made, passes = spy_factorisations(monkeypatch)
+    dec = solve_pencil(p, count=2)
+    assert passes == []
+    shift, inertia = made
+    assert shift == (p.size, p.ordering, "MMD_AT_PLUS_A" if p.ordering is None else "NATURAL")
+    assert inertia == (p.size, None, "MMD_AT_PLUS_A")
+    dense = solve_pencil(p)
+    np.testing.assert_allclose(dec.eigenvalues, dense.eigenvalues[:len(dec.eigenvalues)],
+                               rtol=1e-10)
 
 
 class _Factor:
@@ -209,13 +246,16 @@ class _Factor:
 
 @pytest.mark.parametrize("case", ["helmholtz", "maxwell", "missed copy", "no convergence"])
 def test_one_full_size_factor_alive(case, monkeypatch):
-    """No full-size factor is alive when another is made: the shift's is
-    freed before the inertia's. When the inertia check fails (a Lanczos run
-    that missed a copy of the triple), the shift is factorised again; a
-    Lanczos run that does not converge keeps it."""
+    """No full-size SuperLU factor is alive when another is made, nor while
+    the count-only pass runs: the shift's is freed before the inertia is
+    counted. A FEM pencil makes one factor and one pass per attempt, and a
+    Lanczos run that does not converge keeps its factor. A pencil with no
+    tree counts with a second SuperLU factor; when the inertia check fails
+    (a Lanczos run that missed a copy of the triple), the shift is
+    factorised again."""
     if case == "missed copy":
         miss_a_copy_once(monkeypatch)
-        p, made = diagonal_pencil_with_triple(), 4
+        p, made, passes = diagonal_pencil_with_triple(), 4, 0
     elif case == "no convergence":
         eigsh, calls = spectral.spla.eigsh, []
 
@@ -226,23 +266,65 @@ def test_one_full_size_factor_alive(case, monkeypatch):
             return eigsh(*args, **kwargs)
 
         monkeypatch.setattr(spectral.spla, "eigsh", first_call_fails)
-        p, made = fem_pencil("helmholtz", 4, "mixed"), 2
+        p, made, passes = fem_pencil("helmholtz", 4, "mixed"), 1, 1
     else:
-        p, made = fem_pencil(case, 4 if case == "helmholtz" else 3, "mixed"), 2
-    ldl, factors, alive_when_made = spectral._ldl, [], []
+        p, made, passes = fem_pencil(case, 4 if case == "helmholtz" else 3, "mixed"), 1, 1
+    ldl, count, factors, alive_when_made, alive_in_pass = (
+        spectral._ldl, spectral._count_on_tree, [], [], [])
+
+    def alive():
+        return sum(ref() is not None for ref in factors)
 
     def spy(A, order=None):
         full = A.shape[0] == p.size
         if full:
-            alive_when_made.append(sum(ref() is not None for ref in factors))
+            alive_when_made.append(alive())
         factor = _Factor(ldl(A, order))
         if full:
             factors.append(weakref.ref(factor))
         return factor
 
+    def count_spy(A, tree):
+        alive_in_pass.append(alive())
+        return count(A, tree)
+
     monkeypatch.setattr(spectral, "_ldl", spy)
+    monkeypatch.setattr(spectral, "_count_on_tree", count_spy)
     solve_pencil(p, count=2)
     assert alive_when_made == [0] * made
+    assert alive_in_pass == [0] * passes
+
+
+def test_missed_maxwell_copy_is_caught_by_the_pass(monkeypatch):
+    """A first Lanczos run on a FEM Maxwell pencil that misses the lowest
+    member of the split PEC triple (one cluster at cluster_tol 0.08) reads
+    a complete cluster of two; the count-only pass inside the closing gap
+    counts three, and the solve is repeated with twice the pairs."""
+    p = fem_pencil("maxwell", 4, "T")
+    cut = spectral.DEFAULT_KERNEL_TOL * p.lambda_scale()
+    calls, counts = [], []
+    eigsh, count = spectral.spla.eigsh, spectral._count_on_tree
+
+    def first_call_misses_a_copy(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        calls.append(len(vals))
+        if len(calls) == 1:
+            drop = np.argmin(np.where(vals > cut, vals, np.inf))
+            vals, vecs = np.delete(vals, drop), np.delete(vecs, drop, axis=1)
+        return vals, vecs
+
+    def count_spy(A, tree):
+        counts.append(count(A, tree))
+        return counts[-1]
+
+    monkeypatch.setattr(spectral.spla, "eigsh", first_call_misses_a_copy)
+    monkeypatch.setattr(spectral, "_count_on_tree", count_spy)
+    dec = solve_pencil(p, count=1, cluster_tol=0.08)
+    dense = solve_pencil(p)
+    assert len(calls) == 2 and calls[1] == 2 * calls[0]
+    assert counts == [dense.kernel_dim + 3] * 2
+    assert len(dec.eigenvalues) == 3
+    np.testing.assert_allclose(dec.eigenvalues, dense.eigenvalues[:3], rtol=1e-10)
 
 
 def test_rank_deficient_kernel_basis_rejected():
