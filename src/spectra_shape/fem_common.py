@@ -18,10 +18,12 @@ beside scipy's pool (each loads its own OpenBLAS) and the main thread on
 the cores the process has. Only the eigensolver (`spectral`) calls BLAS and
 LAPACK at size.
 
-The per-point chain (the map, the coefficients at the mapped points, the
-local matrices) runs over blocks of at most `POINTS_PER_BLOCK` rule points
-(`Discretisation.local`), whose local matrices are joined in tet order: every
-sum runs in the order of one pass over all points.
+The per-point chain (the rule's points and weights on the tets, the map,
+the coefficients at the mapped points, the local matrices) runs over blocks
+of at most `POINTS_PER_BLOCK` rule points (`Discretisation.local`), whose
+local matrices are written in tet order into one array per matrix: every
+sum runs in the order of one pass over all points. No array over all rule
+points is kept.
 
 Each discretisation also numbers its free dofs once, by a geometric nested
 dissection (`nested_dissection`), which no chi changes: the sparse
@@ -94,6 +96,8 @@ class Space:
     the eigenfield push-forward and the Hadamard forms are written once over
     them. Local basis functions carry a trailing component axis (1 for
     scalar fields), and ``tets`` selects the tets that ``values`` evaluates.
+    A space reads only the mesh data it needs: the mesh derives its edges on
+    first use, so P1 never numbers them.
     """
 
     # (stiffness, mass) coefficient kinds, see transforms.coefficient_kind:
@@ -128,9 +132,10 @@ class ScatterPattern:
     """Where the entries of local matrices (nt, k, k) go in a CSR matrix over
     `ndof` dofs, for the dofs `gdofs` (nt, k) of each local function, -1 where
     constrained: the CSR slot of each local pair (i, j), from the sorted keys
-    row * ndof + col of all pairs."""
+    row * ndof + col of all pairs, in int32 while ndof^2 < 2^31."""
 
     def __init__(self, gdofs: np.ndarray, ndof: int):
+        gdofs = gdofs.astype(np.int32 if ndof * ndof < 2**31 else np.int64)
         rows, cols = gdofs[:, :, None], gdofs[:, None, :]
         keys, slot = np.unique(np.where((rows >= 0) & (cols >= 0), rows * ndof + cols, -1),
                                return_inverse=True)
@@ -274,14 +279,14 @@ def default_quad_order(family, *coefficients) -> int:
 class Discretisation:
     """A problem discretised on the reference mesh: the space, the mesh, the
     family and the (stiffness, mass) coefficients, with the data that no chi
-    changes computed once from one tet rule: the quadrature order, the rule's
-    points and weights per tet, the local basis (`gdofs`, the dof of each local
-    function, -1 where constrained; `values`, the basis values at the rule's
-    points; `derivatives`, their constant derivatives per tet), the CSR
-    scatter pattern of the free dofs, the kernel basis and the nested
-    dissection ordering of the free dofs (`ordering`), from the mean
-    barycentre of the tets that carry each dof, with its elimination tree
-    (`tree`)."""
+    changes computed once from one tet rule (`rule`): the quadrature order,
+    the local basis (`gdofs`, the dof of each local function, -1 where
+    constrained; `values`, the basis values at the rule's points; `derivatives`,
+    their constant derivatives per tet), the CSR scatter pattern of the free
+    dofs, the kernel basis and the nested dissection ordering of the free dofs
+    (`ordering`), from the mean barycentre of the tets that carry each dof,
+    with its elimination tree (`tree`). The rule's physical points and
+    weights are formed per block of tets (`points`, `weights`), not kept."""
 
     space: Space
     mesh: Mesh
@@ -292,9 +297,7 @@ class Discretisation:
     def __post_init__(self):
         space, mesh = self.space, self.mesh
         self.quad_order = default_quad_order(self.family, self.stiff, self.mass)
-        rule = tet_quadrature(self.quad_order)
-        self.points = rule.points @ mesh.vertices[mesh.tets]
-        self.weights = 6.0 * mesh.tet_volumes()[:, None] * rule.weights[None, :]
+        self.rule = rule = tet_quadrature(self.quad_order)
         free, dof_of = free_dofs(space, mesh)
         if len(free) == 0:
             raise DegenerateProblemError("every dof is constrained by the tangential boundary; "
@@ -312,26 +315,44 @@ class Discretisation:
         return zip(map(transforms.coefficient_kind, self.space.coefficients),
                    (self.stiff, self.mass))
 
+    def points(self, tets=slice(None)) -> np.ndarray:
+        """The rule's physical points (n, nq, 3) on the tets `tets` (all by default)."""
+        return self.rule.points @ self.mesh.vertices[self.mesh.tets[tets]]
+
+    def weights(self, tets=slice(None)) -> np.ndarray:
+        """The rule's weights (n, nq) that integrate over the tets `tets`."""
+        return 6.0 * self.mesh.tet_volumes(tets)[:, None] * self.rule.weights
+
     def local(self, chi, kernel):
         """The local (stiffness, mass) matrices (nt, k, k) of all tets in tet
         order, from kernel(geo, w, values, derivatives) on each block of tets:
         the map at chi at its rule points, their weights (n, nq), and its basis
-        values and derivatives. A block that finds chi inadmissible reruns the
-        chain over all points, which raises the one-pass error: the global
-        minimum of det J, the first point at which a coefficient fails."""
-        step = max(1, POINTS_PER_BLOCK // self.weights.shape[1])
+        values and derivatives. Each block's matrices are written into one
+        array per matrix; a mesh of one block keeps that block's arrays. A
+        block that finds chi inadmissible reruns the chain over all points,
+        which raises the one-pass error: the global minimum of det J, the
+        first point at which a coefficient fails."""
+        nt, step = len(self.mesh.tets), max(1, POINTS_PER_BLOCK // len(self.rule.weights))
 
         def block(tets):
-            geo = transforms.map_points(self.family, chi, self.points[tets].reshape(-1, 3))
+            geo = transforms.map_points(self.family, chi, self.points(tets).reshape(-1, 3))
             values = self.values if len(self.values) == 1 else self.values[tets]
-            return kernel(geo, self.weights[tets], values, self.derivatives[tets])
+            return kernel(geo, self.weights(tets), values, self.derivatives[tets])
 
         try:
-            parts = [block(slice(i, i + step)) for i in range(0, len(self.weights), step)]
+            parts = block(slice(0, step))
+            if nt <= step:
+                return parts
+            out = tuple(np.empty((nt,) + a.shape[1:], a.dtype) for a in parts)
+            for start in range(0, nt, step):
+                if start:
+                    parts = block(slice(start, start + step))
+                for o, a in zip(out, parts):
+                    o[start:start + step] = a
         except InadmissibleParameterError:
             block(slice(None))
             raise
-        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+        return out
 
     def assemble(self, chi, coefficients):
         """Stiffness and mass matrices over the free dofs of the (stiffness,

@@ -104,12 +104,14 @@ def triangle_quadrature(order: int = 2) -> QuadratureRule:
 class Mesh:
     """Immutable tetrahedral mesh with tagged boundary facets.
 
-    ``tets`` are stored with positive signed volume. Each edge is stored
-    once, oriented low index -> high index. ``tet_edges``/``tet_edge_signs``
-    give, per tet, the global edge index of each local edge and the sign
-    relating the local orientation to the global one. ``bfacet_tets``, the
-    tet owning each boundary facet, is derived by `validate`. Tet volumes and
-    barycentric gradients are computed once, on first use.
+    ``tets`` are stored with positive signed volume. ``bfacet_tets``, the
+    tet owning each boundary facet, is derived by `validate`. The edges are
+    derived on first use, as only edge elements read them: ``edges`` holds
+    each edge once, oriented low index -> high index, in lexicographic
+    order, and ``tet_edges``/``tet_edge_signs`` give, per tet, the global
+    edge index of each local edge and the sign relating the local
+    orientation to the global one. Tet volumes and barycentric gradients
+    are likewise computed once, on first use.
     """
 
     vertices: np.ndarray                 # (nv, 3)
@@ -117,9 +119,6 @@ class Mesh:
     bfacet_vertices: np.ndarray          # (nb, 3) int
     bfacet_tags: List[str]               # 'T' or 'N'
     bfacet_tets: np.ndarray = field(init=False)     # (nb,) owning tet index
-    edges: np.ndarray = field(init=False)          # (ne, 2) int, lexicographic
-    tet_edges: np.ndarray = field(init=False)      # (nt, 6) int
-    tet_edge_signs: np.ndarray = field(init=False)  # (nt, 6) +-1
     # facet_incidence(tets), when the caller has computed it already
     incidence: InitVar[Optional[tuple]] = None
 
@@ -127,19 +126,32 @@ class Mesh:
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.tets = np.asarray(self.tets, dtype=int)
         self.bfacet_vertices = np.asarray(self.bfacet_vertices, dtype=int)
-        self._build_edges()
         self.bfacet_tets = self.validate(incidence)
 
-    def _build_edges(self):
-        pairs = self.tets[:, TET_EDGE_PAIRS]             # (nt, 6, 2)
-        lo = pairs.min(axis=2)
-        hi = pairs.max(axis=2)
-        sign = np.where(pairs[:, :, 0] < pairs[:, :, 1], 1, -1)
-        flat = np.stack([lo.ravel(), hi.ravel()], axis=1)
-        edges, _, inverse, _ = _unique_rows(flat)
-        self.edges = edges
-        self.tet_edges = inverse.reshape(lo.shape)
-        self.tet_edge_signs = sign
+    # -- edges, derived on first use -------------------------------------------
+
+    @cached_property
+    def _edge_numbering(self):
+        """(edges (ne, 2), tet_edges (nt, 6)): the distinct low -> high
+        vertex pairs of the tets' edges in lexicographic order, and the index
+        of each tet's local edges among them."""
+        pairs = np.sort(self.tets[:, TET_EDGE_PAIRS], axis=2).reshape(-1, 2)
+        edges, _, inverse, _ = _unique_rows(pairs)
+        return edges, inverse.reshape(-1, len(TET_EDGE_PAIRS))
+
+    @property
+    def edges(self) -> np.ndarray:
+        return self._edge_numbering[0]
+
+    @property
+    def tet_edges(self) -> np.ndarray:
+        return self._edge_numbering[1]
+
+    @cached_property
+    def tet_edge_signs(self) -> np.ndarray:
+        """(nt, 6): +1 where a local edge runs low -> high, -1 otherwise."""
+        pairs = self.tets[:, TET_EDGE_PAIRS]
+        return np.where(pairs[:, :, 0] < pairs[:, :, 1], 1, -1)
 
     # -- geometric quantities ------------------------------------------------
 
@@ -149,8 +161,9 @@ class Mesh:
         v = self.vertices[self.tets]
         return det_adjugate(v[:, 1:] - v[:, :1])
 
-    def tet_volumes(self) -> np.ndarray:
-        return self._edge_frames[0] / 6.0
+    def tet_volumes(self, tets=slice(None)) -> np.ndarray:
+        """Volumes of the tets `tets` (all by default)."""
+        return self._edge_frames[0][tets] / 6.0
 
     @cached_property
     def barycentric_gradients(self) -> np.ndarray:

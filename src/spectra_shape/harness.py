@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import hadamard, helmholtz, maxwell, transforms
-from .errors import ConfigError, ContractViolationError
+from .errors import ConfigError, ContractViolationError, InadmissibleParameterError
 from .fem_common import Discretisation, Pencil, PencilDerivative
 from .geometry import Mesh, build_box_mesh, load_mesh
 from .perturbation import elementary_symmetric, rellich_matrix, trace_formula
@@ -490,11 +490,20 @@ def run(problem: Problem) -> dict:
                 rec["surface_volume_gap"] = _relative_gap(S, V, floor)
         records.append(rec)
 
-    # clusters that share an FD step share the solves at chi_bar +- step
+    # clusters that share an FD step share the solves at chi_bar +- step; a
+    # step enlarged past fd_step that leaves the admissible parameters
+    # withholds its clusters' FD slopes, while fd_step itself must be admissible
     steps = [cluster_fd_step(cl, cfg.fd_step) for cl in wanted]
     for step in dict.fromkeys(steps):
         group = [i for i, s in enumerate(steps) if s == step]
-        fits = tracked_fd_slopes(problem, [wanted[i] for i in group], step)
+        try:
+            fits = tracked_fd_slopes(problem, [wanted[i] for i in group], step)
+        except InadmissibleParameterError as exc:
+            if step <= cfg.fd_step:
+                raise
+            for i in group:
+                records[i].update(fd_step=step, fd_tracking=f"withheld: {exc}")
+            continue
         for i, (fd_slopes, tag, min_overlap) in zip(group, fits):
             records[i].update(slopes_fd=fd_slopes.tolist(), fd_step=step, fd_tracking=tag,
                               fd_min_overlap=min_overlap)
@@ -591,22 +600,25 @@ def refinement_study(cfg: RunConfig) -> List[dict]:
         raise ConfigError(f"refinement must be strictly increasing, got {list(cfg.refinement)}")
     for n in cfg.refinement:  # every level, before the first is built
         _check_box_size(_SPACES[cfg.problem], n)
-    rows = []
-    prev_gap = None
-    for n in cfg.refinement:
-        level = build_problem(replace(cfg, mesh=dict(cfg.mesh, n=n)))
-        pencil, dec, clusters = level.solution
-        cl = clusters[0]
-        ((R, V, S, floor),) = _route_matrices(level, [cl], surface=True)
-        gap = _relative_gap(S, V, floor)
-        rows.append({
-            "n": n,
-            "dofs": pencil.size,
-            "eigenvalues": dec.eigenvalues[: cl.indices[-1] + 1].tolist(),
-            "lambda_bar": cl.lambda_bar,
-            "route_discrepancy": _relative_gap(V, R, floor),
-            "surface_volume_gap": gap,
-            "gap_decreased": bool(prev_gap is None or gap < prev_gap),
-        })
-        prev_gap = gap
+    rows = [_study_level(cfg, n) for n in cfg.refinement]
+    for prev, row in zip([None] + rows, rows):
+        row["gap_decreased"] = bool(prev is None
+                                    or row["surface_volume_gap"] < prev["surface_volume_gap"])
     return rows
+
+
+def _study_level(cfg: RunConfig, n: int) -> dict:
+    """The study row of the box with n cells per side. The level's problem,
+    pencil and solve die when this returns, before the next level is built."""
+    level = build_problem(replace(cfg, mesh=dict(cfg.mesh, n=n)))
+    pencil, dec, clusters = level.solution
+    cl = clusters[0]
+    ((R, V, S, floor),) = _route_matrices(level, [cl], surface=True)
+    return {
+        "n": n,
+        "dofs": pencil.size,
+        "eigenvalues": dec.eigenvalues[: cl.indices[-1] + 1].tolist(),
+        "lambda_bar": cl.lambda_bar,
+        "route_discrepancy": _relative_gap(V, R, floor),
+        "surface_volume_gap": _relative_gap(S, V, floor),
+    }

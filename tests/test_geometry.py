@@ -270,6 +270,26 @@ class TestBoxMesh:
                 {v for tri, t in zip(ref.bfacet_vertices.tolist(), ref.bfacet_tags)
                  if t == tag for v in tri})
 
+    @pytest.mark.parametrize("n, partition", [(1, "T"), (2, MIXED), (3, "N")])
+    def test_edges_derived_on_first_use(self, n, partition):
+        """The edges are not derived with the mesh; on first use they are the
+        distinct low -> high vertex pairs of the tets in lexicographic order,
+        with each tet's local edges numbered and signed by a dict walk."""
+        mesh = build_box_mesh((1, 1.5, 0.5), n, partition)
+        assert not {"_edge_numbering", "tet_edge_signs"} & set(vars(mesh))
+        pairs = sorted({tuple(sorted(p)) for tet in mesh.tets.tolist()
+                        for p in itertools.combinations(tet, 2)})
+        assert mesh.edges.tolist() == [list(p) for p in pairs]
+        index = {p: i for i, p in enumerate(pairs)}
+        assert mesh.tet_edges.tolist() == [
+            [index[tuple(sorted((tet[a], tet[b])))] for a, b in TET_EDGE_PAIRS]
+            for tet in mesh.tets.tolist()]
+        assert mesh.tet_edge_signs.tolist() == [
+            [1 if tet[a] < tet[b] else -1 for a, b in TET_EDGE_PAIRS]
+            for tet in mesh.tets.tolist()]
+        assert mesh.edges.dtype == mesh.tet_edges.dtype == mesh.tet_edge_signs.dtype == int
+        assert mesh.edges is mesh.edges and mesh.tet_edge_signs is mesh.tet_edge_signs
+
     def test_interface_vertices_go_to_dirichlet_side(self):
         # vertices on the closure of the T part are constrained even where
         # the N face meets them

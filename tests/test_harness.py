@@ -7,6 +7,7 @@ import pstats
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -161,6 +162,21 @@ class TestRun:
         assert len(chis) == 3
         for rec in records:
             assert rec["slopes_fd"] == pytest.approx(rec["slopes_rellich"], rel=1e-6)
+
+    def test_enlarged_fd_step_past_admissibility_is_withheld(self):
+        """On the n=3 box at cluster_tol 0.5 the cluster [2..8] (width 182 at
+        lambda_bar 165) takes the FD step 4.41, and chi_bar - 4.41 folds the
+        scaling map: that cluster's FD slopes are withheld, with the step and
+        the reason, and its routes are still reported."""
+        [rec] = harness.run(harness.build_problem(
+            config(index_range=[2, 2], cluster_tol=0.5)))["clusters"]
+        assert rec["indices"] == list(range(2, 9))
+        assert rec["fd_step"] == pytest.approx(4.0 * rec["width"] / rec["lambda_bar"])
+        assert rec["fd_step"] > 1.0
+        assert rec["fd_tracking"].startswith(
+            f"withheld: det J_Phi <= 0 at parameter {-rec['fd_step']!r}")
+        assert not {"slopes_fd", "fd_min_overlap"} & set(rec)
+        assert rec["route_discrepancy"] <= 1e-10
 
     def test_report_schema_fields(self):
         doc = harness.run(harness.build_problem(config()))
@@ -336,6 +352,23 @@ class TestRefinementStudy:
         for (A, B), (A2, B2) in (((V, R), (V2, R2)), ((S, V), (S2, V2))):
             assert (harness._relative_gap(A2, B2, floor2)
                     == pytest.approx(harness._relative_gap(A, B, floor), rel=0, abs=1e-12))
+
+    def test_one_level_alive_at_a_time(self, monkeypatch):
+        """Each level's problem, with its mesh, discretisation, pencil and
+        solve, is dead when the next level's build starts."""
+        levels = []
+        build = harness.build_problem
+
+        def spied(cfg):
+            assert [ref() for ref in levels] == [None] * len(levels), "a previous level is alive"
+            problem = build(cfg)
+            levels.append(weakref.ref(problem))
+            return problem
+
+        monkeypatch.setattr(harness, "build_problem", spied)
+        rows = harness.refinement_study(config(refinement=[2, 3, 4]))
+        assert [row["n"] for row in rows] == [2, 3, 4] and len(levels) == 3
+        assert levels[-1]() is None
 
     def test_dof_guard(self):
         cfg = config(problem="maxwell", refinement=[64])
@@ -645,6 +678,18 @@ class TestCli:
         raw = dict(HELM_SCALING, chi_bar=-1.0)
         path = self.write_config(tmp_path, raw)
         assert cli.main(["eig", "--config", path]) == cli.EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("overrides, code", [
+        # the enlarged step 4.41 of the cluster [2..8] is withheld
+        (dict(index_range=[2, 2], cluster_tol=0.5), 0),
+        # fd_step itself folds the scaling map at chi_bar - 2
+        (dict(fd_step=2.0), 3),
+    ], ids=["enlarged-step-withheld", "base-step-fails"])
+    def test_inadmissible_fd_step_exit_code(self, tmp_path, capsys, overrides, code):
+        path = self.write_config(tmp_path, dict(HELM_SCALING, **overrides))
+        assert cli.main(["dshape", "--config", path]) == code
+        if code == cli.EXIT_NUMERICAL:
+            assert "det J_Phi <= 0 at parameter -2.0" in capsys.readouterr().err
 
     def test_invariant_violation_exit_code(self, tmp_path, monkeypatch):
         from spectra_shape.errors import ContractViolationError

@@ -239,7 +239,7 @@ class TestLocalMatrices:
     def test_local_stiffness_and_mass(self, discs, seed, space):
         disc = discs[space]
         rng = np.random.default_rng(seed)
-        w = rng.uniform(0.1, 1.0, disc.weights.shape)
+        w = rng.uniform(0.1, 1.0, disc.weights().shape)
         vals, ders = disc.values, disc.derivatives
         C = _sym_matrix(rng, w.size)
         c = vals.shape[-1]
@@ -255,7 +255,7 @@ class TestLocalMatrices:
         """The shared-values path of the P1 mass: the old BLAS product to 1e-14."""
         disc = discs["p1"]
         rng = np.random.default_rng(seed)
-        w = rng.uniform(0.1, 1.0, disc.weights.shape)
+        w = rng.uniform(0.1, 1.0, disc.weights().shape)
         mass = w.ravel() * rng.uniform(0.5, 2.0, w.size)
         stiff = np.ascontiguousarray(tf.entry_major(_sym_matrix(rng, w.size)))
         _, m_loc = local_matrices(disc.values, disc.derivatives, w, stiff, mass)
@@ -270,11 +270,11 @@ class TestLocalMatrices:
         weighted by w."""
         disc = discs[space]
         rng = np.random.default_rng(seed)
-        geo = tf.map_points(disc.family, rng.uniform(-1.0, 1.0), disc.points.reshape(-1, 3))
+        geo = tf.map_points(disc.family, rng.uniform(-1.0, 1.0), disc.points().reshape(-1, 3))
         J, det, Jinv = _frames(geo)
         JinvT = np.swapaxes(Jinv, 1, 2)
         P = JinvT if space == "p1" else J / det[:, None, None]
-        w = rng.uniform(0.1, 1.0, disc.weights.shape)
+        w = rng.uniform(0.1, 1.0, disc.weights().shape)
         B = _sym_matrix(rng, w.size)
 
         def pushed(P, B):
@@ -337,10 +337,10 @@ def test_scatter_pattern_matches_coo_assembly(space, assemble, derivative, stiff
     of the COO assembly of the same local matrices."""
     disc = Discretisation(space, build_box_mesh((1.0, 1.0, 1.0), 3, MIXED), family, stiff, mass)
     pencil, deriv = assemble(disc, chi), derivative(disc, chi, 1.0)
-    geo = tf.map_points(disc.family, chi, disc.points.reshape(-1, 3))
+    geo = tf.map_points(disc.family, chi, disc.points().reshape(-1, 3))
     v = tf.psi_on_physical(disc.family, 1.0, geo)
     ndof, gdofs, ders = disc.pattern.shape[0], disc.gdofs, disc.derivatives
-    w = disc.weights
+    w = disc.weights()
     vals = np.broadcast_to(disc.values, w.shape + disc.values.shape[2:])
     for (K, M), coefficients in (
             ((pencil.K, pencil.M),
@@ -390,6 +390,28 @@ def test_scatter_pattern_sums_symmetric_parts(seed, nt, k):
     assert np.max(np.abs(dense - ref), initial=0.0) <= 1e-14 * np.max(np.abs(ref), initial=0.0)
 
 
+@pytest.mark.parametrize("ndof", [46_340, 46_341])
+def test_scatter_pattern_at_the_int32_key_limit(ndof):
+    """Keys row * ndof + col are int32 up to ndof = 46,340 (ndof^2 < 2^31)
+    and int64 from 46,341: a few tets whose dofs reach the last row and
+    column give, in either case, the CSR of the COO sum of the symmetric
+    parts. The integer entries make every sum exact."""
+    gdofs = np.array([[0, 1, ndof - 2, ndof - 1], [ndof - 1, 5, -1, 7],
+                      [ndof - 3, ndof - 1, 2, -1], [ndof - 1, ndof - 2, 1, 0]])
+    local = np.random.default_rng(ndof).integers(-4, 5, (len(gdofs), 4, 4)).astype(float)
+    A = ScatterPattern(gdofs, ndof).matrix(local)
+
+    rows, cols = np.repeat(gdofs, 4, axis=1).ravel(), np.tile(gdofs, (1, 4)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    ref = sp.coo_array(((0.5 * (local + local.transpose(0, 2, 1))).ravel()[keep],
+                        (rows[keep], cols[keep])), shape=(ndof, ndof)).tocsr()
+    ref.sum_duplicates()
+    ref.eliminate_zeros()
+    assert ref.indices.max() == ndof - 1
+    for attr in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(A, attr), getattr(ref, attr))
+
+
 # ---------------------------------------------------------------------------
 # the blocks of tets
 # ---------------------------------------------------------------------------
@@ -419,7 +441,7 @@ def test_blocks_match_one_pass(monkeypatch, mesh6, space, second):
     maps = _count(monkeypatch, tf, "map_points")
     blocked, volumes = forms()
     assert len(maps) == 3 * 3
-    monkeypatch.setattr(fem_common, "POINTS_PER_BLOCK", disc.weights.size)
+    monkeypatch.setattr(fem_common, "POINTS_PER_BLOCK", disc.weights().size)
     whole, whole_volumes = forms()
     assert len(maps) == 3 * 3 + 3
     for A, B in zip(blocked, whole):
@@ -449,16 +471,16 @@ def test_blocks_raise_the_one_pass_error(monkeypatch, mesh6, chi, c0, folds, nu_
     fails, and a fold after a failing coefficient still wins."""
     nu = tf.AffineField(c0, np.array([-1.0, 0.0, 0.0]))
     disc = Discretisation(P1, mesh6, FOLD, EPS, nu)
-    slabs = disc.points.reshape(6, -1, 3)
+    slabs = disc.points().reshape(6, -1, 3)
     det = np.stack([tf.det_adjugate(FOLD.jacobian(chi, x))[0] for x in slabs])
     nu_at = np.stack([nu.value(FOLD.map(chi, x)) for x in slabs])
     assert np.flatnonzero((det <= 0).any(1)).tolist() == folds
     assert np.flatnonzero((nu_at <= 0).any(1)).tolist() == nu_fails
     assert len(folds) < 2 or det[folds[0]].min() > det.min()
-    monkeypatch.setattr(fem_common, "POINTS_PER_BLOCK", disc.weights.size // 6)
+    monkeypatch.setattr(fem_common, "POINTS_PER_BLOCK", disc.weights().size // 6)
     with pytest.raises(InadmissibleParameterError) as blocked:
         hh.assemble_helmholtz(disc, chi)
-    monkeypatch.setattr(fem_common, "POINTS_PER_BLOCK", disc.weights.size)
+    monkeypatch.setattr(fem_common, "POINTS_PER_BLOCK", disc.weights().size)
     with pytest.raises(InadmissibleParameterError) as whole:
         hh.assemble_helmholtz(disc, chi)
     assert str(blocked.value).startswith(message)

@@ -4,6 +4,8 @@ data evaluated once per mesh.
 The closed-form 3x3 determinant and adjugate are pinned against LAPACK;
 spies count how often the family's Jacobian, the velocity field and the tet
 edge matrices are evaluated by assembly, the Hadamard forms and a full run.
+A discretisation keeps no array over all rule points, and only edge
+elements derive the mesh's edges.
 """
 
 import numpy as np
@@ -60,7 +62,7 @@ class TestClosedForm:
         """J_00 = 1 + chi a pi cos(pi x) < 0 near x = 1 for chi a pi > 1."""
         fam = tf.Family(tf.SinField(axis=0, depends_on=0, amplitude=0.5, frequency=1.0))
         disc = Discretisation(P1, cube_n3, fam, EPS, NU)
-        worst = np.linalg.det(fam.jacobian(1.0, disc.points.reshape(-1, 3))).min()
+        worst = np.linalg.det(fam.jacobian(1.0, disc.points().reshape(-1, 3))).min()
         assert worst < 0
         with pytest.raises(InadmissibleParameterError) as err:
             hh.assemble_helmholtz(disc, 1.0)
@@ -156,5 +158,33 @@ class TestTraffic:
         b = build_box_mesh((2, 1, 1), 2, "T")
         np.testing.assert_allclose(b.barycentric_gradients[:, :, 0],
                                    0.5 * a.barycentric_gradients[:, :, 0])
-        weights = [Discretisation(P1, m, tf.scaling_family(), EPS, NU).weights for m in (a, b)]
+        weights = [Discretisation(P1, m, tf.scaling_family(), EPS, NU).weights() for m in (a, b)]
         np.testing.assert_allclose(weights[1], 2 * weights[0])
+
+
+class TestLeanDiscretisation:
+    @pytest.mark.parametrize("problem, derived", [("helmholtz", False), ("maxwell", True)])
+    def test_only_edge_elements_derive_the_edges(self, problem, derived):
+        """A Helmholtz problem built and run never numbers the mesh's edges
+        nor signs them; a Maxwell one does."""
+        cfg = harness.RunConfig.from_dict(
+            {"problem": problem, "mesh": {"type": "box", "n": 2, "partition": MIXED}})
+        built = harness.build_problem(cfg)
+        harness.run(built)
+        cached = {"_edge_numbering", "tet_edge_signs"} & set(vars(built.mesh))
+        assert cached == ({"_edge_numbering", "tet_edge_signs"} if derived else set())
+
+    def test_no_attribute_per_rule_point(self, cube_n3):
+        """At order 4 (14 points per tet) no array of a P1 discretisation, nor
+        of its scatter pattern, has an axis over the rule points of all tets:
+        the basis values are the rule's, shared by every tet, and the points
+        and weights are formed per block."""
+        disc = Discretisation(P1, cube_n3, BUMP, EPS, NU)
+        nt, nq = len(cube_n3.tets), len(disc.rule.weights)
+        assert nq == 14
+        arrays = [(name, a) for owner in (disc, disc.pattern)
+                  for name, a in vars(owner).items() if isinstance(a, np.ndarray)]
+        assert {"values", "derivatives", "gdofs", "ordering", "slot"} <= {n for n, _ in arrays}
+        for name, a in arrays:
+            assert nt * nq not in a.shape and a.shape[:2] != (nt, nq), name
+        assert disc.points().shape == (nt, nq, 3) and disc.weights().shape == (nt, nq)
