@@ -14,8 +14,8 @@ class MeshFormatError(SpectraShapeError):
 
 
 class InadmissibleParameterError(SpectraShapeError):
-    """At the requested parameter, det J_Phi <= 0 or a coefficient is not
-    positive-definite at an evaluation point."""
+    """At the requested parameter, det J_Phi is not finite and > 0, or a
+    coefficient is not positive-definite, at an evaluation point."""
 
 
 class DegenerateProblemError(SpectraShapeError):

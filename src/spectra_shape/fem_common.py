@@ -327,31 +327,20 @@ class Discretisation:
         """The local (stiffness, mass) matrices (nt, k, k) of all tets in tet
         order, from kernel(geo, w, values, derivatives) on each block of tets:
         the map at chi at its rule points, their weights (n, nq), and its basis
-        values and derivatives. Each block's matrices are written into one
-        array per matrix; a mesh of one block keeps that block's arrays. A
-        block that finds chi inadmissible reruns the chain over all points,
-        which raises the one-pass error: the global minimum of det J, the
-        first point at which a coefficient fails."""
+        values and derivatives, written into one array per matrix allocated
+        when the first block returns. The first block that finds chi
+        inadmissible raises, at its first point that fails (see `map_points`)."""
         nt, step = len(self.mesh.tets), max(1, POINTS_PER_BLOCK // len(self.rule.weights))
-
-        def block(tets):
+        out = None
+        for start in range(0, nt, step):
+            tets = slice(start, start + step)
             geo = transforms.map_points(self.family, chi, self.points(tets).reshape(-1, 3))
             values = self.values if len(self.values) == 1 else self.values[tets]
-            return kernel(geo, self.weights(tets), values, self.derivatives[tets])
-
-        try:
-            parts = block(slice(0, step))
-            if nt <= step:
-                return parts
-            out = tuple(np.empty((nt,) + a.shape[1:], a.dtype) for a in parts)
-            for start in range(0, nt, step):
-                if start:
-                    parts = block(slice(start, start + step))
-                for o, a in zip(out, parts):
-                    o[start:start + step] = a
-        except InadmissibleParameterError:
-            block(slice(None))
-            raise
+            parts = kernel(geo, self.weights(tets), values, self.derivatives[tets])
+            if out is None:
+                out = tuple(np.empty((nt,) + a.shape[1:], a.dtype) for a in parts)
+            for o, a in zip(out, parts):
+                o[tets] = a
         return out
 
     def assemble(self, chi, coefficients):
@@ -368,11 +357,12 @@ class Discretisation:
 def assemble_pencil(disc: Discretisation, chi) -> Pencil:
     """Pencil (K, M) of the discretisation at transformation parameter chi.
 
-    M is certified positive-definite: `map_points` checks det J > 0 and
-    each non-constant coefficient is checked positive-definite at every
-    mapped quadrature point (the constant ones are checked when the config
-    is read); the tet rules have positive weights and are unisolvent for
-    the local bases. A failure makes chi inadmissible."""
+    M is certified positive-definite: `map_points` checks that det J is
+    finite and > 0 at every quadrature point, each non-constant
+    coefficient is checked positive-definite at every mapped quadrature
+    point (the constant ones are checked when the config is read); the tet
+    rules have positive weights and are unisolvent for the local bases. A
+    failure makes chi inadmissible."""
     def coefficients(geo):
         for name, c in zip(disc.space.coefficients, (disc.stiff, disc.mass)):
             i = None if c.constant else transforms.first_not_positive(c.value(geo.y))

@@ -344,10 +344,10 @@ def solve_pencil(
     below cut, and the inertia inside the closing gap must equal kernel_dim
     plus the pairs returned. A sparse M must be symmetric positive-definite:
     it is not factorised, only its diagonal is checked. `assemble_pencil`
-    certifies it (det J > 0 and every coefficient SPD at each quadrature
-    point, a rule with positive weights). Dense pencils, and sparse ones
-    too small for ARPACK, go through the dense path, which checks M by
-    Cholesky, and are truncated the same way.
+    certifies it (det J finite and > 0 and every coefficient SPD at each
+    quadrature point, a rule with positive weights). Dense pencils, and
+    sparse ones too small for ARPACK, go through the dense path, which
+    checks M by Cholesky, and are truncated the same way.
     """
     if count is None:
         return _solve_dense(pencil, kernel_tol)

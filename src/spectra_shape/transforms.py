@@ -238,13 +238,17 @@ class MappedPoints:
 
 
 def map_points(family, chi, X) -> MappedPoints:
-    """Phi_chi at reference points X (N, 3); chi is inadmissible where det J_Phi <= 0."""
+    """Phi_chi at reference points X (N, 3). chi is inadmissible unless det J_Phi
+    is finite and > 0 at every point; the error names the first point that
+    fails, so a check over blocks of X reads the same message as one over X."""
     J = family.jacobian(chi, X)
     det, adj = det_adjugate(J)
-    if np.any(det <= 0):
+    bad = np.flatnonzero(~(np.isfinite(det) & (det > 0)))
+    if len(bad):
+        i = bad[0]
         raise InadmissibleParameterError(
-            f"det J_Phi <= 0 at parameter {chi} (min {det.min():g})"
-        )
+            f"det J_Phi {'<= 0' if np.isfinite(det[i]) else 'is not finite'} at parameter "
+            f"{chi} (reference point {X[i].tolist()}, det {det[i]:g})")
     Jinv = entry_major(adj)
     return MappedPoints(X, family.map(chi, X), entry_major(J), det, np.divide(Jinv, det, Jinv))
 

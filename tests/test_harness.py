@@ -691,6 +691,17 @@ class TestCli:
         if code == cli.EXIT_NUMERICAL:
             assert "det J_Phi <= 0 at parameter -2.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem", ["helmholtz", "maxwell"])
+    def test_non_finite_jacobian_exit_code(self, tmp_path, capsys, problem):
+        """A bump of amplitude 1e308 overflows its gradient, so J = I + 0 inf
+        is NaN at chi_bar = 0: chi is inadmissible, and no NaN pencil
+        reaches the solver."""
+        g = {"type": "sin", "axis": 0, "amplitude": 1e308, "frequency": 1.0}
+        path = self.write_config(tmp_path, {"problem": problem, "mesh": {"type": "box", "n": 3},
+                                            "family": {"kind": "bump", "g": g}})
+        assert cli.main(["eig", "--config", path]) == cli.EXIT_NUMERICAL
+        assert "det J_Phi is not finite at parameter 0.0" in capsys.readouterr().err
+
     def test_invariant_violation_exit_code(self, tmp_path, monkeypatch):
         from spectra_shape.errors import ContractViolationError
 

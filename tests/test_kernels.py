@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectra_shape import fem_common
+from spectra_shape import fem_common, harness
 from spectra_shape import hadamard as hd
 from spectra_shape import helmholtz as hh
 from spectra_shape import maxwell as mx
@@ -293,11 +293,12 @@ class TestLocalMatrices:
 
 
 def _count(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that records the arguments of each call."""
     calls = []
     real = getattr(owner, name)
 
     def counted(*args):
-        calls.append(1)
+        calls.append(args)
         return real(*args)
 
     monkeypatch.setattr(owner, name, counted)
@@ -425,65 +426,110 @@ def mesh6():
 
 @pytest.mark.parametrize("space, second", [(P1, NU), (NEDELEC, EPS)], ids=["p1", "nedelec"])
 def test_blocks_match_one_pass(monkeypatch, mesh6, space, second):
-    """K, M, dK, dM and the volume matrices over three blocks of tets equal,
-    bit for bit, those of one block that covers every point: the local
-    matrices are joined in tet order, so every sum runs in the same order."""
-    disc = Discretisation(space, mesh6, BUMP, EPS, second)
-    clusters = cluster_spectrum(solve_pencil(fem_common.assemble_pencil(disc, 0.2), count=4,
-                                             cluster_tol=1e-3), 1e-3)
-
-    def forms():
+    """K, M, dK, dM and the volume matrices over three blocks of tets, and
+    over blocks of one tet each on an n = 3 mesh (fewer points per block
+    than the rule has), equal, bit for bit, those of one block that covers
+    every point: the local matrices are joined in tet order, so every sum
+    runs in the same order."""
+    def forms(disc, clusters, per_block):
+        monkeypatch.setattr(fem_common, "POINTS_PER_BLOCK", per_block)
         pencil = fem_common.assemble_pencil(disc, 0.2)
         deriv = fem_common.assemble_derivative(disc, 0.2, 1.3)
         volumes = hd.volume_matrix(disc, 0.2, 1.3, clusters)
         return [pencil.K, pencil.M, deriv.dK, deriv.dM], volumes
 
+    discs = [Discretisation(space, mesh, BUMP, EPS, second)
+             for mesh in (mesh6, build_box_mesh((1.0, 1.0, 1.0), 3, MIXED))]
+    clusters = [cluster_spectrum(solve_pencil(fem_common.assemble_pencil(disc, 0.2), count=4,
+                                              cluster_tol=1e-3), 1e-3) for disc in discs]
     maps = _count(monkeypatch, tf, "map_points")
-    blocked, volumes = forms()
-    assert len(maps) == 3 * 3
-    monkeypatch.setattr(fem_common, "POINTS_PER_BLOCK", disc.weights().size)
-    whole, whole_volumes = forms()
-    assert len(maps) == 3 * 3 + 3
-    for A, B in zip(blocked, whole):
-        for attr in ("data", "indices", "indptr"):
-            np.testing.assert_array_equal(getattr(A, attr), getattr(B, attr))
-    for V, W in zip(volumes, whole_volumes, strict=True):
-        np.testing.assert_array_equal(V, W)
+    for disc, found, per_block, blocks in (
+            (discs[0], clusters[0], fem_common.POINTS_PER_BLOCK, 3),
+            (discs[1], clusters[1], len(discs[1].rule.weights) - 1, len(discs[1].mesh.tets))):
+        maps.clear()
+        blocked, volumes = forms(disc, found, per_block)
+        assert len(maps) == 3 * blocks
+        whole, whole_volumes = forms(disc, found, disc.weights().size)
+        assert len(maps) == 3 * blocks + 3
+        for A, B in zip(blocked, whole):
+            for attr in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(A, attr), getattr(B, attr))
+        for V, W in zip(volumes, whole_volumes, strict=True):
+            np.testing.assert_array_equal(V, W)
 
 
 FOLD = tf.Family(tf.SinField(axis=0, depends_on=0, amplitude=0.5, frequency=1.0))
 
 
-@pytest.mark.parametrize("chi, c0, folds, nu_fails, message", [
+@pytest.mark.parametrize("chi, c0, folds, nu_fails, blocked, whole", [
     # J_00 = 1 + chi a pi cos(pi x) <= 0 from x = 0.864 on: the last slab only
-    (0.7, 2.0, [5], [], "det J_Phi <= 0"),
+    (0.7, 2.0, [5], [], "det", "det"),
     # from x = 0.732 on: the last two slabs, the minimum in the last
-    (0.955, 2.0, [4, 5], [], "det J_Phi <= 0"),
+    (0.955, 2.0, [4, 5], [], "det", "det"),
     # nu = c0 - y < 0 from x = 0.68 on, no fold
-    (0.3, 0.8, [], [4, 5], "coefficient 'nu' is not positive-definite"),
-    # nu < 0 from x = 0.76 on, in a slab before the fold's: det J is checked first
-    (0.7, 1.0, [5], [4, 5], "det J_Phi <= 0"),
+    (0.3, 0.8, [], [4, 5], "nu", "nu"),
+    # nu < 0 from x = 0.76 on, in a slab before the fold's: one block checks
+    # det J at every point before nu, six blocks reach nu's slab first
+    (0.7, 1.0, [5], [4, 5], "nu", "det"),
 ], ids=["fold-last-block", "fold-two-blocks", "nu-later-block", "nu-before-fold"])
-def test_blocks_raise_the_one_pass_error(monkeypatch, mesh6, chi, c0, folds, nu_fails, message):
-    """Blocks of one slab of cells each (six blocks): an inadmissible chi
-    whose first failure lies in a later block reads the one-pass message,
-    with the global minimum of det J and the first mapped point at which nu
-    fails, and a fold after a failing coefficient still wins."""
+def test_blocks_raise_at_the_first_failing_block(monkeypatch, mesh6, chi, c0, folds, nu_fails,
+                                                 blocked, whole):
+    """Blocks of one slab of cells each (six blocks) and one block: an
+    inadmissible chi raises in the first block that fails, at its first
+    point that fails, det J checked before nu. A fold, or nu alone, reads
+    the same message at six blocks and at one, which names the first
+    reference point where det J <= 0, or the first mapped point where nu
+    fails; a fold after a slab where nu fails reads nu's message at six."""
     nu = tf.AffineField(c0, np.array([-1.0, 0.0, 0.0]))
     disc = Discretisation(P1, mesh6, FOLD, EPS, nu)
-    slabs = disc.points().reshape(6, -1, 3)
-    det = np.stack([tf.det_adjugate(FOLD.jacobian(chi, x))[0] for x in slabs])
-    nu_at = np.stack([nu.value(FOLD.map(chi, x)) for x in slabs])
-    assert np.flatnonzero((det <= 0).any(1)).tolist() == folds
-    assert np.flatnonzero((nu_at <= 0).any(1)).tolist() == nu_fails
-    assert len(folds) < 2 or det[folds[0]].min() > det.min()
-    monkeypatch.setattr(fem_common, "POINTS_PER_BLOCK", disc.weights().size // 6)
-    with pytest.raises(InadmissibleParameterError) as blocked:
-        hh.assemble_helmholtz(disc, chi)
-    monkeypatch.setattr(fem_common, "POINTS_PER_BLOCK", disc.weights().size)
-    with pytest.raises(InadmissibleParameterError) as whole:
-        hh.assemble_helmholtz(disc, chi)
-    assert str(blocked.value).startswith(message)
-    assert str(blocked.value) == str(whole.value)
+    x = disc.points().reshape(-1, 3)
+    det = tf.det_adjugate(FOLD.jacobian(chi, x))[0]
+    y = FOLD.map(chi, x)
+    nu_at = nu.value(y)
+    slab_size = disc.weights().size // 6
+    assert np.flatnonzero((det <= 0).reshape(6, -1).any(1)).tolist() == folds
+    assert np.flatnonzero((nu_at <= 0).reshape(6, -1).any(1)).tolist() == nu_fails
+    # the first fold's point is not where det J is least
+    assert len(folds) < 2 or det.reshape(6, -1)[folds[0]].min() > det.min()
+    messages = {}
     if folds:
-        assert str(whole.value) == f"det J_Phi <= 0 at parameter {chi} (min {det.min():g})"
+        i = np.flatnonzero(det <= 0)[0]
+        messages["det"] = (f"det J_Phi <= 0 at parameter {chi} "
+                           f"(reference point {x[i].tolist()}, det {det[i]:g})")
+    if nu_fails:
+        i = np.flatnonzero(nu_at <= 0)[0]
+        messages["nu"] = (f"coefficient 'nu' is not positive-definite at parameter {chi} "
+                          f"(mapped point {y[i].tolist()})")
+    for per_block, message in ((slab_size, blocked), (disc.weights().size, whole)):
+        monkeypatch.setattr(fem_common, "POINTS_PER_BLOCK", per_block)
+        with pytest.raises(InadmissibleParameterError) as err:
+            hh.assemble_helmholtz(disc, chi)
+        assert str(err.value) == messages[message]
+
+
+def test_withheld_fd_step_maps_no_more_than_a_block(monkeypatch):
+    """The FD step 4.41 of the cluster [2..8] on the n=3 box at cluster_tol
+    0.5 folds the scaling map at chi_bar - 4.41, and that FD is withheld. At
+    blocks of a sixth of its points no assembly maps more than one block,
+    the folding one stops at its first block, and the report equals that of
+    one block over every point, apart from its timestamp."""
+    cfg = harness.RunConfig.from_dict({
+        "problem": "helmholtz", "mesh": {"type": "box", "dims": [1, 1, 1], "n": 3, "partition": "T"},
+        "family": {"kind": "scaling"}, "index_range": [2, 2], "cluster_tol": 0.5})
+
+    def report():
+        doc = harness.run(harness.build_problem(cfg))
+        del doc["created_at"]
+        return doc
+
+    maps = _count(monkeypatch, tf, "map_points")
+    whole = report()
+    [rec] = whole["clusters"]
+    assert rec["fd_tracking"].startswith("withheld: det J_Phi <= 0")
+    per_block = len(maps[0][2]) // 6  # the first call maps every rule point
+    monkeypatch.setattr(fem_common, "POINTS_PER_BLOCK", per_block)
+    maps.clear()
+    assert report() == whole
+    # chi_bar's surface form maps its facet points in one pass
+    assert max(len(x) for _, chi, x in maps if chi != cfg.chi_bar) <= per_block
+    assert sum(chi == cfg.chi_bar - rec["fd_step"] for _, chi, _ in maps) == 1
