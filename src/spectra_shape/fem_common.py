@@ -25,10 +25,10 @@ local matrices are written in tet order into one array per matrix: every
 sum runs in the order of one pass over all points. No array over all rule
 points is kept.
 
-Each discretisation also numbers its free dofs once, by a geometric nested
-dissection (`nested_dissection`), which no chi changes: the sparse
-eigensolver factorises the shift of its pencils in that ordering, and counts
-their inertia on its elimination tree (`DissectionTree`)."""
+Each discretisation numbers its free dofs once, in the order of a geometric
+nested dissection (`nested_dissection`) that no chi changes: everything is
+assembled in that numbering, and its pencils carry the dissection's
+elimination tree (`DissectionTree`), for the sparse eigensolver."""
 
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
@@ -59,7 +59,8 @@ LEAF_DOFS = 32
 class Pencil:
     """Hermitian stiffness/mass pair over the free degrees of freedom.
 
-    FEM pencils hold CSR matrices; the synthetic pencils hold dense arrays.
+    FEM pencils hold CSR matrices, numbered as their elimination tree; the
+    synthetic pencils hold dense arrays and no tree.
     """
 
     K: Matrix
@@ -67,9 +68,7 @@ class Pencil:
     quad_order: int = 2
     # columns spanning the known part of ker K (Maxwell discrete gradients)
     kernel_basis: Optional[sp.csr_array] = None
-    # fill-reducing ordering of the dofs for the factorisations, or None
-    ordering: Optional[np.ndarray] = None
-    # the elimination tree of that ordering, for the inertia count, or None
+    # the elimination tree of the nested dissection that numbers the dofs, or None
     tree: Optional["DissectionTree"] = None
 
     @property
@@ -113,7 +112,7 @@ class Space:
     values: Callable
     # mesh -> constant grad or curl of the basis per tet (nt, k, 3)
     derivatives: Callable
-    # mesh -> columns spanning the known part of ker K, or None
+    # mesh -> columns spanning the known part of ker K (rows as `free_dofs`), or None
     kernel_basis: Optional[Callable] = None
 
 
@@ -174,13 +173,13 @@ def dof_positions(gdofs: np.ndarray, mesh: Mesh, ndof: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DissectionTree:
-    """The elimination tree of a nested dissection, in the numbering of its
-    ordering. Node i numbers the dofs bounds[i]:bounds[i+1]; the nodes come in
-    post-order (the lower half's subtree, the upper half's, their separator),
-    a leaf has no children and a separator the roots of its halves' subtrees.
-    `fronts[i]` are the later rows, sorted, that the dofs of node i's subtree
-    couple to: all of them in ancestors' separators, and a superset of the
-    rows of its Schur update."""
+    """The elimination tree of a nested dissection, in the pencil's numbering
+    (the dissection's order). Node i numbers the dofs bounds[i]:bounds[i+1];
+    the nodes come in post-order (the lower half's subtree, the upper half's,
+    their separator), a leaf has no children and a separator the roots of its
+    halves' subtrees. `fronts[i]` are the later rows, sorted, that the dofs of
+    node i's subtree couple to: all of them in ancestors' separators, and a
+    superset of the rows of its Schur update."""
 
     bounds: np.ndarray
     children: Tuple[Tuple[int, ...], ...]
@@ -283,10 +282,11 @@ class Discretisation:
     the local basis (`gdofs`, the dof of each local function, -1 where
     constrained; `values`, the basis values at the rule's points; `derivatives`,
     their constant derivatives per tet), the CSR scatter pattern of the free
-    dofs, the kernel basis and the nested dissection ordering of the free dofs
-    (`ordering`), from the mean barycentre of the tets that carry each dof,
-    with its elimination tree (`tree`). The rule's physical points and
-    weights are formed per block of tets (`points`, `weights`), not kept."""
+    dofs and the kernel basis, all with the free dofs numbered in the order
+    of their nested dissection, from the mean barycentre of the tets that
+    carry each dof, whose elimination tree is `tree`. The rule's physical
+    points and weights are formed per block of tets (`points`, `weights`),
+    not kept."""
 
     space: Space
     mesh: Mesh
@@ -302,13 +302,17 @@ class Discretisation:
         if len(free) == 0:
             raise DegenerateProblemError("every dof is constrained by the tangential boundary; "
                                          "no free dofs")
-        self.gdofs = dof_of[space.entities(mesh)[0]]
+        entities = space.entities(mesh)[0]
+        gdofs = dof_of[entities]
+        order, self.tree = nested_dissection(dof_positions(gdofs, mesh, len(free)),
+                                             ScatterPattern(gdofs, len(free)))
+        dof_of[free[order]] = np.arange(len(free))  # in the dissection's order
+        self.gdofs = dof_of[entities]
         self.values = space.values(mesh, rule.points[None], slice(None))
         self.derivatives = space.derivatives(mesh)
         self.pattern = ScatterPattern(self.gdofs, len(free))
-        self.ordering, self.tree = nested_dissection(
-            dof_positions(self.gdofs, mesh, len(free)), self.pattern)
-        self.kernel_basis = None if space.kernel_basis is None else space.kernel_basis(mesh)
+        self.kernel_basis = (None if space.kernel_basis is None
+                             else space.kernel_basis(mesh)[order])
 
     def coefficient_maps(self):
         """(kind, coefficient) of the stiffness and the mass, kinds looked up per call."""
@@ -373,7 +377,7 @@ def assemble_pencil(disc: Discretisation, chi) -> Pencil:
         return [kind.pull_back(c, geo) for kind, c in disc.coefficient_maps()]
 
     return Pencil(*disc.assemble(chi, coefficients), disc.quad_order, disc.kernel_basis,
-                  disc.ordering, disc.tree)
+                  disc.tree)
 
 
 def assemble_derivative(disc: Discretisation, chi_bar, direction) -> PencilDerivative:

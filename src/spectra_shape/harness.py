@@ -430,11 +430,15 @@ def _route_matrices(problem: Problem, clusters: List[EigenCluster], surface: boo
 
 def write_json(payload, path: Optional[str]):
     """`payload` as sorted, indented JSON: printed where `path` is empty or
-    None, else written to `path` with a trailing newline."""
+    None, else written to `path` with a trailing newline; a path that cannot
+    be written is a config error."""
     text = json.dumps(payload, sort_keys=True, indent=2)
     if path:
-        with open(path, "w") as f:
-            f.write(text + "\n")
+        try:
+            with open(path, "w") as f:
+                f.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {path}: {exc}")
     else:
         print(text)
 

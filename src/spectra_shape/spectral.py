@@ -11,14 +11,15 @@ that no eigenvalue below it was missed, near-zero ones included. A failed
 inertia check factorises the shift again and runs with more pairs. The mass
 M is not factorised: assembly certifies that it is positive-definite.
 
-The shift of a FEM pencil is factorised in its discretisation's
-nested-dissection ordering (`Pencil.ordering`), pre-permuted, with no
-ordering of SuperLU's own. Its inertia is counted by a multifrontal pass
-over that ordering's elimination tree (`Pencil.tree`) that keeps no factor:
-Bunch-Kaufman on each front's pivot block, the Schur update passed to the
-parent and dropped once added, and no SuperLU factor alive meanwhile.
-Pencils without a tree, and a pivot block that is exactly singular, count
-from SuperLU's pivots in its MMD ordering; the kernel projector's small
+A FEM pencil is numbered by its discretisation's nested dissection and
+carries that dissection's elimination tree (`Pencil.tree`): its shift is
+factorised as it is numbered, with no ordering of SuperLU's own, and its
+inertia is counted by a multifrontal pass over the tree that keeps no
+factor: Bunch-Kaufman on each front's pivot block, the Schur update passed
+to the parent and dropped once added, and no SuperLU factor alive
+meanwhile. A pencil without a tree factorises its shift in SuperLU's MMD
+ordering and counts from SuperLU's pivots in that ordering, as does a tree
+with a pivot block that is exactly singular; the kernel projector's small
 G^T M G takes MMD as well.
 
 Dense products at size run in scipy's LAPACK and BLAS (`lapack.dsysv`,
@@ -115,33 +116,18 @@ def _solve_dense(pencil: Pencil, kernel_tol: float) -> EigenDecomposition:
     return EigenDecomposition(vals[keep], vecs[:, keep], int(np.sum(~keep)))
 
 
-class _Reordered:
-    """The factor of A[order][:, order], solving with A in its own numbering."""
-
-    def __init__(self, lu, order):
-        self.lu, self.order = lu, order
-
-    def solve(self, b):
-        x = np.empty_like(b)
-        x[self.order] = self.lu.solve(b[self.order])
-        return x
-
-
-def _ldl(A, order=None):
+def _ldl(A, natural=False):
     """SuperLU factorisation with diagonal pivots in a symmetric ordering:
-    A is factorised pre-permuted by `order` (order[i] is the row numbered
-    i), with no ordering of SuperLU's own, or, without one, in SuperLU's
-    MMD ordering of A + A^T.
+    A's own numbering when `natural` (a pencil numbered by its nested
+    dissection), else SuperLU's MMD ordering of A + A^T.
 
     For symmetric A this is P A P^T = L U with U = D L^T, so the signs of
     diag(U) give the inertia of A (Sylvester).
     """
-    if order is not None:
-        A = A[order][:, order]
     try:
         lu = spla.splu(
             sp.csc_matrix(A),
-            permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
+            permc_spec="NATURAL" if natural else "MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             relax=1,
             options={"SymmetricMode": True},
@@ -150,7 +136,7 @@ def _ldl(A, order=None):
         raise PencilError(f"symmetric factorisation failed: {exc}")
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise PencilError("symmetric factorisation left the diagonal")
-    return lu if order is None else _Reordered(lu, order)
+    return lu
 
 
 def _negatives(ldu, ipiv) -> int:
@@ -224,14 +210,14 @@ def _count_on_tree(A, tree) -> Optional[int]:
     return negatives
 
 
-def _count_below(K, M, shift: float, order=None, tree=None) -> int:
+def _count_below(K, M, shift: float, tree=None) -> int:
     """Number of eigenvalues of the pencil below shift: the negative
     eigenvalues of K - shift M (Sylvester), counted on the elimination tree
-    of `order` when there is one and no pivot block of it is exactly
-    singular, from SuperLU's pivots in MMD ordering otherwise."""
+    the pencil is numbered by when there is one and no pivot block of it is
+    exactly singular, from SuperLU's pivots in MMD ordering otherwise."""
     A = K - shift * M
     if tree is not None:
-        count = _count_on_tree(A[order][:, order], tree)
+        count = _count_on_tree(A, tree)
         if count is not None:
             return count
     return int(np.sum(_ldl(A).U.diagonal() < 0))
@@ -262,10 +248,10 @@ def _kernel_projector(G, M):
     return (lambda x: x - G @ solve(GtM @ x)), G.shape[1]
 
 
-def _shift_inverse(K, M, sigma, project, order):
+def _shift_inverse(K, M, sigma, project, natural):
     """The Lanczos operator x -> project((K - sigma M)^-1 x); the factor of
-    K - sigma M, in the ordering `order`, lives as long as the operator."""
-    solve = _ldl(K - sigma * M, order).solve
+    K - sigma M (see `_ldl`) lives as long as the operator."""
+    solve = _ldl(K - sigma * M, natural).solve
     return spla.LinearOperator(K.shape, matvec=lambda x: project(solve(x)), dtype=float)
 
 
@@ -290,7 +276,7 @@ def _solve_sparse(pencil: Pencil, kernel_tol: float, count: int, cluster_tol: fl
     k = count + EXTRA_PAIRS
     while k < n:
         if opinv is None:
-            opinv = _shift_inverse(K, M, sigma, project, pencil.ordering)
+            opinv = _shift_inverse(K, M, sigma, project, pencil.tree is not None)
         try:
             vals, vecs = spla.eigsh(
                 K, k, M, sigma=sigma, which="LM", v0=v0, OPinv=opinv, tol=LANCZOS_TOL
@@ -298,8 +284,8 @@ def _solve_sparse(pencil: Pencil, kernel_tol: float, count: int, cluster_tol: fl
         except spla.ArpackNoConvergence:
             k *= 2
             continue
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+        ascending = np.argsort(vals)
+        vals, vecs = vals[ascending], vecs[:, ascending]
         keep = vals >= cut
         # the kernel: range(G) and the near-zero modes the projection leaves
         # in (e.g. Helmholtz constants)
@@ -311,7 +297,7 @@ def _solve_sparse(pencil: Pencil, kernel_tol: float, count: int, cluster_tol: fl
         if end is not None:
             opinv = None
             mid = 0.5 * (vals[end - 1] + vals[end])
-            if _count_below(K, M, mid, pencil.ordering, pencil.tree) == kernel_dim + end:
+            if _count_below(K, M, mid, pencil.tree) == kernel_dim + end:
                 return _rayleigh_ritz(K, M, vecs[:, :end], kernel_dim)
         k *= 2
     return None

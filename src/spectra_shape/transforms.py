@@ -240,9 +240,11 @@ class MappedPoints:
 def map_points(family, chi, X) -> MappedPoints:
     """Phi_chi at reference points X (N, 3). chi is inadmissible unless det J_Phi
     is finite and > 0 at every point; the error names the first point that
-    fails, so a check over blocks of X reads the same message as one over X."""
-    J = family.jacobian(chi, X)
-    det, adj = det_adjugate(J)
+    fails, so a check over blocks of X reads the same message as one over X.
+    An overflow in J, det J or its adjugate is left to that check to report."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        J = family.jacobian(chi, X)
+        det, adj = det_adjugate(J)
     bad = np.flatnonzero(~(np.isfinite(det) & (det > 0)))
     if len(bad):
         i = bad[0]

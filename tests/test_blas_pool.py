@@ -76,7 +76,7 @@ COUNT = PRELUDE + textwrap.dedent("""
                           transforms.stretch_family(0), eye, eye)
     p = assemble_pencil(disc, 0.0)
     before = cpu_s(pool)
-    counts = [spectral._count_below(p.K, p.M, 25.0, p.ordering, p.tree) for _ in range(10)]
+    counts = [spectral._count_below(p.K, p.M, 25.0, p.tree) for _ in range(10)]
     assert counts == [346] * 10, counts
     print(json.dumps({"threads": len(pool), "cpu_s": cpu_s(pool) - before}))
 """)

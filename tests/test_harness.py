@@ -7,6 +7,7 @@ import pstats
 import subprocess
 import sys
 import time
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -695,12 +696,30 @@ class TestCli:
     def test_non_finite_jacobian_exit_code(self, tmp_path, capsys, problem):
         """A bump of amplitude 1e308 overflows its gradient, so J = I + 0 inf
         is NaN at chi_bar = 0: chi is inadmissible, and no NaN pencil
-        reaches the solver."""
+        reaches the solver. The one line on stderr is the message: numpy
+        warns of no overflow before it."""
         g = {"type": "sin", "axis": 0, "amplitude": 1e308, "frequency": 1.0}
         path = self.write_config(tmp_path, {"problem": problem, "mesh": {"type": "box", "n": 3},
                                             "family": {"kind": "bump", "g": g}})
-        assert cli.main(["eig", "--config", path]) == cli.EXIT_NUMERICAL
-        assert "det J_Phi is not finite at parameter 0.0" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["eig", "--config", path]) == cli.EXIT_NUMERICAL
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "det J_Phi is not finite at parameter 0.0" in err[0]
+
+    @pytest.mark.parametrize("spelling", ["config", "--out"])
+    @pytest.mark.parametrize("target", ["missing-dir/report.json", "."], ids=["missing", "dir"])
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, spelling, target):
+        """An output path in a missing directory, or naming a directory, is
+        a configuration error, given in the config or by --out."""
+        out = str(tmp_path / target)
+        raw = {"problem": "abstract-pencil"}
+        path = self.write_config(tmp_path, dict(raw, output=out) if spelling == "config" else raw)
+        argv = ["dshape", "--config", path] + (["--out", out] if spelling == "--out" else [])
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: cannot write output {out}")
 
     def test_invariant_violation_exit_code(self, tmp_path, monkeypatch):
         from spectra_shape.errors import ContractViolationError

@@ -188,7 +188,7 @@ class TestLeanDiscretisation:
         assert nq == 14
         arrays = [(name, a) for owner in (disc, disc.pattern)
                   for name, a in vars(owner).items() if isinstance(a, np.ndarray)]
-        assert {"values", "derivatives", "gdofs", "ordering", "slot"} <= {n for n, _ in arrays}
+        assert {"values", "derivatives", "gdofs", "slot"} <= {n for n, _ in arrays}
         for name, a in arrays:
             assert nt * nq not in a.shape and a.shape[:2] != (nt, nq), name
         assert disc.points().shape == (nt, nq, 3) and disc.weights().shape == (nt, nq)

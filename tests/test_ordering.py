@@ -1,4 +1,4 @@
-"""The nested-dissection ordering of a discretisation's free dofs, its
+"""The nested-dissection numbering of a discretisation's free dofs, its
 elimination tree, the factorisations that the sparse eigensolver makes in it
 and the inertia count on the tree."""
 
@@ -14,7 +14,7 @@ from scipy.linalg import lapack
 from spectra_shape import harness, spectral
 from spectra_shape import transforms as tf
 from spectra_shape.fem_common import (DissectionTree, Discretisation, assemble_pencil,
-                                      dof_positions, nested_dissection)
+                                      dof_positions, free_dofs, nested_dissection)
 from spectra_shape.geometry import build_box_mesh, load_mesh
 from spectra_shape.helmholtz import P1
 from spectra_shape.maxwell import NEDELEC
@@ -43,24 +43,38 @@ CASES = [("helmholtz", 6, "T"), ("helmholtz", 6, "N"), ("maxwell", 4, MIXED_PART
 IDS = ["helmholtz-T", "helmholtz-N", "maxwell-mixed", "maxwell-T", "one-tet"]
 
 
+def entity_dofs(disc):
+    """(entity, dof) of each distinct pair the tets carry, sorted by entity."""
+    entities, _ = disc.space.entities(disc.mesh)
+    return np.unique(np.stack([entities.ravel(), disc.gdofs.ravel()], axis=1), axis=0)
+
+
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_ordering_is_a_permutation_of_the_free_dofs(case, tmp_path):
+    """`gdofs` maps the free entities one-to-one onto 0..ndof-1 and the
+    constrained ones to -1."""
     disc = discretisation(case, tmp_path)
     ndof = disc.pattern.shape[0]
-    np.testing.assert_array_equal(np.sort(disc.ordering), np.arange(ndof))
+    free, _ = free_dofs(disc.space, disc.mesh)
+    pairs = entity_dofs(disc)
+    assert len(np.unique(pairs[:, 0])) == len(pairs)  # one dof per entity
+    is_free = np.isin(pairs[:, 0], free)
+    np.testing.assert_array_equal(pairs[is_free, 0], free)
+    np.testing.assert_array_equal(np.sort(pairs[is_free, 1]), np.arange(ndof))
+    assert np.all(pairs[~is_free, 1] == -1)
 
 
 def test_every_pencil_of_a_problem_carries_the_one_ordering():
-    """The ordering is computed once per discretisation: the pencils at chi_bar
-    and at chi_bar +- h carry the same array."""
+    """The numbering and its tree are computed once per discretisation: the
+    pencils at chi_bar and at chi_bar +- h carry the same tree."""
     cfg = harness.RunConfig.from_dict({"problem": "maxwell",
                                        "mesh": {"type": "box", "n": 4,
                                                 "partition": MIXED_PARTITION}})
     problem = harness.build_problem(cfg)
     pencil = problem.solution[0]
-    assert pencil.ordering is not None
+    assert pencil.tree is not None
     for chi in (cfg.chi_bar - 1e-3, cfg.chi_bar + 1e-3):
-        assert harness.assemble_at(problem, chi).ordering is pencil.ordering
+        assert harness.assemble_at(problem, chi).tree is pencil.tree
 
 
 def subtrees(tree):
@@ -80,7 +94,7 @@ def test_tree_partitions_the_ordering_in_post_order(case, tmp_path):
     subtrees, and the fronts of a node are exactly the later rows its
     subtree couples to, all of them in its ancestors."""
     disc = discretisation(case, tmp_path)
-    tree, n = disc.tree, len(disc.ordering)
+    tree, n = disc.tree, disc.pattern.shape[0]
     assert tree.bounds[0] == 0 and tree.bounds[-1] == n
     assert np.all(np.diff(tree.bounds) >= 0)
     nodes = len(tree.children)
@@ -92,7 +106,7 @@ def test_tree_partitions_the_ordering_in_post_order(case, tmp_path):
 
     pattern = disc.pattern
     P = sp.csr_array((np.ones(len(pattern.indices)), pattern.indices, pattern.indptr),
-                     shape=pattern.shape)[disc.ordering][:, disc.ordering]
+                     shape=pattern.shape)
     first = subtrees(tree)
     for i, kids in enumerate(tree.children):
         ranges = [slice(first[k], tree.bounds[k + 1]) for k in kids]
@@ -132,9 +146,9 @@ def test_inertia_equals_mmd(case, tmp_path, monkeypatch):
     shifts += [0.5 * (vals[i] + vals[i + 1]) for i in gaps[:25]]
     for s in shifts:
         below = int(np.sum(vals < s))
-        assert spectral._count_below(p.K, p.M, s, p.ordering, p.tree) == below
+        assert spectral._count_below(p.K, p.M, s, p.tree) == below
         assert spectral._count_below(p.K, p.M, s) == below
-        A = (p.K - s * p.M)[p.ordering][:, p.ordering]
+        A = p.K - s * p.M
         for merged in (spectral.MERGED_DOFS, 0):
             monkeypatch.setattr(spectral, "MERGED_DOFS", merged)
             assert spectral._count_on_tree(A, p.tree) == below
@@ -196,34 +210,39 @@ def test_singular_pivot_block_falls_back_to_superlu(monkeypatch):
     assert spectral._count_on_tree(A, tree) == 1
     monkeypatch.setattr(spectral, "MERGED_DOFS", 0)
     assert spectral._count_on_tree(A, tree) is None
-    orders, ldl = [], spectral._ldl
+    naturals, ldl = [], spectral._ldl
 
-    def spy(A, order=None):
-        orders.append(order)
-        return ldl(A, order)
+    def spy(A, natural=False):
+        naturals.append(natural)
+        return ldl(A, natural)
 
     monkeypatch.setattr(spectral, "_ldl", spy)
-    count = spectral._count_below(A, sp.eye_array(5, format="csr"), 0.0, np.arange(5), tree)
+    count = spectral._count_below(A, sp.eye_array(5, format="csr"), 0.0, tree)
     assert count == int(np.sum(np.linalg.eigvalsh(A.toarray()) < 0)) == 1
-    assert orders == [None]
+    assert naturals == [False]
 
 
 def test_solve_matches_spsolve():
     p = assemble_pencil(discretisation(("maxwell", 6, MIXED_PARTITION)), 0.0)
     A = p.K + 1e-3 * p.lambda_scale() * p.M
     b = np.random.default_rng(0).standard_normal(p.size)
-    x = spectral._ldl(A, p.ordering).solve(b)
+    x = spectral._ldl(A, natural=True).solve(b)
     expected = spla.spsolve(A.tocsc(), b)
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_ordering_fills_less_than_mmd():
     """Maxwell all-T n = 8 (3032 dofs): the shift factor's L + U holds at most
-    0.8 of MMD's entries (0.75 measured: 518,760 against 692,646)."""
-    p = assemble_pencil(discretisation(("maxwell", 8, "T")), 0.0)
+    0.8 of the entries of MMD's on the matrix numbered as the edges are (0.75
+    measured: 518,760 against 692,646; MMD started from the dissection's
+    numbering fills 634,264)."""
+    disc = discretisation(("maxwell", 8, "T"))
+    p = assemble_pencil(disc, 0.0)
     A = p.K + spectral.SHIFT_FRACTION * p.lambda_scale() * p.M
-    mmd = spectral._ldl(A)
-    ordered = spectral._ldl(A, p.ordering).lu
+    pairs = entity_dofs(disc)
+    dof = pairs[pairs[:, 1] >= 0, 1]  # of each free edge, in edge order
+    mmd = spectral._ldl(A[dof][:, dof])
+    ordered = spectral._ldl(A, natural=True)
     assert ordered.L.nnz + ordered.U.nnz <= 0.8 * (mmd.L.nnz + mmd.U.nnz)
 
 
@@ -233,7 +252,8 @@ def test_top_separator_is_the_middle_plane():
     it by round-off (split exactly, some fell below the median and the
     fill rose from 3,213,398 to 4,895,500)."""
     disc = discretisation(("maxwell", 12, "T"))
-    positions = dof_positions(disc.gdofs, disc.mesh, len(disc.ordering))
+    ndof = disc.pattern.shape[0]
+    positions = dof_positions(disc.gdofs, disc.mesh, ndof)
     plane = np.nonzero(np.abs(positions[:, 0] - 0.5) < 1e-9)[0]
     assert np.any(positions[plane, 0] != 0.5)
-    np.testing.assert_array_equal(np.sort(disc.ordering[-len(plane):]), plane)
+    np.testing.assert_array_equal(plane, np.arange(ndof - len(plane), ndof))

@@ -166,14 +166,14 @@ def test_missed_kernel_mode_is_detected(monkeypatch):
 
 
 def spy_factorisations(monkeypatch):
-    """Records each SuperLU factorisation (size, ordering, permc_spec) and
+    """Records each SuperLU factorisation (size, natural, permc_spec) and
     the size of each count-only pass on the tree."""
     made, passes = [], []
     ldl, splu, count = spectral._ldl, spectral.spla.splu, spectral._count_on_tree
 
-    def ldl_spy(A, order=None):
-        made.append((A.shape[0], order))
-        return ldl(A, order)
+    def ldl_spy(A, natural=False):
+        made.append((A.shape[0], natural))
+        return ldl(A, natural)
 
     def splu_spy(A, **kwargs):
         made[-1] += (kwargs["permc_spec"],)
@@ -192,9 +192,10 @@ def spy_factorisations(monkeypatch):
 @pytest.mark.parametrize("problem,n,partition", [("helmholtz", 4, "T"), ("maxwell", 3, "mixed")])
 def test_two_full_size_factorisations(problem, n, partition, monkeypatch):
     """One Lanczos attempt on a FEM pencil factorises K - sigma M with
-    SuperLU, with no ordering of its own, on the discretisation's nested
-    dissection, and counts the inertia of K - mid M by one count-only pass
-    on its tree, which keeps no factor; M itself is never factorised.
+    SuperLU, with no ordering of its own, in the discretisation's nested
+    dissection numbering, and counts the inertia of K - mid M by one
+    count-only pass on its tree, which keeps no factor; M itself is never
+    factorised.
     Maxwell adds the small G^T M G of its kernel projector, in MMD: once for
     the rank check, whose factor is dropped, and once for the projector."""
     p = fem_pencil(problem, n, partition)
@@ -202,9 +203,9 @@ def test_two_full_size_factorisations(problem, n, partition, monkeypatch):
     solve_pencil(p, count=1)
     kernel = [] if p.kernel_basis is None else [p.kernel_basis.shape[1]] * 2
     assert sorted(size for size, _, _ in made) == kernel + [p.size]
-    assert [(o is p.ordering, spec) for size, o, spec in made if size == p.size] == [
+    assert [(natural, spec) for size, natural, spec in made if size == p.size] == [
         (True, "NATURAL")]
-    assert all(o is None and spec == "MMD_AT_PLUS_A" for size, o, spec in made
+    assert all(not natural and spec == "MMD_AT_PLUS_A" for size, natural, spec in made
                if size != p.size)
     assert passes == [p.size]
 
@@ -212,9 +213,8 @@ def test_two_full_size_factorisations(problem, n, partition, monkeypatch):
 @pytest.mark.parametrize("case", ["no tree", "diagonal"])
 def test_pencil_without_a_tree_counts_with_superlu(case, monkeypatch):
     """A pencil with no elimination tree (built by hand, or a FEM pencil
-    stripped of it) makes two full-size SuperLU factorisations per attempt:
-    the shift, in the pencil's ordering if it has one, and the inertia's in
-    MMD; no count-only pass runs."""
+    stripped of it) makes two full-size SuperLU factorisations per attempt,
+    the shift's and the inertia's, both in MMD; no count-only pass runs."""
     if case == "no tree":
         p = dataclasses.replace(fem_pencil("helmholtz", 4, "mixed"), tree=None)
     else:
@@ -223,8 +223,8 @@ def test_pencil_without_a_tree_counts_with_superlu(case, monkeypatch):
     dec = solve_pencil(p, count=2)
     assert passes == []
     shift, inertia = made
-    assert shift == (p.size, p.ordering, "MMD_AT_PLUS_A" if p.ordering is None else "NATURAL")
-    assert inertia == (p.size, None, "MMD_AT_PLUS_A")
+    assert shift == (p.size, False, "MMD_AT_PLUS_A")
+    assert inertia == (p.size, False, "MMD_AT_PLUS_A")
     dense = solve_pencil(p)
     np.testing.assert_allclose(dec.eigenvalues, dense.eigenvalues[:len(dec.eigenvalues)],
                                rtol=1e-10)
@@ -275,11 +275,11 @@ def test_one_full_size_factor_alive(case, monkeypatch):
     def alive():
         return sum(ref() is not None for ref in factors)
 
-    def spy(A, order=None):
+    def spy(A, natural=False):
         full = A.shape[0] == p.size
         if full:
             alive_when_made.append(alive())
-        factor = _Factor(ldl(A, order))
+        factor = _Factor(ldl(A, natural))
         if full:
             factors.append(weakref.ref(factor))
         return factor
