@@ -8,6 +8,7 @@ from OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS.
 """
 
 import argparse
+import os
 import sys
 
 from numpy.linalg import LinAlgError
@@ -131,6 +132,11 @@ def main(argv=None) -> int:
         # every command writes its payload once: to --out, else to the
         # config's output, else to stdout
         out = args.out or cfg.output
+        # an output that cannot be written is refused before any work
+        if out and os.path.isdir(out):
+            raise ConfigError(f"cannot write output {out}: it is a directory")
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise ConfigError(f"cannot write output {out}: its directory does not exist")
         _COMMANDS[args.command][0](cfg, out)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -28,7 +28,10 @@ points is kept.
 Each discretisation numbers its free dofs once, in the order of a geometric
 nested dissection (`nested_dissection`) that no chi changes: everything is
 assembled in that numbering, and its pencils carry the dissection's
-elimination tree (`DissectionTree`), for the sparse eigensolver."""
+elimination tree (`DissectionTree`), for the sparse eigensolver. The tree
+decides the fronts of the eigensolver's inertia count, one per node: a set
+of at most `MERGED_DOFS` dofs is one node, and the fronts are read off the
+discretisation's own pattern."""
 
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
@@ -53,6 +56,9 @@ POINTS_PER_BLOCK = 8192
 # fill 497,704, 518,760 and 596,604 of the all-T Nedelec n = 8 shift
 # factor, against 692,646 under SuperLU's MMD (see README)
 LEAF_DOFS = 32
+# Dofs of a set that is one node of the tree, numbered by the same splits:
+# the inertia count factorises fewer and larger dense fronts, to the same count
+MERGED_DOFS = 128
 
 
 @dataclass
@@ -174,12 +180,13 @@ def dof_positions(gdofs: np.ndarray, mesh: Mesh, ndof: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class DissectionTree:
     """The elimination tree of a nested dissection, in the pencil's numbering
-    (the dissection's order). Node i numbers the dofs bounds[i]:bounds[i+1];
-    the nodes come in post-order (the lower half's subtree, the upper half's,
-    their separator), a leaf has no children and a separator the roots of its
-    halves' subtrees. `fronts[i]` are the later rows, sorted, that the dofs of
-    node i's subtree couple to: all of them in ancestors' separators, and a
-    superset of the rows of its Schur update."""
+    (the dissection's order), each node one front of the inertia count. Node
+    i numbers the dofs bounds[i]:bounds[i+1]; the nodes come in post-order
+    (the lower half's subtree, the upper half's, their separator), a set of
+    at most `MERGED_DOFS` dofs is one node with no children and a separator
+    has the roots of its halves' subtrees. `fronts[i]` are the later rows,
+    sorted, that the dofs of node i's subtree couple to: all of them in
+    ancestors' separators, and a superset of the rows of its Schur update."""
 
     bounds: np.ndarray
     children: Tuple[Tuple[int, ...], ...]
@@ -188,23 +195,26 @@ class DissectionTree:
 
 def nested_dissection(positions: np.ndarray, pattern: ScatterPattern):
     """A fill-reducing ordering of the dofs, order[i] the dof numbered i, and
-    its elimination tree (`DissectionTree`).
+    its elimination tree's node ranges `bounds` and `children` (see
+    `DissectionTree`).
 
     A set of more than `LEAF_DOFS` dofs splits at the median of its widest
     coordinate; the dofs of the upper half that couple to the lower half in
     the CSR pattern form the separator. Both halves are numbered the same
     way, the lower first, and the separator after them. Positions within
     round-off of the median go to the upper half, so that dofs on a mesh
-    plane through it stay together in the separator."""
+    plane through it stay together in the separator. A set of at most
+    `MERGED_DOFS` dofs is one node, numbered by the same splits: the count's
+    dense fronts are fewer and larger, and the numbering does not change."""
     indptr, indices = pattern.indptr, pattern.indices
     lower = np.zeros(len(positions), dtype=bool)
-    order, children, roots = [], [], []
-    # (dofs, the children of a separator or None for a set to split, the
-    # children list of the node above): the lower half is popped first
-    stack = [(np.arange(len(positions)), None, roots)]
-    while stack:
-        dofs, kids, siblings = stack.pop()
-        if kids is None and len(dofs) > LEAF_DOFS:
+    order, sizes, children = [], [], []
+
+    def number(dofs, nodes):
+        """Number `dofs` by their splits after those numbered so far; with
+        `nodes`, add their subtree to the tree and return its root."""
+        size, split, kids = len(dofs), nodes and len(dofs) > MERGED_DOFS, ()
+        if size > LEAF_DOFS:
             x = positions[dofs]
             extent = x.max(axis=0) - x.min(axis=0)
             axis = np.argmax(extent)
@@ -218,28 +228,27 @@ def nested_dissection(positions: np.ndarray, pattern: ScatterPattern):
                 lower[low] = True
                 separator = np.logical_or.reduceat(lower[indices[entries]], firsts)
                 lower[low] = False
-                kids = []
-                stack += [(high[separator], kids, siblings), (high[~separator], None, kids),
-                          (low, None, kids)]
-                continue
-        siblings.append(len(order))
-        children.append(tuple(kids or ()))
+                kids = (number(low, split), number(high[~separator], split))
+                dofs = high[separator]
         order.append(dofs)
-    bounds = np.cumsum([0] + [len(dofs) for dofs in order])
-    order = np.concatenate(order)
-    return order, DissectionTree(bounds, tuple(children), _fronts(order, bounds, children, pattern))
+        if nodes:
+            sizes.append(len(dofs) if split else size)
+            children.append(kids if split else ())
+            return len(children) - 1
+
+    number(np.arange(len(positions)), True)
+    return np.concatenate(order), np.cumsum([0] + sizes), tuple(children)
 
 
-def _fronts(order, bounds, children, pattern):
-    """The later rows each node's subtree couples to, in the new numbering:
-    those of the node's own rows and of its children's fronts."""
-    n = len(order)
-    P = sp.csr_array((np.ones(len(pattern.indices)), pattern.indices, pattern.indptr),
-                     shape=(n, n))[order][:, order]
+def _fronts(bounds, children, pattern):
+    """The later rows each node's subtree couples to, in the pattern's
+    numbering (the tree's): those of the node's own rows and of its
+    children's fronts."""
+    indptr, indices = pattern.indptr, pattern.indices
     fronts = []
     for node, kids in enumerate(children):
         a, b = bounds[node], bounds[node + 1]
-        rows = np.unique(np.concatenate([P.indices[P.indptr[a]:P.indptr[b]]]
+        rows = np.unique(np.concatenate([indices[indptr[a]:indptr[b]]]
                                         + [fronts[k] for k in kids]))
         fronts.append(rows[rows >= b])
     return tuple(fronts)
@@ -304,13 +313,14 @@ class Discretisation:
                                          "no free dofs")
         entities = space.entities(mesh)[0]
         gdofs = dof_of[entities]
-        order, self.tree = nested_dissection(dof_positions(gdofs, mesh, len(free)),
-                                             ScatterPattern(gdofs, len(free)))
+        order, bounds, children = nested_dissection(dof_positions(gdofs, mesh, len(free)),
+                                                    ScatterPattern(gdofs, len(free)))
         dof_of[free[order]] = np.arange(len(free))  # in the dissection's order
         self.gdofs = dof_of[entities]
         self.values = space.values(mesh, rule.points[None], slice(None))
         self.derivatives = space.derivatives(mesh)
         self.pattern = ScatterPattern(self.gdofs, len(free))
+        self.tree = DissectionTree(bounds, children, _fronts(bounds, children, self.pattern))
         self.kernel_basis = (None if space.kernel_basis is None
                              else space.kernel_basis(mesh)[order])
 

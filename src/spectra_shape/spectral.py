@@ -14,13 +14,13 @@ M is not factorised: assembly certifies that it is positive-definite.
 A FEM pencil is numbered by its discretisation's nested dissection and
 carries that dissection's elimination tree (`Pencil.tree`): its shift is
 factorised as it is numbered, with no ordering of SuperLU's own, and its
-inertia is counted by a multifrontal pass over the tree that keeps no
-factor: Bunch-Kaufman on each front's pivot block, the Schur update passed
-to the parent and dropped once added, and no SuperLU factor alive
-meanwhile. A pencil without a tree factorises its shift in SuperLU's MMD
-ordering and counts from SuperLU's pivots in that ordering, as does a tree
-with a pivot block that is exactly singular; the kernel projector's small
-G^T M G takes MMD as well.
+inertia is counted by a multifrontal pass that keeps no factor, one front
+per node of the tree as the tree gives it: Bunch-Kaufman on each front's
+pivot block, the Schur update passed to the parent and dropped once added,
+and no SuperLU factor alive meanwhile. A pencil without a tree factorises
+its shift in SuperLU's MMD ordering and counts from SuperLU's pivots in
+that ordering, as does a tree with a pivot block that is exactly singular;
+the kernel projector's small G^T M G takes MMD as well.
 
 Dense products at size run in scipy's LAPACK and BLAS (`lapack.dsysv`,
 `blas.dgemm`), never through numpy's `@`: a product large enough to thread
@@ -50,9 +50,6 @@ EXTRA_PAIRS = 4
 # relative accuracy of the Ritz values; the Rayleigh-Ritz step on the
 # returned block gives eigenvalues to round-off from vectors this accurate
 LANCZOS_TOL = 1e-12
-# the inertia count takes a subtree of the elimination tree with at most this
-# many dofs as one front: fewer and larger dense blocks, the same count
-MERGED_DOFS = 128
 
 
 @dataclass
@@ -156,31 +153,19 @@ def _count_on_tree(A, tree) -> Optional[int]:
     multifrontal LDL^T that keeps no factor, or None when a pivot block is
     exactly singular.
 
-    Front by front in post-order: a node's front, over its pivots and its
-    `tree.fronts` rows, takes A's entries and its children's Schur updates
-    (extend-add); its pivot block is factorised by Bunch-Kaufman, whose D
-    has the block's negative eigenvalues, and the update F22 - F21 F11^-1
-    F12 goes to the parent. A subtree of at most `MERGED_DOFS` dofs is one
-    front, whose pivots are all its dofs. A child's update is dropped once
-    added; every dense product runs in scipy's LAPACK and BLAS."""
+    One front per node of the tree, in its post-order: node i's front, over
+    its pivots bounds[i]:bounds[i+1] and its `tree.fronts` rows, takes A's
+    entries and its children's Schur updates (extend-add); its pivot block
+    is factorised by Bunch-Kaufman, whose D has the block's negative
+    eigenvalues, and the update F22 - F21 F11^-1 F12 goes to the parent. A
+    child's update is dropped once added; every dense product runs in
+    scipy's LAPACK and BLAS."""
     A = sp.csr_array(A)
     indptr, indices, data = A.indptr, A.indices, A.data
-    bounds, children, fronts = tree.bounds, tree.children, tree.fronts
-    # node i's subtree numbers first[i]:bounds[i + 1]; the root's parent is
-    # a sentinel that is never small
-    nodes = len(children)
-    first, parent = bounds[:-1].copy(), np.full(nodes, nodes)
-    for node, kids in enumerate(children):
-        if kids:
-            first[node] = first[list(kids)].min()
-            parent[list(kids)] = node
-    small = np.append(bounds[1:] - first <= MERGED_DOFS, False)
+    bounds, fronts = tree.bounds, tree.fronts
     updates, negatives = {}, 0
-    for node, (kids, rows) in enumerate(zip(children, fronts)):
-        if small[node] and small[parent[node]]:
-            continue  # in the front of a subtree above it
-        a, b = (first if small[node] else bounds)[node], bounds[node + 1]
-        kids = () if small[node] else kids
+    for node, (kids, rows) in enumerate(zip(tree.children, fronts)):
+        a, b = bounds[node], bounds[node + 1]
         p, u = b - a, len(rows)
         F11, F12, F22 = (np.zeros(shape, order="F") for shape in ((p, p), (p, u), (u, u)))
         # the front's rows of A from its first pivot's column on (the entries

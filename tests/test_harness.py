@@ -710,9 +710,14 @@ class TestCli:
 
     @pytest.mark.parametrize("spelling", ["config", "--out"])
     @pytest.mark.parametrize("target", ["missing-dir/report.json", "."], ids=["missing", "dir"])
-    def test_unwritable_output_exit_code(self, tmp_path, capsys, spelling, target):
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, monkeypatch, spelling, target):
         """An output path in a missing directory, or naming a directory, is
-        a configuration error, given in the config or by --out."""
+        a configuration error, given in the config or by --out, refused
+        before the problem is built."""
+        def build_problem(cfg):
+            pytest.fail("the problem was built before the output was checked")
+
+        monkeypatch.setattr(harness, "build_problem", build_problem)
         out = str(tmp_path / target)
         raw = {"problem": "abstract-pencil"}
         path = self.write_config(tmp_path, dict(raw, output=out) if spelling == "config" else raw)

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from spectra_shape import harness, spectral
+from spectra_shape import fem_common, harness, spectral
 from spectra_shape import transforms as tf
 from spectra_shape.fem_common import (DissectionTree, Discretisation, assemble_pencil,
                                       dof_positions, free_dofs, nested_dissection)
@@ -130,15 +130,27 @@ COUNT_IDS = ["helmholtz-T", "helmholtz-N", "helmholtz-mixed", "maxwell-T", "maxw
              "maxwell-mixed", "one-tet"]
 
 
+def fine_discretisation(case, tmp_path, monkeypatch):
+    """The discretisation with a node of the tree for each leaf and each
+    separator of the dissection (no set merged into one node)."""
+    with monkeypatch.context() as m:
+        m.setattr(fem_common, "MERGED_DOFS", 0)
+        return discretisation(case, tmp_path)
+
+
 @pytest.mark.parametrize("case", COUNT_CASES, ids=COUNT_IDS)
 def test_inertia_equals_mmd(case, tmp_path, monkeypatch):
     """Just above zero and at a shift between consecutive distinct
     eigenvalues, the count-only pass on the discretisation's tree finds as
     many negative eigenvalues of K - s M as SuperLU's pivots under MMD, and
     as many as there are eigenvalues below s: at the kernel's gap and the
-    lowest 24 others; with the small subtrees merged into one front each,
-    and with a front per node."""
-    p = assemble_pencil(discretisation(case, tmp_path), 0.0)
+    lowest 24 others; on the tree with the small sets merged into one node
+    each, and on the tree with a node per leaf and separator, which numbers
+    the dofs the same way."""
+    disc = discretisation(case, tmp_path)
+    fine = fine_discretisation(case, tmp_path, monkeypatch)
+    np.testing.assert_array_equal(fine.gdofs, disc.gdofs)
+    p = assemble_pencil(disc, 0.0)
     vals = sla.eigh(p.K.toarray(), p.M.toarray(), eigvals_only=True)
     gaps = np.nonzero(np.diff(vals) > 1e-6 * np.abs(vals).max())[0]
     assert len(gaps) >= 2
@@ -149,30 +161,64 @@ def test_inertia_equals_mmd(case, tmp_path, monkeypatch):
         assert spectral._count_below(p.K, p.M, s, p.tree) == below
         assert spectral._count_below(p.K, p.M, s) == below
         A = p.K - s * p.M
-        for merged in (spectral.MERGED_DOFS, 0):
-            monkeypatch.setattr(spectral, "MERGED_DOFS", merged)
-            assert spectral._count_on_tree(A, p.tree) == below
+        for tree in (p.tree, fine.tree):
+            assert spectral._count_on_tree(A, tree) == below
+
+
+@pytest.mark.parametrize("case", COUNT_CASES, ids=COUNT_IDS)
+def test_each_node_is_one_front(case, tmp_path, monkeypatch):
+    """The count factorises one front per node that has pivots, in node
+    order, over exactly the node's dofs and its fronts' rows; no childless
+    node of a box holds more than `MERGED_DOFS` dofs."""
+    p = assemble_pencil(discretisation(case, tmp_path), 0.0)
+    bounds, sizes = p.tree.bounds, np.diff(p.tree.bounds)
+    calls = []
+
+    def dsysv(F11, F12, **kwargs):
+        calls.append((F11.shape, F12.shape))
+        return lapack.dsysv(F11, F12, **kwargs)
+
+    monkeypatch.setattr(spectral, "lapack", SimpleNamespace(dsysv=dsysv))
+    count = spectral._count_on_tree(p.K - 0.5 * p.lambda_scale() * p.M, p.tree)
+    assert count == spectral._count_below(p.K, p.M, 0.5 * p.lambda_scale())
+    assert calls == [((b - a, b - a), (b - a, len(rows)))
+                     for a, b, rows in zip(bounds, bounds[1:], p.tree.fronts) if b > a]
+    if case != "one-tet":
+        childless = [not kids for kids in p.tree.children]
+        assert np.all(sizes[childless] <= fem_common.MERGED_DOFS)
+
+
+@pytest.mark.parametrize("case, nodes, fine_nodes",
+                         [(("helmholtz", 14, MIXED_PARTITION), 31, 123),
+                          (("maxwell", 8, "T"), 63, 127)],
+                         ids=["helmholtz-mixed-14", "maxwell-T-8"])
+def test_small_sets_are_merged(case, nodes, fine_nodes, monkeypatch):
+    """The mixed P1 n = 14 tree has 31 nodes and the all-T Nedelec n = 8 tree
+    63, each one front of the count, against 123 and 127 leaves and
+    separators of their dissections."""
+    assert len(discretisation(case).tree.children) == nodes
+    assert len(fine_discretisation(case, None, monkeypatch).tree.children) == fine_nodes
 
 
 def chain(values, diagonal):
-    """A symmetric pentadiagonal matrix on dofs 0..n-1 at x = i, with its
-    nested dissection and tree."""
+    """A symmetric pentadiagonal matrix on dofs 0..n-1 at x = i, numbered by
+    its nested dissection, and the dissection's tree."""
     n = len(diagonal)
     A = sp.diags([values[1:], values, diagonal, values, values[1:]], [-2, -1, 0, 1, 2],
                  shape=(n, n), format="csr")
     positions = np.stack([np.arange(n, dtype=float), np.zeros(n), np.zeros(n)], axis=1)
-    order, tree = nested_dissection(positions, SimpleNamespace(indptr=A.indptr,
-                                                               indices=A.indices))
-    return sp.csr_array(A[order][:, order]), tree
+    order, bounds, children = nested_dissection(positions, A)
+    A = sp.csr_array(A[order][:, order])
+    return A, DissectionTree(bounds, children, fem_common._fronts(bounds, children, A))
 
 
 def test_two_by_two_pivots_are_counted(monkeypatch):
     """A zero diagonal makes Bunch-Kaufman take 2x2 pivot blocks, each with
     one negative and one positive eigenvalue; on a 300-dof chain with zero
-    diagonals (a front per node, 2x2 blocks in the leaves and separators)
-    the count equals the eigenvalues' below zero, and [[0, 1], [1, 0]] in a
-    larger front takes a 2x2 block."""
-    monkeypatch.setattr(spectral, "MERGED_DOFS", 0)
+    diagonals (a front per leaf and separator, 2x2 blocks in the leaves and
+    separators) the count equals the eigenvalues' below zero, and
+    [[0, 1], [1, 0]] in a larger front takes a 2x2 block."""
+    monkeypatch.setattr(fem_common, "MERGED_DOFS", 0)
     blocks, negatives = [], spectral._negatives
 
     def spy(ldu, ipiv):
@@ -198,8 +244,8 @@ def test_two_by_two_pivots_are_counted(monkeypatch):
 def test_singular_pivot_block_falls_back_to_superlu(monkeypatch):
     """A leaf whose pivot block is exactly zero stops the pass (Bunch-Kaufman
     reports it singular); the count then comes from SuperLU's pivots in its
-    MMD ordering, and is right. Merged into one front with its parent, the
-    leaf's block is part of a regular one."""
+    MMD ordering, and is right. In a one-node tree, one front over all the
+    dofs, the leaf's block is part of a regular one."""
     A = sp.csr_array(np.array([[0.0, 0.0, 1.0, 1.0, 1.0],
                                [0.0, 1.0, 1.0, 0.0, 0.0],
                                [1.0, 1.0, 2.0, 1.0, 0.0],
@@ -207,8 +253,8 @@ def test_singular_pivot_block_falls_back_to_superlu(monkeypatch):
                                [1.0, 0.0, 0.0, 1.0, 4.0]]))
     tree = DissectionTree(np.array([0, 1, 2, 5]), ((), (), (0, 1)),
                           (np.array([2, 3, 4]), np.array([2]), np.array([], int)))
-    assert spectral._count_on_tree(A, tree) == 1
-    monkeypatch.setattr(spectral, "MERGED_DOFS", 0)
+    merged = DissectionTree(np.array([0, 5]), ((),), (np.array([], int),))
+    assert spectral._count_on_tree(A, merged) == 1
     assert spectral._count_on_tree(A, tree) is None
     naturals, ldl = [], spectral._ldl
 
