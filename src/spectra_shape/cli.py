@@ -2,9 +2,10 @@
 
 Subcommands: eig (spectrum only), dshape (derivative routes), verify
 (FD plus route-equivalence suite), study (refinement), abstract
-(synthetic pencil demos). Exit codes: 0 success, 2 config error,
-3 numerical failure, 4 invariant violation. The BLAS thread count is read
-from OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS.
+(synthetic pencil demos). Exit codes: 0 success, 2 config error, 3 numerical
+failure, 4 invariant violation; a failure prints one line, prefixed by its
+kind, to stderr alone. The BLAS thread count is read from
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS.
 """
 
 import argparse
@@ -46,8 +47,9 @@ _CONFIG_ERRORS = (ConfigError, MeshFormatError, InvalidGeometryError)
 def _cmd_eig(cfg, out):
     pencil = harness.assemble_at(harness.build_problem(cfg), cfg.chi_bar)
     lo, hi = cfg.index_range
+    harness.check_index_range(cfg, pencil.size, "dofs of the pencil")
     dec = solve_pencil(pencil, cfg.kernel_tol, count=hi, cluster_tol=cfg.cluster_tol)
-    harness.check_index_range(cfg, dec)
+    harness.check_index_range(cfg, len(dec.eigenvalues))
     _emit(
         {
             "eigenvalues": dec.eigenvalues[lo - 1 : hi].tolist(),

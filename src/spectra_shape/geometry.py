@@ -52,20 +52,16 @@ _T14_WEIGHTS = (0.012248840519393659, 0.018781320953002643, 0.007091003462846911
 
 def tet_quadrature(order: int = 2) -> QuadratureRule:
     """Quadrature on the reference tetrahedron, exact for polynomials of
-    total degree <= order: the centroid, the 4-point rule, or the 14-point
+    total degree <= order: the 4-point rule for order 2, or the 14-point
     rule for orders 3 and 4. Weights are positive and sum to 1/6."""
-    if order <= 1:
-        return QuadratureRule(
-            np.array([[0.25, 0.25, 0.25, 0.25]]), np.array([1.0 / 6.0]), 1
-        )
+    if not 2 <= order <= 4:
+        raise InvalidGeometryError(f"tet quadrature order {order} not supported")
     if order == 2:
         a = (5.0 + 3.0 * np.sqrt(5.0)) / 20.0
         b = (5.0 - np.sqrt(5.0)) / 20.0
         pts = np.full((4, 4), b)
         np.fill_diagonal(pts, a)
         return QuadratureRule(pts, np.full(4, 1.0 / 24.0), 2)
-    if order > 4:
-        raise InvalidGeometryError(f"tet quadrature order {order} not supported")
     vertex = [np.full((4, 4), a) + (1.0 - 4.0 * a) * np.eye(4) for a in _T14_VERTEX]
     edge = np.full((6, 4), 0.5 - _T14_EDGE)
     edge[np.arange(6)[:, None], TET_EDGE_PAIRS] = _T14_EDGE
@@ -73,19 +69,16 @@ def tet_quadrature(order: int = 2) -> QuadratureRule:
 
 
 def triangle_quadrature(order: int = 2) -> QuadratureRule:
-    """Quadrature on the reference triangle, exact to total degree <= order.
+    """Quadrature on the reference triangle, exact to total degree <= order:
+    the 3-point rule for order 2, or the 6-point rule for orders 3 and 4.
     Weights are positive and sum to 1/2."""
-    if order <= 1:
-        return QuadratureRule(
-            np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([0.5]), 1
-        )
+    if not 2 <= order <= 4:
+        raise InvalidGeometryError(f"triangle quadrature order {order} not supported")
     if order == 2:
         pts = np.array(
             [[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]
         )
         return QuadratureRule(pts, np.full(3, 1.0 / 6.0), 2)
-    if order > 4:
-        raise InvalidGeometryError(f"triangle quadrature order {order} not supported")
     # Dunavant 6-point rule, degree 4, positive weights
     a1, w1 = 0.445948490915965, 0.223381589678011
     a2, w2 = 0.091576213509771, 0.109951743655322

@@ -155,6 +155,7 @@ class Problem:
         """Pencil at chi_bar, its solve up to index_range[1] and its clusters."""
         cfg = self.cfg
         pencil = assemble_at(self, cfg.chi_bar)
+        check_index_range(cfg, pencil.size, "dofs of the pencil")
         dec = solve_pencil(pencil, cfg.kernel_tol, count=cfg.index_range[1],
                            cluster_tol=cfg.cluster_tol)
         return pencil, dec, cluster_spectrum(dec, cfg.cluster_tol)
@@ -443,11 +444,16 @@ def write_json(payload, path: Optional[str]):
         print(text)
 
 
-def check_index_range(cfg: RunConfig, dec: EigenDecomposition):
-    """Refuse an index_range that reaches past the computed eigenvalues."""
-    if cfg.index_range[1] > len(dec.eigenvalues):
-        raise ConfigError(f"index_range {cfg.index_range} exceeds the "
-                          f"{len(dec.eigenvalues)} computed eigenvalues")
+def check_index_range(cfg: RunConfig, count: int, of: str = "computed eigenvalues"):
+    """Refuse an index_range past `count`, the dofs or computed eigenvalues."""
+    if cfg.index_range[1] > count:
+        raise ConfigError(f"index_range {cfg.index_range} exceeds the {count} {of}")
+
+
+def wanted_clusters(cfg: RunConfig, clusters: List[EigenCluster]) -> List[EigenCluster]:
+    """The clusters that overlap the configured index_range, which `run` reports."""
+    lo, hi = cfg.index_range
+    return [c for c in clusters if c.indices[-1] + 1 >= lo and c.indices[0] + 1 <= hi]
 
 
 def run(problem: Problem) -> dict:
@@ -457,9 +463,8 @@ def run(problem: Problem) -> dict:
     environment and clusters; its caller writes it."""
     cfg = problem.cfg
     pencil, dec, clusters = problem.solution
-    check_index_range(cfg, dec)
-    lo, hi = cfg.index_range
-    wanted = [c for c in clusters if c.indices[-1] + 1 >= lo and c.indices[0] + 1 <= hi]
+    check_index_range(cfg, len(dec.eigenvalues))
+    wanted = wanted_clusters(cfg, clusters)
 
     routes = _route_matrices(problem, wanted, cfg.surface_form_trusted)
     records = []
@@ -544,15 +549,15 @@ def fd_check(problem: Problem, steps) -> List[dict]:
     """Central-difference table over the given steps with Richardson reference.
 
     Each row carries the tracked branch slopes and the slopes of the
-    elementary symmetric functions of the cluster (sorted eigenvalues only,
-    no tracking needed). A tracking failure is recorded in the row instead
-    of aborting the table. The observed order needs geometric steps, and slope
-    differences above round-off: an eigenvalue's round-off, eps |lambda_bar|,
-    moves a slope by eps |lambda_bar| / h."""
+    elementary symmetric functions of the first wanted cluster (sorted
+    eigenvalues only, no tracking needed). A tracking failure is recorded in
+    the row instead of aborting the table. The observed order needs geometric
+    steps, and slope differences above round-off: an eigenvalue's round-off,
+    eps |lambda_bar|, moves a slope by eps |lambda_bar| / h."""
     cfg = problem.cfg
     steps = check_fd_steps(steps)
     _, _, clusters = problem.solution
-    cl = clusters[0]
+    cl = wanted_clusters(cfg, clusters)[0]
     count = cl.indices[-1] + 1
 
     rows = []

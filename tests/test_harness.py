@@ -10,6 +10,7 @@ import time
 import warnings
 import weakref
 from dataclasses import replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment  # oracle of the pairing tests only
 
-from spectra_shape import cli, fem_common, harness, maxwell
+from spectra_shape import cli, fem_common, harness, maxwell, spectral
 from spectra_shape import transforms as tf
 from spectra_shape.errors import ConfigError, DegenerateProblemError
 from spectra_shape.geometry import BOX_FACES, build_box_mesh, save_mesh
@@ -42,6 +43,26 @@ MAXWELL_MIXED = {"problem": "maxwell",
                  "direction": 1.7153257868178367,
                  "coefficients": {"epsilon": {"M": (1.1930657241276608 * np.eye(3)).tolist()}},
                  "index_range": [1, 2]}
+
+
+def refusing(what):
+    """A stand-in that fails the test with `what` if it is called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(what)
+    return refuse
+
+
+def count_calls(monkeypatch, name):
+    """The arguments of each call to `harness.<name>`, which still runs."""
+    calls = []
+    original = getattr(harness, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counting)
+    return calls
 
 
 def config(**overrides):
@@ -138,29 +159,20 @@ class TestRun:
             harness.run(harness.build_problem(config(index_range=[1, 10_000])))
 
     def test_untrusted_surface_form_is_not_computed(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("surface matrix computed for an untrusted form")
-
-        monkeypatch.setattr(harness.hadamard, "helmholtz_surface_matrix", refuse)
+        monkeypatch.setattr(harness.hadamard, "helmholtz_surface_matrix",
+                            refusing("surface matrix computed for an untrusted form"))
         rec = harness.run(harness.build_problem(config(surface_form_trusted=False)))["clusters"][0]
         assert "volume_matrix" in rec
         assert "surface_matrix" not in rec and "surface_volume_gap" not in rec
 
     def test_clusters_sharing_an_fd_step_share_the_solves(self, monkeypatch):
-        chis = []
-        assemble = harness.assemble_at
-
-        def counting(cfg, chi, *args, **kwargs):
-            chis.append(chi)
-            return assemble(cfg, chi, *args, **kwargs)
-
-        monkeypatch.setattr(harness, "assemble_at", counting)
+        assemblies = count_calls(monkeypatch, "assemble_at")
         box = {"type": "box", "dims": [1, 1.3, 1.7], "n": 3, "partition": "T"}
         records = harness.run(harness.build_problem(config(mesh=box, index_range=[1, 2])))["clusters"]
         assert [r["multiplicity"] for r in records] == [1, 1]
         assert records[0]["fd_step"] == records[1]["fd_step"]
         # one assembly at chi_bar, then one at each of chi_bar +- step for both
-        assert len(chis) == 3
+        assert len(assemblies) == 3
         for rec in records:
             assert rec["slopes_fd"] == pytest.approx(rec["slopes_rellich"], rel=1e-6)
 
@@ -252,18 +264,22 @@ class TestFdCheck:
             assert row["fd_min_overlap"] > 0.5
 
     def test_each_shifted_pencil_is_solved_once(self, monkeypatch):
-        solves = []
-        solve = harness.solve_pencil
-
-        def counting(*args, **kwargs):
-            solves.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "solve_pencil", counting)
+        solves = count_calls(monkeypatch, "solve_pencil")
         rows = harness.fd_check(harness.build_problem(config()), (1e-3, 5e-4, 2.5e-4))
         assert all("sym_slopes" in r for r in rows)
         # one solve at chi_bar, then one per chi_bar +- step
         assert len(solves) == 1 + 2 * 3
+
+    def test_table_follows_index_range(self):
+        """On the stretched box [1, 1.2, 0.9] the table of index_range [2, 2]
+        differences the second eigenvalue: slope -36.25, the first's -25.00."""
+        box = {"type": "box", "dims": [1, 1.2, 0.9], "n": 4, "partition": "T"}
+        problem = harness.build_problem(config(mesh=box, family={"kind": "stretch", "axis": 0},
+                                               index_range=[2, 2]))
+        [rec] = harness.run(problem)["clusters"]
+        assert rec["indices"] == [2]
+        for row in harness.fd_check(problem, (1e-3, 1e-4)):
+            assert row["slopes"] == pytest.approx(rec["slopes_rellich"], rel=1e-5)
 
     def test_too_few_steps_rejected(self):
         with pytest.raises(ConfigError):
@@ -381,6 +397,158 @@ class TestRefinementStudy:
             harness.refinement_study(config(refinement=[]))
 
 
+class Case(NamedTuple):
+    """One CLI run: `command` on HELM_SCALING updated with `config` (no
+    config file when None), in a directory holding `files`, exits `code`."""
+    config: Optional[dict]
+    command: str = "eig"
+    code: int = cli.EXIT_CONFIG
+    files: dict = {}
+
+
+ONE_TET = "tetmesh v1\nvertices 4\n0 0 0\n1 0 0\n0 1 0\n0 0 1\ntets 1\n0 1 2 3\nbfacets 4\n"
+ALL_N = "1 2 3 N\n0 2 3 N\n0 1 3 N\n0 1 2 N\n"
+PREFIX = {cli.EXIT_CONFIG: "config error: ", cli.EXIT_NUMERICAL: "numerical failure: ",
+          cli.EXIT_INVARIANT: "invariant violation: "}
+
+# Every CLI case that runs one command on one config and reads only its exit
+# code and output, as (key, Case): a failing case's stderr holds the key, and
+# a successful case's JSON payload holds it as a key.
+CLI_CASES = [
+    ("kernel_tol", Case({"kernel_tol": "abc"})),
+    ("index_range", Case({"index_range": [1, 2, 3]})),
+    ("refinement", Case({"refinement": "x"})),
+    ("direction", Case({"direction": None})),
+    ("mesh n", Case({"mesh": dict(HELM_SCALING["mesh"], n="four")})),
+    ("mesh dims", Case({"mesh": dict(HELM_SCALING["mesh"], dims=[1, 1])})),
+    ("nu", Case({"coefficients": {"nu": {"kind": "constant", "v": "x"}}})),
+    # values of the wrong JSON type, which a conversion would accept
+    ("surface_form_trusted", Case({"surface_form_trusted": "false"})),
+    ("refinement", Case({"refinement": "12"})),
+    ("index_range", Case({"index_range": [1.7, 2.2]})),
+    ("chi_bar", Case({"chi_bar": "0"})),
+    ("direction", Case({"direction": True})),
+    ("mesh", Case({"mesh": [["type", "box"], ["n", 2]]})),
+    ("output", Case({"output": 7})),
+    # nested values: JSON numbers, integers in range, arrays of the parsed shape
+    ("'M'", Case({"coefficients": {"epsilon": {"kind": "constant", "M": [[1, 0], [0, 1]]}}})),
+    ("'c'", Case({"family": {"kind": "bump", "g": {"type": "constant", "c": [0.1, 0.2]}}})),
+    ("'A1'", Case({"family": {"kind": "affine", "A1": [[1, 0], [0, 1]]}})),
+    ("'axis'", Case({"family": {"kind": "bump", "g": {"type": "sin", "axis": 5}}})),
+    ("'axis'", Case({"family": {"kind": "stretch", "axis": 1.7}})),
+    ("'amplitude'", Case({"family": {"kind": "bump",
+                                     "g": {"type": "sin", "axis": 0, "amplitude": "0.05"}}})),
+    ("'rate'", Case({"family": {"kind": "scaling", "rate": "2"}})),
+    ("'m'", Case({"problem": "abstract-pencil", "abstract": {"kind": "degenerate", "m": "x"}})),
+    ("'m'", Case({"problem": "abstract-pencil", "abstract": {"kind": "degenerate", "m": 0}})),
+    ("'d0'", Case({"problem": "abstract-pencil",
+                   "abstract": {"kind": "diagonal", "d0": [1, "a"]}})),
+    ("'seed'", Case({"abstract": {"seed": "x"}}, "abstract")),
+    ("mesh path", Case({"mesh": {"type": "file", "path": None}})),
+    ("mesh path", Case({"mesh": {"type": "file", "path": ["a"]}})),
+    # an integer path would be opened as a file descriptor: 0 is stdin
+    ("mesh path", Case({"mesh": {"type": "file", "path": 0}})),
+    ("mesh partition", Case({"mesh": dict(HELM_SCALING["mesh"], partition=5)})),
+    ("mesh partition", Case({"mesh": dict(HELM_SCALING["mesh"], partition=["T"])})),
+    ("epsilon", Case({"coefficients": {"epsilon": 5}})),
+    ("'g'", Case({"family": {"kind": "bump", "g": [0.1, 0.0, 0.0]}})),
+    ("'d0'", Case({"problem": "abstract-pencil", "abstract": {"kind": "diagonal", "d0": [],
+                                                              "d1": []}})),
+    # JSON's Infinity, which Python's json module reads as a float
+    ("chi_bar", Case({"chi_bar": float("inf")})),
+    ("kernel_tol", Case({"kernel_tol": float("inf")})),
+    ("'rate'", Case({"family": {"kind": "scaling", "rate": float("-inf")}})),
+    ("mesh dims", Case({"mesh": dict(HELM_SCALING["mesh"], dims=[float("inf"), 1, 1])})),
+    # constant coefficients that are not positive
+    ("constant 'M' must be symmetric positive-definite",
+     Case({"coefficients": {"epsilon": {"M": [[1, 0, 0], [0, 1, 0], [0, 0, -0.5]]}}})),
+    ("constant 'M' must be symmetric positive-definite",
+     Case({"coefficients": {"epsilon": {"M": [[1, 5, 0], [0, 1, 0], [0, 0, 1]]}}})),
+    ("constant 'M' must be symmetric positive-definite",
+     Case({"coefficients": {"epsilon": {"M": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]}}})),
+    ("constant 'M' must be symmetric positive-definite",
+     Case({"problem": "maxwell", "mesh": dict(HELM_SCALING["mesh"], n=2),
+           "coefficients": {"mu": {"M": [[1, 0, 0], [0, 1, 0], [0, 0, -0.5]]}}})),
+    ("'v' must be a finite number in [5e-324, inf], got -1",
+     Case({"coefficients": {"nu": {"kind": "constant", "v": -1}}})),
+    # affine coefficients that are not positive at a mapped mesh vertex
+    ("coefficient 'epsilon' must be positive-definite",
+     Case({"coefficients": {"epsilon": {"kind": "affine-diagonal", "d0": [1, 1, -0.5],
+                                        "D": np.zeros((3, 3)).tolist()}}})),
+    ("coefficient 'nu' must be positive-definite",
+     Case({"coefficients": {"nu": {"kind": "affine", "c0": -1, "c": [0, 0, 0]}}})),
+    ("coefficient 'mu' must be positive-definite",
+     Case({"problem": "maxwell", "mesh": dict(HELM_SCALING["mesh"], n=2),
+           "coefficients": {"mu": {"kind": "scalar-affine-identity", "c0": 1,
+                                   "c": [0, -2, 0]}}})),
+    # keys that a nested spec does not read
+    ("mesh type 'box' does not read the keys ['nn']", Case({"mesh": {"type": "box", "nn": 2}})),
+    ("mesh type 'file' does not read the keys ['n']",
+     Case({"mesh": {"type": "file", "path": "box.tetmesh", "n": 2}})),
+    ("partition names no box face ['w9']",
+     Case({"mesh": dict(HELM_SCALING["mesh"], partition=dict(MIXED, w9="N"))})),
+    ("displacement field type 'sin' does not read the keys ['amplitdue']",
+     Case({"family": {"kind": "bump", "g": {"type": "sin", "axis": 0, "amplitdue": 0.2}}})),
+    ("transformation family kind 'scaling' does not read the keys ['axis']",
+     Case({"family": {"kind": "scaling", "axis": 1}})),
+    ("matrix coefficient kind 'constant' does not read the keys ['d0']",
+     Case({"coefficients": {"epsilon": {"d0": [1, 1, 1]}}})),
+    ("scalar coefficient kind 'affine' does not read the keys ['v']",
+     Case({"coefficients": {"nu": {"kind": "affine", "c0": 1, "c": [0, 0, 0], "v": 1}}})),
+    ("abstract pencil kind 'crossing' does not read the keys ['m']",
+     Case({"problem": "abstract-pencil", "abstract": {"kind": "crossing", "m": 3}})),
+    # top-level specs that the problem does not read
+    ("problem 'abstract-pencil' does not read the keys ['family', 'mesh']",
+     Case({"problem": "abstract-pencil", "mesh": {"type": "box", "nn": 2},
+           "family": {"kind": "nope"}, "abstract": {"kind": "crossing"}})),
+    ("problem 'abstract-pencil' does not read the keys ['coefficients', 'family', 'mesh']",
+     Case({"problem": "abstract-pencil", "coefficients": {}})),
+    ("problem 'helmholtz' does not read the keys ['abstract']",
+     Case({"abstract": {"kind": "crossing", "zz": 1}})),
+    ("reads only 'abstract.seed', it does not read the keys ['sed']",
+     Case({"abstract": {"seed": 1, "sed": 2}}, "abstract")),
+    # config errors of a missing value, file or key, or of more than one value
+    ("problem must be one of", Case({"problem": "bogus"})),
+    ("cannot read config", Case(None)),
+    ("cannot read mesh", Case({"mesh": {"type": "file", "path": "no.tetmesh"}})),
+    ("bad count '-1'", Case({"mesh": {"type": "file", "path": "negative.tetmesh"}},
+                            files={"negative.tetmesh": "tetmesh v1\nvertices -1\n"})),
+    ("missing 'g'", Case({"family": {"kind": "bump"}}, "dshape")),
+    # equal steps would give a Richardson ratio of 1, a division by zero
+    ("distinct steps", Case({"fd_steps": [1e-3, 1e-3]}, "verify")),
+    ("FEM problem", Case({"problem": "abstract-pencil", "refinement": [2, 3]}, "study")),
+    ("box mesh spec", Case({"mesh": {"type": "file", "path": "box.tetmesh"},
+                            "refinement": [2, 3]}, "study")),
+    # all-T Maxwell n = 3: 117 dofs, of which 8 are kernel, so 109 eigenvalues
+    ("index_range (1, 115) exceeds the 109 computed eigenvalues",
+     Case({"problem": "maxwell", "index_range": [1, 115]})),
+    # numerical failures: chi_bar = -1 collapses the scaling map, det J <= 0
+    ("det J_Phi <= 0 at parameter -1.0", Case({"chi_bar": -1.0}, code=cli.EXIT_NUMERICAL)),
+    # fd_step itself folds the scaling map at chi_bar - 2
+    ("det J_Phi <= 0 at parameter -2.0", Case({"fd_step": 2.0}, "dshape", cli.EXIT_NUMERICAL)),
+    # nu = 1.2 - x is positive on the unit box; the stretch map at the first FD
+    # step, chi = 0.3, takes x up to 1.3, where assembly refuses the pencil
+    ("'nu' is not positive-definite at parameter 0.3",
+     Case({"family": {"kind": "stretch", "axis": 0}, "fd_steps": [0.3, 0.6],
+           "coefficients": {"nu": {"kind": "affine", "c0": 1.2, "c": [-1, 0, 0]}}},
+          "verify", cli.EXIT_NUMERICAL)),
+    # successes: the enlarged step 4.41 of the cluster [2..8] is withheld
+    ("clusters", Case({"index_range": [2, 2], "cluster_tol": 0.5}, "dshape", 0)),
+    ("branch_slopes", Case({}, "abstract", 0)),
+    ("fd_table", Case({}, "verify", 0)),  # the default fd_steps
+    # a linear bump is an affine map, integrated at order 2
+    ("clusters", Case({"family": {"kind": "bump", "g": {
+        "type": "linear", "G": [[0.1, 0, 0], [0, 0, 0.05], [0, 0.02, 0]]}}}, "dshape", 0)),
+    # a mesh file with every facet N, whose facet owners are derived
+    ("eigenvalues", Case({"mesh": {"type": "file", "path": "one-tet.tetmesh"}}, code=0,
+                         files={"one-tet.tetmesh": ONE_TET + ALL_N})),
+    # faces tagged on the integer grid, not by float coordinates
+    ("eigenvalues", Case({"mesh": {"type": "box", "dims": [123.457, 1, 1], "n": 9}}, code=0)),
+    # one free edge, which leaves the kernel basis no column
+    ("eigenvalues", Case({"problem": "maxwell", "mesh": {"type": "box", "n": 1}}, code=0)),
+]
+
+
 class TestCli:
     def write_config(self, tmp_path, raw):
         path = tmp_path / "config.json"
@@ -457,23 +625,6 @@ class TestCli:
             doc["branch_slopes"]["crossing"], [-1.0, 1.0], atol=1e-12
         )
 
-    def test_repeated_fd_steps_exit_code(self, tmp_path, capsys):
-        """Equal steps would give a Richardson ratio of 1, a division by zero."""
-        path = self.write_config(tmp_path, dict(HELM_SCALING, fd_steps=[1e-3, 1e-3]))
-        assert cli.main(["verify", "--config", path]) == cli.EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert "distinct steps" in captured.err and captured.out == ""
-
-    def test_coefficient_not_positive_at_an_fd_step_exit_code(self, tmp_path, capsys):
-        """nu = 1.2 - x is positive on the unit box, but the stretch map at
-        the first FD step, chi = 0.3, takes x up to 1.3: assembly there
-        refuses the pencil, after the run at chi_bar = 0 went through."""
-        raw = dict(HELM_SCALING, family={"kind": "stretch", "axis": 0}, fd_steps=[0.3, 0.6],
-                   coefficients={"nu": {"kind": "affine", "c0": 1.2, "c": [-1, 0, 0]}})
-        path = self.write_config(tmp_path, raw)
-        assert cli.main(["verify", "--config", path]) == cli.EXIT_NUMERICAL
-        assert "'nu' is not positive-definite at parameter 0.3" in capsys.readouterr().err
-
     @pytest.mark.parametrize("problem", ["maxwell", "helmholtz"])
     def test_slope_zero_by_symmetry_verifies(self, tmp_path, problem):
         """A sin bump along x on the all-T n=6 box leaves the lowest slope zero
@@ -493,141 +644,46 @@ class TestCli:
         assert payload["worst_route_discrepancy"] <= 1e-11
 
     def test_repeated_fd_steps_are_refused_before_the_work(self, tmp_path, monkeypatch):
-        def refuse(problem):
-            raise AssertionError("run() called before the FD steps were checked")
-
-        monkeypatch.setattr(harness, "run", refuse)
+        monkeypatch.setattr(harness, "run", refusing("run() before the FD steps were checked"))
         path = self.write_config(tmp_path, dict(HELM_SCALING, fd_steps=[1e-3, 1e-3]))
         assert cli.main(["verify", "--config", path]) == cli.EXIT_CONFIG
 
-    def test_index_range_past_the_spectrum_exit_code(self, tmp_path, capsys):
-        """eig refuses what dshape refuses, with the same message: an n=2
-        box with every face T has one free vertex, so one eigenvalue."""
+    def test_index_range_past_the_spectrum_exit_code(self, tmp_path, capsys, monkeypatch):
+        """eig, dshape and verify refuse an index_range past the pencil's dofs
+        with one message, before any solve, which would fall back to a dense
+        solve of the whole pencil: an n=2 box with every face T has one free
+        vertex, so one dof."""
+        for name in ("_solve_sparse", "_solve_dense"):
+            monkeypatch.setattr(spectral, name, refusing("solved past the pencil's dofs"))
         raw = dict(HELM_SCALING, mesh=dict(HELM_SCALING["mesh"], n=2), index_range=[2, 3])
         path = self.write_config(tmp_path, raw)
         errors = []
-        for command in ("eig", "dshape"):
+        for command in ("eig", "dshape", "verify"):
             assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
             captured = capsys.readouterr()
             assert captured.out == ""
             errors.append(captured.err)
-        assert errors[0] == errors[1]
-        assert "index_range (2, 3) exceeds the 1 computed eigenvalues" in errors[0]
+        assert errors[0] == errors[1] == errors[2]
+        assert "index_range (2, 3) exceeds the 1 dofs of the pencil" in errors[0]
 
-    def test_config_error_exit_code(self, tmp_path):
-        path = self.write_config(tmp_path, {"problem": "bogus"})
-        assert cli.main(["eig", "--config", path]) == cli.EXIT_CONFIG
-
-    def test_missing_config_exit_code(self, tmp_path):
-        assert (
-            cli.main(["eig", "--config", str(tmp_path / "nope.json")])
-            == cli.EXIT_CONFIG
-        )
-
-    @pytest.mark.parametrize("key, raw", [
-        ("kernel_tol", {"kernel_tol": "abc"}),
-        ("index_range", {"index_range": [1, 2, 3]}),
-        ("refinement", {"refinement": "x"}),
-        ("direction", {"direction": None}),
-        ("mesh n", {"mesh": dict(HELM_SCALING["mesh"], n="four")}),
-        ("mesh dims", {"mesh": dict(HELM_SCALING["mesh"], dims=[1, 1])}),
-        ("nu", {"coefficients": {"nu": {"kind": "constant", "v": "x"}}}),
-        # values of the wrong JSON type, which a conversion would accept
-        ("surface_form_trusted", {"surface_form_trusted": "false"}),
-        ("refinement", {"refinement": "12"}),
-        ("index_range", {"index_range": [1.7, 2.2]}),
-        ("chi_bar", {"chi_bar": "0"}),
-        ("direction", {"direction": True}),
-        ("mesh", {"mesh": [["type", "box"], ["n", 2]]}),
-        ("output", {"output": 7}),
-        # nested values: JSON numbers, integers in range, arrays of the parsed shape
-        ("'M'", {"coefficients": {"epsilon": {"kind": "constant", "M": [[1, 0], [0, 1]]}}}),
-        ("'c'", {"family": {"kind": "bump", "g": {"type": "constant", "c": [0.1, 0.2]}}}),
-        ("'A1'", {"family": {"kind": "affine", "A1": [[1, 0], [0, 1]]}}),
-        ("'axis'", {"family": {"kind": "bump", "g": {"type": "sin", "axis": 5}}}),
-        ("'axis'", {"family": {"kind": "stretch", "axis": 1.7}}),
-        ("'amplitude'", {"family": {"kind": "bump",
-                                    "g": {"type": "sin", "axis": 0, "amplitude": "0.05"}}}),
-        ("'rate'", {"family": {"kind": "scaling", "rate": "2"}}),
-        ("'m'", {"problem": "abstract-pencil", "abstract": {"kind": "degenerate", "m": "x"}}),
-        ("'m'", {"problem": "abstract-pencil", "abstract": {"kind": "degenerate", "m": 0}}),
-        ("'d0'", {"problem": "abstract-pencil", "abstract": {"kind": "diagonal", "d0": [1, "a"]}}),
-        ("'seed'", {"abstract": {"seed": "x"}}),
-        ("mesh path", {"mesh": {"type": "file", "path": None}}),
-        ("mesh path", {"mesh": {"type": "file", "path": ["a"]}}),
-        # an integer path would be opened as a file descriptor: 0 is stdin
-        ("mesh path", {"mesh": {"type": "file", "path": 0}}),
-        ("mesh partition", {"mesh": dict(HELM_SCALING["mesh"], partition=5)}),
-        ("mesh partition", {"mesh": dict(HELM_SCALING["mesh"], partition=["T"])}),
-        ("epsilon", {"coefficients": {"epsilon": 5}}),
-        ("'g'", {"family": {"kind": "bump", "g": [0.1, 0.0, 0.0]}}),
-        ("'d0'", {"problem": "abstract-pencil", "abstract": {"kind": "diagonal", "d0": [],
-                                                             "d1": []}}),
-        # JSON's Infinity, which Python's json module reads as a float
-        ("chi_bar", {"chi_bar": float("inf")}),
-        ("kernel_tol", {"kernel_tol": float("inf")}),
-        ("'rate'", {"family": {"kind": "scaling", "rate": float("-inf")}}),
-        ("mesh dims", {"mesh": dict(HELM_SCALING["mesh"], dims=[float("inf"), 1, 1])}),
-        # constant coefficients that are not positive
-        ("constant 'M' must be symmetric positive-definite",
-         {"coefficients": {"epsilon": {"M": [[1, 0, 0], [0, 1, 0], [0, 0, -0.5]]}}}),
-        ("constant 'M' must be symmetric positive-definite",
-         {"coefficients": {"epsilon": {"M": [[1, 5, 0], [0, 1, 0], [0, 0, 1]]}}}),
-        ("constant 'M' must be symmetric positive-definite",
-         {"coefficients": {"epsilon": {"M": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]}}}),
-        ("constant 'M' must be symmetric positive-definite",
-         {"problem": "maxwell", "mesh": dict(HELM_SCALING["mesh"], n=2),
-          "coefficients": {"mu": {"M": [[1, 0, 0], [0, 1, 0], [0, 0, -0.5]]}}}),
-        ("'v' must be a finite number in [5e-324, inf], got -1",
-         {"coefficients": {"nu": {"kind": "constant", "v": -1}}}),
-        # affine coefficients that are not positive at a mapped mesh vertex
-        ("coefficient 'epsilon' must be positive-definite",
-         {"coefficients": {"epsilon": {"kind": "affine-diagonal", "d0": [1, 1, -0.5],
-                                       "D": np.zeros((3, 3)).tolist()}}}),
-        ("coefficient 'nu' must be positive-definite",
-         {"coefficients": {"nu": {"kind": "affine", "c0": -1, "c": [0, 0, 0]}}}),
-        ("coefficient 'mu' must be positive-definite",
-         {"problem": "maxwell", "mesh": dict(HELM_SCALING["mesh"], n=2),
-          "coefficients": {"mu": {"kind": "scalar-affine-identity", "c0": 1,
-                                  "c": [0, -2, 0]}}}),
-        # keys that a nested spec does not read
-        ("mesh type 'box' does not read the keys ['nn']", {"mesh": {"type": "box", "nn": 2}}),
-        ("mesh type 'file' does not read the keys ['n']",
-         {"mesh": {"type": "file", "path": "box.tetmesh", "n": 2}}),
-        ("partition names no box face ['w9']",
-         {"mesh": dict(HELM_SCALING["mesh"], partition=dict(MIXED, w9="N"))}),
-        ("displacement field type 'sin' does not read the keys ['amplitdue']",
-         {"family": {"kind": "bump", "g": {"type": "sin", "axis": 0, "amplitdue": 0.2}}}),
-        ("transformation family kind 'scaling' does not read the keys ['axis']",
-         {"family": {"kind": "scaling", "axis": 1}}),
-        ("matrix coefficient kind 'constant' does not read the keys ['d0']",
-         {"coefficients": {"epsilon": {"d0": [1, 1, 1]}}}),
-        ("scalar coefficient kind 'affine' does not read the keys ['v']",
-         {"coefficients": {"nu": {"kind": "affine", "c0": 1, "c": [0, 0, 0], "v": 1}}}),
-        ("abstract pencil kind 'crossing' does not read the keys ['m']",
-         {"problem": "abstract-pencil", "abstract": {"kind": "crossing", "m": 3}}),
-        # top-level specs that the problem does not read
-        ("problem 'abstract-pencil' does not read the keys ['family', 'mesh']",
-         {"problem": "abstract-pencil", "mesh": {"type": "box", "nn": 2},
-          "family": {"kind": "nope"}, "abstract": {"kind": "crossing"}}),
-        ("problem 'abstract-pencil' does not read the keys ['coefficients', 'family', 'mesh']",
-         {"problem": "abstract-pencil", "coefficients": {}}),
-        ("problem 'helmholtz' does not read the keys ['abstract']",
-         {"abstract": {"kind": "crossing", "zz": 1}}),
-        ("reads only 'abstract.seed', it does not read the keys ['sed']",
-         {"abstract": {"seed": 1, "sed": 2}}),
-    ])
-    def test_malformed_value_exit_code(self, tmp_path, capsys, key, raw):
-        path = self.write_config(tmp_path, dict(HELM_SCALING, **raw))
-        # the abstract command reads only the "seed" of its degenerate demo
-        command = "abstract" if "seed" in key else "eig"
-        assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
-        assert key in capsys.readouterr().err
-
-    def test_missing_mesh_file_exit_code(self, tmp_path):
-        raw = dict(HELM_SCALING, mesh={"type": "file", "path": str(tmp_path / "no.tetmesh")})
-        path = self.write_config(tmp_path, raw)
-        assert cli.main(["eig", "--config", path]) == cli.EXIT_CONFIG
+    @pytest.mark.parametrize("key, raw", CLI_CASES)
+    def test_malformed_value_exit_code(self, tmp_path, capsys, monkeypatch, key, raw):
+        """Each row of CLI_CASES, run in `tmp_path`: exit 0 prints a JSON object
+        holding `key`; any other exit prints nothing on stdout and one line on
+        stderr, its code's prefix and a message holding `key`."""
+        monkeypatch.chdir(tmp_path)
+        for name, text in raw.files.items():
+            (tmp_path / name).write_text(text)
+        if raw.config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(dict(HELM_SCALING, **raw.config)))
+        code = cli.main([raw.command, "--config", "config.json"])
+        out, err = capsys.readouterr()
+        assert code == raw.code, err
+        if code == 0:
+            assert isinstance(payload := json.loads(out), dict) and key in payload
+        else:
+            assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+            assert err.startswith(PREFIX[code]) and key in err
 
     def test_vertex_index_out_of_range_exit_code(self, tmp_path):
         mesh = build_box_mesh((1, 1, 1), 2, "T")
@@ -640,19 +696,6 @@ class TestCli:
         raw = dict(HELM_SCALING, mesh={"type": "file", "path": str(mesh_path)})
         path = self.write_config(tmp_path, raw)
         assert cli.main(["eig", "--config", path]) == cli.EXIT_CONFIG
-
-    def test_negative_mesh_section_count_exit_code(self, tmp_path, capsys):
-        mesh_path = tmp_path / "negative.tetmesh"
-        mesh_path.write_text("tetmesh v1\nvertices -1\n")
-        raw = dict(HELM_SCALING, mesh={"type": "file", "path": str(mesh_path)})
-        path = self.write_config(tmp_path, raw)
-        assert cli.main(["eig", "--config", path]) == cli.EXIT_CONFIG
-        assert "bad count '-1'" in capsys.readouterr().err
-
-    def test_missing_family_key_exit_code(self, tmp_path):
-        raw = dict(HELM_SCALING, family={"kind": "bump"})
-        path = self.write_config(tmp_path, raw)
-        assert cli.main(["dshape", "--config", path]) == cli.EXIT_CONFIG
 
     def test_internal_key_error_is_not_a_config_error(self, tmp_path, monkeypatch):
         def broken(cfg):
@@ -673,24 +716,6 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60).stdout
         assert out.strip() == "False"
-
-    def test_numerical_failure_exit_code(self, tmp_path):
-        # chi_bar = -1 collapses the scaling map: det J <= 0
-        raw = dict(HELM_SCALING, chi_bar=-1.0)
-        path = self.write_config(tmp_path, raw)
-        assert cli.main(["eig", "--config", path]) == cli.EXIT_NUMERICAL
-
-    @pytest.mark.parametrize("overrides, code", [
-        # the enlarged step 4.41 of the cluster [2..8] is withheld
-        (dict(index_range=[2, 2], cluster_tol=0.5), 0),
-        # fd_step itself folds the scaling map at chi_bar - 2
-        (dict(fd_step=2.0), 3),
-    ], ids=["enlarged-step-withheld", "base-step-fails"])
-    def test_inadmissible_fd_step_exit_code(self, tmp_path, capsys, overrides, code):
-        path = self.write_config(tmp_path, dict(HELM_SCALING, **overrides))
-        assert cli.main(["dshape", "--config", path]) == code
-        if code == cli.EXIT_NUMERICAL:
-            assert "det J_Phi <= 0 at parameter -2.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("problem", ["helmholtz", "maxwell"])
     def test_non_finite_jacobian_exit_code(self, tmp_path, capsys, problem):
@@ -714,10 +739,8 @@ class TestCli:
         """An output path in a missing directory, or naming a directory, is
         a configuration error, given in the config or by --out, refused
         before the problem is built."""
-        def build_problem(cfg):
-            pytest.fail("the problem was built before the output was checked")
-
-        monkeypatch.setattr(harness, "build_problem", build_problem)
+        monkeypatch.setattr(harness, "build_problem",
+                            refusing("the problem was built before the output was checked"))
         out = str(tmp_path / target)
         raw = {"problem": "abstract-pencil"}
         path = self.write_config(tmp_path, dict(raw, output=out) if spelling == "config" else raw)
@@ -742,21 +765,10 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["worst_route_discrepancy"] <= 1e-10
 
-    def count_calls(self, monkeypatch, name):
-        calls = []
-        original = getattr(harness, name)
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(harness, name, counting)
-        return calls
-
     def test_verify_builds_one_mesh_and_solves_chi_bar_once(self, tmp_path, capsys,
                                                              monkeypatch):
-        meshes = self.count_calls(monkeypatch, "build_box_mesh")
-        assemblies = self.count_calls(monkeypatch, "assemble_at")
+        meshes = count_calls(monkeypatch, "build_box_mesh")
+        assemblies = count_calls(monkeypatch, "assemble_at")
         path = self.write_config(tmp_path, dict(HELM_SCALING, fd_steps=[1e-3, 1e-4]))
         assert cli.main(["verify", "--config", path]) == 0
         assert len(meshes) == 1
@@ -766,17 +778,14 @@ class TestCli:
         assert len(assemblies) == 5
 
     def test_study_builds_one_mesh_per_level(self, tmp_path, capsys, monkeypatch):
-        meshes = self.count_calls(monkeypatch, "build_box_mesh")
+        meshes = count_calls(monkeypatch, "build_box_mesh")
         path = self.write_config(tmp_path, dict(HELM_SCALING, refinement=[2, 3]))
         assert cli.main(["study", "--config", path]) == 0
         assert [n for _, n, _ in meshes] == [2, 3]
 
     @pytest.mark.parametrize("command", ["eig", "dshape"])
     def test_box_above_the_dof_limit_is_refused_unbuilt(self, tmp_path, monkeypatch, command):
-        def refuse(*args, **kwargs):
-            raise AssertionError("box mesh built above the dof limit")
-
-        monkeypatch.setattr(harness, "build_box_mesh", refuse)
+        monkeypatch.setattr(harness, "build_box_mesh", refusing("box built above the dof limit"))
         path = self.write_config(tmp_path, {"problem": "maxwell", "mesh": {"type": "box", "n": 64}})
         start = time.perf_counter()
         assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
@@ -784,10 +793,8 @@ class TestCli:
 
     def test_study_refuses_an_oversize_level_before_the_first(self, tmp_path, capsys,
                                                               monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("study level built before every level was checked")
-
-        monkeypatch.setattr(harness, "build_box_mesh", refuse)
+        monkeypatch.setattr(harness, "build_box_mesh",
+                            refusing("study level built before every level was checked"))
         raw = {"problem": "maxwell", "mesh": {"type": "box", "n": 3}, "refinement": [3, 64]}
         path = self.write_config(tmp_path, raw)
         assert cli.main(["study", "--config", path]) == cli.EXIT_CONFIG
@@ -797,10 +804,8 @@ class TestCli:
     def test_study_refuses_levels_that_do_not_increase(self, tmp_path, capsys, monkeypatch,
                                                        levels):
         """A repeated or decreasing level exits 2 before any level is built."""
-        def refuse(*args, **kwargs):
-            raise AssertionError("study level built before the levels were checked")
-
-        monkeypatch.setattr(harness, "build_box_mesh", refuse)
+        monkeypatch.setattr(harness, "build_box_mesh",
+                            refusing("study level built before the levels were checked"))
         path = self.write_config(tmp_path, dict(HELM_SCALING, refinement=levels))
         assert cli.main(["study", "--config", path]) == cli.EXIT_CONFIG
         assert "strictly increasing" in capsys.readouterr().err
@@ -822,15 +827,6 @@ class TestCli:
 
         assert [calls(f) for f in (maxwell.gradient_kernel_basis, fem_common.free_dofs,
                                    fem_common.Discretisation.assemble)] == [1, 3, 10]
-
-    @pytest.mark.parametrize("raw, message", [
-        ({"problem": "abstract-pencil"}, "FEM problem"),
-        (dict(HELM_SCALING, mesh={"type": "file", "path": "box.tetmesh"}), "box mesh spec"),
-    ], ids=["abstract-pencil", "file-mesh"])
-    def test_study_needs_a_fem_problem_on_a_box(self, tmp_path, capsys, raw, message):
-        path = self.write_config(tmp_path, dict(raw, refinement=[2, 3]))
-        assert cli.main(["study", "--config", path]) == cli.EXIT_CONFIG
-        assert message in capsys.readouterr().err
 
     def test_study_command(self, tmp_path, capsys):
         path = self.write_config(tmp_path, dict(HELM_SCALING, refinement=[2, 3]))

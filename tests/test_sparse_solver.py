@@ -418,8 +418,7 @@ def test_coefficient_checked_at_every_assembled_chi(key):
 def test_tet_rules_are_unisolvent(order):
     """The rules that assembly uses (orders 2 and 4; 3 is the rule of 4) have
     positive weights, and their local P1 and Nedelec mass matrices are
-    positive-definite. The one-point centroid rule (order <= 1) is not
-    unisolvent for either space, and assembly does not use it."""
+    positive-definite."""
     rule = tet_quadrature(order)
     assert np.all(rule.weights > 0)
     mesh = build_box_mesh((1.0, 1.0, 1.0), 1, "N")
