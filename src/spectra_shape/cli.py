@@ -47,7 +47,7 @@ _CONFIG_ERRORS = (ConfigError, MeshFormatError, InvalidGeometryError)
 def _cmd_eig(cfg, out):
     pencil = harness.assemble_at(harness.build_problem(cfg), cfg.chi_bar)
     lo, hi = cfg.index_range
-    harness.check_index_range(cfg, pencil.size, "dofs of the pencil")
+    harness.check_solvable_index_range(cfg, pencil)
     dec = solve_pencil(pencil, cfg.kernel_tol, count=hi, cluster_tol=cfg.cluster_tol)
     harness.check_index_range(cfg, len(dec.eigenvalues))
     _emit(

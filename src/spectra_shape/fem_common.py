@@ -7,7 +7,10 @@ per-tet moment of the coefficient, and the local mass of P1, whose values at
 the rule's points are the same on every tet, is one product of the weighted
 coefficient with a table of value products. `local_matrices` is that one
 kernel, for the pencil, its derivative and the Hadamard forms. The global
-matrices are summed into a CSR pattern computed once per discretisation.
+matrices are summed into a CSR pattern computed once per discretisation,
+on the entity numbering, and renumbered in place into the dissection's.
+An affine family's pulled-back constant coefficient is one matrix for all
+points (see `transforms`), which `local_matrices` broadcasts.
 
 No product over the point or tet axis goes through one 2-D BLAS product
 large enough for OpenBLAS to thread: such products run in einsum's own
@@ -154,6 +157,28 @@ class ScatterPattern:
                                      ).astype(index)
         self.shape = (ndof, ndof)
 
+    def renumber(self, number: np.ndarray):
+        """Number dof d as number[d], a permutation of the dofs, in place: the
+        pattern of the renumbered `gdofs`, array for array, from one argsort
+        of the nonzeros' keys under the new numbering and a gather of `slot`.
+        Each array is dropped once its renumbered one is made."""
+        ndof, index = self.shape[0], self.indices.dtype
+        number = number.astype(np.int32 if ndof * ndof < 2**31 else np.int64)
+        keys = np.repeat(number * ndof, np.diff(self.indptr))
+        keys += number[self.indices]
+        self.indices = self.indptr = None
+        by_key = np.argsort(keys)
+        keys = keys[by_key]
+        # the new slot of each nonzero; the dropped slot stays first
+        slot = np.zeros(self.drop + len(keys), index)
+        slot[self.drop + by_key] = np.arange(self.drop, len(slot), dtype=index)
+        del by_key
+        self.slot = slot[self.slot]
+        rows, cols = np.divmod(keys, ndof)
+        self.indices = cols.astype(index)
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=ndof))]
+                                     ).astype(index)
+
     def matrix(self, local: np.ndarray) -> sp.csr_array:
         """The sum of the symmetric parts of the local matrices (nt, k, k),
         exactly symmetric: an entry and its mirror sum the same halved pair
@@ -261,9 +286,13 @@ def local_matrices(values: np.ndarray, derivatives: np.ndarray, w: np.ndarray,
     D (n, k, 3), the stiffness coefficient C entry-major (3, 3, n * nq) and the
     weights w (n, nq); and sum_q F_q m_q F_q^T of their values F_q (k, c),
     given as (n|1, nq, k, c), and the mass coefficient m already weighted:
-    (n * nq,) for scalar values, entry-major (c, c, n * nq) otherwise."""
+    (n * nq,) for scalar values, entry-major (c, c, n * nq) otherwise. A
+    stiffness coefficient of one column (3, 3, 1), one matrix at every point,
+    is copied to each point: the moment's sum over a stride-0 stack rounds
+    otherwise than over a contiguous one."""
     n, nq = w.shape
     _, _, k, c = values.shape
+    stiff = np.ascontiguousarray(np.broadcast_to(stiff, (3, 3, n * nq)))
     moment = np.einsum("abnq,nq->nab", stiff.reshape(3, 3, n, nq), w)
     k_loc = derivatives @ moment @ derivatives.transpose(0, 2, 1)
     if values.shape[0] == 1 and c == 1:  # shared values: one table of products
@@ -278,7 +307,7 @@ def local_matrices(values: np.ndarray, derivatives: np.ndarray, w: np.ndarray,
 def default_quad_order(family, *coefficients) -> int:
     """Order 2 when the family's field g is affine and every coefficient is
     constant (its gradient G is zero), order 4 otherwise."""
-    if isinstance(family.g, AffineField) and all(c.constant for c in coefficients):
+    if family.affine and all(c.constant for c in coefficients):
         return 2
     return 4
 
@@ -313,13 +342,18 @@ class Discretisation:
                                          "no free dofs")
         entities = space.entities(mesh)[0]
         gdofs = dof_of[entities]
+        self.pattern = ScatterPattern(gdofs, len(free))
         order, bounds, children = nested_dissection(dof_positions(gdofs, mesh, len(free)),
-                                                    ScatterPattern(gdofs, len(free)))
-        dof_of[free[order]] = np.arange(len(free))  # in the dissection's order
+                                                    self.pattern)
+        del gdofs
+        # in the dissection's order: dof order[i] is numbered i
+        number = np.empty_like(order)
+        number[order] = np.arange(len(free))
+        self.pattern.renumber(number)
+        dof_of[free] = number
         self.gdofs = dof_of[entities]
         self.values = space.values(mesh, rule.points[None], slice(None))
         self.derivatives = space.derivatives(mesh)
-        self.pattern = ScatterPattern(self.gdofs, len(free))
         self.tree = DissectionTree(bounds, children, _fronts(bounds, children, self.pattern))
         self.kernel_basis = (None if space.kernel_basis is None
                              else space.kernel_basis(mesh)[order])

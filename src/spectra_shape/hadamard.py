@@ -30,6 +30,12 @@ from .spectral import EigenCluster
 from .transforms import _sym, congruence, entry_major
 
 
+def _by_tet(a, n):
+    """An entry-major per-point array (..., n * nq) as (..., n, nq); one column
+    (..., 1), the one value of an affine map, as (..., 1, 1)."""
+    return a.reshape(a.shape[:-1] + ((n, -1) if a.shape[-1] > 1 else (1, 1)))
+
+
 def _pushed(disc, geo, w, B_stiff, B_mass):
     """The entry-major coefficients B_stiff (3, 3, N|1) and B_mass, (N|1) or
     (3, 3, N|1), pushed by the push-forward P of their kinds at the mapped
@@ -67,7 +73,7 @@ def volume_matrix(
         v = transforms.psi_on_physical(disc.family, direction, geo)
         B_stiff, B_mass = (transforms.bracket(kind.sign, c, v, geo)
                            for kind, c in disc.coefficient_maps())
-        w = w * geo.det.reshape(w.shape)
+        w = w * _by_tet(geo.det, len(w))
         return local_matrices(values, derivatives, w, *_pushed(disc, geo, w, B_stiff, B_mass))
 
     return _cluster_matrices(disc.gdofs, *disc.local(chi_bar, kernel), clusters)
@@ -96,12 +102,13 @@ def surface_matrix(
     n_ref, area = mesh.facet_geometry(np.arange(len(tets)))
     geo = transforms.map_points(disc.family, chi_bar, pts.reshape(-1, 3))
     # Nanson: n dsigma_Phi = det(J) J^-T n_ref dsigma_ref
-    nanson = geo.det.reshape(len(tets), -1) * (
-        geo.Jinv.reshape(3, 3, len(tets), -1) * n_ref.T[:, None, :, None]).sum(0)
+    # (3, nt, nq), or (3, nt, 1) for an affine map
+    nanson = _by_tet(geo.det, len(tets)) * (
+        _by_tet(geo.Jinv, len(tets)) * n_ref.T[:, None, :, None]).sum(0)
     psi = transforms.psi_on_physical(disc.family, direction, geo).psi
     sign = np.where(np.asarray(mesh.bfacet_tags) == "N", 1.0, -1.0)
     w = (sign[:, None] * 2.0 * area[:, None] * rule.weights
-         * (entry_major(psi).reshape(nanson.shape) * nanson).sum(0))
+         * (entry_major(psi).reshape(3, len(tets), -1) * nanson).sum(0))
     return _cluster_matrices(disc.gdofs[tets], *local_matrices(
         disc.space.values(mesh, bary, tets), disc.derivatives[tets], w,
         *_pushed(disc, geo, w, disc.stiff.entries(geo.y), disc.mass.entries(geo.y))),

@@ -25,6 +25,7 @@ from .spectral import (
     EigenCluster,
     EigenDecomposition,
     cluster_spectrum,
+    kernel_columns,
     solve_pencil,
 )
 from .transforms import _POSITIVE, AffineField, spec_kind, spec_value
@@ -155,7 +156,7 @@ class Problem:
         """Pencil at chi_bar, its solve up to index_range[1] and its clusters."""
         cfg = self.cfg
         pencil = assemble_at(self, cfg.chi_bar)
-        check_index_range(cfg, pencil.size, "dofs of the pencil")
+        check_solvable_index_range(cfg, pencil)
         dec = solve_pencil(pencil, cfg.kernel_tol, count=cfg.index_range[1],
                            cluster_tol=cfg.cluster_tol)
         return pencil, dec, cluster_spectrum(dec, cfg.cluster_tol)
@@ -448,6 +449,17 @@ def check_index_range(cfg: RunConfig, count: int, of: str = "computed eigenvalue
     """Refuse an index_range past `count`, the dofs or computed eigenvalues."""
     if cfg.index_range[1] > count:
         raise ConfigError(f"index_range {cfg.index_range} exceeds the {count} {of}")
+
+
+def check_solvable_index_range(cfg: RunConfig, pencil: Pencil):
+    """Refuse, before any solve, an index_range past the eigenvalues a solve of
+    `pencil` can return: its dofs less the rank of its kernel basis (the
+    count of its `kernel_columns`), which the solve counts as kernel."""
+    G = kernel_columns(pencil.kernel_basis)
+    rank = 0 if G is None else G.shape[1]
+    check_index_range(cfg, pencil.size - rank, "dofs of the pencil" if rank == 0 else
+                      f"computable eigenvalues: the pencil's {pencil.size} dofs less "
+                      f"the rank {rank} of its kernel basis")
 
 
 def wanted_clusters(cfg: RunConfig, clusters: List[EigenCluster]) -> List[EigenCluster]:

@@ -208,28 +208,35 @@ def _count_below(K, M, shift: float, tree=None) -> int:
     return int(np.sum(_ldl(A).U.diagonal() < 0))
 
 
+def kernel_columns(G):
+    """The columns of a kernel basis G (None: no basis) that the projector
+    spans: all of them, less one anchor column where G 1 = 0. There every
+    vertex is free (no tangential boundary), and the constant potential
+    spans ker G."""
+    if G is not None and not np.any(G @ np.ones(G.shape[1])):
+        return G[:, 1:]
+    return G
+
+
 def _kernel_projector(G, M):
     """M-orthogonal projector off range(G), x -> x - G (G^T M G)^-1 G^T M x,
     and the rank of G, checked by the pivots of the LDL^T of G^T M G. The
-    checked factor, with the copies its pivots are read through, is dropped;
-    the projector keeps a fresh one."""
-    if G is not None and not np.any(G @ np.ones(G.shape[1])):
-        # every vertex is free (no tangential boundary): the constant
-        # potential spans ker G, so drop one anchor column
-        G = G[:, 1:]
+    projector keeps the checked factor; the copy of U that its pivots are
+    read through is dropped."""
+    G = kernel_columns(G)
     if G is None or G.shape[1] == 0:
         # no column: nothing to project
         return (lambda x: x), 0
     MG = M @ G
-    GtMG = G.T @ MG
     try:
-        pivots = _ldl(GtMG).U.diagonal()
+        lu = _ldl(G.T @ MG)
+        pivots = lu.U.diagonal()
         deficient = np.any(pivots <= len(pivots) * np.finfo(float).eps * pivots.max())
     except PencilError:  # an exactly zero pivot
         deficient = True
     if deficient:
         raise PencilError("kernel basis is rank-deficient")
-    solve, GtM = _ldl(GtMG).solve, sp.csr_array(MG.T)
+    solve, GtM = lu.solve, sp.csr_array(MG.T)
     return (lambda x: x - G @ solve(GtM @ x)), G.shape[1]
 
 

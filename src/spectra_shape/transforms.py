@@ -6,7 +6,11 @@ Phi_chi = Phi_0 + chi * g its map and Jacobian, with the field g as its
 parameter velocity. All evaluators are vectorized over points of shape
 (N, 3) and are pure functions of immutable data. The pull-backs, their
 derivatives and the velocity field read the map from a `MappedPoints`,
-evaluated once per parameter and point set.
+evaluated once per parameter and point set. Where g is an AffineField the
+family is affine and its Jacobian is one matrix: J_Phi, det J_Phi, J_Phi^-1,
+J_Psi and div Psi then carry a point axis of length 1, as the value of a
+constant coefficient does (`AffineField.entries`), and every consumer
+broadcasts it; Phi(x) and Psi(x) stay per point.
 
 Per-point 3x3 algebra is entry-major: a stack of matrices is stored as
 (3, 3, N), so that each entry is one contiguous length-N vector. The
@@ -62,14 +66,25 @@ def _mul(A, B):
 
 
 def congruence(P, B, scale=1.0):
-    """scale * sym(P B P^T) of entry-major stacks P (3, 3, N) and B (3, 3, N|1),
-    with weights scale (N,): the upper triangle of P sym(B) P^T, mirrored,
-    so the result is exactly symmetric. Entry-major (3, 3, N)."""
+    """scale * sym(P B P^T) of entry-major stacks P and B (3, 3, N|1), with
+    weights scale (N|1,): the upper triangle of P sym(B) P^T, mirrored, so
+    the result is exactly symmetric. Entry-major (3, 3, N), or (3, 3, 1)
+    where P, B and scale all have one column.
+
+    The entries are summed in the order of their terms, as einsum sums a
+    stack of N points; einsum's sum over a contiguous axis of one column
+    rounds otherwise."""
     T = _mul(P, B + B.swapaxes(0, 1))  # 2 P sym(B)
-    out = np.einsum("ac...,dc...->ad...", T, P)
-    out *= 0.5 * scale
-    for a, d in ((0, 1), (0, 2), (1, 2)):
+    out, term = np.empty(T.shape), np.empty(T.shape[2:])
+    for a, d in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+        np.multiply(T[a, 0], P[d, 0], out=out[a, d])
+        for c in (1, 2):
+            out[a, d] += np.multiply(T[a, c], P[d, c], out=term)
         out[d, a] = out[a, d]
+    scale = 0.5 * scale
+    if np.size(scale) > out.shape[-1]:  # one matrix weighed at each point
+        return out * scale
+    out *= scale
     return out
 
 
@@ -170,6 +185,15 @@ class Family:
     g: object
     base: AffineField = field(default_factory=lambda: AffineField(np.zeros(3), np.eye(3)))
 
+    @property
+    def affine(self) -> bool:
+        return isinstance(self.g, AffineField)
+
+    def g_gradient(self, X):
+        """The gradient of g at X entry-major (3, 3, N), or the one matrix G
+        (3, 3, 1) of an affine family."""
+        return self.g.G[..., None] if self.affine else entry_major(self.g.gradient(X))
+
     def map(self, chi, X):
         out = chi * self.g.value(X)
         # the identity base adds X itself: no product with I per point
@@ -177,8 +201,10 @@ class Family:
         return np.add(X if identity else self.base.value(X), out, out=out)
 
     def jacobian(self, chi, X):
-        """J_Phi at X: (N, 3, 3), a view of entry-major storage."""
-        J = np.multiply(entry_major(self.g.gradient(X)), chi, out=np.empty((3, 3, len(X))))
+        """J_Phi at X: (N, 3, 3), or (1, 3, 3) for an affine family, a view of
+        entry-major storage."""
+        G = self.g_gradient(X)
+        J = np.multiply(G, chi, out=np.empty(G.shape))
         J += self.base.G[..., None]
         return point_major(J)
 
@@ -224,7 +250,8 @@ def det_adjugate(A):
 class MappedPoints:
     """Phi_chi at reference points x (N, 3): y = Phi(x), J_Phi, det J_Phi and
     J_Phi^-1, shared by every consumer; J and Jinv are contiguous entry-major
-    stacks (3, 3, N). It stands in for x, with its shape."""
+    stacks (3, 3, N) and det is (N,), or (3, 3, 1) and (1,) for an affine
+    family. It stands in for x, with its shape."""
 
     x: np.ndarray
     y: np.ndarray
@@ -238,10 +265,12 @@ class MappedPoints:
 
 
 def map_points(family, chi, X) -> MappedPoints:
-    """Phi_chi at reference points X (N, 3). chi is inadmissible unless det J_Phi
-    is finite and > 0 at every point; the error names the first point that
-    fails, so a check over blocks of X reads the same message as one over X.
-    An overflow in J, det J or its adjugate is left to that check to report."""
+    """Phi_chi at reference points X (N, 3), with one J_Phi for an affine
+    family. chi is inadmissible unless det J_Phi is finite and > 0 at every
+    point; the error names the first point that fails (X[0] where the one
+    J of an affine family fails), so a check over blocks of X reads the same
+    message as one over X. An overflow in J, det J or its adjugate is left
+    to that check to report."""
     with np.errstate(over="ignore", invalid="ignore"):
         J = family.jacobian(chi, X)
         det, adj = det_adjugate(J)
@@ -273,8 +302,9 @@ def first_not_positive(value) -> Optional[int]:
 
 
 class Velocity(NamedTuple):
-    """Perturbation field Psi at y = Phi(x), its Jacobian J_Psi (N, 3, 3), a view
-    of entry-major storage, and div Psi."""
+    """Perturbation field Psi at y = Phi(x), its Jacobian J_Psi (N|1, 3, 3), a
+    view of entry-major storage, and div Psi (N|1,): one J_Psi for an affine
+    family."""
 
     psi: np.ndarray
     jpsi: np.ndarray
@@ -285,7 +315,7 @@ def psi_on_physical(family, direction, geo: MappedPoints) -> Velocity:
     """Perturbation field direction * g, g the family's velocity, at the mapped
     points of `geo`, parameterized by the reference point x; no inverse map
     is ever computed."""
-    jpsi = _mul(entry_major(family.g.gradient(geo.x)), geo.Jinv)
+    jpsi = _mul(family.g_gradient(geo.x), geo.Jinv)
     jpsi *= direction
     return Velocity(direction * family.g.value(geo.x), point_major(jpsi),
                     jpsi[0, 0] + jpsi[1, 1] + jpsi[2, 2])
@@ -299,7 +329,8 @@ def psi_on_physical(family, direction, geo: MappedPoints) -> Velocity:
 
 def pull_back(sign, B, geo: MappedPoints):
     """det(J)^s Q B Q^T, symmetrized, of an entry-major B (3, 3, N|1), with
-    Q = J^-1 for s = +1 and Q = J^T for s = -1; det(J)^s B of a scalar B (N|1,)."""
+    Q = J^-1 for s = +1 and Q = J^T for s = -1; det(J)^s B of a scalar B (N|1,).
+    One column where B and the map both have one."""
     Q, scale = (geo.Jinv, geo.det) if sign > 0 else (geo.J.swapaxes(0, 1), 1.0 / geo.det)
     return scale * B if B.ndim == 1 else congruence(Q, B, scale)
 
@@ -307,7 +338,7 @@ def pull_back(sign, B, geo: MappedPoints):
 def bracket(sign, c, v: Velocity, geo: MappedPoints):
     """d_Psi c + s (div(Psi) c - W - W^T) at the mapped points, with W = J_Psi c
     for s = +1 and W = c J_Psi for s = -1; a scalar c has no W. The terms are
-    summed in place."""
+    summed in place; one column where c is constant and the family affine."""
     ct = c.entries(geo.y)
     if ct.ndim == 1:
         out = v.div_psi * ct

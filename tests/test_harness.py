@@ -519,8 +519,8 @@ CLI_CASES = [
     ("FEM problem", Case({"problem": "abstract-pencil", "refinement": [2, 3]}, "study")),
     ("box mesh spec", Case({"mesh": {"type": "file", "path": "box.tetmesh"},
                             "refinement": [2, 3]}, "study")),
-    # all-T Maxwell n = 3: 117 dofs, of which 8 are kernel, so 109 eigenvalues
-    ("index_range (1, 115) exceeds the 109 computed eigenvalues",
+    # all-T Maxwell n = 3: 117 dofs less a kernel basis of rank 8, refused unsolved
+    ("index_range (1, 115) exceeds the 109 computable eigenvalues",
      Case({"problem": "maxwell", "index_range": [1, 115]})),
     # numerical failures: chi_bar = -1 collapses the scaling map, det J <= 0
     ("det J_Phi <= 0 at parameter -1.0", Case({"chi_bar": -1.0}, code=cli.EXIT_NUMERICAL)),
@@ -546,6 +546,10 @@ CLI_CASES = [
     ("eigenvalues", Case({"mesh": {"type": "box", "dims": [123.457, 1, 1], "n": 9}}, code=0)),
     # one free edge, which leaves the kernel basis no column
     ("eigenvalues", Case({"problem": "maxwell", "mesh": {"type": "box", "n": 1}}, code=0)),
+    # all-N Helmholtz n = 2: 27 dofs and no kernel basis; the solve finds the
+    # constant, so the refusal comes after it
+    ("index_range (1, 27) exceeds the 26 computed eigenvalues",
+     Case({"mesh": dict(HELM_SCALING["mesh"], n=2, partition="N"), "index_range": [1, 27]})),
 ]
 
 
@@ -665,6 +669,28 @@ class TestCli:
             errors.append(captured.err)
         assert errors[0] == errors[1] == errors[2]
         assert "index_range (2, 3) exceeds the 1 dofs of the pencil" in errors[0]
+
+    def test_index_range_past_the_kernel_basis_exit_code(self, tmp_path, capsys, monkeypatch):
+        """eig, dshape and verify refuse a Maxwell index_range past the pencil's
+        dofs less the rank of its kernel basis before any solve: the all-T
+        n = 3 box has 117 dofs and 8 free vertices, so 109 eigenvalues; an
+        all-N box has no constrained vertex, and its anchor column is not
+        counted."""
+        for name in ("_solve_sparse", "_solve_dense"):
+            monkeypatch.setattr(spectral, name, refusing("solved past the kernel basis"))
+        for partition, hi, message in (
+                ("T", 115, "exceeds the 109 computable eigenvalues: the pencil's 117 dofs "
+                           "less the rank 8 of its kernel basis"),
+                ("N", 220, "exceeds the 216 computable eigenvalues: the pencil's 279 dofs "
+                           "less the rank 63 of its kernel basis")):
+            raw = {"problem": "maxwell", "index_range": [1, hi],
+                   "mesh": {"type": "box", "n": 3, "partition": partition}}
+            path = self.write_config(tmp_path, raw)
+            for command in ("eig", "dshape", "verify"):
+                assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert message in captured.err
 
     @pytest.mark.parametrize("key, raw", CLI_CASES)
     def test_malformed_value_exit_code(self, tmp_path, capsys, monkeypatch, key, raw):

@@ -343,11 +343,17 @@ def test_scatter_pattern_matches_coo_assembly(space, assemble, derivative, stiff
     ndof, gdofs, ders = disc.pattern.shape[0], disc.gdofs, disc.derivatives
     w = disc.weights()
     vals = np.broadcast_to(disc.values, w.shape + disc.values.shape[2:])
+
+    def per_point(a):
+        """A coefficient (N|1, ...), one matrix for all points of an affine map, at each point."""
+        a = tf.point_major(a)
+        return np.broadcast_to(a, (w.size,) + a.shape[1:])
+
     for (K, M), coefficients in (
             ((pencil.K, pencil.M),
-             [tf.point_major(kind.pull_back(c, geo)) for kind, c in disc.coefficient_maps()]),
+             [per_point(kind.pull_back(c, geo)) for kind, c in disc.coefficient_maps()]),
             ((deriv.dK, deriv.dM),
-             [tf.point_major(kind.derivative(c, v, geo)) for kind, c in disc.coefficient_maps()])):
+             [per_point(kind.derivative(c, v, geo)) for kind, c in disc.coefficient_maps()])):
         stiff, mass = coefficients
         for A, ref in ((K, old_scatter(old_local_stiffness(w, stiff, ders), gdofs, ndof)),
                        (M, old_scatter(old_local_mass(w, mass, vals), gdofs, ndof))):

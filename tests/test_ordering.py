@@ -13,8 +13,9 @@ from scipy.linalg import lapack
 
 from spectra_shape import fem_common, harness, spectral
 from spectra_shape import transforms as tf
-from spectra_shape.fem_common import (DissectionTree, Discretisation, assemble_pencil,
-                                      dof_positions, free_dofs, nested_dissection)
+from spectra_shape.fem_common import (DissectionTree, Discretisation, ScatterPattern,
+                                      assemble_pencil, dof_positions, free_dofs,
+                                      nested_dissection)
 from spectra_shape.geometry import build_box_mesh, load_mesh
 from spectra_shape.helmholtz import P1
 from spectra_shape.maxwell import NEDELEC
@@ -62,6 +63,37 @@ def test_ordering_is_a_permutation_of_the_free_dofs(case, tmp_path):
     np.testing.assert_array_equal(pairs[is_free, 0], free)
     np.testing.assert_array_equal(np.sort(pairs[is_free, 1]), np.arange(ndof))
     assert np.all(pairs[~is_free, 1] == -1)
+
+
+def assert_same_pattern(got, ref):
+    """Two scatter patterns, array for array: values, dtypes and shapes."""
+    assert (got.drop, got.shape) == (ref.drop, ref.shape)
+    for name in ("slot", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_renumbered_pattern_is_the_pattern_of_the_renumbered_dofs(case, tmp_path):
+    """The discretisation's pattern, built on the entity numbering and
+    renumbered into the dissection's order, equals the pattern of its
+    renumbered `gdofs`, for P1 and Nedelec."""
+    disc = discretisation(case, tmp_path)
+    assert_same_pattern(disc.pattern, ScatterPattern(disc.gdofs, disc.pattern.shape[0]))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_renumber_is_the_pattern_of_the_permuted_dofs(seed):
+    """Random dof maps, -1 where constrained, under a random permutation: the
+    renumbered pattern equals the pattern of the permuted map."""
+    rng = np.random.default_rng(seed)
+    ndof, nt, k = int(rng.integers(1, 40)), int(rng.integers(1, 30)), int(rng.choice([4, 6]))
+    gdofs = rng.integers(-1, ndof, (nt, k))
+    number = rng.permutation(ndof)
+    pattern = ScatterPattern(gdofs, ndof)
+    pattern.renumber(number)
+    assert_same_pattern(pattern, ScatterPattern(np.where(gdofs >= 0, number[gdofs], -1), ndof))
 
 
 def test_every_pencil_of_a_problem_carries_the_one_ordering():

@@ -196,12 +196,12 @@ def test_two_full_size_factorisations(problem, n, partition, monkeypatch):
     dissection numbering, and counts the inertia of K - mid M by one
     count-only pass on its tree, which keeps no factor; M itself is never
     factorised.
-    Maxwell adds the small G^T M G of its kernel projector, in MMD: once for
-    the rank check, whose factor is dropped, and once for the projector."""
+    Maxwell adds the small G^T M G of its kernel projector, in MMD, once: the
+    rank check reads the factor that the projector keeps."""
     p = fem_pencil(problem, n, partition)
     made, passes = spy_factorisations(monkeypatch)
     solve_pencil(p, count=1)
-    kernel = [] if p.kernel_basis is None else [p.kernel_basis.shape[1]] * 2
+    kernel = [] if p.kernel_basis is None else [p.kernel_basis.shape[1]]
     assert sorted(size for size, _, _ in made) == kernel + [p.size]
     assert [(natural, spec) for size, natural, spec in made if size == p.size] == [
         (True, "NATURAL")]

@@ -17,16 +17,23 @@ def random_points(rng, n=100):
     return rng.uniform(0.05, 0.95, size=(n, 3))
 
 
+def per_point(a, n):
+    """A point-major stack (N|1, ...) at each of n points: an affine family's
+    map has one J, and its constant coefficients one pull-back."""
+    return np.broadcast_to(a, (n,) + a.shape[1:])
+
+
 def pull_back(kind, family, chi, coeff, X):
     """Pulled-back coefficient of `kind` at reference points X."""
-    return tf.point_major(tf.coefficient_kind(kind).pull_back(coeff, tf.map_points(family, chi, X)))
+    geo = tf.map_points(family, chi, X)
+    return per_point(tf.point_major(tf.coefficient_kind(kind).pull_back(coeff, geo)), len(X))
 
 
 def derivative(kind, family, chi_bar, direction, coeff, X):
     """Directional derivative of the pulled-back coefficient of `kind`."""
     geo = tf.map_points(family, chi_bar, X)
     v = tf.psi_on_physical(family, direction, geo)
-    return tf.point_major(tf.coefficient_kind(kind).derivative(coeff, v, geo))
+    return per_point(tf.point_major(tf.coefficient_kind(kind).derivative(coeff, v, geo)), len(X))
 
 
 FAMILIES = [
@@ -131,13 +138,14 @@ class TestCoefficientKinds:
                 X = random_points(rng, 40)
                 geo = tf.map_points(family, rng.uniform(-0.1, 0.1), X)
                 B = coeff.value(geo.y)
+                det = per_point(geo.det, len(X))
                 if kind.push is None:
-                    expect = geo.det * B
+                    expect = det * B
                 else:
-                    P = tf.point_major(kind.push(geo))
-                    expect = geo.det[:, None, None] * tf._sym(
+                    P = per_point(tf.point_major(kind.push(geo)), len(X))
+                    expect = det[:, None, None] * tf._sym(
                         np.einsum("nba,nbc,ncd->nad", P, B, P))
-                got = tf.point_major(kind.pull_back(coeff, geo))
+                got = per_point(tf.point_major(kind.pull_back(coeff, geo)), len(X))
                 assert got.shape == expect.shape
                 assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
@@ -204,11 +212,12 @@ class TestVelocityField:
         X = random_points(rng, 40)
         chi_bar = 0.05
         psi, jpsi, div_psi = tf.psi_on_physical(family, 1.0, tf.map_points(family, chi_bar, X))
+        jpsi, div_psi = per_point(jpsi, len(X)), per_point(div_psi, len(X))
         np.testing.assert_allclose(psi, family.g.value(X), atol=1e-12)
         np.testing.assert_allclose(
             div_psi, np.trace(jpsi, axis1=1, axis2=2), atol=1e-13
         )
-        J = family.jacobian(chi_bar, X)
+        J = per_point(family.jacobian(chi_bar, X), len(X))
         np.testing.assert_allclose(jpsi @ J, family.g.gradient(X), atol=1e-12)
 
 
@@ -236,7 +245,7 @@ class TestConfigParsers:
         X, chi = random_points(rng, 30), 0.3
         np.testing.assert_allclose(fam.map(chi, X), X @ (A0 + chi * A1).T + b0 + chi * b1,
                                    rtol=0, atol=1e-15)
-        np.testing.assert_allclose(fam.jacobian(chi, X),
+        np.testing.assert_allclose(per_point(fam.jacobian(chi, X), len(X)),
                                    np.broadcast_to(A0 + chi * A1, (30, 3, 3)), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("g", [tf.SinField(0, 1, 0.1, 1.0), tf.AffineField([0.1, 0.0, 0.2]),
