@@ -34,7 +34,12 @@ assembled in that numbering, and its pencils carry the dissection's
 elimination tree (`DissectionTree`), for the sparse eigensolver. The tree
 decides the fronts of the eigensolver's inertia count, one per node: a set
 of at most `MERGED_DOFS` dofs is one node, and the fronts are read off the
-discretisation's own pattern."""
+discretisation's own pattern.
+
+A pencil assembled against a `LoewnerReference`, the per-tet data of the
+pencil at a reference parameter chi_bar, carries Loewner bounds between the
+two (`Pencil.bounds`), which the eigensolver reads in place of counting the
+inertia of an FD re-solve (see `spectral`)."""
 
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
@@ -79,6 +84,9 @@ class Pencil:
     kernel_basis: Optional[sp.csr_array] = None
     # the elimination tree of the nested dissection that numbers the dofs, or None
     tree: Optional["DissectionTree"] = None
+    # (a-, a+, b-, b+): a- K_ref <= K <= a+ K_ref and b- M_ref <= M <= b+ M_ref
+    # for the pencil of a `LoewnerReference`, or None
+    bounds: Optional[Tuple[float, float, float, float]] = None
 
     @property
     def size(self) -> int:
@@ -145,13 +153,23 @@ class ScatterPattern:
     def __init__(self, gdofs: np.ndarray, ndof: int):
         gdofs = gdofs.astype(np.int32 if ndof * ndof < 2**31 else np.int64)
         rows, cols = gdofs[:, :, None], gdofs[:, None, :]
-        keys, slot = np.unique(np.where((rows >= 0) & (cols >= 0), rows * ndof + cols, -1),
-                               return_inverse=True)
+        keys = (rows * ndof + cols).ravel()
+        keys[((rows < 0) | (cols < 0)).ravel()] = -1
+        # one sort of the keys: the slot of a pair counts the key changes
+        # before it in sorted order
+        by_key = np.argsort(keys)
+        keys = keys[by_key]
+        index = np.int32 if keys.size < 2**31 else np.int64
+        new = np.empty(keys.size, bool)
+        new[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        self.slot = np.empty(keys.size, index)
+        self.slot[by_key] = np.cumsum(new, dtype=index) - 1
+        del by_key
+        keys = keys[new]
         # a constrained pair (key -1, first in order) sums into a dropped slot 0
         self.drop = int(keys[0] < 0)
         rows, cols = np.divmod(keys[self.drop:], ndof)
-        index = np.int32 if slot.size < 2**31 else np.int64
-        self.slot = slot.ravel().astype(index)
         self.indices = cols.astype(index)
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=ndof))]
                                      ).astype(index)
@@ -186,7 +204,10 @@ class ScatterPattern:
         left out, as the sparse sum A + A^T leaves it out: the P1 stiffness of
         a Kuhn mesh with a constant isotropic coefficient keeps its 7-point
         stencil."""
-        values = np.bincount(self.slot, weights=(0.5 * (local + local.transpose(0, 2, 1))).ravel(),
+        # one full-size temporary: the pair sums, halved in place
+        halved = local + local.transpose(0, 2, 1)
+        halved *= 0.5
+        values = np.bincount(self.slot, weights=halved.ravel(),
                              minlength=self.drop + len(self.indices))[self.drop:]
         A = sp.csr_array((values, self.indices.copy(), self.indptr.copy()), shape=self.shape)
         A.eliminate_zeros()
@@ -280,7 +301,7 @@ def _fronts(bounds, children, pattern):
 
 
 def local_matrices(values: np.ndarray, derivatives: np.ndarray, w: np.ndarray,
-                   stiff: np.ndarray, mass: np.ndarray):
+                   stiff: np.ndarray, mass: np.ndarray, moments: bool = False):
     """The local stiffness and mass matrices (n, k, k) of the k local functions
     on each of n tets: D (sum_q w_q C_q) D^T of their constant derivatives
     D (n, k, 3), the stiffness coefficient C entry-major (3, 3, n * nq) and the
@@ -289,7 +310,8 @@ def local_matrices(values: np.ndarray, derivatives: np.ndarray, w: np.ndarray,
     (n * nq,) for scalar values, entry-major (c, c, n * nq) otherwise. A
     stiffness coefficient of one column (3, 3, 1), one matrix at every point,
     is copied to each point: the moment's sum over a stride-0 stack rounds
-    otherwise than over a contiguous one."""
+    otherwise than over a contiguous one. With `moments`, the moments
+    sum_q w_q C_q (n, 3, 3) come third."""
     n, nq = w.shape
     _, _, k, c = values.shape
     stiff = np.ascontiguousarray(np.broadcast_to(stiff, (3, 3, n * nq)))
@@ -297,11 +319,13 @@ def local_matrices(values: np.ndarray, derivatives: np.ndarray, w: np.ndarray,
     k_loc = derivatives @ moment @ derivatives.transpose(0, 2, 1)
     if values.shape[0] == 1 and c == 1:  # shared values: one table of products
         f = values[0, :, :, 0]
-        return k_loc, np.einsum("nq,qkl->nkl", mass.reshape(n, nq), f[:, :, None] * f[:, None, :])
-    # one batched product per point: no copy of the values in another layout
-    mass = transforms.point_major(transforms.point_major(mass.reshape(c, c, n, nq)))
-    return k_loc, sum((values[:, q] @ mass[:, q]) @ values[:, q].transpose(0, 2, 1)
-                      for q in range(nq))
+        m_loc = np.einsum("nq,qkl->nkl", mass.reshape(n, nq), f[:, :, None] * f[:, None, :])
+    else:
+        # one batched product per point: no copy of the values in another layout
+        mass = transforms.point_major(transforms.point_major(mass.reshape(c, c, n, nq)))
+        m_loc = sum((values[:, q] @ mass[:, q]) @ values[:, q].transpose(0, 2, 1)
+                    for q in range(nq))
+    return (k_loc, m_loc, moment) if moments else (k_loc, m_loc)
 
 
 def default_quad_order(family, *coefficients) -> int:
@@ -371,12 +395,13 @@ class Discretisation:
         """The rule's weights (n, nq) that integrate over the tets `tets`."""
         return 6.0 * self.mesh.tet_volumes(tets)[:, None] * self.rule.weights
 
-    def local(self, chi, kernel):
+    def local(self, chi, kernel, *per_tet):
         """The local (stiffness, mass) matrices (nt, k, k) of all tets in tet
-        order, from kernel(geo, w, values, derivatives) on each block of tets:
-        the map at chi at its rule points, their weights (n, nq), and its basis
-        values and derivatives, written into one array per matrix allocated
-        when the first block returns. The first block that finds chi
+        order, from kernel(geo, w, values, derivatives, *per_tet) on each block
+        of tets: the map at chi at its rule points, their weights (n, nq), its
+        basis values and derivatives and its rows of the arrays `per_tet`,
+        written into one array per matrix allocated when the first block
+        returns. The first block that finds chi
         inadmissible raises, at its first point that fails (see `map_points`)."""
         nt, step = len(self.mesh.tets), max(1, POINTS_PER_BLOCK // len(self.rule.weights))
         out = None
@@ -384,33 +409,39 @@ class Discretisation:
             tets = slice(start, start + step)
             geo = transforms.map_points(self.family, chi, self.points(tets).reshape(-1, 3))
             values = self.values if len(self.values) == 1 else self.values[tets]
-            parts = kernel(geo, self.weights(tets), values, self.derivatives[tets])
+            parts = kernel(geo, self.weights(tets), values, self.derivatives[tets],
+                           *(a[tets] for a in per_tet))
             if out is None:
                 out = tuple(np.empty((nt,) + a.shape[1:], a.dtype) for a in parts)
             for o, a in zip(out, parts):
                 o[tets] = a
         return out
 
-    def assemble(self, chi, coefficients):
+    def assemble(self, chi, coefficients, reference=None):
         """Stiffness and mass matrices over the free dofs of the (stiffness,
         mass) coefficient values, entry-major, that coefficients(geo) gives
-        at the mapped points of each block."""
-        def kernel(geo, w, values, derivatives):
+        at the mapped points of each block, and the Loewner bounds of their
+        per-tet moments and local masses against a `LoewnerReference`, block
+        by block (None without one or without its factors)."""
+        def kernel(geo, w, values, derivatives, *factors):
             stiff, mass = coefficients(geo)
-            return local_matrices(values, derivatives, w, stiff, w.ravel() * mass)
+            mass = w.ravel() * mass
+            parts = local_matrices(values, derivatives, w, stiff, mass, moments=bool(factors))
+            if not factors:
+                return parts
+            k_loc, m_loc, moment = parts
+            return k_loc, m_loc, *_loewner_ends(factors, moment, m_loc, mass)
 
-        return tuple(map(self.pattern.matrix, self.local(chi, kernel)))
+        factors = () if reference is None else reference.factors
+        k_loc, m_loc, *ends = self.local(chi, kernel, *factors)
+        bounds = reference.bounds(*ends) if ends else None
+        return self.pattern.matrix(k_loc), self.pattern.matrix(m_loc), bounds
 
 
-def assemble_pencil(disc: Discretisation, chi) -> Pencil:
-    """Pencil (K, M) of the discretisation at transformation parameter chi.
-
-    M is certified positive-definite: `map_points` checks that det J is
-    finite and > 0 at every quadrature point, each non-constant
-    coefficient is checked positive-definite at every mapped quadrature
-    point (the constant ones are checked when the config is read); the tet
-    rules have positive weights and are unisolvent for the local bases. A
-    failure makes chi inadmissible."""
+def _pulled_back(disc: Discretisation, chi):
+    """geo -> the pulled-back (stiffness, mass) coefficients of the
+    discretisation at chi at the mapped points `geo`, each non-constant
+    coefficient checked positive-definite there."""
     def coefficients(geo):
         for name, c in zip(disc.space.coefficients, (disc.stiff, disc.mass)):
             i = None if c.constant else transforms.first_not_positive(c.value(geo.y))
@@ -420,8 +451,124 @@ def assemble_pencil(disc: Discretisation, chi) -> Pencil:
                     f"(mapped point {geo.y[i].tolist()})")
         return [kind.pull_back(c, geo) for kind, c in disc.coefficient_maps()]
 
-    return Pencil(*disc.assemble(chi, coefficients), disc.quad_order, disc.kernel_basis,
-                  disc.tree)
+    return coefficients
+
+
+def _inverse_cholesky(X: np.ndarray) -> np.ndarray:
+    """The inverses W (n, k, k) of the Cholesky factors of the symmetric
+    matrices X (n, k, k), W X W^T = I; a pivot that is not positive raises
+    `np.linalg.LinAlgError`. Entry by entry over all n at once: numpy's
+    stacked `cholesky` and `inv` make one LAPACK call per matrix, 4 to 9
+    times slower on stacks of 1296 to 6000 matrices of 3 x 3 to 6 x 6
+    (2 vCPUs)."""
+    k = X.shape[1]
+    x = np.ascontiguousarray(X.transpose(1, 2, 0))
+    L = np.zeros_like(x)
+    for j in range(k):
+        pivot = x[j, j] - (L[j, :j] ** 2).sum(0)
+        if not np.all(pivot > 0):
+            raise np.linalg.LinAlgError("a local matrix is not positive-definite")
+        L[j, j] = np.sqrt(pivot)
+        L[j + 1:, j] = (x[j + 1:, j] - (L[j + 1:, :j] * L[j, :j]).sum(1)) / L[j, j]
+    W = np.zeros_like(x)
+    for i in range(k):
+        W[i, i] = 1.0 / L[i, i]
+        W[i, :i] = -(L[i, :i, None] * W[:i, :i]).sum(0) / L[i, i]
+    return np.ascontiguousarray(W.transpose(2, 0, 1))
+
+
+def _ends(W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The least left and the largest right end (n, 2) of the Gershgorin
+    discs of each W sym(X) W^T, W and X (n, k, k): every eigenvalue of it
+    lies between them."""
+    A = W @ transforms._sym(X) @ W.transpose(0, 2, 1)
+    d = np.diagonal(A, axis1=1, axis2=2)
+    r = np.abs(A).sum(axis=2) - np.abs(d)
+    return np.stack([(d - r).min(axis=1), (d + r).max(axis=1)], axis=1)
+
+
+def _loewner_ends(factors, moment: np.ndarray, m_loc: np.ndarray, mass: np.ndarray):
+    """The Gershgorin ends (`_ends`, (n, 2) each) of the tets' stiffness
+    moments and local masses against the reference `factors`
+    (`LoewnerReference`). A scalar mass, weighted at the points (n * nq,),
+    gives local masses sum_q mass_q F_q F_q^T, positive combinations of the
+    same rank-one terms at every chi: the least and largest ratio of its
+    values to the reference's bound them, with no product."""
+    W_stiff, mass_ref = factors
+    if mass.ndim == 1:
+        ratio = mass.reshape(mass_ref.shape) / mass_ref
+        return _ends(W_stiff, moment), np.stack([ratio.min(axis=1), ratio.max(axis=1)], axis=1)
+    return _ends(W_stiff, moment), _ends(mass_ref, m_loc)
+
+
+class LoewnerReference:
+    """The per-tet data at chi_bar that bounds a discretisation's pencil at
+    any chi against its pencil at chi_bar in the Loewner order (`bounds`).
+
+    K(chi) = sum_t D_t C_t D_t^T with the stiffness moments C_t = sum_q w_q C_q
+    (3 x 3) and M(chi) = sum_t m_t with the local masses m_t (k x k), each
+    scattered to the free dofs; only C_t and m_t depend on chi. So
+    a- C_t(chi_bar) <= C_t <= a+ C_t(chi_bar) and the same of m_t with b-, b+
+    on every tet give a- K(chi_bar) <= K <= a+ K(chi_bar) and the same of M,
+    and by Courant-Fischer lambda_i(chi) >= (a- / b+) lambda_i(chi_bar) for
+    every i, the kernel included.
+
+    The reference keeps, of the symmetric parts X of C_t and m_t at chi_bar
+    (what assembly sums), the inverses W of their Cholesky factors, or of a
+    scalar mass its weighted values at the points (`factors`), and the
+    Gershgorin enclosure (lo, hi) of all W X W^T, the identity up to
+    round-off. It is one pass of `Discretisation.local` at chi_bar that
+    scatters nothing and keeps no other per-tet array; `factors` is empty
+    where a factorisation fails or an enclosure is not positive, and then
+    no bounds are given."""
+
+    def __init__(self, disc: Discretisation, chi_bar):
+        coefficients = _pulled_back(disc, chi_bar)
+
+        def kernel(geo, w, values, derivatives):
+            stiff, mass = coefficients(geo)
+            mass = w.ravel() * mass
+            _, m_loc, moment = local_matrices(values, derivatives, w, stiff, mass, moments=True)
+            factors = (_inverse_cholesky(transforms._sym(moment)),
+                       mass.reshape(w.shape) if mass.ndim == 1
+                       else _inverse_cholesky(transforms._sym(m_loc)))
+            return *factors, *_loewner_ends(factors, moment, m_loc, mass)
+
+        try:
+            W_stiff, mass_ref, *ends = disc.local(chi_bar, kernel)
+        except np.linalg.LinAlgError:
+            self.factors = ()
+            return
+        self.enclosures = [(float(e[:, 0].min()), float(e[:, 1].max())) for e in ends]
+        usable = min(lo for lo, _ in self.enclosures) > 0.0
+        self.factors = (W_stiff, mass_ref) if usable else ()
+
+    def bounds(self, stiff_ends: np.ndarray, mass_ends: np.ndarray):
+        """(a-, a+, b-, b+) from the Gershgorin ends (`_ends`) of the
+        stiffness moments and local masses of all tets at some chi against
+        `factors`: every generalised eigenvalue of a tet's pair (X, X_ref)
+        lies in [g- / hi, g+ / lo], g- the least and g+ the largest end; a-
+        and b- are at least 0. Rigorous up to the round-off of the products,
+        of the order of eps times cond(X_ref)."""
+        out = ()
+        for ends, (lo, hi) in zip((stiff_ends, mass_ends), self.enclosures):
+            out += (max(float(ends[:, 0].min()), 0.0) / hi, float(ends[:, 1].max()) / lo)
+        return out
+
+
+def assemble_pencil(disc: Discretisation, chi, reference: Optional[LoewnerReference] = None
+                    ) -> Pencil:
+    """Pencil (K, M) of the discretisation at transformation parameter chi,
+    with its Loewner bounds against a `reference` (see `Pencil.bounds`).
+
+    M is certified positive-definite: `map_points` checks that det J is
+    finite and > 0 at every quadrature point, each non-constant
+    coefficient is checked positive-definite at every mapped quadrature
+    point (the constant ones are checked when the config is read); the tet
+    rules have positive weights and are unisolvent for the local bases. A
+    failure makes chi inadmissible."""
+    K, M, bounds = disc.assemble(chi, _pulled_back(disc, chi), reference)
+    return Pencil(K, M, disc.quad_order, disc.kernel_basis, disc.tree, bounds)
 
 
 def assemble_derivative(disc: Discretisation, chi_bar, direction) -> PencilDerivative:
@@ -430,4 +577,5 @@ def assemble_derivative(disc: Discretisation, chi_bar, direction) -> PencilDeriv
         v = transforms.psi_on_physical(disc.family, direction, geo)
         return [kind.derivative(c, v, geo) for kind, c in disc.coefficient_maps()]
 
-    return PencilDerivative(*disc.assemble(chi_bar, coefficients))
+    dK, dM, _ = disc.assemble(chi_bar, coefficients)
+    return PencilDerivative(dK, dM)

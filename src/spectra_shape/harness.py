@@ -8,7 +8,7 @@ cross-checks with branch tracking, and emits machine-readable JSON reports.
 import datetime
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -16,7 +16,7 @@ import scipy.linalg as sla
 
 from . import hadamard, helmholtz, maxwell, transforms
 from .errors import ConfigError, ContractViolationError, InadmissibleParameterError
-from .fem_common import Discretisation, Pencil, PencilDerivative
+from .fem_common import Discretisation, LoewnerReference, Pencil, PencilDerivative
 from .geometry import Mesh, build_box_mesh, load_mesh
 from .perturbation import elementary_symmetric, rellich_matrix, trace_formula
 from .spectral import (
@@ -140,15 +140,19 @@ class Problem:
     """One configured eigenvalue problem, made by `build_problem`: the config,
     the mesh, and the per-problem routes with the mesh, the family and the
     (stiffness, mass) coefficients bound in. An abstract pencil has no mesh
-    (None) and no volume or surface form. The solution at chi_bar is computed
-    once, on first use, and so is each solve of `solve_at`."""
+    (None), no volume or surface form and no Loewner reference. The solution
+    at chi_bar is computed once, on first use, and so are the Loewner
+    reference at chi_bar and each solve of `solve_at`."""
 
     cfg: RunConfig
     mesh: Optional[Mesh]
-    assemble: Callable[[float], Pencil]
+    assemble: Callable[..., Pencil]            # (chi, reference=None) -> pencil
     derivative: Callable[[], PencilDerivative]
     volume_form: Optional[Callable] = None     # clusters -> matrices
     surface_form: Optional[Callable] = None    # clusters -> matrices
+    # () -> the Loewner reference at chi_bar, made by the first FD solve: a
+    # problem that makes none holds none
+    reference: Callable[[], Optional[LoewnerReference]] = lambda: None
     solves: dict = field(default_factory=dict)  # (chi, count) -> EigenDecomposition
 
     @cached_property
@@ -176,7 +180,7 @@ def build_problem(cfg: RunConfig) -> Problem:
         eye = np.eye(len(K0))
         return Problem(
             cfg, None,
-            assemble=lambda chi: Pencil(K0 + chi * dK, eye, quad_order=0),
+            assemble=lambda chi, reference=None: Pencil(K0 + chi * dK, eye, quad_order=0),
             derivative=lambda: PencilDerivative(cfg.direction * dK, np.zeros_like(dK)))
 
     if cfg.problem == "maxwell":
@@ -210,10 +214,11 @@ def build_problem(cfg: RunConfig) -> Problem:
     disc = Discretisation(space, mesh, fam, *coefficients)
     args = (disc, cfg.chi_bar, cfg.direction)
     return Problem(cfg, mesh,
-                   assemble=lambda chi: pencil(disc, chi),
+                   assemble=lambda chi, reference=None: pencil(disc, chi, reference),
                    derivative=lambda: deriv(*args),
                    volume_form=lambda clusters: volume(*args, clusters),
-                   surface_form=lambda clusters: surface(*args, clusters))
+                   surface_form=lambda clusters: surface(*args, clusters),
+                   reference=cache(lambda: LoewnerReference(disc, cfg.chi_bar)))
 
 
 def _check_unread(cfg: RunConfig, specs):
@@ -243,9 +248,10 @@ def _check_positive(key: str, coefficient: AffineField, y: np.ndarray):
                           f"is {least:g} at the mapped vertex {y[i].tolist()}")
 
 
-def assemble_at(problem: Problem, chi: float) -> Pencil:
-    """Pencil of the problem at parameter chi."""
-    return problem.assemble(chi)
+def assemble_at(problem: Problem, chi: float, reference=None) -> Pencil:
+    """Pencil of the problem at parameter chi, with its Loewner bounds against
+    a `reference` (`fem_common.LoewnerReference`)."""
+    return problem.assemble(chi, reference)
 
 
 def derivative_at(problem: Problem) -> PencilDerivative:
@@ -254,12 +260,16 @@ def derivative_at(problem: Problem) -> PencilDerivative:
 
 
 def solve_at(problem: Problem, chi: float, count: int) -> EigenDecomposition:
-    """Solve of the pencil at chi up to `count`, computed once per (chi, count)."""
+    """Solve of the pencil at chi up to `count`, computed once per (chi, count).
+    The pencil carries its Loewner bounds against the one at chi_bar, whose
+    solve is the reference that lets the bounds certify it uncounted."""
     key = (chi, count)
     if key not in problem.solves:
         cfg = problem.cfg
-        problem.solves[key] = solve_pencil(assemble_at(problem, chi), cfg.kernel_tol,
-                                           count=count, cluster_tol=cfg.cluster_tol)
+        pencil = assemble_at(problem, chi, reference=problem.reference())
+        problem.solves[key] = solve_pencil(pencil, cfg.kernel_tol, count=count,
+                                           cluster_tol=cfg.cluster_tol,
+                                           reference=problem.solution[1])
     return problem.solves[key]
 
 

@@ -11,6 +11,13 @@ that no eigenvalue below it was missed, near-zero ones included. A failed
 inertia check factorises the shift again and runs with more pairs. The mass
 M is not factorised: assembly certifies that it is positive-definite.
 
+An FD re-solve skips the count when Loewner bounds prove it unnecessary:
+its pencil carries bounds against the pencil of a reference solve
+(`Pencil.bounds`, see `fem_common.LoewnerReference`), and
+lambda_i >= (a- / b+) lambda_i(reference) for every i then puts the next
+eigenvalue more than `cluster_tol` above the run's last Ritz value
+(`_bounded_below`). A run the bounds do not prove is counted.
+
 A FEM pencil is numbered by its discretisation's nested dissection and
 carries that dissection's elimination tree (`Pencil.tree`): its shift is
 factorised as it is numbered, with no ordering of SuperLU's own, and its
@@ -50,6 +57,9 @@ EXTRA_PAIRS = 4
 # relative accuracy of the Ritz values; the Rayleigh-Ritz step on the
 # returned block gives eigenvalues to round-off from vectors this accurate
 LANCZOS_TOL = 1e-12
+# relative margin of the Loewner bounds' certificate: it covers the round-off
+# of the bounds and the error of the reference's Ritz values
+BOUNDS_MARGIN = 1e-8
 
 
 @dataclass
@@ -58,12 +68,17 @@ class EigenDecomposition:
 
     ``eigenvalues`` ascending; ``eigenvectors`` columns M-orthonormal;
     ``kernel_dim`` counts the deflated modes. Index k in the paper's
-    1-based numbering is ``eigenvalues[k-1]``.
+    1-based numbering is ``eigenvalues[k-1]``. A sparse solve records the
+    check that certified it, ``"count"`` (the gap inertia) or ``"bounds"``
+    (`_bounded_below`), and the point below which that check found every
+    eigenvalue; both are None on the dense path.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     kernel_dim: int
+    certificate: Optional[str] = None
+    certified_below: Optional[float] = None
 
 
 @dataclass
@@ -247,9 +262,37 @@ def _shift_inverse(K, M, sigma, project, natural):
     return spla.LinearOperator(K.shape, matvec=lambda x: project(solve(x)), dtype=float)
 
 
-def _solve_sparse(pencil: Pencil, kernel_tol: float, count: int, cluster_tol: float):
+def _bounded_below(pencil: Pencil, reference: Optional[EigenDecomposition],
+                   dec: EigenDecomposition, cluster_tol: float) -> Optional[float]:
+    """The point below which the Loewner bounds of `pencil` against the
+    pencil of the `reference` solve prove that `dec` holds every eigenvalue,
+    with none within `cluster_tol` above its last; None where they do not.
+
+    With N = kernel_dim + end pairs found and an equal kernel, the
+    reference's eigenvalue after them, or its certified point, is a lower
+    bound t_ref on lambda_N+1 of the reference pencil, so
+    lambda_N+1 >= (a- / b+) t_ref (Courant-Fischer, see
+    `fem_common.LoewnerReference`). The N values found are upper bounds on
+    lambda_1..N (Poincare); so when the largest, times 1 + cluster_tol, lies
+    below that bound, less `BOUNDS_MARGIN`, no eigenvalue was missed."""
+    if pencil.bounds is None or reference is None or dec.kernel_dim != reference.kernel_dim:
+        return None
+    end = len(dec.eigenvalues)
+    t_ref = (reference.eigenvalues[end] if end < len(reference.eigenvalues)
+             else reference.certified_below)
+    if t_ref is None:
+        return None
+    a_lower, _, _, b_upper = pencil.bounds
+    below = a_lower / b_upper * t_ref * (1.0 - BOUNDS_MARGIN)
+    return below if dec.eigenvalues[-1] * (1.0 + cluster_tol) < below else None
+
+
+def _solve_sparse(pencil: Pencil, kernel_tol: float, count: int, cluster_tol: float,
+                  reference: Optional[EigenDecomposition]):
     """Lowest complete clusters covering `count` eigenvalues, or None when
-    ARPACK would need as many pairs as the pencil has.
+    ARPACK would need as many pairs as the pencil has. A run is certified by
+    the Loewner bounds against the `reference` solve where they prove it,
+    else by the gap inertia.
 
     One large factor is alive at a time: the shift's is kept across
     Lanczos attempts that do not converge, freed before the inertia is
@@ -285,12 +328,19 @@ def _solve_sparse(pencil: Pencil, kernel_tol: float, count: int, cluster_tol: fl
         vals, vecs = vals[keep], vecs[:, keep]
         end = _complete_end(vals, count, cluster_tol)
         # a Lanczos run can miss a copy of an eigenvalue, near zero or not;
-        # the inertia inside the gap counts every eigenvalue below it
+        # the bounds prove that it did not, or the inertia inside the gap
+        # counts every eigenvalue below it
         if end is not None:
+            dec = _rayleigh_ritz(K, M, vecs[:, :end], kernel_dim)
+            below = _bounded_below(pencil, reference, dec, cluster_tol)
+            if below is not None:
+                dec.certificate, dec.certified_below = "bounds", below
+                return dec
             opinv = None
             mid = 0.5 * (vals[end - 1] + vals[end])
             if _count_below(K, M, mid, pencil.tree) == kernel_dim + end:
-                return _rayleigh_ritz(K, M, vecs[:, :end], kernel_dim)
+                dec.certificate, dec.certified_below = "count", mid
+                return dec
         k *= 2
     return None
 
@@ -307,6 +357,7 @@ def solve_pencil(
     kernel_tol: float = DEFAULT_KERNEL_TOL,
     count: Optional[int] = None,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
+    reference: Optional[EigenDecomposition] = None,
 ) -> EigenDecomposition:
     """Solve K v = lambda M v with near-zero-mode deflation.
 
@@ -320,7 +371,9 @@ def solve_pencil(
     Lanczos below the spectrum with range(pencil.kernel_basis) projected
     out; kernel_dim is the rank of the kernel basis plus the Ritz values
     below cut, and the inertia inside the closing gap must equal kernel_dim
-    plus the pairs returned. A sparse M must be symmetric positive-definite:
+    plus the pairs returned, unless `pencil.bounds` against the pencil of
+    the `reference` solve prove that none was missed (`_bounded_below`). A
+    sparse M must be symmetric positive-definite:
     it is not factorised, only its diagonal is checked. `assemble_pencil`
     certifies it (det J finite and > 0 and every coefficient SPD at each
     quadrature point, a rule with positive weights). Dense pencils, and
@@ -332,7 +385,7 @@ def solve_pencil(
     if count < 1:
         raise ContractViolationError(f"count must be >= 1, got {count}")
     if sp.issparse(pencil.K):
-        dec = _solve_sparse(pencil, kernel_tol, count, cluster_tol)
+        dec = _solve_sparse(pencil, kernel_tol, count, cluster_tol, reference)
         if dec is not None:
             return dec
     dec = _solve_dense(pencil, kernel_tol)
