@@ -34,6 +34,10 @@ class ContourError(SpectraShapeError):
     """An eigenvalue lies on (or too close to) the integration contour."""
 
 
+class NonFiniteReportError(SpectraShapeError):
+    """A report would hold a number that is not finite, the mark of an overflow."""
+
+
 class ContractViolationError(SpectraShapeError):
     """Caller passed data violating a documented precondition."""
 

@@ -15,7 +15,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import hadamard, helmholtz, maxwell, transforms
-from .errors import ConfigError, ContractViolationError, InadmissibleParameterError
+from .errors import (
+    ConfigError,
+    ContractViolationError,
+    InadmissibleParameterError,
+    NonFiniteReportError,
+)
 from .fem_common import Discretisation, LoewnerReference, Pencil, PencilDerivative
 from .geometry import Mesh, build_box_mesh, load_mesh
 from .perturbation import elementary_symmetric, rellich_matrix, trace_formula
@@ -38,6 +43,8 @@ _SPACES = {"helmholtz": helmholtz.P1, "maxwell": maxwell.NEDELEC}
 _PROBLEMS = (*_SPACES, "abstract-pencil")
 
 MAX_DOFS = 200_000
+# an abstract pencil is dense: at 2,000 dofs `dshape` and `verify` peak at 0.8 GB
+MAX_DENSE_DOFS = 2_000
 
 # spec_value arguments of each config key besides "problem"
 _FIELDS = dict(
@@ -157,12 +164,15 @@ class Problem:
 
     @cached_property
     def solution(self) -> Tuple[Pencil, EigenDecomposition, List[EigenCluster]]:
-        """Pencil at chi_bar, its solve up to index_range[1] and its clusters."""
+        """Pencil at chi_bar, its solve up to index_range[1] and its clusters:
+        every command's one chi_bar solve, which refuses an index_range past
+        what it can return before solving and past what it computed after."""
         cfg = self.cfg
         pencil = assemble_at(self, cfg.chi_bar)
         check_solvable_index_range(cfg, pencil)
         dec = solve_pencil(pencil, cfg.kernel_tol, count=cfg.index_range[1],
                            cluster_tol=cfg.cluster_tol)
+        check_index_range(cfg, len(dec.eigenvalues))
         return pencil, dec, cluster_spectrum(dec, cfg.cluster_tol)
 
 
@@ -291,14 +301,17 @@ def _abstract_pencil(spec: dict):
         if d0.shape != d1.shape or not len(d0):
             raise ConfigError(f"diagonal pencil needs 'd0' and 'd1' of equal length >= 1, "
                               f"got {d0.tolist()} and {d1.tolist()}")
+        _check_dense_size(len(d0))
         return np.diag(d0), np.diag(d1)
     # degenerate: an exactly degenerate block of multiplicity m inside a larger
     # pencil, rotated by a seeded orthogonal matrix so nothing is axis-aligned
     m = spec_value(spec, "m", 3, of=int, low=1)
     lam = spec_value(spec, "lambda", 2.0)
     extra = spec_value(spec, "extra", [5.0, 9.0], shape=(None,))
-    rng = np.random.default_rng(spec_value(spec, "seed", 0, of=int, low=0))
+    seed = spec_value(spec, "seed", 0, of=int, low=0)
     n = m + len(extra)
+    _check_dense_size(n)
+    rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, m))
     dK = np.zeros((n, n))
     dK[:m, :m] = 0.5 * (A + A.T)
@@ -306,6 +319,13 @@ def _abstract_pencil(spec: dict):
     K0 = np.diag(np.concatenate([np.full(m, lam), extra]))
     Q = sla.qr(rng.standard_normal((n, n)))[0]
     return Q @ K0 @ Q.T, Q @ dK @ Q.T
+
+
+def _check_dense_size(n: int):
+    """Refuse an abstract pencil of more than MAX_DENSE_DOFS dofs unbuilt."""
+    if n > MAX_DENSE_DOFS:
+        raise ConfigError(f"abstract pencil has {n} dofs (> {MAX_DENSE_DOFS}); "
+                          f"refusing to build it dense")
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +462,14 @@ def _route_matrices(problem: Problem, clusters: List[EigenCluster], surface: boo
 
 def write_json(payload, path: Optional[str]):
     """`payload` as sorted, indented JSON: printed where `path` is empty or
-    None, else written to `path` with a trailing newline; a path that cannot
-    be written is a config error."""
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    None, else written to `path` with a trailing newline. A payload holding
+    a number that is not finite is refused unwritten, naming the first one's
+    key path; a path that cannot be written is a config error."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:  # allow_nan=False: a number that is not finite
+        raise NonFiniteReportError(
+            f"the report's number at {_non_finite_path(payload)} is not finite") from None
     if path:
         try:
             with open(path, "w") as f:
@@ -453,6 +478,24 @@ def write_json(payload, path: Optional[str]):
             raise ConfigError(f"cannot write output {path}: {exc}")
     else:
         print(text)
+
+
+def _non_finite_path(value, path: str = "") -> Optional[str]:
+    """Key path of the first number in `value` that is not finite, in the
+    order of the sorted JSON, or None if every number is finite."""
+    if isinstance(value, float):
+        return None if np.isfinite(value) else path
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}" if path else key, item) for key, item in sorted(value.items()))
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    for where, item in items:
+        found = _non_finite_path(item, where)
+        if found is not None:
+            return found
+    return None
 
 
 def check_index_range(cfg: RunConfig, count: int, of: str = "computed eigenvalues"):
@@ -485,7 +528,6 @@ def run(problem: Problem) -> dict:
     environment and clusters; its caller writes it."""
     cfg = problem.cfg
     pencil, dec, clusters = problem.solution
-    check_index_range(cfg, len(dec.eigenvalues))
     wanted = wanted_clusters(cfg, clusters)
 
     routes = _route_matrices(problem, wanted, cfg.surface_form_trusted)

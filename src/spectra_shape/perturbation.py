@@ -24,8 +24,10 @@ def elementary_symmetric(values, s: int) -> float:
         raise ContractViolationError(f"order s={s} outside 1..{m}")
     coeffs = np.zeros(m + 1)
     coeffs[0] = 1.0
-    for v in values:
-        coeffs[1 : m + 1] = coeffs[1 : m + 1] + v * coeffs[0:m]
+    # past the float range a coefficient is inf (or nan), which a report refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in values:
+            coeffs[1 : m + 1] = coeffs[1 : m + 1] + v * coeffs[0:m]
     return float(coeffs[s])
 
 
@@ -102,8 +104,15 @@ def hellmann_feynman(
 def trace_formula(lambda_bar: float, m: int, trace: float) -> list:
     """Derivatives of Lambda_{F,s}, s = 1..m, for a cluster of multiplicity m
     at lambda_bar whose branch-slope matrix has the given trace:
-    lambda_bar^(s-1) * C(m-1, s-1) * trace."""
-    return [lambda_bar ** (s - 1) * comb(m - 1, s - 1) * trace for s in range(1, m + 1)]
+    lambda_bar^(s-1) * C(m-1, s-1) * trace. A term past the float range is
+    inf, which a report refuses."""
+    def term(s):
+        try:
+            return lambda_bar ** (s - 1) * comb(m - 1, s - 1) * trace
+        except OverflowError:
+            return float("inf")
+
+    return [term(s) for s in range(1, m + 1)]
 
 
 def symmetric_function_derivative(

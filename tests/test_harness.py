@@ -21,7 +21,7 @@ from scipy.optimize import linear_sum_assignment  # oracle of the pairing tests 
 
 from spectra_shape import cli, fem_common, harness, maxwell, spectral
 from spectra_shape import transforms as tf
-from spectra_shape.errors import ConfigError, DegenerateProblemError
+from spectra_shape.errors import ConfigError, DegenerateProblemError, NonFiniteReportError
 from spectra_shape.geometry import BOX_FACES, build_box_mesh, save_mesh
 
 HELM_SCALING = {
@@ -398,12 +398,13 @@ class TestRefinementStudy:
 
 
 class Case(NamedTuple):
-    """One CLI run: `command` on HELM_SCALING updated with `config` (no
-    config file when None), in a directory holding `files`, exits `code`."""
+    """One CLI run: `command` on `base` updated with `config` (no config
+    file when None), in a directory holding `files`, exits `code`."""
     config: Optional[dict]
     command: str = "eig"
     code: int = cli.EXIT_CONFIG
     files: dict = {}
+    base: dict = HELM_SCALING
 
 
 ONE_TET = "tetmesh v1\nvertices 4\n0 0 0\n1 0 0\n0 1 0\n0 0 1\ntets 1\n0 1 2 3\nbfacets 4\n"
@@ -550,6 +551,25 @@ CLI_CASES = [
     # constant, so the refusal comes after it
     ("index_range (1, 27) exceeds the 26 computed eigenvalues",
      Case({"mesh": dict(HELM_SCALING["mesh"], n=2, partition="N"), "index_range": [1, 27]})),
+    # a study level takes its solve, and so its refusal, from the one chi_bar path
+    ("index_range (1, 27) exceeds the 26 computed eigenvalues",
+     Case({"mesh": dict(HELM_SCALING["mesh"], n=2, partition="N"), "index_range": [1, 27],
+           "refinement": [2, 3]}, "study")),
+    # an abstract pencil is dense: 10^7 dofs are refused before any array is made
+    ("abstract pencil has 10000002 dofs (> 2000)",
+     Case({"problem": "abstract-pencil", "abstract": {"kind": "degenerate", "m": 10**7}},
+          base={})),
+    # numbers past the float range are refused unwritten: lambda_bar^39 C(39, s - 1)
+    # of the trace formula overflows, and so do the elementary symmetric
+    # functions of verify's FD table, which sorts before its report
+    ("the report's number at clusters[0].sym_derivatives_rellich[",
+     Case({"problem": "abstract-pencil", "abstract": {"kind": "degenerate", "m": 40,
+                                                      "lambda": 1e9}},
+          "dshape", cli.EXIT_NUMERICAL, base={})),
+    ("the report's number at fd_table[0].sym_slopes[",
+     Case({"problem": "abstract-pencil", "index_range": [1, 1],
+           "abstract": {"kind": "degenerate", "m": 35, "lambda": 1e9, "extra": [1e10, 2e10]}},
+          "verify", cli.EXIT_NUMERICAL, base={})),
 ]
 
 
@@ -564,6 +584,31 @@ class TestCli:
         assert cli.main(["eig", "--config", path]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["kernel_dim"] == 0
+
+    def test_non_finite_payload_is_refused_unwritten(self, tmp_path, capsys):
+        """The writer names the first number that is not finite in the order
+        of the sorted JSON, and neither prints nor writes the payload."""
+        payload = {"b": [1.0, float("nan")], "a": {"y": [0.5, float("-inf")], "x": 1e308}}
+        out = tmp_path / "report.json"
+        for path in (None, str(out)):
+            with pytest.raises(NonFiniteReportError, match=r"at a\.y\[1\] is not finite"):
+                harness.write_json(payload, path)
+        assert capsys.readouterr().out == "" and not out.exists()
+
+    def test_eig_reads_the_problems_one_solution(self, tmp_path, capsys, monkeypatch):
+        """eig assembles and solves the pencil at chi_bar once, through the
+        harness, and prints the eigenvalues, kernel_dim and dofs of the
+        `Problem`'s solution."""
+        raw = {"problem": "maxwell", "mesh": {"type": "box", "n": 3}, "index_range": [2, 4]}
+        path = self.write_config(tmp_path, raw)
+        assembled = count_calls(monkeypatch, "assemble_at")
+        solves = count_calls(monkeypatch, "solve_pencil")
+        assert cli.main(["eig", "--config", path]) == 0
+        assert [args[1] for args in assembled] == [0.0] and len(solves) == 1
+        pencil, dec, _ = harness.build_problem(harness.RunConfig.from_dict(raw)).solution
+        assert json.loads(capsys.readouterr().out) == {
+            "eigenvalues": dec.eigenvalues[1:4].tolist(), "kernel_dim": dec.kernel_dim,
+            "dofs": pencil.size}
 
     def test_dshape_writes_report(self, tmp_path):
         path = self.write_config(tmp_path, HELM_SCALING)
@@ -701,7 +746,7 @@ class TestCli:
         for name, text in raw.files.items():
             (tmp_path / name).write_text(text)
         if raw.config is not None:
-            (tmp_path / "config.json").write_text(json.dumps(dict(HELM_SCALING, **raw.config)))
+            (tmp_path / "config.json").write_text(json.dumps(dict(raw.base, **raw.config)))
         code = cli.main([raw.command, "--config", "config.json"])
         out, err = capsys.readouterr()
         assert code == raw.code, err

@@ -6,6 +6,7 @@ is pinned by direct expansion for small sizes.
 """
 
 import itertools
+import warnings
 from math import comb
 
 import numpy as np
@@ -24,6 +25,7 @@ from spectra_shape.perturbation import (
     reconstruct_lambda,
     rellich_matrix,
     symmetric_function_derivative,
+    trace_formula,
 )
 from spectra_shape.spectral import EigenCluster, cluster_spectrum, solve_pencil
 
@@ -60,6 +62,14 @@ class TestElementarySymmetric:
     def test_order_out_of_range(self):
         with pytest.raises(ContractViolationError):
             elementary_symmetric([1.0, 2.0], 3)
+
+    def test_overflow_is_silent(self):
+        """35 values of 1e9 take the top order to 1e315: inf, with no warning,
+        and the orders below stay finite."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert elementary_symmetric(np.full(35, 1e9), 35) == np.inf
+            assert elementary_symmetric(np.full(35, 1e9), 1) == pytest.approx(3.5e10)
 
 
 class TestHatFunctions:
@@ -195,6 +205,14 @@ class TestTraceFormula:
         assert symmetric_function_derivative(cluster, deriv, 1) == pytest.approx(
             np.trace(R), rel=1e-13
         )
+
+    @pytest.mark.parametrize("lambda_bar, m", [(1e9, 40), (2.0, 2000)])
+    def test_overflow_is_inf(self, lambda_bar, m):
+        """Past the float range, lambda_bar^(s - 1) or C(m - 1, s - 1) is inf
+        where Python's float arithmetic raises; the first terms stay exact."""
+        terms = trace_formula(lambda_bar, m, 0.5)
+        assert terms[:2] == [0.5, lambda_bar * (m - 1) * 0.5]
+        assert np.inf in terms
 
     def test_matches_fd_on_degenerate_pencil(self):
         """Central FD of Lambda_{F,s} over the exactly degenerate synthetic
