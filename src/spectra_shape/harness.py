@@ -30,7 +30,6 @@ from .spectral import (
     EigenCluster,
     EigenDecomposition,
     cluster_spectrum,
-    kernel_columns,
     solve_pencil,
 )
 from .transforms import _POSITIVE, AffineField, spec_kind, spec_value
@@ -164,7 +163,8 @@ class Problem:
 
     @cached_property
     def solution(self) -> Tuple[Pencil, EigenDecomposition, List[EigenCluster]]:
-        """Pencil at chi_bar, its solve up to index_range[1] and its clusters:
+        """Pencil at chi_bar, its solve up to index_range[1] and the clusters
+        that overlap index_range, the only clusters any command reports:
         every command's one chi_bar solve, which refuses an index_range past
         what it can return before solving and past what it computed after."""
         cfg = self.cfg
@@ -173,7 +173,9 @@ class Problem:
         dec = solve_pencil(pencil, cfg.kernel_tol, count=cfg.index_range[1],
                            cluster_tol=cfg.cluster_tol)
         check_index_range(cfg, len(dec.eigenvalues))
-        return pencil, dec, cluster_spectrum(dec, cfg.cluster_tol)
+        lo, hi = cfg.index_range
+        return pencil, dec, [c for c in cluster_spectrum(dec, cfg.cluster_tol)
+                             if c.indices[-1] + 1 >= lo and c.indices[0] + 1 <= hi]
 
 
 def build_problem(cfg: RunConfig) -> Problem:
@@ -443,21 +445,51 @@ def _round_off_scale(deriv: PencilDerivative, cluster: EigenCluster) -> float:
     return float((r * (abs(deriv.dK) @ r + abs(cluster.lambda_bar) * (abs(deriv.dM) @ r))).sum())
 
 
-def _route_matrices(problem: Problem, clusters: List[EigenCluster], surface: bool):
-    """Rellich matrix, volume matrix and, if `surface`, surface matrix of each
-    cluster, None where the problem has no such form or it is not wanted, and
-    the floor of the gaps between them: 1e-5 of the round-off scale, so that
-    a gap of 1e-10 admits 4.5 eps of it. Where the stiffness and mass terms
-    cancel, that scale is tens of |lambda_bar|; on the benchmark workloads
-    ||R||_2 is above 2.8e-3 of it, so the floor does not bind there."""
+def _cluster_records(problem: Problem, clusters: List[EigenCluster], surface: bool) -> List[dict]:
+    """The report record of each cluster of the chi_bar solve: its eigenpair
+    residual, checked, and its Rellich matrix, volume matrix and, if
+    `surface`, surface matrix, each where the problem has that form, with
+    their slopes and the gaps between them. A gap's floor is 1e-5 of the
+    round-off scale, so that a gap of 1e-10 admits 4.5 eps of it. Where the
+    stiffness and mass terms cancel, that scale is tens of |lambda_bar|; on
+    the benchmark workloads ||R||_2 is above 2.8e-3 of it, so the floor does
+    not bind there."""
+    pencil, dec, _ = problem.solution
     deriv = derivative_at(problem)
-
-    def form(route, wanted):
-        return route(clusters) if route and wanted else [None] * len(clusters)
-
-    return zip([rellich_matrix(deriv, cl) for cl in clusters],
-               form(problem.volume_form, True), form(problem.surface_form, surface),
-               [1e-5 * _round_off_scale(deriv, cl) for cl in clusters])
+    none = [None] * len(clusters)
+    volumes = problem.volume_form(clusters) if problem.volume_form else none
+    surfaces = problem.surface_form(clusters) if problem.surface_form and surface else none
+    records = []
+    for cl, V, S in zip(clusters, volumes, surfaces):
+        R = rellich_matrix(deriv, cl)
+        floor = 1e-5 * _round_off_scale(deriv, cl)
+        residual = float(np.max(np.abs(pencil.K @ cl.vectors
+                                       - pencil.M @ cl.vectors * dec.eigenvalues[cl.indices])))
+        rec = {
+            "indices": [int(i) + 1 for i in cl.indices],
+            "lambda_bar": cl.lambda_bar,
+            "width": cl.width,
+            "multiplicity": cl.multiplicity,
+            "rellich_matrix": _matrix_entry(R),
+            "slopes_rellich": sla.eigvalsh(R).tolist(),
+            "sym_derivatives_rellich": trace_formula(cl.lambda_bar, cl.multiplicity,
+                                                     float(np.trace(R))),
+            "residual": residual,
+        }
+        if residual > 1e-8 * max(1.0, abs(cl.lambda_bar)):
+            raise ContractViolationError("eigenpair residual exceeds 1e-8 scale")
+        if V is not None:
+            rec["volume_matrix"] = _matrix_entry(V)
+            rec["slopes_volume"] = sla.eigvalsh(V).tolist()
+            rec["sym_derivatives_volume"] = trace_formula(cl.lambda_bar, cl.multiplicity,
+                                                          float(np.trace(V)))
+            rec["route_discrepancy"] = _relative_gap(V, R, floor)
+            if S is not None:
+                rec["surface_matrix"] = _matrix_entry(S)
+                rec["slopes_surface"] = sla.eigvalsh(S).tolist()
+                rec["surface_volume_gap"] = _relative_gap(S, V, floor)
+        records.append(rec)
+    return records
 
 
 def write_json(payload, path: Optional[str]):
@@ -507,18 +539,12 @@ def check_index_range(cfg: RunConfig, count: int, of: str = "computed eigenvalue
 def check_solvable_index_range(cfg: RunConfig, pencil: Pencil):
     """Refuse, before any solve, an index_range past the eigenvalues a solve of
     `pencil` can return: its dofs less the rank of its kernel basis (the
-    count of its `kernel_columns`), which the solve counts as kernel."""
-    G = kernel_columns(pencil.kernel_basis)
+    count of its columns), which the solve counts as kernel."""
+    G = pencil.kernel_basis
     rank = 0 if G is None else G.shape[1]
     check_index_range(cfg, pencil.size - rank, "dofs of the pencil" if rank == 0 else
                       f"computable eigenvalues: the pencil's {pencil.size} dofs less "
                       f"the rank {rank} of its kernel basis")
-
-
-def wanted_clusters(cfg: RunConfig, clusters: List[EigenCluster]) -> List[EigenCluster]:
-    """The clusters that overlap the configured index_range, which `run` reports."""
-    lo, hi = cfg.index_range
-    return [c for c in clusters if c.indices[-1] + 1 >= lo and c.indices[0] + 1 <= hi]
 
 
 def run(problem: Problem) -> dict:
@@ -528,49 +554,16 @@ def run(problem: Problem) -> dict:
     environment and clusters; its caller writes it."""
     cfg = problem.cfg
     pencil, dec, clusters = problem.solution
-    wanted = wanted_clusters(cfg, clusters)
-
-    routes = _route_matrices(problem, wanted, cfg.surface_form_trusted)
-    records = []
-    for cl, (R, V, S, floor) in zip(wanted, routes):
-        rec = {
-            "indices": [int(i) + 1 for i in cl.indices],
-            "lambda_bar": cl.lambda_bar,
-            "width": cl.width,
-            "multiplicity": cl.multiplicity,
-            "rellich_matrix": _matrix_entry(R),
-            "slopes_rellich": np.sort(sla.eigvalsh(R)).tolist(),
-            "sym_derivatives_rellich": trace_formula(cl.lambda_bar, cl.multiplicity,
-                                                     float(np.trace(R))),
-        }
-        residual = np.max(
-            np.abs(pencil.K @ cl.vectors - pencil.M @ cl.vectors
-                   * dec.eigenvalues[cl.indices][None, :])
-        )
-        rec["residual"] = float(residual)
-        if residual > 1e-8 * max(1.0, abs(cl.lambda_bar)):
-            raise ContractViolationError("eigenpair residual exceeds 1e-8 scale")
-
-        if V is not None:
-            rec["volume_matrix"] = _matrix_entry(V)
-            rec["slopes_volume"] = np.sort(sla.eigvalsh(V)).tolist()
-            rec["sym_derivatives_volume"] = trace_formula(cl.lambda_bar, cl.multiplicity,
-                                                          float(np.trace(V)))
-            rec["route_discrepancy"] = _relative_gap(V, R, floor)
-            if S is not None:
-                rec["surface_matrix"] = _matrix_entry(S)
-                rec["slopes_surface"] = np.sort(sla.eigvalsh(S)).tolist()
-                rec["surface_volume_gap"] = _relative_gap(S, V, floor)
-        records.append(rec)
+    records = _cluster_records(problem, clusters, cfg.surface_form_trusted)
 
     # clusters that share an FD step share the solves at chi_bar +- step; a
     # step enlarged past fd_step that leaves the admissible parameters
     # withholds its clusters' FD slopes, while fd_step itself must be admissible
-    steps = [cluster_fd_step(cl, cfg.fd_step) for cl in wanted]
+    steps = [cluster_fd_step(cl, cfg.fd_step) for cl in clusters]
     for step in dict.fromkeys(steps):
         group = [i for i, s in enumerate(steps) if s == step]
         try:
-            fits = tracked_fd_slopes(problem, [wanted[i] for i in group], step)
+            fits = tracked_fd_slopes(problem, [clusters[i] for i in group], step)
         except InadmissibleParameterError as exc:
             if step <= cfg.fd_step:
                 raise
@@ -613,15 +606,14 @@ def fd_check(problem: Problem, steps) -> List[dict]:
     """Central-difference table over the given steps with Richardson reference.
 
     Each row carries the tracked branch slopes and the slopes of the
-    elementary symmetric functions of the first wanted cluster (sorted
+    elementary symmetric functions of the first reported cluster (sorted
     eigenvalues only, no tracking needed). A tracking failure is recorded in
     the row instead of aborting the table. The observed order needs geometric
     steps, and slope differences above round-off: an eigenvalue's round-off,
     eps |lambda_bar|, moves a slope by eps |lambda_bar| / h."""
     cfg = problem.cfg
     steps = check_fd_steps(steps)
-    _, _, clusters = problem.solution
-    cl = wanted_clusters(cfg, clusters)[0]
+    cl = problem.solution[2][0]
     count = cl.indices[-1] + 1
 
     rows = []
@@ -681,17 +673,17 @@ def refinement_study(cfg: RunConfig) -> List[dict]:
 
 
 def _study_level(cfg: RunConfig, n: int) -> dict:
-    """The study row of the box with n cells per side. The level's problem,
-    pencil and solve die when this returns, before the next level is built."""
+    """The study row of the box with n cells per side, read off the record
+    that `run` makes of the level's first reported cluster. The level's
+    problem, pencil and solve die when this returns, before the next level
+    is built."""
     level = build_problem(replace(cfg, mesh=dict(cfg.mesh, n=n)))
     pencil, dec, clusters = level.solution
     cl = clusters[0]
-    ((R, V, S, floor),) = _route_matrices(level, [cl], surface=True)
+    [rec] = _cluster_records(level, [cl], surface=True)
     return {
         "n": n,
         "dofs": pencil.size,
         "eigenvalues": dec.eigenvalues[: cl.indices[-1] + 1].tolist(),
-        "lambda_bar": cl.lambda_bar,
-        "route_discrepancy": _relative_gap(V, R, floor),
-        "surface_volume_gap": _relative_gap(S, V, floor),
+        **{key: rec[key] for key in ("lambda_bar", "route_discrepancy", "surface_volume_gap")},
     }

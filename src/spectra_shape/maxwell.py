@@ -57,6 +57,30 @@ def gradient_kernel_basis(mesh: Mesh) -> sp.csr_array:
     )
 
 
+def anchored_gradient_basis(mesh: Mesh) -> sp.csr_array:
+    """The pencil's kernel basis: `gradient_kernel_basis` less one column per
+    connected component of the mesh with no constrained vertex, the column of
+    its lowest-numbered vertex. There the constant potential has zero
+    gradient, so the component's columns are dependent until one goes.
+    Components are read off G: free vertices that share a row fall in one,
+    and a component C reaches a constrained vertex exactly where G 1_C != 0,
+    since every edge at a free vertex is free, so the first edge out of C to
+    a constrained vertex is a row of G with one entry in C."""
+    from scipy.sparse.csgraph import connected_components
+
+    G = gradient_kernel_basis(mesh)
+    count, labels = connected_components(abs(G).T @ abs(G), directed=False)
+    component = sp.csr_array((np.ones(len(labels)), (np.arange(len(labels)), labels)),
+                             shape=(len(labels), count))
+    floating = abs(G @ component).sum(axis=0) == 0
+    # free vertices are numbered in vertex order: a component's first column
+    # is its lowest-numbered vertex
+    _, first = np.unique(labels, return_index=True)
+    keep = np.ones(G.shape[1], dtype=bool)
+    keep[first[floating]] = False
+    return G[:, keep]
+
+
 # Nedelec-1 on edges: E = (J^-T F) o Phi^-1 and rot E = (det J)^-1 (J rot F) o Phi^-1,
 # the push-forwards of the mass kind eps and of the stiffness kind mu^-1
 NEDELEC = Space(
@@ -66,7 +90,7 @@ NEDELEC = Space(
     constrained=lambda mesh: mesh.boundary_edge_set("T"),
     values=_edge_values,
     derivatives=_edge_curls,
-    kernel_basis=gradient_kernel_basis,
+    kernel_basis=anchored_gradient_basis,
 )
 
 

@@ -3,7 +3,7 @@ elementary symmetric functions and their shifted/reciprocal transforms,
 the branch-slope matrix for multiple eigenvalues, and the simple-eigenvalue
 derivative."""
 
-from math import comb
+from math import comb, copysign, inf
 
 import numpy as np
 
@@ -104,13 +104,16 @@ def hellmann_feynman(
 def trace_formula(lambda_bar: float, m: int, trace: float) -> list:
     """Derivatives of Lambda_{F,s}, s = 1..m, for a cluster of multiplicity m
     at lambda_bar whose branch-slope matrix has the given trace:
-    lambda_bar^(s-1) * C(m-1, s-1) * trace. A term past the float range is
-    inf, which a report refuses."""
+    lambda_bar^(s-1) * C(m-1, s-1) * trace. Every term of a zero trace is
+    0; a term past the float range is inf of the sign of
+    lambda_bar^(s-1) * trace, which a report refuses."""
     def term(s):
+        if trace == 0:
+            return 0.0
         try:
             return lambda_bar ** (s - 1) * comb(m - 1, s - 1) * trace
         except OverflowError:
-            return float("inf")
+            return copysign(inf, trace * (-1 if lambda_bar < 0 and s % 2 == 0 else 1))
 
     return [term(s) for s in range(1, m + 1)]
 

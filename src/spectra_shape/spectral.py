@@ -223,22 +223,11 @@ def _count_below(K, M, shift: float, tree=None) -> int:
     return int(np.sum(_ldl(A).U.diagonal() < 0))
 
 
-def kernel_columns(G):
-    """The columns of a kernel basis G (None: no basis) that the projector
-    spans: all of them, less one anchor column where G 1 = 0. There every
-    vertex is free (no tangential boundary), and the constant potential
-    spans ker G."""
-    if G is not None and not np.any(G @ np.ones(G.shape[1])):
-        return G[:, 1:]
-    return G
-
-
 def _kernel_projector(G, M):
     """M-orthogonal projector off range(G), x -> x - G (G^T M G)^-1 G^T M x,
     and the rank of G, checked by the pivots of the LDL^T of G^T M G. The
     projector keeps the checked factor; the copy of U that its pivots are
     read through is dropped."""
-    G = kernel_columns(G)
     if G is None or G.shape[1] == 0:
         # no column: nothing to project
         return (lambda x: x), 0

@@ -322,7 +322,38 @@ class TestMaxOverlapPairing:
         check_pairing_against_oracle(np.abs(Q))
 
 
+def assert_levels_read_run(cfg):
+    """Each study level's lambda_bar and gaps equal those of the record that
+    `run` makes of the first reported cluster on that level's config."""
+    for row in harness.refinement_study(cfg):
+        level = replace(cfg, mesh=dict(cfg.mesh, n=row["n"]))
+        rec = harness.run(harness.build_problem(level))["clusters"][0]
+        for key in ("lambda_bar", "route_discrepancy", "surface_volume_gap"):
+            assert row[key] == rec[key], (row["n"], key)
+
+
 class TestRefinementStudy:
+    def test_level_reports_the_cluster_that_dshape_reports(self):
+        """index_range [2, 2] on the [1, 1.2, 0.9] box: each level reports
+        the cluster of eigenvalue 2, as dshape does, not the lowest one."""
+        cfg = config(mesh=dict(HELM_SCALING["mesh"], dims=[1, 1.2, 0.9]), index_range=[2, 2],
+                     refinement=[3, 4])
+        assert_levels_read_run(cfg)
+
+    @settings(max_examples=12, deadline=None)
+    @given(problem=st.sampled_from(["helmholtz", "maxwell"]), n=st.sampled_from([2, 3]),
+           faces=st.lists(st.sampled_from("TN"), min_size=6, max_size=6), data=st.data())
+    def test_levels_read_run_on_drawn_boxes(self, problem, n, faces, data):
+        """Helmholtz and Maxwell boxes of per-face T/N partitions, with an
+        index_range inside the spectrum that the dense oracle computes."""
+        mesh = {"type": "box", "n": n, "partition": dict(zip(BOX_FACES, faces))}
+        probe = harness.build_problem(config(problem=problem, mesh=mesh))
+        count = len(spectral.solve_pencil(harness.assemble_at(probe, 0.0)).eigenvalues)
+        hi = data.draw(st.integers(1, min(count, 4)), label="hi")
+        lo = data.draw(st.integers(1, hi), label="lo")
+        assert_levels_read_run(config(problem=problem, mesh=mesh, index_range=[lo, hi],
+                                      refinement=[n]))
+
     def test_gap_and_routes_over_levels(self):
         rows = harness.refinement_study(config(refinement=[2, 3, 4]))
         gaps = [r["surface_volume_gap"] for r in rows]
@@ -362,13 +393,31 @@ class TestRefinementStudy:
         assert np.ptp(dec.eigenvalues[cl.indices]) <= 1e-12 * cl.lambda_bar
         Q = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 2)))[0]
         turned = replace(cl, vectors=cl.vectors @ Q)
-        (R, V, S, floor), (R2, V2, S2, floor2) = harness._route_matrices(
-            problem, [cl, turned], surface=True)
+        rec, rec2 = harness._cluster_records(problem, [cl, turned], surface=True)
+        S, S2 = np.array(rec["surface_matrix"]), np.array(rec2["surface_matrix"])
         assert np.max(np.abs(S2 - S)) > 1e-3 * np.max(np.abs(S))
-        assert floor2 == pytest.approx(floor, rel=1e-12)
-        for (A, B), (A2, B2) in (((V, R), (V2, R2)), ((S, V), (S2, V2))):
-            assert (harness._relative_gap(A2, B2, floor2)
-                    == pytest.approx(harness._relative_gap(A, B, floor), rel=0, abs=1e-12))
+        deriv = harness.derivative_at(problem)
+        assert (harness._round_off_scale(deriv, turned)
+                == pytest.approx(harness._round_off_scale(deriv, cl), rel=1e-12))
+        for gap in ("route_discrepancy", "surface_volume_gap"):
+            assert rec2[gap] == pytest.approx(rec[gap], rel=0, abs=1e-12)
+
+    def test_level_checks_eigenpair_residuals(self, tmp_path, capsys, monkeypatch):
+        """A level's solve with one perturbed eigenvector fails the residual
+        check of its record: the study exits 4."""
+        solve = harness.solve_pencil
+
+        def perturbed(*args, **kwargs):
+            dec = solve(*args, **kwargs)
+            dec.eigenvectors[:, 0] += 1e-3
+            return dec
+
+        monkeypatch.setattr(harness, "solve_pencil", perturbed)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(HELM_SCALING, refinement=[2, 3])))
+        assert cli.main(["study", "--config", str(path)]) == cli.EXIT_INVARIANT
+        assert capsys.readouterr().err == (
+            "invariant violation: eigenpair residual exceeds 1e-8 scale\n")
 
     def test_one_level_alive_at_a_time(self, monkeypatch):
         """Each level's problem, with its mesh, discretisation, pencil and
@@ -767,6 +816,28 @@ class TestCli:
         raw = dict(HELM_SCALING, mesh={"type": "file", "path": str(mesh_path)})
         path = self.write_config(tmp_path, raw)
         assert cli.main(["eig", "--config", path]) == cli.EXIT_CONFIG
+
+    def test_maxwell_on_a_floating_component_exit_code(self, tmp_path, capsys, two_box_mesh):
+        """A mesh file of an all-T box beside an all-N box: the kernel basis
+        anchors the all-N box, and eig returns the dense oracle's lambda_1."""
+        save_mesh(two_box_mesh, str(tmp_path / "two.tetmesh"))
+        path = self.write_config(tmp_path, {"problem": "maxwell", "mesh": {
+            "type": "file", "path": str(tmp_path / "two.tetmesh")}})
+        assert cli.main(["eig", "--config", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["kernel_dim"] == 27
+        assert doc["eigenvalues"] == [pytest.approx(17.06363422768628, rel=1e-10)]
+
+    def test_zero_trace_past_the_float_range_exit_code(self, tmp_path, capsys):
+        """direction 0 makes every slope exactly 0: the trace formula's terms
+        past the float range read 0, not inf, and dshape exits 0."""
+        path = self.write_config(tmp_path, {
+            "problem": "abstract-pencil", "direction": 0.0,
+            "abstract": {"kind": "degenerate", "m": 40, "lambda": 1e9}})
+        assert cli.main(["dshape", "--config", path]) == 0
+        [rec] = json.loads(capsys.readouterr().out)["clusters"]
+        assert rec["multiplicity"] == 40
+        assert rec["slopes_rellich"] == rec["sym_derivatives_rellich"] == [0.0] * 40
 
     def test_internal_key_error_is_not_a_config_error(self, tmp_path, monkeypatch):
         def broken(cfg):

@@ -214,6 +214,16 @@ class TestTraceFormula:
         assert terms[:2] == [0.5, lambda_bar * (m - 1) * 0.5]
         assert np.inf in terms
 
+    def test_overflow_takes_the_sign_of_the_term(self):
+        """lambda_bar^(s - 1) trace alternates in sign for a negative
+        lambda_bar, and so does each overflowed term."""
+        assert trace_formula(-1e9, 40, 1.0)[-3:] == [-np.inf, np.inf, -np.inf]
+        assert trace_formula(1e9, 40, -1.0)[-2:] == [-np.inf, -np.inf]
+
+    @pytest.mark.parametrize("lambda_bar, m", [(1e9, 40), (-1e9, 40), (2.0, 2000)])
+    def test_zero_trace_is_zero_past_the_float_range(self, lambda_bar, m):
+        assert trace_formula(lambda_bar, m, 0.0) == [0.0] * m
+
     def test_matches_fd_on_degenerate_pencil(self):
         """Central FD of Lambda_{F,s} over the exactly degenerate synthetic
         cluster, tolerance max(1e-6 |value|, 1e-8) after scaling."""

@@ -79,12 +79,30 @@ def test_sparse_matches_dense_oracle(problem, n, partition, count, cluster_tol, 
 
 def test_kernel_dim_is_measured_for_all_n_maxwell():
     """No tangential boundary: the gradients of all hat functions span a
-    kernel of rank vertices - 1, although the basis has a column per vertex."""
+    kernel of rank vertices - 1, and the basis keeps vertices - 1 of them,
+    the anchor vertex 0 left out, so it has full rank."""
     p = fem_pencil("maxwell", 3, "N")
     dec = solve_pencil(p, count=1)
     vertices = box_mesh_size(3)[0]
-    assert p.kernel_basis.shape[1] == vertices
+    assert p.kernel_basis.shape[1] == vertices - 1
     assert dec.kernel_dim == vertices - 1
+
+
+def test_floating_component_is_anchored(two_box_mesh):
+    """Beside a component with T faces, the all-N box is a component whose
+    constant potential lies in ker G: the basis leaves out the column of its
+    lowest-numbered vertex 27, column 1 after the all-T box's one free
+    vertex, and the sparse solve matches the dense oracle."""
+    G = mx.gradient_kernel_basis(two_box_mesh)
+    kept = np.r_[0, 2:G.shape[1]]
+    assert (mx.anchored_gradient_basis(two_box_mesh) != G[:, kept]).nnz == 0
+    p = mx.assemble_maxwell(
+        Discretisation(NEDELEC, two_box_mesh, tf.stretch_family(0), EYE, EYE), 0.0)
+    dense = solve_pencil(p)
+    dec = solve_pencil(p, count=1)
+    assert dec.kernel_dim == dense.kernel_dim == len(kept) == 27
+    np.testing.assert_allclose(dec.eigenvalues, dense.eigenvalues[:len(dec.eigenvalues)],
+                               rtol=1e-10)
 
 
 def test_split_triple_is_returned_whole():
@@ -352,13 +370,10 @@ def test_kernel_basis_without_columns(partition, lam):
     assert dec.eigenvalues[0] == pytest.approx(lam, rel=1e-5)
 
 
-def test_anchor_drop_leaving_no_column_projects_nothing():
-    """One column whose rows sum to zero reads as 'every vertex free'; the
-    anchor drop then leaves no column, which projects nothing."""
-    x = np.arange(3.0)
-    project, rank = spectral._kernel_projector(sp.csr_array((3, 1)), sp.eye_array(3))
-    assert rank == 0
-    np.testing.assert_array_equal(project(x), x)
+def test_zero_kernel_column_rejected():
+    """The solver drops no column of the basis: a zero column is rank-deficient."""
+    with pytest.raises(PencilError, match="kernel basis is rank-deficient"):
+        spectral._kernel_projector(sp.csr_array((3, 1)), sp.eye_array(3))
 
 
 def test_small_pencil_uses_dense_path(dense_calls):
